@@ -15,14 +15,15 @@ from .circuit import (Circuit, CircuitBuilder, CompiledProgram, DualRailWire,
                       flatten, format_program, free_vars, load_program,
                       lower_to_circuit, parse_expression, predict_speed,
                       structural_bound)
-from .simulate import (ForcedSystem, ForcingFunction, ForcingTerm, SimConfig,
-                       Termination, Trajectory, closed_form_reference,
-                       compile_circuit_rhs,
+from .simulate import (ForcedSystem, ForcingFunction, ForcingTerm,
+                       IntegrationStats, SimConfig, Termination, Trajectory,
+                       closed_form_reference, compile_circuit_rhs,
                        compile_rhs, designed_inversion_network,
                        double_identification_network, initial_state,
-                       integrate_network, naive_inversion_network,
-                       parse_forcing, read_trajectory_csv, simulate_forced,
-                       simulate_program)
+                       integrate, integrate_network, naive_inversion_network,
+                       network_rhs, network_state, parse_forcing,
+                       program_rhs, program_state, read_trajectory_csv,
+                       simulate_forced, simulate_program)
 from .rates import (DigitTime, EstimationError, LemmaPrediction,
                     NotConvergedError, PreconditionError, RateEstimate,
                     Verdict, auto_err_floor, bound_calculus, check_speed,

@@ -39,67 +39,92 @@ class ModeError(ValueError):
 
 
 class Expr:
-    __slots__ = ()
+    """An immutable expression node, compared by value.
+
+    Lowering looks nodes up by value to share common subexpressions.  The
+    dataclass hash would rehash the whole subtree on every lookup, which
+    makes lowering quadratic in the expression size, so each node hashes
+    once, at construction, from its children's stored hashes.
+    """
+    __slots__ = ("_hash",)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *self._fields())))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # rebuild through __init__: string hashes differ per process
+        return type(self), self._fields()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Expr.__hash__  # dataclass installs a field hash; keep the stored one
+    return cls
+
+
+@_node
 class Const(Expr):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Neg(Expr):
     child: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Root(Expr):
     m: int
     child: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class AbsDiff(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class Max(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class RectSub(Expr):
     left: Expr
     right: Expr
@@ -526,7 +551,6 @@ class CompiledProgram:
     network: ReactionNetwork
     bindings: ProgramBindings
     circuit: Circuit | None = None
-    predicted_bound: SpeedBound | None = None
 
 
 def _rail_ids(v: Value) -> tuple[str, ...]:
@@ -562,12 +586,7 @@ def flatten(circuit: Circuit) -> CompiledProgram:
         output=_rail_ids(circuit.output),
         positive_init=tuple(sorted(pos, key=order.__getitem__)),
     )
-    prog = CompiledProgram(net, bindings, circuit)
-    try:
-        prog.predicted_bound = structural_bound(circuit)
-    except DomainError:
-        prog.predicted_bound = None
-    return prog
+    return CompiledProgram(net, bindings, circuit)
 
 
 def compile_expression(expr: Expr | str, mode: str = "nonneg") -> CompiledProgram:

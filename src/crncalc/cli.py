@@ -10,6 +10,7 @@ CRNCALC_DEFAULT_TOL=rtol[,atol] overrides the built-in tolerances when
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -233,6 +234,9 @@ def cmd_verify(args) -> int:
     report["termination"] = {"status": traj.termination.status,
                              "species": traj.termination.species,
                              "time": traj.termination.time}
+    report["stats"] = dataclasses.asdict(traj.stats)
+    report["negatives"] = [{"species": sid, "time": t, "value": v}
+                           for sid, t, v in traj.negatives]
     report["outputs"] = _rail_report(traj, rails, targets, cfg.rel_tol)
     if args.out:
         _write(args.out, traj.to_csv())
@@ -342,41 +346,92 @@ def cmd_lemma(args) -> int:
     return EXIT_OK if v.passed else EXIT_SPEED
 
 
-# sweep worker kept at module level so ProcessPoolExecutor can pickle it
-def _sweep_point(payload) -> dict:
-    kind, text, mode, point, cfg_kw, target_expr, species = payload
-    cfg = sim.SimConfig(**cfg_kw)
-    row = dict(point)
-    try:
+# A sweep integrates its points in blocks of this many lanes.  Each block
+# is one lockstep batch, so a row depends only on the points of its block;
+# --jobs hands whole blocks to worker processes, which keeps serial and
+# parallel output byte-identical.
+SWEEP_BLOCK = 64
+
+
+class _Sweep:
+    """The network of one sweep, lowered and compiled once, and the
+    per-point set-up (targets, initial state) of its rows."""
+
+    def __init__(self, kind: str, text: str, mode: str, target: str | None,
+                 species: str | None, cfg: sim.SimConfig):
+        self.kind, self.target, self.cfg = kind, target, cfg
+        self.error: ValueError | None = None  # a lowering error every row reports
         if kind == "expr":
-            circuit = circ.lower_to_circuit(text, mode)
-            analysis = circ.predict_speed(circuit, point)
-            prog = circ.flatten(circuit)
-            traj = sim.simulate_program(prog, point, cfg)
-            rails = list(prog.bindings.output)
-            targets = list(analysis.output_values)
+            expr = circ.parse_expression(text)
+            try:
+                self.circuit = circ.lower_to_circuit(expr, mode)
+            except circ.ModeError as e:
+                self.error = e
+                return
+            self.prog = circ.flatten(self.circuit)
+            self.rails = list(self.prog.bindings.output)
+            self.species = self.prog.network.species_ids
+            self.rhs = sim.program_rhs(self.prog, cfg.sigma)
         else:
-            net = parse_network(text)
-            traj = sim.integrate_network(net, point, cfg)
-            rails = [species]
-            targets = [circ.eval_expr(target_expr, point)]
-        row["termination"] = traj.termination.status
-        errs, rhos, r2s = [], [], []
+            self.net = parse_network(text)
+            self.rails = [species]
+            self.species = self.net.species_ids
+            self.rhs = sim.network_rhs(self.net, cfg.sigma)
+
+    def point(self, values: dict) -> tuple[list[float], np.ndarray]:
+        """Targets and initial state of one point; raises ValueError for a
+        point the network cannot run."""
+        if self.error is not None:
+            raise self.error
+        if self.kind == "expr":
+            analysis = circ.predict_speed(self.circuit, values)
+            return list(analysis.output_values), sim.program_state(self.prog, values)
+        y0 = sim.network_state(self.net, values)
+        return [circ.eval_expr(self.target, values)], y0
+
+    def rows(self, points: list[dict]) -> list[dict]:
+        """One row per point; the points that can run form one batch."""
+        rows, lanes = [], []
+        for values in points:
+            row = dict(values)
+            rows.append(row)
+            try:
+                lanes.append((row, *self.point(values)))
+            except ValueError as e:  # DomainError and ModeError included
+                row["status"] = f"{type(e).__name__}: {e}"
+        if lanes:
+            y0 = np.column_stack([y0 for _, _, y0 in lanes])
+            trajs = sim.integrate(self.rhs, y0, self.species, self.cfg)
+            for (row, targets, _), traj in zip(lanes, trajs):
+                _measure_row(row, traj, self.rails, targets, self.cfg.rel_tol)
+        return rows
+
+
+def _measure_row(row: dict, traj, rails, targets, rel_tol: float):
+    row["termination"] = traj.termination.status
+    errs, rhos, r2s = [], [], []
+    try:
         for sid, tgt in zip(rails, targets):
             errs.append(abs(traj.final(sid) - tgt))
             est = rt.estimate_rate(traj, sid, tgt,
-                                   err_floor=rt.auto_err_floor(tgt, cfg.rel_tol),
+                                   err_floor=rt.auto_err_floor(tgt, rel_tol),
                                    detrend=True)
             rhos.append(est.rho_hat)
             r2s.append(est.r_squared)
-        row["target"] = targets[0] if len(targets) == 1 else targets[0] - targets[1]
-        row["final_abs_error"] = max(errs)
-        row["rho_hat"] = min(rhos)
-        row["r_squared"] = min(r2s)
-        row["status"] = "ok"
-    except (DomainError, rt.EstimationError, rt.NotConvergedError, ValueError) as e:
+    except ValueError as e:  # EstimationError, NotConvergedError, unknown species
         row["status"] = f"{type(e).__name__}: {e}"
-    return row
+        return
+    row["target"] = targets[0] if len(targets) == 1 else targets[0] - targets[1]
+    row["final_abs_error"] = max(errs)
+    row["rho_hat"] = min(rhos)
+    row["r_squared"] = min(r2s)
+    row["status"] = "ok"
+
+
+# worker kept at module level so ProcessPoolExecutor can pickle it
+def _sweep_block(payload) -> list[dict]:
+    spec, cfg, points = payload
+    return _Sweep(*spec, cfg).rows(points)
 
 
 def _parse_grid(spec: str) -> list[dict[str, float]]:
@@ -399,28 +454,23 @@ def cmd_sweep(args) -> int:
     try:
         points = _parse_grid(args.grid)
         cfg = _sim_config(args)
-        cfg_kw = {"t_end": cfg.t_end, "sigma": cfg.sigma,
-                  "rel_tol": cfg.rel_tol, "abs_tol": cfg.abs_tol}
         if args.expr:
-            payloads = [("expr", args.expr, args.mode, p, cfg_kw, None, None)
-                        for p in points]
-            # fail fast on an unparseable expression
-            circ.parse_expression(args.expr)
+            spec = ("expr", args.expr, args.mode, None, None)
         else:
             if not args.target or not args.species:
                 return _err("--crn sweeps need --target and --species")
             with open(args.crn) as fh:
-                text = fh.read()
-            parse_network(text)
-            payloads = [("crn", text, args.mode, p, cfg_kw, args.target, args.species)
-                        for p in points]
+                spec = ("crn", fh.read(), args.mode, args.target, args.species)
+        sweep = _Sweep(*spec, cfg)  # an unparseable expression or network fails here
     except (circ.ParseError, FormatError, ValueError, OSError) as e:
         return _err(str(e))
-    if args.jobs > 1 and len(payloads) > 1:
+    blocks = [points[i:i + SWEEP_BLOCK] for i in range(0, len(points), SWEEP_BLOCK)]
+    if args.jobs > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+            parts = list(pool.map(_sweep_block, [(spec, cfg, b) for b in blocks]))
     else:
-        rows = [_sweep_point(p) for p in payloads]
+        parts = [sweep.rows(b) for b in blocks]
+    rows = [row for part in parts for row in part]
     var_names = sorted({k for p in points for k in p})
     header = var_names + ["target", "final_abs_error", "rho_hat", "r_squared",
                           "termination", "status"]

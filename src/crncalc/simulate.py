@@ -1,11 +1,13 @@
 """Numerical integration of networks and forced scalar systems.
 
 The polynomial right-hand side is generated as straight-line Python from
-the exact field, then handed to an embedded Runge-Kutta 5(4) pair with
-adaptive steps and a quartic dense interpolant.  Runs terminate early
-when any concentration crosses the blowup threshold; that is reported as
-a termination status, not an exception, because divergence of an inner
-species is expected behavior for some networks.
+the exact field and integrated with the Dormand-Prince 5(4) pair: adaptive
+steps and a quartic dense interpolant.  Many initial states ("lanes") of
+one system advance in lockstep as the columns of a single array, which is
+how sweeps integrate a whole grid at once (see `integrate`).  Runs
+terminate early when any concentration crosses the blowup threshold; that
+is reported as a termination status, not an exception, because divergence
+of an inner species is expected behavior for some networks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .circuit import CompiledProgram, encode_dual_rail
 from .crn import PolynomialField, ReactionNetwork, derive_ode, parse_network
@@ -28,7 +29,6 @@ class SimConfig:
     sigma: float = 1.0
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = math.inf
     blowup_threshold: float = 1e12
     output_grid: float | None = None  # None: adaptive accepted steps; else fixed dt
 
@@ -50,6 +50,15 @@ class Termination:
     detail: str = ""
 
 
+@dataclass(frozen=True)
+class IntegrationStats:
+    """Work done while a lane was in its batch.  One right-hand side
+    evaluation covers every lane of the batch."""
+    steps: int       # accepted steps
+    rejected: int    # rejected step attempts
+    rhs_evals: int
+
+
 @dataclass
 class Trajectory:
     species: tuple[str, ...]
@@ -58,6 +67,7 @@ class Trajectory:
     termination: Termination
     negatives: tuple[tuple[str, float, float], ...] = ()
     dense: Callable | None = None
+    stats: IntegrationStats | None = None
 
     def index(self, sid: str) -> int:
         return self.species.index(sid)
@@ -110,31 +120,45 @@ def read_trajectory_csv(text: str) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# code generation and integration
+# code generation
+
+
+def _rhs_function(exprs: Sequence[str], constant: Sequence[bool]) -> Callable:
+    """Compile ``_rhs(t, y)`` returning one row per species.
+
+    y is a sequence of floats or a (species, lanes) array.  A row that
+    does not depend on the state gets zero times its own species added,
+    which gives it the lane shape, so the rows always stack into an array
+    shaped like y.
+    """
+    names = [f"x{i}" for i in range(len(exprs))]
+    exprs = [(f"0.0*{x}" if e == "0.0" else f"0.0*{x} + {e}") if c else e
+             for x, e, c in zip(names, exprs, constant)]
+    one = "," if len(exprs) == 1 else ""
+    src = (f"def _rhs(t, y):\n    {', '.join(names)}{one} = y\n"
+           f"    return ({', '.join(exprs)}{one})")
+    env: dict = {}
+    exec(src, env)
+    return env["_rhs"]
 
 
 def compile_rhs(field: PolynomialField, sigma: float = 1.0) -> Callable:
     """Generate a fast python function t, y -> dy/dt from the field."""
-    ns = len(field.species)
-    names = [f"x{i}" for i in range(ns)]
-    sep = ", ".join(names)
-    lines = ["def _rhs(t, y):",
-             f"    {sep}{',' if ns == 1 else ''} = y"]
-    exprs = []
+    names = [f"x{i}" for i in range(len(field.species))]
+    exprs, constant = [], []
     for poly in field.polynomials:
-        terms = []
+        terms, varying = [], False
         for mono in poly:
             facs = [repr(float(mono.coeff) * sigma)]
             for j, e in enumerate(mono.exponents):
                 if e == 0:
                     continue
-                facs.extend([names[j]] * e if e <= 4 else [f"{names[j]}**{e}"])
+                facs.extend([names[j]] * e)
+            varying = varying or len(facs) > 1
             terms.append("*".join(facs))
         exprs.append(" + ".join(terms) if terms else "0.0")
-    lines.append(f"    return ({', '.join(exprs)}{',' if ns == 1 else ''})")
-    env: dict = {}
-    exec("\n".join(lines), env)
-    return env["_rhs"]
+        constant.append(not varying)
+    return _rhs_function(exprs, constant)
 
 
 def compile_circuit_rhs(circuit, order: Sequence[str], sigma: float = 1.0) -> Callable:
@@ -183,53 +207,319 @@ def compile_circuit_rhs(circuit, order: Sequence[str], sigma: float = 1.0) -> Ca
         else:  # pragma: no cover
             raise AssertionError(tag)
         exprs[idx[g.output.id]] = f"{s}*({e})"
-    names = [f"x{i}" for i in range(len(order))]
-    sep = ", ".join(names)
-    one = "," if len(order) == 1 else ""
-    src = (f"def _rhs(t, y):\n    {sep}{one} = y\n"
-           f"    return ({', '.join(exprs)}{one})")
-    env: dict = {}
-    exec(src, env)
-    return env["_rhs"]
+    # only species no gate writes (held inputs and constants) stay at 0.0
+    return _rhs_function(exprs, [e == "0.0" for e in exprs])
 
 
-def _integrate(rhs, y0: np.ndarray, species: Sequence[str], cfg: SimConfig) -> Trajectory:
-    if not np.all(np.isfinite(y0)):
+# ---------------------------------------------------------------------------
+# Dormand-Prince 5(4) integration in lockstep lanes
+#
+# Coefficients, error weights and the quartic dense-output matrix of the
+# Dormand-Prince pair (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5),
+# with the starting-step rule and step-size controller of scipy's RK45, so
+# that a single lane takes exactly the steps solve_ivp(method="RK45") takes.
+
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_A = (None,
+      np.array([1 / 5]),
+      np.array([3 / 40, 9 / 40]),
+      np.array([44 / 45, -56 / 15, 32 / 9]),
+      np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+      np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]))
+_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
+               1 / 40])
+_P = np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
+_TOO_SMALL = "Required step size is less than spacing between numbers."
+
+
+def _lane_ops(rhs: Callable, n: int, lanes: int, floats: bool):
+    """The right-hand side, the worst-lane error norm and the per-lane RMS
+    norms on a flat state of n species x lanes, stored species-major.
+    With floats (one lane from the start) rhs gets a list of floats."""
+    if floats:
+        root_n = n ** 0.5
+
+        def fun(t, y):  # python floats run the generated code faster than numpy scalars
+            return np.asarray(rhs(t, y.tolist()), dtype=float)
+
+        def worst(x):
+            return math.sqrt(x.dot(x)) / root_n
+
+        return fun, worst, lambda x: np.array([worst(x)])
+
+    def fun(t, y):
+        return np.asarray(rhs(t, y.reshape(n, lanes)), dtype=float).reshape(-1)
+
+    def lane_rms(x):
+        x = x.reshape(n, lanes)
+        return np.sqrt(np.einsum("ij,ij->j", x, x) / n)
+
+    return fun, (lambda x: float(lane_rms(x).max())), lane_rms
+
+
+def _stage_buffer(size: int):
+    """Stage derivatives K (7 x size) and the transposed views K[:s].T,
+    s = 0..7, that the stage combinations multiply."""
+    K = np.empty((7, size))
+    return K, [K[:s].T for s in range(8)]
+
+
+def _initial_step(fun, lane_rms, y0, f0, t_end: float, rtol: float, atol: float):
+    """Starting step of Hairer, Norsett & Wanner (II.4): the smallest any
+    lane asks for, with the second-derivative estimate taken at that step."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = lane_rms(y0 / scale), lane_rms(f0 / scale)
+    h0 = min(min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b
+                 for a, b in zip(d0, d1)), t_end)
+    f1 = fun(h0, y0 + h0 * f0)
+    d2 = lane_rms((f1 - f0) / scale) / h0
+    h1 = min(max(1e-6, h0 * 1e-3) if a <= 1e-15 and b <= 1e-15
+             else (0.01 / max(a, b)) ** (1 / 5) for a, b in zip(d1, d2))
+    return float(min(100 * h0, h1, t_end))
+
+
+class _DenseOutput:
+    """The quartic interpolant of a lane's accepted steps.
+
+    Called with a time or an array of times; returns (species,) or
+    (species, times).  A time on a step boundary uses the step ending there.
+    """
+
+    def __init__(self, t_old, h, y_old, q):
+        self.t_old, self.h, self.y_old, self.q = t_old, h, y_old, q
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        k = np.clip(np.searchsorted(self.t_old, t, side="left") - 1, 0, self.h.size - 1)
+        x = (t - self.t_old[k]) / self.h[k]
+        p = np.cumprod(np.stack([x] * 4, axis=-1), axis=-1)
+        dy = np.einsum("...ij,...j->...i", self.q[k], p)
+        return (self.y_old[k] + np.expand_dims(self.h[k], -1) * dy).T
+
+
+def _crossing(t_old, t_new, y_old, q, threshold: float):
+    """Bisect one step's interpolant for the first time max(y) reaches the
+    threshold; returns that time and the state there."""
+    step = _DenseOutput(np.array([t_old]), np.array([t_new - t_old]), y_old[None], q[None])
+    lo, hi = t_old, t_new
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if threshold - step(mid).max() > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi, step(hi)
+
+
+class _Segment:
+    """Accepted steps taken while the batch held one fixed set of lanes."""
+
+    def __init__(self, lanes: np.ndarray, t: float, y: np.ndarray):
+        self.lanes = lanes       # lane number of each column, ascending
+        self.t = [t]             # step boundaries
+        self.y = [y]             # states at the boundaries
+        self.h: list = []
+        self.q: list = []        # dense-output coefficients, (species*lanes, 4)
+        self._arrays = None
+
+    def arrays(self):
+        """Boundaries, step sizes, states (t, species, lanes) and
+        coefficients (steps, species, lanes, 4) as arrays."""
+        if self._arrays is None:
+            n = self.y[0].size // self.lanes.size
+            q = np.stack(self.q) if self.q else np.empty((0, self.y[0].size, 4))
+            self._arrays = (np.array(self.t), np.array(self.h),
+                            np.stack(self.y).reshape(len(self.y), n, -1),
+                            q.reshape(len(self.q), n, -1, 4))
+        return self._arrays
+
+
+def _check_state(y: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
-    if np.any(y0 < 0):
+    if np.any(y < 0):
         raise ValueError("initial state must be non-negative")
+    return y
 
-    def blowup(t, y):
-        return cfg.blowup_threshold - np.max(y)
-    blowup.terminal = True
-    blowup.direction = -1
 
-    t_eval = None
-    if cfg.output_grid is not None:
-        n = int(math.floor(cfg.t_end / cfg.output_grid + 1e-9))
-        t_eval = np.concatenate([np.arange(n + 1) * cfg.output_grid,
-                                 [] if n * cfg.output_grid >= cfg.t_end - 1e-12
-                                 else [cfg.t_end]])
-    sol = solve_ivp(rhs, (0.0, cfg.t_end), y0, method="RK45",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-                    events=[blowup], dense_output=True, t_eval=t_eval)
-    raw = sol.y.T
-    if sol.status == 1:
-        t_hit = float(sol.t_events[0][0])
-        worst = species[int(np.argmax(raw[-1]))]
-        term = Termination("blowup", worst, t_hit)
-    elif sol.status == 0:
-        term = Termination("completed", time=float(sol.t[-1]))
+def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
+              cfg: SimConfig) -> list[Trajectory]:
+    """Integrate the columns of y0 (species x lanes) in lockstep and return
+    one Trajectory per lane.
+
+    rhs(t, y) takes y as (species, lanes), or as a list of floats when y0
+    has one column, and returns one row per species.  All lanes take the
+    same steps.  A step is accepted when the worst lane's RMS error is
+    within tolerance, so every lane meets its own tolerance.  A lane leaves
+    the batch when it crosses the blowup threshold, located by bisection on
+    the step's interpolant, or when it cannot meet the tolerance even at
+    the smallest step (stiff_failure).
+    """
+    y0 = _check_state(np.asarray(y0, dtype=float))
+    n, n_lanes = y0.shape
+    t_end, rtol, atol = cfg.t_end, cfg.rel_tol, cfg.abs_tol
+    threshold = cfg.blowup_threshold
+    lanes = np.arange(n_lanes)
+    fun, worst, lane_rms = _lane_ops(rhs, n, n_lanes, n_lanes == 1)
+    t, y = 0.0, y0.flatten()
+    f = fun(t, y)
+    h_abs = _initial_step(fun, lane_rms, y, f, t_end, rtol, atol)
+    segments = [_Segment(lanes, t, y)]
+    # lane -> (status, end time, state at a crossing, segment, its steps, stats)
+    ends: dict[int, tuple] = {}
+    steps = rejected = 0
+    K, KT = _stage_buffer(y.size)
+    while True:
+        seg, where = segments[-1], len(segments) - 1
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        h_first, accepted, retry = h_abs, False, False
+        while h_abs >= min_step:
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(t + _C[s] * h, y + np.dot(KT[s], _A[s]) * h)
+            y_new = y + h * np.dot(KT[6], _B)
+            f_new = fun(t + h, y_new)
+            K[6] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = np.dot(KT[7], _E) * h / scale
+            error_norm = worst(err)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if retry:
+                    factor = min(1, factor)
+                h_abs *= factor
+                accepted = True
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected += 1
+            retry = True
+        leaving = None
+        if accepted:
+            steps += 1
+            q = KT[7].dot(_P)
+            seg.t.append(t_new)
+            seg.h.append(h)
+            seg.y.append(y_new)
+            seg.q.append(q)
+            done = t_new == t_end
+            if done or not threshold - y_new.max() > 0:
+                y_cols, q_cols = y.reshape(n, -1), q.reshape(n, -1, 4)
+                crossed = ((threshold - y_cols.max(axis=0) >= 0)
+                           & (threshold - y_new.reshape(n, -1).max(axis=0) <= 0))
+                leaving = crossed | done
+                stats = IntegrationStats(steps, rejected, 2 + 6 * (steps + rejected))
+                for j in np.flatnonzero(leaving):
+                    if crossed[j]:
+                        t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q_cols[:, j],
+                                                 threshold)
+                        end = ("blowup", t_hit, y_hit)
+                    else:
+                        end = ("completed", t_new, None)
+                    ends[int(lanes[j])] = end + (where, len(seg.h), stats)
+            t, y, f = t_new, y_new, f_new
+        else:
+            # the step shrank below what t can resolve: lanes still missing
+            # the tolerance there leave, the others retry from h_first
+            leaving = ~(lane_rms(err) < 1)
+            stats = IntegrationStats(steps, rejected, 2 + 6 * (steps + rejected))
+            for j in np.flatnonzero(leaving):
+                ends[int(lanes[j])] = ("stiff_failure", t, None, where, len(seg.h), stats)
+            h_abs = h_first
+        if leaving is not None and leaving.any():
+            keep = ~leaving
+            if not keep.any():
+                break
+            lanes = lanes[keep]
+            y = y.reshape(n, -1)[:, keep].reshape(-1)
+            f = f.reshape(n, -1)[:, keep].reshape(-1)
+            fun, worst, lane_rms = _lane_ops(rhs, n, lanes.size, False)
+            segments.append(_Segment(lanes, t, y))
+            K, KT = _stage_buffer(y.size)
+    grid = _output_times(cfg)
+    return [_lane_trajectory(segments, lane, ends[lane], species, grid, atol)
+            for lane in range(n_lanes)]
+
+
+def _output_times(cfg: SimConfig) -> np.ndarray | None:
+    if cfg.output_grid is None:
+        return None
+    n = int(math.floor(cfg.t_end / cfg.output_grid + 1e-9))
+    return np.concatenate([np.arange(n + 1) * cfg.output_grid,
+                           [] if n * cfg.output_grid >= cfg.t_end - 1e-12
+                           else [cfg.t_end]])
+
+
+def _lane_trajectory(segments: list[_Segment], lane: int, end: tuple,
+                     species: Sequence[str], grid: np.ndarray | None,
+                     abs_tol: float) -> Trajectory:
+    status, t_last, y_last, last, k_last, stats = end
+    ts, hs, ys, qs = [], [], [], []
+    for e, seg in enumerate(segments[:last + 1]):
+        t, h, y, q = seg.arrays()
+        k = k_last if e == last else h.size
+        j = int(np.searchsorted(seg.lanes, lane))
+        first = 1 if e else 0  # a segment opens on its predecessor's last state
+        ts.append(t[first:k + 1])
+        hs.append(h[:k])
+        ys.append(y[first:k + 1, :, j])
+        qs.append(q[:k, :, j])
+    t_steps, y_steps, h = np.concatenate(ts), np.concatenate(ys), np.concatenate(hs)
+    dense = (_DenseOutput(t_steps[:-1], h, y_steps[:-1], np.concatenate(qs))
+             if h.size else None)
+    if status == "blowup":  # the run ends where the threshold is crossed
+        t_steps[-1], y_steps[-1] = t_last, y_last
+    if grid is None or dense is None:
+        times, raw = t_steps, y_steps
     else:
-        term = Termination("stiff_failure", time=float(sol.t[-1]), detail=sol.message)
+        times = grid[grid <= t_last]
+        raw = dense(times).T
+    if status == "blowup":
+        term = Termination("blowup", species[int(np.argmax(y_last))], float(t_last))
+    else:
+        term = Termination(status, time=float(times[-1]),
+                           detail=_TOO_SMALL if status == "stiff_failure" else "")
     flags = []
     for j, sid in enumerate(species):
         low = float(raw[:, j].min(initial=0.0))
-        if low < -cfg.abs_tol:
+        if low < -abs_tol:
             k = int(np.argmin(raw[:, j]))
-            flags.append((sid, float(sol.t[k]), low))
-    return Trajectory(tuple(species), sol.t, np.clip(raw, 0.0, None),
-                      term, tuple(flags), sol.sol)
+            flags.append((sid, float(times[k]), low))
+    return Trajectory(tuple(species), times, np.clip(raw, 0.0, None), term,
+                      tuple(flags), dense, stats)
+
+
+def network_state(net: ReactionNetwork, init: Mapping[str, float]) -> np.ndarray:
+    """Initial state from explicit per-species values (unlisted species
+    start at 0)."""
+    unknown = set(init) - set(net.species_ids)
+    if unknown:
+        raise ValueError(f"initial values for unknown species {sorted(unknown)}")
+    return _check_state(np.array([float(init.get(sid, 0.0)) for sid in net.species_ids]))
+
+
+def network_rhs(net: ReactionNetwork, sigma: float = 1.0) -> Callable:
+    return compile_rhs(derive_ode(net), sigma)
 
 
 def integrate_network(net: ReactionNetwork, init: Mapping[str, float],
@@ -237,12 +527,8 @@ def integrate_network(net: ReactionNetwork, init: Mapping[str, float],
     """Integrate a network from explicit per-species initial values
     (unlisted species start at 0)."""
     cfg = cfg or SimConfig()
-    unknown = set(init) - set(net.species_ids)
-    if unknown:
-        raise ValueError(f"initial values for unknown species {sorted(unknown)}")
-    rhs = compile_rhs(derive_ode(net), cfg.sigma)
-    y0 = np.array([float(init.get(sid, 0.0)) for sid in net.species_ids])
-    return _integrate(rhs, y0, net.species_ids, cfg)
+    y0 = network_state(net, init)
+    return integrate(network_rhs(net, cfg.sigma), y0[:, None], net.species_ids, cfg)[0]
 
 
 def initial_state(prog: CompiledProgram, inputs: Mapping[str, object],
@@ -277,18 +563,27 @@ def initial_state(prog: CompiledProgram, inputs: Mapping[str, object],
     return init
 
 
+def program_state(prog: CompiledProgram, inputs: Mapping[str, object],
+                  overrides: Mapping[str, float] | None = None) -> np.ndarray:
+    """initial_state as a vector in network species order."""
+    init = initial_state(prog, inputs, overrides)
+    return _check_state(np.array([init[sid] for sid in prog.network.species_ids]))
+
+
+def program_rhs(prog: CompiledProgram, sigma: float = 1.0) -> Callable:
+    """The factored gate RHS when the circuit is known, else the expanded field."""
+    if prog.circuit is not None:
+        return compile_circuit_rhs(prog.circuit, prog.network.species_ids, sigma)
+    return network_rhs(prog.network, sigma)
+
+
 def simulate_program(prog: CompiledProgram, inputs: Mapping[str, object],
                      cfg: SimConfig | None = None,
                      overrides: Mapping[str, float] | None = None) -> Trajectory:
     cfg = cfg or SimConfig()
-    init = initial_state(prog, inputs, overrides)
-    ids = prog.network.species_ids
-    if prog.circuit is not None:
-        rhs = compile_circuit_rhs(prog.circuit, ids, cfg.sigma)
-    else:
-        rhs = compile_rhs(derive_ode(prog.network), cfg.sigma)
-    y0 = np.array([init[sid] for sid in ids])
-    return _integrate(rhs, y0, ids, cfg)
+    y0 = program_state(prog, inputs, overrides)
+    return integrate(program_rhs(prog, cfg.sigma), y0[:, None],
+                     prog.network.species_ids, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +710,9 @@ def simulate_forced(system: ForcedSystem, cfg: SimConfig | None = None) -> Traje
             return (g1(t) - g2(t) * y[0],)
     else:
         def rhs(t, y):
-            x = y[0]
+            x = np.float64(y[0])  # overflows to inf where a float power would raise
             return (x * (g1(t) - g2(t) * x ** m),)
-    return _integrate(rhs, np.array([float(system.x0)]), ("x",), cfg)
+    return integrate(rhs, np.array([[float(system.x0)]]), ("x",), cfg)[0]
 
 
 # ---------------------------------------------------------------------------

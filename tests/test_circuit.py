@@ -1,5 +1,6 @@
 """Expression parsing, lowering to gate circuits, flattening, speed analysis."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -260,6 +261,20 @@ def test_predict_speed_real_multiplication():
     assert sa.output_values == (0.0, 6.0)
     assert sa.output_value == -6.0
     assert sa.bound.value == 1.0
+
+
+def test_expression_hash_is_stored_at_construction():
+    # hashing must not walk the subtree: a chain far deeper than the
+    # recursion limit still hashes and works as a dict key
+    e = Var("a")
+    for i in range(5000):
+        e = Add(e, Const(Fraction(i)))
+    assert {e: 1}[e] == 1
+    assert hash(Add(Var("a"), Var("b"))) == hash(parse_expression("a + b"))
+    assert Add(Var("a"), Var("b")) != Sub(Var("a"), Var("b"))
+    small = parse_expression("sqrt(a*b + 1/(c + 2)) - rsub(a, 3)")
+    back = pickle.loads(pickle.dumps(small))
+    assert back == small and hash(back) == hash(small)
 
 
 def test_structural_bound():

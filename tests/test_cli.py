@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from crncalc import RateEstimate, read_trajectory_csv
+import crncalc.cli
 import crncalc.rates
 from crncalc.cli import main
 
@@ -156,6 +157,20 @@ def test_verify_passes(tmp_path, capsys):
     assert data["target"] == pytest.approx(math.sqrt(0.2))
     assert data["exit_code"] == 0
     assert data["outputs"][0]["rate"]["rho_hat"] >= 0.85
+
+
+def test_verify_report_has_stats_and_negatives(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--expr", "a/b", "--mode", "real",
+                     "--in", "a=1.5,b=-0.5", "--t-end", "40", "--report", str(report))
+    assert code == 0
+    data = json.loads(report.read_text())
+    stats = data["stats"]
+    assert stats["steps"] > 0 and stats["rejected"] >= 0
+    assert stats["rhs_evals"] == 2 + 6 * (stats["steps"] + stats["rejected"])
+    assert isinstance(data["negatives"], list)
+    for entry in data["negatives"]:
+        assert set(entry) == {"species", "time", "value"} and entry["value"] < 0
 
 
 def test_verify_blowup_exits_3(tmp_path, capsys):
@@ -344,6 +359,29 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     assert serial.read_text() == parallel.read_text()
 
 
+def test_sweep_blocks_in_parallel_match_serial(tmp_path, capsys, monkeypatch):
+    # blocks of 2 lanes make 3 blocks, so --jobs 2 really hands them out
+    monkeypatch.setattr(crncalc.cli, "SWEEP_BLOCK", 2)
+    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+    args = ["sweep", "--expr", "max(a, b)", "--grid", "a=1,2,3;b=2,3", "--t-end", "30"]
+    assert run(capsys, *args, "--out", str(serial))[0] == 0
+    assert run(capsys, *args, "--jobs", "2", "--out", str(parallel))[0] == 0
+    assert serial.read_text() == parallel.read_text()
+    _, rows = parse_sweep_csv(serial.read_text())
+    assert [r["termination"] for r in rows] == ["completed", "completed", "blowup",
+                                                "completed", "completed", "blowup"]
+
+
+def test_sweep_mode_error_fails_every_row(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", "--expr", "a - b", "--grid", "a=1,2;b=1",
+                     "--out", str(out))
+    assert code == 0
+    _, rows = parse_sweep_csv(out.read_text())
+    assert len(rows) == 2
+    assert all(r["status"].startswith("ModeError: subtraction") for r in rows)
+
+
 # --- misc ------------------------------------------------------------------------
 
 def test_gates_catalogue(capsys):
@@ -375,3 +413,12 @@ def test_module_entry_point():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert "identification" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, crncalc.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

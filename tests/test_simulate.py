@@ -17,9 +17,14 @@ from crncalc import (
     derive_ode,
     designed_inversion_network,
     double_identification_network,
+    eval_expr,
+    integrate,
     integrate_network,
     naive_inversion_network,
     parse_forcing,
+    parse_network,
+    program_rhs,
+    program_state,
     read_trajectory_csv,
     simulate_forced,
     simulate_program,
@@ -293,3 +298,86 @@ def test_factored_rhs_matches_expanded(values):
     lhs = np.asarray(fast(0.0, y), dtype=float)
     rhs = np.asarray(slow(0.0, y), dtype=float)
     assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
+
+
+# --- lockstep lanes ------------------------------------------------------------
+
+GRID = np.geomspace(0.1, 50.0, 5)
+GRID_EXPRS = ["a + b", "a * b", "a / b", "sqrt(1/(a + b))", "max(a, b)"]
+
+
+def batch(src, points, cfg):
+    prog = compile_expression(src)
+    y0 = np.column_stack([program_state(prog, p) for p in points])
+    return prog, integrate(program_rhs(prog), y0, prog.network.species_ids, cfg)
+
+
+@pytest.mark.parametrize("src", GRID_EXPRS)
+def test_lanes_match_solo_runs(src):
+    # the worst lane sets every step, so each lane is at least as accurate
+    # as its solo run and both sit within tolerance of the true solution
+    points = [{"a": a, "b": b} for a in GRID for b in GRID]
+    cfg = SimConfig(t_end=40, **TIGHT)
+    prog, lanes = batch(src, points, cfg)
+    out = prog.bindings.output[0]
+    for p, lane in zip(points, lanes):
+        solo = simulate_program(prog, p, cfg)
+        target = eval_expr(src, p)
+        assert lane.termination.status == solo.termination.status, p
+        assert abs(lane.final(out) - solo.final(out)) <= 1e-8 * max(1.0, abs(target)), p
+
+
+def test_blowup_lane_leaves_the_batch():
+    points = [{"a": 2.0, "b": 5.0}, {"a": 3.0, "b": 3.0}, {"a": 7.0, "b": 0.5}]
+    cfg = SimConfig(t_end=40, **TIGHT)
+    prog, (low, tie, high) = batch("max(a, b)", points, cfg)
+    assert tie.termination.status == "blowup"
+    assert tie.termination.species == "Y1"
+    assert tie.termination.time == pytest.approx(math.log(1e12), rel=1e-4)
+    assert tie.times[-1] == tie.termination.time
+    assert tie.stats.steps == tie.times.size - 1
+    for lane, target in ((low, 5.0), (high, 7.0)):
+        assert lane.termination.status == "completed"
+        assert lane.times[-1] == 40.0
+        assert lane.stats.steps > tie.stats.steps
+        assert lane.final(prog.bindings.output[0]) == pytest.approx(target, abs=1e-8)
+    # the lanes share every step up to the blowup
+    shared = tie.times.size - 1
+    assert np.array_equal(low.times[:shared], tie.times[:shared])
+
+
+def test_failing_lane_leaves_the_batch():
+    # x' = -x turns into nan once t > 0.5 wherever x > 1: the lane from
+    # x0 = 2 cannot meet the tolerance there and ends in stiff_failure,
+    # while the lane from x0 = 1 carries on alone
+    def rhs(t, y):
+        return (np.where((t > 0.5) & (y[0] > 1.0), np.nan, -y[0]),)
+    cfg = SimConfig(t_end=10, **TIGHT)
+    good, failed = integrate(rhs, np.array([[1.0, 2.0]]), ("x",), cfg)
+    assert failed.termination.status == "stiff_failure"
+    assert failed.termination.time == pytest.approx(0.5, abs=1e-6)
+    assert good.termination.status == "completed"
+    assert good.final("x") == pytest.approx(math.exp(-10.0), rel=1e-8)
+
+
+def test_rhs_rows_have_the_lane_shape():
+    # held inputs and constant production still return one value per lane
+    net = parse_network("species: A[input], X[output]\n0 -> X ; k=1\nA + X -> A ; k=1\n")
+    y = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
+    rows = np.asarray(compile_rhs(derive_ode(net))(0.0, y))
+    assert rows.shape == y.shape
+    assert np.array_equal(rows[0], np.zeros(3))
+    assert np.allclose(rows[1], 1.0 - y[0] * y[1])
+    prog = compile_expression("a * b + 2")
+    rows = np.asarray(program_rhs(prog)(0.0, np.ones((len(prog.network.species), 4))))
+    assert rows.shape == (len(prog.network.species), 4)
+
+
+def test_stats_count_the_work():
+    prog = compile_expression("a / b")
+    traj = simulate_program(prog, {"a": 1, "b": 2}, SimConfig(t_end=20))
+    s = traj.stats
+    assert s.steps == traj.times.size - 1
+    assert s.rhs_evals == 2 + 6 * (s.steps + s.rejected)
+    gridded = simulate_program(prog, {"a": 1, "b": 2}, SimConfig(t_end=20, output_grid=1.0))
+    assert gridded.stats == s
