@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .crn import (FormatError, ReactionNetwork, Species, collect_network,
-                  format_network, parse_network)
+                  format_fraction, format_network, parse_network)
 from .gates import (DomainError, GateInstance, GateKind, SpeciesNamer,
                     SpeedBound, gate_speed_bound, gate_target, make_gate)
 
@@ -130,14 +130,51 @@ class RectSub(Expr):
     right: Expr
 
 
-def free_vars(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Const):
-        return set()
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, (Const, Var)):
+        return ()
     if isinstance(e, (Neg, Root)):
-        return free_vars(e.child)
-    return free_vars(e.left) | free_vars(e.right)
+        return (e.child,)
+    return (e.left, e.right)
+
+
+def _fold(root: Expr, steps, cache: dict):
+    """The value of root, computed bottom-up over an explicit stack.
+
+    steps(node) is a generator that yields each child whose value it
+    needs, is sent that value back, and returns the node's value.  Nodes
+    are visited in the order their parents ask for them, as plain
+    recursion would, but at any depth.  Values are memoised in cache.
+    """
+    if root in cache:
+        return cache[root]
+    stack = [(root, steps(root))]
+    value = None
+    while True:
+        node, gen = stack[-1]
+        try:
+            child = gen.send(value)
+        except StopIteration as done:
+            value = cache[node] = done.value
+            stack.pop()
+            if not stack:
+                return value
+            continue
+        if child in cache:
+            value = cache[child]
+        else:
+            stack.append((child, steps(child)))
+            value = None
+
+
+def free_vars(e: Expr) -> set[str]:
+    names, todo = set(), [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Var):
+            names.add(x.name)
+        todo.extend(_children(x))
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +182,9 @@ def free_vars(e: Expr) -> set[str]:
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/(),]))")
 _FUNCTIONS = ("sqrt", "root", "abs", "max", "rsub")
+# Parentheses, calls and unary minus nested deeper than this are refused:
+# the parser recurses, and each level costs up to five stack frames.
+_MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -179,6 +219,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
@@ -223,18 +264,27 @@ class _Parser:
             return Const(Fraction(t.text))
         if t.kind == "ident":
             if t.text in _FUNCTIONS and self.peek().text == "(":
-                return self.call(t)
+                return self.nested(t, self.call, t)
             return Var(t.text)
         if t.text == "(":
-            e = self.expr()
+            e = self.nested(t, self.expr)
             self.expect(")")
             return e
         if t.text == "-":
-            inner = self.factor()
+            inner = self.nested(t, self.factor)
             if isinstance(inner, Const):
                 return Const(-inner.value)
             return Neg(inner)
         raise ParseError(f"expected a value, got {t.text or 'end of input'!r}", t.pos)
+
+    def nested(self, t: _Tok, parse, *args) -> Expr:
+        """parse(*args), one nesting level below the token t."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels", t.pos)
+        e = parse(*args)
+        self.depth -= 1
+        return e
 
     def call(self, name: _Tok) -> Expr:
         self.expect("(")
@@ -273,7 +323,8 @@ def eval_expr(e: Expr | str, values: Mapping[str, float]) -> float:
     network is supposed to converge to."""
     if isinstance(e, str):
         e = parse_expression(e)
-    def ev(x: Expr) -> float:
+
+    def ev(x: Expr):
         if isinstance(x, Const):
             return float(x.value)
         if isinstance(x, Var):
@@ -281,13 +332,13 @@ def eval_expr(e: Expr | str, values: Mapping[str, float]) -> float:
                 raise ValueError(f"no value for variable {x.name!r}")
             return float(values[x.name])
         if isinstance(x, Neg):
-            return -ev(x.child)
+            return -(yield x.child)
         if isinstance(x, Root):
-            v = ev(x.child)
+            v = yield x.child
             if v < 0:
                 raise DomainError("root of a negative value")
             return v ** (1.0 / x.m)
-        l, r = ev(x.left), ev(x.right)
+        l, r = (yield x.left), (yield x.right)
         if isinstance(x, Add):
             return l + r
         if isinstance(x, Sub):
@@ -305,7 +356,7 @@ def eval_expr(e: Expr | str, values: Mapping[str, float]) -> float:
         if isinstance(x, RectSub):
             return max(l - r, 0.0)
         raise AssertionError(x)  # pragma: no cover
-    return ev(e)
+    return _fold(e, ev, {})
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +381,6 @@ class Circuit:
     output: Value
     source: str | None = None
 
-    def gate_outputs(self) -> set[str]:
-        return {g.output.id for g in self.gates}
-
 
 class CircuitBuilder:
     """Incremental circuit construction; also the lowering backend.
@@ -353,9 +401,6 @@ class CircuitBuilder:
         self._const_cache: dict[Fraction, Species] = {}
         self._cse: dict[Expr, Value] = {}
         self._zero: Species | None = None
-
-    def reserve(self, *names: str):
-        self.namer.reserve(*names)
 
     def input_species(self, name: str) -> Value:
         if name in self.inputs:
@@ -425,13 +470,13 @@ class CircuitBuilder:
     # lowering
 
     def lower(self, e: Expr) -> Value:
-        if e in self._cse:
-            return self._cse[e]
-        val = self._lower(e)
-        self._cse[e] = val
-        return val
+        steps = self._lower_nonneg if self.mode == "nonneg" else self._lower_real
+        return _fold(e, steps, self._cse)
 
-    def _lower_nonneg(self, e: Expr) -> Species:
+    # Lowering steps for _fold: each yields the subexpressions it needs, in
+    # the order that fixes gate numbering, and returns the node's value.
+
+    def _lower_nonneg(self, e: Expr):
         if isinstance(e, Const):
             if e.value < 0:
                 raise ModeError("negative constant needs real mode")
@@ -443,33 +488,33 @@ class CircuitBuilder:
                             "values; use rsub, abs, or real mode")
         if isinstance(e, Add):
             return self.gate(GateKind("addition"),
-                             [self.lower(e.left), self.lower(e.right)])
+                             [(yield e.left), (yield e.right)])
         if isinstance(e, Mul):
             return self.gate(GateKind("multiplication"),
-                             [self.lower(e.left), self.lower(e.right)])
+                             [(yield e.left), (yield e.right)])
         if isinstance(e, Div):
-            inv = self.gate(GateKind("inversion"), [self.lower(e.right)])
+            inv = self.gate(GateKind("inversion"), [(yield e.right)])
             if e.left == Const(Fraction(1)):
                 return inv
-            return self.gate(GateKind("multiplication"), [self.lower(e.left), inv])
+            return self.gate(GateKind("multiplication"), [(yield e.left), inv])
         if isinstance(e, Root):
-            return self.gate(GateKind("mth_root", e.m), [self.lower(e.child)])
+            return self.gate(GateKind("mth_root", e.m), [(yield e.child)])
         if isinstance(e, AbsDiff):
             return self.gate(GateKind("absolute_difference"),
-                             [self.lower(e.left), self.lower(e.right)])
+                             [(yield e.left), (yield e.right)])
         if isinstance(e, RectSub):
             return self.gate(GateKind("rectified_subtraction"),
-                             [self.lower(e.left), self.lower(e.right)])
+                             [(yield e.left), (yield e.right)])
         if isinstance(e, Max):
             # max(a,b) = (a + |a-b| + b) / 2
-            d = self.lower(AbsDiff(e.left, e.right))
-            s1 = self.gate(GateKind("addition"), [self.lower(e.left), d])
-            s2 = self.gate(GateKind("addition"), [s1, self.lower(e.right)])
+            d = yield AbsDiff(e.left, e.right)
+            s1 = self.gate(GateKind("addition"), [(yield e.left), d])
+            s2 = self.gate(GateKind("addition"), [s1, (yield e.right)])
             half = self.const_species(Fraction(1, 2))
             return self.gate(GateKind("multiplication"), [s2, half])
         raise AssertionError(e)  # pragma: no cover
 
-    def _lower_real(self, e: Expr) -> DualRailWire:
+    def _lower_real(self, e: Expr):
         if isinstance(e, Const):
             if e.value >= 0:
                 return DualRailWire(self.const_species(e.value), self.zero_species())
@@ -480,24 +525,19 @@ class CircuitBuilder:
             raise ModeError(f"{type(e).__name__.lower()} is defined on "
                             "non-negative values only; use nonneg mode")
         if isinstance(e, Neg):
-            return self.neg_wire(self.lower(e.child))
+            return self.neg_wire((yield e.child))
         if isinstance(e, Add):
-            return self.add_wires(self.lower(e.left), self.lower(e.right))
+            return self.add_wires((yield e.left), (yield e.right))
         if isinstance(e, Sub):
-            return self.add_wires(self.lower(e.left), self.lower(Neg(e.right)))
+            return self.add_wires((yield e.left), (yield Neg(e.right)))
         if isinstance(e, Mul):
-            return self.mul_wires(self.lower(e.left), self.lower(e.right))
+            return self.mul_wires((yield e.left), (yield e.right))
         if isinstance(e, Div):
-            inv = self.inv_wire(self.lower(e.right))
+            inv = self.inv_wire((yield e.right))
             if e.left == Const(Fraction(1)):
                 return inv
-            return self.mul_wires(self.lower(e.left), inv)
+            return self.mul_wires((yield e.left), inv)
         raise AssertionError(e)  # pragma: no cover
-
-    def _lower(self, e: Expr) -> Value:
-        if self.mode == "nonneg":
-            return self._lower_nonneg(e)
-        return self._lower_real(e)
 
     def _as_gate_output(self, s: Species) -> Species:
         if any(g.output.id == s.id for g in self.gates):
@@ -559,11 +599,6 @@ def _rail_ids(v: Value) -> tuple[str, ...]:
     return (v.id,)
 
 
-def _rate_text(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else \
-        f"{value.numerator}/{value.denominator}"
-
-
 def flatten(circuit: Circuit) -> CompiledProgram:
     """Assemble the gate fragments into one network with stable layout:
     inputs, constants, then per-gate intermediates and outputs."""
@@ -582,7 +617,7 @@ def flatten(circuit: Circuit) -> CompiledProgram:
     order = {sid: i for i, sid in enumerate(net.species_ids)}
     bindings = ProgramBindings(
         inputs=tuple((name, _rail_ids(v)) for name, v in circuit.inputs.items()),
-        consts=tuple((sid, _rate_text(v)) for sid, v in circuit.consts.items()),
+        consts=tuple((sid, format_fraction(v)) for sid, v in circuit.consts.items()),
         output=_rail_ids(circuit.output),
         positive_init=tuple(sorted(pos, key=order.__getitem__)),
     )

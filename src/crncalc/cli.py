@@ -179,26 +179,6 @@ def cmd_analyze(args) -> int:
     return code
 
 
-def _rail_report(traj, rails, targets, floor_rtol, detrend=True):
-    """Per-rail final errors and rate estimates (None where not measurable)."""
-    out = []
-    for sid, tgt in zip(rails, targets):
-        entry = {"species": sid, "target": tgt, "final": traj.final(sid),
-                 "abs_error": abs(traj.final(sid) - tgt)}
-        try:
-            est = rt.estimate_rate(traj, sid, tgt,
-                                   err_floor=rt.auto_err_floor(tgt, floor_rtol),
-                                   detrend=detrend)
-            entry["rate"] = {"rho_hat": est.rho_hat,
-                             "fit_window": list(est.fit_window),
-                             "r_squared": est.r_squared,
-                             "samples": est.samples_used}
-        except (rt.EstimationError, ValueError) as e:
-            entry["rate_error"] = str(e)
-        out.append(entry)
-    return out
-
-
 def _finish_verify(args, report: dict, code: int) -> int:
     report["exit_code"] = code
     _write_report(args.report, report)
@@ -209,13 +189,12 @@ def cmd_verify(args) -> int:
     try:
         cfg = _sim_config(args)
         inputs = _parse_inputs(args.inputs)
-        circuit = circ.lower_to_circuit(args.expr, args.mode)
-        analysis = circ.predict_speed(circuit, inputs)
-        prog = circ.flatten(circuit)
-    except (circ.ParseError, circ.ModeError, DomainError, ValueError) as e:
+        (run,) = _Pipeline("expr", args.expr, args.mode, None, None, cfg).run([inputs])
+        if isinstance(run, ValueError):  # DomainError and ModeError included
+            raise run
+    except ValueError as e:
         return _err(str(e))
-    rails = list(prog.bindings.output)
-    targets = list(analysis.output_values)
+    analysis, traj, rails, targets = run.analysis, run.traj, run.rails, run.targets
     bound = SpeedBound(min(analysis.bound.value, 1.0) * cfg.sigma,
                        analysis.bound.case +
                        (f" (sigma={cfg.sigma:g})" if cfg.sigma != 1.0 else ""))
@@ -226,18 +205,23 @@ def cmd_verify(args) -> int:
         "predicted_bound": {"value": bound.value, "case": bound.case},
         "target": analysis.output_value,
         "output_species": rails,
+        "termination": {"status": traj.termination.status,
+                        "species": traj.termination.species,
+                        "time": traj.termination.time},
+        "stats": dataclasses.asdict(traj.stats),
+        "negatives": [{"species": sid, "time": t, "value": v}
+                      for sid, t, v in traj.negatives],
+        "outputs": [],
     }
-    try:
-        traj = sim.simulate_program(prog, inputs, cfg)
-    except ValueError as e:
-        return _err(str(e))
-    report["termination"] = {"status": traj.termination.status,
-                             "species": traj.termination.species,
-                             "time": traj.termination.time}
-    report["stats"] = dataclasses.asdict(traj.stats)
-    report["negatives"] = [{"species": sid, "time": t, "value": v}
-                           for sid, t, v in traj.negatives]
-    report["outputs"] = _rail_report(traj, rails, targets, cfg.rel_tol)
+    for sid, tgt, est in zip(rails, targets, run.rates):
+        entry = {"species": sid, "target": tgt, "final": traj.final(sid),
+                 "abs_error": abs(traj.final(sid) - tgt)}
+        if isinstance(est, ValueError):
+            entry["rate_error"] = str(est)
+        else:
+            entry["rate"] = {"rho_hat": est.rho_hat, "fit_window": list(est.fit_window),
+                             "r_squared": est.r_squared, "samples": est.samples_used}
+        report["outputs"].append(entry)
     if args.out:
         _write(args.out, traj.to_csv())
     if args.plot_data:
@@ -265,15 +249,10 @@ def cmd_verify(args) -> int:
         return _finish_verify(args, report, EXIT_NOT_CONVERGED)
 
     measured, verdicts = math.inf, []
-    for entry in report["outputs"]:
-        if "rate" not in entry:
-            print(f"rate not measurable for {entry['species']}: "
-                  f"{entry.get('rate_error')}")
+    for entry, est in zip(report["outputs"], run.rates):
+        if isinstance(est, ValueError):
+            print(f"rate not measurable for {entry['species']}: {est}")
             return _finish_verify(args, report, EXIT_NOT_CONVERGED)
-        est = rt.RateEstimate(entry["rate"]["rho_hat"],
-                              tuple(entry["rate"]["fit_window"]),
-                              entry["rate"]["r_squared"],
-                              entry["rate"]["samples"])
         v = rt.check_speed(est, bound, args.slack)
         verdicts.append(v)
         measured = min(measured, v.measured)
@@ -353,14 +332,25 @@ def cmd_lemma(args) -> int:
 SWEEP_BLOCK = 64
 
 
-class _Sweep:
-    """The network of one sweep, lowered and compiled once, and the
-    per-point set-up (targets, initial state) of its rows."""
+@dataclasses.dataclass
+class _Run:
+    """One input point taken through the pipeline."""
+    rails: list[str]
+    targets: list[float]
+    traj: sim.Trajectory
+    rates: list  # per rail: rt.RateEstimate, or the ValueError that stopped it
+    analysis: circ.SpeedAnalysis | None  # None for a bare network
+
+
+class _Pipeline:
+    """The compile -> predict -> simulate -> measure path of verify and
+    sweep.  The network is lowered, flattened and its right-hand side
+    built once; `run` takes a batch of input points through it."""
 
     def __init__(self, kind: str, text: str, mode: str, target: str | None,
                  species: str | None, cfg: sim.SimConfig):
         self.kind, self.target, self.cfg = kind, target, cfg
-        self.error: ValueError | None = None  # a lowering error every row reports
+        self.error: ValueError | None = None  # a lowering error every point reports
         if kind == "expr":
             expr = circ.parse_expression(text)
             try:
@@ -378,60 +368,82 @@ class _Sweep:
             self.species = self.net.species_ids
             self.rhs = sim.network_rhs(self.net, cfg.sigma)
 
-    def point(self, values: dict) -> tuple[list[float], np.ndarray]:
-        """Targets and initial state of one point; raises ValueError for a
-        point the network cannot run."""
+    def _point(self, values: dict):
+        """Speed analysis (None for a bare network), targets and initial
+        state of one point; raises ValueError for a point the network
+        cannot run."""
         if self.error is not None:
             raise self.error
         if self.kind == "expr":
             analysis = circ.predict_speed(self.circuit, values)
-            return list(analysis.output_values), sim.program_state(self.prog, values)
+            return (analysis, list(analysis.output_values),
+                    sim.program_state(self.prog, values))
         y0 = sim.network_state(self.net, values)
-        return [circ.eval_expr(self.target, values)], y0
+        return None, [circ.eval_expr(self.target, values)], y0
 
-    def rows(self, points: list[dict]) -> list[dict]:
-        """One row per point; the points that can run form one batch."""
-        rows, lanes = [], []
+    def run(self, points: list[dict]) -> list:
+        """A _Run per point, or the ValueError (DomainError and ModeError
+        included) that kept it from running; the points that can run are
+        integrated as one batch."""
+        runs, lanes = [], []
         for values in points:
-            row = dict(values)
-            rows.append(row)
             try:
-                lanes.append((row, *self.point(values)))
-            except ValueError as e:  # DomainError and ModeError included
-                row["status"] = f"{type(e).__name__}: {e}"
+                lanes.append((len(runs), *self._point(values)))
+                runs.append(None)
+            except ValueError as e:
+                runs.append(e)
         if lanes:
-            y0 = np.column_stack([y0 for _, _, y0 in lanes])
+            y0 = np.column_stack([y0 for *_, y0 in lanes])
             trajs = sim.integrate(self.rhs, y0, self.species, self.cfg)
-            for (row, targets, _), traj in zip(lanes, trajs):
-                _measure_row(row, traj, self.rails, targets, self.cfg.rel_tol)
-        return rows
+            for (i, analysis, targets, _), traj in zip(lanes, trajs):
+                runs[i] = _Run(self.rails, targets, traj,
+                               _measure(traj, self.rails, targets, self.cfg.rel_tol),
+                               analysis)
+        return runs
 
 
-def _measure_row(row: dict, traj, rails, targets, rel_tol: float):
-    row["termination"] = traj.termination.status
-    errs, rhos, r2s = [], [], []
-    try:
-        for sid, tgt in zip(rails, targets):
-            errs.append(abs(traj.final(sid) - tgt))
-            est = rt.estimate_rate(traj, sid, tgt,
-                                   err_floor=rt.auto_err_floor(tgt, rel_tol),
-                                   detrend=True)
-            rhos.append(est.rho_hat)
-            r2s.append(est.r_squared)
-    except ValueError as e:  # EstimationError, NotConvergedError, unknown species
-        row["status"] = f"{type(e).__name__}: {e}"
-        return
+def _measure(traj, rails, targets, rel_tol: float) -> list:
+    """The rate estimate of each output rail, or the ValueError that
+    stopped it (EstimationError, NotConvergedError, an unknown species)."""
+    out = []
+    for sid, tgt in zip(rails, targets):
+        try:
+            out.append(rt.estimate_rate(traj, sid, tgt,
+                                        err_floor=rt.auto_err_floor(tgt, rel_tol),
+                                        detrend=True))
+        except ValueError as e:
+            out.append(e)
+    return out
+
+
+def _sweep_row(values: dict, run) -> dict:
+    row = dict(values)
+    if isinstance(run, ValueError):
+        row["status"] = f"{type(run).__name__}: {run}"
+        return row
+    row["termination"] = run.traj.termination.status
+    failed = [e for e in run.rates if isinstance(e, ValueError)]
+    if failed:
+        row["status"] = f"{type(failed[0]).__name__}: {failed[0]}"
+        return row
+    targets = run.targets
     row["target"] = targets[0] if len(targets) == 1 else targets[0] - targets[1]
-    row["final_abs_error"] = max(errs)
-    row["rho_hat"] = min(rhos)
-    row["r_squared"] = min(r2s)
+    row["final_abs_error"] = max(abs(run.traj.final(sid) - tgt)
+                                 for sid, tgt in zip(run.rails, targets))
+    row["rho_hat"] = min(est.rho_hat for est in run.rates)
+    row["r_squared"] = min(est.r_squared for est in run.rates)
     row["status"] = "ok"
+    return row
+
+
+def _sweep_rows(pipeline: _Pipeline, points: list[dict]) -> list[dict]:
+    return [_sweep_row(values, run) for values, run in zip(points, pipeline.run(points))]
 
 
 # worker kept at module level so ProcessPoolExecutor can pickle it
 def _sweep_block(payload) -> list[dict]:
     spec, cfg, points = payload
-    return _Sweep(*spec, cfg).rows(points)
+    return _sweep_rows(_Pipeline(*spec, cfg), points)
 
 
 def _parse_grid(spec: str) -> list[dict[str, float]]:
@@ -461,7 +473,7 @@ def cmd_sweep(args) -> int:
                 return _err("--crn sweeps need --target and --species")
             with open(args.crn) as fh:
                 spec = ("crn", fh.read(), args.mode, args.target, args.species)
-        sweep = _Sweep(*spec, cfg)  # an unparseable expression or network fails here
+        pipeline = _Pipeline(*spec, cfg)  # an unparseable expression or network fails here
     except (circ.ParseError, FormatError, ValueError, OSError) as e:
         return _err(str(e))
     blocks = [points[i:i + SWEEP_BLOCK] for i in range(0, len(points), SWEEP_BLOCK)]
@@ -469,7 +481,7 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             parts = list(pool.map(_sweep_block, [(spec, cfg, b) for b in blocks]))
     else:
-        parts = [sweep.rows(b) for b in blocks]
+        parts = [_sweep_rows(pipeline, b) for b in blocks]
     rows = [row for part in parts for row in part]
     var_names = sorted({k for p in points for k in p})
     header = var_names + ["target", "final_abs_error", "rho_hat", "r_squared",

@@ -103,12 +103,6 @@ class ReactionNetwork:
     def species_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.species)
 
-    def species_by_id(self, sid: str) -> Species:
-        for s in self.species:
-            if s.id == sid:
-                return s
-        raise KeyError(sid)
-
 
 def collect_network(reactions: Iterable[Reaction],
                     roles: Mapping[str, str] | None = None,
@@ -358,7 +352,7 @@ def _format_complex(c: Complex, order: dict[str, int]) -> str:
     return " + ".join(sid if n == 1 else f"{n}{sid}" for sid, n in items)
 
 
-def _format_rate(r: Fraction) -> str:
+def format_fraction(r: Fraction) -> str:
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 
@@ -367,5 +361,5 @@ def format_network(net: ReactionNetwork) -> str:
     lines = ["species: " + ", ".join(f"{s.id}[{s.role}]" for s in net.species)]
     for r in net.reactions:
         lines.append(f"{_format_complex(r.reactant, order)} -> "
-                     f"{_format_complex(r.product, order)} ; k={_format_rate(r.rate)}")
+                     f"{_format_complex(r.product, order)} ; k={format_fraction(r.rate)}")
     return "\n".join(lines) + "\n"

@@ -6,48 +6,18 @@ steady values of its input species.  The speed bounds returned here are
 the per-gate exponential rates: every gate converges at rate at least
 min over its inputs' rates capped at 1, except that taking an m-th root
 of a quantity converging to zero divides the rate by m.
+
+Everything a gate means is written once, in its `GateSpec` in `GATES`:
+reactions, target, speed bound, factored rate law and catalogue text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import lru_cache
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .crn import Complex, Reaction, ReactionNetwork, Species, collect_network
-
-GATE_TAGS = (
-    "identification",
-    "inversion",
-    "mth_root",
-    "addition",
-    "multiplication",
-    "absolute_difference",
-    "rectified_subtraction",
-    "partial_real_inversion",
-)
-
-_ARITY = {
-    "identification": 1,
-    "inversion": 1,
-    "mth_root": 1,
-    "addition": 2,
-    "multiplication": 2,
-    "absolute_difference": 2,
-    "rectified_subtraction": 2,
-    "partial_real_inversion": 2,
-}
-
-# gates whose output (and inner Y stage) must start strictly positive
-_POSITIVE_INIT = {
-    "inversion", "mth_root", "absolute_difference",
-    "rectified_subtraction", "partial_real_inversion",
-}
-
-_HAS_Y = {
-    "mth_root", "absolute_difference",
-    "rectified_subtraction", "partial_real_inversion",
-}
+from .crn import Complex, Reaction, ReactionNetwork, Species, collect_network, parse_network
 
 
 class DomainError(ValueError):
@@ -60,11 +30,11 @@ class GateKind:
     m: int | None = None
 
     def __post_init__(self):
-        if self.tag not in GATE_TAGS:
+        if self.tag not in GATES:
             raise ValueError(f"unknown gate tag {self.tag!r}")
-        if self.tag == "mth_root":
+        if GATES[self.tag].takes_m:
             if self.m is None or self.m < 2:
-                raise ValueError("mth_root needs integer m >= 2")
+                raise ValueError(f"{self.tag} needs integer m >= 2")
         elif self.m is not None:
             raise ValueError(f"{self.tag} takes no m parameter")
 
@@ -123,85 +93,174 @@ class SpeciesNamer:
                 return sid
 
 
-def _merge(*counts: dict[str, int]) -> Complex:
-    total: dict[str, int] = {}
-    for c in counts:
-        for sid, n in c.items():
-            total[sid] = total.get(sid, 0) + n
-    return Complex.make(total)
+# ---------------------------------------------------------------------------
+# the gate table
 
 
-def _r(lhs: Complex, rhs: Complex) -> Reaction:
-    return Reaction(lhs, rhs, Fraction(1))
+def _slowest_input(rates, limits, m) -> SpeedBound:
+    if len(rates) == 1:
+        return SpeedBound(min(rates[0], 1.0), "min{rho_a, 1}")
+    return SpeedBound(min(rates[0], rates[1], 1.0), "min{rho_a, rho_b, 1}")
+
+
+def _root_speed(rates, limits, m) -> SpeedBound:
+    if limits[0] == 0:
+        return SpeedBound(min(rates[0] / m, 1.0),
+                          f"root of zero limit: min{{rho_a/{m}, 1}}")
+    return _slowest_input(rates, limits, m)
+
+
+def _product_speed(rates, limits, m) -> SpeedBound:
+    a, b = limits
+    if a == 0 and b == 0:
+        return SpeedBound(min(rates[0] + rates[1], 1.0),
+                          "both limits zero: min{rho_a + rho_b, 1}")
+    if a == 0:
+        return SpeedBound(min(rates[0], 1.0), "zero limit factor: min{rho_a, 1}")
+    if b == 0:
+        return SpeedBound(min(rates[1], 1.0), "zero limit factor: min{rho_b, 1}")
+    return _slowest_input(rates, limits, m)
+
+
+def _inverse(v, m) -> float:
+    if v[0] == 0:
+        raise DomainError("inversion requires a positive input limit")
+    return 1.0 / v[0]
+
+
+def _partial_inverse(v, m) -> float:
+    ap, an = v
+    if ap > 0 and an > 0:
+        raise DomainError("partial real inversion needs a canonical pair (one rail zero)")
+    if ap == 0 and an == 0:
+        raise DomainError("partial real inversion undefined at (0, 0)")
+    return 1.0 / ap if ap > 0 else 0.0
+
+
+# the inner stage of both subtraction gates, Y -> 1/|a - b|, and its rate law
+_DIFF_STAGE = "Y -> 2Y\n2A + 3Y -> 2A + 2Y\n2B + 3Y -> 2B + 2Y\nA + B + 3Y -> A + B + 5Y\n"
+_DIFF_RATE = "{Y}*(1.0 - ({A} - {B})*({A} - {B})*{Y}*{Y})"
+
+
+@dataclass(frozen=True)
+class GateSpec:
+    """One gate, defined once.
+
+    `reactions` is network text over the input names, the output X and
+    the inner stage Y ({m} and {m1} stand for m and m + 1).  `rate_x` and
+    `rate_y` are the same mass-action law in factored form, over the same
+    names in braces ({Ym} is Y to the m); they expand to exactly the
+    polynomials of `reactions` but evaluate differences like (A - B)
+    before squaring, which keeps the large-Y regime free of cancellation.
+    `target(limits, m)` raises DomainError outside the gate's domain and
+    `speed(rates, limits, m)` gives the rate bound at those limits.
+    """
+
+    tag: str
+    inputs: tuple[str, ...]
+    reactions: str
+    target: Callable[[Sequence[float], int | None], float]
+    rate_x: str
+    shows_target: str
+    shows_speed: str
+    rate_y: str | None = None
+    speed: Callable[..., SpeedBound] = _slowest_input
+    starts_positive: bool = True  # output and inner stage start at 1
+    takes_m: bool = False
+
+    @property
+    def arity(self) -> int:
+        return len(self.inputs)
+
+    @property
+    def has_y(self) -> bool:
+        return self.rate_y is not None
+
+
+GATES: dict[str, GateSpec] = {spec.tag: spec for spec in (
+    GateSpec("identification", ("A",), "A -> A + X\nX -> 0",
+             lambda v, m: float(v[0]), "{A} - {X}",
+             "x* = a*", "rho_x >= min{rho_a, 1}", starts_positive=False),
+    GateSpec("inversion", ("A",), "X -> 2X\nA + 2X -> A + X",
+             _inverse, "{X}*(1.0 - {A}*{X})",
+             "x* = 1/a*  (a* > 0)", "rho_x >= min{rho_a, 1}"),
+    GateSpec("mth_root", ("A",),
+             "Y -> 2Y\nA + {m1}Y -> A + {m}Y\nX -> 2X\nY + 2X -> Y + X",
+             lambda v, m: float(v[0]) ** (1.0 / m), "{X}*(1.0 - {Y}*{X})",
+             "x* = a*^(1/m)", "rho_x >= min{rho_a, 1}, or min{rho_a/m, 1} when a* = 0",
+             rate_y="{Y}*(1.0 - {A}*{Ym})", speed=_root_speed, takes_m=True),
+    GateSpec("addition", ("A", "B"), "A -> A + X\nB -> B + X\nX -> 0",
+             lambda v, m: float(v[0] + v[1]), "{A} + {B} - {X}",
+             "x* = a* + b*", "rho_x >= min{rho_a, rho_b, 1}", starts_positive=False),
+    GateSpec("multiplication", ("A", "B"), "A + B -> A + B + X\nX -> 0",
+             lambda v, m: float(v[0] * v[1]), "{A}*{B} - {X}",
+             "x* = a* b*", "rho_x >= min{rho_a, rho_b, 1}; rates add when both limits are 0",
+             speed=_product_speed, starts_positive=False),
+    GateSpec("absolute_difference", ("A", "B"),
+             _DIFF_STAGE + "X -> 2X\nY + 2X -> Y + X",
+             lambda v, m: abs(float(v[0] - v[1])), "{X}*(1.0 - {Y}*{X})",
+             "x* = |a* - b*|", "rho_x >= min{rho_a, rho_b, 1}", rate_y=_DIFF_RATE),
+    GateSpec("rectified_subtraction", ("A", "B"),
+             _DIFF_STAGE + "A + Y + X -> A + Y + 2X\nB + Y + X -> B + Y\nY + 2X -> Y + X",
+             lambda v, m: max(float(v[0] - v[1]), 0.0), "{X}*{Y}*(({A} - {B}) - {X})",
+             "x* = max(a* - b*, 0)  (Y diverges when a* = b*)",
+             "rho_x >= min{rho_a, rho_b, 1}", rate_y=_DIFF_RATE),
+    GateSpec("partial_real_inversion", ("A_p", "A_n"),
+             "Y -> 2Y\nA_p + 2Y -> A_p + Y\nA_n + 2Y -> A_n + Y\n"
+             "A_p + Y + X -> A_p + Y + 2X\nA_n + Y + X -> A_n + Y\n"
+             "2A_p + Y + 2X -> 2A_p + Y + X",
+             _partial_inverse, "{X}*{Y}*({A_p} - {A_n} - {A_p}*{A_p}*{X})",
+             "x* = 1/a_p* if a_p* > 0 else 0  (canonical pair)",
+             "rho_x >= min{rho_ap, rho_an, 1}",
+             rate_y="{Y}*(1.0 - ({A_p} + {A_n})*{Y})"),
+)}
+
+GATE_TAGS = tuple(GATES)
+
+
+@lru_cache(maxsize=None)
+def _template(kind: GateKind) -> tuple[Reaction, ...]:
+    text = GATES[kind.tag].reactions
+    if kind.m is not None:
+        text = text.format(m=kind.m, m1=kind.m + 1)
+    return parse_network(text).reactions
+
+
+def _relabel(c: Complex, ids: Mapping[str, str]) -> Complex:
+    counts: dict[str, int] = {}
+    for sid, n in c.coeffs:
+        sid = ids[sid]
+        counts[sid] = counts.get(sid, 0) + n
+    return Complex.make(counts)
 
 
 def make_gate(kind: GateKind, inputs: Sequence[Species], namer: SpeciesNamer) -> GateInstance:
     """Instantiate a gate fragment on the given input species."""
-    if len(inputs) != _ARITY[kind.tag]:
-        raise ValueError(f"{kind} takes {_ARITY[kind.tag]} inputs, got {len(inputs)}")
+    spec = GATES[kind.tag]
+    if len(inputs) != spec.arity:
+        raise ValueError(f"{kind} takes {spec.arity} inputs, got {len(inputs)}")
     xid, yid = namer.gate_pair()
-    out = Species(xid, "output")
-    x = {xid: 1}
-    reactions: list[Reaction] = []
-    intermediates: tuple[Species, ...] = ()
-    if kind.tag in _HAS_Y:
-        intermediates = (Species(yid, "intermediate"),)
-    y = {yid: 1}
+    ids = dict(zip(spec.inputs, (s.id for s in inputs)), X=xid, Y=yid)
+    reactions = tuple(Reaction(_relabel(r.reactant, ids), _relabel(r.product, ids), r.rate)
+                      for r in _template(kind))
+    intermediates = (Species(yid, "intermediate"),) if spec.has_y else ()
+    pos = tuple(s.id for s in intermediates) + (xid,) if spec.starts_positive else ()
+    return GateInstance(kind, tuple(inputs), Species(xid, "output"), intermediates,
+                        reactions, pos)
 
-    tag = kind.tag
-    if tag == "identification":
-        a = {inputs[0].id: 1}
-        reactions = [_r(_merge(a), _merge(a, x)),
-                     _r(_merge(x), _merge())]
-    elif tag == "inversion":
-        a = {inputs[0].id: 1}
-        reactions = [_r(_merge(x), _merge(x, x)),
-                     _r(_merge(a, x, x), _merge(a, x))]
-    elif tag == "mth_root":
-        a = {inputs[0].id: 1}
-        m = kind.m
-        reactions = [_r(_merge(y), _merge(y, y)),
-                     _r(_merge(a, {yid: m + 1}), _merge(a, {yid: m})),
-                     _r(_merge(x), _merge(x, x)),
-                     _r(_merge(y, x, x), _merge(y, x))]
-    elif tag == "addition":
-        a, b = ({s.id: 1} for s in inputs)
-        reactions = [_r(_merge(a), _merge(a, x)),
-                     _r(_merge(b), _merge(b, x)),
-                     _r(_merge(x), _merge())]
-    elif tag == "multiplication":
-        a, b = ({s.id: 1} for s in inputs)
-        reactions = [_r(_merge(a, b), _merge(a, b, x)),
-                     _r(_merge(x), _merge())]
-    elif tag in ("absolute_difference", "rectified_subtraction"):
-        a, b = ({s.id: 1} for s in inputs)
-        y3 = {yid: 3}
-        reactions = [_r(_merge(y), _merge(y, y)),
-                     _r(_merge(a, a, y3), _merge(a, a, {yid: 2})),
-                     _r(_merge(b, b, y3), _merge(b, b, {yid: 2})),
-                     _r(_merge(a, b, y3), _merge(a, b, {yid: 5}))]
-        if tag == "absolute_difference":
-            reactions += [_r(_merge(x), _merge(x, x)),
-                          _r(_merge(y, x, x), _merge(y, x))]
-        else:
-            reactions += [_r(_merge(a, y, x), _merge(a, y, x, x)),
-                          _r(_merge(b, y, x), _merge(b, y)),
-                          _r(_merge(y, x, x), _merge(y, x))]
-    elif tag == "partial_real_inversion":
-        ap, an = ({s.id: 1} for s in inputs)
-        reactions = [_r(_merge(y), _merge(y, y)),
-                     _r(_merge(ap, y, y), _merge(ap, y)),
-                     _r(_merge(an, y, y), _merge(an, y)),
-                     _r(_merge(ap, y, x), _merge(ap, y, x, x)),
-                     _r(_merge(an, y, x), _merge(an, y)),
-                     _r(_merge(ap, ap, y, x, x), _merge(ap, ap, y, x))]
-    else:  # pragma: no cover
-        raise AssertionError(tag)
 
-    pos = ()
-    if tag in _POSITIVE_INIT:
-        pos = tuple(s.id for s in intermediates) + (xid,)
-    return GateInstance(kind, tuple(inputs), out, intermediates, tuple(reactions), pos)
+def factored_rates(g: GateInstance, name: Callable[[str], str]) -> list[tuple[str, str]]:
+    """(species id, rate law) for the species the gate drives, in the
+    factored form of its GateSpec, each species written as name(id)."""
+    spec = GATES[g.kind.tag]
+    names = {role: name(s.id) for role, s in zip(spec.inputs, g.inputs)}
+    names["X"] = name(g.output.id)
+    if not spec.has_y:
+        return [(g.output.id, spec.rate_x.format_map(names))]
+    y = g.intermediates[0].id
+    names["Y"] = name(y)
+    names["Ym"] = "*".join([names["Y"]] * (g.kind.m or 1))
+    return [(y, spec.rate_y.format_map(names)), (g.output.id, spec.rate_x.format_map(names))]
 
 
 def gate_fragment_network(g: GateInstance) -> ReactionNetwork:
@@ -218,36 +277,13 @@ def gate_fragment_network(g: GateInstance) -> ReactionNetwork:
 
 def gate_target(kind: GateKind, values: Sequence[float]) -> float:
     """Steady output value for the given input limits."""
-    if len(values) != _ARITY[kind.tag]:
-        raise ValueError(f"{kind} takes {_ARITY[kind.tag]} inputs")
+    spec = GATES[kind.tag]
+    if len(values) != spec.arity:
+        raise ValueError(f"{kind} takes {spec.arity} inputs")
     for v in values:
         if v < 0:
             raise DomainError(f"{kind} input limits must be non-negative, got {v}")
-    tag = kind.tag
-    if tag == "identification":
-        return float(values[0])
-    if tag == "inversion":
-        if values[0] == 0:
-            raise DomainError("inversion requires a positive input limit")
-        return 1.0 / values[0]
-    if tag == "mth_root":
-        return float(values[0]) ** (1.0 / kind.m)
-    if tag == "addition":
-        return float(values[0] + values[1])
-    if tag == "multiplication":
-        return float(values[0] * values[1])
-    if tag == "absolute_difference":
-        return abs(float(values[0] - values[1]))
-    if tag == "rectified_subtraction":
-        return max(float(values[0] - values[1]), 0.0)
-    if tag == "partial_real_inversion":
-        ap, an = values
-        if ap > 0 and an > 0:
-            raise DomainError("partial real inversion needs a canonical pair (one rail zero)")
-        if ap == 0 and an == 0:
-            raise DomainError("partial real inversion undefined at (0, 0)")
-        return 1.0 / ap if ap > 0 else 0.0
-    raise AssertionError(tag)  # pragma: no cover
+    return spec.target(values, kind.m)
 
 
 def _as_bound(b) -> SpeedBound:
@@ -258,58 +294,16 @@ def gate_speed_bound(kind: GateKind, input_bounds: Sequence,
                      input_limits: Sequence[float]) -> SpeedBound:
     """Per-gate rate bound, selecting the min-expression case from the
     input limits.  Input rates may be math.inf for constant inputs."""
-    bounds = [_as_bound(b) for b in input_bounds]
-    rates = [b.value for b in bounds]
+    rates = [_as_bound(b).value for b in input_bounds]
     for r in rates:
         if r <= 0:
             raise ValueError("input rates must be positive")
     gate_target(kind, input_limits)  # reuse the domain checks
-    tag = kind.tag
-    if tag in ("identification", "inversion"):
-        return SpeedBound(min(rates[0], 1.0), "min{rho_a, 1}")
-    if tag == "mth_root":
-        if input_limits[0] == 0:
-            return SpeedBound(min(rates[0] / kind.m, 1.0),
-                              f"root of zero limit: min{{rho_a/{kind.m}, 1}}")
-        return SpeedBound(min(rates[0], 1.0), "min{rho_a, 1}")
-    if tag == "multiplication":
-        a, b = input_limits
-        if a == 0 and b == 0:
-            return SpeedBound(min(rates[0] + rates[1], 1.0),
-                              "both limits zero: min{rho_a + rho_b, 1}")
-        if a == 0:
-            return SpeedBound(min(rates[0], 1.0), "zero limit factor: min{rho_a, 1}")
-        if b == 0:
-            return SpeedBound(min(rates[1], 1.0), "zero limit factor: min{rho_b, 1}")
-        return SpeedBound(min(rates[0], rates[1], 1.0), "min{rho_a, rho_b, 1}")
-    # addition, absolute_difference, rectified_subtraction, partial_real_inversion
-    return SpeedBound(min(rates[0], rates[1], 1.0), "min{rho_a, rho_b, 1}")
+    return GATES[kind.tag].speed(rates, input_limits, kind.m)
 
 
 # ---------------------------------------------------------------------------
 # catalogue
-
-_DISPLAY_TARGET = {
-    "identification": "x* = a*",
-    "inversion": "x* = 1/a*  (a* > 0)",
-    "mth_root": "x* = a*^(1/m)",
-    "addition": "x* = a* + b*",
-    "multiplication": "x* = a* b*",
-    "absolute_difference": "x* = |a* - b*|",
-    "rectified_subtraction": "x* = max(a* - b*, 0)  (Y diverges when a* = b*)",
-    "partial_real_inversion": "x* = 1/a_p* if a_p* > 0 else 0  (canonical pair)",
-}
-
-_DISPLAY_SPEED = {
-    "identification": "rho_x >= min{rho_a, 1}",
-    "inversion": "rho_x >= min{rho_a, 1}",
-    "mth_root": "rho_x >= min{rho_a, 1}, or min{rho_a/m, 1} when a* = 0",
-    "addition": "rho_x >= min{rho_a, rho_b, 1}",
-    "multiplication": "rho_x >= min{rho_a, rho_b, 1}; rates add when both limits are 0",
-    "absolute_difference": "rho_x >= min{rho_a, rho_b, 1}",
-    "rectified_subtraction": "rho_x >= min{rho_a, rho_b, 1}",
-    "partial_real_inversion": "rho_x >= min{rho_ap, rho_an, 1}",
-}
 
 
 def catalogue() -> str:
@@ -317,24 +311,16 @@ def catalogue() -> str:
     from .crn import derive_ode, format_network, format_polynomial
 
     sections = []
-    for tag in GATE_TAGS:
-        kind = GateKind(tag, 2) if tag == "mth_root" else GateKind(tag)
-        namer = SpeciesNamer()
-        if tag == "partial_real_inversion":
-            ins = [Species("A_p", "input"), Species("A_n", "input")]
-        elif _ARITY[tag] == 2:
-            ins = [Species("A", "input"), Species("B", "input")]
-        else:
-            ins = [Species("A", "input")]
-        g = make_gate(kind, ins, namer)
+    for spec in GATES.values():
+        kind = GateKind(spec.tag, 2 if spec.takes_m else None)
+        g = make_gate(kind, [Species(sid, "input") for sid in spec.inputs], SpeciesNamer())
         net = gate_fragment_network(g)
         ode = derive_ode(net)
-        title = f"## {tag}" + (" (shown for m=2)" if tag == "mth_root" else "")
-        lines = [title]
+        lines = [f"## {spec.tag}" + (" (shown for m=2)" if spec.takes_m else "")]
         for s in (g.output,) + g.intermediates:
             lines.append(f"# ode: {s.id.lower()}' = {format_polynomial(ode, s.id)}")
-        lines.append(f"# target: {_DISPLAY_TARGET[tag]}")
-        lines.append(f"# speed: {_DISPLAY_SPEED[tag]}")
+        lines.append(f"# target: {spec.shows_target}")
+        lines.append(f"# speed: {spec.shows_speed}")
         if g.positive_init:
             lines.append(f"# init+ : {', '.join(g.positive_init)}")
         lines.append(format_network(net).rstrip("\n"))

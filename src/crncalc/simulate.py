@@ -21,6 +21,7 @@ import numpy as np
 
 from .circuit import CompiledProgram, encode_dual_rail
 from .crn import PolynomialField, ReactionNetwork, derive_ode, parse_network
+from .gates import factored_rates
 
 
 @dataclass
@@ -174,39 +175,8 @@ def compile_circuit_rhs(circuit, order: Sequence[str], sigma: float = 1.0) -> Ca
     exprs = ["0.0"] * len(order)
     s = repr(float(sigma))
     for g in circuit.gates:
-        o = f"x{idx[g.output.id]}"
-        ins = [f"x{idx[sp.id]}" for sp in g.inputs]
-        tag = g.kind.tag
-        if tag == "identification":
-            e = f"{ins[0]} - {o}"
-        elif tag == "addition":
-            e = f"{ins[0]} + {ins[1]} - {o}"
-        elif tag == "multiplication":
-            e = f"{ins[0]}*{ins[1]} - {o}"
-        elif tag == "inversion":
-            e = f"{o}*(1.0 - {ins[0]}*{o})"
-        elif tag == "mth_root":
-            y = f"x{idx[g.intermediates[0].id]}"
-            ypow = "*".join([y] * g.kind.m)
-            exprs[idx[g.intermediates[0].id]] = f"{s}*({y}*(1.0 - {ins[0]}*{ypow}))"
-            e = f"{o}*(1.0 - {y}*{o})"
-        elif tag in ("absolute_difference", "rectified_subtraction"):
-            y = f"x{idx[g.intermediates[0].id]}"
-            d = f"({ins[0]} - {ins[1]})"
-            exprs[idx[g.intermediates[0].id]] = \
-                f"{s}*({y}*(1.0 - {d}*{d}*{y}*{y}))"
-            if tag == "absolute_difference":
-                e = f"{o}*(1.0 - {y}*{o})"
-            else:
-                e = f"{o}*{y}*({d} - {o})"
-        elif tag == "partial_real_inversion":
-            y = f"x{idx[g.intermediates[0].id]}"
-            exprs[idx[g.intermediates[0].id]] = \
-                f"{s}*({y}*(1.0 - ({ins[0]} + {ins[1]})*{y}))"
-            e = f"{o}*{y}*({ins[0]} - {ins[1]} - {ins[0]}*{ins[0]}*{o})"
-        else:  # pragma: no cover
-            raise AssertionError(tag)
-        exprs[idx[g.output.id]] = f"{s}*({e})"
+        for sid, law in factored_rates(g, lambda sid: f"x{idx[sid]}"):
+            exprs[idx[sid]] = f"{s}*({law})"
     # only species no gate writes (held inputs and constants) stay at 0.0
     return _rhs_function(exprs, [e == "0.0" for e in exprs])
 

@@ -95,6 +95,15 @@ def test_division_lowers_to_two_gates():
                         ("multiplication", ["A", "X1"], "X2")]
 
 
+def test_division_lowers_denominator_first():
+    # the inversion gate is numbered before the numerator's gates
+    c = lower_to_circuit("(a + b)/(c + d)")
+    assert shape(c) == [("addition", ["C", "D"], "X1"),
+                        ("inversion", ["X1"], "X2"),
+                        ("addition", ["A", "B"], "X3"),
+                        ("multiplication", ["X3", "X2"], "X4")]
+
+
 def test_reciprocal_peephole():
     c = lower_to_circuit("1/e")
     assert shape(c) == [("inversion", ["E"], "X1")]
@@ -275,6 +284,25 @@ def test_expression_hash_is_stored_at_construction():
     small = parse_expression("sqrt(a*b + 1/(c + 2)) - rsub(a, 3)")
     back = pickle.loads(pickle.dumps(small))
     assert back == small and hash(back) == hash(small)
+
+
+def test_deep_expressions_lower_and_evaluate():
+    # lowering, free_vars and eval_expr walk an explicit stack, so a
+    # left-deep chain far beyond the recursion limit still works
+    e = parse_expression(" + ".join(f"a{i}*b{i}" for i in range(5000)))
+    names = free_vars(e)
+    assert len(names) == 10000
+    assert eval_expr(e, dict.fromkeys(names, 2.0)) == 20000.0
+    c = lower_to_circuit(e)
+    assert len(c.gates) == 9999 and c.output.id == "X9999"
+
+
+def test_parser_nesting_limit():
+    parse_expression("(" * 100 + "a" + ")" * 100)
+    for src in ["(" * 101 + "a" + ")" * 101, "sqrt(" * 101 + "a" + ")" * 101,
+                "-" * 101 + "a"]:
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+            parse_expression(src)
 
 
 def test_structural_bound():

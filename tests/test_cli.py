@@ -53,6 +53,20 @@ def test_compile_mode_error_exits_2(capsys):
     assert "real mode" in err
 
 
+def test_compile_deep_sum(capsys):
+    expr = " + ".join(f"a{i}*b{i}" for i in range(5000))
+    code, out, err = run(capsys, "compile", "--expr", expr)
+    assert code == 0, err
+    assert "# output -> X9999" in out
+
+
+def test_compile_deep_nesting_exits_2(capsys):
+    code, _, err = run(capsys, "compile", "--expr", "(" * 5000 + "a" + ")" * 5000)
+    assert code == 2
+    assert err.startswith("error:") and "nested deeper" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run(capsys, "compile", "--expr", "a", "--frobnicate")
     assert code == 2

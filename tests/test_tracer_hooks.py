@@ -1,0 +1,35 @@
+"""The benchmark tracer (perfbench/spans.py) wraps library functions by
+name.  Entering its patch against the live modules here makes a rename
+fail this suite instead of breaking a traced benchmark run."""
+
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_patches_the_live_modules(capsys):
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    with tracer.patch():
+        assert tracer.run(["compile", "--expr", "a/b + c"]) == 0
+        assert tracer.run(["sweep", "--expr", "a + b", "--grid", "a=1;b=2",
+                           "--t-end", "20"]) == 0
+    capsys.readouterr()
+    names = {name for name, *_ in tracer.spans}
+    assert {"cli", "parse_expression", "lower_to_circuit", "flatten",
+            "format_program", "predict_speed", "compile_circuit_rhs",
+            "estimate_rate"} <= names
+    assert tracer.counts["circuit.gates"] == 3 + 1
+    assert tracer.counts["rates.estimates"] == 1
+    assert set(tracer.self_times()) == set(spans.LAYERS.values())
+    # the patch is undone on exit
+    from crncalc import circuit
+    assert circuit.lower_to_circuit.__name__ == "lower_to_circuit"
