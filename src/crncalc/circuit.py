@@ -446,8 +446,8 @@ class CircuitBuilder:
                             self.gate(rsub, [w.n, w.p]))
 
     def neg_wire(self, w: DualRailWire) -> DualRailWire:
-        ident = GateKind("identification")
-        return DualRailWire(self.gate(ident, [w.n]), self.gate(ident, [w.p]))
+        """-(p - n) = n - p: negation swaps the rails and needs no gate."""
+        return DualRailWire(w.n, w.p)
 
     def add_wires(self, a: DualRailWire, b: DualRailWire) -> DualRailWire:
         add = GateKind("addition")

@@ -132,16 +132,16 @@ def test_bare_variable_gets_identification():
 
 def test_real_subtraction_shape():
     c = lower_to_circuit("a - b", mode="real")
-    assert shape(c) == [("identification", ["B_n"], "X1"),
-                        ("identification", ["B_p"], "X2"),
-                        ("addition", ["A_p", "X1"], "X3"),
-                        ("addition", ["A_n", "X2"], "X4"),
-                        ("rectified_subtraction", ["X3", "X4"], "X5"),
-                        ("rectified_subtraction", ["X4", "X3"], "X6")]
+    # negation swaps b's rails; it allocates no gate
+    assert shape(c) == [("addition", ["A_p", "B_n"], "X1"),
+                        ("addition", ["A_n", "B_p"], "X2"),
+                        ("rectified_subtraction", ["X1", "X2"], "X3"),
+                        ("rectified_subtraction", ["X2", "X1"], "X4")]
     prog = compile_expression("a - b", mode="real")
-    assert len(prog.network.reactions) == 24
-    assert prog.bindings.output == ("X5", "X6")
-    assert prog.bindings.positive_init == ("Y5", "X5", "Y6", "X6")
+    assert len(prog.network.reactions) == 20
+    assert len(prog.network.species) == 10
+    assert prog.bindings.output == ("X3", "X4")
+    assert prog.bindings.positive_init == ("Y3", "X3", "Y4", "X4")
 
 
 def test_real_multiplication_shape():

@@ -38,7 +38,7 @@ def test_compile_real_mode(capsys):
     code, out, _ = run(capsys, "compile", "--expr", "a - b", "--mode", "real")
     assert code == 0
     assert "# input a -> (A_p, A_n)" in out
-    assert "# output -> (X5, X6)" in out
+    assert "# output -> (X3, X4)" in out
 
 
 def test_compile_parse_error_exits_2(capsys):

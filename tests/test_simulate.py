@@ -381,3 +381,24 @@ def test_stats_count_the_work():
     assert s.rhs_evals == 2 + 6 * (s.steps + s.rejected)
     gridded = simulate_program(prog, {"a": 1, "b": 2}, SimConfig(t_end=20, output_grid=1.0))
     assert gridded.stats == s
+
+
+def test_real_subtraction_ties_blow_up_alike():
+    """Negation swaps rails, so both adders of real-mode a - b see the same
+    transient: at every tie a = b of the criterion-3 grid the inner Y of
+    one of the two normalising rsub gates crosses the blowup threshold at
+    t = ln 1e12, after about the same number of steps."""
+    circuit = lower_to_circuit("a - b", "real")
+    prog = flatten(circuit)
+    normalisers = {g.intermediates[0].id for g in circuit.gates
+                   if g.kind.tag == "rectified_subtraction"}
+    assert len(normalisers) == 2
+    steps = []
+    for a in np.geomspace(0.1, 50.0, 5):
+        traj = simulate_program(prog, {"a": a, "b": a},
+                                SimConfig(t_end=40, rel_tol=1e-10, abs_tol=1e-12))
+        assert traj.termination.status == "blowup", a
+        assert traj.termination.time == pytest.approx(math.log(1e12), abs=1e-4)
+        assert traj.termination.species in normalisers, a
+        steps.append(traj.stats.steps)
+    assert max(steps) - min(steps) <= 5, steps
