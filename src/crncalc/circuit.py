@@ -44,7 +44,8 @@ class Expr:
     Lowering looks nodes up by value to share common subexpressions.  The
     dataclass hash would rehash the whole subtree on every lookup, which
     makes lowering quadratic in the expression size, so each node hashes
-    once, at construction, from its children's stored hashes.
+    once, at construction, from its children's stored hashes.  Equality
+    walks an explicit stack, so trees of any depth compare.
     """
     __slots__ = ("_hash",)
 
@@ -54,6 +55,23 @@ class Expr:
     def __hash__(self):
         return self._hash
 
+    def __eq__(self, other):
+        if not isinstance(other, Expr):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for x, y in zip(a._fields(), b._fields()):
+                if isinstance(x, Expr):
+                    todo.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
     def __reduce__(self):  # rebuild through __init__: string hashes differ per process
         return type(self), self._fields()
 
@@ -62,9 +80,7 @@ class Expr:
 
 
 def _node(cls):
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Expr.__hash__  # dataclass installs a field hash; keep the stored one
-    return cls
+    return dataclass(frozen=True, eq=False)(cls)  # keep Expr's hash and equality
 
 
 @_node
@@ -130,14 +146,6 @@ class RectSub(Expr):
     right: Expr
 
 
-def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Const, Var)):
-        return ()
-    if isinstance(e, (Neg, Root)):
-        return (e.child,)
-    return (e.left, e.right)
-
-
 def _fold(root: Expr, steps, cache: dict):
     """The value of root, computed bottom-up over an explicit stack.
 
@@ -173,7 +181,10 @@ def free_vars(e: Expr) -> set[str]:
         x = todo.pop()
         if isinstance(x, Var):
             names.add(x.name)
-        todo.extend(_children(x))
+        elif isinstance(x, (Neg, Root)):
+            todo.append(x.child)
+        elif not isinstance(x, Const):
+            todo += (x.left, x.right)
     return names
 
 

@@ -91,6 +91,11 @@ def _write_report(path: str | None, report: dict):
         _write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
+def _rate_fields(est: rt.RateEstimate) -> dict:
+    return {"rho_hat": est.rho_hat, "fit_window": list(est.fit_window),
+            "r_squared": est.r_squared, "samples": est.samples_used}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -158,8 +163,7 @@ def cmd_analyze(args) -> int:
     try:
         est = rt.estimate_rate(traj, species, args.target, floor, ceil,
                                detrend=args.detrend)
-        report["rate"] = {"rho_hat": est.rho_hat, "fit_window": list(est.fit_window),
-                          "r_squared": est.r_squared, "samples": est.samples_used}
+        report["rate"] = _rate_fields(est)
         print(f"rho_hat = {est.rho_hat:.6g}  window {est.fit_window[0]:.3g}.."
               f"{est.fit_window[1]:.3g}  r^2 = {est.r_squared:.6f}")
     except (rt.EstimationError, rt.NotConvergedError) as e:
@@ -219,8 +223,7 @@ def cmd_verify(args) -> int:
         if isinstance(est, ValueError):
             entry["rate_error"] = str(est)
         else:
-            entry["rate"] = {"rho_hat": est.rho_hat, "fit_window": list(est.fit_window),
-                             "r_squared": est.r_squared, "samples": est.samples_used}
+            entry["rate"] = _rate_fields(est)
         report["outputs"].append(entry)
     if args.out:
         _write(args.out, traj.to_csv())

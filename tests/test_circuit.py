@@ -289,12 +289,17 @@ def test_expression_hash_is_stored_at_construction():
 def test_deep_expressions_lower_and_evaluate():
     # lowering, free_vars and eval_expr walk an explicit stack, so a
     # left-deep chain far beyond the recursion limit still works
-    e = parse_expression(" + ".join(f"a{i}*b{i}" for i in range(5000)))
+    text = " + ".join(f"a{i}*b{i}" for i in range(5000))
+    e = parse_expression(text)
     names = free_vars(e)
     assert len(names) == 10000
     assert eval_expr(e, dict.fromkeys(names, 2.0)) == 20000.0
-    c = lower_to_circuit(e)
-    assert len(c.gates) == 9999 and c.output.id == "X9999"
+    # the second copy compares equal without recursing and is shared
+    twice = Mul(e, parse_expression(text))
+    assert twice.left == twice.right and twice.left is not twice.right
+    c = lower_to_circuit(twice)
+    assert len(c.gates) == 10000
+    assert shape(c)[-1] == ("multiplication", ["X9999", "X9999"], "X10000")
 
 
 def test_parser_nesting_limit():
