@@ -390,7 +390,6 @@ class Circuit:
     inputs: dict[str, Value]
     consts: dict[str, Fraction]  # species id -> pinned value
     output: Value
-    source: str | None = None
 
 
 class CircuitBuilder:
@@ -411,16 +410,14 @@ class CircuitBuilder:
         self.consts: dict[str, Fraction] = {}
         self._const_cache: dict[Fraction, Species] = {}
         self._cse: dict[Expr, Value] = {}
-        self._zero: Species | None = None
 
     def input_species(self, name: str) -> Value:
         if name in self.inputs:
             return self.inputs[name]
         base = name.upper()
         if self.mode == "nonneg":
-            sid = base
-            self.namer.reserve(sid)
-            val: Value = Species(sid, "input")
+            self.namer.reserve(base)
+            val: Value = Species(base, "input")
         else:
             self.namer.reserve(base + "_p", base + "_n")
             val = DualRailWire(Species(base + "_p", "input"),
@@ -440,9 +437,7 @@ class CircuitBuilder:
         return sp
 
     def zero_species(self) -> Species:
-        if self._zero is None:
-            self._zero = self.const_species(Fraction(0))
-        return self._zero
+        return self.const_species(Fraction(0))
 
     def gate(self, kind: GateKind, inputs: Sequence[Species]) -> Species:
         g = make_gate(kind, inputs, self.namer)
@@ -493,7 +488,7 @@ class CircuitBuilder:
                 raise ModeError("negative constant needs real mode")
             return self.const_species(e.value)
         if isinstance(e, Var):
-            return self.inputs.get(e.name) or self.input_species(e.name)
+            return self.input_species(e.name)
         if isinstance(e, (Sub, Neg)):
             raise ModeError("subtraction is not expressible over non-negative "
                             "values; use rsub, abs, or real mode")
@@ -531,7 +526,7 @@ class CircuitBuilder:
                 return DualRailWire(self.const_species(e.value), self.zero_species())
             return DualRailWire(self.zero_species(), self.const_species(-e.value))
         if isinstance(e, Var):
-            return self.inputs.get(e.name) or self.input_species(e.name)
+            return self.input_species(e.name)
         if isinstance(e, (Root, AbsDiff, Max, RectSub)):
             raise ModeError(f"{type(e).__name__.lower()} is defined on "
                             "non-negative values only; use nonneg mode")
@@ -555,7 +550,7 @@ class CircuitBuilder:
             return s
         return self.gate(GateKind("identification"), [s])
 
-    def finish(self, value: Value, source: str | None = None) -> Circuit:
+    def finish(self, value: Value) -> Circuit:
         """Close the circuit; inputs and constants at the output are passed
         through identification gates so the output is always computed."""
         if isinstance(value, DualRailWire):
@@ -564,19 +559,17 @@ class CircuitBuilder:
         else:
             value = self._as_gate_output(value)
         return Circuit(self.mode, tuple(self.gates), dict(self.inputs),
-                       dict(self.consts), value, source)
+                       dict(self.consts), value)
 
 
 def lower_to_circuit(expr: Expr | str, mode: str = "nonneg") -> Circuit:
-    source = None
     if isinstance(expr, str):
-        source = expr
         expr = parse_expression(expr)
     b = CircuitBuilder(mode)
     # reserve all input ids up front so gate names never collide with them
     for name in sorted(free_vars(expr)):
         b.input_species(name)
-    return b.finish(b.lower(expr), source)
+    return b.finish(b.lower(expr))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from . import circuit as circ
 from . import rates as rt
 from . import simulate as sim
 from .crn import FormatError, parse_network
-from .gates import DomainError, SpeedBound, catalogue
+from .gates import SpeedBound, catalogue
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -103,7 +103,7 @@ def _rate_fields(est: rt.RateEstimate) -> dict:
 def cmd_compile(args) -> int:
     try:
         prog = circ.compile_expression(args.expr, args.mode)
-    except (circ.ParseError, circ.ModeError, ValueError) as e:
+    except ValueError as e:  # ParseError and ModeError included
         return _err(str(e))
     _write(args.out, circ.format_program(prog))
     return EXIT_OK
@@ -133,8 +133,7 @@ def cmd_simulate(args) -> int:
             else:
                 # bare network: --in values are per-species initial values
                 traj = sim.integrate_network(net, inputs, cfg)
-    except (circ.ParseError, circ.ModeError, FormatError, DomainError,
-            ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         return _err(str(e))
     _write(args.out, traj.to_csv())
     if traj.termination.status != "completed":
@@ -477,7 +476,7 @@ def cmd_sweep(args) -> int:
             with open(args.crn) as fh:
                 spec = ("crn", fh.read(), args.mode, args.target, args.species)
         pipeline = _Pipeline(*spec, cfg)  # an unparseable expression or network fails here
-    except (circ.ParseError, FormatError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         return _err(str(e))
     blocks = [points[i:i + SWEEP_BLOCK] for i in range(0, len(points), SWEEP_BLOCK)]
     if args.jobs > 1 and len(blocks) > 1:

@@ -265,14 +265,9 @@ def factored_rates(g: GateInstance, name: Callable[[str], str]) -> list[tuple[st
 
 def gate_fragment_network(g: GateInstance) -> ReactionNetwork:
     """Standalone network for one gate, inputs declared with input role."""
-    species = [Species(s.id, "input") for s in g.inputs]
-    ids = {s.id for s in species}
-    for s in (g.output,) + g.intermediates:
-        if s.id not in ids:
-            species.append(s)
-    order = [s.id for s in species]
-    roles = {s.id: s.role for s in species}
-    return collect_network(g.reactions, roles, order)
+    species = [Species(s.id, "input") for s in g.inputs] + [g.output, *g.intermediates]
+    return collect_network(g.reactions, {s.id: s.role for s in species},
+                           [s.id for s in species])
 
 
 def gate_target(kind: GateKind, values: Sequence[float]) -> float:
@@ -286,15 +281,11 @@ def gate_target(kind: GateKind, values: Sequence[float]) -> float:
     return spec.target(values, kind.m)
 
 
-def _as_bound(b) -> SpeedBound:
-    return b if isinstance(b, SpeedBound) else SpeedBound(float(b))
-
-
 def gate_speed_bound(kind: GateKind, input_bounds: Sequence,
                      input_limits: Sequence[float]) -> SpeedBound:
     """Per-gate rate bound, selecting the min-expression case from the
     input limits.  Input rates may be math.inf for constant inputs."""
-    rates = [_as_bound(b).value for b in input_bounds]
+    rates = [b.value if isinstance(b, SpeedBound) else float(b) for b in input_bounds]
     for r in rates:
         if r <= 0:
             raise ValueError("input rates must be positive")
