@@ -193,10 +193,10 @@ def cmd_verify(args) -> int:
         cfg = _sim_config(args)
         inputs = _parse_inputs(args.inputs)
         (run,) = _Pipeline("expr", args.expr, args.mode, None, None, cfg).run([inputs])
-        if isinstance(run, ValueError):  # DomainError and ModeError included
-            raise run
     except ValueError as e:
         return _err(str(e))
+    if isinstance(run, ValueError):  # DomainError and ModeError included
+        return _err(str(run))
     analysis, traj, rails, targets = run.analysis, run.traj, run.rails, run.targets
     bound = SpeedBound(min(analysis.bound.value, 1.0) * cfg.sigma,
                        analysis.bound.case +
