@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .crn import Complex, Reaction, ReactionNetwork, Species, collect_network, parse_network
+from .crn import (MAX_STOICH, Complex, Reaction, ReactionNetwork, Species,
+                  collect_network, parse_network)
 
 
 class DomainError(ValueError):
@@ -33,8 +34,9 @@ class GateKind:
         if self.tag not in GATES:
             raise ValueError(f"unknown gate tag {self.tag!r}")
         if GATES[self.tag].takes_m:
-            if self.m is None or self.m < 2:
-                raise ValueError(f"{self.tag} needs integer m >= 2")
+            # its reactions hold m + 1 copies of Y
+            if self.m is None or not 2 <= self.m < MAX_STOICH:
+                raise ValueError(f"{self.tag} needs integer m in 2..{MAX_STOICH - 1}")
         elif self.m is not None:
             raise ValueError(f"{self.tag} takes no m parameter")
 

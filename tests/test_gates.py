@@ -336,3 +336,10 @@ def test_catalogue_documents_every_gate():
     for tag, _, _ in ALL_KINDS:
         assert tag in text
     assert "k=1" in text and "target" in text and "speed" in text
+
+
+def test_mth_root_degree_fits_stoichiometry():
+    # the root gate's reactions hold m + 1 copies of Y, capped at 255
+    GateKind("mth_root", 254)
+    with pytest.raises(ValueError, match=r"m in 2\.\.254"):
+        GateKind("mth_root", 255)
