@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .crn import (FormatError, ReactionNetwork, Species, collect_network,
-                  format_fraction, format_network, parse_network)
+from .crn import (FormatError, ReactionNetwork, Species, format_fraction, format_network,
+                  parse_network)
 from .gates import (DomainError, GateInstance, GateKind, SpeciesNamer,
                     SpeedBound, gate_speed_bound, gate_target, make_gate)
 
@@ -614,9 +614,7 @@ def flatten(circuit: Circuit) -> CompiledProgram:
     for g in circuit.gates:
         species.extend(g.intermediates)
         species.append(g.output)
-    reactions = [r for g in circuit.gates for r in g.reactions]
-    net = collect_network(reactions, {s.id: s.role for s in species},
-                          [s.id for s in species])
+    net = ReactionNetwork(tuple(species), tuple(r for g in circuit.gates for r in g.reactions))
     pos = [sid for g in circuit.gates for sid in g.positive_init]
     order = {sid: i for i, sid in enumerate(net.species_ids)}
     bindings = ProgramBindings(

@@ -368,6 +368,8 @@ class _Pipeline:
             self.net = parse_network(text)
             self.rails = [species]
             self.species = self.net.species_ids
+            if species not in self.species:
+                raise ValueError(f"--species {species} is not a species of the network")
             self.rhs = sim.network_rhs(self.net, cfg.sigma)
 
     def _point(self, values: dict):
@@ -475,7 +477,7 @@ def cmd_sweep(args) -> int:
                 return _err("--crn sweeps need --target and --species")
             with open(args.crn) as fh:
                 spec = ("crn", fh.read(), args.mode, args.target, args.species)
-        pipeline = _Pipeline(*spec, cfg)  # an unparseable expression or network fails here
+        pipeline = _Pipeline(*spec, cfg)  # a bad expression, network or --species fails here
     except (ValueError, OSError) as e:
         return _err(str(e))
     blocks = [points[i:i + SWEEP_BLOCK] for i in range(0, len(points), SWEEP_BLOCK)]

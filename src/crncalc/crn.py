@@ -24,7 +24,7 @@ class FormatError(ValueError):
     """Raised when network text cannot be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Species:
     id: str
     role: str = "intermediate"
@@ -36,7 +36,7 @@ class Species:
             raise ValueError(f"bad role {self.role!r} for species {self.id}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Complex:
     """Multiset of species, stored as (id, count) pairs sorted by id."""
 
@@ -69,7 +69,7 @@ class Complex:
 EMPTY = Complex(())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reaction:
     reactant: Complex
     product: Complex
@@ -84,20 +84,58 @@ class Reaction:
             raise ValueError("reaction must change at least one species count")
 
 
-@dataclass(frozen=True)
+def _renamed(reactions: Iterable[Reaction], ids: Mapping[str, str]) -> tuple[Reaction, ...]:
+    """Checked reactions with their species renamed one-to-one by `ids`.
+
+    A one-to-one renaming keeps every count, the rate and reactant !=
+    product, so the checks `Complex.make` and `Reaction` made still hold;
+    only the order of each complex is redone.  Each renamed (id, count)
+    pair is made once and shared.
+    """
+    pairs: dict[tuple[str, int], tuple[str, int]] = {}
+
+    def rename(c: Complex) -> Complex:
+        out = []
+        for p in c.coeffs:
+            q = pairs.get(p)
+            if q is None:
+                q = pairs[p] = (ids[p[0]], p[1])
+            out.append(q)
+        out.sort()
+        return Complex(tuple(out))
+
+    stamped = []
+    for r in reactions:
+        new = object.__new__(Reaction)
+        object.__setattr__(new, "reactant", rename(r.reactant))
+        object.__setattr__(new, "product", rename(r.product))
+        object.__setattr__(new, "rate", r.rate)
+        stamped.append(new)
+    return tuple(stamped)
+
+
+def _species_used(reactions: Iterable[Reaction]) -> dict[str, int]:
+    """Every species id the reactions name, keyed in first-appearance order."""
+    used: dict[str, int] = {}
+    for r in reactions:
+        used.update(r.reactant.coeffs)
+        used.update(r.product.coeffs)
+    return used
+
+
+@dataclass(frozen=True, slots=True)
 class ReactionNetwork:
     species: tuple[Species, ...]
     reactions: tuple[Reaction, ...]
 
     def __post_init__(self):
-        ids = [s.id for s in self.species]
-        if len(set(ids)) != len(ids):
+        declared = {s.id for s in self.species}
+        if len(declared) != len(self.species):
             raise ValueError("duplicate species ids")
-        declared = set(ids)
-        for r in self.reactions:
-            for sid in r.reactant.species() + r.product.species():
-                if sid not in declared:
-                    raise ValueError(f"reaction references undeclared species {sid}")
+        used = _species_used(self.reactions)
+        if used.keys() - declared:
+            sid = next(sid for sid in used if sid not in declared)
+            raise ValueError(f"reaction references undeclared species {sid}")
 
     @property
     def species_ids(self) -> tuple[str, ...]:
@@ -114,12 +152,8 @@ def collect_network(reactions: Iterable[Reaction],
     """
     roles = dict(roles or {})
     reactions = tuple(reactions)
-    seen: dict[str, None] = {}
-    for sid in order or ():
-        seen.setdefault(sid, None)
-    for r in reactions:
-        for sid in r.reactant.species() + r.product.species():
-            seen.setdefault(sid, None)
+    seen = dict.fromkeys(order or ())
+    seen.update(_species_used(reactions))
     species = tuple(Species(sid, roles.get(sid, "intermediate")) for sid in seen)
     return ReactionNetwork(species, reactions)
 
@@ -128,13 +162,13 @@ def collect_network(reactions: Iterable[Reaction],
 # polynomial rate equations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     coeff: Fraction
     exponents: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolynomialField:
     """One polynomial per species, monomials in a canonical order.
 
@@ -337,19 +371,17 @@ def parse_network(text: str) -> ReactionNetwork:
         except ValueError as e:
             raise FormatError(f"line {lineno}: {e}") from None
     if have_header:
-        declared = set(order)
-        for r in reactions:
-            for sid in r.reactant.species() + r.product.species():
-                if sid not in declared:
-                    raise FormatError(f"undeclared species {sid} (header present)")
+        for sid in _species_used(reactions):
+            if sid not in roles:
+                raise FormatError(f"undeclared species {sid} (header present)")
     return collect_network(reactions, roles, order)
 
 
 def _format_complex(c: Complex, order: dict[str, int]) -> str:
     if c.is_empty():
         return "0"
-    items = sorted(c.coeffs, key=lambda p: order[p[0]])
-    return " + ".join(sid if n == 1 else f"{n}{sid}" for sid, n in items)
+    items = c.coeffs if len(c.coeffs) == 1 else sorted(c.coeffs, key=lambda p: order[p[0]])
+    return " + ".join([sid if n == 1 else f"{n}{sid}" for sid, n in items])
 
 
 def format_fraction(r: Fraction) -> str:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .crn import (MAX_STOICH, Complex, Reaction, ReactionNetwork, Species,
+from .crn import (MAX_STOICH, Complex, Reaction, ReactionNetwork, Species, _renamed,
                   collect_network, parse_network)
 
 
@@ -54,7 +54,7 @@ class SpeedBound:
     case: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateInstance:
     kind: GateKind
     inputs: tuple[Species, ...]
@@ -175,6 +175,11 @@ class GateSpec:
         return len(self.inputs)
 
     @property
+    def roles(self) -> tuple[str, ...]:
+        """The species names its reactions use: the inputs, X and Y."""
+        return (*self.inputs, "X", "Y")
+
+    @property
     def has_y(self) -> bool:
         return self.rate_y is not None
 
@@ -221,30 +226,41 @@ GATE_TAGS = tuple(GATES)
 
 
 @lru_cache(maxsize=None)
-def _template(kind: GateKind) -> tuple[Reaction, ...]:
-    text = GATES[kind.tag].reactions
+def _template(kind: GateKind, pattern: tuple[int, ...]) -> tuple[Reaction, ...]:
+    """The gate's reactions with its roles (inputs, X, Y) merged by `pattern`.
+
+    pattern[i] is the index of the first role bound to the same species as
+    role i, so `a*a` gives multiplication (0, 0, 2, 3).  Merged roles add
+    their counts and the result goes through the checking constructors once
+    per pattern: the stoichiometry cap, the rate's sign and reactant !=
+    product.
+    """
+    spec = GATES[kind.tag]
+    text = spec.reactions
     if kind.m is not None:
         text = text.format(m=kind.m, m1=kind.m + 1)
-    return parse_network(text).reactions
+    first = {role: spec.roles[i] for role, i in zip(spec.roles, pattern)}
 
+    def merged(c: Complex) -> Complex:
+        counts: dict[str, int] = {}
+        for sid, n in c.coeffs:
+            counts[first[sid]] = counts.get(first[sid], 0) + n
+        return Complex.make(counts)
 
-def _relabel(c: Complex, ids: Mapping[str, str]) -> Complex:
-    counts: dict[str, int] = {}
-    for sid, n in c.coeffs:
-        sid = ids[sid]
-        counts[sid] = counts.get(sid, 0) + n
-    return Complex.make(counts)
+    return tuple(Reaction(merged(r.reactant), merged(r.product), r.rate)
+                 for r in parse_network(text).reactions)
 
 
 def make_gate(kind: GateKind, inputs: Sequence[Species], namer: SpeciesNamer) -> GateInstance:
-    """Instantiate a gate fragment on the given input species."""
+    """Instantiate a gate fragment on the given input species: its
+    template for the inputs' sharing pattern, renamed to them."""
     spec = GATES[kind.tag]
     if len(inputs) != spec.arity:
         raise ValueError(f"{kind} takes {spec.arity} inputs, got {len(inputs)}")
     xid, yid = namer.gate_pair()
-    ids = dict(zip(spec.inputs, (s.id for s in inputs)), X=xid, Y=yid)
-    reactions = tuple(Reaction(_relabel(r.reactant, ids), _relabel(r.product, ids), r.rate)
-                      for r in _template(kind))
+    bound = (*[s.id for s in inputs], xid, yid)
+    ids = dict(zip(spec.roles, bound))
+    reactions = _renamed(_template(kind, tuple(map(bound.index, bound))), ids)
     intermediates = (Species(yid, "intermediate"),) if spec.has_y else ()
     pos = tuple(s.id for s in intermediates) + (xid,) if spec.starts_positive else ()
     return GateInstance(kind, tuple(inputs), Species(xid, "output"), intermediates,

@@ -215,6 +215,21 @@ def test_program_text_round_trip():
     assert format_program(again) == text
 
 
+@pytest.mark.parametrize("src,mode", [("a*a", "nonneg"), ("a + a", "nonneg"),
+                                      ("rsub(a, a)", "nonneg"), ("max(a, a)", "nonneg"),
+                                      ("a*a", "real"), ("a/(a - b)", "real")])
+def test_shared_input_programs_round_trip(src, mode):
+    # gates fed one species on both inputs come from their own templates
+    prog = compile_expression(src, mode)
+    text = format_program(prog)
+    again = load_program(text)
+    assert again.network == prog.network
+    assert hash(again.network) == hash(prog.network)
+    back = pickle.loads(pickle.dumps(prog))
+    assert back.network == prog.network and hash(back.network) == hash(prog.network)
+    assert format_program(back) == text
+
+
 def test_load_program_validation():
     prog = compile_expression("a + b")
     text = format_program(prog)

@@ -15,6 +15,7 @@ import pytest
 from crncalc import RateEstimate, read_trajectory_csv
 import crncalc.cli
 import crncalc.rates
+import crncalc.simulate
 from crncalc.cli import main
 
 
@@ -349,6 +350,23 @@ def test_sweep_crn_requires_target_and_species(tmp_path, capsys):
     code, _, err = run(capsys, "sweep", "--crn", str(net_file), "--grid", "A=1")
     assert code == 2
     assert "--target" in err
+
+
+def test_sweep_crn_unknown_species_exits_2(tmp_path, capsys, monkeypatch):
+    net_file = tmp_path / "net.crn"
+    net_file.write_text("species: A[input], X[output]\n"
+                        "X -> 2X ; k=1\n"
+                        "A + 2X -> A + X ; k=1\n")
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a sweep with an unknown --species")
+
+    monkeypatch.setattr(crncalc.simulate, "integrate", no_integration)
+    code, out, err = run(capsys, "sweep", "--crn", str(net_file),
+                         "--grid", "A=1,2;X=0.5", "--target", "A", "--species", "Q")
+    assert code == 2
+    assert out == ""
+    assert "--species Q" in err
 
 
 def test_sweep_empty_grid(tmp_path, capsys):

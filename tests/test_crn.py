@@ -225,6 +225,12 @@ def test_parse_rejects_garbage():
             parse_network(bad)
 
 
+def test_parse_rejects_undeclared_species_under_header():
+    # the first species in reaction order that the header leaves out is named
+    with pytest.raises(FormatError, match="undeclared species Q "):
+        parse_network("species: A[input], X[output]\nA -> A + X\nX + Q -> R\n")
+
+
 def test_parse_rate_defaults_to_one():
     # shorthand: an omitted rate clause means k=1
     n = parse_network("A -> A + X\nX -> 0\n")

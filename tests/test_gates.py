@@ -14,8 +14,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from crncalc import (
+    Complex,
     DomainError,
     GateKind,
+    Reaction,
     Species,
     SpeciesNamer,
     catalogue,
@@ -24,7 +26,9 @@ from crncalc import (
     gate_speed_bound,
     gate_target,
     make_gate,
+    parse_network,
 )
+from crncalc.gates import GATES
 
 F = Fraction
 
@@ -343,3 +347,62 @@ def test_mth_root_degree_fits_stoichiometry():
     GateKind("mth_root", 254)
     with pytest.raises(ValueError, match=r"m in 2\.\.254"):
         GateKind("mth_root", 255)
+
+
+# --- instantiation against renaming reaction by reaction --------------------
+
+
+def reference_reactions(kind, input_ids, xid, yid):
+    """The gate's reactions renamed one reaction at a time: shared species
+    merge their counts and every complex and reaction is checked as built."""
+    spec = GATES[kind.tag]
+    text = spec.reactions
+    if kind.m is not None:
+        text = text.format(m=kind.m, m1=kind.m + 1)
+    ids = dict(zip(spec.inputs, input_ids), X=xid, Y=yid)
+
+    def relabel(c):
+        counts = {}
+        for sid, n in c.coeffs:
+            counts[ids[sid]] = counts.get(ids[sid], 0) + n
+        return Complex.make(counts)
+
+    return tuple(Reaction(relabel(r.reactant), relabel(r.product), r.rate)
+                 for r in parse_network(text).reactions)
+
+
+def instantiation_cases():
+    kinds = [GateKind(tag) for tag, spec in GATES.items() if not spec.takes_m]
+    kinds += [GateKind("mth_root", m) for m in (2, 3, 254)]
+    for kind in kinds:
+        # "A" sorts before the gate's own X1 and Y1, "b" after them
+        if GATES[kind.tag].arity == 1:
+            cases = [("A",), ("b",)]
+        else:
+            cases = [("A", "b"), ("b", "A"), ("A", "A"), ("b", "b")]
+        for input_ids in cases:
+            yield kind, input_ids
+
+
+def check_against_reference(kind, input_ids, namer):
+    g = make_gate(kind, [Species(s, "input") for s in input_ids], namer)
+    xid = g.output.id
+    assert g.reactions == reference_reactions(kind, input_ids, xid, "Y" + xid[1:])
+    for r in g.reactions:
+        for c in (r.reactant, r.product):
+            ids = [sid for sid, _ in c.coeffs]
+            assert ids == sorted(set(ids))  # canonical: sorted, one pair per species
+
+
+@pytest.mark.parametrize("kind,input_ids", list(instantiation_cases()), ids=str)
+def test_make_gate_matches_reference_renaming(kind, input_ids):
+    check_against_reference(kind, input_ids, SpeciesNamer(reserved=input_ids))
+
+
+@pytest.mark.parametrize("tag", GATES)
+def test_make_gate_input_named_like_its_own_species(tag):
+    # an input that is the gate's own X1 or Y1 merges with it exactly as
+    # renaming reaction by reaction does
+    kind = GateKind(tag, 2 if GATES[tag].takes_m else None)
+    for sid in ("X1", "Y1"):
+        check_against_reference(kind, (sid,) * GATES[tag].arity, SpeciesNamer())
