@@ -756,14 +756,3 @@ def predict_speed(circuit: Circuit,
     out_bounds = [bounds[sid] for sid in rails]
     worst = min(out_bounds, key=lambda b: b.value)
     return SpeedAnalysis(limits, bounds, tuple(limits[sid] for sid in rails), worst)
-
-
-def structural_bound(circuit: Circuit) -> SpeedBound:
-    """Input-independent bound: generic positive limits expose only the
-    structural zero limits (shared-subtree differences, zero constants)."""
-    generic = {}
-    for i, name in enumerate(circuit.inputs):
-        v = circuit.inputs[name]
-        val = float(2.718281828459045 ** (i + 1))
-        generic[name] = (val, 0.0) if isinstance(v, DualRailWire) else val
-    return predict_speed(circuit, generic).bound

@@ -192,7 +192,8 @@ def cmd_verify(args) -> int:
     try:
         cfg = _sim_config(args)
         inputs = _parse_inputs(args.inputs)
-        (run,) = _Pipeline("expr", args.expr, args.mode, None, None, cfg).run([inputs])
+        pipeline = rt.Pipeline("expr", args.expr, args.mode, None, None, cfg)
+        (run,) = pipeline.run_points([inputs])
     except ValueError as e:
         return _err(str(e))
     if isinstance(run, ValueError):  # DomainError and ModeError included
@@ -334,92 +335,6 @@ def cmd_lemma(args) -> int:
 SWEEP_BLOCK = 64
 
 
-@dataclasses.dataclass
-class _Run:
-    """One input point taken through the pipeline."""
-    rails: list[str]
-    targets: list[float]
-    traj: sim.Trajectory
-    rates: list  # per rail: rt.RateEstimate, or the ValueError that stopped it
-    analysis: circ.SpeedAnalysis | None  # None for a bare network
-
-
-class _Pipeline:
-    """The compile -> predict -> simulate -> measure path of verify and
-    sweep.  The network is lowered, flattened and its right-hand side
-    built once; `run` takes a batch of input points through it."""
-
-    def __init__(self, kind: str, text: str, mode: str, target: str | None,
-                 species: str | None, cfg: sim.SimConfig):
-        self.kind, self.target, self.cfg = kind, target, cfg
-        self.error: ValueError | None = None  # a lowering error every point reports
-        if kind == "expr":
-            expr = circ.parse_expression(text)
-            try:
-                self.circuit = circ.lower_to_circuit(expr, mode)
-            except circ.ModeError as e:
-                self.error = e
-                return
-            self.prog = circ.flatten(self.circuit)
-            self.rails = list(self.prog.bindings.output)
-            self.species = self.prog.network.species_ids
-            self.rhs = sim.program_rhs(self.prog, cfg.sigma)
-        else:
-            self.net = parse_network(text)
-            self.rails = [species]
-            self.species = self.net.species_ids
-            if species not in self.species:
-                raise ValueError(f"--species {species} is not a species of the network")
-            self.rhs = sim.network_rhs(self.net, cfg.sigma)
-
-    def _point(self, values: dict):
-        """Speed analysis (None for a bare network), targets and initial
-        state of one point; raises ValueError for a point the network
-        cannot run."""
-        if self.error is not None:
-            raise self.error
-        if self.kind == "expr":
-            analysis = circ.predict_speed(self.circuit, values)
-            return (analysis, list(analysis.output_values),
-                    sim.program_state(self.prog, values))
-        y0 = sim.network_state(self.net, values)
-        return None, [circ.eval_expr(self.target, values)], y0
-
-    def run(self, points: list[dict]) -> list:
-        """A _Run per point, or the ValueError (DomainError and ModeError
-        included) that kept it from running; the points that can run are
-        integrated as one batch."""
-        runs, lanes = [], []
-        for values in points:
-            try:
-                lanes.append((len(runs), *self._point(values)))
-                runs.append(None)
-            except ValueError as e:
-                runs.append(e)
-        if lanes:
-            y0 = np.column_stack([y0 for *_, y0 in lanes])
-            trajs = sim.integrate(self.rhs, y0, self.species, self.cfg)
-            for (i, analysis, targets, _), traj in zip(lanes, trajs):
-                runs[i] = _Run(self.rails, targets, traj,
-                               _measure(traj, self.rails, targets, self.cfg.rel_tol),
-                               analysis)
-        return runs
-
-
-def _measure(traj, rails, targets, rel_tol: float) -> list:
-    """The rate estimate of each output rail, or the ValueError that
-    stopped it (EstimationError, NotConvergedError, an unknown species)."""
-    out = []
-    for sid, tgt in zip(rails, targets):
-        try:
-            out.append(rt.estimate_rate(traj, sid, tgt,
-                                        err_floor=rt.auto_err_floor(tgt, rel_tol),
-                                        detrend=True))
-        except ValueError as e:
-            out.append(e)
-    return out
-
-
 def _sweep_row(values: dict, run) -> dict:
     row = dict(values)
     if isinstance(run, ValueError):
@@ -440,14 +355,15 @@ def _sweep_row(values: dict, run) -> dict:
     return row
 
 
-def _sweep_rows(pipeline: _Pipeline, points: list[dict]) -> list[dict]:
-    return [_sweep_row(values, run) for values, run in zip(points, pipeline.run(points))]
+def _sweep_rows(pipeline: rt.Pipeline, points: list[dict]) -> list[dict]:
+    return [_sweep_row(values, run)
+            for values, run in zip(points, pipeline.run_points(points))]
 
 
 # worker kept at module level so ProcessPoolExecutor can pickle it
 def _sweep_block(payload) -> list[dict]:
     spec, cfg, points = payload
-    return _sweep_rows(_Pipeline(*spec, cfg), points)
+    return _sweep_rows(rt.Pipeline(*spec, cfg), points)
 
 
 def _parse_grid(spec: str) -> list[dict[str, float]]:
@@ -477,7 +393,7 @@ def cmd_sweep(args) -> int:
                 return _err("--crn sweeps need --target and --species")
             with open(args.crn) as fh:
                 spec = ("crn", fh.read(), args.mode, args.target, args.species)
-        pipeline = _Pipeline(*spec, cfg)  # a bad expression, network or --species fails here
+        pipeline = rt.Pipeline(*spec, cfg)  # a bad expression, network or --species fails here
     except (ValueError, OSError) as e:
         return _err(str(e))
     blocks = [points[i:i + SWEEP_BLOCK] for i in range(0, len(points), SWEEP_BLOCK)]

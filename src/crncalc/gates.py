@@ -222,8 +222,6 @@ GATES: dict[str, GateSpec] = {spec.tag: spec for spec in (
              rate_y="{Y}*(1.0 - ({A_p} + {A_n})*{Y})"),
 )}
 
-GATE_TAGS = tuple(GATES)
-
 
 @lru_cache(maxsize=None)
 def _template(kind: GateKind, pattern: tuple[int, ...]) -> tuple[Reaction, ...]:

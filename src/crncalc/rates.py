@@ -12,16 +12,22 @@ slope can eat most of that slack.  estimate_rate(detrend=True) removes
 the bias by fitting ln err ~ c + k*ln(1+t) - rho*t instead, on per-bin
 envelope maxima (which also erase the dips left by sign changes of the
 error) over the best-fitting trailing sub-window.
+
+`Pipeline` is the one compile -> predict -> integrate -> measure path:
+`verify`, `sweep` and the acceptance criteria all take their points
+through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
+from . import circuit as circ
+from . import simulate as sim
+from .crn import parse_network
 from .gates import SpeedBound
 from .simulate import ForcedSystem, Trajectory
 
@@ -228,82 +234,6 @@ def growth_log_rate(traj: Trajectory, species: str, tail_frac: float = 1 / 3) ->
 
 
 # ---------------------------------------------------------------------------
-# calculus of rate bounds for function composition
-#
-# Each step is (case, rates, limits); a rate of None refers to the result
-# of the previous step, so pipelines can be chained.  These rules are the
-# function-level facts (no capping at 1; that is a property of the gate
-# dynamics, not of composition).
-
-
-def _resolve(rates, prev):
-    out = []
-    for r in rates:
-        if r is None:
-            if prev is None:
-                raise ValueError("no previous step to chain from")
-            out.append(prev)
-        else:
-            out.append(float(r))
-    if any(r <= 0 for r in out):
-        raise ValueError("rates must be positive")
-    return out
-
-
-def bound_calculus(ops: Sequence) -> SpeedBound:
-    """Fold composition steps into a single rate bound.
-
-    cases: "scalar" (c*g, c != 0), "sum", "product", "reciprocal"
-    (nonzero limit), ("root", m) for g^(1/m).
-    """
-    if not ops:
-        raise ValueError("empty op list")
-    prev: float | None = None
-    case_text = ""
-    for op in ops:
-        case, rates, limits = op[0], op[1], op[2]
-        rs = _resolve(rates, prev)
-        if case == "scalar":
-            (r,) = rs
-            prev, case_text = r, "scalar multiple keeps the rate"
-        elif case == "sum":
-            r1, r2 = rs
-            prev, case_text = min(r1, r2), "sum: min{rho_1, rho_2}"
-        elif case == "product":
-            r1, r2 = rs
-            l1, l2 = (float(v) for v in limits)
-            if l1 == 0 and l2 == 0:
-                prev, case_text = r1 + r2, "product, both limits zero: rho_1 + rho_2"
-            elif l1 == 0:
-                prev, case_text = r1, "product, first limit zero: rho_1"
-            elif l2 == 0:
-                prev, case_text = r2, "product, second limit zero: rho_2"
-            else:
-                prev, case_text = min(r1, r2), "product: min{rho_1, rho_2}"
-        elif case == "reciprocal":
-            (r,) = rs
-            (lim,) = (float(v) for v in limits)
-            if lim == 0:
-                raise ValueError("reciprocal of a zero limit is undefined")
-            prev, case_text = r, "reciprocal keeps the rate"
-        elif case == "root":
-            (r,) = rs
-            lim = float(limits[0])
-            m = int(op[3]) if len(op) > 3 else 2
-            if m < 2:
-                raise ValueError("root needs m >= 2")
-            if lim < 0:
-                raise ValueError("root of a negative limit")
-            if lim == 0:
-                prev, case_text = r / m, f"root of zero limit: rho/{m}"
-            else:
-                prev, case_text = r, "root of positive limit keeps the rate"
-        else:
-            raise ValueError(f"unknown case {case!r}")
-    return SpeedBound(float(prev), case_text)
-
-
-# ---------------------------------------------------------------------------
 # predictions for the forced scalar testbeds
 
 
@@ -344,3 +274,97 @@ def forced_prediction(system: ForcedSystem) -> LemmaPrediction:
     raise PreconditionError(
         "forced system not covered: need g2* > 0 (linear), g1*,g2* > 0 or "
         "g1* < 0 < g2* (power), or g1 == 1 with g2* = 0 (growth)")
+
+
+# ---------------------------------------------------------------------------
+# the point pipeline
+
+
+@dataclass
+class PointRun:
+    """One input point taken through the pipeline."""
+    rails: list[str]
+    targets: list[float]
+    traj: Trajectory
+    rates: list  # per rail: a RateEstimate, or the ValueError that stopped it
+    analysis: circ.SpeedAnalysis | None  # None for a bare network
+
+
+class Pipeline:
+    """Compile -> predict -> integrate -> measure.
+
+    kind "expr" lowers the expression `text` in `mode`; kind "crn" parses
+    `text` as a bare network whose `species` is measured against the
+    expression `target`.  The network is lowered, flattened and its
+    right-hand side built once; `run_points` takes a batch of input
+    points through it.  The layer functions are called through their
+    modules, so they can be wrapped by name.
+    """
+
+    def __init__(self, kind: str, text: str, mode: str, target: str | None,
+                 species: str | None, cfg: sim.SimConfig):
+        self.kind, self.target, self.cfg = kind, target, cfg
+        self.error: ValueError | None = None  # a lowering error every point reports
+        if kind == "expr":
+            expr = circ.parse_expression(text)
+            try:
+                self.circuit = circ.lower_to_circuit(expr, mode)
+            except circ.ModeError as e:
+                self.error = e
+                return
+            self.prog = circ.flatten(self.circuit)
+            self.rails = list(self.prog.bindings.output)
+            self.species = self.prog.network.species_ids
+            self.rhs = sim.program_rhs(self.prog, cfg.sigma)
+        else:
+            self.net = parse_network(text)
+            self.rails = [species]
+            self.species = self.net.species_ids
+            if species not in self.species:
+                raise ValueError(f"--species {species} is not a species of the network")
+            self.rhs = sim.network_rhs(self.net, cfg.sigma)
+
+    def _point(self, values: dict):
+        """Speed analysis (None for a bare network), targets and initial
+        state of one point; raises ValueError for a point the network
+        cannot run."""
+        if self.error is not None:
+            raise self.error
+        if self.kind == "expr":
+            analysis = circ.predict_speed(self.circuit, values)
+            return (analysis, list(analysis.output_values),
+                    sim.program_state(self.prog, values))
+        y0 = sim.network_state(self.net, values)
+        return None, [circ.eval_expr(self.target, values)], y0
+
+    def _rail_rates(self, traj: Trajectory, targets: list[float]) -> list:
+        """The rate estimate of each output rail, or the ValueError that
+        stopped it (EstimationError, NotConvergedError, an unknown species)."""
+        out = []
+        for sid, tgt in zip(self.rails, targets):
+            try:
+                out.append(estimate_rate(traj, sid, tgt,
+                                         err_floor=auto_err_floor(tgt, self.cfg.rel_tol),
+                                         detrend=True))
+            except ValueError as e:
+                out.append(e)
+        return out
+
+    def run_points(self, points: list[dict]) -> list:
+        """A PointRun per point, or the ValueError (DomainError and
+        ModeError included) that kept it from running; the points that
+        can run are integrated as one batch."""
+        runs, lanes = [], []
+        for values in points:
+            try:
+                lanes.append((len(runs), *self._point(values)))
+                runs.append(None)
+            except ValueError as e:
+                runs.append(e)
+        if lanes:
+            y0 = np.column_stack([y0 for *_, y0 in lanes])
+            trajs = sim.integrate(self.rhs, y0, self.species, self.cfg)
+            for (i, analysis, targets, _), traj in zip(lanes, trajs):
+                runs[i] = PointRun(self.rails, targets, traj,
+                                   self._rail_rates(traj, targets), analysis)
+        return runs

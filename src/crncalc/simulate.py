@@ -31,7 +31,6 @@ class SimConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     blowup_threshold: float = 1e12
-    output_grid: float | None = None  # None: adaptive accepted steps; else fixed dt
 
     def __post_init__(self):
         if self.t_end <= 0 or self.sigma <= 0 or self.blowup_threshold <= 0:
@@ -39,8 +38,6 @@ class SimConfig:
         # floors keep requested accuracy within what the integrator can honor
         if self.rel_tol < 1e-13 or self.abs_tol < 1e-15:
             raise ValueError("tolerances below supported floor (1e-13 / 1e-15)")
-        if self.output_grid is not None and not 0 < self.output_grid <= self.t_end:
-            raise ValueError("output_grid must lie in (0, t_end]")
 
 
 @dataclass(frozen=True)
@@ -426,23 +423,12 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             fun, worst, lane_rms = _lane_ops(rhs, n, lanes.size, False)
             segments.append(_Segment(lanes, t, y))
             K, KT = _stage_buffer(y.size)
-    grid = _output_times(cfg)
-    return [_lane_trajectory(segments, lane, ends[lane], species, grid, atol)
+    return [_lane_trajectory(segments, lane, ends[lane], species, atol)
             for lane in range(n_lanes)]
 
 
-def _output_times(cfg: SimConfig) -> np.ndarray | None:
-    if cfg.output_grid is None:
-        return None
-    n = int(math.floor(cfg.t_end / cfg.output_grid + 1e-9))
-    return np.concatenate([np.arange(n + 1) * cfg.output_grid,
-                           [] if n * cfg.output_grid >= cfg.t_end - 1e-12
-                           else [cfg.t_end]])
-
-
 def _lane_trajectory(segments: list[_Segment], lane: int, end: tuple,
-                     species: Sequence[str], grid: np.ndarray | None,
-                     abs_tol: float) -> Trajectory:
+                     species: Sequence[str], abs_tol: float) -> Trajectory:
     status, t_last, y_last, last, k_last, stats = end
     ts, hs, ys, qs = [], [], [], []
     for e, seg in enumerate(segments[:last + 1]):
@@ -454,17 +440,11 @@ def _lane_trajectory(segments: list[_Segment], lane: int, end: tuple,
         hs.append(h[:k])
         ys.append(y[first:k + 1, :, j])
         qs.append(q[:k, :, j])
-    t_steps, y_steps, h = np.concatenate(ts), np.concatenate(ys), np.concatenate(hs)
-    dense = (_DenseOutput(t_steps[:-1], h, y_steps[:-1], np.concatenate(qs))
+    times, raw, h = np.concatenate(ts), np.concatenate(ys), np.concatenate(hs)
+    dense = (_DenseOutput(times[:-1], h, raw[:-1], np.concatenate(qs))
              if h.size else None)
     if status == "blowup":  # the run ends where the threshold is crossed
-        t_steps[-1], y_steps[-1] = t_last, y_last
-    if grid is None or dense is None:
-        times, raw = t_steps, y_steps
-    else:
-        times = grid[grid <= t_last]
-        raw = dense(times).T
-    if status == "blowup":
+        times[-1], raw[-1] = t_last, y_last
         term = Termination("blowup", species[int(np.argmax(y_last))], float(t_last))
     else:
         term = Termination(status, time=float(times[-1]),
@@ -501,8 +481,7 @@ def integrate_network(net: ReactionNetwork, init: Mapping[str, float],
     return integrate(network_rhs(net, cfg.sigma), y0[:, None], net.species_ids, cfg)[0]
 
 
-def initial_state(prog: CompiledProgram, inputs: Mapping[str, object],
-                  overrides: Mapping[str, float] | None = None) -> dict[str, float]:
+def initial_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> dict[str, float]:
     """Default initial condition: inputs held at their values (signed
     values dual-rail encoded), constants pinned, species listed in
     init+ at 1, everything else at 0."""
@@ -526,17 +505,12 @@ def initial_state(prog: CompiledProgram, inputs: Mapping[str, object],
         init[sid] = float(val)
     for sid in prog.bindings.positive_init:
         init[sid] = 1.0
-    for sid, val in (overrides or {}).items():
-        if sid not in init:
-            raise ValueError(f"override for unknown species {sid}")
-        init[sid] = float(val)
     return init
 
 
-def program_state(prog: CompiledProgram, inputs: Mapping[str, object],
-                  overrides: Mapping[str, float] | None = None) -> np.ndarray:
+def program_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> np.ndarray:
     """initial_state as a vector in network species order."""
-    init = initial_state(prog, inputs, overrides)
+    init = initial_state(prog, inputs)
     return _check_state(np.array([init[sid] for sid in prog.network.species_ids]))
 
 
@@ -548,10 +522,9 @@ def program_rhs(prog: CompiledProgram, sigma: float = 1.0) -> Callable:
 
 
 def simulate_program(prog: CompiledProgram, inputs: Mapping[str, object],
-                     cfg: SimConfig | None = None,
-                     overrides: Mapping[str, float] | None = None) -> Trajectory:
+                     cfg: SimConfig | None = None) -> Trajectory:
     cfg = cfg or SimConfig()
-    y0 = program_state(prog, inputs, overrides)
+    y0 = program_state(prog, inputs)
     return integrate(program_rhs(prog, cfg.sigma), y0[:, None],
                      prog.network.species_ids, cfg)[0]
 

@@ -16,6 +16,7 @@ import pytest
 
 from crncalc import (
     ForcedSystem,
+    Pipeline,
     SimConfig,
     Species,
     SpeciesNamer,
@@ -37,10 +38,11 @@ from crncalc import (
     make_gate,
     naive_inversion_network,
     parse_forcing,
+    predict_speed,
     simulate_forced,
     simulate_program,
 )
-from crncalc.circuit import flatten, lower_to_circuit, predict_speed
+from crncalc.circuit import lower_to_circuit
 from crncalc.gates import GateKind
 
 F = Fraction
@@ -105,32 +107,34 @@ def test_criterion_3_composite_unit_bound():
     the predicted bound is 1 on every point, every measured rail passes
     check_speed at 15% slack, and final errors reach 1e-6 by t = 40.  A
     run may end in blowup only at a tie a = b, and only through the inner
-    Y of a subtraction gate, whose limit 1/|a - b| is infinite there."""
+    Y of a subtraction gate, whose limit 1/|a - b| is infinite there.
+    Each expression's 25 points run as one batch through `Pipeline`, the
+    path that `verify` and `sweep` take."""
     t0 = time.perf_counter()
     grid = np.geomspace(0.1, 50.0, 5)
     exprs = [("a + b", "nonneg"), ("a * b", "nonneg"), ("a / b", "nonneg"),
              ("sqrt(1/(a + b))", "nonneg"), ("max(a, b)", "nonneg"),
              ("a - b", "real")]
     cfg = SimConfig(t_end=40, **TIGHT)
+    points = [{"a": a, "b": b} for a, b in itertools.product(grid, grid)]
     n_rails, worst_rho, worst_err = 0, math.inf, 0.0
     for src, mode in exprs:
-        circuit = lower_to_circuit(src, mode)
-        prog = flatten(circuit)
-        diff_ys = {g.intermediates[0].id for g in circuit.gates
+        pipeline = Pipeline("expr", src, mode, None, None, cfg)
+        diff_ys = {g.intermediates[0].id for g in pipeline.circuit.gates
                    if g.kind.tag in ("absolute_difference", "rectified_subtraction")}
-        for a, b in itertools.product(grid, grid):
-            analysis = predict_speed(circuit, {"a": a, "b": b})
+        for point, run in zip(points, pipeline.run_points(points)):
+            a, b = point["a"], point["b"]
+            assert not isinstance(run, ValueError), (src, a, b, run)
+            analysis, traj = run.analysis, run.traj
             assert analysis.bound.value == 1.0, (src, a, b)
-            traj = simulate_program(prog, {"a": a, "b": b}, cfg)
             if traj.termination.status == "blowup":
                 assert a == b, (src, a, b, traj.termination)
                 assert traj.termination.species in diff_ys, (src, a, b, traj.termination)
-            for sid, tgt in zip(prog.bindings.output, analysis.output_values):
+            for sid, tgt, est in zip(run.rails, run.targets, run.rates):
                 err = abs(traj.final(sid) - tgt)
                 worst_err = max(worst_err, err)
                 assert err <= 1e-6, (src, a, b, sid)
-                est = estimate_rate(traj, sid, tgt, detrend=True,
-                                    err_floor=auto_err_floor(tgt, cfg.rel_tol))
+                assert not isinstance(est, ValueError), (src, a, b, sid, est)
                 verdict = check_speed(est, analysis.bound, slack=0.15)
                 assert verdict.passed, (src, a, b, sid, verdict)
                 if math.isfinite(est.rho_hat):
@@ -148,22 +152,21 @@ def test_criterion_4_root_of_zero_degradation():
     square root near 1/4."""
     cfg = SimConfig(t_end=60, **TIGHT)
 
-    circuit = lower_to_circuit("sqrt(abs(a - b))")
-    prog = flatten(circuit)
-    analysis = predict_speed(circuit, {"a": 4.0, "b": 4.0})
+    def tie_run(src, point):
+        (run,) = Pipeline("expr", src, "nonneg", None, None, cfg).run_points([point])
+        assert not isinstance(run, ValueError), (src, run)
+        (est,) = run.rates
+        assert not isinstance(est, ValueError), (src, est)
+        return run.analysis, est
+
+    analysis, est = tie_run("sqrt(abs(a - b))", {"a": 4.0, "b": 4.0})
     assert analysis.bound.value == 0.5
     assert analysis.output_value == 0.0
-    traj = simulate_program(prog, {"a": 4.0, "b": 4.0}, cfg)
-    est = estimate_rate(traj, prog.bindings.output[0], 0.0, detrend=True)
     print(f"criterion 4: sqrt tie rho_hat {est.rho_hat:.4f} (bound 0.5)")
     assert 0.42 <= est.rho_hat <= 0.60
 
-    circuit = lower_to_circuit("sqrt(sqrt(abs(a - b)))")
-    prog = flatten(circuit)
-    analysis = predict_speed(circuit, {"a": 2.0, "b": 2.0})
+    analysis, est = tie_run("sqrt(sqrt(abs(a - b)))", {"a": 2.0, "b": 2.0})
     assert analysis.bound.value == 0.25
-    traj = simulate_program(prog, {"a": 2.0, "b": 2.0}, cfg)
-    est = estimate_rate(traj, prog.bindings.output[0], 0.0, detrend=True)
     print(f"criterion 4: double sqrt rho_hat {est.rho_hat:.4f} (bound 0.25)")
     assert est.rho_hat >= 0.2
 
@@ -174,18 +177,17 @@ def test_criterion_5_sigma_time_change():
     at 2t to within 10x the integrator tolerance at 50 shared points."""
     programs = [("a + b", {"a": 1, "b": 2}), ("1/a", {"a": 3}),
                 ("sqrt(abs(a - b))", {"a": 5, "b": 2})]
+    fast_t = np.arange(51) * 0.4  # 50 positive-time samples plus t = 0
+    base_t = np.arange(51) * 0.8
     for src, inputs in programs:
         prog = compile_expression(src)
-        base = simulate_program(prog, inputs,
-                                SimConfig(t_end=40, output_grid=0.8, **TIGHT))
-        fast = simulate_program(prog, inputs,
-                                SimConfig(t_end=20, sigma=2.0, output_grid=0.4, **TIGHT))
-        assert np.allclose(2.0 * fast.times, base.times)
-        assert fast.times.size == 51  # 50 positive-time samples plus t = 0
+        base = simulate_program(prog, inputs, SimConfig(t_end=40, **TIGHT))
+        fast = simulate_program(prog, inputs, SimConfig(t_end=20, sigma=2.0, **TIGHT))
+        assert base.termination.time == 40 and fast.termination.time == 20
         worst = 0.0
         for sid in prog.network.species_ids:
-            delta = np.abs(fast.series(sid) - base.series(sid))
-            rel = delta / (1.0 + np.abs(base.series(sid)))
+            delta = np.abs(fast.at(fast_t, sid) - base.at(base_t, sid))
+            rel = delta / (1.0 + np.abs(base.at(base_t, sid)))
             worst = max(worst, float(rel.max()))
         print(f"criterion 5: {src} worst relative gap {worst:.3g}")
         assert worst <= 10.0 * 1e-10, src

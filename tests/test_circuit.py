@@ -7,31 +7,26 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from crncalc import (
-    DomainError,
-    FormatError,
-    compile_expression,
-    derive_ode,
-    encode_dual_rail,
-    eval_expr,
-    format_network,
-    format_program,
-    load_program,
-    lower_to_circuit,
-    predict_speed,
-    structural_bound,
-)
+from crncalc.crn import FormatError, derive_ode, format_network
+from crncalc.gates import DomainError
 from crncalc.circuit import (
     Add,
     Const,
-    Mul,
     ModeError,
+    Mul,
     ParseError,
     Root,
     Sub,
     Var,
+    compile_expression,
+    encode_dual_rail,
+    eval_expr,
+    format_program,
     free_vars,
+    load_program,
+    lower_to_circuit,
     parse_expression,
+    predict_speed,
 )
 
 F = Fraction
@@ -323,14 +318,6 @@ def test_parser_nesting_limit():
                 "-" * 101 + "a"]:
         with pytest.raises(ParseError, match="nested deeper than 100 levels"):
             parse_expression(src)
-
-
-def test_structural_bound():
-    # generic distinct inputs: only structurally-forced zero limits degrade it
-    assert structural_bound(lower_to_circuit("a + b")).value == 1.0
-    assert structural_bound(lower_to_circuit("sqrt(abs(a - b))")).value == 1.0
-    assert structural_bound(lower_to_circuit("sqrt(abs(a - a))")).value == 0.5
-    assert structural_bound(lower_to_circuit("sqrt(sqrt(abs(a - a)))")).value == 0.25
 
 
 def test_encode_dual_rail():

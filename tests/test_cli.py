@@ -12,7 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from crncalc import RateEstimate, read_trajectory_csv
+from crncalc.simulate import read_trajectory_csv
+from crncalc.rates import RateEstimate
 import crncalc.cli
 import crncalc.rates
 import crncalc.simulate

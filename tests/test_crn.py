@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from crncalc import (
+from crncalc.crn import (
     AdmissibilityReport,
     Complex,
     FormatError,

@@ -13,22 +13,18 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from crncalc import (
-    Complex,
+from crncalc.crn import Complex, Reaction, Species, derive_ode, parse_network
+from crncalc.gates import (
     DomainError,
+    GATES,
     GateKind,
-    Reaction,
-    Species,
     SpeciesNamer,
     catalogue,
-    derive_ode,
     gate_fragment_network,
     gate_speed_bound,
     gate_target,
     make_gate,
-    parse_network,
 )
-from crncalc.gates import GATES
 
 F = Fraction
 
@@ -292,7 +288,7 @@ def test_steady_state_single_input_gates(a):
         state = {"A": a, gate.output.id: x_star}
         if y_star is not None:
             state[gate.intermediates[0].id] = y_star
-        from crncalc import evaluate_field
+        from crncalc.crn import evaluate_field
         vals = evaluate_field(f, state)
         for sid, v in vals.items():
             assert v == pytest.approx(0.0, abs=1e-9), (tag, sid)
@@ -300,7 +296,7 @@ def test_steady_state_single_input_gates(a):
 
 @given(positive, positive)
 def test_steady_state_two_input_gates(a, b):
-    from crncalc import evaluate_field
+    from crncalc.crn import evaluate_field
     cases = [("addition", a + b, None), ("multiplication", a * b, None)]
     if abs(a - b) > 0.05:
         cases.append(("absolute_difference", abs(a - b), 1 / abs(a - b)))
@@ -318,7 +314,7 @@ def test_steady_state_two_input_gates(a, b):
 
 @given(positive)
 def test_steady_state_partial_real_inversion(ap):
-    from crncalc import evaluate_field
+    from crncalc.crn import evaluate_field
     gate, net = build("partial_real_inversion", 2)
     f = derive_ode(net)
     # positive rail active: x* = 1/a_p, y* = 1/a_p

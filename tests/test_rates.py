@@ -11,33 +11,33 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from crncalc import (
-    EstimationError,
+from crncalc.gates import GateKind, SpeedBound, gate_speed_bound
+from crncalc.circuit import lower_to_circuit, predict_speed
+from crncalc.simulate import (
     ForcedSystem,
     ForcingFunction,
-    NotConvergedError,
-    PreconditionError,
-    RateEstimate,
     SimConfig,
-    SpeedBound,
+    Termination,
     Trajectory,
-    auto_err_floor,
-    bound_calculus,
-    check_speed,
     designed_inversion_network,
-    digits_time,
     double_identification_network,
-    estimate_rate,
-    forced_prediction,
-    gate_speed_bound,
-    growth_log_rate,
     integrate_network,
     naive_inversion_network,
     parse_forcing,
     simulate_forced,
 )
-from crncalc.gates import GateKind
-from crncalc.simulate import Termination
+from crncalc.rates import (
+    EstimationError,
+    NotConvergedError,
+    PreconditionError,
+    RateEstimate,
+    auto_err_floor,
+    check_speed,
+    digits_time,
+    estimate_rate,
+    forced_prediction,
+    growth_log_rate,
+)
 
 
 def synthetic(fn, t_end=30.0, n=1200, sid="x"):
@@ -165,46 +165,37 @@ def test_growth_log_rate():
 
 
 # --- composition calculus ---------------------------------------------------------
+#
+# The rate rules of composition live in each gate's speed bound.  Rates
+# below 1 keep the gate's cap at 1 from hiding the rule.
 
-def test_bound_calculus_cases():
-    assert bound_calculus([("sum", (3, 2), (1, 1))]).value == 2.0
-    assert bound_calculus([("product", (2, 3), (0, 0))]).value == 5.0
-    assert bound_calculus([("product", (2, 3), (1, 2))]).value == 2.0
-    assert bound_calculus([("product", (2, 3), (0, 2))]).value == 2.0
-    assert bound_calculus([("product", (2, 3), (2, 0))]).value == 3.0
-    assert bound_calculus([("scalar", (4,), (7,))]).value == 4.0
-    assert bound_calculus([("reciprocal", (2.5,), (3,))]).value == 2.5
-    b = bound_calculus([("root", (4,), (0,), 2)])
-    assert b.value == 2.0 and "root of zero" in b.case
-    assert bound_calculus([("root", (4,), (5,), 2)]).value == 4.0
-    assert bound_calculus([("root", (3,), (0,), 3)]).value == 1.0
-
-
-def test_bound_calculus_chaining():
-    # rate of sqrt(|a-b|) at a tie: product of two unit-rate factors with
-    # zero limits, then a root of the zero limit
-    b = bound_calculus([("product", (1, 1), (0, 0)),
-                        ("root", (None,), (0,), 2)])
-    assert b.value == 1.0
-    b = bound_calculus([("sum", (1, 0.5), (2, 3)),
-                        ("reciprocal", (None,), (5,)),
-                        ("scalar", (None,), (2,))])
-    assert b.value == 0.5
-
-
-def test_bound_calculus_errors():
-    with pytest.raises(ValueError, match="reciprocal of a zero"):
-        bound_calculus([("reciprocal", (1,), (0,))])
+def test_gate_speed_bound_cases():
+    speed = gate_speed_bound
+    assert speed(GateKind("addition"), [0.3, 0.2], [1, 1]).value == 0.2
+    mul = GateKind("multiplication")
+    assert speed(mul, [0.2, 0.3], [0, 0]).value == 0.5    # both limits zero: rates add
+    assert speed(mul, [0.2, 0.3], [1, 2]).value == 0.2
+    assert speed(mul, [0.2, 0.3], [0, 2]).value == 0.2    # first limit zero
+    assert speed(mul, [0.2, 0.3], [2, 0]).value == 0.3    # second limit zero
+    assert speed(mul, [0.4, math.inf], [7, 3]).value == 0.4  # scalar multiple
+    assert speed(GateKind("inversion"), [0.25], [3]).value == 0.25
+    b = speed(GateKind("mth_root", 2), [0.4], [0])
+    assert b.value == 0.2 and "root of zero" in b.case
+    assert speed(GateKind("mth_root", 2), [0.4], [5]).value == 0.4
+    assert speed(GateKind("mth_root", 3), [0.3], [0]).value == pytest.approx(0.1)
     with pytest.raises(ValueError, match="rates must be positive"):
-        bound_calculus([("sum", (0, 1), (1, 1))])
-    with pytest.raises(ValueError, match="previous step"):
-        bound_calculus([("scalar", (None,), (1,))])
-    with pytest.raises(ValueError, match="empty"):
-        bound_calculus([])
-    with pytest.raises(ValueError, match="unknown case"):
-        bound_calculus([("quotient", (1, 1), (1, 1))])
-    with pytest.raises(ValueError, match="m >= 2"):
-        bound_calculus([("root", (1,), (1,), 1)])
+        speed(GateKind("addition"), [0, 0.5], [1, 1])
+
+
+def test_predict_speed_chaining():
+    # two fourth roots of ties converge at 1/4 each; their zero-limit
+    # product at 1/4 + 1/4, and the square root of that zero limit at 1/4
+    c = lower_to_circuit("sqrt(sqrt(sqrt(abs(a - b))) * sqrt(sqrt(abs(c - d))))")
+    assert predict_speed(c, {"a": 2, "b": 2, "c": 3, "d": 3}).bound.value == 0.25
+    # a sum with a rate-1/2 term, its reciprocal and a scalar multiple all
+    # keep the slowest rate
+    c = lower_to_circuit("2 * (1 / (sqrt(abs(a - b)) + c))")
+    assert predict_speed(c, {"a": 4, "b": 4, "c": 5}).bound.value == 0.5
 
 
 rate_st = st.floats(min_value=0.1, max_value=4.0)
@@ -213,16 +204,26 @@ limit_st = st.sampled_from([0.0, 0.5, 2.0])
 
 @given(rate_st, rate_st, limit_st, limit_st)
 def test_calculus_matches_multiplication_gate(r1, r2, l1, l2):
-    fold = bound_calculus([("product", (r1, r2), (l1, l2))])
+    # product rule: rates add when both limits are zero, a zero-limit
+    # factor sets the rate, else the slower factor does; capped at 1
+    if l1 == 0 and l2 == 0:
+        rule = r1 + r2
+    elif l1 == 0:
+        rule = r1
+    elif l2 == 0:
+        rule = r2
+    else:
+        rule = min(r1, r2)
     gate = gate_speed_bound(GateKind("multiplication"), [r1, r2], [l1, l2])
-    assert gate.value == pytest.approx(min(fold.value, 1.0))
+    assert gate.value == pytest.approx(min(rule, 1.0))
 
 
 @given(rate_st, st.sampled_from([2, 3, 5]), limit_st)
 def test_calculus_matches_root_gate(r, m, lim):
-    fold = bound_calculus([("root", (r,), (lim,), m)])
+    # root rule: an m-th root of a zero limit divides the rate by m; capped at 1
+    rule = r / m if lim == 0 else r
     gate = gate_speed_bound(GateKind("mth_root", m), [r], [lim])
-    assert gate.value == pytest.approx(min(fold.value, 1.0))
+    assert gate.value == pytest.approx(min(rule, 1.0))
 
 
 # --- forced-system predictions -----------------------------------------------------

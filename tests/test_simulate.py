@@ -7,30 +7,28 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from crncalc import (
+from crncalc.crn import derive_ode, parse_network
+from crncalc.circuit import compile_expression, eval_expr, flatten, lower_to_circuit
+from crncalc.simulate import (
     ForcedSystem,
     ForcingFunction,
     SimConfig,
     closed_form_reference,
-    compile_expression,
+    compile_circuit_rhs,
     compile_rhs,
-    derive_ode,
     designed_inversion_network,
     double_identification_network,
-    eval_expr,
+    initial_state,
     integrate,
     integrate_network,
     naive_inversion_network,
     parse_forcing,
-    parse_network,
     program_rhs,
     program_state,
     read_trajectory_csv,
     simulate_forced,
     simulate_program,
 )
-from crncalc.simulate import compile_circuit_rhs, initial_state
-from crncalc.circuit import lower_to_circuit, flatten
 
 TIGHT = dict(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -122,10 +120,11 @@ def test_sigma_rescales_time():
     prog = compile_expression("sqrt(a) + b")
     base = simulate_program(prog, {"a": 4, "b": 1}, SimConfig(t_end=16, **TIGHT))
     fast = simulate_program(prog, {"a": 4, "b": 1},
-                            SimConfig(t_end=8, sigma=2.0, output_grid=0.5, **TIGHT))
+                            SimConfig(t_end=8, sigma=2.0, **TIGHT))
+    times = np.arange(17) * 0.5
     for sid in ("X1", "X2", "Y1"):
-        ref = base.at(2.0 * fast.times, sid)
-        assert float(np.max(np.abs(fast.series(sid) - ref))) <= 1e-7, sid
+        ref = base.at(2.0 * times, sid)
+        assert float(np.max(np.abs(fast.at(times, sid) - ref))) <= 1e-7, sid
 
 
 def test_inputs_are_bitwise_constant():
@@ -139,14 +138,10 @@ def test_initial_state_rules():
     prog = compile_expression("a / b")
     init = initial_state(prog, {"a": 3, "b": 2})
     assert init == {"A": 3.0, "B": 2.0, "X1": 1.0, "X2": 0.0}
-    init = initial_state(prog, {"a": 3, "b": 2}, overrides={"X2": 0.7})
-    assert init["X2"] == 0.7
     with pytest.raises(ValueError, match="missing value"):
         initial_state(prog, {"a": 3})
     with pytest.raises(ValueError, match="unknown inputs"):
         initial_state(prog, {"a": 3, "b": 2, "c": 1})
-    with pytest.raises(ValueError, match="unknown species"):
-        initial_state(prog, {"a": 3, "b": 2}, overrides={"Q": 1.0})
     with pytest.raises(ValueError, match="non-negative"):
         initial_state(prog, {"a": -3, "b": 2})
 
@@ -210,13 +205,12 @@ def test_forced_matches_compiled_root_gate():
     # held input a=2: the root gate's helper species is exactly the power
     # form with g1 = 1, g2 = 2, m = 2
     prog = compile_expression("sqrt(a)")
-    grid = dict(output_grid=0.5, t_end=12)
-    traj = simulate_program(prog, {"a": 2}, SimConfig(**grid, **TIGHT))
+    traj = simulate_program(prog, {"a": 2}, SimConfig(t_end=12, **TIGHT))
     sys = ForcedSystem("power", ForcingFunction(1.0), ForcingFunction(2.0),
                        m=2, x0=1.0)
-    forced = simulate_forced(sys, SimConfig(**grid, **TIGHT))
-    assert np.array_equal(traj.times, forced.times)
-    diff = np.abs(traj.series("Y1") - forced.series("x"))
+    forced = simulate_forced(sys, SimConfig(t_end=12, **TIGHT))
+    times = np.arange(25) * 0.5
+    diff = np.abs(traj.at(times, "Y1") - forced.at(times, "x"))
     assert float(np.max(diff)) <= 1e-8
 
 
@@ -235,22 +229,9 @@ def test_forced_system_validation():
 
 def test_simconfig_validation():
     for bad in [dict(t_end=0), dict(sigma=-1), dict(blowup_threshold=0),
-                dict(rel_tol=1e-14), dict(abs_tol=1e-16),
-                dict(output_grid=0.0), dict(t_end=5, output_grid=6.0)]:
+                dict(rel_tol=1e-14), dict(abs_tol=1e-16)]:
         with pytest.raises(ValueError):
             SimConfig(**bad)
-
-
-def test_output_grid_sampling():
-    prog = compile_expression("a + b")
-    traj = simulate_program(prog, {"a": 1, "b": 1},
-                            SimConfig(t_end=10, output_grid=0.5))
-    assert traj.times.shape == (21,)
-    assert traj.times[0] == 0.0 and traj.times[-1] == 10.0
-    assert np.allclose(np.diff(traj.times), 0.5)
-    ragged = simulate_program(prog, {"a": 1, "b": 1},
-                              SimConfig(t_end=1.0, output_grid=0.3))
-    assert np.allclose(ragged.times, [0.0, 0.3, 0.6, 0.9, 1.0])
 
 
 def test_csv_round_trip():
@@ -379,8 +360,6 @@ def test_stats_count_the_work():
     s = traj.stats
     assert s.steps == traj.times.size - 1
     assert s.rhs_evals == 2 + 6 * (s.steps + s.rejected)
-    gridded = simulate_program(prog, {"a": 1, "b": 2}, SimConfig(t_end=20, output_grid=1.0))
-    assert gridded.stats == s
 
 
 def test_real_subtraction_ties_blow_up_alike():
