@@ -11,7 +11,8 @@ For deep gate chains the prefactor degree k reaches 2 or 3 and the plain
 slope can eat most of that slack.  estimate_rate(detrend=True) removes
 the bias by fitting ln err ~ c + k*ln(1+t) - rho*t instead, on per-bin
 envelope maxima (which also erase the dips left by sign changes of the
-error) over the best-fitting trailing sub-window.
+error) over the best-fitting trailing sub-window.  All trailing windows
+are fitted in one pass, as one batch of least-squares problems.
 
 `Pipeline` is the one compile -> predict -> integrate -> measure path:
 `verify`, `sweep` and the acceptance criteria all take their points
@@ -89,19 +90,39 @@ def auto_err_floor(target: float, rel_tol: float, base: float = 1e-9) -> float:
     return max(base, 10.0 * rel_tol * (1.0 + abs(target)))
 
 
-def _model_fit(bt: np.ndarray, be: np.ndarray) -> tuple[float, float, float]:
-    """Least squares for ln err ~ c + k*ln(1+t) - rho*t with k in [0, _K_MAX]."""
-    design = np.column_stack([np.ones_like(bt), bt, np.log1p(bt)])
-    coef, *_ = np.linalg.lstsq(design, be, rcond=None)
-    k = float(coef[2])
-    if not 0.0 <= k <= _K_MAX:
-        k = min(max(k, 0.0), _K_MAX)
-        slope, c0 = np.polyfit(bt, be - k * np.log1p(bt), 1)
-        coef = np.array([c0, slope, k])
-    resid = be - design @ coef
-    ss_tot = float(np.sum((be - be.mean()) ** 2))
-    r2 = 1.0 if ss_tot <= 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return -float(coef[1]), k, r2
+def _lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of a stack of problems design[w] @ c = y[w]
+    (SVD based, so a rank-deficient window gets the minimum-norm fit)."""
+    return np.einsum("wij,wj->wi", np.linalg.pinv(design), y)
+
+
+def _suffix_fits(bt: np.ndarray, be: np.ndarray):
+    """Least squares for ln err ~ c + k*ln(1+t) - rho*t with k in [0, _K_MAX]
+    on every trailing window bt[s:] of at least _MIN_SUFFIX_BINS bins (only
+    s = 0 when the envelope is shorter), solved as one batch.
+
+    Window s zeroes the rows before s, which leaves its fit unchanged.  A
+    window whose free k falls outside [0, _K_MAX] is fitted again with k
+    pinned at the nearer end.  Returns the arrays rho, k and r^2, indexed
+    by s.
+    """
+    rows = np.arange(bt.size)
+    mask = rows >= rows[:max(1, bt.size - _MIN_SUFFIX_BINS + 1), None]
+    lt = np.log1p(bt)
+    design = np.stack([np.ones_like(bt), bt, lt], axis=-1) * mask[..., None]
+    y = be * mask
+    coef = _lstsq(design, y)
+    k = np.clip(coef[:, 2], 0.0, _K_MAX)
+    pinned = k != coef[:, 2]
+    if pinned.any():
+        line = _lstsq(design[..., :2], (be - k[:, None] * lt) * mask)
+        coef = np.where(pinned[:, None], np.column_stack([line, k]), coef)
+    resid = y - np.einsum("wij,wj->wi", design, coef)
+    mean = y.sum(axis=1) / mask.sum(axis=1)
+    ss_tot = (((be - mean[:, None]) * mask) ** 2).sum(axis=1)
+    ss_res = (resid ** 2).sum(axis=1)
+    r2 = 1.0 - np.divide(ss_res, ss_tot, out=np.zeros_like(ss_tot), where=ss_tot > 0)
+    return -coef[:, 1], k, r2
 
 
 def _detrended_fit(seg_t: np.ndarray, log_e: np.ndarray):
@@ -110,27 +131,20 @@ def _detrended_fit(seg_t: np.ndarray, log_e: np.ndarray):
     Binning by time and keeping each bin's maximum discards the downward
     spikes where the signed error crosses zero; scanning suffixes lets the
     fit settle on the asymptotic regime when the window still starts inside
-    a transient.  Among near-tied fits the longest window wins.
+    a transient.  Among near-tied fits the longest window wins.  A bin is
+    closed at both ends, so a sample on an edge belongs to both its bins.
     """
     edges = np.linspace(seg_t[0], seg_t[-1], _ENVELOPE_BINS + 1)
-    bt, be = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = (seg_t >= lo) & (seg_t <= hi)
-        if m.any():
-            j = int(np.argmax(log_e[m]))
-            bt.append(seg_t[m][j])
-            be.append(log_e[m][j])
-    bt, be = np.array(bt), np.array(be)
+    starts = np.searchsorted(seg_t, edges[:-1], side="left").tolist()
+    stops = np.searchsorted(seg_t, edges[1:], side="right").tolist()
+    picks = [a + int(np.argmax(log_e[a:b])) for a, b in zip(starts, stops) if a < b]
+    bt, be = seg_t[picks], log_e[picks]
     if bt.size < 4:
         raise EstimationError(f"only {bt.size} envelope bins in the fit window")
-    fits = [(_model_fit(bt[s:], be[s:]), s)
-            for s in range(max(1, bt.size - _MIN_SUFFIX_BINS + 1))]
-    best_r2 = max(f[0][2] for f in fits)
-    for (rho, _k, r2), s in fits:
-        if r2 >= best_r2 - 1e-6:   # earliest (longest) near-tied suffix
-            n_used = int(np.count_nonzero(seg_t >= bt[s]))
-            return rho, (float(bt[s]), float(bt[-1])), r2, n_used
-    raise AssertionError("unreachable")
+    rho, _k, r2 = _suffix_fits(bt, be)
+    s = int(np.argmax(r2 >= r2.max() - 1e-6))  # earliest (longest) near-tied suffix
+    n_used = seg_t.size - int(np.searchsorted(seg_t, bt[s], side="left"))
+    return float(rho[s]), (float(bt[s]), float(bt[-1])), float(r2[s]), n_used
 
 
 def estimate_rate(traj: Trajectory, species: str, target: float,
@@ -295,15 +309,19 @@ class Pipeline:
 
     kind "expr" lowers the expression `text` in `mode`; kind "crn" parses
     `text` as a bare network whose `species` is measured against the
-    expression `target`.  The network is lowered, flattened and its
-    right-hand side built once; `run_points` takes a batch of input
-    points through it.  The layer functions are called through their
-    modules, so they can be wrapped by name.
+    expression `target`, parsed once here.  Another kind, a missing target
+    or an unknown species raises ValueError before any point runs.  The
+    network is lowered, flattened and its right-hand side built once;
+    `run_points` takes a batch of input points through it.  The layer
+    functions are called through their modules, so they can be wrapped by
+    name.
     """
 
     def __init__(self, kind: str, text: str, mode: str, target: str | None,
                  species: str | None, cfg: sim.SimConfig):
-        self.kind, self.target, self.cfg = kind, target, cfg
+        if kind not in ("expr", "crn"):
+            raise ValueError(f"unknown pipeline kind {kind!r}; expected 'expr' or 'crn'")
+        self.kind, self.cfg = kind, cfg
         self.error: ValueError | None = None  # a lowering error every point reports
         if kind == "expr":
             expr = circ.parse_expression(text)
@@ -322,6 +340,9 @@ class Pipeline:
             self.species = self.net.species_ids
             if species not in self.species:
                 raise ValueError(f"--species {species} is not a species of the network")
+            if target is None:
+                raise ValueError("a network pipeline needs a target expression")
+            self.target = circ.parse_expression(target)
             self.rhs = sim.network_rhs(self.net, cfg.sigma)
 
     def _point(self, values: dict):

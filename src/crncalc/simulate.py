@@ -76,11 +76,11 @@ class Trajectory:
     def final(self, sid: str) -> float:
         return float(self.states[-1, self.index(sid)])
 
-    def at(self, t, sid: str | None = None):
+    def at(self, t, sid: str):
+        """Species sid at time(s) t from the dense interpolant, clipped at 0."""
         if self.dense is None:
             raise ValueError("trajectory has no dense interpolant")
-        vals = np.clip(self.dense(t), 0.0, None)
-        return vals if sid is None else vals[self.index(sid)]
+        return np.clip(self.dense(t, self.index(sid)), 0.0, None)
 
     def to_csv(self) -> str:
         lines = ["t," + ",".join(self.species)]
@@ -124,16 +124,20 @@ def read_trajectory_csv(text: str) -> Trajectory:
 def _rhs_function(exprs: Sequence[str], constant: Sequence[bool]) -> Callable:
     """Compile ``_rhs(t, y)`` returning one row per species.
 
-    y is a sequence of floats or a (species, lanes) array.  A row that
-    does not depend on the state gets zero times its own species added,
-    which gives it the lane shape, so the rows always stack into an array
-    shaped like y.
+    y is a sequence of floats or a (species, lanes) array.  The rows that
+    do not depend on the state share one ``z = 0.0*x`` of the first such
+    species: a held row is ``z`` and a constant row ``z + c``.  z gives
+    them the lane shape, so the rows always stack into an array shaped
+    like y, and it is +0.0 in every lane because those species never
+    decrease from a non-negative start.
     """
     names = [f"x{i}" for i in range(len(exprs))]
-    exprs = [(f"0.0*{x}" if e == "0.0" else f"0.0*{x} + {e}") if c else e
-             for x, e, c in zip(names, exprs, constant)]
+    first = next((x for x, c in zip(names, constant) if c), None)
+    exprs = [("z" if e == "0.0" else f"z + {e}") if c else e
+             for e, c in zip(exprs, constant)]
     one = "," if len(exprs) == 1 else ""
-    src = (f"def _rhs(t, y):\n    {', '.join(names)}{one} = y\n"
+    zero = f"    z = 0.0*{first}\n" if first else ""
+    src = (f"def _rhs(t, y):\n    {', '.join(names)}{one} = y\n{zero}"
            f"    return ({', '.join(exprs)}{one})")
     env: dict = {}
     exec(src, env)
@@ -173,7 +177,7 @@ def compile_circuit_rhs(circuit, order: Sequence[str], sigma: float = 1.0) -> Ca
     s = repr(float(sigma))
     for g in circuit.gates:
         for sid, law in factored_rates(g, lambda sid: f"x{idx[sid]}"):
-            exprs[idx[sid]] = f"{s}*({law})"
+            exprs[idx[sid]] = law if sigma == 1.0 else f"{s}*({law})"
     # only species no gate writes (held inputs and constants) stay at 0.0
     return _rhs_function(exprs, [e == "0.0" for e in exprs])
 
@@ -263,17 +267,20 @@ class _DenseOutput:
     """The quartic interpolant of a lane's accepted steps.
 
     Called with a time or an array of times; returns (species,) or
-    (species, times).  A time on a step boundary uses the step ending there.
+    (species, times), or only species i: a scalar or (times,).  A time on
+    a step boundary uses the step ending there.
     """
 
     def __init__(self, t_old, h, y_old, q):
         self.t_old, self.h, self.y_old, self.q = t_old, h, y_old, q
 
-    def __call__(self, t):
+    def __call__(self, t, i: int | None = None):
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self.t_old, t, side="left") - 1, 0, self.h.size - 1)
         x = (t - self.t_old[k]) / self.h[k]
         p = np.cumprod(np.stack([x] * 4, axis=-1), axis=-1)
+        if i is not None:
+            return self.y_old[k, i] + self.h[k] * np.einsum("...j,...j->...", self.q[k, i], p)
         dy = np.einsum("...ij,...j->...i", self.q[k], p)
         return (self.y_old[k] + np.expand_dims(self.h[k], -1) * dy).T
 

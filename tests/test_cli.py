@@ -370,6 +370,23 @@ def test_sweep_crn_unknown_species_exits_2(tmp_path, capsys, monkeypatch):
     assert "--species Q" in err
 
 
+def test_sweep_crn_bad_target_exits_2(tmp_path, capsys, monkeypatch):
+    net_file = tmp_path / "net.crn"
+    net_file.write_text("species: A[input], X[output]\n"
+                        "X -> 2X ; k=1\n"
+                        "A + 2X -> A + X ; k=1\n")
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a sweep with an unparsable --target")
+
+    monkeypatch.setattr(crncalc.simulate, "integrate", no_integration)
+    code, out, err = run(capsys, "sweep", "--crn", str(net_file),
+                         "--grid", "A=1,2;X=0.5", "--target", "1/(A", "--species", "X")
+    assert code == 2
+    assert out == ""
+    assert "col 5" in err
+
+
 def test_sweep_empty_grid(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--expr", "1/a", "--grid", " ; ",

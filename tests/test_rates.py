@@ -1,4 +1,5 @@
-"""Rate estimation, digit times, speed verdicts, and the composition calculus.
+"""Rate estimation, digit times, speed verdicts, gate speed bounds and
+`predict_speed`, and the point pipeline's input checks.
 
 Synthetic trajectories with known decay rates are built directly so the
 estimators are tested against arithmetic, not against the integrator.
@@ -29,8 +30,11 @@ from crncalc.simulate import (
 from crncalc.rates import (
     EstimationError,
     NotConvergedError,
+    Pipeline,
     PreconditionError,
     RateEstimate,
+    _detrended_fit,
+    _suffix_fits,
     auto_err_floor,
     check_speed,
     digits_time,
@@ -117,6 +121,109 @@ def test_auto_err_floor():
     assert auto_err_floor(5.0, 1e-6, base=1e-9) == pytest.approx(6e-5)
 
 
+# --- one-pass envelope fit against the per-window reference --------------------
+#
+# The per-window least squares the batched fit replaced, kept as its reference.
+
+K_MAX, MIN_SUFFIX_BINS, ENVELOPE_BINS = 6.0, 8, 15
+
+
+def reference_model_fit(bt, be):
+    design = np.column_stack([np.ones_like(bt), bt, np.log1p(bt)])
+    coef, *_ = np.linalg.lstsq(design, be, rcond=None)
+    k = float(coef[2])
+    if not 0.0 <= k <= K_MAX:
+        k = min(max(k, 0.0), K_MAX)
+        slope, c0 = np.polyfit(bt, be - k * np.log1p(bt), 1)
+        coef = np.array([c0, slope, k])
+    resid = be - design @ coef
+    ss_tot = float(np.sum((be - be.mean()) ** 2))
+    r2 = 1.0 if ss_tot <= 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
+    return -float(coef[1]), k, r2
+
+
+def reference_suffix_fits(bt, be):
+    return [reference_model_fit(bt[s:], be[s:])
+            for s in range(max(1, bt.size - MIN_SUFFIX_BINS + 1))]
+
+
+def near_tie_pick(r2s):
+    best = max(r2s)
+    return next(s for s, r2 in enumerate(r2s) if r2 >= best - 1e-6)
+
+
+def reference_detrended_fit(seg_t, log_e):
+    edges = np.linspace(seg_t[0], seg_t[-1], ENVELOPE_BINS + 1)
+    bt, be = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = (seg_t >= lo) & (seg_t <= hi)
+        if m.any():
+            j = int(np.argmax(log_e[m]))
+            bt.append(seg_t[m][j])
+            be.append(log_e[m][j])
+    bt, be = np.array(bt), np.array(be)
+    if bt.size < 4:
+        raise EstimationError(f"only {bt.size} envelope bins in the fit window")
+    fits = reference_suffix_fits(bt, be)
+    s = near_tie_pick([r2 for _, _, r2 in fits])
+    n_used = int(np.count_nonzero(seg_t >= bt[s]))
+    return fits[s][0], (float(bt[s]), float(bt[-1])), fits[s][2], n_used
+
+
+def envelope(seed, k):
+    """Bin maxima of c + k ln(1+t) - rho t: one jittered sample per bin
+    and 1e-3 noise, 4 to 15 bins."""
+    rng = np.random.default_rng(seed)
+    nb = 4 + seed % 12
+    t0, span = rng.uniform(0.0, 10.0), rng.uniform(10.0, 35.0)
+    bt = t0 + span / nb * (np.arange(nb) + rng.uniform(0.0, 1.0, nb))
+    be = (rng.uniform(-2.0, 2.0) + k * np.log1p(bt) - rng.uniform(0.5, 2.0) * bt
+          + rng.normal(0.0, 1e-3, nb))
+    return bt, be
+
+
+@pytest.mark.parametrize("k, fitted", [(-3.0, lambda k: k == 0.0),
+                                       (2.5, lambda k: 0.0 < k < K_MAX),
+                                       (9.0, lambda k: k == K_MAX)])
+def test_suffix_fits_match_per_window_reference(k, fitted):
+    # a free k below 0 or above K_MAX is pinned and the line refitted
+    for seed in range(48):
+        bt, be = envelope(seed, k)
+        ref = np.array(reference_suffix_fits(bt, be))
+        rho, k_fit, r2 = _suffix_fits(bt, be)
+        assert all(fitted(v) for v in ref[:, 1]), (seed, ref[:, 1])
+        new = np.column_stack([rho, k_fit, r2])
+        np.testing.assert_allclose(new, ref, rtol=1e-12, atol=0, err_msg=str(seed))
+        assert near_tie_pick(list(r2)) == near_tie_pick(list(ref[:, 2])), seed
+
+
+def test_detrended_fit_matches_reference():
+    # noisy samples with zero-crossing dips; some sit exactly on bin edges,
+    # where they belong to both bins and can be the maximum of each
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        t0, t1 = rng.uniform(0.0, 8.0), rng.uniform(20.0, 40.0)
+        inner = rng.uniform(t0, t1, int(rng.integers(20, 1600)))
+        seg_t = np.unique(np.concatenate([inner, np.linspace(t0, t1, ENVELOPE_BINS + 1)]))
+        log_e = (2.0 * np.log1p(seg_t) - rng.uniform(0.5, 2.0) * seg_t
+                 + rng.normal(0.0, 0.05, seg_t.size))
+        log_e[rng.random(seg_t.size) < 0.1] -= 5.0
+        on_edge = np.isin(seg_t, np.linspace(t0, t1, ENVELOPE_BINS + 1))
+        log_e[on_edge & (rng.random(seg_t.size) < 0.5)] += 1.0
+        rho, win, r2, n_used = _detrended_fit(seg_t, log_e)
+        ref_rho, ref_win, ref_r2, ref_n = reference_detrended_fit(seg_t, log_e)
+        assert (win, n_used) == (ref_win, ref_n), seed
+        assert rho == pytest.approx(ref_rho, rel=1e-12, abs=0)
+        assert r2 == pytest.approx(ref_r2, rel=1e-12, abs=0)
+
+
+def test_detrended_fit_needs_four_bins():
+    seg_t = np.concatenate([np.linspace(0.0, 1.0, 10), [30.0]])
+    for fit in (_detrended_fit, reference_detrended_fit):
+        with pytest.raises(EstimationError, match="only 2 envelope bins"):
+            fit(seg_t, -seg_t)
+
+
 # --- digit times ----------------------------------------------------------------
 
 def test_digits_time_pure_exponential():
@@ -164,7 +271,7 @@ def test_growth_log_rate():
         growth_log_rate(synthetic(lambda t: np.zeros_like(t)), "x")
 
 
-# --- composition calculus ---------------------------------------------------------
+# --- gate speed bounds and predict_speed -------------------------------------------
 #
 # The rate rules of composition live in each gate's speed bound.  Rates
 # below 1 keep the gate's cap at 1 from hiding the rule.
@@ -307,3 +414,20 @@ def test_naive_inversion_rate_tracks_input():
         floor = auto_err_floor(1.0 / a, 1e-10)
         rho = estimate_rate(traj, "X", 1.0 / a, err_floor=floor).rho_hat
         assert abs(rho - a) / a < 0.10, (a, rho)
+
+
+# --- the point pipeline's input checks ------------------------------------------------
+
+TWO_REACTIONS = "species: A[input], X[output]\n0 -> X ; k=1\nA + X -> A ; k=1\n"
+
+
+def test_pipeline_rejects_bad_kind_and_missing_target():
+    cfg = SimConfig(t_end=5)
+    with pytest.raises(ValueError, match="needs a target"):
+        Pipeline("crn", TWO_REACTIONS, "nonneg", None, "X", cfg)
+    with pytest.raises(ValueError, match="unknown pipeline kind 'bogus'"):
+        Pipeline("bogus", "a + b", "nonneg", None, None, cfg)
+    with pytest.raises(ValueError, match="col 5"):
+        Pipeline("crn", TWO_REACTIONS, "nonneg", "1/(A", "X", cfg)
+    (run,) = Pipeline("crn", TWO_REACTIONS, "nonneg", "1/A", "X", cfg).run_points([{"A": 2.0}])
+    assert run.targets == [0.5]

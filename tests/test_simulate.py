@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import crncalc.simulate
 from crncalc.crn import derive_ode, parse_network
 from crncalc.circuit import compile_expression, eval_expr, flatten, lower_to_circuit
 from crncalc.simulate import (
@@ -352,6 +353,46 @@ def test_rhs_rows_have_the_lane_shape():
     prog = compile_expression("a * b + 2")
     rows = np.asarray(program_rhs(prog)(0.0, np.ones((len(prog.network.species), 4))))
     assert rows.shape == (len(prog.network.species), 4)
+
+
+def test_dense_output_of_one_species_is_exact():
+    points = [{"a": a, "b": b} for a, b in ((0.1, 50.0), (2.0, 3.0), (7.0, 0.5))]
+    prog, lanes = batch("sqrt(1/(a + b))", points, SimConfig(t_end=40, **TIGHT))
+    for traj in lanes:
+        times = np.concatenate([np.linspace(0.0, 40.0, 1600), traj.times])
+        full = traj.dense(times)
+        for i, sid in enumerate(traj.species):
+            assert np.array_equal(traj.dense(times, i), full[i]), sid
+            assert np.array_equal(traj.at(times, sid), np.clip(full[i], 0.0, None)), sid
+            assert traj.dense(17.5, i) == traj.dense(17.5)[i], sid
+
+
+def test_circuit_rhs_emission_is_exact(monkeypatch):
+    # held rows share one zero; sigma = 1 emits the gate law bare
+    sources = []
+
+    def spy_exec(src, env):
+        sources.append(src)
+        exec(src, env)
+
+    monkeypatch.setattr(crncalc.simulate, "exec", spy_exec, raising=False)
+    prog = compile_expression("max(a, b) + 2")
+    ids = prog.network.species_ids
+    held = [ids.index(sid) for sid in
+            [*prog.bindings.const_map(), *(r for rails in prog.bindings.input_map().values()
+                                           for r in rails)]]
+    assert len(held) == 4  # A, B, and the constants 1/2 of max and 2
+    one = compile_circuit_rhs(prog.circuit, ids, 1.0)
+    two = compile_circuit_rhs(prog.circuit, ids, 2.0)
+    assert "1.0*" not in sources[0] and "2.0*(" in sources[1]
+    y = np.random.default_rng(5).uniform(0.0, 4.0, (len(ids), 6))
+    rows = np.asarray(one(0.0, y))
+    assert np.array_equal(np.asarray(two(0.0, y)), 2.0 * rows)
+    assert np.array_equal(rows[held], np.zeros((4, 6)))
+    floats = one(0.0, y[:, 0].tolist())
+    assert [floats[i] for i in held] == [0.0] * 4
+    assert all(math.copysign(1.0, floats[i]) == 1.0 for i in held)
+    assert np.array_equal(np.asarray(floats), rows[:, 0])
 
 
 def test_stats_count_the_work():
