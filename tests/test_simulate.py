@@ -389,6 +389,7 @@ def test_circuit_rhs_emission_is_exact(monkeypatch):
     rows = np.asarray(one(0.0, y))
     assert np.array_equal(np.asarray(two(0.0, y)), 2.0 * rows)
     assert np.array_equal(rows[held], np.zeros((4, 6)))
+    assert not np.signbit(rows[held]).any()
     floats = one(0.0, y[:, 0].tolist())
     assert [floats[i] for i in held] == [0.0] * 4
     assert all(math.copysign(1.0, floats[i]) == 1.0 for i in held)
