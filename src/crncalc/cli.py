@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -136,12 +137,12 @@ def cmd_simulate(args) -> int:
     except (ValueError, OSError) as e:
         return _err(str(e))
     _write(args.out, traj.to_csv())
-    if traj.termination.status != "completed":
-        print(f"note: terminated early: {traj.termination.status} "
-              f"at t={traj.termination.time:.6g}"
-              + (f" ({traj.termination.species})" if traj.termination.species else ""),
-              file=sys.stderr)
-    return EXIT_OK
+    term = traj.termination
+    if term.status != "completed":
+        print(f"note: terminated early: {term.status} at t={term.time:.6g}"
+              + (f" ({term.species})" if term.species else "")
+              + (f": {term.detail}" if term.detail else ""), file=sys.stderr)
+    return EXIT_NOT_CONVERGED if term.status == "stiff_failure" else EXIT_OK
 
 
 def cmd_analyze(args) -> int:
@@ -438,7 +439,10 @@ def _add_tol_flags(p):
     p.add_argument("--atol", type=float, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args fills a fresh
+    Namespace each call and copies an append default before adding to it."""
     ap = argparse.ArgumentParser(prog="crncalc", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

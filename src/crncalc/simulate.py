@@ -2,12 +2,16 @@
 
 The polynomial right-hand side is generated as straight-line Python from
 the exact field and integrated with the Dormand-Prince 5(4) pair: adaptive
-steps and a quartic dense interpolant.  Many initial states ("lanes") of
-one system advance in lockstep as the columns of a single array, which is
-how sweeps integrate a whole grid at once (see `integrate`).  Runs
-terminate early when any concentration crosses the blowup threshold; that
-is reported as a termination status, not an exception, because divergence
-of an inner species is expected behavior for some networks.
+steps and a quartic dense interpolant.  Each step attempt keeps the state
+and the stage derivatives as the rows of one array, so every stage input
+is one matrix-vector product.  Many initial states ("lanes") of one system
+advance in lockstep as the columns of a single array, which is how sweeps
+integrate a whole grid at once (see `integrate`).  Runs terminate early
+when any concentration crosses the blowup threshold; that is reported as a
+termination status, not an exception, because divergence of an inner
+species is expected behavior for some networks.  A run that cannot meet
+the tolerance, or uses up its budget of step attempts, ends in
+stiff_failure.
 """
 
 from __future__ import annotations
@@ -187,8 +191,7 @@ def compile_circuit_rhs(circuit, order: Sequence[str], sigma: float = 1.0) -> Ca
 #
 # Coefficients, error weights and the quartic dense-output matrix of the
 # Dormand-Prince pair (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5),
-# with the starting-step rule and step-size controller of scipy's RK45, so
-# that a single lane takes exactly the steps solve_ivp(method="RK45") takes.
+# with the starting-step rule and step-size controller of scipy's RK45.
 
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
 _A = (None,
@@ -217,46 +220,69 @@ _ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
 _TOO_SMALL = "Required step size is less than spacing between numbers."
 
 
-def _lane_ops(rhs: Callable, n: int, lanes: int, floats: bool):
-    """The right-hand side, the worst-lane error norm and the per-lane RMS
-    norms on a flat state of n species x lanes, stored species-major.
-    With floats (one lane from the start) rhs gets a list of floats."""
+# The attempt loop keeps the state and the stage derivatives stacked as
+# the rows of one array Z = [y; K0 .. K6].  Row s - 1 of h*_COEF + _UNIT
+# weights those rows into the input of stage s (s = 1..5), row 5 into the
+# new state and row 6 into the error estimate, so each of them is one
+# matrix-vector product.
+_COEF = np.zeros((7, 8))
+for _s in range(1, 6):
+    _COEF[_s - 1, 1:_s + 1] = _A[_s]
+_COEF[5, 1:7] = _B
+_COEF[6, 1:] = _E
+_UNIT = np.zeros((7, 8))
+_UNIT[:6, 0] = 1.0
+_amax = np.maximum.reduce  # ndarray.max without its python-level wrapper
+
+# Step attempts, accepted or rejected, one integrate call may take; lanes
+# still in the batch after the step that reaches it end in stiff_failure.
+_MAX_ATTEMPTS = 20_000
+
+
+def _lane_ops(n: int, lanes: int, floats: bool):
+    """The stage buffer of n species x lanes and what the attempt loop
+    applies to it.
+
+    Z (8 x n*lanes) holds y and the stage derivatives K0..K6 as rows, each
+    stored species-major.  ZT holds the transposed views the combinations
+    multiply: ZT[s] = Z[:s + 1].T feeds stage s (s = 1..5) and ZT[6] the
+    new state; ZT[7] = Z[1:].T, the stages alone, feeds the error estimate
+    and the dense output.  rows is Z as the RHS writes it: flat rows with
+    floats (one lane from the start), else (8, n, lanes), so that rhs's
+    rows are assigned straight into Z[s].  state turns a flat state into
+    rhs's argument: a list of floats with floats (python floats run the
+    generated code faster than numpy scalars), else an (n, lanes) view.
+    worst is the worst lane's RMS norm, lane_rms the per-lane RMS norms.
+    """
+    Z = np.empty((8, n * lanes))
+    ZT = [Z[:s + 1].T for s in range(7)] + [Z[1:].T]
     if floats:
         root_n = n ** 0.5
-
-        def fun(t, y):  # python floats run the generated code faster than numpy scalars
-            return np.asarray(rhs(t, y.tolist()), dtype=float)
 
         def worst(x):
             return math.sqrt(x.dot(x)) / root_n
 
-        return fun, worst, lambda x: np.array([worst(x)])
+        return Z, Z, ZT, np.ndarray.tolist, worst, lambda x: np.array([worst(x)])
 
-    def fun(t, y):
-        return np.asarray(rhs(t, y.reshape(n, lanes)), dtype=float).reshape(-1)
-
-    def lane_rms(x):
+    def squares(x):
         x = x.reshape(n, lanes)
-        return np.sqrt(np.einsum("ij,ij->j", x, x) / n)
+        return np.einsum("ij,ij->j", x, x)
 
-    return fun, (lambda x: float(lane_rms(x).max())), lane_rms
+    def worst(x):  # the max of the lanes' RMS norms, as sqrt is monotone
+        return math.sqrt(_amax(squares(x)) / n)
 
-
-def _stage_buffer(size: int):
-    """Stage derivatives K (7 x size) and the transposed views K[:s].T,
-    s = 0..7, that the stage combinations multiply."""
-    K = np.empty((7, size))
-    return K, [K[:s].T for s in range(8)]
+    return (Z, Z.reshape(8, n, lanes), ZT, lambda x: x.reshape(n, lanes), worst,
+            lambda x: np.sqrt(squares(x) / n))
 
 
-def _initial_step(fun, lane_rms, y0, f0, t_end: float, rtol: float, atol: float):
+def _initial_step(rhs, state, lane_rms, y0, f0, t_end: float, rtol: float, atol: float):
     """Starting step of Hairer, Norsett & Wanner (II.4): the smallest any
     lane asks for, with the second-derivative estimate taken at that step."""
     scale = atol + np.abs(y0) * rtol
     d0, d1 = lane_rms(y0 / scale), lane_rms(f0 / scale)
     h0 = min(min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b
                  for a, b in zip(d0, d1)), t_end)
-    f1 = fun(h0, y0 + h0 * f0)
+    f1 = np.reshape(rhs(h0, state(y0 + h0 * f0)), -1)
     d2 = lane_rms((f1 - f0) / scale) / h0
     h1 = min(max(1e-6, h0 * 1e-3) if a <= 1e-15 and b <= 1e-15
              else (0.01 / max(a, b)) ** (1 / 5) for a, b in zip(d1, d2))
@@ -337,27 +363,47 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     rhs(t, y) takes y as (species, lanes), or as a list of floats when y0
     has one column, and returns one row per species.  All lanes take the
     same steps.  A step is accepted when the worst lane's RMS error is
-    within tolerance, so every lane meets its own tolerance.  A lane leaves
-    the batch when it crosses the blowup threshold, located by bisection on
-    the step's interpolant, or when it cannot meet the tolerance even at
-    the smallest step (stiff_failure).
+    within tolerance, so every lane meets its own tolerance.  Each stage
+    input, the new state and the error estimate is one product of the
+    stacked state and stages with h-weighted tableau rows (Σ (h a_k) k_k,
+    not h Σ a_k k_k), so a one-lane run has RK45's tableau, starting step
+    and controller but may differ from it in the last bits.
+
+    A lane leaves the batch when it crosses the blowup threshold, located
+    by bisection on the step's interpolant, or when it cannot meet the
+    tolerance even at the smallest step (stiff_failure).  Lanes still in
+    the batch once _MAX_ATTEMPTS step attempts are used also end in
+    stiff_failure, so every call returns.
     """
     y0 = _check_state(np.asarray(y0, dtype=float))
     n, n_lanes = y0.shape
     t_end, rtol, atol = cfg.t_end, cfg.rel_tol, cfg.abs_tol
     threshold = cfg.blowup_threshold
     lanes = np.arange(n_lanes)
-    fun, worst, lane_rms = _lane_ops(rhs, n, n_lanes, n_lanes == 1)
+    Z, rows, ZT, state, worst, lane_rms = _lane_ops(n, n_lanes, n_lanes == 1)
     t, y = 0.0, y0.flatten()
-    f = fun(t, y)
-    h_abs = _initial_step(fun, lane_rms, y, f, t_end, rtol, atol)
+    Z[0] = y
+    rows[1] = rhs(t, state(y))
+    h_abs = _initial_step(rhs, state, lane_rms, y, Z[1], t_end, rtol, atol)
+    y_abs = np.abs(y)
+    scale, new_abs = np.empty((2, y.size))
+    # W[s] weights ZT[s]: stage inputs s = 1..5, the new state, the error
+    C = np.empty((7, 8))
+    W = [None, *(C[s - 1, :s + 1] for s in range(1, 7)), C[6, 1:]]
     segments = [_Segment(lanes, t, y)]
-    # lane -> (status, end time, state at a crossing, segment, its steps, stats)
+    # lane -> (status, end time, state at a crossing, detail, segment,
+    #          its steps, stats)
     ends: dict[int, tuple] = {}
     steps = rejected = 0
-    K, KT = _stage_buffer(y.size)
     while True:
         seg, where = segments[-1], len(segments) - 1
+        if steps + rejected >= _MAX_ATTEMPTS:
+            stats = IntegrationStats(steps, rejected, 2 + 6 * (steps + rejected))
+            detail = f"Step attempt budget of {_MAX_ATTEMPTS} used up."
+            for lane in lanes:
+                ends[int(lane)] = ("stiff_failure", t, None, detail, where, len(seg.h),
+                                   stats)
+            break
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
@@ -366,14 +412,18 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
-            K[0] = f
+            np.multiply(_COEF, h, out=C)
+            C += _UNIT
             for s in range(1, 6):
-                K[s] = fun(t + _C[s] * h, y + np.dot(KT[s], _A[s]) * h)
-            y_new = y + h * np.dot(KT[6], _B)
-            f_new = fun(t + h, y_new)
-            K[6] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = np.dot(KT[7], _E) * h / scale
+                rows[s + 1] = rhs(t + _C[s] * h, state(ZT[s].dot(W[s])))
+            y_new = ZT[6].dot(W[6])
+            rows[7] = rhs(t + h, state(y_new))
+            np.abs(y_new, out=new_abs)
+            np.maximum(y_abs, new_abs, out=scale)
+            scale *= rtol
+            scale += atol
+            err = ZT[7].dot(W[7])
+            err /= scale
             error_norm = worst(err)
             if error_norm < 1:
                 if error_norm == 0:
@@ -391,13 +441,13 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
         leaving = None
         if accepted:
             steps += 1
-            q = KT[7].dot(_P)
+            q = ZT[7].dot(_P)
             seg.t.append(t_new)
             seg.h.append(h)
             seg.y.append(y_new)
             seg.q.append(q)
             done = t_new == t_end
-            if done or not threshold - y_new.max() > 0:
+            if done or not threshold - _amax(y_new) > 0:
                 y_cols, q_cols = y.reshape(n, -1), q.reshape(n, -1, 4)
                 crossed = ((threshold - y_cols.max(axis=0) >= 0)
                            & (threshold - y_new.reshape(n, -1).max(axis=0) <= 0))
@@ -407,18 +457,22 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                     if crossed[j]:
                         t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q_cols[:, j],
                                                  threshold)
-                        end = ("blowup", t_hit, y_hit)
+                        end = ("blowup", t_hit, y_hit, "")
                     else:
-                        end = ("completed", t_new, None)
+                        end = ("completed", t_new, None, "")
                     ends[int(lanes[j])] = end + (where, len(seg.h), stats)
-            t, y, f = t_new, y_new, f_new
+            Z[1] = Z[7]  # first same as last
+            Z[0] = y_new
+            y_abs, new_abs = new_abs, y_abs
+            t, y = t_new, y_new
         else:
             # the step shrank below what t can resolve: lanes still missing
             # the tolerance there leave, the others retry from h_first
             leaving = ~(lane_rms(err) < 1)
             stats = IntegrationStats(steps, rejected, 2 + 6 * (steps + rejected))
             for j in np.flatnonzero(leaving):
-                ends[int(lanes[j])] = ("stiff_failure", t, None, where, len(seg.h), stats)
+                ends[int(lanes[j])] = ("stiff_failure", t, None, _TOO_SMALL, where,
+                                       len(seg.h), stats)
             h_abs = h_first
         if leaving is not None and leaving.any():
             keep = ~leaving
@@ -426,17 +480,19 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 break
             lanes = lanes[keep]
             y = y.reshape(n, -1)[:, keep].reshape(-1)
-            f = f.reshape(n, -1)[:, keep].reshape(-1)
-            fun, worst, lane_rms = _lane_ops(rhs, n, lanes.size, False)
+            f = Z[1].reshape(n, -1)[:, keep].reshape(-1)
+            Z, rows, ZT, state, worst, lane_rms = _lane_ops(n, lanes.size, False)
+            Z[0], Z[1] = y, f
+            y_abs = np.abs(y)
+            scale, new_abs = np.empty((2, y.size))
             segments.append(_Segment(lanes, t, y))
-            K, KT = _stage_buffer(y.size)
     return [_lane_trajectory(segments, lane, ends[lane], species, atol)
             for lane in range(n_lanes)]
 
 
 def _lane_trajectory(segments: list[_Segment], lane: int, end: tuple,
                      species: Sequence[str], abs_tol: float) -> Trajectory:
-    status, t_last, y_last, last, k_last, stats = end
+    status, t_last, y_last, detail, last, k_last, stats = end
     ts, hs, ys, qs = [], [], [], []
     for e, seg in enumerate(segments[:last + 1]):
         t, h, y, q = seg.arrays()
@@ -454,8 +510,7 @@ def _lane_trajectory(segments: list[_Segment], lane: int, end: tuple,
         times[-1], raw[-1] = t_last, y_last
         term = Termination("blowup", species[int(np.argmax(y_last))], float(t_last))
     else:
-        term = Termination(status, time=float(times[-1]),
-                           detail=_TOO_SMALL if status == "stiff_failure" else "")
+        term = Termination(status, time=float(times[-1]), detail=detail)
     flags = []
     for j, sid in enumerate(species):
         low = float(raw[:, j].min(initial=0.0))

@@ -117,6 +117,22 @@ def test_simulate_missing_input_exits_2(capsys):
     assert "missing value" in err
 
 
+def test_simulate_zero_root_ends_on_the_attempt_budget(tmp_path):
+    # sqrt(0) at loose tolerance shrinks its step without end; the attempt
+    # budget stops it in stiff_failure, exit 4, with the trajectory so far
+    out = tmp_path / "traj.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "crncalc", "simulate", "--expr", "sqrt(a)",
+         "--in", "a=0", "--rtol", "1e-4", "--atol", "1e-6", "--t-end", "40",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert "stiff_failure" in proc.stderr and "budget of 20000" in proc.stderr
+    traj = read_trajectory_csv(out.read_text())
+    assert traj.termination.status == "stiff_failure"
+    assert traj.termination.time < 40.0
+
+
 def test_analyze_trajectory(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     run(capsys, "simulate", "--expr", "1/a", "--in", "a=2",
@@ -207,6 +223,17 @@ def test_verify_not_converged_exits_4(capsys):
                        "--in", "a=1,b=2", "--t-end", "5")
     assert code == 4
     assert "not converged" in out
+
+
+def test_verify_attempt_budget_exits_4(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, _, err = run(capsys, "verify", "--expr", "sqrt(a)", "--in", "a=0",
+                       "--rtol", "1e-4", "--atol", "1e-6", "--report", str(report))
+    assert code == 4
+    assert "integration failed: Step attempt budget of 20000" in err
+    data = json.loads(report.read_text())
+    assert data["termination"]["status"] == "stiff_failure"
+    assert data["stats"]["steps"] + data["stats"]["rejected"] >= 20000
 
 
 def test_verify_speed_failure_exits_5(capsys, monkeypatch):
@@ -456,6 +483,26 @@ def test_bad_input_binding_exits_2(capsys):
     code, _, err = run(capsys, "simulate", "--expr", "a", "--in", "a")
     assert code == 2
     assert "name=value" in err
+
+
+def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, capsys):
+    assert crncalc.cli.build_parser() is crncalc.cli.build_parser()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code, _, _ = run(capsys, "verify", "--expr", "a/b", "--in", "a=2", "--in", "b=1",
+                     "--slack", "0.3", "--t-end", "30", "--report", str(first))
+    assert code == 0
+    data = json.loads(first.read_text())
+    assert data["inputs"] == {"a": 2.0, "b": 1.0}
+    assert data["t_end"] == 30.0 and data["verdict"]["slack"] == 0.3
+    # a leaked b=1 would be an unknown input of 1/a (exit 2)
+    code, _, _ = run(capsys, "verify", "--expr", "1/a", "--in", "a=4",
+                     "--report", str(second))
+    assert code == 0
+    data = json.loads(second.read_text())
+    assert data["inputs"] == {"a": 4.0}
+    assert data["t_end"] == 40.0 and data["verdict"]["slack"] == 0.15
+    args = crncalc.cli.build_parser().parse_args(["verify", "--expr", "a"])
+    assert args.inputs == [] and args.report is None
 
 
 def test_module_entry_point():

@@ -342,6 +342,73 @@ def test_failing_lane_leaves_the_batch():
     assert good.final("x") == pytest.approx(math.exp(-10.0), rel=1e-8)
 
 
+def test_batch_down_to_one_lane_matches_solo_run():
+    # once the tie blows up, the other lane carries on as an (n, 1) batch
+    # of arrays, not on the float path of a run that starts with one lane
+    points = [{"a": 3.0, "b": 3.0}, {"a": 2.0, "b": 5.0}]
+    cfg = SimConfig(t_end=40, **TIGHT)
+    prog, (tie, lane) = batch("max(a, b)", points, cfg)
+    assert tie.termination.status == "blowup"
+    assert lane.termination.status == "completed"
+    assert lane.stats.steps > tie.stats.steps
+    out = prog.bindings.output[0]
+    solo = simulate_program(prog, points[1], cfg)
+    assert solo.termination.status == "completed"
+    assert abs(lane.final(out) - solo.final(out)) <= 1e-8 * 5.0
+    assert lane.final(out) == pytest.approx(5.0, abs=1e-8)
+
+
+def test_coefficient_table_reproduces_the_tableau():
+    coef, unit = crncalc.simulate._COEF, crncalc.simulate._UNIT
+    assert coef.shape == unit.shape == (7, 8)
+    for s in range(1, 6):
+        assert np.array_equal(coef[s - 1, 1:s + 1], crncalc.simulate._A[s])
+        assert not coef[s - 1, s + 1:].any()
+    assert np.array_equal(coef[5, 1:7], crncalc.simulate._B) and coef[5, 7] == 0
+    assert np.array_equal(coef[6, 1:], crncalc.simulate._E)
+    assert not coef[:, 0].any()
+    assert np.array_equal(unit[:, 0], [1, 1, 1, 1, 1, 1, 0]) and not unit[:, 1:].any()
+
+
+def test_fused_stage_combinations_match_the_reference():
+    # Σ (h a_k) k_k with y stacked on top equals y + h Σ a_k k_k up to roundoff
+    rng = np.random.default_rng(9)
+    sim = crncalc.simulate
+    for _ in range(20):
+        y = rng.uniform(0.5, 2.0, 40)
+        K = rng.uniform(-1.0, 1.0, (7, 40))
+        h = float(rng.uniform(1e-4, 1e-2))
+        Z = np.vstack([y, K])
+        C = h * sim._COEF + sim._UNIT
+        for s in range(1, 6):
+            fused = np.dot(Z[:s + 1].T, C[s - 1, :s + 1])
+            ref = y + np.dot(K[:s].T, sim._A[s]) * h
+            assert np.all(np.abs(fused - ref) <= 1e-15 * np.abs(ref)), s
+        ref = y + h * np.dot(K[:6].T, sim._B)
+        assert np.all(np.abs(np.dot(Z[:7].T, C[5, :7]) - ref) <= 1e-15 * np.abs(ref))
+        ref = np.dot(K.T, sim._E) * h
+        size = h * np.dot(np.abs(K.T), np.abs(sim._E))
+        assert np.all(np.abs(np.dot(Z[1:].T, C[6, 1:]) - ref) <= 1e-15 * size)
+
+
+def test_attempt_budget_ends_the_batch(monkeypatch):
+    # lanes still running when the attempts run out end in stiff_failure
+    monkeypatch.setattr(crncalc.simulate, "_MAX_ATTEMPTS", 40)
+    points = [{"a": 1.0, "b": 2.0}, {"a": 4.0, "b": 0.5}]
+    cfg = SimConfig(t_end=40, **TIGHT)
+    _, lanes = batch("a / b", points, cfg)
+    for traj in lanes:
+        term, stats = traj.termination, traj.stats
+        assert term.status == "stiff_failure"
+        assert "budget of 40" in term.detail
+        assert 40 <= stats.steps + stats.rejected < 50  # checked between steps
+        assert term.time == traj.times[-1] < 40.0
+        assert stats.steps == traj.times.size - 1
+    one = simulate_program(compile_expression("a / b"), points[0], cfg)
+    assert one.termination.status == "stiff_failure"
+    assert 40 <= one.stats.steps + one.stats.rejected < 50
+
+
 def test_rhs_rows_have_the_lane_shape():
     # held inputs and constant production still return one value per lane
     net = parse_network("species: A[input], X[output]\n0 -> X ; k=1\nA + X -> A ; k=1\n")
