@@ -142,6 +142,8 @@ def cmd_simulate(args) -> int:
         print(f"note: terminated early: {term.status} at t={term.time:.6g}"
               + (f" ({term.species})" if term.species else "")
               + (f": {term.detail}" if term.detail else ""), file=sys.stderr)
+    if term.status == "blowup":
+        return EXIT_BLOWUP
     return EXIT_NOT_CONVERGED if term.status == "stiff_failure" else EXIT_OK
 
 

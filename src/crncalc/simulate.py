@@ -1,17 +1,17 @@
 """Numerical integration of networks and forced scalar systems.
 
 The polynomial right-hand side is generated as straight-line Python from
-the exact field and integrated with the Dormand-Prince 5(4) pair: adaptive
-steps and a quartic dense interpolant.  Each step attempt keeps the state
-and the stage derivatives as the rows of one array, so every stage input
-is one matrix-vector product.  Many initial states ("lanes") of one system
-advance in lockstep as the columns of a single array, which is how sweeps
-integrate a whole grid at once (see `integrate`).  Runs terminate early
-when any concentration crosses the blowup threshold; that is reported as a
-termination status, not an exception, because divergence of an inner
-species is expected behavior for some networks.  A run that cannot meet
-the tolerance, or uses up its budget of step attempts, ends in
-stiff_failure.
+the exact field and integrated with DOP853, the Dormand-Prince 8(5,3)
+pair: adaptive steps and a 7th-order dense interpolant.  Each step attempt
+keeps the state and the stage derivatives as the rows of one array, so
+every stage input is one matrix-vector product.  Many initial states
+("lanes") of one system advance in lockstep as the columns of a single
+array, which is how sweeps integrate a whole grid at once (see
+`integrate`).  Runs terminate early when any concentration crosses the
+blowup threshold; that is reported as a termination status, not an
+exception, because divergence of an inner species is expected behavior
+for some networks.  A run that cannot meet the tolerance, or uses up its
+budget of step attempts, ends in stiff_failure.
 """
 
 from __future__ import annotations
@@ -187,110 +187,231 @@ def compile_circuit_rhs(circuit, order: Sequence[str], sigma: float = 1.0) -> Ca
 
 
 # ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) integration in lockstep lanes
+# DOP853 integration in lockstep lanes
 #
-# Coefficients, error weights and the quartic dense-output matrix of the
-# Dormand-Prince pair (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.5),
-# with the starting-step rule and step-size controller of scipy's RK45.
+# The 12-stage, 8th-order Dormand-Prince pair with its combined 5th/3rd-order
+# error estimate, 3 extra stages and 7th-order dense output (Hairer, Norsett
+# & Wanner, Solving ODEs I, II.10, code DOP853), with that code's starting
+# step and step-size controller.  Stage s (1..15) evaluates the right-hand
+# side at t + _C[s] h and y + h sum_k _A[s, k] K_k; stage 12 is the FSAL
+# stage at the 8th-order solution, and stages 13..15 only feed the dense
+# output of an accepted step.
 
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_A = (None,
-      np.array([1 / 5]),
-      np.array([3 / 40, 9 / 40]),
-      np.array([44 / 45, -56 / 15, 32 / 9]),
-      np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-      np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]))
-_B = np.array([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_E = np.array([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525,
-               1 / 40])
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608,
-     -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304,
-     -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]])
+_C = (
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142,
+    1.0, 1.0, 0.1, 0.2, 0.777777777777777777777777777778)
+_A = np.zeros((16, 16))
+for _s, _row in enumerate((
+        {0: 5.26001519587677318785587544488e-2},
+        {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+        {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+        {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+         3: 9.24834003261792003115737966543e-1},
+        {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+         4: 1.25467687566822425016691814123e-1},
+        {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+         4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+        {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+         4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+         6: 8.27378916381402288758473766002e-3},
+        {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+         4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+         6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+        {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+         4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+         6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+         8: -2.03312017085086261358222928593e-2},
+        {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+         4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+         6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+         8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+        {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+         4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+         6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+         8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+         10: 6.43392746015763530355970484046e-1},
+        # the 8th-order solution
+        {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+         6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+         8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+         10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+        {0: 5.61675022830479523392909219681e-2, 6: 2.53500210216624811088794765333e-1,
+         7: -2.46239037470802489917441475441e-1, 8: -1.24191423263816360469010140626e-1,
+         9: 1.5329179827876569731206322685e-1, 10: 8.20105229563468988491666602057e-3,
+         11: 7.56789766054569976138603589584e-3, 12: -8.298e-3},
+        {0: 3.18346481635021405060768473261e-2, 5: 2.83009096723667755288322961402e-2,
+         6: 5.35419883074385676223797384372e-2, 7: -5.49237485713909884646569340306e-2,
+         10: -1.08347328697249322858509316994e-4, 11: 3.82571090835658412954920192323e-4,
+         12: -3.40465008687404560802977114492e-4, 13: 1.41312443674632500278074618366e-1},
+        {0: -4.28896301583791923408573538692e-1, 5: -4.69762141536116384314449447206,
+         6: 7.68342119606259904184240953878, 7: 4.06898981839711007970213554331,
+         8: 3.56727187455281109270669543021e-1, 12: -1.39902416515901462129418009734e-3,
+         13: 2.9475147891527723389556272149, 14: -9.15095847217987001081870187138}),
+        start=1):
+    for _k, _a in _row.items():
+        _A[_s, _k] = _a
+_B = _A[12, :12]
+# err5 = h sum_k _E5[k] K_k and err3 likewise; the error norm combines them
+# as |err5|^2 / sqrt(|err5|^2 + |err3|^2 / 100)
+_E5 = np.zeros(12)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = (
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
+_E3 = _B.copy()
+_E3[[0, 8, 11]] -= (0.244094488188976377952755905512, 0.733846688281611857341361741547,
+                    0.220588235294117647058823529412e-1)
+# The dense output of a step is y_old + sum_j b_j(x) F_j for x in [0, 1],
+# with b_0..b_6 = x, x (1 - x), x^2 (1 - x), x^2 (1 - x)^2, x^3 (1 - x)^2,
+# x^3 (1 - x)^3, x^4 (1 - x)^3, F_0 = dy = y_new - y_old, F_1 = h f_old -
+# dy, F_2 = 2 dy - h (f_old + f_new) and F_j = h sum_k _D[j - 3, k] K_k.
+_D = np.zeros((4, 16))
+_D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = np.array([
+    [-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1],
+    [0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2],
+    [0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
+     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2],
+    [-0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
+     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3]])
+# Its monomial form: column j of _F is F_j / h as a combination of K0..K15
+# (dy / h is sum_k _B[k] K_k, f_old is K0, f_new K12) and row j of _M the
+# coefficients of b_j on x .. x^7, so q = K^T _P gives y(x) = y_old +
+# h sum_j q_j x^(j+1).
+_F = np.zeros((16, 7))
+_F[:12, 0] = _B
+_F[:12, 1] = -_B
+_F[0, 1] += 1.0
+_F[:12, 2] = 2 * _B
+_F[[0, 12], 2] -= 1.0
+_F[:, 3:] = _D.T
+_M = np.zeros((7, 7))
+for _j in range(7):  # b_j = x^a (1 - x)^b
+    _a, _b = _j // 2 + 1, (_j + 1) // 2
+    for _i in range(_b + 1):
+        _M[_j, _a + _i - 1] = (-1) ** _i * math.comb(_b, _i)
+_P = _F.dot(_M)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
-_ERROR_EXPONENT = -1 / 5  # -1 / (order of the embedded error estimate + 1)
+_ERROR_EXPONENT = -1 / 8  # -1 / (order of the embedded error estimate + 1)
 _TOO_SMALL = "Required step size is less than spacing between numbers."
 
+# The controller works at a fixed fraction of the requested tolerances,
+# because DOP853's interpolant is less accurate than its steps.  In the
+# converged tail the step size settles at the edge of the stability region
+# of the fastest decaying mode, and there the interpolant amplifies that
+# mode's error up to 30 times more than the step end does.  At the CLI's
+# tolerances (1e-10 / 1e-12) the worst gap of acceptance criterion 5 is
+# then 1.0e-9 (X2 of sqrt(abs(a - b)) at t = 36), at the 1e-9 error floor
+# the rate fits read down to.  It is 1.2e-10 at a tenth of them and
+# 1.8e-11 at a twentieth; over eleven inputs of that criterion's
+# programs the worst gap is 4.8e-10 at a tenth and 2.9e-10 at a twentieth.
+_TOL_FRACTION = 0.05
 
-# The attempt loop keeps the state and the stage derivatives stacked as
-# the rows of one array Z = [y; K0 .. K6].  Row s - 1 of h*_COEF + _UNIT
-# weights those rows into the input of stage s (s = 1..5), row 5 into the
-# new state and row 6 into the error estimate, so each of them is one
-# matrix-vector product.
-_COEF = np.zeros((7, 8))
-for _s in range(1, 6):
-    _COEF[_s - 1, 1:_s + 1] = _A[_s]
-_COEF[5, 1:7] = _B
-_COEF[6, 1:] = _E
-_UNIT = np.zeros((7, 8))
-_UNIT[:6, 0] = 1.0
+
+# The attempt loop keeps the state and the stages stacked as the rows of
+# one array Z = [y; K0 .. K15].  Row s - 1 of h*_COEF + _UNIT weights
+# Z[:s + 1] into the input of stage s (s = 1..15; stage 12's input is the
+# new state) and rows 15 and 16 weight K0..K11 into err5 and err3, so
+# each of them is one product.
+_COEF = np.zeros((17, 17))
+for _s in range(1, 16):
+    _COEF[_s - 1, 1:_s + 1] = _A[_s, :_s]
+_COEF[15, 1:13] = _E5
+_COEF[16, 1:13] = _E3
+_UNIT = np.zeros((17, 17))
+_UNIT[:15, 0] = 1.0
 _amax = np.maximum.reduce  # ndarray.max without its python-level wrapper
+_TINY = np.finfo(float).tiny
 
 # Step attempts, accepted or rejected, one integrate call may take; lanes
 # still in the batch after the step that reaches it end in stiff_failure.
+# The largest tier-1 call takes 777 attempts, the largest benchmark batch 242.
 _MAX_ATTEMPTS = 20_000
+
+
+def _stats(steps: int, rejected: int) -> IntegrationStats:
+    """Every attempt evaluates 12 stages, every accepted step 3 more for
+    its dense output, and the starting step 2."""
+    return IntegrationStats(steps, rejected, 2 + 12 * (steps + rejected) + 3 * steps)
 
 
 def _lane_ops(n: int, lanes: int, floats: bool):
     """The stage buffer of n species x lanes and what the attempt loop
     applies to it.
 
-    Z (8 x n*lanes) holds y and the stage derivatives K0..K6 as rows, each
-    stored species-major.  ZT holds the transposed views the combinations
-    multiply: ZT[s] = Z[:s + 1].T feeds stage s (s = 1..5) and ZT[6] the
-    new state; ZT[7] = Z[1:].T, the stages alone, feeds the error estimate
-    and the dense output.  rows is Z as the RHS writes it: flat rows with
-    floats (one lane from the start), else (8, n, lanes), so that rhs's
-    rows are assigned straight into Z[s].  state turns a flat state into
-    rhs's argument: a list of floats with floats (python floats run the
-    generated code faster than numpy scalars), else an (n, lanes) view.
-    worst is the worst lane's RMS norm, lane_rms the per-lane RMS norms.
+    Z (17 x n*lanes) holds y and the stages K0..K15 as rows, each stored
+    species-major.  ZT holds the views the combinations multiply: ZT[s] =
+    Z[:s + 1].T feeds stage s (s = 1..15), ZT[0] = Z[1:13], the stages
+    K0..K11, the error estimates, and ZT[16] = Z[1:].T the dense output.
+    rows is Z as the RHS writes it: flat rows with floats (one lane from
+    the start), else (17, n, lanes), so that rhs's rows are assigned
+    straight into Z[s].  state turns a flat state into rhs's argument: a
+    list of floats with floats (python floats run the generated code
+    faster than numpy scalars), else an (n, lanes) view.  norms takes the
+    scaled err5 and err3 rows (2 x n*lanes) to each lane's error norm
+    |err5|^2 / sqrt(n (|err5|^2 + |err3|^2 / 100)), and worst to the
+    largest; a nan anywhere in a lane makes its norm nan.
     """
-    Z = np.empty((8, n * lanes))
-    ZT = [Z[:s + 1].T for s in range(7)] + [Z[1:].T]
+    Z = np.empty((17, n * lanes))
+    ZT = [Z[1:13]] + [Z[:s + 1].T for s in range(1, 16)] + [Z[1:].T]
     if floats:
-        root_n = n ** 0.5
+        def worst(e):
+            s5, s3 = float(e[0].dot(e[0])), float(e[1].dot(e[1]))
+            return s5 / math.sqrt((s5 + 0.01 * s3) * n) if s5 else 0.0
 
-        def worst(x):
-            return math.sqrt(x.dot(x)) / root_n
+        return Z, Z, ZT, np.ndarray.tolist, worst, lambda e: np.array([worst(e)])
 
-        return Z, Z, ZT, np.ndarray.tolist, worst, lambda x: np.array([worst(x)])
+    def norms(e):
+        e = e.reshape(2, n, lanes)
+        s5, s3 = np.einsum("kij,kij->kj", e, e)
+        # a lane with no error at all has norm 0, not 0/0
+        return s5 / np.sqrt(np.maximum(s5 + 0.01 * s3, _TINY) * n)
 
-    def squares(x):
-        x = x.reshape(n, lanes)
-        return np.einsum("ij,ij->j", x, x)
-
-    def worst(x):  # the max of the lanes' RMS norms, as sqrt is monotone
-        return math.sqrt(_amax(squares(x)) / n)
-
-    return (Z, Z.reshape(8, n, lanes), ZT, lambda x: x.reshape(n, lanes), worst,
-            lambda x: np.sqrt(squares(x) / n))
+    return (Z, Z.reshape(17, n, lanes), ZT, lambda x: x.reshape(n, lanes),
+            lambda e: float(_amax(norms(e))), norms)
 
 
-def _initial_step(rhs, state, lane_rms, y0, f0, t_end: float, rtol: float, atol: float):
+def _initial_step(rhs, state, n: int, y0, f0, t_end: float, rtol: float, atol: float):
     """Starting step of Hairer, Norsett & Wanner (II.4): the smallest any
     lane asks for, with the second-derivative estimate taken at that step."""
+    def rms(x):  # of each lane
+        x = np.reshape(x, (n, -1))
+        return np.sqrt(np.einsum("ij,ij->j", x, x) / n)
+
     scale = atol + np.abs(y0) * rtol
-    d0, d1 = lane_rms(y0 / scale), lane_rms(f0 / scale)
+    d0, d1 = rms(y0 / scale), rms(f0 / scale)
     h0 = min(min(1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b
                  for a, b in zip(d0, d1)), t_end)
     f1 = np.reshape(rhs(h0, state(y0 + h0 * f0)), -1)
-    d2 = lane_rms((f1 - f0) / scale) / h0
+    d2 = rms((f1 - f0) / scale) / h0
     h1 = min(max(1e-6, h0 * 1e-3) if a <= 1e-15 and b <= 1e-15
-             else (0.01 / max(a, b)) ** (1 / 5) for a, b in zip(d1, d2))
+             else (0.01 / max(a, b)) ** -_ERROR_EXPONENT for a, b in zip(d1, d2))
     return float(min(100 * h0, h1, t_end))
 
 
 class _DenseOutput:
-    """The quartic interpolant of a lane's accepted steps.
+    """The 7th-order interpolant of a lane's accepted steps.
 
     Called with a time or an array of times; returns (species,) or
     (species, times), or only species i: a scalar or (times,).  A time on
@@ -304,7 +425,7 @@ class _DenseOutput:
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self.t_old, t, side="left") - 1, 0, self.h.size - 1)
         x = (t - self.t_old[k]) / self.h[k]
-        p = np.cumprod(np.stack([x] * 4, axis=-1), axis=-1)
+        p = np.cumprod(np.stack([x] * _P.shape[1], axis=-1), axis=-1)
         if i is not None:
             return self.y_old[k, i] + self.h[k] * np.einsum("...j,...j->...", self.q[k, i], p)
         dy = np.einsum("...ij,...j->...i", self.q[k], p)
@@ -332,18 +453,18 @@ class _Segment:
         self.t = [t]             # step boundaries
         self.y = [y]             # states at the boundaries
         self.h: list = []
-        self.q: list = []        # dense-output coefficients, (species*lanes, 4)
+        self.q: list = []        # dense-output coefficients, (species*lanes, 7)
         self._arrays = None
 
     def arrays(self):
         """Boundaries, step sizes, states (t, species, lanes) and
-        coefficients (steps, species, lanes, 4) as arrays."""
+        coefficients (steps, species, lanes, 7) as arrays."""
         if self._arrays is None:
-            n = self.y[0].size // self.lanes.size
-            q = np.stack(self.q) if self.q else np.empty((0, self.y[0].size, 4))
+            n, d = self.y[0].size // self.lanes.size, _P.shape[1]
+            q = np.stack(self.q) if self.q else np.empty((0, self.y[0].size, d))
             self._arrays = (np.array(self.t), np.array(self.h),
                             np.stack(self.y).reshape(len(self.y), n, -1),
-                            q.reshape(len(self.q), n, -1, 4))
+                            q.reshape(len(self.q), n, -1, d))
         return self._arrays
 
 
@@ -362,12 +483,14 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
 
     rhs(t, y) takes y as (species, lanes), or as a list of floats when y0
     has one column, and returns one row per species.  All lanes take the
-    same steps.  A step is accepted when the worst lane's RMS error is
-    within tolerance, so every lane meets its own tolerance.  Each stage
-    input, the new state and the error estimate is one product of the
-    stacked state and stages with h-weighted tableau rows (Σ (h a_k) k_k,
-    not h Σ a_k k_k), so a one-lane run has RK45's tableau, starting step
-    and controller but may differ from it in the last bits.
+    same steps.  A step is accepted when the worst lane's error norm is
+    within tolerance, so every lane meets its own tolerance; the
+    controller works at _TOL_FRACTION of cfg's tolerances, so that the
+    dense output meets them too.  Each stage input, the new state and the
+    error estimates are products of the stacked state and stages with
+    h-weighted tableau rows (Σ (h a_k) k_k, not h Σ a_k k_k), so a one-lane
+    run has DOP853's tableau, starting step and controller but may differ
+    from that code in the last bits.
 
     A lane leaves the batch when it crosses the blowup threshold, located
     by bisection on the step's interpolant, or when it cannot meet the
@@ -377,19 +500,21 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     """
     y0 = _check_state(np.asarray(y0, dtype=float))
     n, n_lanes = y0.shape
-    t_end, rtol, atol = cfg.t_end, cfg.rel_tol, cfg.abs_tol
-    threshold = cfg.blowup_threshold
+    t_end, threshold = cfg.t_end, cfg.blowup_threshold
+    rtol, atol = cfg.rel_tol * _TOL_FRACTION, cfg.abs_tol * _TOL_FRACTION
     lanes = np.arange(n_lanes)
-    Z, rows, ZT, state, worst, lane_rms = _lane_ops(n, n_lanes, n_lanes == 1)
+    Z, rows, ZT, state, worst, norms = _lane_ops(n, n_lanes, n_lanes == 1)
     t, y = 0.0, y0.flatten()
     Z[0] = y
     rows[1] = rhs(t, state(y))
-    h_abs = _initial_step(rhs, state, lane_rms, y, Z[1], t_end, rtol, atol)
+    h_abs = _initial_step(rhs, state, n, y, Z[1], t_end, rtol, atol)
     y_abs = np.abs(y)
     scale, new_abs = np.empty((2, y.size))
-    # W[s] weights ZT[s]: stage inputs s = 1..5, the new state, the error
-    C = np.empty((7, 8))
-    W = [None, *(C[s - 1, :s + 1] for s in range(1, 7)), C[6, 1:]]
+    # W[s] weights ZT[s] into the input of stage s = 1..15, E weights
+    # ZT[0] into err5 and err3
+    C = np.empty((17, 17))
+    W = [None, *(C[s - 1, :s + 1] for s in range(1, 16))]
+    E = C[15:, 1:13]
     segments = [_Segment(lanes, t, y)]
     # lane -> (status, end time, state at a crossing, detail, segment,
     #          its steps, stats)
@@ -398,7 +523,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     while True:
         seg, where = segments[-1], len(segments) - 1
         if steps + rejected >= _MAX_ATTEMPTS:
-            stats = IntegrationStats(steps, rejected, 2 + 6 * (steps + rejected))
+            stats = _stats(steps, rejected)
             detail = f"Step attempt budget of {_MAX_ATTEMPTS} used up."
             for lane in lanes:
                 ends[int(lane)] = ("stiff_failure", t, None, detail, where, len(seg.h),
@@ -414,15 +539,15 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             h_abs = abs(h)
             np.multiply(_COEF, h, out=C)
             C += _UNIT
-            for s in range(1, 6):
+            for s in range(1, 12):
                 rows[s + 1] = rhs(t + _C[s] * h, state(ZT[s].dot(W[s])))
-            y_new = ZT[6].dot(W[6])
-            rows[7] = rhs(t + h, state(y_new))
+            y_new = ZT[12].dot(W[12])
+            rows[13] = rhs(t + h, state(y_new))
             np.abs(y_new, out=new_abs)
             np.maximum(y_abs, new_abs, out=scale)
             scale *= rtol
             scale += atol
-            err = ZT[7].dot(W[7])
+            err = E.dot(ZT[0])
             err /= scale
             error_norm = worst(err)
             if error_norm < 1:
@@ -441,18 +566,20 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
         leaving = None
         if accepted:
             steps += 1
-            q = ZT[7].dot(_P)
+            for s in range(13, 16):
+                rows[s + 1] = rhs(t + _C[s] * h, state(ZT[s].dot(W[s])))
+            q = ZT[16].dot(_P)
             seg.t.append(t_new)
             seg.h.append(h)
             seg.y.append(y_new)
             seg.q.append(q)
             done = t_new == t_end
             if done or not threshold - _amax(y_new) > 0:
-                y_cols, q_cols = y.reshape(n, -1), q.reshape(n, -1, 4)
+                y_cols, q_cols = y.reshape(n, -1), q.reshape(n, -1, q.shape[-1])
                 crossed = ((threshold - y_cols.max(axis=0) >= 0)
                            & (threshold - y_new.reshape(n, -1).max(axis=0) <= 0))
                 leaving = crossed | done
-                stats = IntegrationStats(steps, rejected, 2 + 6 * (steps + rejected))
+                stats = _stats(steps, rejected)
                 for j in np.flatnonzero(leaving):
                     if crossed[j]:
                         t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q_cols[:, j],
@@ -461,15 +588,15 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                     else:
                         end = ("completed", t_new, None, "")
                     ends[int(lanes[j])] = end + (where, len(seg.h), stats)
-            Z[1] = Z[7]  # first same as last
+            Z[1] = Z[13]  # first same as last
             Z[0] = y_new
             y_abs, new_abs = new_abs, y_abs
             t, y = t_new, y_new
         else:
             # the step shrank below what t can resolve: lanes still missing
             # the tolerance there leave, the others retry from h_first
-            leaving = ~(lane_rms(err) < 1)
-            stats = IntegrationStats(steps, rejected, 2 + 6 * (steps + rejected))
+            leaving = ~(norms(err) < 1)
+            stats = _stats(steps, rejected)
             for j in np.flatnonzero(leaving):
                 ends[int(lanes[j])] = ("stiff_failure", t, None, _TOO_SMALL, where,
                                        len(seg.h), stats)
@@ -481,12 +608,12 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             lanes = lanes[keep]
             y = y.reshape(n, -1)[:, keep].reshape(-1)
             f = Z[1].reshape(n, -1)[:, keep].reshape(-1)
-            Z, rows, ZT, state, worst, lane_rms = _lane_ops(n, lanes.size, False)
+            Z, rows, ZT, state, worst, norms = _lane_ops(n, lanes.size, False)
             Z[0], Z[1] = y, f
             y_abs = np.abs(y)
             scale, new_abs = np.empty((2, y.size))
             segments.append(_Segment(lanes, t, y))
-    return [_lane_trajectory(segments, lane, ends[lane], species, atol)
+    return [_lane_trajectory(segments, lane, ends[lane], species, cfg.abs_tol)
             for lane in range(n_lanes)]
 
 

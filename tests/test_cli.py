@@ -117,19 +117,35 @@ def test_simulate_missing_input_exits_2(capsys):
     assert "missing value" in err
 
 
-def test_simulate_zero_root_ends_on_the_attempt_budget(tmp_path):
-    # sqrt(0) at loose tolerance shrinks its step without end; the attempt
-    # budget stops it in stiff_failure, exit 4, with the trajectory so far
+def test_simulate_blowup_exits_3(tmp_path, capsys):
+    # a tie blows up Y1 of rsub; the csv still holds the run up to the crossing
+    out = tmp_path / "traj.csv"
+    code, _, err = run(capsys, "simulate", "--expr", "rsub(a, b)", "--in", "a=1,b=1",
+                       "--out", str(out))
+    assert code == 3
+    assert "note: terminated early: blowup at t=27.63" in err and "(Y1)" in err
+    text = out.read_text()
+    assert text.splitlines()[-1].startswith("# termination=blowup species=Y1 time=27.63")
+    traj = read_trajectory_csv(text)
+    assert traj.termination.status == "blowup"
+    assert traj.times[-1] == traj.termination.time
+    assert traj.final("Y1") == pytest.approx(1e12)
+
+
+def test_simulate_zero_root_ends(tmp_path):
+    # sqrt(0) at loose tolerance: X1's decay rate grows like e^t; the run
+    # still ends, early, with the exit code of how it ended
     out = tmp_path / "traj.csv"
     proc = subprocess.run(
         [sys.executable, "-m", "crncalc", "simulate", "--expr", "sqrt(a)",
          "--in", "a=0", "--rtol", "1e-4", "--atol", "1e-6", "--t-end", "40",
          "--out", str(out)],
         capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 4, proc.stderr
-    assert "stiff_failure" in proc.stderr and "budget of 20000" in proc.stderr
     traj = read_trajectory_csv(out.read_text())
-    assert traj.termination.status == "stiff_failure"
+    status = traj.termination.status
+    assert status in ("blowup", "stiff_failure"), status
+    assert proc.returncode == {"blowup": 3, "stiff_failure": 4}[status], proc.stderr
+    assert status in proc.stderr
     assert traj.termination.time < 40.0
 
 
@@ -199,10 +215,20 @@ def test_verify_report_has_stats_and_negatives(tmp_path, capsys):
     data = json.loads(report.read_text())
     stats = data["stats"]
     assert stats["steps"] > 0 and stats["rejected"] >= 0
-    assert stats["rhs_evals"] == 2 + 6 * (stats["steps"] + stats["rejected"])
+    steps, rejected = stats["steps"], stats["rejected"]
+    assert stats["rhs_evals"] == 2 + 12 * (steps + rejected) + 3 * steps
     assert isinstance(data["negatives"], list)
     for entry in data["negatives"]:
         assert set(entry) == {"species", "time", "value"} and entry["value"] < 0
+
+
+def test_verify_takes_few_steps(tmp_path, capsys):
+    # the 8th-order pair at the default tolerances; a 5th-order pair takes 141
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--expr", "a + b", "--in", "a=1,b=2",
+                     "--report", str(report))
+    assert code == 0
+    assert json.loads(report.read_text())["stats"]["steps"] <= 60
 
 
 def test_verify_blowup_exits_3(tmp_path, capsys):
@@ -225,15 +251,17 @@ def test_verify_not_converged_exits_4(capsys):
     assert "not converged" in out
 
 
-def test_verify_attempt_budget_exits_4(tmp_path, capsys):
+def test_verify_attempt_budget_exits_4(tmp_path, capsys, monkeypatch):
+    # at these tolerances Y1 blows up after 31 attempts; a budget of 10 ends it first
+    monkeypatch.setattr(crncalc.simulate, "_MAX_ATTEMPTS", 10)
     report = tmp_path / "report.json"
     code, _, err = run(capsys, "verify", "--expr", "sqrt(a)", "--in", "a=0",
                        "--rtol", "1e-4", "--atol", "1e-6", "--report", str(report))
     assert code == 4
-    assert "integration failed: Step attempt budget of 20000" in err
+    assert "integration failed: Step attempt budget of 10" in err
     data = json.loads(report.read_text())
     assert data["termination"]["status"] == "stiff_failure"
-    assert data["stats"]["steps"] + data["stats"]["rejected"] >= 20000
+    assert data["stats"]["steps"] + data["stats"]["rejected"] >= 10
 
 
 def test_verify_speed_failure_exits_5(capsys, monkeypatch):

@@ -359,36 +359,78 @@ def test_batch_down_to_one_lane_matches_solo_run():
 
 
 def test_coefficient_table_reproduces_the_tableau():
-    coef, unit = crncalc.simulate._COEF, crncalc.simulate._UNIT
-    assert coef.shape == unit.shape == (7, 8)
-    for s in range(1, 6):
-        assert np.array_equal(coef[s - 1, 1:s + 1], crncalc.simulate._A[s])
+    sim = crncalc.simulate
+    coef, unit = sim._COEF, sim._UNIT
+    assert coef.shape == unit.shape == (17, 17)
+    for s in range(1, 16):  # stage inputs; stage 12's is the new state
+        assert np.array_equal(coef[s - 1, 1:s + 1], sim._A[s, :s])
         assert not coef[s - 1, s + 1:].any()
-    assert np.array_equal(coef[5, 1:7], crncalc.simulate._B) and coef[5, 7] == 0
-    assert np.array_equal(coef[6, 1:], crncalc.simulate._E)
+    assert np.array_equal(coef[11, 1:13], sim._B)
+    assert np.array_equal(coef[15, 1:13], sim._E5) and not coef[15, 13:].any()
+    assert np.array_equal(coef[16, 1:13], sim._E3) and not coef[16, 13:].any()
     assert not coef[:, 0].any()
-    assert np.array_equal(unit[:, 0], [1, 1, 1, 1, 1, 1, 0]) and not unit[:, 1:].any()
+    assert np.array_equal(unit[:, 0], [1] * 15 + [0, 0]) and not unit[:, 1:].any()
+    # the transcribed constants meet the pair's order conditions: every
+    # stage is consistent, the weights integrate t^k exactly up to k = 7,
+    # and the error weights (differences of consistent weights) vanish on
+    # the powers the 5th- and 3rd-order solutions integrate exactly
+    c = np.array(sim._C)
+    assert np.all(np.abs(sim._A.sum(axis=1) - c) <= 1e-15)
+    c = c[:12]
+    for k in range(8):
+        assert abs(sim._B.dot(c ** k) - 1 / (k + 1)) <= 1e-15, k
+    for k in range(5):
+        assert abs(sim._E5.dot(c ** k)) <= 1e-15, k
+    for k in range(3):
+        assert abs(sim._E3.dot(c ** k)) <= 1e-15, k
 
 
 def test_fused_stage_combinations_match_the_reference():
-    # Σ (h a_k) k_k with y stacked on top equals y + h Σ a_k k_k up to roundoff
+    # Σ (h a_k) k_k with y stacked on top equals y + h Σ a_k k_k up to
+    # roundoff, for every stage input (the new state is stage 12's) and
+    # both error estimates
     rng = np.random.default_rng(9)
     sim = crncalc.simulate
     for _ in range(20):
         y = rng.uniform(0.5, 2.0, 40)
-        K = rng.uniform(-1.0, 1.0, (7, 40))
+        K = rng.uniform(-1.0, 1.0, (16, 40))
         h = float(rng.uniform(1e-4, 1e-2))
         Z = np.vstack([y, K])
         C = h * sim._COEF + sim._UNIT
-        for s in range(1, 6):
+        for s in range(1, 16):
             fused = np.dot(Z[:s + 1].T, C[s - 1, :s + 1])
-            ref = y + np.dot(K[:s].T, sim._A[s]) * h
-            assert np.all(np.abs(fused - ref) <= 1e-15 * np.abs(ref)), s
-        ref = y + h * np.dot(K[:6].T, sim._B)
-        assert np.all(np.abs(np.dot(Z[:7].T, C[5, :7]) - ref) <= 1e-15 * np.abs(ref))
-        ref = np.dot(K.T, sim._E) * h
-        size = h * np.dot(np.abs(K.T), np.abs(sim._E))
-        assert np.all(np.abs(np.dot(Z[1:].T, C[6, 1:]) - ref) <= 1e-15 * size)
+            ref = y + np.dot(K[:s].T, sim._A[s, :s]) * h
+            size = np.abs(y) + h * np.dot(np.abs(K[:s].T), np.abs(sim._A[s, :s]))
+            assert np.all(np.abs(fused - ref) <= 1e-15 * size), s
+        for row, e in ((15, sim._E5), (16, sim._E3)):
+            ref = np.dot(K[:12].T, e) * h
+            size = h * np.dot(np.abs(K[:12].T), np.abs(e))
+            assert np.all(np.abs(np.dot(C[row, 1:13], Z[1:13]) - ref) <= 1e-15 * size), row
+
+
+def test_dense_output_meets_the_tolerance():
+    # the 7th-order interpolant runs through both ends of every step and
+    # stays within ten times the tolerance of the exact solution between
+    # them.  Its monomial coefficients sum stages weighted by up to about
+    # 550, so at x = 1 they give y_new to roundoff of that size on the
+    # step's increment.
+    cfg = SimConfig(t_end=40, **TIGHT)
+    grid = np.linspace(0.0, 40.0, 1600)
+    runs = [("designed_inversion", designed_inversion_network(), {"A": a, "X": x0})
+            for a, x0 in ((2.0, 1.0), (0.5, 1.0), (3.0, 0.25))]
+    runs += [("double_identification", double_identification_network(), {"A": a})
+             for a in (0.5, 3.0)]
+    for case, net, init in runs:
+        traj = integrate_network(net, init, cfg)
+        x = traj.index("X")
+        y = traj.series("X")
+        ends = traj.dense(traj.times[1:], x)  # each step's end, from that step
+        bound = 1e-15 * y[1:] + 1e-12 * np.abs(np.diff(y))
+        assert np.all(np.abs(ends - y[1:]) <= bound), (case, init)
+        assert traj.dense(0.0, x) == init.get("X", 0.0)
+        exact = closed_form_reference(case, {"a": init["A"], "x0": init.get("X", 0.0)}, grid)
+        err = np.abs(traj.dense(grid, x) - exact)
+        assert np.all(err <= 10 * cfg.rel_tol * (1 + np.abs(exact))), (case, init, err.max())
 
 
 def test_attempt_budget_ends_the_batch(monkeypatch):
@@ -468,7 +510,7 @@ def test_stats_count_the_work():
     traj = simulate_program(prog, {"a": 1, "b": 2}, SimConfig(t_end=20))
     s = traj.stats
     assert s.steps == traj.times.size - 1
-    assert s.rhs_evals == 2 + 6 * (s.steps + s.rejected)
+    assert s.rhs_evals == 2 + 12 * (s.steps + s.rejected) + 3 * s.steps
 
 
 def test_real_subtraction_ties_blow_up_alike():
