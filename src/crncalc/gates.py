@@ -156,6 +156,9 @@ class GateSpec:
     before squaring, which keeps the large-Y regime free of cancellation.
     `target(limits, m)` raises DomainError outside the gate's domain and
     `speed(rates, limits, m)` gives the rate bound at those limits.
+    `limit_rate` is the spectral radius of the gate's own Jacobian block
+    (its X and Y rows against X and Y) at a non-degenerate limit; a gate
+    that takes m has m times it (see `gate_limit_rate`).
     """
 
     tag: str
@@ -169,6 +172,7 @@ class GateSpec:
     speed: Callable[..., SpeedBound] = _slowest_input
     starts_positive: bool = True  # output and inner stage start at 1
     takes_m: bool = False
+    limit_rate: int = 1
 
     @property
     def arity(self) -> int:
@@ -206,12 +210,13 @@ GATES: dict[str, GateSpec] = {spec.tag: spec for spec in (
     GateSpec("absolute_difference", ("A", "B"),
              _DIFF_STAGE + "X -> 2X\nY + 2X -> Y + X",
              lambda v, m: abs(float(v[0] - v[1])), "{X}*(1.0 - {Y}*{X})",
-             "x* = |a* - b*|", "rho_x >= min{rho_a, rho_b, 1}", rate_y=_DIFF_RATE),
+             "x* = |a* - b*|", "rho_x >= min{rho_a, rho_b, 1}", rate_y=_DIFF_RATE,
+             limit_rate=2),
     GateSpec("rectified_subtraction", ("A", "B"),
              _DIFF_STAGE + "A + Y + X -> A + Y + 2X\nB + Y + X -> B + Y\nY + 2X -> Y + X",
              lambda v, m: max(float(v[0] - v[1]), 0.0), "{X}*{Y}*(({A} - {B}) - {X})",
              "x* = max(a* - b*, 0)  (Y diverges when a* = b*)",
-             "rho_x >= min{rho_a, rho_b, 1}", rate_y=_DIFF_RATE),
+             "rho_x >= min{rho_a, rho_b, 1}", rate_y=_DIFF_RATE, limit_rate=2),
     GateSpec("partial_real_inversion", ("A_p", "A_n"),
              "Y -> 2Y\nA_p + 2Y -> A_p + Y\nA_n + 2Y -> A_n + Y\n"
              "A_p + Y + X -> A_p + Y + 2X\nA_n + Y + X -> A_n + Y\n"
@@ -295,6 +300,15 @@ def gate_target(kind: GateKind, values: Sequence[float]) -> float:
         if v < 0:
             raise DomainError(f"{kind} input limits must be non-negative, got {v}")
     return spec.target(values, kind.m)
+
+
+def gate_limit_rate(kind: GateKind) -> int:
+    """Spectral radius of the gate's own Jacobian block at its limit: the
+    inner Y of the subtraction gates has slope -2 there, the Y of an m-th
+    root -m and every other X or Y row -1.  Lowering is feed-forward, so a circuit's
+    Jacobian is lower-triangular in species order and these are its
+    eigenvalues."""
+    return GATES[kind.tag].limit_rate * (kind.m or 1)
 
 
 def gate_speed_bound(kind: GateKind, input_bounds: Sequence,

@@ -311,8 +311,9 @@ class Pipeline:
     `text` as a bare network whose `species` is measured against the
     expression `target`, parsed once here.  Another kind, a missing target
     or an unknown species raises ValueError before any point runs.  The
-    network is lowered, flattened and its right-hand side built once;
-    `run_points` takes a batch of input points through it.  The layer
+    network is lowered, flattened and its right-hand side built once, with
+    the step cap of the circuit (a bare network's is estimated as it
+    runs); `run_points` takes a batch of input points through it.  The layer
     functions are called through their modules, so they can be wrapped by
     name.
     """
@@ -322,6 +323,7 @@ class Pipeline:
         if kind not in ("expr", "crn"):
             raise ValueError(f"unknown pipeline kind {kind!r}; expected 'expr' or 'crn'")
         self.kind, self.cfg = kind, cfg
+        self.max_step: float | None = None
         self.error: ValueError | None = None  # a lowering error every point reports
         if kind == "expr":
             expr = circ.parse_expression(text)
@@ -334,6 +336,7 @@ class Pipeline:
             self.rails = list(self.prog.bindings.output)
             self.species = self.prog.network.species_ids
             self.rhs = sim.program_rhs(self.prog, cfg.sigma)
+            self.max_step = sim.circuit_max_step(self.circuit, cfg.sigma)
         else:
             self.net = parse_network(text)
             self.rails = [species]
@@ -384,7 +387,7 @@ class Pipeline:
                 runs.append(e)
         if lanes:
             y0 = np.column_stack([y0 for *_, y0 in lanes])
-            trajs = sim.integrate(self.rhs, y0, self.species, self.cfg)
+            trajs = sim.integrate(self.rhs, y0, self.species, self.cfg, self.max_step)
             for (i, analysis, targets, _), traj in zip(lanes, trajs):
                 runs[i] = PointRun(self.rails, targets, traj,
                                    self._rail_rates(traj, targets), analysis)

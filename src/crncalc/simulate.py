@@ -2,16 +2,17 @@
 
 The polynomial right-hand side is generated as straight-line Python from
 the exact field and integrated with DOP853, the Dormand-Prince 8(5,3)
-pair: adaptive steps and a 7th-order dense interpolant.  Each step attempt
-keeps the state and the stage derivatives as the rows of one array, so
-every stage input is one matrix-vector product.  Many initial states
-("lanes") of one system advance in lockstep as the columns of a single
-array, which is how sweeps integrate a whole grid at once (see
-`integrate`).  Runs terminate early when any concentration crosses the
-blowup threshold; that is reported as a termination status, not an
-exception, because divergence of an inner species is expected behavior
-for some networks.  A run that cannot meet the tolerance, or uses up its
-budget of step attempts, ends in stiff_failure.
+pair: adaptive steps, capped by the Jacobian's spectrum, and a 7th-order
+dense interpolant.  Each step attempt keeps the state and the stage
+derivatives as the rows of one array, so every stage input is one
+matrix-vector product.  Many initial states ("lanes") of one system
+advance in lockstep as the columns of a single array, which is how sweeps
+integrate a whole grid at once (see `integrate`).  Runs terminate early
+when any concentration crosses the blowup threshold; that is reported as
+a termination status, not an exception, because divergence of an inner
+species is expected behavior for some networks.  A run that cannot meet
+the tolerance, or uses up its budget of step attempts, ends in
+stiff_failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .circuit import CompiledProgram, encode_dual_rail
 from .crn import PolynomialField, ReactionNetwork, derive_ode, parse_network
-from .gates import factored_rates
+from .gates import factored_rates, gate_limit_rate
 
 
 @dataclass
@@ -192,10 +193,11 @@ def compile_circuit_rhs(circuit, order: Sequence[str], sigma: float = 1.0) -> Ca
 # The 12-stage, 8th-order Dormand-Prince pair with its combined 5th/3rd-order
 # error estimate, 3 extra stages and 7th-order dense output (Hairer, Norsett
 # & Wanner, Solving ODEs I, II.10, code DOP853), with that code's starting
-# step and step-size controller.  Stage s (1..15) evaluates the right-hand
-# side at t + _C[s] h and y + h sum_k _A[s, k] K_k; stage 12 is the FSAL
-# stage at the 8th-order solution, and stages 13..15 only feed the dense
-# output of an accepted step.
+# step and step-size controller at the requested tolerances, and a step
+# cap from the Jacobian's spectrum (_STEP_CAP).  Stage s (1..15) evaluates
+# the right-hand side at t + _C[s] h and y + h sum_k _A[s, k] K_k; stage 12
+# is the FSAL stage at the 8th-order solution, and stages 13..15 only feed
+# the dense output of an accepted step.
 
 _C = (
     0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
@@ -316,17 +318,28 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / 8  # -1 / (order of the embedded error estimate + 1)
 _TOO_SMALL = "Required step size is less than spacing between numbers."
 
-# The controller works at a fixed fraction of the requested tolerances,
-# because DOP853's interpolant is less accurate than its steps.  In the
-# converged tail the step size settles at the edge of the stability region
-# of the fastest decaying mode, and there the interpolant amplifies that
-# mode's error up to 30 times more than the step end does.  At the CLI's
-# tolerances (1e-10 / 1e-12) the worst gap of acceptance criterion 5 is
-# then 1.0e-9 (X2 of sqrt(abs(a - b)) at t = 36), at the 1e-9 error floor
-# the rate fits read down to.  It is 1.2e-10 at a tenth of them and
-# 1.8e-11 at a twentieth; over eleven inputs of that criterion's
-# programs the worst gap is 4.8e-10 at a tenth and 2.9e-10 at a twentieth.
-_TOL_FRACTION = 0.05
+# No step is longer than _STEP_CAP / rho, rho the spectral radius of the
+# Jacobian.  DOP853's interpolant is less accurate than its steps: in the
+# converged tail the controller alone lets h grow to the edge of the
+# stability region of the fastest decaying mode, and there the interpolant
+# amplifies that mode's error 30 times or more beyond the step end's.  At
+# the CLI's tolerances (1e-10 / 1e-12) the worst gap of acceptance
+# criterion 5 is then 1.0e-9 (X2 of sqrt(abs(a - b)) at t = 36), at the
+# 1e-9 error floor the rate fits read down to.  With the cap, the fastest
+# mode has h lambda >= -_STEP_CAP.  On y' = lambda y one step's
+# interpolant stays within |y_old| for h lambda in [-5, 0]; at -6 it
+# reaches 10.5 |y_old| and at -7 89 |y_old| (the step end is stable to
+# about -6.4).  Criterion 5's worst gap is 2.4e-11 for any cap from 3 to
+# 6, 8.6e-10 at 7 and 2.5e-9 at 8; the five criterion-3 sweeps take 413
+# step attempts at 3, 400 at 5 and 398 at 6.
+_STEP_CAP = 5.0
+# Without a known rho (a bare network, program text, a forced system) it is
+# re-estimated from a finite-difference Jacobian every _RHO_INTERVAL
+# accepted steps.  Every 4, 8 or 16 steps passes every test; every 32
+# fails test_dense_output_meets_the_tolerance, and so does an estimate at
+# the start only.
+_RHO_INTERVAL = 16
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 # The attempt loop keeps the state and the stages stacked as the rows of
@@ -346,14 +359,15 @@ _TINY = np.finfo(float).tiny
 
 # Step attempts, accepted or rejected, one integrate call may take; lanes
 # still in the batch after the step that reaches it end in stiff_failure.
-# The largest tier-1 call takes 777 attempts, the largest benchmark batch 242.
+# The largest tier-1 call takes 524 attempts, the largest benchmark batch 171.
 _MAX_ATTEMPTS = 20_000
 
 
-def _stats(steps: int, rejected: int) -> IntegrationStats:
+def _stats(steps: int, rejected: int, jacobians: int) -> IntegrationStats:
     """Every attempt evaluates 12 stages, every accepted step 3 more for
-    its dense output, and the starting step 2."""
-    return IntegrationStats(steps, rejected, 2 + 12 * (steps + rejected) + 3 * steps)
+    its dense output, the starting step 2 and every Jacobian estimate 1."""
+    return IntegrationStats(steps, rejected,
+                            2 + 12 * (steps + rejected) + 3 * steps + jacobians)
 
 
 def _lane_ops(n: int, lanes: int, floats: bool):
@@ -464,7 +478,7 @@ class _Segment:
             q = np.stack(self.q) if self.q else np.empty((0, self.y[0].size, d))
             self._arrays = (np.array(self.t), np.array(self.h),
                             np.stack(self.y).reshape(len(self.y), n, -1),
-                            q.reshape(len(self.q), n, -1, d))
+                            q.reshape(len(self.q), n, self.lanes.size, d))
         return self._arrays
 
 
@@ -476,38 +490,79 @@ def _check_state(y: np.ndarray) -> np.ndarray:
     return y
 
 
+def circuit_max_step(circuit, sigma: float = 1.0) -> float:
+    """The step cap of the circuit's right-hand side: _STEP_CAP over the
+    spectral radius of its Jacobian at the limit, which is sigma times the
+    largest gate_limit_rate over its gates.  Every lane of a batch shares
+    it, whatever its inputs."""
+    rho = sigma * max((gate_limit_rate(g.kind) for g in circuit.gates), default=0)
+    return _STEP_CAP / rho if rho > 0 else math.inf
+
+
+def _estimated_max_step(rhs, t: float, y: np.ndarray, n: int) -> float:
+    """_STEP_CAP over the largest spectral radius among the lanes of a
+    central-difference Jacobian at (t, y).  One rhs call evaluates the 2n
+    perturbed copies of every lane as extra lanes.  Central differences
+    are exact on the quadratic terms of a gate law, which forward ones are
+    not when a state is far below its perturbation: near a tie's blowup,
+    X' = X - Y X^2 with X = 4e-12 and Y = 5e11 has slope -3, and a forward
+    difference of step 1.5e-8 reads -8e3."""
+    y = y.reshape(n, -1)
+    lanes = y.shape[1]
+    d = _SQRT_EPS * np.maximum(np.abs(y), 1.0)
+    wide = np.broadcast_to(y[:, None, :, None], (n, 2, lanes, n)).copy()
+    diag = np.arange(n)  # [i, side, l, j]: copy j of lane l, y_j -/+ d_j
+    wide[diag, 0, :, diag] -= d
+    wide[diag, 1, :, diag] += d
+    out = np.asarray(rhs(t, wide.reshape(n, 2 * lanes * n)), dtype=float)
+    out = out.reshape(n, 2, lanes, n)
+    J = ((out[:, 1] - out[:, 0]) / (2 * d.T)).transpose(1, 0, 2)
+    J = J[np.isfinite(J).all(axis=(1, 2))]
+    rho = float(np.abs(np.linalg.eigvals(J)).max(initial=0.0))
+    return _STEP_CAP / rho if rho > 0 else math.inf
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
-              cfg: SimConfig) -> list[Trajectory]:
+              cfg: SimConfig, max_step: float | None = None) -> list[Trajectory]:
     """Integrate the columns of y0 (species x lanes) in lockstep and return
     one Trajectory per lane.
 
     rhs(t, y) takes y as (species, lanes), or as a list of floats when y0
     has one column, and returns one row per species.  All lanes take the
     same steps.  A step is accepted when the worst lane's error norm is
-    within tolerance, so every lane meets its own tolerance; the
-    controller works at _TOL_FRACTION of cfg's tolerances, so that the
-    dense output meets them too.  Each stage input, the new state and the
-    error estimates are products of the stacked state and stages with
-    h-weighted tableau rows (Σ (h a_k) k_k, not h Σ a_k k_k), so a one-lane
-    run has DOP853's tableau, starting step and controller but may differ
-    from that code in the last bits.
+    within cfg's tolerances, so every lane meets its own tolerance.  No
+    step is longer than max_step, which keeps the dense output within the
+    tolerances too (see _STEP_CAP); with max_step None it is re-estimated
+    from a finite-difference Jacobian every _RHO_INTERVAL accepted steps.
+    Each stage input, the new state and the error estimates are products
+    of the stacked state and stages with h-weighted tableau rows
+    (Σ (h a_k) k_k, not h Σ a_k k_k), so a one-lane run has DOP853's
+    tableau, starting step and controller but may differ from that code
+    in the last bits.
 
     A lane leaves the batch when it crosses the blowup threshold, located
     by bisection on the step's interpolant, or when it cannot meet the
-    tolerance even at the smallest step (stiff_failure).  Lanes still in
-    the batch once _MAX_ATTEMPTS step attempts are used also end in
-    stiff_failure, so every call returns.
+    tolerance even at the smallest step (stiff_failure; a lane that leaves
+    before its first accepted step keeps only its initial state).  Lanes
+    still in the batch once _MAX_ATTEMPTS step attempts are used also end
+    in stiff_failure, so every call returns.  Overflow inside the
+    right-hand side gives inf or nan, which these rules judge; it raises
+    no numpy warning.
     """
     y0 = _check_state(np.asarray(y0, dtype=float))
     n, n_lanes = y0.shape
     t_end, threshold = cfg.t_end, cfg.blowup_threshold
-    rtol, atol = cfg.rel_tol * _TOL_FRACTION, cfg.abs_tol * _TOL_FRACTION
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
     lanes = np.arange(n_lanes)
     Z, rows, ZT, state, worst, norms = _lane_ops(n, n_lanes, n_lanes == 1)
     t, y = 0.0, y0.flatten()
     Z[0] = y
     rows[1] = rhs(t, state(y))
     h_abs = _initial_step(rhs, state, n, y, Z[1], t_end, rtol, atol)
+    estimate = max_step is None
+    if estimate:
+        max_step = _estimated_max_step(rhs, t, y, n)
     y_abs = np.abs(y)
     scale, new_abs = np.empty((2, y.size))
     # W[s] weights ZT[s] into the input of stage s = 1..15, E weights
@@ -520,18 +575,18 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     #          its steps, stats)
     ends: dict[int, tuple] = {}
     steps = rejected = 0
+    jacobians = int(estimate)
     while True:
         seg, where = segments[-1], len(segments) - 1
         if steps + rejected >= _MAX_ATTEMPTS:
-            stats = _stats(steps, rejected)
+            stats = _stats(steps, rejected, jacobians)
             detail = f"Step attempt budget of {_MAX_ATTEMPTS} used up."
             for lane in lanes:
                 ends[int(lane)] = ("stiff_failure", t, None, detail, where, len(seg.h),
                                    stats)
             break
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if h_abs < min_step:
-            h_abs = min_step
+        h_abs = max(min(h_abs, max_step), min_step)
         h_first, accepted, retry = h_abs, False, False
         while h_abs >= min_step:
             t_new = min(t + h_abs, t_end)
@@ -579,7 +634,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 crossed = ((threshold - y_cols.max(axis=0) >= 0)
                            & (threshold - y_new.reshape(n, -1).max(axis=0) <= 0))
                 leaving = crossed | done
-                stats = _stats(steps, rejected)
+                stats = _stats(steps, rejected, jacobians)
                 for j in np.flatnonzero(leaving):
                     if crossed[j]:
                         t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q_cols[:, j],
@@ -592,11 +647,14 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             Z[0] = y_new
             y_abs, new_abs = new_abs, y_abs
             t, y = t_new, y_new
+            if estimate and steps % _RHO_INTERVAL == 0:
+                max_step = _estimated_max_step(rhs, t, y, n)
+                jacobians += 1
         else:
             # the step shrank below what t can resolve: lanes still missing
             # the tolerance there leave, the others retry from h_first
             leaving = ~(norms(err) < 1)
-            stats = _stats(steps, rejected)
+            stats = _stats(steps, rejected, jacobians)
             for j in np.flatnonzero(leaving):
                 ends[int(lanes[j])] = ("stiff_failure", t, None, _TOO_SMALL, where,
                                        len(seg.h), stats)
@@ -714,8 +772,9 @@ def simulate_program(prog: CompiledProgram, inputs: Mapping[str, object],
                      cfg: SimConfig | None = None) -> Trajectory:
     cfg = cfg or SimConfig()
     y0 = program_state(prog, inputs)
+    cap = None if prog.circuit is None else circuit_max_step(prog.circuit, cfg.sigma)
     return integrate(program_rhs(prog, cfg.sigma), y0[:, None],
-                     prog.network.species_ids, cfg)[0]
+                     prog.network.species_ids, cfg, cap)[0]
 
 
 # ---------------------------------------------------------------------------

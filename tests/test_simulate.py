@@ -10,10 +10,12 @@ import hypothesis.strategies as st
 import crncalc.simulate
 from crncalc.crn import derive_ode, parse_network
 from crncalc.circuit import compile_expression, eval_expr, flatten, lower_to_circuit
+from crncalc.gates import GATES, gate_limit_rate
 from crncalc.simulate import (
     ForcedSystem,
     ForcingFunction,
     SimConfig,
+    circuit_max_step,
     closed_form_reference,
     compile_circuit_rhs,
     compile_rhs,
@@ -511,6 +513,122 @@ def test_stats_count_the_work():
     s = traj.stats
     assert s.steps == traj.times.size - 1
     assert s.rhs_evals == 2 + 12 * (s.steps + s.rejected) + 3 * s.steps
+
+
+def test_stats_count_the_jacobian_estimates():
+    # without a step cap the bare network re-estimates it at the start and
+    # every _RHO_INTERVAL accepted steps, one widened evaluation each
+    calls = []
+    rhs = crncalc.simulate.network_rhs(double_identification_network())
+
+    def counted(t, y):
+        calls.append(t)
+        return rhs(t, y)
+
+    y0 = np.array([[2.0], [0.0], [0.0]])
+    traj = integrate(counted, y0, ("A", "Y", "X"), SimConfig(t_end=40))[0]
+    s = traj.stats
+    interval = crncalc.simulate._RHO_INTERVAL
+    assert s.steps > 2 * interval
+    assert s.rhs_evals == len(calls)
+    assert s.rhs_evals == (2 + 12 * (s.steps + s.rejected) + 3 * s.steps
+                           + 1 + s.steps // interval)
+    calls.clear()
+    capped = integrate(counted, y0, ("A", "Y", "X"), SimConfig(t_end=40), max_step=2.0)[0]
+    s = capped.stats
+    assert s.rhs_evals == len(calls) == 2 + 12 * (s.steps + s.rejected) + 3 * s.steps
+
+
+def test_steps_stay_within_the_cap():
+    # a circuit's cap comes from its gates; a bare network's from the
+    # estimated Jacobian, here the constant rate 4 of X -> 0
+    prog = compile_expression("sqrt(abs(a - b))")
+    traj = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=2.0))
+    cap = circuit_max_step(prog.circuit, 2.0)
+    assert cap == crncalc.simulate._STEP_CAP / 4
+    assert np.diff(traj.times).max() == pytest.approx(cap, rel=1e-12)
+    net = parse_network("species: X[output]\nX -> 0 ; k=4\n")
+    traj = integrate_network(net, {"X": 1.0}, SimConfig(t_end=40))
+    assert np.diff(traj.times).max() <= crncalc.simulate._STEP_CAP / 4 * (1 + 1e-6)
+    grid = np.linspace(0.0, 40.0, 1600)
+    assert np.abs(traj.dense(grid, 0) - np.exp(-4 * grid)).max() <= 1e-10
+
+
+def _jacobian(rhs, y):
+    """Central-difference Jacobian of the one-lane rhs at y."""
+    n = y.size
+    d = 1e-6 * np.maximum(np.abs(y), 1.0)
+    cols = []
+    for j in range(n):
+        up, down = y.copy(), y.copy()
+        up[j] += d[j]
+        down[j] -= d[j]
+        cols.append((np.array(rhs(0.0, up.tolist())) - np.array(rhs(0.0, down.tolist())))
+                    / (2 * d[j]))
+    return np.column_stack(cols)
+
+
+# one circuit per gate kind, with a non-degenerate limit
+LIMIT_CASES = [("a", "nonneg", {"a": 2.0}), ("1/a", "nonneg", {"a": 2.0}),
+               ("sqrt(a)", "nonneg", {"a": 2.0}), ("root(3, a)", "nonneg", {"a": 2.0}),
+               ("root(5, a)", "nonneg", {"a": 2.0}), ("a + b", "nonneg", {"a": 2.0, "b": 0.5}),
+               ("a * b", "nonneg", {"a": 2.0, "b": 0.5}),
+               ("abs(a - b)", "nonneg", {"a": 2.0, "b": 0.5}),
+               ("rsub(a, b)", "nonneg", {"a": 2.0, "b": 0.5}),
+               ("rsub(a, b)", "nonneg", {"a": 0.5, "b": 2.0}),
+               ("1/a", "real", {"a": -2.0})]
+
+
+@pytest.mark.parametrize("src, mode, inputs", LIMIT_CASES)
+def test_gate_limit_rate_is_the_jacobian_spectrum(src, mode, inputs):
+    # lowering is feed-forward, so the Jacobian of the generated RHS is
+    # lower-triangular in species order, and at the limit its spectral
+    # radius is the gate's constant: 1, 2 for the subtraction gates, m for
+    # an m-th root
+    prog = compile_expression(src, mode)
+    kinds = {g.kind for g in prog.circuit.gates}
+    assert len(kinds) == 1
+    traj = simulate_program(prog, inputs, SimConfig(t_end=40))
+    assert traj.termination.status == "completed"
+    J = _jacobian(program_rhs(prog), traj.states[-1])
+    assert not np.triu(J, 1).any()
+    rho = np.abs(np.linalg.eigvals(J)).max()
+    assert rho == pytest.approx(gate_limit_rate(kinds.pop()), abs=1e-2)
+    cap = crncalc.simulate._STEP_CAP
+    assert cap / circuit_max_step(prog.circuit) == pytest.approx(rho, abs=1e-2)
+
+
+def test_limit_cases_cover_every_gate():
+    tags = {g.kind.tag for src, mode, _ in LIMIT_CASES
+            for g in lower_to_circuit(src, mode).gates}
+    assert tags == set(GATES)
+    roots = {g.kind.m for src, mode, _ in LIMIT_CASES
+             for g in lower_to_circuit(src, mode).gates if g.kind.tag == "mth_root"}
+    assert roots == {2, 3, 5}
+
+
+def test_composite_limit_rate_is_sigma_times_its_largest_gate():
+    prog = compile_expression("sqrt(abs(a - b)) + root(3, a*b)")
+    rates = sorted(gate_limit_rate(g.kind) for g in prog.circuit.gates)
+    assert rates[-2:] == [2, 3]
+    cap = crncalc.simulate._STEP_CAP
+    assert circuit_max_step(prog.circuit) == cap / 3
+    assert circuit_max_step(prog.circuit, 2.0) == cap / 6
+    traj = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=2.0))
+    J = _jacobian(program_rhs(prog, 2.0), traj.states[-1])
+    assert np.abs(np.linalg.eigvals(J)).max() == pytest.approx(6.0, abs=1e-2)
+
+
+def test_lane_that_fails_at_the_start_keeps_its_initial_state():
+    # the product overflows in the first evaluation of one lane; it leaves
+    # with a one-row trajectory and the other lane carries on
+    points = [{"a": 1e200, "b": 1e200}, {"a": 1.5, "b": 2.0}]
+    prog, (bad, good) = batch("a*b", points, SimConfig(t_end=10, **TIGHT))
+    assert bad.termination.status == "stiff_failure" and bad.termination.time == 0.0
+    assert bad.times.tolist() == [0.0] and bad.dense is None
+    assert bad.states[0].tolist() == program_state(prog, points[0]).tolist()
+    assert good.termination.status == "completed"
+    assert good.final("X1") == pytest.approx(3.0 * (1 - math.exp(-10)), abs=1e-8)
 
 
 def test_real_subtraction_ties_blow_up_alike():
