@@ -323,7 +323,6 @@ class Pipeline:
         if kind not in ("expr", "crn"):
             raise ValueError(f"unknown pipeline kind {kind!r}; expected 'expr' or 'crn'")
         self.kind, self.cfg = kind, cfg
-        self.max_step: float | None = None
         self.error: ValueError | None = None  # a lowering error every point reports
         if kind == "expr":
             expr = circ.parse_expression(text)
@@ -336,7 +335,7 @@ class Pipeline:
             self.rails = list(self.prog.bindings.output)
             self.species = self.prog.network.species_ids
             self.rhs = sim.program_rhs(self.prog, cfg.sigma)
-            self.max_step = sim.circuit_max_step(self.circuit, cfg.sigma)
+            self.max_step = sim.program_max_step(self.prog, cfg.sigma)
         else:
             self.net = parse_network(text)
             self.rails = [species]
@@ -347,6 +346,7 @@ class Pipeline:
                 raise ValueError("a network pipeline needs a target expression")
             self.target = circ.parse_expression(target)
             self.rhs = sim.network_rhs(self.net, cfg.sigma)
+            self.max_step = sim.network_max_step(self.net, cfg.sigma)
 
     def _point(self, values: dict):
         """Speed analysis (None for a bare network), targets and initial

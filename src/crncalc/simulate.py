@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -333,11 +334,16 @@ _TOO_SMALL = "Required step size is less than spacing between numbers."
 # 6, 8.6e-10 at 7 and 2.5e-9 at 8; the five criterion-3 sweeps take 413
 # step attempts at 3, 400 at 5 and 398 at 6.
 _STEP_CAP = 5.0
-# Without a known rho (a bare network, program text, a forced system) it is
-# re-estimated from a finite-difference Jacobian every _RHO_INTERVAL
-# accepted steps.  Every 4, 8 or 16 steps passes every test; every 32
-# fails test_dense_output_meets_the_tolerance, and so does an estimate at
-# the start only.
+# Without a circuit the cap follows the state: integrate evaluates it at
+# the start and every _RHO_INTERVAL accepted steps.  Every 4, 8 or 16 steps
+# passes every test; every 32 fails test_dense_output_meets_the_tolerance,
+# and so does an evaluation at the start only.  A feed-forward network's
+# cap (network_max_step, every loaded program text) costs about one rhs
+# evaluation, under 0.5% of the 16 steps' evaluations.  The
+# finite-difference estimate (_estimated_max_step) takes 125 ms on a
+# 1508-species program against 3.3 ms per step, more than the 16 steps it
+# covers, so only networks that are not feed-forward and forced systems,
+# all of a few species, use it.
 _RHO_INTERVAL = 16
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
@@ -363,11 +369,12 @@ _TINY = np.finfo(float).tiny
 _MAX_ATTEMPTS = 20_000
 
 
-def _stats(steps: int, rejected: int, jacobians: int) -> IntegrationStats:
+def _stats(steps: int, rejected: int, extra: int) -> IntegrationStats:
     """Every attempt evaluates 12 stages, every accepted step 3 more for
-    its dense output, the starting step 2 and every Jacobian estimate 1."""
+    its dense output and the starting step 2; extra counts the rest (the
+    Jacobian estimates' calls, a restarted starting step)."""
     return IntegrationStats(steps, rejected,
-                            2 + 12 * (steps + rejected) + 3 * steps + jacobians)
+                            2 + 12 * (steps + rejected) + 3 * steps + extra)
 
 
 def _lane_ops(n: int, lanes: int, floats: bool):
@@ -499,15 +506,18 @@ def circuit_max_step(circuit, sigma: float = 1.0) -> float:
     return _STEP_CAP / rho if rho > 0 else math.inf
 
 
-def _estimated_max_step(rhs, t: float, y: np.ndarray, n: int) -> float:
+def _estimated_max_step(rhs, n: int, t: float, y) -> float:
     """_STEP_CAP over the largest spectral radius among the lanes of a
-    central-difference Jacobian at (t, y).  One rhs call evaluates the 2n
-    perturbed copies of every lane as extra lanes.  Central differences
-    are exact on the quadratic terms of a gate law, which forward ones are
-    not when a state is far below its perturbation: near a tie's blowup,
-    X' = X - Y X^2 with X = 4e-12 and Y = 5e11 has slope -3, and a forward
-    difference of step 1.5e-8 reads -8e3."""
-    y = y.reshape(n, -1)
+    central-difference Jacobian at (t, y), y as rhs takes it.  One rhs call
+    evaluates the 2n perturbed copies of every lane as extra lanes, so it
+    takes 2n^2 lanes' state and eigvals n^3 work per lane; feed-forward
+    networks avoid both (network_max_step).  Lanes with a non-finite
+    Jacobian are left out.  Central differences are exact on the quadratic
+    terms of a gate law, which forward ones are not when a state is far
+    below its perturbation: near a tie's blowup, X' = X - Y X^2 with
+    X = 4e-12 and Y = 5e11 has slope -3, and a forward difference of step
+    1.5e-8 reads -8e3."""
+    y = np.asarray(y, dtype=float).reshape(n, -1)
     lanes = y.shape[1]
     d = _SQRT_EPS * np.maximum(np.abs(y), 1.0)
     wide = np.broadcast_to(y[:, None, :, None], (n, 2, lanes, n)).copy()
@@ -524,7 +534,8 @@ def _estimated_max_step(rhs, t: float, y: np.ndarray, n: int) -> float:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
-              cfg: SimConfig, max_step: float | None = None) -> list[Trajectory]:
+              cfg: SimConfig,
+              max_step: float | Callable | None = None) -> list[Trajectory]:
     """Integrate the columns of y0 (species x lanes) in lockstep and return
     one Trajectory per lane.
 
@@ -533,8 +544,12 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     same steps.  A step is accepted when the worst lane's error norm is
     within cfg's tolerances, so every lane meets its own tolerance.  No
     step is longer than max_step, which keeps the dense output within the
-    tolerances too (see _STEP_CAP); with max_step None it is re-estimated
-    from a finite-difference Jacobian every _RHO_INTERVAL accepted steps.
+    tolerances too (see _STEP_CAP).  max_step is a number, or a function
+    (t, y) -> number of the state, y as rhs takes it, evaluated at the
+    start and every _RHO_INTERVAL accepted steps.  None estimates it so
+    from a finite-difference Jacobian of rhs; rhs must then also take
+    (species, k) arrays of any width k, even for one lane, because the
+    estimate evaluates perturbed copies of the state as extra lanes.
     Each stage input, the new state and the error estimates are products
     of the stacked state and stages with h-weighted tableau rows
     (Σ (h a_k) k_k, not h Σ a_k k_k), so a one-lane run has DOP853's
@@ -560,9 +575,15 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     Z[0] = y
     rows[1] = rhs(t, state(y))
     h_abs = _initial_step(rhs, state, n, y, Z[1], t_end, rtol, atol)
+    # cap_at is max_step as a function of the state, if it is one; the
+    # finite-difference estimate's rhs calls count in the stats
     estimate = max_step is None
     if estimate:
-        max_step = _estimated_max_step(rhs, t, y, n)
+        max_step = partial(_estimated_max_step, rhs, n)
+    cap_at = max_step if callable(max_step) else None
+    extra = int(estimate)
+    if cap_at is not None:
+        max_step = cap_at(t, state(y))
     y_abs = np.abs(y)
     scale, new_abs = np.empty((2, y.size))
     # W[s] weights ZT[s] into the input of stage s = 1..15, E weights
@@ -575,11 +596,10 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     #          its steps, stats)
     ends: dict[int, tuple] = {}
     steps = rejected = 0
-    jacobians = int(estimate)
     while True:
         seg, where = segments[-1], len(segments) - 1
         if steps + rejected >= _MAX_ATTEMPTS:
-            stats = _stats(steps, rejected, jacobians)
+            stats = _stats(steps, rejected, extra)
             detail = f"Step attempt budget of {_MAX_ATTEMPTS} used up."
             for lane in lanes:
                 ends[int(lane)] = ("stiff_failure", t, None, detail, where, len(seg.h),
@@ -634,7 +654,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 crossed = ((threshold - y_cols.max(axis=0) >= 0)
                            & (threshold - y_new.reshape(n, -1).max(axis=0) <= 0))
                 leaving = crossed | done
-                stats = _stats(steps, rejected, jacobians)
+                stats = _stats(steps, rejected, extra)
                 for j in np.flatnonzero(leaving):
                     if crossed[j]:
                         t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q_cols[:, j],
@@ -647,14 +667,14 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             Z[0] = y_new
             y_abs, new_abs = new_abs, y_abs
             t, y = t_new, y_new
-            if estimate and steps % _RHO_INTERVAL == 0:
-                max_step = _estimated_max_step(rhs, t, y, n)
-                jacobians += 1
+            if cap_at is not None and steps % _RHO_INTERVAL == 0:
+                max_step = cap_at(t, state(y))
+                extra += estimate
         else:
             # the step shrank below what t can resolve: lanes still missing
             # the tolerance there leave, the others retry from h_first
             leaving = ~(norms(err) < 1)
-            stats = _stats(steps, rejected, jacobians)
+            stats = _stats(steps, rejected, extra)
             for j in np.flatnonzero(leaving):
                 ends[int(lanes[j])] = ("stiff_failure", t, None, _TOO_SMALL, where,
                                        len(seg.h), stats)
@@ -671,6 +691,15 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             y_abs = np.abs(y)
             scale, new_abs = np.empty((2, y.size))
             segments.append(_Segment(lanes, t, y))
+            if not steps:
+                # nothing accepted yet: h_first was the least starting step
+                # of the batch, the leaving lanes' included; the others
+                # start over with their own
+                h_abs = _initial_step(rhs, state, n, y, Z[1], t_end, rtol, atol)
+                extra += 1
+                if cap_at is not None:
+                    max_step = cap_at(t, state(y))
+                    extra += estimate
     return [_lane_trajectory(segments, lane, ends[lane], species, cfg.abs_tol)
             for lane in range(n_lanes)]
 
@@ -719,13 +748,55 @@ def network_rhs(net: ReactionNetwork, sigma: float = 1.0) -> Callable:
     return compile_rhs(derive_ode(net), sigma)
 
 
+def network_max_step(net: ReactionNetwork, sigma: float = 1.0) -> Callable | None:
+    """The step cap of a feed-forward network as a function (t, y) -> cap
+    for integrate, or None for any other network, whose cap integrate
+    estimates from a finite-difference Jacobian.
+
+    Feed-forward: no reaction changes a species at a rate that reads a
+    later species.  A compiled program's network is, in species order.
+    The Jacobian is then lower-triangular and its eigenvalues are its
+    diagonal d f_i / d x_i, generated here reaction by reaction (costing
+    about one right-hand side evaluation); the cap is _STEP_CAP over the
+    largest finite |d f_i / d x_i| over the lanes.
+    """
+    index = {sid: i for i, sid in enumerate(net.species_ids)}
+    terms: list[list[str]] = [[] for _ in index]
+    varying = [False] * len(index)
+    for r in net.reactions:
+        reads = {index[sid]: k for sid, k in r.reactant.coeffs}
+        for sid in set(r.reactant.species()) | set(r.product.species()):
+            i, delta = index[sid], r.product.count(sid) - r.reactant.count(sid)
+            if delta == 0:
+                continue
+            if max(reads, default=i) > i:
+                return None
+            if i in reads:  # the term's x_i derivative
+                facs = [repr(float(r.rate * delta * reads[i]) * sigma)]
+                facs += [f"x{j}" for j, k in reads.items() for _ in range(k - (j == i))]
+                terms[i].append("*".join(facs))
+                varying[i] = varying[i] or len(facs) > 1
+    # a constant row is z + c, z = 0.0 * the first such species (nan only
+    # where that lane is not finite, and such values are skipped)
+    diagonal = _rhs_function([" + ".join(t) if t else "0.0" for t in terms],
+                             [not v for v in varying])
+
+    def max_step(t, y) -> float:
+        rates = np.abs(np.asarray(diagonal(t, y), dtype=float))
+        rho = float(rates[np.isfinite(rates)].max(initial=0.0))
+        return _STEP_CAP / rho if rho > 0 else math.inf
+
+    return max_step
+
+
 def integrate_network(net: ReactionNetwork, init: Mapping[str, float],
                       cfg: SimConfig | None = None) -> Trajectory:
     """Integrate a network from explicit per-species initial values
     (unlisted species start at 0)."""
     cfg = cfg or SimConfig()
     y0 = network_state(net, init)
-    return integrate(network_rhs(net, cfg.sigma), y0[:, None], net.species_ids, cfg)[0]
+    return integrate(network_rhs(net, cfg.sigma), y0[:, None], net.species_ids, cfg,
+                     network_max_step(net, cfg.sigma))[0]
 
 
 def initial_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> dict[str, float]:
@@ -768,13 +839,21 @@ def program_rhs(prog: CompiledProgram, sigma: float = 1.0) -> Callable:
     return network_rhs(prog.network, sigma)
 
 
+def program_max_step(prog: CompiledProgram,
+                     sigma: float = 1.0) -> float | Callable | None:
+    """The circuit's step cap when the circuit is known, else the
+    network's (a loaded program text)."""
+    if prog.circuit is not None:
+        return circuit_max_step(prog.circuit, sigma)
+    return network_max_step(prog.network, sigma)
+
+
 def simulate_program(prog: CompiledProgram, inputs: Mapping[str, object],
                      cfg: SimConfig | None = None) -> Trajectory:
     cfg = cfg or SimConfig()
     y0 = program_state(prog, inputs)
-    cap = None if prog.circuit is None else circuit_max_step(prog.circuit, cfg.sigma)
     return integrate(program_rhs(prog, cfg.sigma), y0[:, None],
-                     prog.network.species_ids, cfg, cap)[0]
+                     prog.network.species_ids, cfg, program_max_step(prog, cfg.sigma))[0]
 
 
 # ---------------------------------------------------------------------------

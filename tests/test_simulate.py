@@ -9,7 +9,8 @@ import hypothesis.strategies as st
 
 import crncalc.simulate
 from crncalc.crn import derive_ode, parse_network
-from crncalc.circuit import compile_expression, eval_expr, flatten, lower_to_circuit
+from crncalc.circuit import (compile_expression, eval_expr, flatten, format_program,
+                             load_program, lower_to_circuit)
 from crncalc.gates import GATES, gate_limit_rate
 from crncalc.simulate import (
     ForcedSystem,
@@ -25,7 +26,9 @@ from crncalc.simulate import (
     integrate,
     integrate_network,
     naive_inversion_network,
+    network_max_step,
     parse_forcing,
+    program_max_step,
     program_rhs,
     program_state,
     read_trajectory_csv,
@@ -540,8 +543,8 @@ def test_stats_count_the_jacobian_estimates():
 
 
 def test_steps_stay_within_the_cap():
-    # a circuit's cap comes from its gates; a bare network's from the
-    # estimated Jacobian, here the constant rate 4 of X -> 0
+    # a circuit's cap comes from its gates; a feed-forward network's from
+    # its Jacobian's diagonal, here the constant rate 4 of X -> 0
     prog = compile_expression("sqrt(abs(a - b))")
     traj = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=2.0))
     cap = circuit_max_step(prog.circuit, 2.0)
@@ -619,6 +622,38 @@ def test_composite_limit_rate_is_sigma_times_its_largest_gate():
     assert np.abs(np.linalg.eigvals(J)).max() == pytest.approx(6.0, abs=1e-2)
 
 
+def test_network_cap_is_the_spectrum_of_the_jacobian_diagonal():
+    # a loaded program text has no circuit; its network is feed-forward in
+    # species order, so the cap comes from the Jacobian's diagonal
+    prog = compile_expression("sqrt(abs(a - b)) + root(3, a*b)")
+    loaded = load_program(format_program(prog))
+    assert loaded.circuit is None
+    cap_at = program_max_step(loaded, 2.0)
+    rhs = program_rhs(loaded, 2.0)
+    cap = crncalc.simulate._STEP_CAP
+    for t_end in (0.5, 3.0, 20.0):
+        y = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=t_end)).states[-1]
+        J = _jacobian(rhs, y)
+        assert not np.triu(J, 1).any()
+        rho = np.abs(np.linalg.eigvals(J)).max()
+        assert cap / cap_at(0.0, y.tolist()) == pytest.approx(rho, rel=1e-6)
+        # lanes share the cap of the fastest
+        lanes = np.column_stack([y, 0.5 * y, y])
+        assert cap_at(0.0, lanes) == pytest.approx(cap / rho, rel=1e-6)
+    assert cap / cap_at(0.0, y.tolist()) == pytest.approx(6.0, abs=1e-2)
+
+
+def test_cyclic_network_cap_is_estimated():
+    # A <-> B reads a later species, so its cap comes from the estimated
+    # Jacobian: eigenvalues 0 and -4
+    net = parse_network("species: A[input], B[output]\nA -> B ; k=3\nB -> A ; k=1\n")
+    assert network_max_step(net) is None
+    traj = integrate_network(net, {"A": 1.0}, SimConfig(t_end=40))
+    assert traj.termination.status == "completed"
+    assert np.diff(traj.times).max() <= crncalc.simulate._STEP_CAP / 4 * (1 + 1e-6)
+    assert traj.final("B") == pytest.approx(0.75, abs=1e-10)
+
+
 def test_lane_that_fails_at_the_start_keeps_its_initial_state():
     # the product overflows in the first evaluation of one lane; it leaves
     # with a one-row trajectory and the other lane carries on
@@ -629,6 +664,10 @@ def test_lane_that_fails_at_the_start_keeps_its_initial_state():
     assert bad.states[0].tolist() == program_state(prog, points[0]).tolist()
     assert good.termination.status == "completed"
     assert good.final("X1") == pytest.approx(3.0 * (1 - math.exp(-10)), abs=1e-8)
+    # the good lane starts over from its own starting step, not from the
+    # overflowing lane's, and takes about the steps of its solo run
+    _, (solo,) = batch("a*b", points[1:], SimConfig(t_end=10, **TIGHT))
+    assert abs(good.stats.steps - solo.stats.steps) <= 2, (good.stats, solo.stats)
 
 
 def test_real_subtraction_ties_blow_up_alike():
