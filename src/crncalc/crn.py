@@ -187,29 +187,45 @@ class PolynomialField:
         return not self.polynomial(sid)
 
 
-def _canonical(terms: dict[tuple[int, ...], Fraction]) -> tuple[Monomial, ...]:
-    out = [Monomial(c, e) for e, c in terms.items() if c != 0]
-    out.sort(key=lambda m: m.exponents)
-    return tuple(out)
+def mass_action(net: ReactionNetwork) -> list[dict[tuple[tuple[int, int], ...], Fraction]]:
+    """Expand the mass-action rate law, sparsely: entry i is f_i as
+    {monomial: coefficient}.
+
+    A monomial is a reactant complex as sorted (species index, exponent)
+    pairs, and its coefficient the exact sum of rate * (change in species
+    i) over the reactions with that reactant.  Zero terms are dropped, and
+    the monomials come in PolynomialField's canonical order: sorting the
+    pairs as (-index, exponent) orders them as their dense exponent vectors.
+    """
+    index = {sid: i for i, sid in enumerate(net.species_ids)}
+    acc: list[dict] = [{} for _ in index]
+    for r in net.reactions:
+        mono = tuple(sorted((index[sid], n) for sid, n in r.reactant.coeffs))
+        delta = {sid: -n for sid, n in r.reactant.coeffs}
+        for sid, n in r.product.coeffs:
+            delta[sid] = delta.get(sid, 0) + n
+        for sid, d in delta.items():
+            if d:
+                terms = acc[index[sid]]
+                terms[mono] = terms.get(mono, 0) + r.rate * d
+    return [dict(sorted(((m, c) for m, c in terms.items() if c),
+                        key=lambda term: [(-i, e) for i, e in term[0]]))
+            for terms in acc]
 
 
 def derive_ode(net: ReactionNetwork) -> PolynomialField:
-    """Expand the mass-action rate law into per-species polynomials."""
-    ids = net.species_ids
-    index = {sid: i for i, sid in enumerate(ids)}
-    acc: list[dict[tuple[int, ...], Fraction]] = [{} for _ in ids]
-    for r in net.reactions:
-        expo = [0] * len(ids)
-        for sid, n in r.reactant.coeffs:
-            expo[index[sid]] = n
-        expo_t = tuple(expo)
-        for sid in set(r.reactant.species()) | set(r.product.species()):
-            delta = r.product.count(sid) - r.reactant.count(sid)
-            if delta == 0:
-                continue
-            terms = acc[index[sid]]
-            terms[expo_t] = terms.get(expo_t, Fraction(0)) + r.rate * delta
-    return PolynomialField(ids, tuple(_canonical(t) for t in acc))
+    """The mass-action rate law as per-species dense polynomials."""
+    n = len(net.species)
+
+    def exponents(mono) -> tuple[int, ...]:
+        dense = [0] * n
+        for j, e in mono:
+            dense[j] = e
+        return tuple(dense)
+
+    return PolynomialField(net.species_ids, tuple(
+        tuple(Monomial(c, exponents(m)) for m, c in poly.items())
+        for poly in mass_action(net)))
 
 
 @dataclass(frozen=True)

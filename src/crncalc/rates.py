@@ -312,8 +312,9 @@ class Pipeline:
     expression `target`, parsed once here.  Another kind, a missing target
     or an unknown species raises ValueError before any point runs.  The
     network is lowered, flattened and its right-hand side built once, with
-    the step cap of the circuit (a bare network's is estimated as it
-    runs); `run_points` takes a batch of input points through it.  The layer
+    the step cap of the circuit (a bare network's follows the state, from
+    its exact Jacobian); `run_points` takes a batch of input points through
+    it.  The layer
     functions are called through their modules, so they can be wrapped by
     name.
     """

@@ -1,9 +1,9 @@
 """Numerical integration of networks and forced scalar systems.
 
 The polynomial right-hand side is generated as straight-line Python from
-the exact field and integrated with DOP853, the Dormand-Prince 8(5,3)
-pair: adaptive steps, capped by the Jacobian's spectrum, and a 7th-order
-dense interpolant.  Each step attempt keeps the state and the stage
+the exact mass-action expansion and integrated with DOP853, the
+Dormand-Prince 8(5,3) pair: adaptive steps, capped by the Jacobian's
+spectrum, and a 7th-order dense interpolant.  Each step attempt keeps the state and the stage
 derivatives as the rows of one array, so every stage input is one
 matrix-vector product.  Many initial states ("lanes") of one system
 advance in lockstep as the columns of a single array, which is how sweeps
@@ -20,13 +20,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .circuit import CompiledProgram, encode_dual_rail
-from .crn import PolynomialField, ReactionNetwork, derive_ode, parse_network
+from .crn import ReactionNetwork, mass_action, parse_network
 from .gates import factored_rates, gate_limit_rate
 
 
@@ -150,29 +149,33 @@ def _rhs_function(exprs: Sequence[str], constant: Sequence[bool]) -> Callable:
     return env["_rhs"]
 
 
-def compile_rhs(field: PolynomialField, sigma: float = 1.0) -> Callable:
-    """Generate a fast python function t, y -> dy/dt from the field."""
-    names = [f"x{i}" for i in range(len(field.species))]
-    exprs, constant = [], []
-    for poly in field.polynomials:
-        terms, varying = [], False
-        for mono in poly:
-            facs = [repr(float(mono.coeff) * sigma)]
-            for j, e in enumerate(mono.exponents):
-                if e == 0:
-                    continue
-                facs.extend([names[j]] * e)
-            varying = varying or len(facs) > 1
-            terms.append("*".join(facs))
-        exprs.append(" + ".join(terms) if terms else "0.0")
-        constant.append(not varying)
-    return _rhs_function(exprs, constant)
+def _polynomial(poly: Mapping, sigma: float) -> str:
+    """A sparse polynomial of crn.mass_action's form, times sigma, as a
+    sum of products over x0, x1, ..."""
+    return " + ".join("*".join([repr(float(c) * sigma),
+                                *(f"x{j}" for j, e in mono for _ in range(e))])
+                      for mono, c in poly.items()) or "0.0"
+
+
+def _polynomial_function(polys: Sequence[Mapping], sigma: float) -> Callable:
+    """_rhs_function of one polynomial per species."""
+    return _rhs_function([_polynomial(p, sigma) for p in polys], [not any(p) for p in polys])
+
+
+def _derivative(poly: Mapping, j: int) -> dict:
+    """d poly / d x_j in the same form: c x^m gives c m_j x^(m - e_j)."""
+    out = {}
+    for mono, c in poly.items():
+        e = next((e for i, e in mono if i == j), 0)
+        if e:
+            out[tuple((i, k - (i == j)) for i, k in mono if (i, k) != (j, 1))] = c * e
+    return out
 
 
 def compile_circuit_rhs(circuit, order: Sequence[str], sigma: float = 1.0) -> Callable:
     """Generate the right-hand side gate by gate in factored form.
 
-    Expands to exactly the same polynomials as compile_rhs on the
+    Expands to exactly the same polynomials as network_rhs on the
     flattened network, but evaluates differences like (u - v) before
     squaring.  The expanded monomials u^2 y^3 - 2 u v y^3 + v^2 y^3 cancel
     catastrophically once y is large while their true sum stays of order
@@ -335,17 +338,14 @@ _TOO_SMALL = "Required step size is less than spacing between numbers."
 # step attempts at 3, 400 at 5 and 398 at 6.
 _STEP_CAP = 5.0
 # Without a circuit the cap follows the state: integrate evaluates it at
-# the start and every _RHO_INTERVAL accepted steps.  Every 4, 8 or 16 steps
-# passes every test; every 32 fails test_dense_output_meets_the_tolerance,
-# and so does an evaluation at the start only.  A feed-forward network's
-# cap (network_max_step, every loaded program text) costs about one rhs
-# evaluation, under 0.5% of the 16 steps' evaluations.  The
-# finite-difference estimate (_estimated_max_step) takes 125 ms on a
-# 1508-species program against 3.3 ms per step, more than the 16 steps it
-# covers, so only networks that are not feed-forward and forced systems,
-# all of a few species, use it.
+# the start and every _RHO_INTERVAL accepted steps, from the exact
+# Jacobian (network_max_step, and the slope of a forced system).  Every
+# 4, 8 or 16 steps passes every test; every 32 fails
+# test_dense_output_meets_the_tolerance, and so does an evaluation at the
+# start only.  A feed-forward network's cap (every loaded program text)
+# needs only the Jacobian's diagonal and costs about one rhs evaluation,
+# under 0.5% of the 16 steps' evaluations.
 _RHO_INTERVAL = 16
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 # The attempt loop keeps the state and the stages stacked as the rows of
@@ -371,8 +371,8 @@ _MAX_ATTEMPTS = 20_000
 
 def _stats(steps: int, rejected: int, extra: int) -> IntegrationStats:
     """Every attempt evaluates 12 stages, every accepted step 3 more for
-    its dense output and the starting step 2; extra counts the rest (the
-    Jacobian estimates' calls, a restarted starting step)."""
+    its dense output and the starting step 2; extra counts the restarted
+    starting steps."""
     return IntegrationStats(steps, rejected,
                             2 + 12 * (steps + rejected) + 3 * steps + extra)
 
@@ -497,45 +497,26 @@ def _check_state(y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _cap(rates) -> float:
+    """_STEP_CAP over the largest finite |rate| (real or complex), or inf
+    when there is none."""
+    rates = np.abs(np.asarray(rates)).ravel()
+    rho = float(rates[np.isfinite(rates)].max(initial=0.0))
+    return _STEP_CAP / rho if rho > 0 else math.inf
+
+
 def circuit_max_step(circuit, sigma: float = 1.0) -> float:
     """The step cap of the circuit's right-hand side: _STEP_CAP over the
     spectral radius of its Jacobian at the limit, which is sigma times the
     largest gate_limit_rate over its gates.  Every lane of a batch shares
     it, whatever its inputs."""
-    rho = sigma * max((gate_limit_rate(g.kind) for g in circuit.gates), default=0)
-    return _STEP_CAP / rho if rho > 0 else math.inf
-
-
-def _estimated_max_step(rhs, n: int, t: float, y) -> float:
-    """_STEP_CAP over the largest spectral radius among the lanes of a
-    central-difference Jacobian at (t, y), y as rhs takes it.  One rhs call
-    evaluates the 2n perturbed copies of every lane as extra lanes, so it
-    takes 2n^2 lanes' state and eigvals n^3 work per lane; feed-forward
-    networks avoid both (network_max_step).  Lanes with a non-finite
-    Jacobian are left out.  Central differences are exact on the quadratic
-    terms of a gate law, which forward ones are not when a state is far
-    below its perturbation: near a tie's blowup, X' = X - Y X^2 with
-    X = 4e-12 and Y = 5e11 has slope -3, and a forward difference of step
-    1.5e-8 reads -8e3."""
-    y = np.asarray(y, dtype=float).reshape(n, -1)
-    lanes = y.shape[1]
-    d = _SQRT_EPS * np.maximum(np.abs(y), 1.0)
-    wide = np.broadcast_to(y[:, None, :, None], (n, 2, lanes, n)).copy()
-    diag = np.arange(n)  # [i, side, l, j]: copy j of lane l, y_j -/+ d_j
-    wide[diag, 0, :, diag] -= d
-    wide[diag, 1, :, diag] += d
-    out = np.asarray(rhs(t, wide.reshape(n, 2 * lanes * n)), dtype=float)
-    out = out.reshape(n, 2, lanes, n)
-    J = ((out[:, 1] - out[:, 0]) / (2 * d.T)).transpose(1, 0, 2)
-    J = J[np.isfinite(J).all(axis=(1, 2))]
-    rho = float(np.abs(np.linalg.eigvals(J)).max(initial=0.0))
-    return _STEP_CAP / rho if rho > 0 else math.inf
+    return _cap(sigma * max((gate_limit_rate(g.kind) for g in circuit.gates), default=0))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
               cfg: SimConfig,
-              max_step: float | Callable | None = None) -> list[Trajectory]:
+              max_step: float | Callable) -> list[Trajectory]:
     """Integrate the columns of y0 (species x lanes) in lockstep and return
     one Trajectory per lane.
 
@@ -546,10 +527,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     step is longer than max_step, which keeps the dense output within the
     tolerances too (see _STEP_CAP).  max_step is a number, or a function
     (t, y) -> number of the state, y as rhs takes it, evaluated at the
-    start and every _RHO_INTERVAL accepted steps.  None estimates it so
-    from a finite-difference Jacobian of rhs; rhs must then also take
-    (species, k) arrays of any width k, even for one lane, because the
-    estimate evaluates perturbed copies of the state as extra lanes.
+    start and every _RHO_INTERVAL accepted steps.
     Each stage input, the new state and the error estimates are products
     of the stacked state and stages with h-weighted tableau rows
     (Σ (h a_k) k_k, not h Σ a_k k_k), so a one-lane run has DOP853's
@@ -575,13 +553,9 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     Z[0] = y
     rows[1] = rhs(t, state(y))
     h_abs = _initial_step(rhs, state, n, y, Z[1], t_end, rtol, atol)
-    # cap_at is max_step as a function of the state, if it is one; the
-    # finite-difference estimate's rhs calls count in the stats
-    estimate = max_step is None
-    if estimate:
-        max_step = partial(_estimated_max_step, rhs, n)
+    # cap_at is max_step as a function of the state, if it is one
     cap_at = max_step if callable(max_step) else None
-    extra = int(estimate)
+    extra = 0
     if cap_at is not None:
         max_step = cap_at(t, state(y))
     y_abs = np.abs(y)
@@ -669,7 +643,6 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             t, y = t_new, y_new
             if cap_at is not None and steps % _RHO_INTERVAL == 0:
                 max_step = cap_at(t, state(y))
-                extra += estimate
         else:
             # the step shrank below what t can resolve: lanes still missing
             # the tolerance there leave, the others retry from h_first
@@ -699,7 +672,6 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 extra += 1
                 if cap_at is not None:
                     max_step = cap_at(t, state(y))
-                    extra += estimate
     return [_lane_trajectory(segments, lane, ends[lane], species, cfg.abs_tol)
             for lane in range(n_lanes)]
 
@@ -745,46 +717,44 @@ def network_state(net: ReactionNetwork, init: Mapping[str, float]) -> np.ndarray
 
 
 def network_rhs(net: ReactionNetwork, sigma: float = 1.0) -> Callable:
-    return compile_rhs(derive_ode(net), sigma)
+    """Generate a fast python function t, y -> dy/dt from the network's
+    mass-action expansion, one term per monomial."""
+    return _polynomial_function(mass_action(net), sigma)
 
 
-def network_max_step(net: ReactionNetwork, sigma: float = 1.0) -> Callable | None:
-    """The step cap of a feed-forward network as a function (t, y) -> cap
-    for integrate, or None for any other network, whose cap integrate
-    estimates from a finite-difference Jacobian.
+def network_max_step(net: ReactionNetwork, sigma: float = 1.0) -> Callable:
+    """The step cap of a network as a function (t, y) -> cap for
+    integrate: _STEP_CAP over the largest spectral radius of the exact
+    Jacobian d f_i / d x_j among the lanes where it is finite.
 
-    Feed-forward: no reaction changes a species at a rate that reads a
-    later species.  A compiled program's network is, in species order.
-    The Jacobian is then lower-triangular and its eigenvalues are its
-    diagonal d f_i / d x_i, generated here reaction by reaction (costing
-    about one right-hand side evaluation); the cap is _STEP_CAP over the
-    largest finite |d f_i / d x_i| over the lanes.
+    A network that is feed-forward in species order (no f_i reads a later
+    species; a compiled program's network is one) has a lower-triangular
+    Jacobian whose eigenvalues are its diagonal, so only the diagonal is
+    generated, costing about one right-hand side evaluation.  Any other
+    network generates every entry its polynomials read, fills a matrix per
+    lane and takes its eigenvalues.
     """
-    index = {sid: i for i, sid in enumerate(net.species_ids)}
-    terms: list[list[str]] = [[] for _ in index]
-    varying = [False] * len(index)
-    for r in net.reactions:
-        reads = {index[sid]: k for sid, k in r.reactant.coeffs}
-        for sid in set(r.reactant.species()) | set(r.product.species()):
-            i, delta = index[sid], r.product.count(sid) - r.reactant.count(sid)
-            if delta == 0:
-                continue
-            if max(reads, default=i) > i:
-                return None
-            if i in reads:  # the term's x_i derivative
-                facs = [repr(float(r.rate * delta * reads[i]) * sigma)]
-                facs += [f"x{j}" for j, k in reads.items() for _ in range(k - (j == i))]
-                terms[i].append("*".join(facs))
-                varying[i] = varying[i] or len(facs) > 1
-    # a constant row is z + c, z = 0.0 * the first such species (nan only
-    # where that lane is not finite, and such values are skipped)
-    diagonal = _rhs_function([" + ".join(t) if t else "0.0" for t in terms],
-                             [not v for v in varying])
+    field = mass_action(net)
+    if all(mono[-1][0] <= i for i, poly in enumerate(field) for mono in poly if mono):
+        # a constant entry is z + c, z = 0.0 * the first such species (nan
+        # only where that lane is not finite, and _cap skips those values)
+        diagonal = _polynomial_function([_derivative(p, i) for i, p in enumerate(field)], sigma)
+        return lambda t, y: _cap(diagonal(t, y))
+    n = len(field)
+    entries = "".join(f"    J[{i}, {j}] = {_polynomial(d, sigma)}\n"
+                      for i, poly in enumerate(field)
+                      for j in sorted({j for mono in poly for j, _ in mono})
+                      if (d := _derivative(poly, j)))
+    env: dict = {}
+    exec(f"def _jacobian(t, y, J):\n    {', '.join(f'x{i}' for i in range(n))}, = y\n{entries}",
+         env)
+    jacobian = env["_jacobian"]
 
     def max_step(t, y) -> float:
-        rates = np.abs(np.asarray(diagonal(t, y), dtype=float))
-        rho = float(rates[np.isfinite(rates)].max(initial=0.0))
-        return _STEP_CAP / rho if rho > 0 else math.inf
+        J = np.zeros((n, n) + np.shape(y[0]))
+        jacobian(t, y, J)
+        J = J.reshape(n, n, -1).transpose(2, 0, 1)
+        return _cap(np.linalg.eigvals(J[np.isfinite(J).all(axis=(1, 2))]))
 
     return max_step
 
@@ -839,8 +809,7 @@ def program_rhs(prog: CompiledProgram, sigma: float = 1.0) -> Callable:
     return network_rhs(prog.network, sigma)
 
 
-def program_max_step(prog: CompiledProgram,
-                     sigma: float = 1.0) -> float | Callable | None:
+def program_max_step(prog: CompiledProgram, sigma: float = 1.0) -> float | Callable:
     """The circuit's step cap when the circuit is known, else the
     network's (a loaded program text)."""
     if prog.circuit is not None:
@@ -975,14 +944,23 @@ def simulate_forced(system: ForcedSystem, cfg: SimConfig | None = None) -> Traje
     if cfg.sigma != 1.0:
         raise ValueError("time scaling applies to networks, not forced systems")
     g1, g2, m = system.g1, system.g2, system.m
+    # the step cap comes from the exact slope d x' / d x
     if system.form == "linear":
         def rhs(t, y):
             return (g1(t) - g2(t) * y[0],)
+
+        def slope(t, y):
+            return -g2(t)
     else:
         def rhs(t, y):
             x = np.float64(y[0])  # overflows to inf where a float power would raise
             return (x * (g1(t) - g2(t) * x ** m),)
-    return integrate(rhs, np.array([[float(system.x0)]]), ("x",), cfg)[0]
+
+        def slope(t, y):
+            x = np.float64(y[0])
+            return g1(t) - (m + 1) * g2(t) * x ** m
+    return integrate(rhs, np.array([[float(system.x0)]]), ("x",), cfg,
+                     lambda t, y: _cap(slope(t, y)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from crncalc import (
     simulate_program,
 )
 from crncalc.circuit import lower_to_circuit
+from crncalc.crn import check_admissible
 from crncalc.gates import GateKind
 
 F = Fraction
@@ -356,9 +357,10 @@ def _random_expr(rng: random.Random, depth: int) -> str:
 
 
 def test_criterion_8_structural_properties():
-    """Inputs are catalytic in every gate and in 50 random circuits, the
-    eight gate fragments reproduce their defining derivatives exactly, and
-    accepted trajectories never leave the non-negative orthant."""
+    """Inputs are catalytic in every gate and in 50 random circuits, whose
+    fields are admissible (every negative monomial of f_i contains x_i),
+    the eight gate fragments reproduce their defining derivatives exactly,
+    and accepted trajectories never leave the non-negative orthant."""
     for tag, n_in, m in GATE_SPECS:
         inputs = [Species(s, "input") for s in ("A", "B")[:n_in]]
         gate = make_gate(GateKind(tag, m), inputs, SpeciesNamer(reserved=["A", "B"]))
@@ -380,6 +382,7 @@ def test_criterion_8_structural_properties():
         src = _random_expr(rng, rng.choice([1, 2, 2, 3]))
         prog = compile_expression(src)
         field = derive_ode(prog.network)
+        assert check_admissible(field).ok, src
         held = [sid for _, rails in prog.bindings.inputs for sid in rails]
         held += [sid for sid, _ in prog.bindings.consts]
         for sid in held:

@@ -1,0 +1,27 @@
+"""The scripts in scripts/ run end to end through their main."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _main(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def test_lemma_grid_passes_every_scenario(capsys):
+    # forced systems: every forcing family over the default grid
+    assert _main("lemma_grid")([]) == 0
+    assert "\n66/66 scenarios within slack 0.15 of the bound." in capsys.readouterr().out
+
+
+def test_speed_contrast_designed_rate_does_not_depend_on_a(capsys):
+    # bare networks: naive and designed inversion over the default inputs
+    assert _main("speed_contrast")([]) == 0
+    m = re.search(r"designed rate stays near 1 \(spread (\S+)\)\.", capsys.readouterr().out)
+    assert m and float(m.group(1)) < 1e-3

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import crncalc.simulate
-from crncalc.crn import derive_ode, parse_network
+from crncalc.crn import derive_ode, evaluate_field, parse_network
 from crncalc.circuit import (compile_expression, eval_expr, flatten, format_program,
                              load_program, lower_to_circuit)
 from crncalc.gates import GATES, gate_limit_rate
@@ -19,7 +19,6 @@ from crncalc.simulate import (
     circuit_max_step,
     closed_form_reference,
     compile_circuit_rhs,
-    compile_rhs,
     designed_inversion_network,
     double_identification_network,
     initial_state,
@@ -27,6 +26,7 @@ from crncalc.simulate import (
     integrate_network,
     naive_inversion_network,
     network_max_step,
+    network_rhs,
     parse_forcing,
     program_max_step,
     program_rhs,
@@ -280,7 +280,7 @@ def test_factored_rhs_matches_expanded(values):
     prog = flatten(circuit)
     ids = prog.network.species_ids
     fast = compile_circuit_rhs(circuit, ids)
-    slow = compile_rhs(derive_ode(prog.network))
+    slow = network_rhs(prog.network)
     y = np.array((values * 3)[: len(ids)])
     lhs = np.asarray(fast(0.0, y), dtype=float)
     rhs = np.asarray(slow(0.0, y), dtype=float)
@@ -296,7 +296,8 @@ GRID_EXPRS = ["a + b", "a * b", "a / b", "sqrt(1/(a + b))", "max(a, b)"]
 def batch(src, points, cfg):
     prog = compile_expression(src)
     y0 = np.column_stack([program_state(prog, p) for p in points])
-    return prog, integrate(program_rhs(prog), y0, prog.network.species_ids, cfg)
+    return prog, integrate(program_rhs(prog), y0, prog.network.species_ids, cfg,
+                           program_max_step(prog))
 
 
 @pytest.mark.parametrize("src", GRID_EXPRS)
@@ -336,11 +337,12 @@ def test_blowup_lane_leaves_the_batch():
 def test_failing_lane_leaves_the_batch():
     # x' = -x turns into nan once t > 0.5 wherever x > 1: the lane from
     # x0 = 2 cannot meet the tolerance there and ends in stiff_failure,
-    # while the lane from x0 = 1 carries on alone
+    # while the lane from x0 = 1 carries on alone; the slope is -1
     def rhs(t, y):
         return (np.where((t > 0.5) & (y[0] > 1.0), np.nan, -y[0]),)
     cfg = SimConfig(t_end=10, **TIGHT)
-    good, failed = integrate(rhs, np.array([[1.0, 2.0]]), ("x",), cfg)
+    good, failed = integrate(rhs, np.array([[1.0, 2.0]]), ("x",), cfg,
+                             crncalc.simulate._STEP_CAP)
     assert failed.termination.status == "stiff_failure"
     assert failed.termination.time == pytest.approx(0.5, abs=1e-6)
     assert good.termination.status == "completed"
@@ -421,21 +423,24 @@ def test_dense_output_meets_the_tolerance():
     # step's increment.
     cfg = SimConfig(t_end=40, **TIGHT)
     grid = np.linspace(0.0, 40.0, 1600)
-    runs = [("designed_inversion", designed_inversion_network(), {"A": a, "X": x0})
+    runs = [(designed_inversion_network(), {"A": a, "X": x0}, "X",
+             closed_form_reference("designed_inversion", {"a": a, "x0": x0}, grid))
             for a, x0 in ((2.0, 1.0), (0.5, 1.0), (3.0, 0.25))]
-    runs += [("double_identification", double_identification_network(), {"A": a})
+    runs += [(double_identification_network(), {"A": a}, "X",
+              closed_form_reference("double_identification", {"a": a}, grid))
              for a in (0.5, 3.0)]
-    for case, net, init in runs:
+    runs.append((parse_network("species: A, B\nA -> B ; k=3\nB -> A ; k=1\n"), {"A": 1.0},
+                 "B", 0.75 * (1 - np.exp(-4 * grid))))
+    for net, init, sid, exact in runs:
         traj = integrate_network(net, init, cfg)
-        x = traj.index("X")
-        y = traj.series("X")
+        x = traj.index(sid)
+        y = traj.series(sid)
         ends = traj.dense(traj.times[1:], x)  # each step's end, from that step
         bound = 1e-15 * y[1:] + 1e-12 * np.abs(np.diff(y))
-        assert np.all(np.abs(ends - y[1:]) <= bound), (case, init)
-        assert traj.dense(0.0, x) == init.get("X", 0.0)
-        exact = closed_form_reference(case, {"a": init["A"], "x0": init.get("X", 0.0)}, grid)
+        assert np.all(np.abs(ends - y[1:]) <= bound), init
+        assert traj.dense(0.0, x) == init.get(sid, 0.0)
         err = np.abs(traj.dense(grid, x) - exact)
-        assert np.all(err <= 10 * cfg.rel_tol * (1 + np.abs(exact))), (case, init, err.max())
+        assert np.all(err <= 10 * cfg.rel_tol * (1 + np.abs(exact))), (init, err.max())
 
 
 def test_attempt_budget_ends_the_batch(monkeypatch):
@@ -460,7 +465,7 @@ def test_rhs_rows_have_the_lane_shape():
     # held inputs and constant production still return one value per lane
     net = parse_network("species: A[input], X[output]\n0 -> X ; k=1\nA + X -> A ; k=1\n")
     y = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
-    rows = np.asarray(compile_rhs(derive_ode(net))(0.0, y))
+    rows = np.asarray(network_rhs(net)(0.0, y))
     assert rows.shape == y.shape
     assert np.array_equal(rows[0], np.zeros(3))
     assert np.allclose(rows[1], 1.0 - y[0] * y[1])
@@ -518,28 +523,25 @@ def test_stats_count_the_work():
     assert s.rhs_evals == 2 + 12 * (s.steps + s.rejected) + 3 * s.steps
 
 
-def test_stats_count_the_jacobian_estimates():
-    # without a step cap the bare network re-estimates it at the start and
-    # every _RHO_INTERVAL accepted steps, one widened evaluation each
-    calls = []
-    rhs = crncalc.simulate.network_rhs(double_identification_network())
+def test_stats_count_the_work_of_bare_networks():
+    # a bare network's cap, feed-forward or not, is exact and costs no rhs
+    # evaluation, so its count is a circuit's
+    for net in (double_identification_network(),
+                parse_network("species: A, B\nA -> B ; k=3\nB -> A ; k=1\n")):
+        calls = []
+        rhs = network_rhs(net)
 
-    def counted(t, y):
-        calls.append(t)
-        return rhs(t, y)
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
 
-    y0 = np.array([[2.0], [0.0], [0.0]])
-    traj = integrate(counted, y0, ("A", "Y", "X"), SimConfig(t_end=40))[0]
-    s = traj.stats
-    interval = crncalc.simulate._RHO_INTERVAL
-    assert s.steps > 2 * interval
-    assert s.rhs_evals == len(calls)
-    assert s.rhs_evals == (2 + 12 * (s.steps + s.rejected) + 3 * s.steps
-                           + 1 + s.steps // interval)
-    calls.clear()
-    capped = integrate(counted, y0, ("A", "Y", "X"), SimConfig(t_end=40), max_step=2.0)[0]
-    s = capped.stats
-    assert s.rhs_evals == len(calls) == 2 + 12 * (s.steps + s.rejected) + 3 * s.steps
+        y0 = np.zeros((len(net.species), 1))
+        y0[0] = 2.0
+        traj = integrate(counted, y0, net.species_ids, SimConfig(t_end=40),
+                         network_max_step(net))[0]
+        s = traj.stats
+        assert s.steps > 2 * crncalc.simulate._RHO_INTERVAL
+        assert s.rhs_evals == len(calls) == 2 + 12 * (s.steps + s.rejected) + 3 * s.steps
 
 
 def test_steps_stay_within_the_cap():
@@ -643,15 +645,68 @@ def test_network_cap_is_the_spectrum_of_the_jacobian_diagonal():
     assert cap / cap_at(0.0, y.tolist()) == pytest.approx(6.0, abs=1e-2)
 
 
-def test_cyclic_network_cap_is_estimated():
-    # A <-> B reads a later species, so its cap comes from the estimated
-    # Jacobian: eigenvalues 0 and -4
+def test_cyclic_network_cap_is_exact():
+    # A <-> B reads a later species, so its cap comes from the eigenvalues
+    # of the full Jacobian, 0 and -4 at any state
     net = parse_network("species: A[input], B[output]\nA -> B ; k=3\nB -> A ; k=1\n")
-    assert network_max_step(net) is None
+    cap_at = network_max_step(net)
+    y = np.random.default_rng(4).uniform(0.0, 5.0, (2, 6))
+    for cap in [cap_at(0.0, y[:, 0].tolist()), cap_at(0.0, y), cap_at(0.0, [0.0, 0.0])]:
+        assert cap == pytest.approx(5 / 4, rel=1e-12)
     traj = integrate_network(net, {"A": 1.0}, SimConfig(t_end=40))
     assert traj.termination.status == "completed"
-    assert np.diff(traj.times).max() <= crncalc.simulate._STEP_CAP / 4 * (1 + 1e-6)
+    assert np.diff(traj.times).max() <= 5 / 4 * (1 + 1e-12)
     assert traj.final("B") == pytest.approx(0.75, abs=1e-10)
+
+
+def test_network_rhs_is_the_mass_action_field():
+    nets = [compile_expression(src, mode).network
+            for src, mode in (("sqrt(abs(a - b)) + a/b", "nonneg"), ("max(a, b) * c", "nonneg"),
+                              ("a*b - c", "real"), ("1/(a - b)", "real"))]
+    nets.append(parse_network("species: A, B\n2A -> B ; k=3\nB -> 2A ; k=1/3\n"))
+    rng = np.random.default_rng(12)
+    for net in nets:
+        ids = net.species_ids
+        rhs = network_rhs(net)
+        for _ in range(5):
+            y = rng.uniform(0.0, 3.0, len(ids))
+            want = evaluate_field(derive_ode(net), dict(zip(ids, y)))
+            got = np.asarray(rhs(0.0, y.tolist()))
+            assert np.allclose(got, [want[sid] for sid in ids], rtol=1e-12, atol=1e-12)
+
+
+def test_rhs_sees_only_the_lane_shape(monkeypatch):
+    # rhs is called with a list of n floats for one lane, else an
+    # (n, lanes) array, and never with extra lanes
+    real = crncalc.simulate.integrate
+    seen = []
+
+    def spy_integrate(rhs, y0, species, cfg, max_step):
+        n, lanes = y0.shape
+
+        def spy(t, y):
+            if lanes == 1:
+                assert type(y) is list and len(y) == n
+                assert all(type(v) is float for v in y)
+            else:
+                assert isinstance(y, np.ndarray) and y.shape == (n, lanes)
+            seen.append(lanes)
+            return rhs(t, y)
+
+        return real(spy, y0, species, cfg, max_step)
+
+    monkeypatch.setattr(crncalc.simulate, "integrate", spy_integrate)
+    net = parse_network("species: A, B\n2A -> B ; k=3\nB -> 2A ; k=1/3\n")
+    traj = integrate_network(net, {"A": 1.0}, SimConfig(t_end=40))
+    assert traj.termination.status == "completed"
+    for form in ("linear", "power"):
+        system = ForcedSystem(form, parse_forcing("1 + exp(-2*t)"), parse_forcing("2"), m=2)
+        assert simulate_forced(system, SimConfig(t_end=40)).termination.status == "completed"
+    y0 = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
+    trajs = spy_integrate(network_rhs(net), y0, net.species_ids, SimConfig(t_end=40),
+                          network_max_step(net))
+    assert [t.termination.status for t in trajs] == ["completed"] * 3
+    assert set(seen) == {1, 3}
 
 
 def test_lane_that_fails_at_the_start_keeps_its_initial_state():
