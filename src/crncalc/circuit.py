@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .crn import (FormatError, ReactionNetwork, Species, format_fraction, format_network,
-                  parse_network)
+                  format_species, parse_network)
 from .gates import (DomainError, GateInstance, GateKind, SpeciesNamer,
-                    SpeedBound, gate_speed_bound, gate_target, make_gate)
+                    SpeedBound, gate_speed_bound, gate_target, gate_text, make_gate)
 
 
 class ParseError(ValueError):
@@ -590,11 +590,29 @@ class ProgramBindings:
         return {sid: Fraction(v) for sid, v in self.consts}
 
 
-@dataclass
 class CompiledProgram:
-    network: ReactionNetwork
-    bindings: ProgramBindings
-    circuit: Circuit | None = None
+    """A program's species in network order, its bindings and, when it was
+    compiled here, its circuit.
+
+    A loaded program is given its network.  A compiled one builds it from
+    its gates' reactions the first time `network` is read: compiling,
+    formatting and simulating a circuit never need the reactions.
+    """
+
+    def __init__(self, species: Sequence[Species], bindings: ProgramBindings,
+                 circuit: Circuit | None = None, network: ReactionNetwork | None = None):
+        self.species = tuple(species)
+        self.species_ids = tuple(s.id for s in self.species)
+        self.bindings = bindings
+        self.circuit = circuit
+        self._network = network
+
+    @property
+    def network(self) -> ReactionNetwork:
+        if self._network is None:
+            self._network = ReactionNetwork(
+                self.species, tuple(r for g in self.circuit.gates for r in g.reactions))
+        return self._network
 
 
 def _rail_ids(v: Value) -> tuple[str, ...]:
@@ -604,8 +622,8 @@ def _rail_ids(v: Value) -> tuple[str, ...]:
 
 
 def flatten(circuit: Circuit) -> CompiledProgram:
-    """Assemble the gate fragments into one network with stable layout:
-    inputs, constants, then per-gate intermediates and outputs."""
+    """Lay the gate fragments out as one program with stable species
+    order: inputs, constants, then per-gate intermediates and outputs."""
     species: list[Species] = []
     for v in circuit.inputs.values():
         species.extend([v.p, v.n] if isinstance(v, DualRailWire) else [v])
@@ -614,16 +632,15 @@ def flatten(circuit: Circuit) -> CompiledProgram:
     for g in circuit.gates:
         species.extend(g.intermediates)
         species.append(g.output)
-    net = ReactionNetwork(tuple(species), tuple(r for g in circuit.gates for r in g.reactions))
     pos = [sid for g in circuit.gates for sid in g.positive_init]
-    order = {sid: i for i, sid in enumerate(net.species_ids)}
+    order = {s.id: i for i, s in enumerate(species)}
     bindings = ProgramBindings(
         inputs=tuple((name, _rail_ids(v)) for name, v in circuit.inputs.items()),
         consts=tuple((sid, format_fraction(v)) for sid, v in circuit.consts.items()),
         output=_rail_ids(circuit.output),
         positive_init=tuple(sorted(pos, key=order.__getitem__)),
     )
-    return CompiledProgram(net, bindings, circuit)
+    return CompiledProgram(species, bindings, circuit)
 
 
 def compile_expression(expr: Expr | str, mode: str = "nonneg") -> CompiledProgram:
@@ -635,6 +652,8 @@ def compile_expression(expr: Expr | str, mode: str = "nonneg") -> CompiledProgra
 
 
 def format_program(prog: CompiledProgram) -> str:
+    """Bindings header, then the network as format_network writes it; a
+    compiled program's reactions come straight from its gate templates."""
     lines = []
     for name, rails in prog.bindings.inputs:
         target = rails[0] if len(rails) == 1 else f"({rails[0]}, {rails[1]})"
@@ -645,7 +664,12 @@ def format_program(prog: CompiledProgram) -> str:
     lines.append("# output -> " + (out[0] if len(out) == 1 else f"({out[0]}, {out[1]})"))
     if prog.bindings.positive_init:
         lines.append("# init+ : " + ", ".join(prog.bindings.positive_init))
-    return "\n".join(lines) + "\n" + format_network(prog.network)
+    if prog.circuit is None:
+        return "\n".join(lines) + "\n" + format_network(prog.network)
+    order = {sid: i for i, sid in enumerate(prog.species_ids)}
+    lines.append(format_species(prog.species))
+    lines += [gate_text(g, order) for g in prog.circuit.gates]
+    return "\n".join(lines) + "\n"
 
 
 _INPUT_RE = re.compile(r"#\s*input\s+(\w+)\s*->\s*(?:\(\s*(\w+)\s*,\s*(\w+)\s*\)|(\w+))\s*\Z")
@@ -683,7 +707,7 @@ def load_program(text: str) -> CompiledProgram:
         if sid not in declared:
             raise FormatError(f"binding references undeclared species {sid}")
     bindings = ProgramBindings(tuple(inputs), tuple(consts), output, init)
-    return CompiledProgram(net, bindings)
+    return CompiledProgram(net.species, bindings, network=net)
 
 
 # ---------------------------------------------------------------------------

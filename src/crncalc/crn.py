@@ -250,25 +250,6 @@ def check_admissible(field: PolynomialField) -> AdmissibilityReport:
     return AdmissibilityReport(not bad, tuple(bad))
 
 
-def evaluate_field(field: PolynomialField, state: Mapping[str, float]) -> dict[str, float]:
-    """Evaluate the field at a state given as {species id: value}."""
-    missing = [sid for sid in field.species if sid not in state]
-    if missing:
-        raise ValueError(f"state missing species {missing}")
-    vals = [float(state[sid]) for sid in field.species]
-    out = {}
-    for i, sid in enumerate(field.species):
-        total = 0.0
-        for m in field.polynomials[i]:
-            term = float(m.coeff)
-            for j, e in enumerate(m.exponents):
-                if e:
-                    term *= vals[j] ** e
-            total += term
-        out[sid] = total
-    return out
-
-
 def format_polynomial(field: PolynomialField, sid: str) -> str:
     """Render f_sid like ``a + b - x1`` with lowercase concentration names.
 
@@ -393,7 +374,7 @@ def parse_network(text: str) -> ReactionNetwork:
     return collect_network(reactions, roles, order)
 
 
-def _format_complex(c: Complex, order: dict[str, int]) -> str:
+def _format_complex(c: Complex, order: Mapping[str, int]) -> str:
     if c.is_empty():
         return "0"
     items = c.coeffs if len(c.coeffs) == 1 else sorted(c.coeffs, key=lambda p: order[p[0]])
@@ -404,10 +385,18 @@ def format_fraction(r: Fraction) -> str:
     return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
 
 
+def _format_reaction(r: Reaction, order: Mapping[str, int]) -> str:
+    return (f"{_format_complex(r.reactant, order)} -> "
+            f"{_format_complex(r.product, order)} ; k={format_fraction(r.rate)}")
+
+
+def format_species(species: Iterable[Species]) -> str:
+    """The header line declaring species, in the order given."""
+    return "species: " + ", ".join(f"{s.id}[{s.role}]" for s in species)
+
+
 def format_network(net: ReactionNetwork) -> str:
     order = {sid: i for i, sid in enumerate(net.species_ids)}
-    lines = ["species: " + ", ".join(f"{s.id}[{s.role}]" for s in net.species)]
-    for r in net.reactions:
-        lines.append(f"{_format_complex(r.reactant, order)} -> "
-                     f"{_format_complex(r.product, order)} ; k={format_fraction(r.rate)}")
+    lines = [format_species(net.species)]
+    lines += [_format_reaction(r, order) for r in net.reactions]
     return "\n".join(lines) + "\n"

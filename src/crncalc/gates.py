@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .crn import (MAX_STOICH, Complex, Reaction, ReactionNetwork, Species, _renamed,
-                  collect_network, parse_network)
+from .crn import (MAX_STOICH, Complex, Reaction, ReactionNetwork, Species, _format_reaction,
+                  _renamed, collect_network, parse_network)
 
 
 class DomainError(ValueError):
@@ -60,8 +60,21 @@ class GateInstance:
     inputs: tuple[Species, ...]
     output: Species
     intermediates: tuple[Species, ...]
-    reactions: tuple[Reaction, ...]
     positive_init: tuple[str, ...]
+
+    @property
+    def species(self) -> tuple[Species, ...]:
+        """The species bound to its roles: inputs, X and, if it has one, Y."""
+        return (*self.inputs, self.output, *self.intermediates)
+
+    @property
+    def reactions(self) -> tuple[Reaction, ...]:
+        """The gate's template for its sharing pattern, renamed to its
+        species.  Built on every read: lowering, flattening and formatting
+        never read it."""
+        bound = [s.id for s in self.species]
+        return _renamed(_template(self.kind, _pattern(bound, self.kind)),
+                        dict(zip(GATES[self.kind.tag].roles, bound)))
 
 
 class SpeciesNamer:
@@ -228,6 +241,12 @@ GATES: dict[str, GateSpec] = {spec.tag: spec for spec in (
 )}
 
 
+def _pattern(bound: Sequence, kind: GateKind) -> tuple[int, ...]:
+    """The sharing pattern of the values bound to a gate's roles, equal
+    values standing for one species; a gate without Y binds none to it."""
+    return (*map(bound.index, bound), *range(len(bound), len(GATES[kind.tag].roles)))
+
+
 @lru_cache(maxsize=None)
 def _template(kind: GateKind, pattern: tuple[int, ...]) -> tuple[Reaction, ...]:
     """The gate's reactions with its roles (inputs, X, Y) merged by `pattern`.
@@ -254,20 +273,48 @@ def _template(kind: GateKind, pattern: tuple[int, ...]) -> tuple[Reaction, ...]:
                  for r in parse_network(text).reactions)
 
 
+@lru_cache(maxsize=None)
+def _line_format(kind: GateKind, ranks: tuple[int, ...]) -> str:
+    """The gate's reactions as program text, with str.format fields {i}
+    for the species bound to its roles (inputs, X, Y).
+
+    ranks[i] is the place of role i's species among the gate's distinct
+    species in network order, so equal ranks are one species, and the
+    ranks fix both the sharing pattern and format_network's order of each
+    complex.
+    """
+    roles = GATES[kind.tag].roles
+    slot = {role: f"{{{i}}}" for i, role in enumerate(roles)}
+    order = {slot[role]: rank for role, rank in zip(roles, ranks)}
+
+    def slotted(c: Complex) -> Complex:
+        return Complex(tuple((slot[sid], k) for sid, k in c.coeffs))
+
+    return "\n".join(_format_reaction(Reaction(slotted(r.reactant), slotted(r.product), r.rate),
+                                      order)
+                     for r in _template(kind, _pattern(ranks, kind)))
+
+
 def make_gate(kind: GateKind, inputs: Sequence[Species], namer: SpeciesNamer) -> GateInstance:
-    """Instantiate a gate fragment on the given input species: its
-    template for the inputs' sharing pattern, renamed to them."""
+    """Instantiate a gate fragment on the given input species: fresh
+    output and inner species; its reactions are built only when read."""
     spec = GATES[kind.tag]
     if len(inputs) != spec.arity:
         raise ValueError(f"{kind} takes {spec.arity} inputs, got {len(inputs)}")
     xid, yid = namer.gate_pair()
-    bound = (*[s.id for s in inputs], xid, yid)
-    ids = dict(zip(spec.roles, bound))
-    reactions = _renamed(_template(kind, tuple(map(bound.index, bound))), ids)
     intermediates = (Species(yid, "intermediate"),) if spec.has_y else ()
     pos = tuple(s.id for s in intermediates) + (xid,) if spec.starts_positive else ()
-    return GateInstance(kind, tuple(inputs), Species(xid, "output"), intermediates,
-                        reactions, pos)
+    return GateInstance(kind, tuple(inputs), Species(xid, "output"), intermediates, pos)
+
+
+def gate_text(g: GateInstance, order: Mapping[str, int]) -> str:
+    """The gate's reactions as format_network writes them in a network
+    whose species positions `order` gives, without building them: its
+    cached _line_format with the gate's species filled in."""
+    bound = [s.id for s in g.species]
+    places = [order[sid] for sid in bound]
+    distinct = sorted(set(places))
+    return _line_format(g.kind, tuple(map(distinct.index, places))).format(*bound)
 
 
 def factored_rates(g: GateInstance, name: Callable[[str], str]) -> list[tuple[str, str]]:

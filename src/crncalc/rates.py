@@ -334,9 +334,8 @@ class Pipeline:
                 return
             self.prog = circ.flatten(self.circuit)
             self.rails = list(self.prog.bindings.output)
-            self.species = self.prog.network.species_ids
-            self.rhs = sim.program_rhs(self.prog, cfg.sigma)
-            self.max_step = sim.program_max_step(self.prog, cfg.sigma)
+            self.species = self.prog.species_ids
+            self.rhs, self.max_step = sim.program_integrand(self.prog, cfg.sigma)
         else:
             self.net = parse_network(text)
             self.rails = [species]
@@ -346,8 +345,7 @@ class Pipeline:
             if target is None:
                 raise ValueError("a network pipeline needs a target expression")
             self.target = circ.parse_expression(target)
-            self.rhs = sim.network_rhs(self.net, cfg.sigma)
-            self.max_step = sim.network_max_step(self.net, cfg.sigma)
+            self.rhs, self.max_step = sim.network_integrand(self.net, cfg.sigma)
 
     def _point(self, values: dict):
         """Speed analysis (None for a bare network), targets and initial

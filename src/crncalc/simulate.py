@@ -175,7 +175,7 @@ def _derivative(poly: Mapping, j: int) -> dict:
 def compile_circuit_rhs(circuit, order: Sequence[str], sigma: float = 1.0) -> Callable:
     """Generate the right-hand side gate by gate in factored form.
 
-    Expands to exactly the same polynomials as network_rhs on the
+    Expands to exactly the same polynomials as network_integrand on the
     flattened network, but evaluates differences like (u - v) before
     squaring.  The expanded monomials u^2 y^3 - 2 u v y^3 + v^2 y^3 cancel
     catastrophically once y is large while their true sum stays of order
@@ -339,7 +339,7 @@ _TOO_SMALL = "Required step size is less than spacing between numbers."
 _STEP_CAP = 5.0
 # Without a circuit the cap follows the state: integrate evaluates it at
 # the start and every _RHO_INTERVAL accepted steps, from the exact
-# Jacobian (network_max_step, and the slope of a forced system).  Every
+# Jacobian (network_integrand, and the slope of a forced system).  Every
 # 4, 8 or 16 steps passes every test; every 32 fails
 # test_dense_output_meets_the_tolerance, and so does an evaluation at the
 # start only.  A feed-forward network's cap (every loaded program text)
@@ -672,12 +672,20 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 extra += 1
                 if cap_at is not None:
                     max_step = cap_at(t, state(y))
-    return [_lane_trajectory(segments, lane, ends[lane], species, cfg.abs_tol)
+    return [_lane_trajectory(segments, lane, ends[lane], species, cfg)
             for lane in range(n_lanes)]
 
 
+def _blowup_owner(y: np.ndarray, rel_tol: float) -> int:
+    """The species a blowup is charged to: the first in species order
+    among those within rel_tol of the largest at the crossing.  Species
+    that cross together (the two inner Ys of a real a - b tie) differ
+    there only by roundoff, which must not pick the name."""
+    return int(np.argmax(y >= y.max() * (1.0 - rel_tol)))
+
+
 def _lane_trajectory(segments: list[_Segment], lane: int, end: tuple,
-                     species: Sequence[str], abs_tol: float) -> Trajectory:
+                     species: Sequence[str], cfg: SimConfig) -> Trajectory:
     status, t_last, y_last, detail, last, k_last, stats = end
     ts, hs, ys, qs = [], [], [], []
     for e, seg in enumerate(segments[:last + 1]):
@@ -694,13 +702,13 @@ def _lane_trajectory(segments: list[_Segment], lane: int, end: tuple,
              if h.size else None)
     if status == "blowup":  # the run ends where the threshold is crossed
         times[-1], raw[-1] = t_last, y_last
-        term = Termination("blowup", species[int(np.argmax(y_last))], float(t_last))
+        term = Termination("blowup", species[_blowup_owner(y_last, cfg.rel_tol)], float(t_last))
     else:
         term = Termination(status, time=float(times[-1]), detail=detail)
     flags = []
     for j, sid in enumerate(species):
         low = float(raw[:, j].min(initial=0.0))
-        if low < -abs_tol:
+        if low < -cfg.abs_tol:
             k = int(np.argmin(raw[:, j]))
             flags.append((sid, float(times[k]), low))
     return Trajectory(tuple(species), times, np.clip(raw, 0.0, None), term,
@@ -716,15 +724,11 @@ def network_state(net: ReactionNetwork, init: Mapping[str, float]) -> np.ndarray
     return _check_state(np.array([float(init.get(sid, 0.0)) for sid in net.species_ids]))
 
 
-def network_rhs(net: ReactionNetwork, sigma: float = 1.0) -> Callable:
-    """Generate a fast python function t, y -> dy/dt from the network's
-    mass-action expansion, one term per monomial."""
-    return _polynomial_function(mass_action(net), sigma)
-
-
-def network_max_step(net: ReactionNetwork, sigma: float = 1.0) -> Callable:
-    """The step cap of a network as a function (t, y) -> cap for
-    integrate: _STEP_CAP over the largest spectral radius of the exact
+def network_integrand(net: ReactionNetwork, sigma: float = 1.0) -> tuple[Callable, Callable]:
+    """The right-hand side t, y -> dy/dt and the step cap (t, y) -> cap
+    that integrate takes for a network, both generated from one
+    mass-action expansion: the rate law one term per monomial, and the
+    cap as _STEP_CAP over the largest spectral radius of the exact
     Jacobian d f_i / d x_j among the lanes where it is finite.
 
     A network that is feed-forward in species order (no f_i reads a later
@@ -735,11 +739,12 @@ def network_max_step(net: ReactionNetwork, sigma: float = 1.0) -> Callable:
     lane and takes its eigenvalues.
     """
     field = mass_action(net)
+    rhs = _polynomial_function(field, sigma)
     if all(mono[-1][0] <= i for i, poly in enumerate(field) for mono in poly if mono):
         # a constant entry is z + c, z = 0.0 * the first such species (nan
         # only where that lane is not finite, and _cap skips those values)
         diagonal = _polynomial_function([_derivative(p, i) for i, p in enumerate(field)], sigma)
-        return lambda t, y: _cap(diagonal(t, y))
+        return rhs, lambda t, y: _cap(diagonal(t, y))
     n = len(field)
     entries = "".join(f"    J[{i}, {j}] = {_polynomial(d, sigma)}\n"
                       for i, poly in enumerate(field)
@@ -756,7 +761,7 @@ def network_max_step(net: ReactionNetwork, sigma: float = 1.0) -> Callable:
         J = J.reshape(n, n, -1).transpose(2, 0, 1)
         return _cap(np.linalg.eigvals(J[np.isfinite(J).all(axis=(1, 2))]))
 
-    return max_step
+    return rhs, max_step
 
 
 def integrate_network(net: ReactionNetwork, init: Mapping[str, float],
@@ -765,15 +770,15 @@ def integrate_network(net: ReactionNetwork, init: Mapping[str, float],
     (unlisted species start at 0)."""
     cfg = cfg or SimConfig()
     y0 = network_state(net, init)
-    return integrate(network_rhs(net, cfg.sigma), y0[:, None], net.species_ids, cfg,
-                     network_max_step(net, cfg.sigma))[0]
+    rhs, max_step = network_integrand(net, cfg.sigma)
+    return integrate(rhs, y0[:, None], net.species_ids, cfg, max_step)[0]
 
 
 def initial_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> dict[str, float]:
     """Default initial condition: inputs held at their values (signed
     values dual-rail encoded), constants pinned, species listed in
     init+ at 1, everything else at 0."""
-    init: dict[str, float] = {sid: 0.0 for sid in prog.network.species_ids}
+    init: dict[str, float] = {sid: 0.0 for sid in prog.species_ids}
     bind = prog.bindings.input_map()
     for name, rails in bind.items():
         if name not in inputs:
@@ -797,32 +802,28 @@ def initial_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> dict[s
 
 
 def program_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> np.ndarray:
-    """initial_state as a vector in network species order."""
+    """initial_state as a vector in the program's species order."""
     init = initial_state(prog, inputs)
-    return _check_state(np.array([init[sid] for sid in prog.network.species_ids]))
+    return _check_state(np.array([init[sid] for sid in prog.species_ids]))
 
 
-def program_rhs(prog: CompiledProgram, sigma: float = 1.0) -> Callable:
-    """The factored gate RHS when the circuit is known, else the expanded field."""
-    if prog.circuit is not None:
-        return compile_circuit_rhs(prog.circuit, prog.network.species_ids, sigma)
-    return network_rhs(prog.network, sigma)
-
-
-def program_max_step(prog: CompiledProgram, sigma: float = 1.0) -> float | Callable:
-    """The circuit's step cap when the circuit is known, else the
+def program_integrand(prog: CompiledProgram,
+                      sigma: float = 1.0) -> tuple[Callable, float | Callable]:
+    """The right-hand side and step cap for integrate: the factored gate
+    RHS and the circuit's cap when the circuit is known, else the
     network's (a loaded program text)."""
     if prog.circuit is not None:
-        return circuit_max_step(prog.circuit, sigma)
-    return network_max_step(prog.network, sigma)
+        return (compile_circuit_rhs(prog.circuit, prog.species_ids, sigma),
+                circuit_max_step(prog.circuit, sigma))
+    return network_integrand(prog.network, sigma)
 
 
 def simulate_program(prog: CompiledProgram, inputs: Mapping[str, object],
                      cfg: SimConfig | None = None) -> Trajectory:
     cfg = cfg or SimConfig()
     y0 = program_state(prog, inputs)
-    return integrate(program_rhs(prog, cfg.sigma), y0[:, None],
-                     prog.network.species_ids, cfg, program_max_step(prog, cfg.sigma))[0]
+    rhs, max_step = program_integrand(prog, cfg.sigma)
+    return integrate(rhs, y0[:, None], prog.species_ids, cfg, max_step)[0]
 
 
 # ---------------------------------------------------------------------------

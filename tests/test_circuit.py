@@ -1,16 +1,25 @@
 """Expression parsing, lowering to gate circuits, flattening, speed analysis."""
 
+import contextlib
+import importlib.util
+import io
 import pickle
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import crncalc.crn
+import crncalc.gates
+from crncalc import cli
 from crncalc.crn import FormatError, derive_ode, format_network
 from crncalc.gates import DomainError
 from crncalc.circuit import (
     Add,
+    CompiledProgram,
     Const,
     ModeError,
     Mul,
@@ -22,6 +31,7 @@ from crncalc.circuit import (
     encode_dual_rail,
     eval_expr,
     format_program,
+    flatten,
     free_vars,
     load_program,
     lower_to_circuit,
@@ -223,6 +233,79 @@ def test_shared_input_programs_round_trip(src, mode):
     back = pickle.loads(pickle.dumps(prog))
     assert back.network == prog.network and hash(back.network) == hash(prog.network)
     assert format_program(back) == text
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _compile_ops(seed):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.compile_ops(seed)
+
+
+def _rendered_from_network(prog):
+    """The program text as format_network writes the built network."""
+    return format_program(CompiledProgram(prog.species, prog.bindings,
+                                          network=prog.network))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gate_templates_render_the_network(seed):
+    # the benchmark's compile expressions, both modes, sums of 1 to 64
+    # terms (seed 0 up to 300)
+    for op in _compile_ops(seed):
+        if op.terms <= 64 or seed == 0:
+            prog = compile_expression(op.expr, op.mode)
+            assert format_program(prog) == _rendered_from_network(prog), op.expr
+
+
+@pytest.mark.parametrize("src,mode", [
+    ("a*a", "nonneg"), ("a/a", "nonneg"), ("abs(a - a)", "nonneg"),
+    ("rsub(a, a)", "nonneg"), ("max(a, a)", "nonneg"), ("root(3, a*a)", "nonneg"),
+    ("a - a", "real"), ("a/a", "real"), ("b*a + rsub(b, a) + abs(b - a)", "nonneg"),
+    ("b/a - a*b", "real"), ("1/(a - a)", "real")])
+def test_every_sharing_pattern_renders_the_network(src, mode):
+    prog = compile_expression(src, mode)
+    assert format_program(prog) == _rendered_from_network(prog)
+
+
+@pytest.fixture
+def renamings(monkeypatch):
+    """Counts the gate reactions stamped from their templates."""
+    calls = []
+    real = crncalc.crn._renamed
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(crncalc.crn, "_renamed", counted)
+    monkeypatch.setattr(crncalc.gates, "_renamed", counted)
+    return calls
+
+
+def test_compiling_builds_no_reaction(renamings):
+    for src, mode in [("sqrt(abs(a - b)) + max(a, b)/c", "nonneg"), ("a*b - c/a", "real")]:
+        prog = flatten(lower_to_circuit(parse_expression(src), mode))
+        format_program(prog)
+        assert renamings == []
+        assert len(prog.network.reactions) > 0  # built on the first read
+        assert len(renamings) == len(prog.circuit.gates)
+        assert prog.network is prog.network
+        renamings.clear()
+
+
+def test_compile_sweep_and_verify_build_no_reaction(renamings):
+    for argv in (["compile", "--expr", "a/b + sqrt(a)"],
+                 ["sweep", "--expr", "a*b", "--grid", "a=1,2;b=3", "--t-end", "20"],
+                 ["verify", "--mode", "real", "--expr", "a*b - c",
+                  "--in", "a=1.3,b=-2.1,c=0.7"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    assert renamings == []
 
 
 def test_load_program_validation():

@@ -19,11 +19,12 @@ from crncalc.crn import (
     check_admissible,
     collect_network,
     derive_ode,
-    evaluate_field,
     format_network,
     format_polynomial,
     parse_network,
 )
+
+from field_helpers import evaluate_field
 
 F = Fraction
 

@@ -26,6 +26,8 @@ from crncalc.gates import (
     make_gate,
 )
 
+from field_helpers import evaluate_field
+
 F = Fraction
 
 
@@ -288,7 +290,6 @@ def test_steady_state_single_input_gates(a):
         state = {"A": a, gate.output.id: x_star}
         if y_star is not None:
             state[gate.intermediates[0].id] = y_star
-        from crncalc.crn import evaluate_field
         vals = evaluate_field(f, state)
         for sid, v in vals.items():
             assert v == pytest.approx(0.0, abs=1e-9), (tag, sid)
@@ -296,7 +297,6 @@ def test_steady_state_single_input_gates(a):
 
 @given(positive, positive)
 def test_steady_state_two_input_gates(a, b):
-    from crncalc.crn import evaluate_field
     cases = [("addition", a + b, None), ("multiplication", a * b, None)]
     if abs(a - b) > 0.05:
         cases.append(("absolute_difference", abs(a - b), 1 / abs(a - b)))
@@ -314,7 +314,6 @@ def test_steady_state_two_input_gates(a, b):
 
 @given(positive)
 def test_steady_state_partial_real_inversion(ap):
-    from crncalc.crn import evaluate_field
     gate, net = build("partial_real_inversion", 2)
     f = derive_ode(net)
     # positive rail active: x* = 1/a_p, y* = 1/a_p

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import crncalc.simulate
-from crncalc.crn import derive_ode, evaluate_field, parse_network
+from crncalc.crn import derive_ode, parse_network
 from crncalc.circuit import (compile_expression, eval_expr, flatten, format_program,
                              load_program, lower_to_circuit)
 from crncalc.gates import GATES, gate_limit_rate
@@ -25,16 +25,16 @@ from crncalc.simulate import (
     integrate,
     integrate_network,
     naive_inversion_network,
-    network_max_step,
-    network_rhs,
+    network_integrand,
     parse_forcing,
-    program_max_step,
-    program_rhs,
+    program_integrand,
     program_state,
     read_trajectory_csv,
     simulate_forced,
     simulate_program,
 )
+
+from field_helpers import evaluate_field
 
 TIGHT = dict(rel_tol=1e-10, abs_tol=1e-12)
 
@@ -280,7 +280,7 @@ def test_factored_rhs_matches_expanded(values):
     prog = flatten(circuit)
     ids = prog.network.species_ids
     fast = compile_circuit_rhs(circuit, ids)
-    slow = network_rhs(prog.network)
+    slow, _ = network_integrand(prog.network)
     y = np.array((values * 3)[: len(ids)])
     lhs = np.asarray(fast(0.0, y), dtype=float)
     rhs = np.asarray(slow(0.0, y), dtype=float)
@@ -296,8 +296,8 @@ GRID_EXPRS = ["a + b", "a * b", "a / b", "sqrt(1/(a + b))", "max(a, b)"]
 def batch(src, points, cfg):
     prog = compile_expression(src)
     y0 = np.column_stack([program_state(prog, p) for p in points])
-    return prog, integrate(program_rhs(prog), y0, prog.network.species_ids, cfg,
-                           program_max_step(prog))
+    rhs, max_step = program_integrand(prog)
+    return prog, integrate(rhs, y0, prog.species_ids, cfg, max_step)
 
 
 @pytest.mark.parametrize("src", GRID_EXPRS)
@@ -465,13 +465,13 @@ def test_rhs_rows_have_the_lane_shape():
     # held inputs and constant production still return one value per lane
     net = parse_network("species: A[input], X[output]\n0 -> X ; k=1\nA + X -> A ; k=1\n")
     y = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 0.5]])
-    rows = np.asarray(network_rhs(net)(0.0, y))
+    rows = np.asarray(network_integrand(net)[0](0.0, y))
     assert rows.shape == y.shape
     assert np.array_equal(rows[0], np.zeros(3))
     assert np.allclose(rows[1], 1.0 - y[0] * y[1])
     prog = compile_expression("a * b + 2")
-    rows = np.asarray(program_rhs(prog)(0.0, np.ones((len(prog.network.species), 4))))
-    assert rows.shape == (len(prog.network.species), 4)
+    rows = np.asarray(program_integrand(prog)[0](0.0, np.ones((len(prog.species), 4))))
+    assert rows.shape == (len(prog.species), 4)
 
 
 def test_dense_output_of_one_species_is_exact():
@@ -529,7 +529,7 @@ def test_stats_count_the_work_of_bare_networks():
     for net in (double_identification_network(),
                 parse_network("species: A, B\nA -> B ; k=3\nB -> A ; k=1\n")):
         calls = []
-        rhs = network_rhs(net)
+        rhs, max_step = network_integrand(net)
 
         def counted(t, y):
             calls.append(t)
@@ -537,8 +537,7 @@ def test_stats_count_the_work_of_bare_networks():
 
         y0 = np.zeros((len(net.species), 1))
         y0[0] = 2.0
-        traj = integrate(counted, y0, net.species_ids, SimConfig(t_end=40),
-                         network_max_step(net))[0]
+        traj = integrate(counted, y0, net.species_ids, SimConfig(t_end=40), max_step)[0]
         s = traj.stats
         assert s.steps > 2 * crncalc.simulate._RHO_INTERVAL
         assert s.rhs_evals == len(calls) == 2 + 12 * (s.steps + s.rejected) + 3 * s.steps
@@ -595,7 +594,7 @@ def test_gate_limit_rate_is_the_jacobian_spectrum(src, mode, inputs):
     assert len(kinds) == 1
     traj = simulate_program(prog, inputs, SimConfig(t_end=40))
     assert traj.termination.status == "completed"
-    J = _jacobian(program_rhs(prog), traj.states[-1])
+    J = _jacobian(program_integrand(prog)[0], traj.states[-1])
     assert not np.triu(J, 1).any()
     rho = np.abs(np.linalg.eigvals(J)).max()
     assert rho == pytest.approx(gate_limit_rate(kinds.pop()), abs=1e-2)
@@ -620,7 +619,7 @@ def test_composite_limit_rate_is_sigma_times_its_largest_gate():
     assert circuit_max_step(prog.circuit) == cap / 3
     assert circuit_max_step(prog.circuit, 2.0) == cap / 6
     traj = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=2.0))
-    J = _jacobian(program_rhs(prog, 2.0), traj.states[-1])
+    J = _jacobian(program_integrand(prog, 2.0)[0], traj.states[-1])
     assert np.abs(np.linalg.eigvals(J)).max() == pytest.approx(6.0, abs=1e-2)
 
 
@@ -630,8 +629,7 @@ def test_network_cap_is_the_spectrum_of_the_jacobian_diagonal():
     prog = compile_expression("sqrt(abs(a - b)) + root(3, a*b)")
     loaded = load_program(format_program(prog))
     assert loaded.circuit is None
-    cap_at = program_max_step(loaded, 2.0)
-    rhs = program_rhs(loaded, 2.0)
+    rhs, cap_at = program_integrand(loaded, 2.0)
     cap = crncalc.simulate._STEP_CAP
     for t_end in (0.5, 3.0, 20.0):
         y = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=t_end)).states[-1]
@@ -649,7 +647,7 @@ def test_cyclic_network_cap_is_exact():
     # A <-> B reads a later species, so its cap comes from the eigenvalues
     # of the full Jacobian, 0 and -4 at any state
     net = parse_network("species: A[input], B[output]\nA -> B ; k=3\nB -> A ; k=1\n")
-    cap_at = network_max_step(net)
+    _, cap_at = network_integrand(net)
     y = np.random.default_rng(4).uniform(0.0, 5.0, (2, 6))
     for cap in [cap_at(0.0, y[:, 0].tolist()), cap_at(0.0, y), cap_at(0.0, [0.0, 0.0])]:
         assert cap == pytest.approx(5 / 4, rel=1e-12)
@@ -667,7 +665,7 @@ def test_network_rhs_is_the_mass_action_field():
     rng = np.random.default_rng(12)
     for net in nets:
         ids = net.species_ids
-        rhs = network_rhs(net)
+        rhs, _ = network_integrand(net)
         for _ in range(5):
             y = rng.uniform(0.0, 3.0, len(ids))
             want = evaluate_field(derive_ode(net), dict(zip(ids, y)))
@@ -703,8 +701,8 @@ def test_rhs_sees_only_the_lane_shape(monkeypatch):
         system = ForcedSystem(form, parse_forcing("1 + exp(-2*t)"), parse_forcing("2"), m=2)
         assert simulate_forced(system, SimConfig(t_end=40)).termination.status == "completed"
     y0 = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
-    trajs = spy_integrate(network_rhs(net), y0, net.species_ids, SimConfig(t_end=40),
-                          network_max_step(net))
+    rhs, max_step = network_integrand(net)
+    trajs = spy_integrate(rhs, y0, net.species_ids, SimConfig(t_end=40), max_step)
     assert [t.termination.status for t in trajs] == ["completed"] * 3
     assert set(seen) == {1, 3}
 
@@ -744,3 +742,26 @@ def test_real_subtraction_ties_blow_up_alike():
         assert traj.termination.species in normalisers, a
         steps.append(traj.stats.steps)
     assert max(steps) - min(steps) <= 5, steps
+
+
+def test_real_subtraction_ties_name_one_owner():
+    # both normalising rsub Ys cross together and differ there only by
+    # roundoff, so the owner is the first of them in species order at
+    # every magnitude, not whichever roundoff made larger
+    circuit = lower_to_circuit("a - b", "real")
+    prog = flatten(circuit)
+    first = next(g.intermediates[0].id for g in circuit.gates
+                 if g.kind.tag == "rectified_subtraction")
+    for a in (0.1, 3.0, 50.0):
+        traj = simulate_program(prog, {"a": a, "b": a},
+                                SimConfig(t_end=40, rel_tol=1e-10, abs_tol=1e-12))
+        assert traj.termination.status == "blowup", a
+        assert traj.termination.species == first, a
+
+
+def test_blowup_owner_ignores_roundoff_but_not_a_real_lead():
+    owner = crncalc.simulate._blowup_owner
+    y = np.array([1.0, 1e12, 1e12 * (1 + 1e-15), 5.0])
+    assert owner(y, 1e-10) == 1
+    y[2] = 1e12 * (1 + 1e-6)
+    assert owner(y, 1e-10) == 2
