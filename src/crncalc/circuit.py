@@ -14,12 +14,13 @@ program text.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .crn import (FormatError, ReactionNetwork, Species, format_fraction, format_network,
-                  format_species, parse_network)
+                  format_species, parse_network, parse_number)
 from .gates import (DomainError, GateInstance, GateKind, SpeciesNamer,
                     SpeedBound, gate_speed_bound, gate_target, gate_text, make_gate)
 
@@ -39,48 +40,30 @@ class ModeError(ValueError):
 
 
 class Expr:
-    """An immutable expression node, compared by value.
+    """An immutable expression node, interned: constructing a node equal to
+    a live one returns that node, so equal expressions are one object and
+    compare and hash by identity at any depth.  The table holds nodes
+    weakly, so dropped expressions leave it."""
 
-    Lowering looks nodes up by value to share common subexpressions.  The
-    dataclass hash would rehash the whole subtree on every lookup, which
-    makes lowering quadratic in the expression size, so each node hashes
-    once, at construction, from its children's stored hashes.  Equality
-    walks an explicit stack, so trees of any depth compare.
-    """
-    __slots__ = ("_hash",)
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = _INTERNED[key] = object.__new__(cls)
+            for name, value in zip(cls.__dataclass_fields__, fields):
+                object.__setattr__(node, name, value)
+        return node
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((type(self).__name__, *self._fields())))
+    def __reduce__(self):  # unpickle through the constructor, so interned too
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
-    def __hash__(self):
-        return self._hash
 
-    def __eq__(self, other):
-        if not isinstance(other, Expr):
-            return NotImplemented
-        todo = [(self, other)]
-        while todo:
-            a, b = todo.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b) or a._hash != b._hash:
-                return False
-            for x, y in zip(a._fields(), b._fields()):
-                if isinstance(x, Expr):
-                    todo.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-    def __reduce__(self):  # rebuild through __init__: string hashes differ per process
-        return type(self), self._fields()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__dataclass_fields__)
+_INTERNED: weakref.WeakValueDictionary[tuple, Expr] = weakref.WeakValueDictionary()
 
 
 def _node(cls):
-    return dataclass(frozen=True, eq=False)(cls)  # keep Expr's hash and equality
+    # fields are set once, by Expr.__new__: a reused node keeps its values
+    return dataclass(frozen=True, eq=False, init=False)(cls)
 
 
 @_node
@@ -272,7 +255,10 @@ class _Parser:
     def factor(self) -> Expr:
         t = self.next()
         if t.kind == "num":
-            return Const(Fraction(t.text))
+            try:
+                return Const(parse_number(t.text))
+            except ValueError:
+                raise ParseError("number out of a float's range", t.pos) from None
         if t.kind == "ident":
             if t.text in _FUNCTIONS and self.peek().text == "(":
                 return self.nested(t, self.call, t)
@@ -410,11 +396,16 @@ class CircuitBuilder:
         self.consts: dict[str, Fraction] = {}
         self._const_cache: dict[Fraction, Species] = {}
         self._cse: dict[Expr, Value] = {}
+        self._bases: dict[str, str] = {}  # input species base -> variable
 
     def input_species(self, name: str) -> Value:
         if name in self.inputs:
             return self.inputs[name]
         base = name.upper()
+        other = self._bases.setdefault(base, name)
+        if other != name:
+            raise ValueError(f"variables {other!r} and {name!r} differ only in case, "
+                             "so their input species would collide")
         if self.mode == "nonneg":
             self.namer.reserve(base)
             val: Value = Species(base, "input")
@@ -692,7 +683,7 @@ def load_program(text: str) -> CompiledProgram:
             rails = (m.group(2), m.group(3)) if m.group(2) else (m.group(4),)
             inputs.append((m.group(1), rails))
         elif m := _CONST_RE.match(line):
-            Fraction(m.group(2))  # validate
+            parse_number(m.group(2))  # validate
             consts.append((m.group(1), m.group(2)))
         elif m := _OUTPUT_RE.match(line):
             output = (m.group(1), m.group(2)) if m.group(1) else (m.group(3),)

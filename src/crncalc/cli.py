@@ -17,14 +17,13 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 
 from . import circuit as circ
 from . import rates as rt
 from . import simulate as sim
-from .crn import FormatError, parse_network
+from .crn import FormatError, parse_network, parse_number
 from .gates import SpeedBound, catalogue
 
 EXIT_OK = 0
@@ -71,11 +70,7 @@ def _parse_inputs(pairs: list[str]) -> dict[str, float]:
             if "=" not in item:
                 raise ValueError(f"bad input binding {item!r}; expected name=value")
             name, _, raw = item.partition("=")
-            try:
-                val = float(Fraction(raw))
-            except (ValueError, ZeroDivisionError):
-                raise ValueError(f"bad numeric value {raw!r} for input {name!r}")
-            values[name.strip()] = val
+            values[name.strip()] = float(parse_number(raw))
     return values
 
 
@@ -378,7 +373,7 @@ def _parse_grid(spec: str) -> list[dict[str, float]]:
         name, _, vals = part.partition("=")
         if not vals:
             raise ValueError(f"bad grid axis {part!r}; expected name=v1,v2,...")
-        axes.append((name.strip(), [float(Fraction(v.strip())) for v in vals.split(",")]))
+        axes.append((name.strip(), [float(parse_number(v)) for v in vals.split(",")]))
     points: list[dict[str, float]] = [{}]
     for name, vals in axes:
         points = [dict(p, **{name: v}) for p in points for v in vals]

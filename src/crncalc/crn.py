@@ -10,6 +10,7 @@ are decidable; floats only enter at evaluation time.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,9 +59,6 @@ class Complex:
             if s == sid:
                 return n
         return 0
-
-    def species(self) -> tuple[str, ...]:
-        return tuple(s for s, _ in self.coeffs)
 
     def is_empty(self) -> bool:
         return not self.coeffs
@@ -314,11 +312,25 @@ def _parse_complex(text: str, lineno: int) -> Complex:
     return Complex.make(counts)
 
 
+def parse_number(text: str) -> Fraction:
+    """The exact value of a numeric literal ("3", "0.25", "1e-3", "2/3"), or
+    ValueError unless a float holds it.  Each side is tried as a float
+    first: "1e1000000" is refused before Fraction builds 10**1000000."""
+    for part in text.split("/", 1):
+        f = float(part)
+        if not math.isfinite(f) or (f == 0 and re.search("[1-9]", part.lower().split("e")[0])):
+            raise ValueError(f"number {text.strip()!r} is out of a float's range")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"number {text.strip()!r} divides by zero") from None
+
+
 def _parse_rate(text: str, lineno: int) -> Fraction:
     try:
-        rate = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise FormatError(f"line {lineno}: bad rate constant {text.strip()!r}") from None
+        rate = parse_number(text)
+    except ValueError as e:
+        raise FormatError(f"line {lineno}: bad rate constant: {e}") from None
     if rate <= 0:
         raise FormatError(f"line {lineno}: rate constant must be positive")
     return rate

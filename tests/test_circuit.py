@@ -18,11 +18,14 @@ from crncalc import cli
 from crncalc.crn import FormatError, derive_ode, format_network
 from crncalc.gates import DomainError
 from crncalc.circuit import (
+    AbsDiff,
     Add,
+    CircuitBuilder,
     CompiledProgram,
     Const,
     ModeError,
     Mul,
+    Neg,
     ParseError,
     Root,
     Sub,
@@ -365,7 +368,7 @@ def test_predict_speed_real_multiplication():
     assert sa.bound.value == 1.0
 
 
-def test_expression_hash_is_stored_at_construction():
+def test_deep_expressions_hash_compare_and_pickle():
     # hashing must not walk the subtree: a chain far deeper than the
     # recursion limit still hashes and works as a dict key
     e = Var("a")
@@ -387,12 +390,42 @@ def test_deep_expressions_lower_and_evaluate():
     names = free_vars(e)
     assert len(names) == 10000
     assert eval_expr(e, dict.fromkeys(names, 2.0)) == 20000.0
-    # the second copy compares equal without recursing and is shared
+    # the second parse is the same object, so lowering shares it
     twice = Mul(e, parse_expression(text))
-    assert twice.left == twice.right and twice.left is not twice.right
+    assert twice.left == twice.right and twice.left is twice.right
     c = lower_to_circuit(twice)
     assert len(c.gates) == 10000
     assert shape(c)[-1] == ("multiplication", ["X9999", "X9999"], "X10000")
+
+
+def test_equal_expressions_are_one_object():
+    text = "sqrt(a*b + 1/(c + 2)) - rsub(a, 3)"
+    assert parse_expression(text) is parse_expression(text)
+    one = Const(Fraction(1))  # a second construction must not reset its value
+    assert Const(1) is one and type(one.value) is Fraction
+    assert Add(Var("a"), Var("b")) is not Sub(Var("a"), Var("b"))
+    e = parse_expression(text)
+    assert pickle.loads(pickle.dumps(e)) is e
+
+
+@pytest.mark.parametrize("src,mode,cls", [("(a - b) + -b", "real", Neg),
+                                          ("max(a, b) + abs(a - b)", "nonneg", AbsDiff)])
+def test_lowering_reuses_the_parsed_nodes(src, mode, cls):
+    # real a - b lowers a + Neg(b), and max(a, b) lowers AbsDiff(a, b):
+    # both are the nodes the parser made for the right-hand operand
+    e = parse_expression(src)
+    b = CircuitBuilder(mode)
+    b.lower(e)
+    (built,) = [node for node in b._cse if isinstance(node, cls)]
+    assert built is e.right
+
+
+def test_dropped_expressions_leave_the_intern_table():
+    before = len(crncalc.circuit._INTERNED)
+    e = parse_expression(" + ".join(f"a{i}*b{i}" for i in range(5000)))
+    assert len(crncalc.circuit._INTERNED) > before + 15000
+    del e
+    assert len(crncalc.circuit._INTERNED) == before
 
 
 def test_parser_nesting_limit():

@@ -4,6 +4,8 @@ Exit code contract: 0 success, 2 usage/parse/domain problems, 3 blowup,
 4 value not converged / rate not measurable, 5 speed check failed.
 """
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -11,7 +13,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
+from crncalc.circuit import ParseError, compile_expression, load_program, parse_expression
 from crncalc.simulate import read_trajectory_csv
 from crncalc.rates import RateEstimate
 import crncalc.cli
@@ -533,6 +538,80 @@ def test_bad_input_binding_exits_2(capsys):
     code, _, err = run(capsys, "simulate", "--expr", "a", "--in", "a")
     assert code == 2
     assert "name=value" in err
+
+
+BIG = "9" * 400
+PROGRAM = ("# input a -> A\n{const}# output -> X\nspecies: A[input], {decl}X\n"
+           "A -> A + X ; k={k}\nX -> 0 ; k=1\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--expr", "a", "--in", "a=1e400"], "'1e400' is out of a float's range"),
+    (["sweep", "--expr", "a+b", "--grid", "a=1e400;b=1"], "'1e400' is out of a float's range"),
+    (["sweep", "--expr", "a+b", "--grid", "a=1/0"], "'1/0' divides by zero"),
+    (["compile", "--expr", f"a + {BIG}"], "col 5: number out of a float's range"),
+    (["verify", "--expr", f"a + {BIG}", "--in", "a=1"], "col 5: number out"),
+    (["simulate", "--expr", f"a + {BIG}", "--in", "a=1"], "col 5: number out"),
+    (["sweep", "--expr", f"a + {BIG}", "--grid", "a=1"], "col 5: number out"),
+    (["simulate", "--crn", PROGRAM.format(const="", decl="", k="1e400"), "--in", "a=1"],
+     "line 4: bad rate constant: number '1e400'"),
+    (["simulate", "--crn", PROGRAM.format(const="# const K1 = 1e400\n", decl="K1[input], ",
+                                          k="1"), "--in", "a=1"], "'1e400' is out"),
+])
+def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, message):
+    if argv[1] == "--crn":
+        (tmp_path / "p.crn").write_text(argv[2])
+        argv = [argv[0], "--crn", str(tmp_path / "p.crn"), *argv[3:]]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["nonneg", "real"])
+def test_case_colliding_variables_exit_2(capsys, mode):
+    # x1 and X1 would both be input species X1 (X1_p, X1_n in real mode)
+    code, out, err = run(capsys, "verify", "--expr", "x1 + X1", "--mode", mode,
+                         "--in", "x1=1,X1=5")
+    assert code == 2 and "pass" not in out
+    assert "variables 'X1' and 'x1' differ only in case" in err
+    code, out, err = run(capsys, "compile", "--expr", "a*b + A", "--mode", mode)
+    assert code == 2 and out == ""
+    assert "variables 'A' and 'a' differ only in case" in err
+
+
+def _expressions(mode):
+    """Grammar expressions over case variants of one name and small and
+    400-digit literals, using the operations the mode lowers."""
+    def extend(children):
+        ops = "+*/" if mode == "nonneg" else "+-*/"
+        binary = st.tuples(children, st.sampled_from(ops), children).map(" ".join)
+        if mode == "real":
+            return st.one_of(binary.map("({})".format), children.map("-{}".format))
+        pair = st.tuples(children, children)
+        return st.one_of(binary.map("({})".format), children.map("sqrt({})".format),
+                         children.map("root(3, {})".format),
+                         pair.map(lambda p: f"abs({p[0]} - {p[1]})"),
+                         pair.map(lambda p: f"max({p[0]}, {p[1]})"),
+                         pair.map(lambda p: f"rsub({p[0]}, {p[1]})"))
+    leaves = st.sampled_from(["a", "A", "b", "x1", "X1", "1", "0.5", "3", BIG])
+    return st.tuples(st.recursive(leaves, extend, max_leaves=8), st.just(mode))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(["nonneg", "real"]).flatmap(_expressions))
+def test_compile_exits_0_or_2_and_its_text_loads_back(case):
+    text, mode = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["compile", f"--expr={text}", "--mode", mode])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert load_program(out.getvalue()).species == compile_expression(text, mode).species
+    try:
+        assert parse_expression(text) is parse_expression(text)
+    except ParseError:
+        assert code == 2
 
 
 def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, capsys):

@@ -22,6 +22,7 @@ from crncalc.crn import (
     format_network,
     format_polynomial,
     parse_network,
+    parse_number,
 )
 
 from field_helpers import evaluate_field
@@ -236,6 +237,33 @@ def test_parse_rate_defaults_to_one():
     # shorthand: an omitted rate clause means k=1
     n = parse_network("A -> A + X\nX -> 0\n")
     assert all(r.rate == 1 for r in n.reactions)
+
+
+@pytest.mark.parametrize("text,value", [("3", 3), ("0.25", Fraction(1, 4)),
+                                        ("1e-3", Fraction(1, 1000)), (" 2/3 ", Fraction(2, 3)),
+                                        ("0e-400", 0), ("1e308", 10 ** 308)])
+def test_parse_number_takes_finite_literals(text, value):
+    assert parse_number(text) == value
+
+
+@pytest.mark.parametrize("text,message", [("1e400", "out of a float's range"),
+                                          ("-1e400", "out of a float's range"),
+                                          ("1e-400", "out of a float's range"),
+                                          ("9" * 400, "out of a float's range"),
+                                          ("1/" + "9" * 400, "out of a float's range"),
+                                          ("inf", "out of a float's range"),
+                                          ("nan", "out of a float's range"),
+                                          ("1/0", "divides by zero"),
+                                          ("abc", "could not convert"),
+                                          ("1/1e5", "Invalid literal")])
+def test_parse_number_refuses_what_a_float_cannot_hold(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_number(text)
+
+
+def test_parse_rate_out_of_range_is_a_format_error():
+    with pytest.raises(FormatError, match="line 2: bad rate constant: number '1e400'"):
+        parse_network("A -> A + X\nX -> 0 ; k=1e400\n")
 
 
 def test_parse_empty_complex_symbol():
