@@ -315,11 +315,15 @@ def _parse_complex(text: str, lineno: int) -> Complex:
 def parse_number(text: str) -> Fraction:
     """The exact value of a numeric literal ("3", "0.25", "1e-3", "2/3"), or
     ValueError unless a float holds it.  Each side is tried as a float
-    first: "1e1000000" is refused before Fraction builds 10**1000000."""
+    first: "1e1000000" is refused before Fraction builds 10**1000000, and
+    a zero mantissa ("0e-1000000") is read without its exponent."""
     for part in text.split("/", 1):
         f = float(part)
-        if not math.isfinite(f) or (f == 0 and re.search("[1-9]", part.lower().split("e")[0])):
+        mantissa = part.lower().split("e")[0]
+        if not math.isfinite(f) or (f == 0 and re.search("[1-9]", mantissa)):
             raise ValueError(f"number {text.strip()!r} is out of a float's range")
+    if "/" not in text and f == 0:
+        text = mantissa  # only a literal without "/" takes an exponent
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -16,7 +16,9 @@ are fitted in one pass, as one batch of least-squares problems.
 
 `Pipeline` is the one compile -> predict -> integrate -> measure path:
 `verify`, `sweep` and the acceptance criteria all take their points
-through it.
+through it.  It resamples each integrated batch once (simulate.resample,
+once per shared step grid) and measures every lane and rail from those
+samples.
 """
 
 from __future__ import annotations
@@ -135,9 +137,13 @@ def _detrended_fit(seg_t: np.ndarray, log_e: np.ndarray):
     closed at both ends, so a sample on an edge belongs to both its bins.
     """
     edges = np.linspace(seg_t[0], seg_t[-1], _ENVELOPE_BINS + 1)
-    starts = np.searchsorted(seg_t, edges[:-1], side="left").tolist()
-    stops = np.searchsorted(seg_t, edges[1:], side="right").tolist()
-    picks = [a + int(np.argmax(log_e[a:b])) for a, b in zip(starts, stops) if a < b]
+    starts = np.searchsorted(seg_t, edges[:-1], side="left")
+    stops = np.searchsorted(seg_t, edges[1:], side="right")
+    starts, stops = starts[starts < stops], stops[starts < stops]
+    # each bin's samples, padded with repeats of its last one
+    idx = np.minimum(starts[:, None] + np.arange((stops - starts).max()),
+                     stops[:, None] - 1)
+    picks = starts + np.argmax(log_e[idx], axis=1)
     bt, be = seg_t[picks], log_e[picks]
     if bt.size < 4:
         raise EstimationError(f"only {bt.size} envelope bins in the fit window")
@@ -159,7 +165,8 @@ def estimate_rate(traj: Trajectory, species: str, target: float,
 
     detrend=True switches from the plain log-linear slope to the
     prefactor-aware envelope fit (see module docstring), resampling the
-    trajectory on a uniform grid first when dense output is available.
+    trajectory on a uniform _RESAMPLE-point grid first when dense output
+    is available (simulate.resample, as a batch of one).
     """
     if not 0 < err_floor < err_ceil:
         raise ValueError("need 0 < err_floor < err_ceil")
@@ -167,10 +174,9 @@ def estimate_rate(traj: Trajectory, species: str, target: float,
     if t.size < 2:
         raise EstimationError("trajectory too short")
     if detrend and traj.dense is not None:
-        t = np.linspace(t[0], t[-1], _RESAMPLE)
-        err = np.abs(traj.at(t, species) - float(target))
-    else:
-        err = np.abs(traj.series(species) - float(target))
+        traj = sim.resample([traj], [species], _RESAMPLE)[0]
+        t = traj.times
+    err = np.abs(traj.series(species) - float(target))
     settle = t[0] + 0.01 * (t[-1] - t[0])
     tail = err[t >= settle]
     if tail.size and float(tail.max()) < err_floor:
@@ -314,9 +320,10 @@ class Pipeline:
     network is lowered, flattened and its right-hand side built once, with
     the step cap of the circuit (a bare network's follows the state, from
     its exact Jacobian); `run_points` takes a batch of input points through
-    it.  The layer
-    functions are called through their modules, so they can be wrapped by
-    name.
+    it, integrates them as one batch and resamples the batch's output
+    rails once per shared step grid, then calls estimate_rate once per
+    lane and rail on those samples.  The layer functions are called
+    through their modules, so they can be wrapped by name.
     """
 
     def __init__(self, kind: str, text: str, mode: str, target: str | None,
@@ -360,13 +367,14 @@ class Pipeline:
         y0 = sim.network_state(self.net, values)
         return None, [circ.eval_expr(self.target, values)], y0
 
-    def _rail_rates(self, traj: Trajectory, targets: list[float]) -> list:
-        """The rate estimate of each output rail, or the ValueError that
-        stopped it (EstimationError, NotConvergedError, an unknown species)."""
+    def _rail_rates(self, samples: Trajectory, targets: list[float]) -> list:
+        """The rate estimate of each output rail from the rails' resampled
+        trajectory, or the ValueError that stopped it (EstimationError,
+        NotConvergedError)."""
         out = []
         for sid, tgt in zip(self.rails, targets):
             try:
-                out.append(estimate_rate(traj, sid, tgt,
+                out.append(estimate_rate(samples, sid, tgt,
                                          err_floor=auto_err_floor(tgt, self.cfg.rel_tol),
                                          detrend=True))
             except ValueError as e:
@@ -376,7 +384,8 @@ class Pipeline:
     def run_points(self, points: list[dict]) -> list:
         """A PointRun per point, or the ValueError (DomainError and
         ModeError included) that kept it from running; the points that
-        can run are integrated as one batch."""
+        can run are integrated as one batch, and their rails resampled
+        as one."""
         runs, lanes = [], []
         for values in points:
             try:
@@ -387,7 +396,8 @@ class Pipeline:
         if lanes:
             y0 = np.column_stack([y0 for *_, y0 in lanes])
             trajs = sim.integrate(self.rhs, y0, self.species, self.cfg, self.max_step)
-            for (i, analysis, targets, _), traj in zip(lanes, trajs):
+            samples = sim.resample(trajs, self.rails, _RESAMPLE)
+            for (i, analysis, targets, _), traj, rails in zip(lanes, trajs, samples):
                 runs[i] = PointRun(self.rails, targets, traj,
-                                   self._rail_rates(traj, targets), analysis)
+                                   self._rail_rates(rails, targets), analysis)
         return runs

@@ -442,28 +442,75 @@ class _DenseOutput:
     def __init__(self, t_old, h, y_old, q):
         self.t_old, self.h, self.y_old, self.q = t_old, h, y_old, q
 
-    def __call__(self, t, i: int | None = None):
-        t = np.asarray(t, dtype=float)
+    def locate(self, t: np.ndarray):
+        """The step k of each time t and the powers x .. x^7 of its
+        fraction x of that step, (..., 7)."""
         k = np.clip(np.searchsorted(self.t_old, t, side="left") - 1, 0, self.h.size - 1)
         x = (t - self.t_old[k]) / self.h[k]
-        p = np.cumprod(np.stack([x] * _P.shape[1], axis=-1), axis=-1)
+        return k, np.cumprod(np.stack([x] * _P.shape[1], axis=-1), axis=-1)
+
+    def component(self, i: int, k: np.ndarray, p: np.ndarray, hk: np.ndarray):
+        """Species i at the times that locate gave k and p for; hk is h[k]."""
+        return self.y_old[k, i] + hk * np.einsum("...j,...j->...", self.q[:, i][k], p)
+
+    def __call__(self, t, i: int | None = None):
+        t = np.asarray(t, dtype=float)
+        k, p = self.locate(t)
         if i is not None:
-            return self.y_old[k, i] + self.h[k] * np.einsum("...j,...j->...", self.q[k, i], p)
+            return self.component(i, k, p, self.h[k])
         dy = np.einsum("...ij,...j->...i", self.q[k], p)
         return (self.y_old[k] + np.expand_dims(self.h[k], -1) * dy).T
 
 
+def resample(trajs: Sequence[Trajectory], species: Sequence[str], n: int) -> list[Trajectory]:
+    """Each trajectory's species at n uniform times over its run, from its
+    dense output and clipped at 0, as a Trajectory of those species alone
+    without dense output; one without dense output keeps its own samples.
+
+    Trajectories with the same steps and end time (lanes of one integrate
+    call that ended together) share one grid: the step of each time and
+    the powers of its fraction of the step are computed once per grid, and
+    each trajectory adds only its own interpolant product.  A trajectory's
+    samples do not depend on the others in the batch.
+    """
+    grids: dict = {}
+    out = []
+    for traj in trajs:
+        cols = [traj.index(sid) for sid in species]
+        dense = traj.dense
+        if dense is None:
+            out.append(Trajectory(tuple(species), traj.times, traj.states[:, cols],
+                                  traj.termination, traj.negatives, None, traj.stats))
+            continue
+        t0, t1 = traj.times[0], traj.times[-1]
+        key = (dense.t_old.tobytes(), dense.h.tobytes(), t0, t1)
+        if key not in grids:
+            t = np.linspace(t0, t1, n)
+            k, p = dense.locate(t)
+            grids[key] = t, k, p, dense.h[k]
+        t, k, p, hk = grids[key]
+        values = np.column_stack([dense.component(i, k, p, hk) for i in cols])
+        out.append(Trajectory(tuple(species), t, np.clip(values, 0.0, None),
+                              traj.termination, traj.negatives, None, traj.stats))
+    return out
+
+
 def _crossing(t_old, t_new, y_old, q, threshold: float):
     """Bisect one step's interpolant for the first time max(y) reaches the
-    threshold; returns that time and the state there."""
-    step = _DenseOutput(np.array([t_old]), np.array([t_new - t_old]), y_old[None], q[None])
+    threshold; returns that time and the state there.  Each bisection step
+    evaluates the step's polynomial y_old + sum_j (h q_j) x^(j+1) directly:
+    one length-7 cumprod and one product."""
+    h = t_new - t_old
+    hq = h * q
     lo, hi = t_old, t_new
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if threshold - step(mid).max() > 0:
+        p = np.cumprod(np.full(_P.shape[1], (mid - t_old) / h))
+        if threshold - _amax(y_old + hq.dot(p)) > 0:
             lo = mid
         else:
             hi = mid
-    return hi, step(hi)
+    # the state reported is the step's dense output there, as a resample reads it
+    return hi, _DenseOutput(np.array([t_old]), np.array([h]), y_old[None], q[None])(hi)
 
 
 class _Segment:
@@ -705,12 +752,9 @@ def _lane_trajectory(segments: list[_Segment], lane: int, end: tuple,
         term = Termination("blowup", species[_blowup_owner(y_last, cfg.rel_tol)], float(t_last))
     else:
         term = Termination(status, time=float(times[-1]), detail=detail)
-    flags = []
-    for j, sid in enumerate(species):
-        low = float(raw[:, j].min(initial=0.0))
-        if low < -cfg.abs_tol:
-            k = int(np.argmin(raw[:, j]))
-            flags.append((sid, float(times[k]), low))
+    lows = raw.min(axis=0)
+    flags = [(species[j], float(times[np.argmin(raw[:, j])]), float(lows[j]))
+             for j in np.flatnonzero(lows < -cfg.abs_tol)]
     return Trajectory(tuple(species), times, np.clip(raw, 0.0, None), term,
                       tuple(flags), dense, stats)
 

@@ -246,6 +246,14 @@ def test_parse_number_takes_finite_literals(text, value):
     assert parse_number(text) == value
 
 
+def test_parse_number_reads_a_zero_without_its_exponent():
+    # Fraction would build 10**100000000 before normalising to 0
+    assert parse_number("0e-100000000") == 0
+    assert parse_number(" -0.000E+100000000 ") == 0
+    with pytest.raises(ValueError, match="out of a float's range"):
+        parse_number("1e-100000000")
+
+
 @pytest.mark.parametrize("text,message", [("1e400", "out of a float's range"),
                                           ("-1e400", "out of a float's range"),
                                           ("1e-400", "out of a float's range"),

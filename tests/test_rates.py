@@ -6,6 +6,7 @@ estimators are tested against arithmetic, not against the integrator.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -431,3 +432,34 @@ def test_pipeline_rejects_bad_kind_and_missing_target():
         Pipeline("crn", TWO_REACTIONS, "nonneg", "1/(A", "X", cfg)
     (run,) = Pipeline("crn", TWO_REACTIONS, "nonneg", "1/A", "X", cfg).run_points([{"A": 2.0}])
     assert run.targets == [0.5]
+
+
+@pytest.mark.parametrize("src,mode,points", [
+    # a zero-step lane, a blowup lane and completed lanes: three step grids
+    ("max(a, b)", "nonneg", [{"a": 1e200, "b": 2.0}, {"a": 2.0, "b": 2.0},
+                             {"a": 1.0, "b": 3.0}, {"a": 3.0, "b": 1.0}]),
+    # two rails per lane
+    ("a*b - c", "real", [{"a": 1.3, "b": -2.1, "c": 0.7}, {"a": 0.5, "b": 2.0, "c": -1.5},
+                         {"a": -2.2, "b": 0.4, "c": 0.3}]),
+])
+def test_batch_rates_equal_each_lanes_own_estimate(src, mode, points):
+    # run_points resamples the batch once; every rate equals estimate_rate
+    # on that lane's own trajectory, field by field
+    cfg = SimConfig(t_end=40, rel_tol=1e-10, abs_tol=1e-12)
+    runs = Pipeline("expr", src, mode, None, None, cfg).run_points(points)
+    statuses = set()
+    for run in runs:
+        statuses.add(run.traj.termination.status)
+        assert len(run.rates) == len(run.rails)
+        for sid, tgt, got in zip(run.rails, run.targets, run.rates):
+            try:
+                want = estimate_rate(run.traj, sid, tgt,
+                                     err_floor=auto_err_floor(tgt, cfg.rel_tol), detrend=True)
+            except ValueError as e:
+                assert type(got) is type(e) and str(got) == str(e)
+                continue
+            assert isinstance(got, RateEstimate)
+            for f in fields(RateEstimate):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+    if mode == "nonneg":
+        assert statuses == {"stiff_failure", "blowup", "completed"}

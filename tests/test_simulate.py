@@ -30,6 +30,7 @@ from crncalc.simulate import (
     program_integrand,
     program_state,
     read_trajectory_csv,
+    resample,
     simulate_forced,
     simulate_program,
 )
@@ -765,3 +766,70 @@ def test_blowup_owner_ignores_roundoff_but_not_a_real_lead():
     assert owner(y, 1e-10) == 1
     y[2] = 1e12 * (1 + 1e-6)
     assert owner(y, 1e-10) == 2
+
+
+def test_resample_shares_grids_but_not_values():
+    # a zero-step lane, a blowup lane and two completed lanes: each lane's
+    # samples are those of its own dense output, bit for bit
+    points = [{"a": 1e200, "b": 2.0}, {"a": 2.0, "b": 2.0}, {"a": 1.0, "b": 3.0},
+              {"a": 3.0, "b": 1.0}]
+    prog, lanes = batch("max(a, b)", points, SimConfig(t_end=40, **TIGHT))
+    assert [lane.termination.status for lane in lanes] == [
+        "stiff_failure", "blowup", "completed", "completed"]
+    rails = ["X4", "Y1"]
+    samples = resample(lanes, rails, 400)
+    zero = samples[0]
+    assert zero.species == tuple(rails) and zero.times.tolist() == [0.0]
+    assert zero.states.tolist() == [[lanes[0].final(sid) for sid in rails]]
+    for lane, got in zip(lanes[1:], samples[1:]):
+        t = np.linspace(lane.times[0], lane.times[-1], 400)
+        assert np.array_equal(got.times, t)
+        assert got.dense is None and got.termination == lane.termination
+        for sid in rails:
+            assert np.array_equal(got.series(sid), lane.at(t, sid)), sid
+        # a batch of one gives the same samples
+        (solo,) = resample([lane], rails, 400)
+        assert np.array_equal(solo.states, got.states)
+
+
+def test_resample_keeps_lanes_that_end_in_one_step_apart():
+    # both lanes blow up in the same step, at different times: same steps,
+    # two grids
+    net = parse_network("X -> 2X ; k=1\n")
+    rhs, cap = network_integrand(net)
+    lanes = integrate(rhs, np.array([[1.0, 1.0 + 1e-6]]), net.species_ids,
+                      SimConfig(t_end=40, **TIGHT), cap)
+    assert np.array_equal(lanes[0].times[:-1], lanes[1].times[:-1])
+    assert lanes[0].times[-1] != lanes[1].times[-1]
+    for lane, got in zip(lanes, resample(lanes, ["X"], 400)):
+        t = np.linspace(0.0, lane.times[-1], 400)
+        assert np.array_equal(got.times, t)
+        assert np.array_equal(got.series("X"), lane.at(t, "X"))
+
+
+def _reference_crossing(dense, threshold):
+    """Bisection on the last step's _DenseOutput: the first time max(y)
+    reaches the threshold, and the state there."""
+    step = crncalc.simulate._DenseOutput(dense.t_old[-1:], dense.h[-1:], dense.y_old[-1:],
+                                         dense.q[-1:])
+    lo, hi = dense.t_old[-1], dense.t_old[-1] + dense.h[-1]
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if threshold - step(mid).max() > 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi, step(hi)
+
+
+@pytest.mark.parametrize("src,mode,point", [("rsub(a, b)", "nonneg", {"a": 1.0, "b": 1.0}),
+                                            ("a - b", "real", {"a": 50.0, "b": 50.0})])
+def test_blowup_crossing_matches_a_reference_bisection(src, mode, point):
+    cfg = SimConfig(t_end=40, **TIGHT)
+    prog = flatten(lower_to_circuit(src, mode))
+    traj = simulate_program(prog, point, cfg)
+    assert traj.termination.status == "blowup"
+    t_hit, y_hit = _reference_crossing(traj.dense, cfg.blowup_threshold)
+    assert traj.termination.time == t_hit
+    assert traj.termination.species == traj.species[
+        crncalc.simulate._blowup_owner(y_hit, cfg.rel_tol)]
+    assert np.array_equal(traj.states[-1], np.clip(y_hit, 0.0, None))
