@@ -64,6 +64,10 @@ class IntegrationStats:
 
 @dataclass
 class Trajectory:
+    """One lane's run.  From integrate, times, dense's arrays and the states
+    behind states are read-only views into the call's step record, shared
+    by the lanes that left it after the same step (a blowup lane copies
+    its times to end them at the crossing)."""
     species: tuple[str, ...]
     times: np.ndarray
     states: np.ndarray  # (n_times, n_species), clipped at 0
@@ -118,6 +122,8 @@ def read_trajectory_csv(text: str) -> Trajectory:
         if len(vals) != len(species) + 1:
             raise ValueError(f"row width {len(vals)} does not match header")
         rows.append(vals)
+    if not rows:
+        raise ValueError("trajectory csv has no rows")
     data = np.array(rows)
     return Trajectory(species, data[:, 0], data[:, 1:], term)
 
@@ -467,10 +473,11 @@ def resample(trajs: Sequence[Trajectory], species: Sequence[str], n: int) -> lis
     dense output and clipped at 0, as a Trajectory of those species alone
     without dense output; one without dense output keeps its own samples.
 
-    Trajectories with the same steps and end time (lanes of one integrate
-    call that ended together) share one grid: the step of each time and
-    the powers of its fraction of the step are computed once per grid, and
-    each trajectory adds only its own interpolant product.  A trajectory's
+    Trajectories whose dense output reads one step-size array (lanes of
+    one integrate call that left it after the same step) and that end at
+    the same time share one grid: the step of each time and the powers of
+    its fraction of the step are computed once per grid, and each
+    trajectory adds only its own interpolant product.  A trajectory's
     samples do not depend on the others in the batch.
     """
     grids: dict = {}
@@ -483,7 +490,7 @@ def resample(trajs: Sequence[Trajectory], species: Sequence[str], n: int) -> lis
                                   traj.termination, traj.negatives, None, traj.stats))
             continue
         t0, t1 = traj.times[0], traj.times[-1]
-        key = (dense.t_old.tobytes(), dense.h.tobytes(), t0, t1)
+        key = (id(dense.h), t0, t1)  # unique while trajs holds every dense.h
         if key not in grids:
             t = np.linspace(t0, t1, n)
             k, p = dense.locate(t)
@@ -513,27 +520,14 @@ def _crossing(t_old, t_new, y_old, q, threshold: float):
     return hi, _DenseOutput(np.array([t_old]), np.array([h]), y_old[None], q[None])(hi)
 
 
-class _Segment:
-    """Accepted steps taken while the batch held one fixed set of lanes."""
-
-    def __init__(self, lanes: np.ndarray, t: float, y: np.ndarray):
-        self.lanes = lanes       # lane number of each column, ascending
-        self.t = [t]             # step boundaries
-        self.y = [y]             # states at the boundaries
-        self.h: list = []
-        self.q: list = []        # dense-output coefficients, (species*lanes, 7)
-        self._arrays = None
-
-    def arrays(self):
-        """Boundaries, step sizes, states (t, species, lanes) and
-        coefficients (steps, species, lanes, 7) as arrays."""
-        if self._arrays is None:
-            n, d = self.y[0].size // self.lanes.size, _P.shape[1]
-            q = np.stack(self.q) if self.q else np.empty((0, self.y[0].size, d))
-            self._arrays = (np.array(self.t), np.array(self.h),
-                            np.stack(self.y).reshape(len(self.y), n, -1),
-                            q.reshape(len(self.q), n, self.lanes.size, d))
-        return self._arrays
+def _widen(a: np.ndarray, lanes: np.ndarray, n_lanes: int) -> np.ndarray:
+    """a, whose columns are the given lanes, as n_lanes columns with nan in
+    the others; a itself while no lane has left."""
+    if lanes.size == n_lanes:
+        return a
+    out = np.full((a.shape[0], n_lanes, *a.shape[2:]), np.nan)
+    out[:, lanes] = a
+    return out
 
 
 def _check_state(y: np.ndarray) -> np.ndarray:
@@ -589,6 +583,14 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     in stiff_failure, so every call returns.  Overflow inside the
     right-hand side gives inf or nan, which these rules judge; it raises
     no numpy warning.
+
+    A lane can leave the batch but never join it, so its steps are the
+    batch's first ones.  The call keeps one step record: the boundaries,
+    the step sizes and each accepted step's (species, lanes) state and
+    (species, lanes, 7) dense-output coefficients, nan in the columns of
+    lanes that have left, so it never holds more than the batch would if
+    no lane had left.  It is stacked once and made read-only, and each
+    lane's arrays are views into it (see Trajectory).
     """
     y0 = _check_state(np.asarray(y0, dtype=float))
     n, n_lanes = y0.shape
@@ -612,19 +614,16 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     C = np.empty((17, 17))
     W = [None, *(C[s - 1, :s + 1] for s in range(1, 16))]
     E = C[15:, 1:13]
-    segments = [_Segment(lanes, t, y)]
-    # lane -> (status, end time, state at a crossing, detail, segment,
-    #          its steps, stats)
+    ts, hs, ys, qs = [t], [], [y.reshape(n, n_lanes)], []  # the step record
+    # lane -> (status, end time, state at a crossing, detail, stats)
     ends: dict[int, tuple] = {}
     steps = rejected = 0
     while True:
-        seg, where = segments[-1], len(segments) - 1
         if steps + rejected >= _MAX_ATTEMPTS:
             stats = _stats(steps, rejected, extra)
             detail = f"Step attempt budget of {_MAX_ATTEMPTS} used up."
             for lane in lanes:
-                ends[int(lane)] = ("stiff_failure", t, None, detail, where, len(seg.h),
-                                   stats)
+                ends[int(lane)] = ("stiff_failure", t, None, detail, stats)
             break
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(min(h_abs, max_step), min_step)
@@ -664,26 +663,26 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             steps += 1
             for s in range(13, 16):
                 rows[s + 1] = rhs(t + _C[s] * h, state(ZT[s].dot(W[s])))
-            q = ZT[16].dot(_P)
-            seg.t.append(t_new)
-            seg.h.append(h)
-            seg.y.append(y_new)
-            seg.q.append(q)
+            q = ZT[16].dot(_P).reshape(n, -1, _P.shape[1])
+            ts.append(t_new)
+            hs.append(h)
+            ys.append(_widen(y_new.reshape(n, -1), lanes, n_lanes))
+            qs.append(_widen(q, lanes, n_lanes))
             done = t_new == t_end
             if done or not threshold - _amax(y_new) > 0:
-                y_cols, q_cols = y.reshape(n, -1), q.reshape(n, -1, q.shape[-1])
+                y_cols = y.reshape(n, -1)
                 crossed = ((threshold - y_cols.max(axis=0) >= 0)
                            & (threshold - y_new.reshape(n, -1).max(axis=0) <= 0))
                 leaving = crossed | done
                 stats = _stats(steps, rejected, extra)
                 for j in np.flatnonzero(leaving):
                     if crossed[j]:
-                        t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q_cols[:, j],
+                        t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q[:, j],
                                                  threshold)
                         end = ("blowup", t_hit, y_hit, "")
                     else:
                         end = ("completed", t_new, None, "")
-                    ends[int(lanes[j])] = end + (where, len(seg.h), stats)
+                    ends[int(lanes[j])] = end + (stats,)
             Z[1] = Z[13]  # first same as last
             Z[0] = y_new
             y_abs, new_abs = new_abs, y_abs
@@ -696,8 +695,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             leaving = ~(norms(err) < 1)
             stats = _stats(steps, rejected, extra)
             for j in np.flatnonzero(leaving):
-                ends[int(lanes[j])] = ("stiff_failure", t, None, _TOO_SMALL, where,
-                                       len(seg.h), stats)
+                ends[int(lanes[j])] = ("stiff_failure", t, None, _TOO_SMALL, stats)
             h_abs = h_first
         if leaving is not None and leaving.any():
             keep = ~leaving
@@ -710,7 +708,6 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             Z[0], Z[1] = y, f
             y_abs = np.abs(y)
             scale, new_abs = np.empty((2, y.size))
-            segments.append(_Segment(lanes, t, y))
             if not steps:
                 # nothing accepted yet: h_first was the least starting step
                 # of the batch, the leaving lanes' included; the others
@@ -719,8 +716,19 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 extra += 1
                 if cap_at is not None:
                     max_step = cap_at(t, state(y))
-    return [_lane_trajectory(segments, lane, ends[lane], species, cfg)
-            for lane in range(n_lanes)]
+    times, h, states = np.array(ts), np.array(hs), np.stack(ys)
+    q = np.array(qs).reshape(len(qs), n, n_lanes, _P.shape[1])
+    del ys, qs  # before a blowup lane copies its states
+    for record in (times, h, states, q):
+        record.flags.writeable = False
+    shared: dict[int, tuple] = {}  # k -> the boundaries and step sizes of k steps
+    trajs = []
+    for lane in range(n_lanes):
+        k = ends[lane][-1].steps  # a lane's steps are the record's first k
+        prefix = shared.setdefault(k, (times[:k + 1], h[:k]))
+        trajs.append(_lane_trajectory(*prefix, states[:k + 1, :, lane], q[:k, :, lane],
+                                      ends[lane], species, cfg))
+    return trajs
 
 
 def _blowup_owner(y: np.ndarray, rel_tol: float) -> int:
@@ -731,23 +739,14 @@ def _blowup_owner(y: np.ndarray, rel_tol: float) -> int:
     return int(np.argmax(y >= y.max() * (1.0 - rel_tol)))
 
 
-def _lane_trajectory(segments: list[_Segment], lane: int, end: tuple,
-                     species: Sequence[str], cfg: SimConfig) -> Trajectory:
-    status, t_last, y_last, detail, last, k_last, stats = end
-    ts, hs, ys, qs = [], [], [], []
-    for e, seg in enumerate(segments[:last + 1]):
-        t, h, y, q = seg.arrays()
-        k = k_last if e == last else h.size
-        j = int(np.searchsorted(seg.lanes, lane))
-        first = 1 if e else 0  # a segment opens on its predecessor's last state
-        ts.append(t[first:k + 1])
-        hs.append(h[:k])
-        ys.append(y[first:k + 1, :, j])
-        qs.append(q[:k, :, j])
-    times, raw, h = np.concatenate(ts), np.concatenate(ys), np.concatenate(hs)
-    dense = (_DenseOutput(times[:-1], h, raw[:-1], np.concatenate(qs))
-             if h.size else None)
+def _lane_trajectory(times: np.ndarray, h: np.ndarray, raw: np.ndarray, q: np.ndarray,
+                     end: tuple, species: Sequence[str], cfg: SimConfig) -> Trajectory:
+    """A lane's Trajectory from its views into the step record: boundaries,
+    step sizes, states (steps + 1, species), coefficients (steps, species, 7)."""
+    status, t_last, y_last, detail, stats = end
+    dense = _DenseOutput(times[:-1], h, raw[:-1], q) if h.size else None
     if status == "blowup":  # the run ends where the threshold is crossed
+        times, raw = times.copy(), raw.copy()
         times[-1], raw[-1] = t_last, y_last
         term = Termination("blowup", species[_blowup_owner(y_last, cfg.rel_tol)], float(t_last))
     else:

@@ -8,8 +8,10 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +207,14 @@ def test_analyze_detrend_flag(tmp_path, capsys):
     detr = float(detr_out.split("rho_hat =")[1].split()[0])
     assert detr > plain - 0.02
     assert detr == pytest.approx(1.0, abs=0.1)
+
+
+def test_analyze_without_rows_exits_2(tmp_path, capsys):
+    traj = tmp_path / "h.csv"
+    traj.write_text("t,X1\n# termination=completed time=40\n")
+    code, _, err = run(capsys, "analyze", "--traj", str(traj), "--target", "1")
+    assert code == 2
+    assert err.startswith("error:") and "no rows" in err and "Traceback" not in err
 
 
 def test_analyze_not_converged_exits_4(tmp_path, capsys):
@@ -612,6 +622,31 @@ def test_compile_exits_0_or_2_and_its_text_loads_back(case):
         assert parse_expression(text) is parse_expression(text)
     except ParseError:
         assert code == 2
+
+
+EXTREMES = [0.0, 5e-324, 1e-300, 0.1, 1.0, 50.0, 1e200, 1e300]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(["nonneg", "real"]).flatmap(_expressions),
+       st.fixed_dictionaries({v: st.sampled_from(EXTREMES) for v in ("a", "A", "b", "x1", "X1")}),
+       st.sampled_from(["simulate", "verify"]))
+def test_simulate_and_verify_end_in_a_documented_exit(case, values, command):
+    # zero-step, blowup and completed lanes all end in an exit code of the
+    # contract, without a traceback or a numpy warning
+    text, mode = case
+    names = sorted(set(re.findall(r"[A-Za-z]\w*", text)) - {"sqrt", "root", "abs", "max", "rsub"})
+    argv = [command, f"--expr={text}", "--mode", mode, "--t-end", "30"]
+    if names:
+        argv += ["--in", ",".join(f"{v}={values[v]!r}" for v in names)]
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert [str(w.message) for w in caught] == [], argv
 
 
 def test_parser_is_built_once_and_calls_do_not_leak(tmp_path, capsys):

@@ -30,19 +30,29 @@ def test_every_export_has_a_user():
     assert used - exported == set()
 
 
-def _public_definitions(tree: ast.Module):
-    """(name, first line, last line) of each public module-level name."""
+def _names(node: ast.stmt):
+    """(name, first line, last line) of each name a statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        return
+    for name in names:
+        if not name.startswith("__"):
+            yield name, node.lineno, node.end_lineno
+
+
+def _definitions(tree: ast.Module):
+    """(name, first line, last line) of each module-level name, and as
+    class.member of each member of a private class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
-            if not name.startswith("_"):
-                yield name, node.lineno, node.end_lineno
+        yield from _names(node)
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            for member in node.body:
+                yield from ((f"{node.name}.{name}", first, last)
+                            for name, first, last in _names(member))
 
 
 def _references(tree: ast.Module):
@@ -56,17 +66,29 @@ def _references(tree: ast.Module):
             yield from ((alias.name, node.lineno) for alias in node.names)
 
 
-def test_every_public_name_has_a_user():
-    # a public name must be referenced somewhere other than its own definition
-    files = [p for d in ("src", "tests", "scripts", "perfbench")
-             for p in sorted((ROOT / d).rglob("*.py"))]
+def _unused(dirs, private: bool) -> list[str]:
+    """The public or the private names of src/crncalc/*.py that no code
+    under dirs references anywhere but in their own definition."""
     refs = {}
-    for path in files:
+    for path in (p for d in dirs for p in sorted((ROOT / d).rglob("*.py"))):
         for name, line in _references(ast.parse(path.read_text())):
             refs.setdefault(name, []).append((path, line))
     unused = []
     for path in sorted((ROOT / "src" / "crncalc").glob("*.py")):
-        for name, first, last in _public_definitions(ast.parse(path.read_text())):
-            if all(p == path and first <= line <= last for p, line in refs.get(name, [])):
+        for name, first, last in _definitions(ast.parse(path.read_text())):
+            uses = refs.get(name.rpartition(".")[2], [])
+            if (name.startswith("_") == private
+                    and all(p == path and first <= line <= last for p, line in uses)):
                 unused.append(f"{path.name}:{first} {name}")
-    assert unused == [], "public names that nothing references"
+    return unused
+
+
+def test_every_public_name_has_a_user():
+    # a public name must be referenced somewhere other than its own definition
+    assert _unused(("src", "tests", "scripts", "perfbench"), private=False) == [], \
+        "public names that nothing references"
+
+
+def test_every_private_name_has_a_user_in_src():
+    # so must a private name, or a private class's member, within src
+    assert _unused(("src",), private=True) == [], "private names that src does not use"

@@ -792,6 +792,31 @@ def test_resample_shares_grids_but_not_values():
         assert np.array_equal(solo.states, got.states)
 
 
+def test_lanes_are_read_only_views_of_one_step_record():
+    # the lanes leave after three different steps: the zero-step lane at
+    # the start, the blowup at its crossing and the completed two at t_end;
+    # the nan that the record holds for a lane that has left reaches no lane
+    points = [{"a": 1e200, "b": 2.0}, {"a": 2.0, "b": 2.0}, {"a": 1.0, "b": 3.0},
+              {"a": 3.0, "b": 1.0}]
+    prog, lanes = batch("max(a, b)", points, SimConfig(t_end=40, **TIGHT))
+    zero, tie, low, high = lanes
+    assert [lane.termination.status for lane in lanes] == [
+        "stiff_failure", "blowup", "completed", "completed"]
+    assert 0 == zero.stats.steps < tie.stats.steps < low.stats.steps == high.stats.steps
+    for lane in lanes:
+        assert not np.isnan(lane.states).any()
+        if lane.dense is not None:
+            assert not np.isnan(lane.dense.y_old).any() and not np.isnan(lane.dense.q).any()
+    for got in resample(lanes, prog.species_ids, 400):
+        assert not np.isnan(got.states).any()
+    assert low.times is high.times and low.dense.h is high.dense.h
+    # the blowup lane ends at its crossing in a copy, not in the record
+    assert tie.times[-1] == tie.termination.time < low.times[tie.stats.steps]
+    for shared in (low.times, low.dense.h, low.dense.y_old, low.dense.q):
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+
+
 def test_resample_keeps_lanes_that_end_in_one_step_apart():
     # both lanes blow up in the same step, at different times: same steps,
     # two grids
