@@ -97,11 +97,7 @@ def _rate_fields(est: rt.RateEstimate) -> dict:
 
 
 def cmd_compile(args) -> int:
-    try:
-        prog = circ.compile_expression(args.expr, args.mode)
-    except ValueError as e:  # ParseError and ModeError included
-        return _err(str(e))
-    _write(args.out, circ.format_program(prog))
+    _write(args.out, circ.format_program(circ.compile_expression(args.expr, args.mode)))
     return EXIT_OK
 
 
@@ -116,21 +112,18 @@ def _load_any(path: str):
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = _sim_config(args)
-        inputs = _parse_inputs(args.inputs)
-        if args.expr:
-            prog = circ.compile_expression(args.expr, args.mode)
+    cfg = _sim_config(args)
+    inputs = _parse_inputs(args.inputs)
+    if args.expr:
+        prog = circ.compile_expression(args.expr, args.mode)
+        traj = sim.simulate_program(prog, inputs, cfg)
+    else:
+        prog, net = _load_any(args.crn)
+        if prog is not None:
             traj = sim.simulate_program(prog, inputs, cfg)
         else:
-            prog, net = _load_any(args.crn)
-            if prog is not None:
-                traj = sim.simulate_program(prog, inputs, cfg)
-            else:
-                # bare network: --in values are per-species initial values
-                traj = sim.integrate_network(net, inputs, cfg)
-    except (ValueError, OSError) as e:
-        return _err(str(e))
+            # bare network: --in values are per-species initial values
+            traj = sim.integrate_network(net, inputs, cfg)
     _write(args.out, traj.to_csv())
     term = traj.termination
     if term.status != "completed":
@@ -143,16 +136,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        with open(args.traj) as fh:
-            traj = sim.read_trajectory_csv(fh.read())
-        species = args.species or (traj.species[0] if len(traj.species) == 1 else None)
-        if species is None:
-            return _err("--species required for multi-species trajectories")
-        floor = args.floor if args.floor is not None else 1e-9
-        ceil = args.ceil if args.ceil is not None else 1e-2
-    except (ValueError, OSError) as e:
-        return _err(str(e))
+    with open(args.traj) as fh:
+        traj = sim.read_trajectory_csv(fh.read())
+    species = args.species or (traj.species[0] if len(traj.species) == 1 else None)
+    if species is None:
+        return _err("--species required for multi-species trajectories")
+    floor = args.floor if args.floor is not None else 1e-9
+    ceil = args.ceil if args.ceil is not None else 1e-2
     report: dict = {"trajectory": args.traj, "species": species,
                     "target": args.target,
                     "termination": traj.termination.status}
@@ -187,13 +177,10 @@ def _finish_verify(args, report: dict, code: int) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = _sim_config(args)
-        inputs = _parse_inputs(args.inputs)
-        pipeline = rt.Pipeline("expr", args.expr, args.mode, None, None, cfg)
-        (run,) = pipeline.run_points([inputs])
-    except ValueError as e:
-        return _err(str(e))
+    cfg = _sim_config(args)
+    inputs = _parse_inputs(args.inputs)
+    pipeline = rt.Pipeline("expr", args.expr, args.mode, None, None, cfg)
+    (run,) = pipeline.run_points([inputs])
     if isinstance(run, ValueError):  # DomainError and ModeError included
         return _err(str(run))
     analysis, traj, rails, targets = run.analysis, run.traj, run.rails, run.targets
@@ -279,13 +266,10 @@ def _write_plot_data(path: str, traj, rails, targets):
 
 
 def cmd_lemma(args) -> int:
-    try:
-        system = sim.ForcedSystem(args.form, sim.parse_forcing(args.g1),
-                                  sim.parse_forcing(args.g2), args.m, args.x0)
-        pred = rt.forced_prediction(system)
-        cfg = _sim_config(args, default_t_end=60.0)
-    except (ValueError, rt.PreconditionError) as e:
-        return _err(str(e))
+    system = sim.ForcedSystem(args.form, sim.parse_forcing(args.g1),
+                              sim.parse_forcing(args.g2), args.m, args.x0)
+    pred = rt.forced_prediction(system)
+    cfg = _sim_config(args, default_t_end=60.0)
     traj = sim.simulate_forced(system, cfg)
     report = {"form": args.form, "g1": args.g1, "g2": args.g2, "m": args.m,
               "x0": args.x0, "family": pred.family,
@@ -294,10 +278,7 @@ def cmd_lemma(args) -> int:
               "termination": traj.termination.status}
     if pred.family == "unbounded_growth":
         margin = 0.1
-        try:
-            rate = rt.growth_log_rate(traj, "x")
-        except rt.EstimationError as e:
-            return _err(str(e))
+        rate = rt.growth_log_rate(traj, "x")
         passed = rate >= pred.bound.value - margin
         report["growth"] = {"log_rate": rate, "required": pred.bound.value - margin}
         print(f"growth family: ln(x)/t tail {rate:.4g} vs bound {pred.bound.value:.4g}"
@@ -318,8 +299,7 @@ def cmd_lemma(args) -> int:
         _write_report(args.report, report)
         return EXIT_NOT_CONVERGED
     v = rt.check_speed(est, pred.bound, args.slack)
-    report["rate"] = {"rho_hat": est.rho_hat, "fit_window": list(est.fit_window),
-                      "r_squared": est.r_squared}
+    report["rate"] = _rate_fields(est)
     report["verdict"] = {"passed": v.passed, "required": v.required}
     print(f"{pred.family}: target {pred.target:.6g}  {v}")
     _write_report(args.report, report)
@@ -381,19 +361,16 @@ def _parse_grid(spec: str) -> list[dict[str, float]]:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        points = _parse_grid(args.grid)
-        cfg = _sim_config(args)
-        if args.expr:
-            spec = ("expr", args.expr, args.mode, None, None)
-        else:
-            if not args.target or not args.species:
-                return _err("--crn sweeps need --target and --species")
-            with open(args.crn) as fh:
-                spec = ("crn", fh.read(), args.mode, args.target, args.species)
-        pipeline = rt.Pipeline(*spec, cfg)  # a bad expression, network or --species fails here
-    except (ValueError, OSError) as e:
-        return _err(str(e))
+    points = _parse_grid(args.grid)
+    cfg = _sim_config(args)
+    if args.expr:
+        spec = ("expr", args.expr, args.mode, None, None)
+    else:
+        if not args.target or not args.species:
+            return _err("--crn sweeps need --target and --species")
+        with open(args.crn) as fh:
+            spec = ("crn", fh.read(), args.mode, args.target, args.species)
+    pipeline = rt.Pipeline(*spec, cfg)  # a bad expression, network or --species fails here
     blocks = [points[i:i + SWEEP_BLOCK] for i in range(0, len(points), SWEEP_BLOCK)]
     if args.jobs > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -530,7 +507,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
+        # every usage, parse or domain error (ParseError, ModeError,
+        # DomainError, PreconditionError), and a file that cannot be read
+        # or written
         return _err(str(e))
 
 

@@ -12,7 +12,9 @@ slope can eat most of that slack.  estimate_rate(detrend=True) removes
 the bias by fitting ln err ~ c + k*ln(1+t) - rho*t instead, on per-bin
 envelope maxima (which also erase the dips left by sign changes of the
 error) over the best-fitting trailing sub-window.  All trailing windows
-are fitted in one pass, as one batch of least-squares problems.
+are fitted in one pass of per-window sums: centring fits c, projecting t
+out leaves a residual quadratic in k, so clipping the free k fits the
+bounded one.
 
 `Pipeline` is the one compile -> predict -> integrate -> measure path:
 `verify`, `sweep` and the acceptance criteria all take their points
@@ -92,39 +94,36 @@ def auto_err_floor(target: float, rel_tol: float, base: float = 1e-9) -> float:
     return max(base, 10.0 * rel_tol * (1.0 + abs(target)))
 
 
-def _lstsq(design: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients of a stack of problems design[w] @ c = y[w]
-    (SVD based, so a rank-deficient window gets the minimum-norm fit)."""
-    return np.einsum("wij,wj->wi", np.linalg.pinv(design), y)
-
-
 def _suffix_fits(bt: np.ndarray, be: np.ndarray):
     """Least squares for ln err ~ c + k*ln(1+t) - rho*t with k in [0, _K_MAX]
     on every trailing window bt[s:] of at least _MIN_SUFFIX_BINS bins (only
     s = 0 when the envelope is shorter), solved as one batch.
 
-    Window s zeroes the rows before s, which leaves its fit unchanged.  A
-    window whose free k falls outside [0, _K_MAX] is fitted again with k
-    pinned at the nearer end.  Returns the arrays rho, k and r^2, indexed
+    Window s zeroes the rows before s.  Each window is centred on its own
+    means, which fits c, and the t column is projected out of ln(1+t) and
+    ln err.  The residual is then quadratic in k, so the free k clipped to
+    [0, _K_MAX] is the constrained optimum, and rho is the slope of
+    ln err - k ln(1+t) on t.  Returns the arrays rho, k and r^2, indexed
     by s.
     """
     rows = np.arange(bt.size)
     mask = rows >= rows[:max(1, bt.size - _MIN_SUFFIX_BINS + 1), None]
-    lt = np.log1p(bt)
-    design = np.stack([np.ones_like(bt), bt, lt], axis=-1) * mask[..., None]
-    y = be * mask
-    coef = _lstsq(design, y)
-    k = np.clip(coef[:, 2], 0.0, _K_MAX)
-    pinned = k != coef[:, 2]
-    if pinned.any():
-        line = _lstsq(design[..., :2], (be - k[:, None] * lt) * mask)
-        coef = np.where(pinned[:, None], np.column_stack([line, k]), coef)
-    resid = y - np.einsum("wij,wj->wi", design, coef)
-    mean = y.sum(axis=1) / mask.sum(axis=1)
-    ss_tot = (((be - mean[:, None]) * mask) ** 2).sum(axis=1)
-    ss_res = (resid ** 2).sum(axis=1)
-    r2 = 1.0 - np.divide(ss_res, ss_tot, out=np.zeros_like(ss_tot), where=ss_tot > 0)
-    return -coef[:, 1], k, r2
+
+    def dot(u, v):  # per window
+        return np.einsum("wi,wi->w", u, v)
+
+    t, lt, e = ((x - (mask @ x / mask.sum(axis=1))[:, None]) * mask
+                for x in (bt, np.log1p(bt), be))
+    tt = dot(t, t)
+    lp, ep = (x - (dot(x, t) / tt)[:, None] * t for x in (lt, e))
+    ll = dot(lp, lp)
+    k = np.clip(np.divide(dot(lp, ep), ll, out=np.zeros_like(ll), where=ll > 0), 0.0, _K_MAX)
+    d = e - k[:, None] * lt
+    slope = dot(d, t) / tt
+    resid = d - slope[:, None] * t
+    ss_tot = dot(e, e)
+    r2 = 1.0 - np.divide(dot(resid, resid), ss_tot, out=np.zeros_like(ss_tot), where=ss_tot > 0)
+    return -slope, k, r2
 
 
 def _detrended_fit(seg_t: np.ndarray, log_e: np.ndarray):

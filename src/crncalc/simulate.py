@@ -38,6 +38,9 @@ class SimConfig:
     blowup_threshold: float = 1e12
 
     def __post_init__(self):
+        bad = [name for name, v in vars(self).items() if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"{', '.join(bad)} must be finite")
         if self.t_end <= 0 or self.sigma <= 0 or self.blowup_threshold <= 0:
             raise ValueError("t_end, sigma and blowup_threshold must be positive")
         # floors keep requested accuracy within what the integrator can honor
@@ -383,7 +386,7 @@ def _stats(steps: int, rejected: int, extra: int) -> IntegrationStats:
                             2 + 12 * (steps + rejected) + 3 * steps + extra)
 
 
-def _lane_ops(n: int, lanes: int, floats: bool):
+def _lane_ops(n: int, lanes: int, live: np.ndarray):
     """The stage buffer of n species x lanes and what the attempt loop
     applies to it.
 
@@ -391,18 +394,19 @@ def _lane_ops(n: int, lanes: int, floats: bool):
     species-major.  ZT holds the views the combinations multiply: ZT[s] =
     Z[:s + 1].T feeds stage s (s = 1..15), ZT[0] = Z[1:13], the stages
     K0..K11, the error estimates, and ZT[16] = Z[1:].T the dense output.
-    rows is Z as the RHS writes it: flat rows with floats (one lane from
-    the start), else (17, n, lanes), so that rhs's rows are assigned
-    straight into Z[s].  state turns a flat state into rhs's argument: a
-    list of floats with floats (python floats run the generated code
-    faster than numpy scalars), else an (n, lanes) view.  norms takes the
-    scaled err5 and err3 rows (2 x n*lanes) to each lane's error norm
-    |err5|^2 / sqrt(n (|err5|^2 + |err3|^2 / 100)), and worst to the
-    largest; a nan anywhere in a lane makes its norm nan.
+    rows is Z as the RHS writes it: flat rows for one lane, else (17, n,
+    lanes), so that rhs's rows are assigned straight into Z[s].  state
+    turns a flat state into rhs's argument: a list of floats for one lane
+    (python floats run the generated code faster than numpy scalars), else
+    an (n, lanes) view.  norms takes the scaled err5 and err3 rows (2 x
+    n*lanes) to each lane's error norm |err5|^2 / sqrt(n (|err5|^2 +
+    |err3|^2 / 100)), and worst to the largest over the lanes marked in
+    live, a mask that integrate updates in place; a nan anywhere in a lane
+    makes its norm nan.
     """
     Z = np.empty((17, n * lanes))
     ZT = [Z[1:13]] + [Z[:s + 1].T for s in range(1, 16)] + [Z[1:].T]
-    if floats:
+    if lanes == 1:  # the lane is live until the run ends
         def worst(e):
             s5, s3 = float(e[0].dot(e[0])), float(e[1].dot(e[1]))
             return s5 / math.sqrt((s5 + 0.01 * s3) * n) if s5 else 0.0
@@ -416,15 +420,16 @@ def _lane_ops(n: int, lanes: int, floats: bool):
         return s5 / np.sqrt(np.maximum(s5 + 0.01 * s3, _TINY) * n)
 
     return (Z, Z.reshape(17, n, lanes), ZT, lambda x: x.reshape(n, lanes),
-            lambda e: float(_amax(norms(e))), norms)
+            lambda e: float(_amax(norms(e)[live])), norms)
 
 
-def _initial_step(rhs, state, n: int, y0, f0, t_end: float, rtol: float, atol: float):
+def _initial_step(rhs, state, n: int, y0, f0, t_end: float, rtol: float, atol: float,
+                  live: np.ndarray):
     """Starting step of Hairer, Norsett & Wanner (II.4): the smallest any
-    lane asks for, with the second-derivative estimate taken at that step."""
-    def rms(x):  # of each lane
+    live lane asks for, with the second-derivative estimate at that step."""
+    def rms(x):  # of each live lane
         x = np.reshape(x, (n, -1))
-        return np.sqrt(np.einsum("ij,ij->j", x, x) / n)
+        return np.sqrt(np.einsum("ij,ij->j", x, x) / n)[live]
 
     scale = atol + np.abs(y0) * rtol
     d0, d1 = rms(y0 / scale), rms(f0 / scale)
@@ -520,16 +525,6 @@ def _crossing(t_old, t_new, y_old, q, threshold: float):
     return hi, _DenseOutput(np.array([t_old]), np.array([h]), y_old[None], q[None])(hi)
 
 
-def _widen(a: np.ndarray, lanes: np.ndarray, n_lanes: int) -> np.ndarray:
-    """a, whose columns are the given lanes, as n_lanes columns with nan in
-    the others; a itself while no lane has left."""
-    if lanes.size == n_lanes:
-        return a
-    out = np.full((a.shape[0], n_lanes, *a.shape[2:]), np.nan)
-    out[:, lanes] = a
-    return out
-
-
 def _check_state(y: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
@@ -567,8 +562,9 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     within cfg's tolerances, so every lane meets its own tolerance.  No
     step is longer than max_step, which keeps the dense output within the
     tolerances too (see _STEP_CAP).  max_step is a number, or a function
-    (t, y) -> number of the state, y as rhs takes it, evaluated at the
-    start and every _RHO_INTERVAL accepted steps.
+    (t, y) -> number of the state of the lanes still in the batch, y as
+    rhs takes it, evaluated at the start, every _RHO_INTERVAL accepted
+    steps and when lanes leave before the first.
     Each stage input, the new state and the error estimates are products
     of the stacked state and stages with h-weighted tableau rows
     (Σ (h a_k) k_k, not h Σ a_k k_k), so a one-lane run has DOP853's
@@ -585,28 +581,34 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     no numpy warning.
 
     A lane can leave the batch but never join it, so its steps are the
-    batch's first ones.  The call keeps one step record: the boundaries,
-    the step sizes and each accepted step's (species, lanes) state and
-    (species, lanes, 7) dense-output coefficients, nan in the columns of
-    lanes that have left, so it never holds more than the batch would if
-    no lane had left.  It is stacked once and made read-only, and each
-    lane's arrays are views into it (see Trajectory).
+    batch's first ones.  Every lane keeps its column from the first step
+    to the last: a lane that has left is masked out of the error norm, the
+    starting step, the step cap and the bookkeeping of who leaves, and its
+    later columns are computed but never read.  The call keeps one step
+    record: the boundaries, the step sizes and each accepted step's
+    (species, lanes) state and (species, lanes, 7) dense-output
+    coefficients.  It is stacked once and made read-only, and each lane's
+    arrays are views into it that stop at its own last step (see
+    Trajectory).
     """
     y0 = _check_state(np.asarray(y0, dtype=float))
     n, n_lanes = y0.shape
     t_end, threshold = cfg.t_end, cfg.blowup_threshold
     rtol, atol = cfg.rel_tol, cfg.abs_tol
-    lanes = np.arange(n_lanes)
-    Z, rows, ZT, state, worst, norms = _lane_ops(n, n_lanes, n_lanes == 1)
+    live = np.ones(n_lanes, dtype=bool)  # the lanes still in the batch
+    Z, rows, ZT, state, worst, norms = _lane_ops(n, n_lanes, live)
     t, y = 0.0, y0.flatten()
     Z[0] = y
     rows[1] = rhs(t, state(y))
-    h_abs = _initial_step(rhs, state, n, y, Z[1], t_end, rtol, atol)
-    # cap_at is max_step as a function of the state, if it is one
+    h_abs = _initial_step(rhs, state, n, y, Z[1], t_end, rtol, atol, live)
+    # cap_at is max_step as a function of the live lanes' state, if it is one
     cap_at = max_step if callable(max_step) else None
+
+    def cap(t, y):
+        return cap_at(t, state(y) if live.all() else state(y)[:, live])
     extra = 0
     if cap_at is not None:
-        max_step = cap_at(t, state(y))
+        max_step = cap(t, y)
     y_abs = np.abs(y)
     scale, new_abs = np.empty((2, y.size))
     # W[s] weights ZT[s] into the input of stage s = 1..15, E weights
@@ -622,8 +624,8 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
         if steps + rejected >= _MAX_ATTEMPTS:
             stats = _stats(steps, rejected, extra)
             detail = f"Step attempt budget of {_MAX_ATTEMPTS} used up."
-            for lane in lanes:
-                ends[int(lane)] = ("stiff_failure", t, None, detail, stats)
+            for j in np.flatnonzero(live):
+                ends[int(j)] = ("stiff_failure", t, None, detail, stats)
             break
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(min(h_abs, max_step), min_step)
@@ -666,14 +668,16 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             q = ZT[16].dot(_P).reshape(n, -1, _P.shape[1])
             ts.append(t_new)
             hs.append(h)
-            ys.append(_widen(y_new.reshape(n, -1), lanes, n_lanes))
-            qs.append(_widen(q, lanes, n_lanes))
+            ys.append(y_new.reshape(n, -1))
+            qs.append(q)
             done = t_new == t_end
+            # lanes that have left can sit above the threshold: the check
+            # below then runs every step, and finds no live lane crossing
             if done or not threshold - _amax(y_new) > 0:
                 y_cols = y.reshape(n, -1)
                 crossed = ((threshold - y_cols.max(axis=0) >= 0)
                            & (threshold - y_new.reshape(n, -1).max(axis=0) <= 0))
-                leaving = crossed | done
+                leaving = live & (crossed | done)
                 stats = _stats(steps, rejected, extra)
                 for j in np.flatnonzero(leaving):
                     if crossed[j]:
@@ -682,40 +686,34 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                         end = ("blowup", t_hit, y_hit, "")
                     else:
                         end = ("completed", t_new, None, "")
-                    ends[int(lanes[j])] = end + (stats,)
+                    ends[int(j)] = end + (stats,)
             Z[1] = Z[13]  # first same as last
             Z[0] = y_new
             y_abs, new_abs = new_abs, y_abs
             t, y = t_new, y_new
-            if cap_at is not None and steps % _RHO_INTERVAL == 0:
-                max_step = cap_at(t, state(y))
         else:
             # the step shrank below what t can resolve: lanes still missing
             # the tolerance there leave, the others retry from h_first
-            leaving = ~(norms(err) < 1)
+            leaving = live & ~(norms(err) < 1)
             stats = _stats(steps, rejected, extra)
             for j in np.flatnonzero(leaving):
-                ends[int(lanes[j])] = ("stiff_failure", t, None, _TOO_SMALL, stats)
+                ends[int(j)] = ("stiff_failure", t, None, _TOO_SMALL, stats)
             h_abs = h_first
+        # the cap is evaluated once the lanes that leave are masked out
+        new_cap = accepted and steps % _RHO_INTERVAL == 0
         if leaving is not None and leaving.any():
-            keep = ~leaving
-            if not keep.any():
+            live &= ~leaving
+            if not live.any():
                 break
-            lanes = lanes[keep]
-            y = y.reshape(n, -1)[:, keep].reshape(-1)
-            f = Z[1].reshape(n, -1)[:, keep].reshape(-1)
-            Z, rows, ZT, state, worst, norms = _lane_ops(n, lanes.size, False)
-            Z[0], Z[1] = y, f
-            y_abs = np.abs(y)
-            scale, new_abs = np.empty((2, y.size))
             if not steps:
                 # nothing accepted yet: h_first was the least starting step
                 # of the batch, the leaving lanes' included; the others
                 # start over with their own
-                h_abs = _initial_step(rhs, state, n, y, Z[1], t_end, rtol, atol)
+                h_abs = _initial_step(rhs, state, n, y, Z[1], t_end, rtol, atol, live)
                 extra += 1
-                if cap_at is not None:
-                    max_step = cap_at(t, state(y))
+                new_cap = True
+        if new_cap and cap_at is not None:
+            max_step = cap(t, y)
     times, h, states = np.array(ts), np.array(hs), np.stack(ys)
     q = np.array(qs).reshape(len(qs), n, n_lanes, _P.shape[1])
     del ys, qs  # before a blowup lane copies its states

@@ -340,12 +340,16 @@ def test_verify_plot_data(tmp_path, capsys):
 
 # --- lemma -----------------------------------------------------------------------
 
-def test_lemma_linear(capsys):
+def test_lemma_linear(tmp_path, capsys):
+    report = tmp_path / "report.json"
     code, out, _ = run(capsys, "lemma", "--form", "linear",
-                       "--g1", "2 + exp(-3*t)", "--g2", "1")
+                       "--g1", "2 + exp(-3*t)", "--g2", "1", "--report", str(report))
     assert code == 0
     assert "driven_linear" in out and "pass" in out
     assert "target 2" in out
+    rate = json.loads(report.read_text())["rate"]
+    assert set(rate) == {"rho_hat", "fit_window", "r_squared", "samples"}
+    assert rate["samples"] >= crncalc.rates.MIN_FIT_SAMPLES
 
 
 def test_lemma_power(capsys):
@@ -573,6 +577,32 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, message):
         (tmp_path / "p.crn").write_text(argv[2])
         argv = [argv[0], "--crn", str(tmp_path / "p.crn"), *argv[3:]]
     code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+LEMMA = ["lemma", "--form", "linear", "--g1", "2", "--g2", "1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--expr", "a + b", "--in", "a=1,b=2", "--sigma", "nan"], "sigma must be finite"),
+    (["sweep", "--expr", "a + b", "--grid", "a=1;b=2", "--sigma", "inf"], "sigma must be finite"),
+    (LEMMA + ["--rtol", "nan"], "rel_tol must be finite"),
+    (["verify", "--expr", "a", "--in", "a=1", "--t-end", "inf"], "t_end must be finite"),
+    (["verify", "--expr", "a", "--in", "a=1", "--atol", "inf"], "abs_tol must be finite"),
+    (["compile", "--expr", "a", "--out", "{bad}"], "No such file"),
+    (["simulate", "--expr", "a", "--in", "a=1", "--out", "{bad}"], "No such file"),
+    (["sweep", "--expr", "a", "--grid", "a=1", "--out", "{bad}"], "No such file"),
+    (["verify", "--expr", "a", "--in", "a=1", "--report", "{bad}"], "No such file"),
+    (["verify", "--expr", "a", "--in", "a=1", "--plot-data", "{bad}"], "No such file"),
+    (["analyze", "--traj", "{traj}", "--target", "1", "--report", "{bad}"], "No such file"),
+    (LEMMA + ["--report", "{bad}"], "No such file"),
+])
+def test_non_finite_settings_and_unwritable_paths_exit_2(tmp_path, capsys, argv, message):
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t,X\n" + "".join(f"{t},{1 + math.exp(-t)!r}\n" for t in range(30)))
+    paths = {"bad": str(tmp_path / "missing" / "x"), "traj": str(traj)}
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert err.startswith("error:") and message in err and "Traceback" not in err
 

@@ -9,11 +9,12 @@ coefficients, canonical monomial order).
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from crncalc.crn import Complex, Reaction, Species, derive_ode, parse_network
+from crncalc.crn import Complex, Reaction, Species, derive_ode, mass_action, parse_network
 from crncalc.gates import (
     DomainError,
     GATES,
@@ -21,10 +22,12 @@ from crncalc.gates import (
     SpeciesNamer,
     catalogue,
     gate_fragment_network,
+    gate_limit_rate,
     gate_speed_bound,
     gate_target,
     make_gate,
 )
+from crncalc.simulate import SimConfig, _derivative, integrate_network
 
 from field_helpers import evaluate_field
 
@@ -328,6 +331,47 @@ def test_steady_state_partial_real_inversion(ap):
                               gate.output.id: 0.0})
     for sid, v in vals.items():
         assert v == pytest.approx(0.0, abs=1e-9), sid
+
+
+LIMIT_KINDS = [GateKind(tag) for tag, spec in GATES.items() if not spec.takes_m] + [
+    GateKind("mth_root", m) for m in (2, 3, 5)]
+
+
+def _limit_inputs(kind, rng):
+    """Seeded input values with a non-degenerate limit: no tie for the
+    subtraction gates, one rail zero for partial real inversion."""
+    while True:
+        values = np.exp(rng.uniform(np.log(0.2), np.log(5.0), GATES[kind.tag].arity))
+        if kind.tag == "partial_real_inversion":
+            values[rng.integers(2)] = 0.0
+        if kind.tag not in ("absolute_difference", "rectified_subtraction") \
+                or abs(values[0] - values[1]) >= 0.25 * values.max():
+            return values
+
+
+@pytest.mark.parametrize("kind", LIMIT_KINDS, ids=str)
+def test_limit_rate_is_the_fragment_jacobian_diagonal(kind):
+    # the gate's network, inputs held, integrated to its limit: there the
+    # exact d f_i / d x_i is -1 for X and -gate_limit_rate for Y, whatever
+    # the inputs
+    rng = np.random.default_rng(sum(map(ord, str(kind))))
+    gate, net = build(kind.tag, GATES[kind.tag].arity, kind.m)
+    field = mass_action(net)
+    ids = net.species_ids
+    want = {gate.output.id: -1.0}
+    if gate.intermediates:
+        want[gate.intermediates[0].id] = -float(gate_limit_rate(kind))
+    for _ in range(4):
+        values = _limit_inputs(kind, rng)
+        init = dict(zip(("A", "B"), values)) | {sid: 1.0 for sid in gate.positive_init}
+        traj = integrate_network(net, init, SimConfig(t_end=40))
+        assert traj.termination.status == "completed", (kind, values)
+        y = traj.states[-1]
+        for sid, rate in want.items():
+            i = ids.index(sid)
+            diagonal = sum(float(c) * math.prod(y[j] ** e for j, e in mono)
+                           for mono, c in _derivative(field[i], i).items())
+            assert diagonal == pytest.approx(rate, rel=1e-6), (kind, values, sid)
 
 
 def test_catalogue_documents_every_gate():

@@ -708,6 +708,44 @@ def test_rhs_sees_only_the_lane_shape(monkeypatch):
     assert set(seen) == {1, 3}
 
 
+def test_lanes_that_left_are_masked_not_dropped():
+    # x' = a x^2 - x: the lane from (a, x) = (1, 2) blows up at t = ln 2
+    # and its column then overflows, while the other two decay.  rhs
+    # always gets every lane; the step cap only the lanes still in the
+    # batch, which at time t are those that end after t
+    net = parse_network("species: A[input], X[output]\n"
+                        "A + 2X -> A + 3X ; k=1\nX -> 0 ; k=1\n")
+    rhs, cap_at = network_integrand(net)
+    y0 = np.array([[1.0, 0.0, 0.5], [2.0, 1.0, 1.0]])
+    seen, caps = [], []
+
+    def spy_rhs(t, y):
+        seen.append(np.array(y))
+        return rhs(t, y)
+
+    def spy_cap(t, y):
+        caps.append((t, np.array(y)))
+        return cap_at(t, y)
+
+    lanes = integrate(spy_rhs, y0, net.species_ids, SimConfig(t_end=10, **TIGHT), spy_cap)
+    assert [lane.termination.status for lane in lanes] == ["blowup", "completed", "completed"]
+    assert lanes[0].termination.time == pytest.approx(math.log(2.0), abs=1e-6)
+    assert all(y.shape == y0.shape for y in seen)
+    assert not np.isfinite(seen[-1][:, 0]).all()  # the left lane is still computed
+    left = 0
+    for t, y in caps:
+        live = [lane for lane in lanes if lane.termination.time > t]
+        left = max(left, len(lanes) - len(live))
+        assert y.shape == (2, len(live)), t
+        for col, lane in zip(y.T, live):
+            k = int(np.searchsorted(lane.times, t))
+            assert lane.times[k] == t and np.array_equal(np.clip(col, 0.0, None), lane.states[k])
+    assert left == 1
+    for lane in lanes:
+        assert not np.isnan(lane.states).any() and not np.isnan(lane.times).any()
+        assert not np.isnan(lane.dense.y_old).any() and not np.isnan(lane.dense.q).any()
+
+
 def test_lane_that_fails_at_the_start_keeps_its_initial_state():
     # the product overflows in the first evaluation of one lane; it leaves
     # with a one-row trajectory and the other lane carries on
@@ -795,7 +833,7 @@ def test_resample_shares_grids_but_not_values():
 def test_lanes_are_read_only_views_of_one_step_record():
     # the lanes leave after three different steps: the zero-step lane at
     # the start, the blowup at its crossing and the completed two at t_end;
-    # the nan that the record holds for a lane that has left reaches no lane
+    # what the record holds for a lane after it has left reaches no lane
     points = [{"a": 1e200, "b": 2.0}, {"a": 2.0, "b": 2.0}, {"a": 1.0, "b": 3.0},
               {"a": 3.0, "b": 1.0}]
     prog, lanes = batch("max(a, b)", points, SimConfig(t_end=40, **TIGHT))
