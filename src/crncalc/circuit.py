@@ -585,8 +585,9 @@ class CompiledProgram:
     """A program's species in network order, its bindings and, when it was
     compiled here, its circuit.
 
-    A loaded program is given its network.  A compiled one builds it from
-    its gates' reactions the first time `network` is read: compiling,
+    A loaded program is given its network.  A compiled one parses it from
+    its own network text the first time `network` is read, so it equals
+    the network of the program loaded from its text.  Compiling,
     formatting and simulating a circuit never need the reactions.
     """
 
@@ -601,8 +602,7 @@ class CompiledProgram:
     @property
     def network(self) -> ReactionNetwork:
         if self._network is None:
-            self._network = ReactionNetwork(
-                self.species, tuple(r for g in self.circuit.gates for r in g.reactions))
+            self._network = parse_network(_network_text(self))
         return self._network
 
 
@@ -642,9 +642,20 @@ def compile_expression(expr: Expr | str, mode: str = "nonneg") -> CompiledProgra
 # program text: bindings header + network
 
 
+def _network_text(prog: CompiledProgram) -> str:
+    """The species header and reactions as format_network writes them; a
+    compiled program's reactions come straight from its gates' line
+    formats, without building one."""
+    if prog.circuit is None:
+        return format_network(prog.network)
+    order = {sid: i for i, sid in enumerate(prog.species_ids)}
+    lines = [format_species(prog.species)]
+    lines += [gate_text(g, order) for g in prog.circuit.gates]
+    return "\n".join(lines) + "\n"
+
+
 def format_program(prog: CompiledProgram) -> str:
-    """Bindings header, then the network as format_network writes it; a
-    compiled program's reactions come straight from its gate templates."""
+    """Bindings header, then the network text."""
     lines = []
     for name, rails in prog.bindings.inputs:
         target = rails[0] if len(rails) == 1 else f"({rails[0]}, {rails[1]})"
@@ -655,12 +666,7 @@ def format_program(prog: CompiledProgram) -> str:
     lines.append("# output -> " + (out[0] if len(out) == 1 else f"({out[0]}, {out[1]})"))
     if prog.bindings.positive_init:
         lines.append("# init+ : " + ", ".join(prog.bindings.positive_init))
-    if prog.circuit is None:
-        return "\n".join(lines) + "\n" + format_network(prog.network)
-    order = {sid: i for i, sid in enumerate(prog.species_ids)}
-    lines.append(format_species(prog.species))
-    lines += [gate_text(g, order) for g in prog.circuit.gates]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _network_text(prog)
 
 
 _INPUT_RE = re.compile(r"#\s*input\s+(\w+)\s*->\s*(?:\(\s*(\w+)\s*,\s*(\w+)\s*\)|(\w+))\s*\Z")

@@ -3,8 +3,8 @@
 Subcommands: compile, simulate, analyze, verify, lemma, sweep, gates.
 verify exit codes: 0 all checks pass, 2 usage or domain error, 3 blowup,
 4 output not converged, 5 measured speed below the predicted bound.
-CRNCALC_DEFAULT_TOL=rtol[,atol] overrides the built-in tolerances when
---rtol/--atol are not given.
+compile writes a program's bindings and network text; a compiled
+program's reactions and network are parsed from that text.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -38,26 +37,11 @@ def _err(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _default_tols() -> tuple[float, float]:
-    raw = os.environ.get("CRNCALC_DEFAULT_TOL")
-    if not raw:
-        return 1e-10, 1e-12
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    try:
-        rtol = float(parts[0])
-        atol = float(parts[1]) if len(parts) > 1 else rtol * 1e-2
-    except (ValueError, IndexError):
-        raise ValueError(f"bad CRNCALC_DEFAULT_TOL {raw!r}; expected rtol[,atol]")
-    return rtol, atol
-
-
 def _sim_config(args, default_t_end: float = 40.0) -> sim.SimConfig:
-    rtol, atol = _default_tols()
     return sim.SimConfig(
         t_end=args.t_end if args.t_end is not None else default_t_end,
         sigma=getattr(args, "sigma", 1.0),
-        rel_tol=args.rtol if args.rtol is not None else rtol,
-        abs_tol=args.atol if args.atol is not None else atol)
+        rel_tol=args.rtol, abs_tol=args.atol)
 
 
 def _parse_inputs(pairs: list[str]) -> dict[str, float]:
@@ -276,6 +260,10 @@ def cmd_lemma(args) -> int:
               "predicted_bound": {"value": pred.bound.value, "case": pred.bound.case},
               "target": pred.target,
               "termination": traj.termination.status}
+    if traj.termination.status == "stiff_failure":
+        print(f"integration failed: {traj.termination.detail}", file=sys.stderr)
+        _write_report(args.report, report)
+        return EXIT_NOT_CONVERGED
     if pred.family == "unbounded_growth":
         margin = 0.1
         rate = rt.growth_log_rate(traj, "x")
@@ -318,7 +306,11 @@ def _sweep_row(values: dict, run) -> dict:
     if isinstance(run, ValueError):
         row["status"] = f"{type(run).__name__}: {run}"
         return row
-    row["termination"] = run.traj.termination.status
+    term = run.traj.termination
+    row["termination"] = term.status
+    if term.status == "stiff_failure":
+        row["status"] = f"stiff_failure: {term.detail}"
+        return row
     failed = [e for e in run.rates if isinstance(e, ValueError)]
     if failed:
         row["status"] = f"{type(failed[0]).__name__}: {failed[0]}"
@@ -409,8 +401,8 @@ def cmd_gates(_args) -> int:
 
 def _add_tol_flags(p):
     p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
+    p.add_argument("--rtol", type=float, default=sim.SimConfig.rel_tol)
+    p.add_argument("--atol", type=float, default=sim.SimConfig.abs_tol)
 
 
 @functools.cache

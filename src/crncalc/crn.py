@@ -82,36 +82,6 @@ class Reaction:
             raise ValueError("reaction must change at least one species count")
 
 
-def _renamed(reactions: Iterable[Reaction], ids: Mapping[str, str]) -> tuple[Reaction, ...]:
-    """Checked reactions with their species renamed one-to-one by `ids`.
-
-    A one-to-one renaming keeps every count, the rate and reactant !=
-    product, so the checks `Complex.make` and `Reaction` made still hold;
-    only the order of each complex is redone.  Each renamed (id, count)
-    pair is made once and shared.
-    """
-    pairs: dict[tuple[str, int], tuple[str, int]] = {}
-
-    def rename(c: Complex) -> Complex:
-        out = []
-        for p in c.coeffs:
-            q = pairs.get(p)
-            if q is None:
-                q = pairs[p] = (ids[p[0]], p[1])
-            out.append(q)
-        out.sort()
-        return Complex(tuple(out))
-
-    stamped = []
-    for r in reactions:
-        new = object.__new__(Reaction)
-        object.__setattr__(new, "reactant", rename(r.reactant))
-        object.__setattr__(new, "product", rename(r.product))
-        object.__setattr__(new, "rate", r.rate)
-        stamped.append(new)
-    return tuple(stamped)
-
-
 def _species_used(reactions: Iterable[Reaction]) -> dict[str, int]:
     """Every species id the reactions name, keyed in first-appearance order."""
     used: dict[str, int] = {}

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .crn import (MAX_STOICH, Complex, Reaction, ReactionNetwork, Species, _format_reaction,
-                  _renamed, collect_network, parse_network)
+                  collect_network, parse_network)
 
 
 class DomainError(ValueError):
@@ -69,12 +69,12 @@ class GateInstance:
 
     @property
     def reactions(self) -> tuple[Reaction, ...]:
-        """The gate's template for its sharing pattern, renamed to its
-        species.  Built on every read: lowering, flattening and formatting
-        never read it."""
-        bound = [s.id for s in self.species]
-        return _renamed(_template(self.kind, _pattern(bound, self.kind)),
-                        dict(zip(GATES[self.kind.tag].roles, bound)))
+        """The gate's reactions, parsed from the program lines gate_text
+        writes for it, so they are exactly what its program text says.
+        Built on every read: lowering, flattening and formatting never
+        read it."""
+        order = {s.id: i for i, s in enumerate(self.species)}
+        return parse_network(gate_text(self, order)).reactions
 
 
 class SpeciesNamer:
@@ -249,24 +249,26 @@ def _pattern(bound: Sequence, kind: GateKind) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _template(kind: GateKind, pattern: tuple[int, ...]) -> tuple[Reaction, ...]:
-    """The gate's reactions with its roles (inputs, X, Y) merged by `pattern`.
+    """The gate's reactions with its roles (inputs, X, Y) merged by
+    `pattern` and written as str.format fields.
 
     pattern[i] is the index of the first role bound to the same species as
-    role i, so `a*a` gives multiplication (0, 0, 2, 3).  Merged roles add
-    their counts and the result goes through the checking constructors once
-    per pattern: the stoichiometry cap, the rate's sign and reactant !=
-    product.
+    role i, and role i is written {pattern[i]}, so `a*a` gives
+    multiplication (0, 0, 2, 3) and A + B -> A + B + X becomes
+    2{0} -> 2{0} + {2}.  Merged roles add their counts and the result goes
+    through the checking constructors once per pattern: the stoichiometry
+    cap, the rate's sign and reactant != product.
     """
     spec = GATES[kind.tag]
     text = spec.reactions
     if kind.m is not None:
         text = text.format(m=kind.m, m1=kind.m + 1)
-    first = {role: spec.roles[i] for role, i in zip(spec.roles, pattern)}
+    slot = {role: f"{{{i}}}" for role, i in zip(spec.roles, pattern)}
 
     def merged(c: Complex) -> Complex:
         counts: dict[str, int] = {}
         for sid, n in c.coeffs:
-            counts[first[sid]] = counts.get(first[sid], 0) + n
+            counts[slot[sid]] = counts.get(slot[sid], 0) + n
         return Complex.make(counts)
 
     return tuple(Reaction(merged(r.reactant), merged(r.product), r.rate)
@@ -283,15 +285,8 @@ def _line_format(kind: GateKind, ranks: tuple[int, ...]) -> str:
     ranks fix both the sharing pattern and format_network's order of each
     complex.
     """
-    roles = GATES[kind.tag].roles
-    slot = {role: f"{{{i}}}" for i, role in enumerate(roles)}
-    order = {slot[role]: rank for role, rank in zip(roles, ranks)}
-
-    def slotted(c: Complex) -> Complex:
-        return Complex(tuple((slot[sid], k) for sid, k in c.coeffs))
-
-    return "\n".join(_format_reaction(Reaction(slotted(r.reactant), slotted(r.product), r.rate),
-                                      order)
+    order = {f"{{{i}}}": rank for i, rank in enumerate(ranks)}
+    return "\n".join(_format_reaction(r, order)
                      for r in _template(kind, _pattern(ranks, kind)))
 
 

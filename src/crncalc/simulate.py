@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .circuit import CompiledProgram, encode_dual_rail
-from .crn import ReactionNetwork, mass_action, parse_network
+from .crn import ReactionNetwork, mass_action, parse_network, parse_number
 from .gates import factored_rates, gate_limit_rate
 
 
@@ -914,22 +914,26 @@ class ForcingFunction:
 
 
 def _split_top(text: str, seps: str) -> list[str]:
+    """text cut before each separator outside parentheses, except the sign
+    of a number's exponent (the "-" of "1e-3")."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch in seps and depth == 0 and i > start:
+        elif (ch in seps and depth == 0 and i > start
+              and not (text[i - 1] in "eE" and text[i - 2:i - 1].isdigit())):
             parts.append(text[start:i])
             start = i
     parts.append(text[start:])
     return parts
 
 
-_EXP_RE = re.compile(r"exp\(\s*-\s*(?:(\d+(?:\.\d+)?)\s*\*\s*)?t\s*\)\Z")
+_NUM = r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+_EXP_RE = re.compile(rf"exp\(\s*-\s*(?:({_NUM})\s*\*\s*)?t\s*\)\Z")
 _POW_RE = re.compile(r"t(?:\^(\d+))?\Z")
-_NUM_RE = re.compile(r"\d+(?:\.\d+)?\Z")
+_NUM_RE = re.compile(_NUM + r"\Z")
 
 
 def parse_forcing(text: str) -> ForcingFunction:
@@ -949,11 +953,11 @@ def parse_forcing(text: str) -> ForcingFunction:
             if not factor:
                 raise ValueError(f"empty factor in forcing term {chunk!r}")
             if m := _EXP_RE.match(factor):
-                rate += float(m.group(1)) if m.group(1) else 1.0
+                rate += float(parse_number(m.group(1))) if m.group(1) else 1.0
             elif m := _POW_RE.match(factor):
                 power += int(m.group(1)) if m.group(1) else 1
             elif _NUM_RE.match(factor):
-                coeff *= float(factor)
+                coeff *= float(parse_number(factor))
             else:
                 raise ValueError(f"bad factor {factor!r} in forcing {text!r}")
         if rate > 0:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-import crncalc.crn
+import crncalc.circuit
 import crncalc.gates
 from crncalc import cli
 from crncalc.crn import FormatError, derive_ode, format_network
@@ -276,39 +276,47 @@ def test_every_sharing_pattern_renders_the_network(src, mode):
 
 
 @pytest.fixture
-def renamings(monkeypatch):
-    """Counts the gate reactions stamped from their templates."""
+def builds(monkeypatch):
+    """Records each read of a gate's reactions and each program network
+    parsed, but not the cached parses of the gate templates."""
     calls = []
-    real = crncalc.crn._renamed
+    reactions = crncalc.gates.GateInstance.reactions
+    parse = crncalc.circuit.parse_network
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def read(g):
+        calls.append(("reactions", g))
+        return reactions.fget(g)
 
-    monkeypatch.setattr(crncalc.crn, "_renamed", counted)
-    monkeypatch.setattr(crncalc.gates, "_renamed", counted)
+    def parsed(text):
+        calls.append(("parse_network", text))
+        return parse(text)
+
+    monkeypatch.setattr(crncalc.gates.GateInstance, "reactions", property(read))
+    monkeypatch.setattr(crncalc.circuit, "parse_network", parsed)
     return calls
 
 
-def test_compiling_builds_no_reaction(renamings):
+def test_compiling_builds_no_reaction(builds):
     for src, mode in [("sqrt(abs(a - b)) + max(a, b)/c", "nonneg"), ("a*b - c/a", "real")]:
         prog = flatten(lower_to_circuit(parse_expression(src), mode))
-        format_program(prog)
-        assert renamings == []
-        assert len(prog.network.reactions) > 0  # built on the first read
-        assert len(renamings) == len(prog.circuit.gates)
+        text = format_program(prog)
+        assert builds == []
+        assert len(prog.network.reactions) > 0  # parsed on the first read
+        assert [name for name, _ in builds] == ["parse_network"]
+        assert text.endswith(builds[0][1])
         assert prog.network is prog.network
-        renamings.clear()
+        assert len(builds) == 1
+        builds.clear()
 
 
-def test_compile_sweep_and_verify_build_no_reaction(renamings):
+def test_compile_sweep_and_verify_build_no_reaction(builds):
     for argv in (["compile", "--expr", "a/b + sqrt(a)"],
                  ["sweep", "--expr", "a*b", "--grid", "a=1,2;b=3", "--t-end", "20"],
                  ["verify", "--mode", "real", "--expr", "a*b - c",
                   "--in", "a=1.3,b=-2.1,c=0.7"]):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(argv) == 0, argv
-    assert renamings == []
+    assert builds == []
 
 
 def test_load_program_validation():

@@ -374,6 +374,21 @@ def test_lemma_precondition_exits_2(capsys):
     assert "not covered" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--form", "linear", "--g1", "2", "--g2", "1000000"],
+    ["--form", "power", "--g1", "1", "--g2", "exp(-0.6*t)", "--m", "2"]])
+def test_lemma_attempt_budget_exits_4(tmp_path, capsys, monkeypatch, argv):
+    # a run that used up its attempts is judged as verify judges it, before
+    # the driven or growth family is checked
+    monkeypatch.setattr(crncalc.simulate, "_MAX_ATTEMPTS", 10)
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "lemma", *argv, "--report", str(report))
+    assert code == 4
+    assert "integration failed: Step attempt budget of 10" in err
+    assert "pass" not in out and "FAIL" not in out
+    assert json.loads(report.read_text())["termination"] == "stiff_failure"
+
+
 def test_lemma_bad_forcing_exits_2(capsys):
     code, _, err = run(capsys, "lemma", "--form", "linear",
                        "--g1", "3*t", "--g2", "1")
@@ -439,6 +454,19 @@ def test_sweep_row_failures_do_not_abort(tmp_path, capsys):
     statuses = sorted(r["status"] for r in rows)
     assert statuses[0].startswith("DomainError: gate X1 (inversion)")
     assert statuses[1] == "ok"
+
+
+def test_sweep_attempt_budget_fails_the_row(capsys, monkeypatch):
+    monkeypatch.setattr(crncalc.simulate, "_MAX_ATTEMPTS", 10)
+    code, out, _ = run(capsys, "sweep", "--expr", "a + b", "--grid", "a=1,2;b=3")
+    assert code == 0
+    header, rows = parse_sweep_csv(out)
+    assert len(rows) == 2
+    for row in rows:
+        assert row["termination"] == "stiff_failure"
+        assert row["status"] == "stiff_failure: Step attempt budget of 10 used up."
+        assert row["target"] == row["rho_hat"] == row["final_abs_error"] == ""
+    assert "# rho_hat over" not in out
 
 
 def test_sweep_crn_requires_target_and_species(tmp_path, capsys):
@@ -534,18 +562,6 @@ def test_gates_catalogue(capsys):
     code, out, _ = run(capsys, "gates")
     assert code == 0
     assert "identification" in out and "rectified_subtraction" in out
-
-
-def test_default_tol_env_var(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CRNCALC_DEFAULT_TOL", "1e-6,1e-9")
-    out = tmp_path / "traj.csv"
-    code, _, _ = run(capsys, "simulate", "--expr", "a", "--in", "a=1",
-                     "--t-end", "5", "--out", str(out))
-    assert code == 0
-    monkeypatch.setenv("CRNCALC_DEFAULT_TOL", "not-a-number")
-    code, _, err = run(capsys, "simulate", "--expr", "a", "--in", "a=1")
-    assert code == 2
-    assert "CRNCALC_DEFAULT_TOL" in err
 
 
 def test_bad_input_binding_exits_2(capsys):

@@ -190,6 +190,27 @@ def test_parse_forcing_rejects_growth():
             parse_forcing(bad)
 
 
+@pytest.mark.parametrize("text,constant,terms", [
+    ("1e-300", 1e-300, ()),
+    ("2 + 1.5e-1*exp(-3*t)", 2.0, ((0.15, 0, 3.0),)),
+    ("2 - 1E-2", 1.99, ()),
+    ("2*1e+3 - 2.5e-1*t*exp(-4e0*t)", 2000.0, ((-0.25, 1, 4.0),)),
+    ("exp(-2.5e1*t)", 0.0, ((1.0, 0, 25.0),))])
+def test_parse_forcing_reads_scientific_notation(text, constant, terms):
+    g = parse_forcing(text)
+    assert g.constant == constant
+    assert [(x.coeff, x.power, x.rate) for x in g.terms] == list(terms)
+
+
+@pytest.mark.parametrize("bad", [
+    "1e400", "9" * 400, "2*exp(-1e400*t)", "exp(-1e-400*t)", "1e", "e-3", "1e-3e-3",
+    "2/3", "1.", "inf", "t^2e-1", "", "2 +"])
+def test_parse_forcing_rejects_malformed_numbers(bad):
+    # numbers a float cannot hold, and malformed numbers or terms
+    with pytest.raises(ValueError):
+        parse_forcing(bad)
+
+
 def test_forced_linear_matches_closed_form():
     sys = ForcedSystem("linear", parse_forcing("2 + exp(-3*t)"),
                        parse_forcing("1"), x0=1.0)

@@ -27,9 +27,13 @@ def test_tracer_patches_the_live_modules(capsys):
     assert {"cli", "parse_expression", "lower_to_circuit", "flatten",
             "format_program", "predict_speed", "compile_circuit_rhs",
             "estimate_rate"} <= names
+    # the one compile formats once: the flatten hook's read of prog.network
+    # renders the program without the wrapped format_program
+    assert [name for name, *_ in tracer.spans].count("format_program") == 1
     assert tracer.counts["circuit.gates"] == 3 + 1
     assert tracer.counts["rates.estimates"] == 1
     assert set(tracer.self_times()) == set(spans.LAYERS.values())
     # the patch is undone on exit
     from crncalc import circuit
     assert circuit.lower_to_circuit.__name__ == "lower_to_circuit"
+
