@@ -4,7 +4,7 @@ computed concentrations converge at the designed exponential speed.
 The package exports what its scripts, its acceptance suite and the README
 example use; everything else is imported from its submodule."""
 
-from .crn import Species, collect_network, derive_ode
+from .crn import Species, collect_network, mass_action
 from .gates import SpeciesNamer, gate_fragment_network, make_gate
 from .circuit import compile_expression, encode_dual_rail, predict_speed
 from .simulate import (ForcedSystem, SimConfig, closed_form_reference,

@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 SPECIES_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 ROLES = ("input", "output", "intermediate")
@@ -130,31 +130,6 @@ def collect_network(reactions: Iterable[Reaction],
 # polynomial rate equations
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
-    coeff: Fraction
-    exponents: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class PolynomialField:
-    """One polynomial per species, monomials in a canonical order.
-
-    Monomials are sorted lexicographically by exponent vector, exponents
-    indexed by the species order of ``species``.  Zero coefficients are
-    dropped, so two fields are equal iff they are the same polynomial map.
-    """
-
-    species: tuple[str, ...]
-    polynomials: tuple[tuple[Monomial, ...], ...]
-
-    def polynomial(self, sid: str) -> tuple[Monomial, ...]:
-        return self.polynomials[self.species.index(sid)]
-
-    def is_zero(self, sid: str) -> bool:
-        return not self.polynomial(sid)
-
-
 def mass_action(net: ReactionNetwork) -> list[dict[tuple[tuple[int, int], ...], Fraction]]:
     """Expand the mass-action rate law, sparsely: entry i is f_i as
     {monomial: coefficient}.
@@ -162,8 +137,8 @@ def mass_action(net: ReactionNetwork) -> list[dict[tuple[tuple[int, int], ...], 
     A monomial is a reactant complex as sorted (species index, exponent)
     pairs, and its coefficient the exact sum of rate * (change in species
     i) over the reactions with that reactant.  Zero terms are dropped, and
-    the monomials come in PolynomialField's canonical order: sorting the
-    pairs as (-index, exponent) orders them as their dense exponent vectors.
+    the monomials come in the lexicographic order of their dense exponent
+    vectors: sorting the pairs as (-index, exponent) orders them so.
     """
     index = {sid: i for i, sid in enumerate(net.species_ids)}
     acc: list[dict] = [{} for _ in index]
@@ -181,75 +156,47 @@ def mass_action(net: ReactionNetwork) -> list[dict[tuple[tuple[int, int], ...], 
             for terms in acc]
 
 
-def derive_ode(net: ReactionNetwork) -> PolynomialField:
-    """The mass-action rate law as per-species dense polynomials."""
-    n = len(net.species)
+def check_admissible(field: list[Mapping[tuple[tuple[int, int], ...], Fraction]]
+                     ) -> list[tuple[int, tuple[tuple[int, int], ...], Fraction]]:
+    """The terms of a field in mass_action's form whose coefficient is
+    negative but whose monomial lacks x_i, as (species index i, monomial,
+    coefficient); an empty list means the field is admissible.
 
-    def exponents(mono) -> tuple[int, ...]:
-        dense = [0] * n
-        for j, e in mono:
-            dense[j] = e
-        return tuple(dense)
-
-    return PolynomialField(net.species_ids, tuple(
-        tuple(Monomial(c, exponents(m)) for m, c in poly.items())
-        for poly in mass_action(net)))
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    violations: tuple[tuple[str, Monomial], ...]
-
-
-def check_admissible(field: PolynomialField) -> AdmissibilityReport:
-    """Check that every negative monomial of f_i contains x_i.
-
-    This is the structural condition that keeps the non-negative orthant
-    forward invariant: on the face x_i = 0 all surviving terms of f_i are
-    non-negative.  Mass-action derivation satisfies it by construction;
-    the check guards hand-written fields.
+    Admissibility keeps the non-negative orthant forward invariant: on
+    the face x_i = 0 all surviving terms of f_i are non-negative.
+    Mass-action derivation satisfies it by construction; the check guards
+    hand-written fields.
     """
-    bad = []
-    for i, sid in enumerate(field.species):
-        for m in field.polynomials[i]:
-            if m.coeff < 0 and m.exponents[i] == 0:
-                bad.append((sid, m))
-    return AdmissibilityReport(not bad, tuple(bad))
+    return [(i, mono, c) for i, poly in enumerate(field) for mono, c in poly.items()
+            if c < 0 and i not in dict(mono)]
 
 
-def format_polynomial(field: PolynomialField, sid: str) -> str:
-    """Render f_sid like ``a + b - x1`` with lowercase concentration names.
+def format_polynomial(poly: Mapping[tuple[tuple[int, int], ...], Fraction],
+                      species: Sequence[str]) -> str:
+    """Render one polynomial of mass_action's field like ``a + b - x1``,
+    naming each concentration by its lowercased species id.
 
     Positive terms come first, ordered by their leading species, so gate
     ODEs read the way they are usually written (gain terms, then losses).
+    The sort is stable: terms with the same sign and leading species keep
+    mass_action's order, that of their dense exponent vectors.
     """
-    names = [s.lower() for s in field.species]
+    names = [s.lower() for s in species]
 
-    def key(m):
-        lead = next((j for j, e in enumerate(m.exponents) if e), len(m.exponents))
-        return (m.coeff < 0, lead, m.exponents)
+    def key(term):  # a constant term has no leading species and sorts last
+        mono, c = term
+        return c < 0, mono[0][0] if mono else len(names)
 
     parts = []
-    for m in sorted(field.polynomial(sid), key=key):
-        mag = abs(m.coeff)
+    for mono, c in sorted(poly.items(), key=key):
+        mag = abs(c)
         factors = [] if mag == 1 else [str(mag)]
-        for j, e in enumerate(m.exponents):
-            if e == 0:
-                continue
-            factors.append(names[j] if e == 1 else f"{names[j]}^{e}")
-        if not factors:
-            factors = [str(mag)]
-        term = "*".join(factors)
-        sign = "-" if m.coeff < 0 else "+"
-        parts.append((sign, term))
+        factors += [names[j] if e == 1 else f"{names[j]}^{e}" for j, e in mono]
+        parts.append(f"{'-' if c < 0 else '+'} {'*'.join(factors or [str(mag)])}")
     if not parts:
         return "0"
-    first_sign, first = parts[0]
-    text = ("-" if first_sign == "-" else "") + first
-    for sign, term in parts[1:]:
-        text += f" {sign} {term}"
-    return text
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .crn import (MAX_STOICH, Complex, Reaction, ReactionNetwork, Species, _format_reaction,
-                  collect_network, parse_network)
+                  collect_network, format_network, format_polynomial, mass_action,
+                  parse_network)
 
 
 class DomainError(ValueError):
@@ -371,17 +372,16 @@ def gate_speed_bound(kind: GateKind, input_bounds: Sequence,
 
 def catalogue() -> str:
     """Human-readable listing of every gate: reactions, ODE, target, speed."""
-    from .crn import derive_ode, format_network, format_polynomial
-
     sections = []
     for spec in GATES.values():
         kind = GateKind(spec.tag, 2 if spec.takes_m else None)
         g = make_gate(kind, [Species(sid, "input") for sid in spec.inputs], SpeciesNamer())
         net = gate_fragment_network(g)
-        ode = derive_ode(net)
+        ode, ids = mass_action(net), net.species_ids
         lines = [f"## {spec.tag}" + (" (shown for m=2)" if spec.takes_m else "")]
         for s in (g.output,) + g.intermediates:
-            lines.append(f"# ode: {s.id.lower()}' = {format_polynomial(ode, s.id)}")
+            lines.append(f"# ode: {s.id.lower()}' = "
+                         f"{format_polynomial(ode[ids.index(s.id)], ids)}")
         lines.append(f"# target: {spec.shows_target}")
         lines.append(f"# speed: {spec.shows_speed}")
         if g.positive_init:

@@ -168,7 +168,8 @@ def estimate_rate(traj: Trajectory, species: str, target: float,
     is available (simulate.resample, as a batch of one).
     """
     if not 0 < err_floor < err_ceil:
-        raise ValueError("need 0 < err_floor < err_ceil")
+        raise ValueError(f"need 0 < error floor < error ceiling, got floor {err_floor:g} "
+                         f"and ceiling {err_ceil:g} for target {float(target):g}")
     t = np.asarray(traj.times, dtype=float)
     if t.size < 2:
         raise EstimationError("trajectory too short")

@@ -227,6 +227,22 @@ def test_analyze_not_converged_exits_4(tmp_path, capsys):
     assert "not" in text
 
 
+@pytest.mark.parametrize("argv,message", [
+    # 10^-digits is the accuracy required; a threshold of 1 or more passes anything
+    (["verify", "--expr", "a", "--in", "a=1", "--digits", "-3"], "--digits must be at least 1"),
+    (["verify", "--expr", "a", "--in", "a=1", "--digits", "0"], "--digits must be at least 1"),
+    (["analyze", "--traj", "{traj}", "--target", "1", "--digits", "0"],
+     "--digits must be at least 1"),
+    (["analyze", "--traj", "{traj}", "--target", "1", "--floor", "1e-2", "--ceil", "1e-3"],
+     "got floor 0.01 and ceiling 0.001 for target 1")])
+def test_settings_out_of_range_exit_2(tmp_path, capsys, argv, message):
+    traj = tmp_path / "traj.csv"
+    traj.write_text("t,X\n" + "".join(f"{t},{1 + math.exp(-t)!r}\n" for t in range(30)))
+    code, out, err = run(capsys, *(a.format(traj=traj) for a in argv))
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_passes(tmp_path, capsys):
@@ -389,6 +405,18 @@ def test_lemma_attempt_budget_exits_4(tmp_path, capsys, monkeypatch, argv):
     assert json.loads(report.read_text())["termination"] == "stiff_failure"
 
 
+def test_lemma_unmeasurable_target_exits_4(tmp_path, capsys):
+    # the target 2e8 puts the error floor (10 rtol (1 + target)) above the
+    # ceiling, so no fit window exists: the rate cannot be measured
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "lemma", "--form", "linear", "--g1", "2", "--g2", "1e-8",
+                         "--report", str(report))
+    assert code == 4 and err == ""
+    assert out.startswith("rate not measurable:")
+    assert "floor 0.2 and ceiling 0.01 for target 2e+08" in out
+    assert json.loads(report.read_text())["rate_error"] in out
+
+
 def test_lemma_bad_forcing_exits_2(capsys):
     code, _, err = run(capsys, "lemma", "--form", "linear",
                        "--g1", "3*t", "--g2", "1")
@@ -523,6 +551,14 @@ def test_sweep_bad_grid_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--expr", "1/a", "--grid", "a")
     assert code == 2
     assert "grid axis" in err
+
+
+@pytest.mark.parametrize("grid,message", [("a=1,2;a=3", "grid axis 'a' given twice"),
+                                          ("a=1; =2", "bad grid axis '=2'")])
+def test_sweep_repeated_or_empty_axis_exits_2(capsys, grid, message):
+    code, out, err = run(capsys, "sweep", "--expr", "a", "--grid", grid)
+    assert code == 2
+    assert out == "" and err.startswith("error:") and message in err
 
 
 def test_sweep_parallel_matches_serial(tmp_path, capsys):

@@ -8,24 +8,21 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from crncalc.crn import (
-    AdmissibilityReport,
     Complex,
     FormatError,
-    Monomial,
-    PolynomialField,
     Reaction,
     ReactionNetwork,
     Species,
     check_admissible,
     collect_network,
-    derive_ode,
     format_network,
     format_polynomial,
+    mass_action,
     parse_network,
     parse_number,
 )
 
-from field_helpers import evaluate_field
+from field_helpers import densify, evaluate_field
 
 F = Fraction
 
@@ -38,92 +35,77 @@ def net(reactions, roles=None, order=None):
     return collect_network(reactions, roles, order)
 
 
-def poly_dict(field, sid):
-    """Monomials as {exponent tuple: coefficient} for comparison."""
-    return {m.exponents: m.coeff for m in field.polynomial(sid)}
+def dense(n):
+    """The network's field as {species: {exponent tuple: coefficient}}."""
+    return densify(mass_action(n), n.species_ids)
 
 
-# --- derive_ode oracles -----------------------------------------------------
+# --- mass_action oracles ----------------------------------------------------
 
-def test_derive_ode_bimolecular_example():
+def test_mass_action_bimolecular_example():
     # X1 + X2 -> X3, X3 -> X1 + X2, 2 X3 -> 0; expected field written out
     # by hand from mass-action kinetics before the implementation existed.
     n = net([rxn({"X1": 1, "X2": 1}, {"X3": 1}),
              rxn({"X3": 1}, {"X1": 1, "X2": 1}),
              rxn({"X3": 2}, {})],
             order=["X1", "X2", "X3"])
-    f = derive_ode(n)
-    assert poly_dict(f, "X1") == {(1, 1, 0): F(-1), (0, 0, 1): F(1)}
-    assert poly_dict(f, "X2") == {(1, 1, 0): F(-1), (0, 0, 1): F(1)}
-    assert poly_dict(f, "X3") == {(1, 1, 0): F(1), (0, 0, 1): F(-1),
-                                  (0, 0, 2): F(-2)}
+    f = dense(n)
+    assert f["X1"] == {(1, 1, 0): F(-1), (0, 0, 1): F(1)}
+    assert f["X2"] == {(1, 1, 0): F(-1), (0, 0, 1): F(1)}
+    assert f["X3"] == {(1, 1, 0): F(1), (0, 0, 1): F(-1), (0, 0, 2): F(-2)}
 
 
-def test_derive_ode_empty_network():
+def test_mass_action_empty_network():
     n = ReactionNetwork((Species("A", "input"),), ())
-    f = derive_ode(n)
-    assert f.polynomial("A") == ()
-    assert f.is_zero("A")
+    assert mass_action(n) == [{}]
 
 
-def test_derive_ode_addition_fragment():
+def test_mass_action_addition_fragment():
     n = net([rxn({"A": 1}, {"A": 1, "X": 1}),
              rxn({"B": 1}, {"B": 1, "X": 1}),
              rxn({"X": 1}, {})],
             order=["A", "B", "X"])
-    f = derive_ode(n)
-    assert f.is_zero("A") and f.is_zero("B")
-    assert poly_dict(f, "X") == {(1, 0, 0): F(1), (0, 1, 0): F(1),
-                                 (0, 0, 1): F(-1)}
+    f = dense(n)
+    assert f["A"] == {} and f["B"] == {}
+    assert f["X"] == {(1, 0, 0): F(1), (0, 1, 0): F(1), (0, 0, 1): F(-1)}
 
 
-def test_derive_ode_combines_like_monomials():
+def test_mass_action_combines_like_monomials():
     # two reactions contributing the same monomial with opposite signs
     n = net([rxn({"X": 1}, {"X": 2}), rxn({"X": 1}, {})], order=["X"])
-    f = derive_ode(n)
-    assert f.polynomial("X") == ()
+    assert mass_action(n) == [{}]
 
 
 def test_rational_rate_constants_stay_exact():
     n = net([rxn({"A": 1}, {"A": 1, "X": 1}, F(1, 3)),
              rxn({"X": 1}, {}, F(2, 3))], order=["A", "X"])
-    f = derive_ode(n)
-    assert poly_dict(f, "X") == {(1, 0): F(1, 3), (0, 1): F(-2, 3)}
+    assert dense(n)["X"] == {(1, 0): F(1, 3), (0, 1): F(-2, 3)}
 
 
 # --- admissibility ----------------------------------------------------------
-
-def field_1d(species, terms):
-    """Single-species helper: terms as {exponents: coeff}."""
-    monos = tuple(sorted((Monomial(F(c), e) for e, c in terms.items()),
-                         key=lambda m: m.exponents))
-    zeros = tuple(() for _ in species[:-1])
-    return PolynomialField(tuple(species), zeros + (monos,))
-
+# hand-built fields in mass_action's form: one {monomial: coefficient} per
+# species, a monomial as sorted (species index, exponent) pairs
 
 def test_admissible_naive_inversion_field():
     # x' = 1 - a x over (a, x)
-    f = field_1d(["a", "x"], {(0, 0): 1, (1, 1): -1})
-    assert check_admissible(f).ok
+    f = [{}, {(): F(1), ((0, 1), (1, 1)): F(-1)}]
+    assert check_admissible(f) == []
 
 
 def test_inadmissible_constant_decay():
-    f = field_1d(["x"], {(0,): -1})
-    rep = check_admissible(f)
-    assert not rep.ok
-    assert rep.violations
-    assert "x" in rep.violations[0]
+    f = [{(): F(-1)}]
+    assert check_admissible(f) == [(0, (), F(-1))]
 
 
 def test_admissible_designed_inversion_field():
     # x' = x - a x^2 (the expanded form of x(1 - a x))
-    f = field_1d(["a", "x"], {(0, 1): 1, (1, 2): -1})
-    assert check_admissible(f).ok
+    f = [{}, {((1, 1),): F(1), ((0, 1), (1, 2)): F(-1)}]
+    assert check_admissible(f) == []
 
 
 def test_derived_fields_always_admissible():
     n = net([rxn({"A": 2, "X": 1}, {"A": 2}), rxn({"X": 2}, {"X": 3})])
-    assert check_admissible(derive_ode(n)).ok
+    assert check_admissible(mass_action(n)) == []
 
 
 # --- evaluation -------------------------------------------------------------
@@ -132,23 +114,22 @@ def test_evaluate_addition_field():
     n = net([rxn({"A": 1}, {"A": 1, "X": 1}),
              rxn({"B": 1}, {"B": 1, "X": 1}),
              rxn({"X": 1}, {})])
-    f = derive_ode(n)
-    vals = evaluate_field(f, {"A": 1.0, "B": 2.0, "X": 0.0})
+    vals = evaluate_field(mass_action(n), n.species_ids, {"A": 1.0, "B": 2.0, "X": 0.0})
     assert vals["X"] == pytest.approx(3.0)
     assert vals["A"] == 0.0
 
 
 def test_evaluate_inversion_fixed_point_and_slope():
     n = net([rxn({"X": 1}, {"X": 2}), rxn({"A": 1, "X": 2}, {"A": 1, "X": 1})])
-    f = derive_ode(n)
-    assert evaluate_field(f, {"A": 2.0, "X": 0.5})["X"] == pytest.approx(0.0)
-    assert evaluate_field(f, {"A": 2.0, "X": 1.0})["X"] == pytest.approx(-1.0)
+    f, ids = mass_action(n), n.species_ids
+    assert evaluate_field(f, ids, {"A": 2.0, "X": 0.5})["X"] == pytest.approx(0.0)
+    assert evaluate_field(f, ids, {"A": 2.0, "X": 1.0})["X"] == pytest.approx(-1.0)
 
 
 def test_evaluate_missing_species_errors():
     n = net([rxn({"X": 1}, {})])
     with pytest.raises(ValueError):
-        evaluate_field(derive_ode(n), {})
+        evaluate_field(mass_action(n), n.species_ids, {})
 
 
 # --- type invariants --------------------------------------------------------
@@ -284,9 +265,9 @@ def test_format_polynomial_readable():
     n = net([rxn({"A": 1}, {"A": 1, "X": 1}),
              rxn({"B": 1}, {"B": 1, "X": 1}),
              rxn({"X": 1}, {})])
-    f = derive_ode(n)
-    assert format_polynomial(f, "X") == "a + b - x"
-    assert format_polynomial(f, "A") == "0"
+    f, ids = mass_action(n), n.species_ids
+    assert format_polynomial(f[ids.index("X")], ids) == "a + b - x"
+    assert format_polynomial(f[ids.index("A")], ids) == "0"
 
 
 # --- property tests ---------------------------------------------------------
@@ -314,24 +295,22 @@ networks = st.lists(reactions_strategy(), min_size=1, max_size=6).map(net)
 @given(networks)
 def test_orthant_forward_invariance(n):
     # on any boundary face x_i = 0 the field component f_i is non-negative
-    f = derive_ode(n)
+    f = mass_action(n)
     rng = np.random.default_rng(0)
     for sid in n.species_ids:
         state = {s: float(v) for s, v in
                  zip(n.species_ids, rng.uniform(0.0, 3.0, len(n.species_ids)))}
         state[sid] = 0.0
-        assert evaluate_field(f, state)[sid] >= 0.0
+        assert evaluate_field(f, n.species_ids, state)[sid] >= 0.0
 
 
 @given(st.lists(reactions_strategy(), min_size=1, max_size=4),
        st.lists(reactions_strategy(), min_size=1, max_size=4))
-def test_derive_ode_linear_in_reactions(rs1, rs2):
+def test_mass_action_linear_in_reactions(rs1, rs2):
     order = ["A", "B", "X", "Y", "Z"]
-    f1 = derive_ode(net(rs1, order=order))
-    f2 = derive_ode(net(rs2, order=order))
-    f12 = derive_ode(net(rs1 + rs2, order=order))
+    nets = [net(rs, order=order) for rs in (rs1, rs2, rs1 + rs2)]
     state = {s: v for s, v in zip(order, [0.7, 1.3, 0.2, 2.0, 0.9])}
-    v1, v2, v12 = (evaluate_field(f, state) for f in (f1, f2, f12))
+    v1, v2, v12 = (evaluate_field(mass_action(n), n.species_ids, state) for n in nets)
     for sid in order:
         assert v12[sid] == pytest.approx(v1[sid] + v2[sid], abs=1e-12)
 
@@ -340,12 +319,10 @@ def test_derive_ode_linear_in_reactions(rs1, rs2):
 def test_rate_scaling_scales_coefficients_exactly(n, sigma):
     scaled = net([Reaction(r.reactant, r.product, r.rate * sigma)
                   for r in n.reactions], order=n.species_ids)
-    f, g = derive_ode(n), derive_ode(scaled)
-    for sid in n.species_ids:
-        assert [m.exponents for m in f.polynomial(sid)] == \
-               [m.exponents for m in g.polynomial(sid)]
-        for a, b in zip(f.polynomial(sid), g.polynomial(sid)):
-            assert b.coeff == a.coeff * sigma
+    for f, g in zip(mass_action(n), mass_action(scaled)):
+        assert list(f) == list(g)
+        for mono, c in f.items():
+            assert g[mono] == c * sigma
 
 
 @settings(max_examples=50)

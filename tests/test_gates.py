@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from crncalc.crn import Complex, Reaction, Species, derive_ode, mass_action, parse_network
+from crncalc.crn import Complex, Reaction, Species, mass_action, parse_network
 from crncalc.gates import (
     DomainError,
     GATES,
@@ -29,23 +29,21 @@ from crncalc.gates import (
 )
 from crncalc.simulate import SimConfig, _derivative, integrate_network
 
-from field_helpers import evaluate_field
+from field_helpers import densify, evaluate_field
 
 F = Fraction
 
 
-def build(tag, n_inputs, m=None):
+def build(tag, n_inputs, m=None, ids=("A", "B")):
     kind = GateKind(tag, m)
-    inputs = [Species(s, "input") for s in ("A", "B")[:n_inputs]]
+    inputs = [Species(s, "input") for s in ids[:n_inputs]]
     gate = make_gate(kind, inputs, SpeciesNamer(reserved=["A", "B"]))
     return gate, gate_fragment_network(gate)
 
 
 def field_of(tag, n_inputs, m=None):
     gate, net = build(tag, n_inputs, m)
-    f = derive_ode(net)
-    return gate, net, {sid: {mm.exponents: mm.coeff for mm in f.polynomial(sid)}
-                       for sid in net.species_ids}
+    return gate, net, densify(mass_action(net), net.species_ids)
 
 
 # --- the eight lemma ODEs, frozen -------------------------------------------
@@ -224,9 +222,9 @@ def test_inputs_are_catalytic(tag, n, m):
     for r in net.reactions:
         for sid in input_ids:
             assert r.reactant.count(sid) == r.product.count(sid)
-    f = derive_ode(net)
+    f = mass_action(net)
     for sid in input_ids:
-        assert f.is_zero(sid)
+        assert f[net.species_ids.index(sid)] == {}
 
 
 @pytest.mark.parametrize("tag,n,m", ALL_KINDS)
@@ -289,11 +287,11 @@ def test_steady_state_single_input_gates(a):
             ("mth_root", 3, a ** (1 / 3), a ** (-1 / 3))]:
         gate, net, _ = None, None, None
         gate, net = build(tag, 1, m)
-        f = derive_ode(net)
+        f = mass_action(net)
         state = {"A": a, gate.output.id: x_star}
         if y_star is not None:
             state[gate.intermediates[0].id] = y_star
-        vals = evaluate_field(f, state)
+        vals = evaluate_field(f, net.species_ids, state)
         for sid, v in vals.items():
             assert v == pytest.approx(0.0, abs=1e-9), (tag, sid)
 
@@ -306,11 +304,11 @@ def test_steady_state_two_input_gates(a, b):
         cases.append(("rectified_subtraction", max(a - b, 0.0), 1 / abs(a - b)))
     for tag, x_star, y_star in cases:
         gate, net = build(tag, 2)
-        f = derive_ode(net)
+        f = mass_action(net)
         state = {"A": a, "B": b, gate.output.id: x_star}
         if y_star is not None:
             state[gate.intermediates[0].id] = y_star
-        vals = evaluate_field(f, state)
+        vals = evaluate_field(f, net.species_ids, state)
         for sid, v in vals.items():
             assert v == pytest.approx(0.0, abs=1e-8), (tag, sid)
 
@@ -318,17 +316,17 @@ def test_steady_state_two_input_gates(a, b):
 @given(positive)
 def test_steady_state_partial_real_inversion(ap):
     gate, net = build("partial_real_inversion", 2)
-    f = derive_ode(net)
+    f, ids = mass_action(net), net.species_ids
     # positive rail active: x* = 1/a_p, y* = 1/a_p
-    vals = evaluate_field(f, {"A": ap, "B": 0.0,
-                              gate.intermediates[0].id: 1 / ap,
-                              gate.output.id: 1 / ap})
+    vals = evaluate_field(f, ids, {"A": ap, "B": 0.0,
+                                   gate.intermediates[0].id: 1 / ap,
+                                   gate.output.id: 1 / ap})
     for sid, v in vals.items():
         assert v == pytest.approx(0.0, abs=1e-9), sid
     # negative rail active: x* = 0, y* = 1/a_n
-    vals = evaluate_field(f, {"A": 0.0, "B": ap,
-                              gate.intermediates[0].id: 1 / ap,
-                              gate.output.id: 0.0})
+    vals = evaluate_field(f, ids, {"A": 0.0, "B": ap,
+                                   gate.intermediates[0].id: 1 / ap,
+                                   gate.output.id: 0.0})
     for sid, v in vals.items():
         assert v == pytest.approx(0.0, abs=1e-9), sid
 
@@ -349,13 +347,20 @@ def _limit_inputs(kind, rng):
             return values
 
 
-@pytest.mark.parametrize("kind", LIMIT_KINDS, ids=str)
-def test_limit_rate_is_the_fragment_jacobian_diagonal(kind):
+# a + a and a * a feed one species to both inputs; the other two-input
+# gates would see equal inputs, a tie that leaves them no exponential limit
+SHARED = [pytest.param(kind, ("A", "A"), id=f"{kind}[shared]")
+          for kind in (GateKind("addition"), GateKind("multiplication"))]
+
+
+@pytest.mark.parametrize("kind,inputs", [pytest.param(kind, ("A", "B"), id=str(kind))
+                                      for kind in LIMIT_KINDS] + SHARED)
+def test_limit_rate_is_the_fragment_jacobian_diagonal(kind, inputs):
     # the gate's network, inputs held, integrated to its limit: there the
     # exact d f_i / d x_i is -1 for X and -gate_limit_rate for Y, whatever
     # the inputs
     rng = np.random.default_rng(sum(map(ord, str(kind))))
-    gate, net = build(kind.tag, GATES[kind.tag].arity, kind.m)
+    gate, net = build(kind.tag, GATES[kind.tag].arity, kind.m, inputs)
     field = mass_action(net)
     ids = net.species_ids
     want = {gate.output.id: -1.0}
@@ -363,7 +368,7 @@ def test_limit_rate_is_the_fragment_jacobian_diagonal(kind):
         want[gate.intermediates[0].id] = -float(gate_limit_rate(kind))
     for _ in range(4):
         values = _limit_inputs(kind, rng)
-        init = dict(zip(("A", "B"), values)) | {sid: 1.0 for sid in gate.positive_init}
+        init = dict(zip(inputs, values)) | {sid: 1.0 for sid in gate.positive_init}
         traj = integrate_network(net, init, SimConfig(t_end=40))
         assert traj.termination.status == "completed", (kind, values)
         y = traj.states[-1]
@@ -379,6 +384,31 @@ def test_catalogue_documents_every_gate():
     for tag, _, _ in ALL_KINDS:
         assert tag in text
     assert "k=1" in text and "target" in text and "speed" in text
+
+
+CATALOGUE_ODES = {
+    "identification": ["x1' = a - x1"],
+    "inversion": ["x1' = x1 - a*x1^2"],
+    "mth_root (shown for m=2)": ["x1' = x1 - x1^2*y1", "y1' = y1 - a*y1^3"],
+    "addition": ["x1' = a + b - x1"],
+    "multiplication": ["x1' = a*b - x1"],
+    "absolute_difference": ["x1' = x1 - x1^2*y1",
+                            "y1' = 2*a*b*y1^3 + y1 - a^2*y1^3 - b^2*y1^3"],
+    "rectified_subtraction": ["x1' = a*x1*y1 - b*x1*y1 - x1^2*y1",
+                              "y1' = 2*a*b*y1^3 + y1 - a^2*y1^3 - b^2*y1^3"],
+    "partial_real_inversion": ["x1' = a_p*x1*y1 - a_p^2*x1^2*y1 - a_n*x1*y1",
+                               "y1' = y1 - a_p*y1^2 - a_n*y1^2"],
+}
+
+
+def test_catalogue_ode_lines():
+    # gain terms first, then losses, each ordered by its leading species
+    odes = {}
+    for section in catalogue().split("\n\n"):
+        head, *lines = section.splitlines()
+        odes[head.removeprefix("## ")] = [line.removeprefix("# ode: ")
+                                          for line in lines if line.startswith("# ode: ")]
+    assert odes == CATALOGUE_ODES
 
 
 def test_mth_root_degree_fits_stoichiometry():

@@ -79,7 +79,7 @@ def test_too_few_window_samples_raises():
     traj = synthetic(lambda t: 1.0 + np.exp(-t), t_end=30, n=12)
     with pytest.raises(EstimationError, match="samples"):
         estimate_rate(traj, "x", 1.0)
-    with pytest.raises(ValueError, match="err_floor"):
+    with pytest.raises(ValueError, match="got floor 0.01 and ceiling 1e-09 for target 0"):
         estimate_rate(synthetic(lambda t: np.exp(-t)), "x", 0.0,
                       err_floor=1e-2, err_ceil=1e-9)
 
