@@ -10,8 +10,7 @@ from .circuit import compile_expression, encode_dual_rail, predict_speed
 from .simulate import (ForcedSystem, SimConfig, closed_form_reference,
                        designed_inversion_network, double_identification_network,
                        integrate_network, naive_inversion_network, parse_forcing,
-                       simulate_forced, simulate_program)
-from .rates import (NotConvergedError, Pipeline, auto_err_floor, check_speed,
-                    digits_time, estimate_rate, forced_prediction, growth_log_rate)
+                       simulate_program)
+from .rates import NotConvergedError, Pipeline, check_lemma, check_speed, digits_time
 
 __version__ = "0.1.0"

@@ -127,14 +127,12 @@ def cmd_analyze(args) -> int:
         return _err("--species required for multi-species trajectories")
     if args.digits is not None and args.digits < 1:
         return _err(f"--digits must be at least 1, got {args.digits}")
-    floor = args.floor if args.floor is not None else 1e-9
-    ceil = args.ceil if args.ceil is not None else 1e-2
     report: dict = {"trajectory": args.traj, "species": species,
                     "target": args.target,
                     "termination": traj.termination.status}
     code = EXIT_OK
     try:
-        est = rt.estimate_rate(traj, species, args.target, floor, ceil,
+        est = rt.estimate_rate(traj, species, args.target, args.floor, args.ceil,
                                detrend=args.detrend)
         report["rate"] = _rate_fields(est)
         print(f"rho_hat = {est.rho_hat:.6g}  window {est.fit_window[0]:.3g}.."
@@ -165,6 +163,7 @@ def _finish_verify(args, report: dict, code: int) -> int:
 def cmd_verify(args) -> int:
     if args.digits < 1:
         return _err(f"--digits must be at least 1, got {args.digits}")
+    rt.check_slack(args.slack)
     cfg = _sim_config(args)
     inputs = _parse_inputs(args.inputs)
     pipeline = rt.Pipeline("expr", args.expr, args.mode, None, None, cfg)
@@ -256,46 +255,36 @@ def _write_plot_data(path: str, traj, rails, targets):
 def cmd_lemma(args) -> int:
     system = sim.ForcedSystem(args.form, sim.parse_forcing(args.g1),
                               sim.parse_forcing(args.g2), args.m, args.x0)
-    pred = rt.forced_prediction(system)
-    cfg = _sim_config(args, default_t_end=60.0)
-    traj = sim.simulate_forced(system, cfg)
+    check = rt.check_lemma(system, _sim_config(args, default_t_end=80.0), args.slack)
+    pred, term = check.prediction, check.traj.termination
     report = {"form": args.form, "g1": args.g1, "g2": args.g2, "m": args.m,
               "x0": args.x0, "family": pred.family,
               "predicted_bound": {"value": pred.bound.value, "case": pred.bound.case},
               "target": pred.target,
-              "termination": traj.termination.status}
-    if traj.termination.status == "stiff_failure":
-        print(f"integration failed: {traj.termination.detail}", file=sys.stderr)
-        _write_report(args.report, report)
-        return EXIT_NOT_CONVERGED
-    if pred.family == "unbounded_growth":
-        margin = 0.1
-        rate = rt.growth_log_rate(traj, "x")
-        passed = rate >= pred.bound.value - margin
-        report["growth"] = {"log_rate": rate, "required": pred.bound.value - margin}
-        print(f"growth family: ln(x)/t tail {rate:.4g} vs bound {pred.bound.value:.4g}"
-              f" - {margin:g} [{pred.bound.case}]: {'pass' if passed else 'FAIL'}")
-        _write_report(args.report, report)
-        return EXIT_OK if passed else EXIT_SPEED
-    if traj.termination.status == "blowup":
-        print(f"blowup at t={traj.termination.time:.6g}")
-        _write_report(args.report, report)
-        return EXIT_BLOWUP
-    try:
-        est = rt.estimate_rate(traj, "x", pred.target,
-                               err_floor=rt.auto_err_floor(pred.target, cfg.rel_tol),
-                               detrend=True)
-    except ValueError as e:  # also a target so large that its error floor tops the ceiling
-        report["rate_error"] = str(e)
-        print(f"rate not measurable: {e}")
-        _write_report(args.report, report)
-        return EXIT_NOT_CONVERGED
-    v = rt.check_speed(est, pred.bound, args.slack)
-    report["rate"] = _rate_fields(est)
-    report["verdict"] = {"passed": v.passed, "required": v.required}
-    print(f"{pred.family}: target {pred.target:.6g}  {v}")
+              "termination": term.status}
+    if term.status == "stiff_failure":
+        print(f"integration failed: {term.detail}", file=sys.stderr)
+        code = EXIT_NOT_CONVERGED
+    elif check.error is not None:
+        report["rate_error"] = str(check.error)
+        print(f"rate not measurable: {check.error}")
+        code = EXIT_NOT_CONVERGED
+    elif check.measured is None:  # blowup outside the growth family
+        print(f"blowup at t={term.time:.6g}")
+        code = EXIT_BLOWUP
+    elif check.estimate is None:  # the growth family's ln(x)/t tail
+        report["growth"] = {"log_rate": check.measured, "required": check.required}
+        print(f"growth family: ln(x)/t tail {check.measured:.4g} vs bound "
+              f"{pred.bound.value:.4g} - {rt.GROWTH_MARGIN:g} [{pred.bound.case}]: "
+              f"{'pass' if check.passed else 'FAIL'}")
+        code = EXIT_OK if check.passed else EXIT_SPEED
+    else:
+        report["rate"] = _rate_fields(check.estimate)
+        report["verdict"] = {"passed": check.passed, "required": check.required}
+        print(f"{pred.family}: target {pred.target:.6g}  {check.verdict}")
+        code = EXIT_OK if check.passed else EXIT_SPEED
     _write_report(args.report, report)
-    return EXIT_OK if v.passed else EXIT_SPEED
+    return code
 
 
 # A sweep integrates its points in blocks of this many lanes.  Each block
@@ -360,6 +349,8 @@ def _parse_grid(spec: str) -> list[dict[str, float]]:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        return _err(f"--jobs must be at least 1, got {args.jobs}")
     points = _parse_grid(args.grid)
     cfg = _sim_config(args)
     if args.expr:
@@ -372,7 +363,8 @@ def cmd_sweep(args) -> int:
     pipeline = rt.Pipeline(*spec, cfg)  # a bad expression, network or --species fails here
     blocks = [points[i:i + SWEEP_BLOCK] for i in range(0, len(points), SWEEP_BLOCK)]
     if args.jobs > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool starts all its workers at once, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(blocks))) as pool:
             parts = list(pool.map(_sweep_block, [(spec, cfg, b) for b in blocks]))
     else:
         parts = [_sweep_rows(pipeline, b) for b in blocks]
@@ -443,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--species")
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--digits", type=int)
-    p.add_argument("--floor", type=float)
-    p.add_argument("--ceil", type=float)
+    p.add_argument("--floor", type=float, default=rt.ERR_FLOOR)
+    p.add_argument("--ceil", type=float, default=rt.ERR_CEIL)
     p.add_argument("--detrend", action="store_true",
                    help="prefactor-aware envelope fit instead of the plain slope")
     p.add_argument("--report")

@@ -20,13 +20,14 @@ bounded one.
 `verify`, `sweep` and the acceptance criteria all take their points
 through it.  It resamples each integrated batch once (simulate.resample,
 once per shared step grid) and measures every lane and rail from those
-samples.
+samples.  `check_lemma` is the one judge of a forced scalar system, for
+`lemma`, scripts/lemma_grid.py and the acceptance criteria alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,17 +82,20 @@ class Verdict:
 
 
 MIN_FIT_SAMPLES = 8
+ERR_FLOOR = 1e-9        # estimate_rate's default fit window
+ERR_CEIL = 1e-2
 
 _RESAMPLE = 1600        # uniform grid size when a dense interpolant is available
 _ENVELOPE_BINS = 15
 _MIN_SUFFIX_BINS = 8
 _K_MAX = 6.0            # prefactor degree cap; composite chains here stay below it
+_GROWTH_TAIL = 1 / 3    # share of a growth run that growth_log_rate reads
 
 
-def auto_err_floor(target: float, rel_tol: float, base: float = 1e-9) -> float:
+def auto_err_floor(target: float, rel_tol: float) -> float:
     """Raise the fit-window floor above integrator noise for large targets:
     the computed trajectory is only accurate to about rel_tol * scale."""
-    return max(base, 10.0 * rel_tol * (1.0 + abs(target)))
+    return max(ERR_FLOOR, 10.0 * rel_tol * (1.0 + abs(target)))
 
 
 def _suffix_fits(bt: np.ndarray, be: np.ndarray):
@@ -153,7 +157,7 @@ def _detrended_fit(seg_t: np.ndarray, log_e: np.ndarray):
 
 
 def estimate_rate(traj: Trajectory, species: str, target: float,
-                  err_floor: float = 1e-9, err_ceil: float = 1e-2,
+                  err_floor: float = ERR_FLOOR, err_ceil: float = ERR_CEIL,
                   detrend: bool = False) -> RateEstimate:
     """Fit the tail decay rate of |x(t) - target|.
 
@@ -230,10 +234,15 @@ def digits_time(traj: Trajectory, species: str, target: float, n: int) -> DigitT
     return DigitTime(n, float(t[i] + frac * (t[i + 1] - t[i])))
 
 
+def check_slack(slack: float):
+    """Raise ValueError unless 0 <= slack < 1."""
+    if not 0 <= slack < 1:
+        raise ValueError(f"slack must lie in [0, 1), got {slack:g}")
+
+
 def check_speed(estimate: RateEstimate, bound: SpeedBound,
                 slack: float = 0.15) -> Verdict:
-    if not 0 <= slack < 1:
-        raise ValueError("slack must lie in [0, 1)")
+    check_slack(slack)
     if bound.value <= 0:
         raise ValueError("speed bound must be positive")
     required = (1.0 - slack) * bound.value
@@ -241,12 +250,12 @@ def check_speed(estimate: RateEstimate, bound: SpeedBound,
                    required, bound, slack)
 
 
-def growth_log_rate(traj: Trajectory, species: str, tail_frac: float = 1 / 3) -> float:
-    """min of ln(x)/t over the final tail_frac of the run; lower bounds
+def growth_log_rate(traj: Trajectory, species: str) -> float:
+    """min of ln(x)/t over the final _GROWTH_TAIL of the run; lower bounds
     the exponential growth rate actually achieved."""
     t = np.asarray(traj.times, dtype=float)
     x = traj.series(species)
-    cut = t[-1] - tail_frac * (t[-1] - t[0])
+    cut = t[-1] - _GROWTH_TAIL * (t[-1] - t[0])
     keep = (t >= cut) & (x > 0) & (t > 0)
     if not np.any(keep):
         raise EstimationError("no positive samples in the growth tail")
@@ -294,6 +303,54 @@ def forced_prediction(system: ForcedSystem) -> LemmaPrediction:
     raise PreconditionError(
         "forced system not covered: need g2* > 0 (linear), g1*,g2* > 0 or "
         "g1* < 0 < g2* (power), or g1 == 1 with g2* = 0 (growth)")
+
+
+GROWTH_MARGIN = 0.1  # a growth tail at a resonance r == m still carries a prefactor
+
+
+@dataclass(frozen=True)
+class LemmaCheck:
+    """check_lemma's finding: `measured` (the growth family's ln(x)/t tail,
+    or rho_hat with its fit `estimate` and `verdict`) against `required`.
+    It is None when the run ended in stiff_failure, in blowup outside the
+    growth family, or in a measurement `error`."""
+    prediction: LemmaPrediction
+    traj: Trajectory
+    measured: float | None = None
+    required: float | None = None
+    estimate: RateEstimate | None = None
+    verdict: Verdict | None = None
+    error: ValueError | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.measured is not None and self.measured >= self.required
+
+
+def check_lemma(system: ForcedSystem, cfg: sim.SimConfig, slack: float = 0.15) -> LemmaCheck:
+    """Integrate a forced system once and hold it to its lemma: the growth
+    family's ln(x)/t tail to its bound less GROWTH_MARGIN, under a blowup
+    threshold that does not cut it off; any other family's detrended rate,
+    fitted above auto_err_floor, to check_speed at `slack`.  A bad slack or
+    an uncovered system raises ValueError before anything is integrated."""
+    check_slack(slack)
+    pred = forced_prediction(system)
+    growth = pred.family == "unbounded_growth"
+    traj = sim.simulate_forced(
+        system, replace(cfg, blowup_threshold=1e40) if growth else cfg)
+    status = traj.termination.status
+    if status == "stiff_failure" or (status == "blowup" and not growth):
+        return LemmaCheck(pred, traj)
+    try:
+        if growth:
+            return LemmaCheck(pred, traj, growth_log_rate(traj, "x"),
+                              pred.bound.value - GROWTH_MARGIN)
+        est = estimate_rate(traj, "x", pred.target,
+                            err_floor=auto_err_floor(pred.target, cfg.rel_tol), detrend=True)
+    except ValueError as e:  # also a target whose error floor tops the ceiling
+        return LemmaCheck(pred, traj, error=e)
+    v = check_speed(est, pred.bound, slack)
+    return LemmaCheck(pred, traj, v.measured, v.required, est, v)
 
 
 # ---------------------------------------------------------------------------

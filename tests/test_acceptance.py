@@ -20,7 +20,7 @@ from crncalc import (
     SimConfig,
     Species,
     SpeciesNamer,
-    auto_err_floor,
+    check_lemma,
     check_speed,
     closed_form_reference,
     collect_network,
@@ -29,17 +29,13 @@ from crncalc import (
     digits_time,
     double_identification_network,
     encode_dual_rail,
-    estimate_rate,
-    forced_prediction,
     gate_fragment_network,
-    growth_log_rate,
     integrate_network,
     make_gate,
     mass_action,
     naive_inversion_network,
     parse_forcing,
     predict_speed,
-    simulate_forced,
     simulate_program,
 )
 from crncalc.circuit import lower_to_circuit
@@ -216,57 +212,31 @@ def _forcing(limit, rho, coeff=1.0):
 
 
 def test_criterion_6_forced_system_grid():
-    """20 scenarios per forced-system family: the measured rate clears 85%
-    of the predicted bound, and the growth family's ln(x)/t tail exceeds
-    its bound minus 0.1."""
-    cfg = SimConfig(t_end=60, **TIGHT)
-
-    def measured(system, target, floor):
-        traj = simulate_forced(system, cfg)
-        return estimate_rate(traj, "x", target, err_floor=floor, detrend=True)
-
-    checked = 0
-    for r1, r2, lim in _scenarios():
-        sys_ = ForcedSystem("linear", _forcing(1.0, r1), _forcing(lim, r2))
-        pred = forced_prediction(sys_)
-        assert pred.family == "driven_linear"
-        est = measured(sys_, pred.target, auto_err_floor(pred.target, 1e-10))
-        assert check_speed(est, pred.bound, 0.15).passed, ("linear", r1, r2, lim)
-        checked += 1
-
-    for i, (r1, r2, lim) in enumerate(_scenarios()):
-        m = [1, 2, 3][i % 3]
-        sys_ = ForcedSystem("power", _forcing(lim, r1), _forcing(1.0, r2),
-                            m=m, x0=0.3)
-        pred = forced_prediction(sys_)
-        assert pred.family == "driven_power"
-        est = measured(sys_, pred.target, auto_err_floor(pred.target, 1e-10))
-        assert check_speed(est, pred.bound, 0.15).passed, ("power", r1, r2, lim, m)
-        checked += 1
-
-    for r1, r2, lim in _scenarios():
-        sys_ = ForcedSystem("power", _forcing(-lim, r1), _forcing(1.0, r2))
-        pred = forced_prediction(sys_)
-        assert pred.family == "decay_to_zero"
-        est = measured(sys_, 0.0, 1e-9)
-        assert check_speed(est, pred.bound, 0.15).passed, ("decay", r1, r2, lim)
-        checked += 1
-
-    # growth family: long horizon so the tail outruns polynomial prefactors
-    growth_cfg = SimConfig(t_end=80, blowup_threshold=1e40, **TIGHT)
+    """20 scenarios per forced-system family, each held to its lemma by
+    check_lemma: the measured rate clears 85% of the predicted bound, and
+    the growth family's ln(x)/t tail exceeds its bound minus the growth
+    margin.  Every family runs to t = 80, long enough for a growth tail to
+    outrun polynomial prefactors."""
+    cfg = SimConfig(t_end=80, **TIGHT)
+    linear = [("driven_linear", ForcedSystem("linear", _forcing(1.0, r1), _forcing(lim, r2)))
+              for r1, r2, lim in _scenarios()]
+    power = [("driven_power", ForcedSystem("power", _forcing(lim, r1), _forcing(1.0, r2),
+                                           m=[1, 2, 3][i % 3], x0=0.3))
+             for i, (r1, r2, lim) in enumerate(_scenarios())]
+    decay = [("decay_to_zero", ForcedSystem("power", _forcing(-lim, r1), _forcing(1.0, r2)))
+             for r1, r2, lim in _scenarios()]
     grow = [(r, m, 1.0) for r in RATES for m in (1, 2, 3)]
     grow += [(r, 2, c) for r in RATES for c in (0.5, 2.0)]
-    for r, m, c in grow[:20]:
-        sys_ = ForcedSystem("power", parse_forcing("1"),
-                            parse_forcing(f"{c}*exp(-{r}*t)"), m=m)
-        pred = forced_prediction(sys_)
-        assert pred.family == "unbounded_growth"
-        traj = simulate_forced(sys_, growth_cfg)
-        tail = growth_log_rate(traj, "x")
-        assert tail >= pred.bound.value - 0.1, ("growth", r, m, c, tail)
-        checked += 1
-    print(f"criterion 6: {checked} scenarios across 4 families")
-    assert checked == 80
+    growth = [("unbounded_growth", ForcedSystem("power", parse_forcing("1"),
+                                                parse_forcing(f"{c}*exp(-{r}*t)"), m=m))
+              for r, m, c in grow[:20]]
+    scenarios = linear + power + decay + growth
+    for family, system in scenarios:
+        check = check_lemma(system, cfg, 0.15)
+        assert check.prediction.family == family, (family, system)
+        assert check.passed, (family, system, check.measured, check.required)
+    print(f"criterion 6: {len(scenarios)} scenarios across 4 families")
+    assert len(scenarios) == 80
 
 
 def test_criterion_7_dual_rail_properties():

@@ -243,6 +243,21 @@ def test_settings_out_of_range_exit_2(tmp_path, capsys, argv, message):
     assert out == "" and err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    # refused whatever the run would end in: a blowup, no convergence, a pass
+    ["verify", "--expr", "max(a,b)", "--in", "a=2,b=2", "--slack", "7"],
+    ["verify", "--expr", "a+b", "--in", "a=2,b=2", "--t-end", "3", "--slack", "7"],
+    ["verify", "--expr", "a+b", "--in", "a=2,b=2", "--slack", "-0.1"],
+    ["lemma", "--form", "power", "--g1", "1", "--g2", "exp(-4*t)", "--m", "1", "--slack", "7"],
+    ["lemma", "--form", "linear", "--g1", "2", "--g2", "1", "--slack", "1"]])
+def test_slack_outside_unit_interval_exits_2_before_integrating(capsys, monkeypatch, argv):
+    monkeypatch.setattr(crncalc.simulate, "integrate",
+                        lambda *a, **k: pytest.fail("integrated despite a bad --slack"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: slack must lie in [0, 1), got {float(argv[-1]):g}\n"
+
+
 # --- verify ----------------------------------------------------------------------
 
 def test_verify_passes(tmp_path, capsys):
@@ -423,6 +438,44 @@ def test_lemma_bad_forcing_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("r,m,c", [(1, 1, 1.0), (2, 2, 2.0)])
+def test_lemma_growth_resonance_passes_at_default_settings(capsys, r, m, c):
+    # criterion 6's resonances r == m: the tail outgrows the prefactor only
+    # by t = 80, in a run that is not cut off where x crosses 1e12
+    code, out, _ = run(capsys, "lemma", "--form", "power", "--g1", "1",
+                       "--g2", f"{c}*exp(-{r}*t)", "--m", str(m))
+    assert code == 0, out
+    assert out.startswith("growth family: ln(x)/t tail") and out.endswith(": pass\n")
+
+
+LEMMA_DRIVEN = ["lemma", "--form", "linear", "--g1", "2 + exp(-3*t)", "--g2", "1 + exp(-0.5*t)"]
+
+
+def test_lemma_driven_output_is_kept_and_horizon_defaults_to_80(tmp_path, capsys):
+    code, out, _ = run(capsys, *LEMMA_DRIVEN, "--t-end", "60",
+                       "--report", str(tmp_path / "60.json"))
+    assert code == 0
+    assert out == ("driven_linear: target 2  pass: rho_hat=0.5035 vs required 0.425 "
+                   "= (1-0.15)*0.5 [min{rho_g1, rho_g2, g2*}]\n")
+    report = json.loads((tmp_path / "60.json").read_text())
+    rate = report.pop("rate")
+    assert report == {"family": "driven_linear", "form": "linear", "g1": "2 + exp(-3*t)",
+                      "g2": "1 + exp(-0.5*t)", "m": 1, "x0": 1.0, "target": 2.0,
+                      "predicted_bound": {"case": "min{rho_g1, rho_g2, g2*}", "value": 0.5},
+                      "termination": "completed",
+                      "verdict": {"passed": True, "required": 0.425}}
+    assert rate["samples"] == 820
+    assert rate["rho_hat"] == pytest.approx(0.5035422798915258, rel=1e-9)
+    assert rate["fit_window"] == pytest.approx([11.969981238273922, 40.67542213883678], rel=1e-9)
+    assert rate["r_squared"] == pytest.approx(0.9999963981036241, rel=1e-9)
+    # without --t-end the run goes to 80, the growth family's horizon
+    runs = []
+    for name, argv in [("default", []), ("80", ["--t-end", "80"])]:
+        path = tmp_path / f"{name}.json"
+        runs.append((*run(capsys, *LEMMA_DRIVEN, *argv, "--report", str(path)), path.read_text()))
+    assert runs[0] == runs[1] and runs[0][1] != out
+
+
 # --- sweep -----------------------------------------------------------------------
 
 def parse_sweep_csv(text):
@@ -580,6 +633,41 @@ def test_sweep_blocks_in_parallel_match_serial(tmp_path, capsys, monkeypatch):
     _, rows = parse_sweep_csv(serial.read_text())
     assert [r["termination"] for r in rows] == ["completed", "completed", "blowup",
                                                 "completed", "completed", "blowup"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_1_exits_2(capsys, jobs):
+    code, out, err = run(capsys, "sweep", "--expr", "a", "--grid", "a=1,2", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_sweep_pool_has_no_more_workers_than_blocks(tmp_path, capsys, monkeypatch):
+    # a fork pool starts all its workers on the first submit, so --jobs 64
+    # over 2 blocks must ask for 2; the stand-in maps in this process
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(crncalc.cli, "SWEEP_BLOCK", 2)
+    monkeypatch.setattr(crncalc.cli, "ProcessPoolExecutor", Pool)
+    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+    args = ["sweep", "--expr", "a + b", "--grid", "a=1,2,3;b=2", "--t-end", "20"]
+    assert run(capsys, *args, "--out", str(serial))[0] == 0
+    assert run(capsys, *args, "--jobs", "64", "--out", str(parallel))[0] == 0
+    assert sizes == [2]
+    assert serial.read_text() == parallel.read_text()
 
 
 def test_sweep_mode_error_fails_every_row(tmp_path, capsys):

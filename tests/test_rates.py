@@ -30,6 +30,7 @@ from crncalc.simulate import (
 )
 from crncalc.rates import (
     EstimationError,
+    GROWTH_MARGIN,
     NotConvergedError,
     Pipeline,
     PreconditionError,
@@ -37,6 +38,7 @@ from crncalc.rates import (
     _detrended_fit,
     _suffix_fits,
     auto_err_floor,
+    check_lemma,
     check_speed,
     digits_time,
     estimate_rate,
@@ -119,7 +121,7 @@ def test_rate_recovery_within_one_percent(rho, c):
 def test_auto_err_floor():
     assert auto_err_floor(0.0, 1e-10) == 1e-9
     assert auto_err_floor(1e6, 1e-10) == pytest.approx(1e-3, rel=1e-4)
-    assert auto_err_floor(5.0, 1e-6, base=1e-9) == pytest.approx(6e-5)
+    assert auto_err_floor(5.0, 1e-6) == pytest.approx(6e-5)
 
 
 # --- one-pass envelope fit against the per-window reference --------------------
@@ -389,6 +391,31 @@ def test_forced_prediction_verified_by_simulation():
     assert traj.final("x") == pytest.approx(pred.target, abs=1e-6)
     est = estimate_rate(traj, "x", pred.target, detrend=True)
     assert check_speed(est, pred.bound, slack=0.15).passed
+
+
+def test_check_lemma_turns_every_ending_into_a_result():
+    cfg = SimConfig(t_end=80)  # blowup threshold 1e12
+
+    def check(form, g1, g2, m=1):
+        return check_lemma(ForcedSystem(form, parse_forcing(g1), parse_forcing(g2), m=m), cfg)
+
+    # a growth run is not cut off at the configured threshold
+    grown = check("power", "1", "exp(-1*t)")
+    assert grown.traj.termination.status == "completed" and grown.traj.final("x") > 1e30
+    assert grown.passed and grown.estimate is None
+    assert grown.required == pytest.approx(1.0 - GROWTH_MARGIN)
+    # a driven target of 1e300 crosses the configured threshold on the way
+    blown = check("power", "1", "1e-300")
+    assert blown.traj.termination.status == "blowup"
+    assert blown.measured is None and blown.error is None and not blown.passed
+    # a target of 2e8 puts the error floor above the ceiling
+    unmeasurable = check("linear", "2", "1e-8")
+    assert isinstance(unmeasurable.error, ValueError) and not unmeasurable.passed
+    driven = check("power", "0.6 + exp(-5*t)", "2", m=2)
+    assert driven.passed and driven.verdict.passed
+    assert driven.measured == driven.estimate.rho_hat
+    with pytest.raises(ValueError, match=r"slack must lie in \[0, 1\), got 7"):
+        check_lemma(ForcedSystem("linear", parse_forcing("1"), parse_forcing("1")), cfg, slack=7)
 
 
 # --- input independence of the designed inversion -----------------------------------
