@@ -2,13 +2,12 @@
 
 Sweeps the four forcing families (driven linear, driven power, decay to
 zero, unbounded growth) over a grid of forcing rates and limits, and holds
-each system to its lemma with crncalc.check_lemma.  For the first three
-the table reports the detrended rate estimate next to the composition
-bound; for the growth family it reports the tail of ln(x)/t.  A ratio
+each system to its lemma with crncalc.check_lemma.  The table reports the
+fitted rate next to the composition bound: the rate of x toward its
+target, or for the growth family the rate of 1/x toward 0.  A ratio
 comfortably above the slack threshold on every row is the point.  Every
-family runs to the same --t-end (default 80, long enough for a growth
-tail to outrun the polynomial prefactor of a resonance r == m).  A row
-whose run could not be measured shows "-" and counts as a failure.
+family runs to the same --t-end (default 80).  A row whose run could not
+be measured shows "-" and counts as a failure.
 
 Usage:
     python scripts/lemma_grid.py
@@ -60,7 +59,7 @@ def main(argv=None) -> int:
     for (family, label, _), check in zip(systems, checks):
         pred = check.prediction
         tgt = "-" if pred.target is None else f"{pred.target:8.4f}"
-        got = "-" if check.measured is None else f"{check.measured:9.4f}"
+        got = "-" if check.verdict is None else f"{check.verdict.measured:9.4f}"
         print(f"{family:<8} {label:<28} {tgt:>8} {pred.bound.value:7.3f} "
               f"{got:>9}  {'yes' if check.passed else 'NO'}")
     passed = sum(check.passed for check in checks)

@@ -132,8 +132,7 @@ def cmd_analyze(args) -> int:
                     "termination": traj.termination.status}
     code = EXIT_OK
     try:
-        est = rt.estimate_rate(traj, species, args.target, args.floor, args.ceil,
-                               detrend=args.detrend)
+        est = rt.estimate_rate(traj, species, args.target, args.floor, args.ceil)
         report["rate"] = _rate_fields(est)
         print(f"rho_hat = {est.rho_hat:.6g}  window {est.fit_window[0]:.3g}.."
               f"{est.fit_window[1]:.3g}  r^2 = {est.r_squared:.6f}")
@@ -269,19 +268,14 @@ def cmd_lemma(args) -> int:
         report["rate_error"] = str(check.error)
         print(f"rate not measurable: {check.error}")
         code = EXIT_NOT_CONVERGED
-    elif check.measured is None:  # blowup outside the growth family
+    elif check.verdict is None:  # blowup outside the growth family
         print(f"blowup at t={term.time:.6g}")
         code = EXIT_BLOWUP
-    elif check.estimate is None:  # the growth family's ln(x)/t tail
-        report["growth"] = {"log_rate": check.measured, "required": check.required}
-        print(f"growth family: ln(x)/t tail {check.measured:.4g} vs bound "
-              f"{pred.bound.value:.4g} - {rt.GROWTH_MARGIN:g} [{pred.bound.case}]: "
-              f"{'pass' if check.passed else 'FAIL'}")
-        code = EXIT_OK if check.passed else EXIT_SPEED
     else:
         report["rate"] = _rate_fields(check.estimate)
-        report["verdict"] = {"passed": check.passed, "required": check.required}
-        print(f"{pred.family}: target {pred.target:.6g}  {check.verdict}")
+        report["verdict"] = {"passed": check.passed, "required": check.verdict.required}
+        goal = "1/x -> 0" if pred.target is None else f"target {pred.target:.6g}"
+        print(f"{pred.family}: {goal}  {check.verdict}")
         code = EXIT_OK if check.passed else EXIT_SPEED
     _write_report(args.report, report)
     return code
@@ -437,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int)
     p.add_argument("--floor", type=float, default=rt.ERR_FLOOR)
     p.add_argument("--ceil", type=float, default=rt.ERR_CEIL)
-    p.add_argument("--detrend", action="store_true",
-                   help="prefactor-aware envelope fit instead of the plain slope")
     p.add_argument("--report")
     p.set_defaults(func=cmd_analyze)
 

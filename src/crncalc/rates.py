@@ -1,27 +1,26 @@
 """Measuring exponential convergence and checking predicted bounds.
 
-The measured rate is the least-squares slope of ln|x(t) - target| over a
+A rate is measured one way: estimate_rate fits ln|x(t) - target| over a
 window chosen to dodge both the initial transient (error above err_ceil)
-and integrator noise (error below err_floor).  Polynomial prefactors
-t^k e^{-rho t} bias the fitted slope low by about k/t, which is why
-speed checks compare against (1 - slack) * bound with one-sided slack
-rather than a two-sided tolerance.
+and integrator noise (error below err_floor).  In deep gate chains the
+error carries a polynomial prefactor t^k e^{-rho t} with k up to 2 or 3,
+which would bias a plain log-linear slope low by about k/t.  So the fit
+is ln err ~ c + k*ln(1+t) - rho*t, on per-bin envelope maxima (which
+also erase the dips left by sign changes of the error) over the
+best-fitting trailing sub-window.  All trailing windows are fitted in
+one pass of per-window sums: centring fits c, projecting t out leaves a
+residual quadratic in k, so clipping the free k fits the bounded one.
+Speed checks compare the fitted rate against (1 - slack) * bound.
 
-For deep gate chains the prefactor degree k reaches 2 or 3 and the plain
-slope can eat most of that slack.  estimate_rate(detrend=True) removes
-the bias by fitting ln err ~ c + k*ln(1+t) - rho*t instead, on per-bin
-envelope maxima (which also erase the dips left by sign changes of the
-error) over the best-fitting trailing sub-window.  All trailing windows
-are fitted in one pass of per-window sums: centring fits c, projecting t
-out leaves a residual quadratic in k, so clipping the free k fits the
-bounded one.
-
-`Pipeline` is the one compile -> predict -> integrate -> measure path:
-`verify`, `sweep` and the acceptance criteria all take their points
-through it.  It resamples each integrated batch once (simulate.resample,
-once per shared step grid) and measures every lane and rail from those
-samples.  `check_lemma` is the one judge of a forced scalar system, for
-`lemma`, scripts/lemma_grid.py and the acceptance criteria alike.
+estimate_rate fits the samples it is given; a caller with dense output
+resamples it first (simulate.resample).  `Pipeline` is the one
+compile -> predict -> integrate -> measure path: `verify`, `sweep` and
+the acceptance criteria all take their points through it.  It resamples
+each integrated batch once (once per shared step grid) and measures
+every lane and rail from those samples.  `check_lemma` is the one judge
+of a forced scalar system, for `lemma`, scripts/lemma_grid.py and the
+acceptance criteria alike; it measures the growth family's rate as the
+decay rate of 1/x toward 0.
 """
 
 from __future__ import annotations
@@ -85,11 +84,10 @@ MIN_FIT_SAMPLES = 8
 ERR_FLOOR = 1e-9        # estimate_rate's default fit window
 ERR_CEIL = 1e-2
 
-_RESAMPLE = 1600        # uniform grid size when a dense interpolant is available
+_RESAMPLE = 1600        # uniform grid size for resampling dense output
 _ENVELOPE_BINS = 15
 _MIN_SUFFIX_BINS = 8
 _K_MAX = 6.0            # prefactor degree cap; composite chains here stay below it
-_GROWTH_TAIL = 1 / 3    # share of a growth run that growth_log_rate reads
 
 
 def auto_err_floor(target: float, rel_tol: float) -> float:
@@ -157,19 +155,14 @@ def _detrended_fit(seg_t: np.ndarray, log_e: np.ndarray):
 
 
 def estimate_rate(traj: Trajectory, species: str, target: float,
-                  err_floor: float = ERR_FLOOR, err_ceil: float = ERR_CEIL,
-                  detrend: bool = False) -> RateEstimate:
-    """Fit the tail decay rate of |x(t) - target|.
+                  err_floor: float = ERR_FLOOR, err_ceil: float = ERR_CEIL) -> RateEstimate:
+    """Fit the tail decay rate of |x(t) - target| on traj's own samples.
 
     The window starts after the last sample with error above err_ceil and
-    ends before the first subsequent sample below err_floor.  If the error
+    ends before the first subsequent sample below err_floor; the envelope
+    fit of the module docstring measures the rate inside it.  If the error
     stays below the floor for the whole run (after a 1% settle margin) the
     rate is reported as +inf.
-
-    detrend=True switches from the plain log-linear slope to the
-    prefactor-aware envelope fit (see module docstring), resampling the
-    trajectory on a uniform _RESAMPLE-point grid first when dense output
-    is available (simulate.resample, as a batch of one).
     """
     if not 0 < err_floor < err_ceil:
         raise ValueError(f"need 0 < error floor < error ceiling, got floor {err_floor:g} "
@@ -177,9 +170,6 @@ def estimate_rate(traj: Trajectory, species: str, target: float,
     t = np.asarray(traj.times, dtype=float)
     if t.size < 2:
         raise EstimationError("trajectory too short")
-    if detrend and traj.dense is not None:
-        traj = sim.resample([traj], [species], _RESAMPLE)[0]
-        t = traj.times
     err = np.abs(traj.series(species) - float(target))
     settle = t[0] + 0.01 * (t[-1] - t[0])
     tail = err[t >= settle]
@@ -195,20 +185,10 @@ def estimate_rate(traj: Trajectory, species: str, target: float,
     if seg_t.size < MIN_FIT_SAMPLES:
         raise EstimationError(
             f"only {seg_t.size} samples with error in [{err_floor:g}, {err_ceil:g}]")
-    log_e = np.log(seg_e)
-    if detrend:
-        rho, win, r2, n_used = _detrended_fit(seg_t, log_e)
-        if rho <= 0:
-            raise EstimationError("error is not decaying over the fit window")
-        return RateEstimate(float(rho), win, r2, n_used)
-    slope, intercept = np.polyfit(seg_t, log_e, 1)
-    resid = log_e - (slope * seg_t + intercept)
-    ss_tot = float(np.sum((log_e - log_e.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    if slope >= 0:
+    rho, win, r2, n_used = _detrended_fit(seg_t, np.log(seg_e))
+    if rho <= 0:
         raise EstimationError("error is not decaying over the fit window")
-    return RateEstimate(float(-slope), (float(seg_t[0]), float(seg_t[-1])),
-                        r2, int(seg_t.size))
+    return RateEstimate(rho, win, r2, n_used)
 
 
 def digits_time(traj: Trajectory, species: str, target: float, n: int) -> DigitTime:
@@ -248,18 +228,6 @@ def check_speed(estimate: RateEstimate, bound: SpeedBound,
     required = (1.0 - slack) * bound.value
     return Verdict(estimate.rho_hat >= required, estimate.rho_hat,
                    required, bound, slack)
-
-
-def growth_log_rate(traj: Trajectory, species: str) -> float:
-    """min of ln(x)/t over the final _GROWTH_TAIL of the run; lower bounds
-    the exponential growth rate actually achieved."""
-    t = np.asarray(traj.times, dtype=float)
-    x = traj.series(species)
-    cut = t[-1] - _GROWTH_TAIL * (t[-1] - t[0])
-    keep = (t >= cut) & (x > 0) & (t > 0)
-    if not np.any(keep):
-        raise EstimationError("no positive samples in the growth tail")
-    return float(np.min(np.log(x[keep]) / t[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -305,52 +273,46 @@ def forced_prediction(system: ForcedSystem) -> LemmaPrediction:
         "g1* < 0 < g2* (power), or g1 == 1 with g2* = 0 (growth)")
 
 
-GROWTH_MARGIN = 0.1  # a growth tail at a resonance r == m still carries a prefactor
-
-
 @dataclass(frozen=True)
 class LemmaCheck:
-    """check_lemma's finding: `measured` (the growth family's ln(x)/t tail,
-    or rho_hat with its fit `estimate` and `verdict`) against `required`.
-    It is None when the run ended in stiff_failure, in blowup outside the
-    growth family, or in a measurement `error`."""
+    """check_lemma's finding: the fitted rate `estimate` and its `verdict`.
+    Both are None when the run ended in stiff_failure, in blowup outside
+    the growth family, or in a measurement `error`."""
     prediction: LemmaPrediction
     traj: Trajectory
-    measured: float | None = None
-    required: float | None = None
     estimate: RateEstimate | None = None
     verdict: Verdict | None = None
     error: ValueError | None = None
 
     @property
     def passed(self) -> bool:
-        return self.measured is not None and self.measured >= self.required
+        return self.verdict is not None and self.verdict.passed
 
 
 def check_lemma(system: ForcedSystem, cfg: sim.SimConfig, slack: float = 0.15) -> LemmaCheck:
-    """Integrate a forced system once and hold it to its lemma: the growth
-    family's ln(x)/t tail to its bound less GROWTH_MARGIN, under a blowup
-    threshold that does not cut it off; any other family's detrended rate,
-    fitted above auto_err_floor, to check_speed at `slack`.  A bad slack or
-    an uncovered system raises ValueError before anything is integrated."""
+    """Integrate a forced system once, resample x on the _RESAMPLE grid and
+    hold its rate, fitted above auto_err_floor, to check_speed at `slack`.
+    The growth family's rate is that of 1/x toward 0, so a blowup is its
+    expected ending: its fit window closes at x = 1/err_floor, below the
+    blowup threshold.  A bad slack or an uncovered system raises
+    ValueError before anything is integrated."""
     check_slack(slack)
     pred = forced_prediction(system)
     growth = pred.family == "unbounded_growth"
-    traj = sim.simulate_forced(
-        system, replace(cfg, blowup_threshold=1e40) if growth else cfg)
+    traj = sim.simulate_forced(system, cfg)
     status = traj.termination.status
     if status == "stiff_failure" or (status == "blowup" and not growth):
         return LemmaCheck(pred, traj)
+    samples = sim.resample([traj], ["x"], _RESAMPLE)[0]
+    target = 0.0 if growth else pred.target
+    if growth:
+        samples = replace(samples, states=1.0 / samples.states)
     try:
-        if growth:
-            return LemmaCheck(pred, traj, growth_log_rate(traj, "x"),
-                              pred.bound.value - GROWTH_MARGIN)
-        est = estimate_rate(traj, "x", pred.target,
-                            err_floor=auto_err_floor(pred.target, cfg.rel_tol), detrend=True)
+        est = estimate_rate(samples, "x", target,
+                            err_floor=auto_err_floor(target, cfg.rel_tol))
     except ValueError as e:  # also a target whose error floor tops the ceiling
         return LemmaCheck(pred, traj, error=e)
-    v = check_speed(est, pred.bound, slack)
-    return LemmaCheck(pred, traj, v.measured, v.required, est, v)
+    return LemmaCheck(pred, traj, est, check_speed(est, pred.bound, slack))
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +394,7 @@ class Pipeline:
         for sid, tgt in zip(self.rails, targets):
             try:
                 out.append(estimate_rate(samples, sid, tgt,
-                                         err_floor=auto_err_floor(tgt, self.cfg.rel_tol),
-                                         detrend=True))
+                                         err_floor=auto_err_floor(tgt, self.cfg.rel_tol)))
             except ValueError as e:
                 out.append(e)
         return out

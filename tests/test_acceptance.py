@@ -213,10 +213,9 @@ def _forcing(limit, rho, coeff=1.0):
 
 def test_criterion_6_forced_system_grid():
     """20 scenarios per forced-system family, each held to its lemma by
-    check_lemma: the measured rate clears 85% of the predicted bound, and
-    the growth family's ln(x)/t tail exceeds its bound minus the growth
-    margin.  Every family runs to t = 80, long enough for a growth tail to
-    outrun polynomial prefactors."""
+    check_lemma: the measured rate clears 85% of the predicted bound.  For
+    the growth family that rate is the decay rate of 1/x toward 0.  Every
+    family runs to t = 80."""
     cfg = SimConfig(t_end=80, **TIGHT)
     linear = [("driven_linear", ForcedSystem("linear", _forcing(1.0, r1), _forcing(lim, r2)))
               for r1, r2, lim in _scenarios()]
@@ -234,7 +233,7 @@ def test_criterion_6_forced_system_grid():
     for family, system in scenarios:
         check = check_lemma(system, cfg, 0.15)
         assert check.prediction.family == family, (family, system)
-        assert check.passed, (family, system, check.measured, check.required)
+        assert check.passed, (family, system, check.verdict, check.error)
     print(f"criterion 6: {len(scenarios)} scenarios across 4 families")
     assert len(scenarios) == 80
 

@@ -26,15 +26,16 @@ from crncalc.simulate import (
     integrate_network,
     naive_inversion_network,
     parse_forcing,
+    resample,
     simulate_forced,
 )
 from crncalc.rates import (
     EstimationError,
-    GROWTH_MARGIN,
     NotConvergedError,
     Pipeline,
     PreconditionError,
     RateEstimate,
+    _RESAMPLE,
     _detrended_fit,
     _suffix_fits,
     auto_err_floor,
@@ -43,7 +44,6 @@ from crncalc.rates import (
     digits_time,
     estimate_rate,
     forced_prediction,
-    growth_log_rate,
 )
 
 
@@ -86,34 +86,42 @@ def test_too_few_window_samples_raises():
                       err_floor=1e-2, err_ceil=1e-9)
 
 
-def test_polynomial_prefactor_biases_plain_slope_low():
-    # |x - target| = t^2 e^{-t}: the plain window slope undershoots 1,
-    # the detrended fit recovers it
-    decay = lambda t: 2.0 + t ** 2 * np.exp(-t)
-    traj = synthetic(decay, t_end=40, n=2000)
-    plain = estimate_rate(traj, "x", 2.0)
-    assert 0.6 <= plain.rho_hat <= 0.95
-    detr = estimate_rate(traj, "x", 2.0, detrend=True)
-    assert detr.rho_hat == pytest.approx(1.0, abs=0.08)
-    assert detr.rho_hat > plain.rho_hat
+def test_prefactor_does_not_bias_the_rate():
+    # |x - target| = t^2 e^{-t}: a log-linear slope over the fit window
+    # undershoots 1 by about k/t, the envelope fit recovers it
+    traj = synthetic(lambda t: 2.0 + t ** 2 * np.exp(-t), t_end=40, n=2000)
+    est = estimate_rate(traj, "x", 2.0)
+    assert est.rho_hat == pytest.approx(1.0, abs=0.02)
+    lo, hi = est.fit_window
+    t, err = traj.times, traj.series("x") - 2.0
+    window = (t >= lo) & (t <= hi)
+    slope = np.polyfit(t[window], np.log(err[window]), 1)[0]
+    assert 0.6 <= -slope <= 0.95
 
 
-def test_detrend_uses_dense_resampling():
-    net = double_identification_network()
-    traj = integrate_network(net, {"A": 2.0}, SimConfig(t_end=30))
-    assert traj.dense is not None
-    plain = estimate_rate(traj, "X", 2.0)
-    assert 0.85 <= plain.rho_hat <= 1.0
-    detr = estimate_rate(traj, "X", 2.0, detrend=True)
-    assert 0.95 <= detr.rho_hat <= 1.1
+def test_rate_of_resampled_double_identification():
+    # two chained identifications: a (c1 + c2 t) e^{-t} error, measured on
+    # samples of the dense output
+    traj = integrate_network(double_identification_network(), {"A": 2.0}, SimConfig(t_end=30))
+    (samples,) = resample([traj], ["X"], _RESAMPLE)
+    assert 0.95 <= estimate_rate(samples, "X", 2.0).rho_hat <= 1.1
+
+
+def _horizon(rho, c, k):
+    """t where c (1+t)^k e^{-rho t} falls to 1e-10, by fixed-point iteration."""
+    t = 0.0
+    for _ in range(60):
+        t = (math.log(c) + k * math.log1p(t) + math.log(1e10)) / rho
+    return t
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=0.1, max_value=10.0),
-       st.floats(min_value=1e-3, max_value=1e3))
-def test_rate_recovery_within_one_percent(rho, c):
-    t_end = (math.log(c) + math.log(1e10)) / rho
-    traj = synthetic(lambda t: 4.0 + c * np.exp(-rho * t), t_end=t_end, n=2500)
+       st.floats(min_value=1e-3, max_value=1e3),
+       st.integers(min_value=0, max_value=3))
+def test_rate_recovery_within_one_percent(rho, c, k):
+    traj = synthetic(lambda t: 4.0 + c * (1.0 + t) ** k * np.exp(-rho * t),
+                     t_end=_horizon(rho, c, k), n=2500)
     est = estimate_rate(traj, "x", 4.0)
     assert est.rho_hat == pytest.approx(rho, rel=0.01)
 
@@ -267,11 +275,16 @@ def test_check_speed_threshold():
         check_speed(est(1.0), SpeedBound(0.0, "degenerate"))
 
 
-def test_growth_log_rate():
-    traj = synthetic(lambda t: np.exp(0.8 * t), t_end=30)
-    assert growth_log_rate(traj, "x") == pytest.approx(0.8, abs=1e-6)
-    with pytest.raises(EstimationError):
-        growth_log_rate(synthetic(lambda t: np.zeros_like(t)), "x")
+@pytest.mark.parametrize("r, m, rho", [(0.5, 2, 0.25), (1.0, 1, 1.0), (3.0, 2, 1.0)])
+def test_growth_rate_is_the_decay_rate_of_the_reciprocal(r, m, rho):
+    # x' = x (1 - e^{-r t} x^m): y = x^-m solves y' = -m y + m e^{-r t},
+    # so 1/x = y^(1/m) decays at min(r/m, 1); at r == m y = (1 + m t) e^{-m t}
+    check = check_lemma(ForcedSystem("power", parse_forcing("1"),
+                                     parse_forcing(f"exp(-{r}*t)"), m=m),
+                        SimConfig(t_end=80, rel_tol=1e-10, abs_tol=1e-12))
+    assert check.prediction.bound.value == pytest.approx(rho)
+    assert check.estimate.rho_hat == pytest.approx(rho, rel=0.01)
+    assert check.passed
 
 
 # --- gate speed bounds and predict_speed -------------------------------------------
@@ -389,7 +402,7 @@ def test_forced_prediction_verified_by_simulation():
     pred = forced_prediction(sys)
     traj = simulate_forced(sys, SimConfig(t_end=60, rel_tol=1e-10, abs_tol=1e-12))
     assert traj.final("x") == pytest.approx(pred.target, abs=1e-6)
-    est = estimate_rate(traj, "x", pred.target, detrend=True)
+    est = estimate_rate(resample([traj], ["x"], _RESAMPLE)[0], "x", pred.target)
     assert check_speed(est, pred.bound, slack=0.15).passed
 
 
@@ -399,21 +412,22 @@ def test_check_lemma_turns_every_ending_into_a_result():
     def check(form, g1, g2, m=1):
         return check_lemma(ForcedSystem(form, parse_forcing(g1), parse_forcing(g2), m=m), cfg)
 
-    # a growth run is not cut off at the configured threshold
+    # a growth run ends in its expected blowup, after its fit window closed
     grown = check("power", "1", "exp(-1*t)")
-    assert grown.traj.termination.status == "completed" and grown.traj.final("x") > 1e30
-    assert grown.passed and grown.estimate is None
-    assert grown.required == pytest.approx(1.0 - GROWTH_MARGIN)
+    assert grown.traj.termination.status == "blowup"
+    assert grown.estimate.fit_window[1] < grown.traj.termination.time
+    assert grown.passed and grown.verdict.passed
+    assert grown.verdict.required == pytest.approx(0.85)
     # a driven target of 1e300 crosses the configured threshold on the way
     blown = check("power", "1", "1e-300")
     assert blown.traj.termination.status == "blowup"
-    assert blown.measured is None and blown.error is None and not blown.passed
+    assert blown.verdict is None and blown.error is None and not blown.passed
     # a target of 2e8 puts the error floor above the ceiling
     unmeasurable = check("linear", "2", "1e-8")
     assert isinstance(unmeasurable.error, ValueError) and not unmeasurable.passed
     driven = check("power", "0.6 + exp(-5*t)", "2", m=2)
     assert driven.passed and driven.verdict.passed
-    assert driven.measured == driven.estimate.rho_hat
+    assert driven.verdict.measured == driven.estimate.rho_hat
     with pytest.raises(ValueError, match=r"slack must lie in \[0, 1\), got 7"):
         check_lemma(ForcedSystem("linear", parse_forcing("1"), parse_forcing("1")), cfg, slack=7)
 
@@ -471,7 +485,7 @@ def test_pipeline_rejects_bad_kind_and_missing_target():
 ])
 def test_batch_rates_equal_each_lanes_own_estimate(src, mode, points):
     # run_points resamples the batch once; every rate equals estimate_rate
-    # on that lane's own trajectory, field by field
+    # on that lane's own resampled trajectory, field by field
     cfg = SimConfig(t_end=40, rel_tol=1e-10, abs_tol=1e-12)
     runs = Pipeline("expr", src, mode, None, None, cfg).run_points(points)
     statuses = set()
@@ -480,8 +494,8 @@ def test_batch_rates_equal_each_lanes_own_estimate(src, mode, points):
         assert len(run.rates) == len(run.rails)
         for sid, tgt, got in zip(run.rails, run.targets, run.rates):
             try:
-                want = estimate_rate(run.traj, sid, tgt,
-                                     err_floor=auto_err_floor(tgt, cfg.rel_tol), detrend=True)
+                want = estimate_rate(resample([run.traj], [sid], _RESAMPLE)[0], sid, tgt,
+                                     err_floor=auto_err_floor(tgt, cfg.rel_tol))
             except ValueError as e:
                 assert type(got) is type(e) and str(got) == str(e)
                 continue
