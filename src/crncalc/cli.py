@@ -202,7 +202,7 @@ def cmd_verify(args) -> int:
         _write_plot_data(args.plot_data, traj, rails, targets)
     if traj.termination.status == "blowup":
         print(f"blowup: {traj.termination.species} crossed "
-              f"{cfg.blowup_threshold:g} at t={traj.termination.time:.6g}")
+              f"{sim.BLOWUP_THRESHOLD:g} at t={traj.termination.time:.6g}")
         for entry in report["outputs"]:
             line = (f"  {entry['species']} -> {entry['final']:.6g} "
                     f"(target {entry['target']:.6g})")

@@ -12,15 +12,14 @@ one pass of per-window sums: centring fits c, projecting t out leaves a
 residual quadratic in k, so clipping the free k fits the bounded one.
 Speed checks compare the fitted rate against (1 - slack) * bound.
 
-estimate_rate fits the samples it is given; a caller with dense output
-resamples it first (simulate.resample).  `Pipeline` is the one
-compile -> predict -> integrate -> measure path: `verify`, `sweep` and
-the acceptance criteria all take their points through it.  It resamples
-each integrated batch once (once per shared step grid) and measures
-every lane and rail from those samples.  `check_lemma` is the one judge
-of a forced scalar system, for `lemma`, scripts/lemma_grid.py and the
-acceptance criteria alike; it measures the growth family's rate as the
-decay rate of 1/x toward 0.
+estimate_rate fits the samples it is given, such as those integrate
+takes of the species it is asked to sample (Trajectory.samples).
+`Pipeline` is the one compile -> predict -> integrate -> measure path:
+`verify`, `sweep` and the acceptance criteria all take their points
+through it, and it measures every lane and rail from the samples of its
+output rails.  `check_lemma` is the one judge of a forced scalar system,
+for `lemma`, scripts/lemma_grid.py and the acceptance criteria alike; it
+measures the growth family's rate as the decay rate of 1/x toward 0.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ MIN_FIT_SAMPLES = 8
 ERR_FLOOR = 1e-9        # estimate_rate's default fit window
 ERR_CEIL = 1e-2
 
-_RESAMPLE = 1600        # uniform grid size for resampling dense output
 _ENVELOPE_BINS = 15
 _MIN_SUFFIX_BINS = 8
 _K_MAX = 6.0            # prefactor degree cap; composite chains here stay below it
@@ -290,8 +288,8 @@ class LemmaCheck:
 
 
 def check_lemma(system: ForcedSystem, cfg: sim.SimConfig, slack: float = 0.15) -> LemmaCheck:
-    """Integrate a forced system once, resample x on the _RESAMPLE grid and
-    hold its rate, fitted above auto_err_floor, to check_speed at `slack`.
+    """Integrate a forced system once and hold the rate of x's samples,
+    fitted above auto_err_floor, to check_speed at `slack`.
     The growth family's rate is that of 1/x toward 0, so a blowup is its
     expected ending: its fit window closes at x = 1/err_floor, below the
     blowup threshold.  A bad slack or an uncovered system raises
@@ -303,10 +301,8 @@ def check_lemma(system: ForcedSystem, cfg: sim.SimConfig, slack: float = 0.15) -
     status = traj.termination.status
     if status == "stiff_failure" or (status == "blowup" and not growth):
         return LemmaCheck(pred, traj)
-    samples = sim.resample([traj], ["x"], _RESAMPLE)[0]
+    samples = replace(traj.samples, states=1.0 / traj.samples.states) if growth else traj.samples
     target = 0.0 if growth else pred.target
-    if growth:
-        samples = replace(samples, states=1.0 / samples.states)
     try:
         est = estimate_rate(samples, "x", target,
                             err_floor=auto_err_floor(target, cfg.rel_tol))
@@ -339,10 +335,10 @@ class Pipeline:
     network is lowered, flattened and its right-hand side built once, with
     the step cap of the circuit (a bare network's follows the state, from
     its exact Jacobian); `run_points` takes a batch of input points through
-    it, integrates them as one batch and resamples the batch's output
-    rails once per shared step grid, then calls estimate_rate once per
-    lane and rail on those samples.  The layer functions are called
-    through their modules, so they can be wrapped by name.
+    it, integrates them as one batch that samples the output rails, then
+    calls estimate_rate once per lane and rail on those samples.  The
+    layer functions are called through their modules, so they can be
+    wrapped by name.
     """
 
     def __init__(self, kind: str, text: str, mode: str, target: str | None,
@@ -387,7 +383,7 @@ class Pipeline:
         return None, [circ.eval_expr(self.target, values)], y0
 
     def _rail_rates(self, samples: Trajectory, targets: list[float]) -> list:
-        """The rate estimate of each output rail from the rails' resampled
+        """The rate estimate of each output rail from the rails' sampled
         trajectory, or the ValueError that stopped it (EstimationError,
         NotConvergedError)."""
         out = []
@@ -401,9 +397,11 @@ class Pipeline:
 
     def run_points(self, points: list[dict]) -> list:
         """A PointRun per point, or the ValueError (DomainError and
-        ModeError included) that kept it from running; the points that
-        can run are integrated as one batch, and their rails resampled
-        as one."""
+        ModeError included) that kept it from running.  The points that
+        can run are integrated as one batch, which samples their rails.
+        A lane that ends in stiff_failure in a batch of more than one is
+        integrated again alone and reports that run, so that how a point
+        ends does not depend on the points batched with it."""
         runs, lanes = [], []
         for values in points:
             try:
@@ -413,9 +411,16 @@ class Pipeline:
                 runs.append(e)
         if lanes:
             y0 = np.column_stack([y0 for *_, y0 in lanes])
-            trajs = sim.integrate(self.rhs, y0, self.species, self.cfg, self.max_step)
-            samples = sim.resample(trajs, self.rails, _RESAMPLE)
-            for (i, analysis, targets, _), traj, rails in zip(lanes, trajs, samples):
+            trajs = self._integrate(y0)
+            if len(trajs) > 1:
+                trajs = [self._integrate(y0[:, [j]])[0]
+                         if traj.termination.status == "stiff_failure" else traj
+                         for j, traj in enumerate(trajs)]
+            for (i, analysis, targets, _), traj in zip(lanes, trajs):
                 runs[i] = PointRun(self.rails, targets, traj,
-                                   self._rail_rates(rails, targets), analysis)
+                                   self._rail_rates(traj.samples, targets), analysis)
         return runs
+
+    def _integrate(self, y0: np.ndarray) -> list[Trajectory]:
+        return sim.integrate(self.rhs, y0, self.species, self.cfg, self.max_step,
+                             sample=self.rails)

@@ -7,12 +7,12 @@ spectrum, and a 7th-order dense interpolant.  Each step attempt keeps the state 
 derivatives as the rows of one array, so every stage input is one
 matrix-vector product.  Many initial states ("lanes") of one system
 advance in lockstep as the columns of a single array, which is how sweeps
-integrate a whole grid at once (see `integrate`).  Runs terminate early
-when any concentration crosses the blowup threshold; that is reported as
-a termination status, not an exception, because divergence of an inner
-species is expected behavior for some networks.  A run that cannot meet
-the tolerance, or uses up its budget of step attempts, ends in
-stiff_failure.
+integrate a whole grid at once, and sample the interpolant of the species
+a caller names (see `integrate`).  Runs terminate early when any
+concentration crosses BLOWUP_THRESHOLD; that is reported as a termination
+status, not an exception, because divergence of an inner species is
+expected behavior for some networks.  A run that cannot meet the
+tolerance, or uses up its budget of step attempts, ends in stiff_failure.
 """
 
 from __future__ import annotations
@@ -29,20 +29,23 @@ from .crn import ReactionNetwork, mass_action, parse_network, parse_number
 from .gates import factored_rates, gate_limit_rate
 
 
+BLOWUP_THRESHOLD = 1e12
+_SAMPLES = 1600  # uniform times over a lane's run at which integrate samples a species
+
+
 @dataclass
 class SimConfig:
     t_end: float = 40.0
     sigma: float = 1.0
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    blowup_threshold: float = 1e12
 
     def __post_init__(self):
         bad = [name for name, v in vars(self).items() if not math.isfinite(v)]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be finite")
-        if self.t_end <= 0 or self.sigma <= 0 or self.blowup_threshold <= 0:
-            raise ValueError("t_end, sigma and blowup_threshold must be positive")
+        if self.t_end <= 0 or self.sigma <= 0:
+            raise ValueError("t_end and sigma must be positive")
         # floors keep requested accuracy within what the integrator can honor
         if self.rel_tol < 1e-13 or self.abs_tol < 1e-15:
             raise ValueError("tolerances below supported floor (1e-13 / 1e-15)")
@@ -67,16 +70,16 @@ class IntegrationStats:
 
 @dataclass
 class Trajectory:
-    """One lane's run.  From integrate, times, dense's arrays and the states
-    behind states are read-only views into the call's step record, shared
-    by the lanes that left it after the same step (a blowup lane copies
-    its times to end them at the crossing)."""
+    """One lane's run.  From integrate, times and the states behind states
+    are read-only views into the call's step record, shared by the lanes
+    that left it after the same step (a blowup lane copies its times to
+    end them at the crossing), and samples holds the species it sampled."""
     species: tuple[str, ...]
     times: np.ndarray
     states: np.ndarray  # (n_times, n_species), clipped at 0
     termination: Termination
     negatives: tuple[tuple[str, float, float], ...] = ()
-    dense: Callable | None = None
+    samples: Trajectory | None = None
     stats: IntegrationStats | None = None
 
     def index(self, sid: str) -> int:
@@ -87,12 +90,6 @@ class Trajectory:
 
     def final(self, sid: str) -> float:
         return float(self.states[-1, self.index(sid)])
-
-    def at(self, t, sid: str):
-        """Species sid at time(s) t from the dense interpolant, clipped at 0."""
-        if self.dense is None:
-            raise ValueError("trajectory has no dense interpolant")
-        return np.clip(self.dense(t, self.index(sid)), 0.0, None)
 
     def to_csv(self) -> str:
         lines = ["t," + ",".join(self.species)]
@@ -442,94 +439,34 @@ def _initial_step(rhs, state, n: int, y0, f0, t_end: float, rtol: float, atol: f
     return float(min(100 * h0, h1, t_end))
 
 
-class _DenseOutput:
-    """The 7th-order interpolant of a lane's accepted steps.
-
-    Called with a time or an array of times; returns (species,) or
-    (species, times), or only species i: a scalar or (times,).  A time on
-    a step boundary uses the step ending there.
-    """
-
-    def __init__(self, t_old, h, y_old, q):
-        self.t_old, self.h, self.y_old, self.q = t_old, h, y_old, q
-
-    def locate(self, t: np.ndarray):
-        """The step k of each time t and the powers x .. x^7 of its
-        fraction x of that step, (..., 7)."""
-        k = np.clip(np.searchsorted(self.t_old, t, side="left") - 1, 0, self.h.size - 1)
-        x = (t - self.t_old[k]) / self.h[k]
-        return k, np.cumprod(np.stack([x] * _P.shape[1], axis=-1), axis=-1)
-
-    def component(self, i: int, k: np.ndarray, p: np.ndarray, hk: np.ndarray):
-        """Species i at the times that locate gave k and p for; hk is h[k]."""
-        return self.y_old[k, i] + hk * np.einsum("...j,...j->...", self.q[:, i][k], p)
-
-    def __call__(self, t, i: int | None = None):
-        t = np.asarray(t, dtype=float)
-        k, p = self.locate(t)
-        if i is not None:
-            return self.component(i, k, p, self.h[k])
-        dy = np.einsum("...ij,...j->...i", self.q[k], p)
-        return (self.y_old[k] + np.expand_dims(self.h[k], -1) * dy).T
-
-
-def resample(trajs: Sequence[Trajectory], species: Sequence[str], n: int) -> list[Trajectory]:
-    """Each trajectory's species at n uniform times over its run, from its
-    dense output and clipped at 0, as a Trajectory of those species alone
-    without dense output; one without dense output keeps its own samples.
-
-    Trajectories whose dense output reads one step-size array (lanes of
-    one integrate call that left it after the same step) and that end at
-    the same time share one grid: the step of each time and the powers of
-    its fraction of the step are computed once per grid, and each
-    trajectory adds only its own interpolant product.  A trajectory's
-    samples do not depend on the others in the batch.
-    """
-    grids: dict = {}
-    out = []
-    for traj in trajs:
-        cols = [traj.index(sid) for sid in species]
-        dense = traj.dense
-        if dense is None:
-            out.append(Trajectory(tuple(species), traj.times, traj.states[:, cols],
-                                  traj.termination, traj.negatives, None, traj.stats))
-            continue
-        t0, t1 = traj.times[0], traj.times[-1]
-        key = (id(dense.h), t0, t1)  # unique while trajs holds every dense.h
-        if key not in grids:
-            t = np.linspace(t0, t1, n)
-            k, p = dense.locate(t)
-            grids[key] = t, k, p, dense.h[k]
-        t, k, p, hk = grids[key]
-        values = np.column_stack([dense.component(i, k, p, hk) for i in cols])
-        out.append(Trajectory(tuple(species), t, np.clip(values, 0.0, None),
-                              traj.termination, traj.negatives, None, traj.stats))
-    return out
-
-
-def _crossing(t_old, t_new, y_old, q, threshold: float):
-    """Bisect one step's interpolant for the first time max(y) reaches the
-    threshold; returns that time and the state there.  Each bisection step
-    evaluates the step's polynomial y_old + sum_j (h q_j) x^(j+1) directly:
-    one length-7 cumprod and one product."""
+def _crossing(t_old, t_new, y_old, q):
+    """Bisect one step's interpolant for the first time max(y) reaches
+    BLOWUP_THRESHOLD; returns that time and the state there.  Each
+    bisection step evaluates the step's polynomial y_old + sum_j (h q_j)
+    x^(j+1) directly: one length-7 cumprod and one product."""
     h = t_new - t_old
     hq = h * q
     lo, hi = t_old, t_new
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         p = np.cumprod(np.full(_P.shape[1], (mid - t_old) / h))
-        if threshold - _amax(y_old + hq.dot(p)) > 0:
+        if BLOWUP_THRESHOLD - _amax(y_old + hq.dot(p)) > 0:
             lo = mid
         else:
             hi = mid
-    # the state reported is the step's dense output there, as a resample reads it
-    return hi, _DenseOutput(np.array([t_old]), np.array([h]), y_old[None], q[None])(hi)
+    p = np.cumprod(np.full(_P.shape[1], (hi - t_old) / h))
+    return hi, y_old + h * np.einsum("...ij,...j->...i", q, p)
 
 
-def _check_state(y: np.ndarray) -> np.ndarray:
+def _check_state(y: np.ndarray, species: Sequence[str] = ()) -> np.ndarray:
+    """y, if it can start a run; with species named, a value that would end
+    the run in blowup before it starts is refused too."""
     if not np.all(np.isfinite(y)):
         raise ValueError("initial state must be finite")
     if np.any(y < 0):
         raise ValueError("initial state must be non-negative")
+    if species and (over := np.flatnonzero(y >= BLOWUP_THRESHOLD)).size:
+        raise ValueError(f"initial value {y[over[0]]:g} of {species[over[0]]} is at or "
+                         f"above the blowup threshold {BLOWUP_THRESHOLD:g}")
     return y
 
 
@@ -551,10 +488,11 @@ def circuit_max_step(circuit, sigma: float = 1.0) -> float:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
-              cfg: SimConfig,
-              max_step: float | Callable) -> list[Trajectory]:
+              cfg: SimConfig, max_step: float | Callable,
+              sample: Sequence[str] = ()) -> list[Trajectory]:
     """Integrate the columns of y0 (species x lanes) in lockstep and return
-    one Trajectory per lane.
+    one Trajectory per lane, with the species named in sample sampled
+    from the dense output as its samples (see _lane_samples).
 
     rhs(t, y) takes y as (species, lanes), or as a list of floats when y0
     has one column, and returns one row per species.  All lanes take the
@@ -571,7 +509,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     tableau, starting step and controller but may differ from that code
     in the last bits.
 
-    A lane leaves the batch when it crosses the blowup threshold, located
+    A lane leaves the batch when it crosses BLOWUP_THRESHOLD, located
     by bisection on the step's interpolant, or when it cannot meet the
     tolerance even at the smallest step (stiff_failure; a lane that leaves
     before its first accepted step keeps only its initial state).  Lanes
@@ -585,15 +523,16 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     to the last: a lane that has left is masked out of the error norm, the
     starting step, the step cap and the bookkeeping of who leaves, and its
     later columns are computed but never read.  The call keeps one step
-    record: the boundaries, the step sizes and each accepted step's
-    (species, lanes) state and (species, lanes, 7) dense-output
-    coefficients.  It is stacked once and made read-only, and each lane's
-    arrays are views into it that stop at its own last step (see
-    Trajectory).
+    record: the boundaries, the step sizes, each accepted step's
+    (species, lanes) state and the (sampled species, lanes, 7)
+    dense-output coefficients of the species in sample alone.  It is
+    stacked once and made read-only, and each lane's arrays are views
+    into it that stop at its own last step (see Trajectory).
     """
     y0 = _check_state(np.asarray(y0, dtype=float))
     n, n_lanes = y0.shape
-    t_end, threshold = cfg.t_end, cfg.blowup_threshold
+    cols = [list(species).index(sid) for sid in sample]
+    t_end, threshold = cfg.t_end, BLOWUP_THRESHOLD
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     live = np.ones(n_lanes, dtype=bool)  # the lanes still in the batch
     Z, rows, ZT, state, worst, norms = _lane_ops(n, n_lanes, live)
@@ -669,7 +608,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             ts.append(t_new)
             hs.append(h)
             ys.append(y_new.reshape(n, -1))
-            qs.append(q)
+            qs.append(q[cols])
             done = t_new == t_end
             # lanes that have left can sit above the threshold: the check
             # below then runs every step, and finds no live lane crossing
@@ -681,8 +620,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 stats = _stats(steps, rejected, extra)
                 for j in np.flatnonzero(leaving):
                     if crossed[j]:
-                        t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q[:, j],
-                                                 threshold)
+                        t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q[:, j])
                         end = ("blowup", t_hit, y_hit, "")
                     else:
                         end = ("completed", t_new, None, "")
@@ -715,17 +653,21 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
         if new_cap and cap_at is not None:
             max_step = cap(t, y)
     times, h, states = np.array(ts), np.array(hs), np.stack(ys)
-    q = np.array(qs).reshape(len(qs), n, n_lanes, _P.shape[1])
+    q = np.array(qs).reshape(len(qs), len(cols), n_lanes, _P.shape[1])
     del ys, qs  # before a blowup lane copies its states
     for record in (times, h, states, q):
         record.flags.writeable = False
     shared: dict[int, tuple] = {}  # k -> the boundaries and step sizes of k steps
+    grids: dict[tuple, tuple] = {}  # (k, end time) -> a sample grid, see _lane_samples
     trajs = []
     for lane in range(n_lanes):
         k = ends[lane][-1].steps  # a lane's steps are the record's first k
         prefix = shared.setdefault(k, (times[:k + 1], h[:k]))
-        trajs.append(_lane_trajectory(*prefix, states[:k + 1, :, lane], q[:k, :, lane],
-                                      ends[lane], species, cfg))
+        traj = _lane_trajectory(*prefix, states[:k + 1, :, lane], ends[lane], species, cfg)
+        if cols:
+            traj.samples = _lane_samples(traj, cols, *prefix, states[:k, cols, lane],
+                                         q[:k, :, lane], grids)
+        trajs.append(traj)
     return trajs
 
 
@@ -737,12 +679,11 @@ def _blowup_owner(y: np.ndarray, rel_tol: float) -> int:
     return int(np.argmax(y >= y.max() * (1.0 - rel_tol)))
 
 
-def _lane_trajectory(times: np.ndarray, h: np.ndarray, raw: np.ndarray, q: np.ndarray,
-                     end: tuple, species: Sequence[str], cfg: SimConfig) -> Trajectory:
+def _lane_trajectory(times: np.ndarray, h: np.ndarray, raw: np.ndarray, end: tuple,
+                     species: Sequence[str], cfg: SimConfig) -> Trajectory:
     """A lane's Trajectory from its views into the step record: boundaries,
-    step sizes, states (steps + 1, species), coefficients (steps, species, 7)."""
+    step sizes and states (steps + 1, species)."""
     status, t_last, y_last, detail, stats = end
-    dense = _DenseOutput(times[:-1], h, raw[:-1], q) if h.size else None
     if status == "blowup":  # the run ends where the threshold is crossed
         times, raw = times.copy(), raw.copy()
         times[-1], raw[-1] = t_last, y_last
@@ -753,7 +694,32 @@ def _lane_trajectory(times: np.ndarray, h: np.ndarray, raw: np.ndarray, q: np.nd
     flags = [(species[j], float(times[np.argmin(raw[:, j])]), float(lows[j]))
              for j in np.flatnonzero(lows < -cfg.abs_tol)]
     return Trajectory(tuple(species), times, np.clip(raw, 0.0, None), term,
-                      tuple(flags), dense, stats)
+                      tuple(flags), stats=stats)
+
+
+def _lane_samples(traj: Trajectory, cols: list[int], times: np.ndarray, h: np.ndarray,
+                  y_old: np.ndarray, q: np.ndarray, grids: dict) -> Trajectory:
+    """The species cols of a lane at _SAMPLES uniform times over its run,
+    from the interpolant of its steps (boundaries times, sizes h, start
+    states y_old and coefficients q), clipped at 0; a time on a step
+    boundary uses the step ending there.  A lane with no step keeps its
+    own row.  Lanes with the same step count and end time share one grid
+    of steps and powers of the step fraction in grids."""
+    species = tuple(traj.species[i] for i in cols)
+    if not h.size:
+        return Trajectory(species, traj.times, traj.states[:, cols], traj.termination,
+                          traj.negatives, stats=traj.stats)
+    t_old, key = times[:-1], (h.size, traj.times[-1])
+    if key not in grids:
+        t = np.linspace(times[0], traj.times[-1], _SAMPLES)
+        k = np.clip(np.searchsorted(t_old, t, side="left") - 1, 0, h.size - 1)
+        x = (t - t_old[k]) / h[k]
+        grids[key] = t, k, np.cumprod(np.stack([x] * _P.shape[1], axis=-1), axis=-1), h[k]
+    t, k, p, hk = grids[key]
+    values = np.column_stack([y_old[k, i] + hk * np.einsum("...j,...j->...", q[:, i][k], p)
+                              for i in range(len(cols))])
+    return Trajectory(species, t, np.clip(values, 0.0, None), traj.termination,
+                      traj.negatives, stats=traj.stats)
 
 
 def network_state(net: ReactionNetwork, init: Mapping[str, float]) -> np.ndarray:
@@ -762,7 +728,8 @@ def network_state(net: ReactionNetwork, init: Mapping[str, float]) -> np.ndarray
     unknown = set(init) - set(net.species_ids)
     if unknown:
         raise ValueError(f"initial values for unknown species {sorted(unknown)}")
-    return _check_state(np.array([float(init.get(sid, 0.0)) for sid in net.species_ids]))
+    return _check_state(np.array([float(init.get(sid, 0.0)) for sid in net.species_ids]),
+                        net.species_ids)
 
 
 def network_integrand(net: ReactionNetwork, sigma: float = 1.0) -> tuple[Callable, Callable]:
@@ -845,7 +812,7 @@ def initial_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> dict[s
 def program_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> np.ndarray:
     """initial_state as a vector in the program's species order."""
     init = initial_state(prog, inputs)
-    return _check_state(np.array([init[sid] for sid in prog.species_ids]))
+    return _check_state(np.array([init[sid] for sid in prog.species_ids]), prog.species_ids)
 
 
 def program_integrand(prog: CompiledProgram,
@@ -1006,7 +973,7 @@ def simulate_forced(system: ForcedSystem, cfg: SimConfig | None = None) -> Traje
             x = np.float64(y[0])
             return g1(t) - (m + 1) * g2(t) * x ** m
     return integrate(rhs, np.array([[float(system.x0)]]), ("x",), cfg,
-                     lambda t, y: _cap(slope(t, y)))[0]
+                     lambda t, y: _cap(slope(t, y)), sample=("x",))[0]
 
 
 # ---------------------------------------------------------------------------

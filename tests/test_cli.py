@@ -156,25 +156,35 @@ def test_simulate_zero_root_ends(tmp_path):
     assert traj.termination.time < 40.0
 
 
-def test_simulate_overflow_before_the_first_step_exits_4(capsys):
-    # the product overflows in the first evaluation, so the run ends before
-    # it accepts a step: its trajectory is the initial state alone
+def test_simulate_refuses_an_input_at_the_blowup_threshold(capsys, tmp_path):
+    # an initial value at or above the threshold would end the run before
+    # it starts (the product a*b at 1e200 even overflows in the first
+    # evaluation): simulate, verify and a sweep row refuse it by name
     code, out, err = run(capsys, "simulate", "--expr", "a*b", "--in", "a=1e200,b=1e200")
-    assert code == 4
-    traj = read_trajectory_csv(out)
-    assert traj.times.tolist() == [0.0]
-    assert traj.termination.status == "stiff_failure"
-    assert traj.final("X1") == 0.0
-    assert "Warning" not in err and "stiff_failure at t=0" in err
+    assert code == 2 and out == ""
+    assert err == "error: initial value 1e+200 of A is at or above the blowup threshold 1e+12\n"
+    code, _, err = run(capsys, "verify", "--expr", "a*b", "--in", "a=1e12,b=1")
+    assert code == 2 and "of A is at or above" in err
+    code, out, _ = run(capsys, "simulate", "--expr", "a*b", "--in", "a=9.9e11,b=1",
+                       "--t-end", "2")
+    assert code == 0
+    net_file = tmp_path / "net.crn"
+    net_file.write_text("species: A[input], X[output]\n0 -> X ; k=1\n")
+    code, _, err = run(capsys, "simulate", "--crn", str(net_file), "--in", "X=2e12")
+    assert code == 2 and "initial value 2e+12 of X is at or above" in err
+    code, out, _ = run(capsys, "sweep", "--expr", "a*b", "--grid", "a=1e200,1;b=1")
+    _, rows = parse_sweep_csv(out)
+    assert rows[0]["status"] == ("ValueError: initial value 1e+200 of A is at or above "
+                                 "the blowup threshold 1e+12")
+    assert rows[1]["status"] == "ok"
 
 
 def test_simulate_huge_input_raises_no_warning(capsys):
-    # the starting step's error scales overflow to inf; that is judged by
-    # the integrator's rules and never reaches stderr as a numpy warning
+    # an input above the threshold is refused before anything overflows,
+    # so nothing reaches stderr as a numpy warning
     code, out, err = run(capsys, "simulate", "--expr", "a+b", "--in", "a=1e300,b=1")
-    assert code == 0
-    assert err == ""
-    assert read_trajectory_csv(out).final("X1") == pytest.approx(1e300, rel=1e-12)
+    assert code == 2 and out == ""
+    assert "Warning" not in err and "at or above the blowup threshold" in err
 
 
 def test_analyze_trajectory(tmp_path, capsys):
@@ -564,6 +574,37 @@ def test_sweep_attempt_budget_fails_the_row(capsys, monkeypatch):
         assert row["status"] == "stiff_failure: Step attempt budget of 10 used up."
         assert row["target"] == row["rho_hat"] == row["final_abs_error"] == ""
     assert "# rho_hat over" not in out
+
+
+def test_sweep_reruns_a_stiff_lane_alone(capsys, monkeypatch):
+    # the tie a*b = c takes every step attempt its batch can afford, so the
+    # whole batch ends in stiff_failure; each of its lanes runs again alone
+    # and gets the row of its own one-point sweep, and the tie stays stiff
+    monkeypatch.setattr(crncalc.simulate, "_MAX_ATTEMPTS", 300)
+    real = crncalc.simulate.integrate
+    calls = []
+
+    def spy(rhs, y0, *args, **kwargs):
+        lanes = real(rhs, y0, *args, **kwargs)
+        calls.append([lane.termination.status for lane in lanes])
+        return lanes
+
+    monkeypatch.setattr(crncalc.simulate, "integrate", spy)
+    code, out, _ = run(capsys, "sweep", "--expr", "max(a*b, c)", "--grid", "a=0.5,1;b=1;c=50,1")
+    assert code == 0
+    assert calls == [["stiff_failure"] * 4, ["completed"], ["completed"], ["completed"],
+                     ["stiff_failure"]]
+    lines = out.splitlines()
+    for line in lines[1:5]:
+        a, b, c = line.split(",")[:3]
+        _, solo, _ = run(capsys, "sweep", "--expr", "max(a*b, c)", "--grid", f"a={a};b={b};c={c}")
+        assert solo.splitlines()[1] == line
+    assert lines[4].endswith(",stiff_failure,stiff_failure: Step attempt budget of 300 used up.")
+    assert [line.split(",")[-1] for line in lines[1:4]] == ["ok"] * 3
+    # a block in which no lane ends stiff is integrated once
+    calls.clear()
+    code, out, _ = run(capsys, "sweep", "--expr", "max(a*b, c)", "--grid", "a=0.5,1;b=1;c=50")
+    assert code == 0 and calls == [["completed"] * 2]
 
 
 def test_sweep_crn_requires_target_and_species(tmp_path, capsys):

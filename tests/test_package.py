@@ -46,13 +46,16 @@ def _names(node: ast.stmt):
 
 def _definitions(tree: ast.Module):
     """(name, first line, last line) of each module-level name, and as
-    class.member of each member of a private class."""
+    class.member of each member of a private class and of each method or
+    property of a public class.  A public class's other members are left
+    out: they are dataclass fields, which `verify` reads through asdict."""
     for node in tree.body:
         yield from _names(node)
-        if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+        if isinstance(node, ast.ClassDef):
             for member in node.body:
-                yield from ((f"{node.name}.{name}", first, last)
-                            for name, first, last in _names(member))
+                if node.name.startswith("_") or isinstance(member, ast.FunctionDef):
+                    yield from ((f"{node.name}.{name}", first, last)
+                                for name, first, last in _names(member))
 
 
 def _references(tree: ast.Module):
@@ -68,7 +71,8 @@ def _references(tree: ast.Module):
 
 def _unused(dirs, private: bool) -> list[str]:
     """The public or the private names of src/crncalc/*.py that no code
-    under dirs references anywhere but in their own definition."""
+    under dirs references anywhere but in their own definition; a class
+    member is private when it or its class is."""
     refs = {}
     for path in (p for d in dirs for p in sorted((ROOT / d).rglob("*.py"))):
         for name, line in _references(ast.parse(path.read_text())):
@@ -77,7 +81,7 @@ def _unused(dirs, private: bool) -> list[str]:
     for path in sorted((ROOT / "src" / "crncalc").glob("*.py")):
         for name, first, last in _definitions(ast.parse(path.read_text())):
             uses = refs.get(name.rpartition(".")[2], [])
-            if (name.startswith("_") == private
+            if (any(part.startswith("_") for part in name.split(".")) == private
                     and all(p == path and first <= line <= last for p, line in uses)):
                 unused.append(f"{path.name}:{first} {name}")
     return unused

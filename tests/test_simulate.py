@@ -26,11 +26,11 @@ from crncalc.simulate import (
     integrate_network,
     naive_inversion_network,
     network_integrand,
+    network_state,
     parse_forcing,
     program_integrand,
     program_state,
     read_trajectory_csv,
-    resample,
     simulate_forced,
     simulate_program,
 )
@@ -42,6 +42,18 @@ TIGHT = dict(rel_tol=1e-10, abs_tol=1e-12)
 
 def sup_err(traj, sid, reference):
     return float(np.max(np.abs(traj.series(sid) - reference(traj.times))))
+
+
+def sampled(net_or_prog, init, cfg, sample):
+    """One lane integrated with sample; a network takes per-species
+    initial values, a program its inputs."""
+    if hasattr(net_or_prog, "bindings"):
+        rhs, cap = program_integrand(net_or_prog, cfg.sigma)
+        y0, ids = program_state(net_or_prog, init), net_or_prog.species_ids
+    else:
+        rhs, cap = network_integrand(net_or_prog, cfg.sigma)
+        y0, ids = network_state(net_or_prog, init), net_or_prog.species_ids
+    return integrate(rhs, y0[:, None], ids, cfg, cap, sample=sample)[0]
 
 
 # --- integrator vs closed forms ----------------------------------------------
@@ -102,11 +114,11 @@ def test_inversion_program_default_init():
 def test_tied_rectified_subtraction_is_exact():
     # at a = b the helper species obeys y' = y, so y = e^t and x = e^{-t}
     prog = compile_expression("rsub(a, b)")
-    cfg = SimConfig(t_end=40, blowup_threshold=1e6, **TIGHT)
+    cfg = SimConfig(t_end=40, **TIGHT)
     traj = simulate_program(prog, {"a": 1, "b": 1}, cfg)
     assert traj.termination.status == "blowup"
     assert traj.termination.species == "Y1"
-    assert traj.termination.time == pytest.approx(math.log(1e6), abs=1e-6)
+    assert traj.termination.time == pytest.approx(math.log(1e12), abs=1e-6)
     keep = traj.times <= 10.0
     y_err = np.abs(traj.series("Y1")[keep] - np.exp(traj.times[keep]))
     x_err = np.abs(traj.series("X1")[keep] - np.exp(-traj.times[keep]))
@@ -124,14 +136,15 @@ def test_default_blowup_threshold():
 # --- time change and conserved inputs ----------------------------------------
 
 def test_sigma_rescales_time():
+    # sample j of [0, 8] is exactly half of sample j of [0, 16]
     prog = compile_expression("sqrt(a) + b")
-    base = simulate_program(prog, {"a": 4, "b": 1}, SimConfig(t_end=16, **TIGHT))
-    fast = simulate_program(prog, {"a": 4, "b": 1},
-                            SimConfig(t_end=8, sigma=2.0, **TIGHT))
-    times = np.arange(17) * 0.5
-    for sid in ("X1", "X2", "Y1"):
-        ref = base.at(2.0 * times, sid)
-        assert float(np.max(np.abs(fast.at(times, sid) - ref))) <= 1e-7, sid
+    rails = ("X1", "X2", "Y1")
+    base = sampled(prog, {"a": 4, "b": 1}, SimConfig(t_end=16, **TIGHT), rails).samples
+    fast = sampled(prog, {"a": 4, "b": 1}, SimConfig(t_end=8, sigma=2.0, **TIGHT),
+                   rails).samples
+    assert np.array_equal(2.0 * fast.times, base.times)
+    for sid in rails:
+        assert float(np.max(np.abs(fast.series(sid) - base.series(sid)))) <= 1e-7, sid
 
 
 def test_inputs_are_bitwise_constant():
@@ -233,13 +246,12 @@ def test_forced_matches_compiled_root_gate():
     # held input a=2: the root gate's helper species is exactly the power
     # form with g1 = 1, g2 = 2, m = 2
     prog = compile_expression("sqrt(a)")
-    traj = simulate_program(prog, {"a": 2}, SimConfig(t_end=12, **TIGHT))
     sys = ForcedSystem("power", ForcingFunction(1.0), ForcingFunction(2.0),
                        m=2, x0=1.0)
-    forced = simulate_forced(sys, SimConfig(t_end=12, **TIGHT))
-    times = np.arange(25) * 0.5
-    diff = np.abs(traj.at(times, "Y1") - forced.at(times, "x"))
-    assert float(np.max(diff)) <= 1e-8
+    forced = simulate_forced(sys, SimConfig(t_end=12, **TIGHT)).samples
+    root = sampled(prog, {"a": 2}, SimConfig(t_end=12, **TIGHT), ["Y1"]).samples
+    assert np.array_equal(root.times, forced.times)
+    assert float(np.max(np.abs(root.series("Y1") - forced.series("x")))) <= 1e-8
 
 
 def test_forced_system_validation():
@@ -256,8 +268,7 @@ def test_forced_system_validation():
 # --- configuration and output -------------------------------------------------
 
 def test_simconfig_validation():
-    for bad in [dict(t_end=0), dict(sigma=-1), dict(blowup_threshold=0),
-                dict(rel_tol=1e-14), dict(abs_tol=1e-16)]:
+    for bad in [dict(t_end=0), dict(sigma=-1), dict(rel_tol=1e-14), dict(abs_tol=1e-16)]:
         with pytest.raises(ValueError):
             SimConfig(**bad)
 
@@ -272,11 +283,11 @@ def test_csv_round_trip():
     assert back.termination.status == "completed"
 
     blow = simulate_program(compile_expression("rsub(a, b)"), {"a": 1, "b": 1},
-                            SimConfig(t_end=40, blowup_threshold=1e6))
+                            SimConfig(t_end=40))
     back = read_trajectory_csv(blow.to_csv())
     assert back.termination.status == "blowup"
     assert back.termination.species == "Y1"
-    assert back.termination.time == pytest.approx(math.log(1e6), abs=1e-5)
+    assert back.termination.time == pytest.approx(math.log(1e12), abs=1e-5)
 
 
 def test_csv_rejects_malformed_text():
@@ -315,11 +326,18 @@ GRID = np.geomspace(0.1, 50.0, 5)
 GRID_EXPRS = ["a + b", "a * b", "a / b", "sqrt(1/(a + b))", "max(a, b)"]
 
 
-def batch(src, points, cfg):
+def direct_state(prog, point):
+    """initial_state as a vector, without program_state's refusal of
+    values at the blowup threshold, for direct lanes that overflow."""
+    init = initial_state(prog, point)
+    return np.array([init[sid] for sid in prog.species_ids])
+
+
+def batch(src, points, cfg, sample=()):
     prog = compile_expression(src)
-    y0 = np.column_stack([program_state(prog, p) for p in points])
+    y0 = np.column_stack([direct_state(prog, p) for p in points])
     rhs, max_step = program_integrand(prog)
-    return prog, integrate(rhs, y0, prog.species_ids, cfg, max_step)
+    return prog, integrate(rhs, y0, prog.species_ids, cfg, max_step, sample=sample)
 
 
 @pytest.mark.parametrize("src", GRID_EXPRS)
@@ -438,11 +456,11 @@ def test_fused_stage_combinations_match_the_reference():
 
 
 def test_dense_output_meets_the_tolerance():
-    # the 7th-order interpolant runs through both ends of every step and
-    # stays within ten times the tolerance of the exact solution between
-    # them.  Its monomial coefficients sum stages weighted by up to about
-    # 550, so at x = 1 they give y_new to roundoff of that size on the
-    # step's increment.
+    # the samples of the 7th-order interpolant start at the initial state,
+    # end at the last step's state and stay within ten times the tolerance
+    # of the exact solution in between.  Its monomial coefficients sum
+    # stages weighted by up to about 550, so at x = 1 they give y_new to
+    # roundoff of that size on the step's increment.
     cfg = SimConfig(t_end=40, **TIGHT)
     grid = np.linspace(0.0, 40.0, 1600)
     runs = [(designed_inversion_network(), {"A": a, "X": x0}, "X",
@@ -454,14 +472,12 @@ def test_dense_output_meets_the_tolerance():
     runs.append((parse_network("species: A, B\nA -> B ; k=3\nB -> A ; k=1\n"), {"A": 1.0},
                  "B", 0.75 * (1 - np.exp(-4 * grid))))
     for net, init, sid, exact in runs:
-        traj = integrate_network(net, init, cfg)
-        x = traj.index(sid)
-        y = traj.series(sid)
-        ends = traj.dense(traj.times[1:], x)  # each step's end, from that step
-        bound = 1e-15 * y[1:] + 1e-12 * np.abs(np.diff(y))
-        assert np.all(np.abs(ends - y[1:]) <= bound), init
-        assert traj.dense(0.0, x) == init.get(sid, 0.0)
-        err = np.abs(traj.dense(grid, x) - exact)
+        traj = sampled(net, init, cfg, [sid])
+        got, y = traj.samples.series(sid), traj.series(sid)
+        assert np.array_equal(traj.samples.times, grid)
+        assert got[0] == init.get(sid, 0.0)
+        assert abs(got[-1] - y[-1]) <= 1e-15 * y[-1] + 1e-12 * abs(y[-1] - y[-2]), init
+        err = np.abs(got - exact)
         assert np.all(err <= 10 * cfg.rel_tol * (1 + np.abs(exact))), (init, err.max())
 
 
@@ -497,15 +513,21 @@ def test_rhs_rows_have_the_lane_shape():
 
 
 def test_dense_output_of_one_species_is_exact():
+    # sampling one species gives exactly its column of sampling them all,
+    # and what is sampled changes no step
+    src = "sqrt(1/(a + b))"
     points = [{"a": a, "b": b} for a, b in ((0.1, 50.0), (2.0, 3.0), (7.0, 0.5))]
-    prog, lanes = batch("sqrt(1/(a + b))", points, SimConfig(t_end=40, **TIGHT))
-    for traj in lanes:
-        times = np.concatenate([np.linspace(0.0, 40.0, 1600), traj.times])
-        full = traj.dense(times)
-        for i, sid in enumerate(traj.species):
-            assert np.array_equal(traj.dense(times, i), full[i]), sid
-            assert np.array_equal(traj.at(times, sid), np.clip(full[i], 0.0, None)), sid
-            assert traj.dense(17.5, i) == traj.dense(17.5)[i], sid
+    cfg = SimConfig(t_end=40, **TIGHT)
+    prog, lanes = batch(src, points, cfg)
+    _, full = batch(src, points, cfg, prog.species_ids)
+    for sid in prog.species_ids:
+        _, ones = batch(src, points, cfg, [sid])
+        for lane, every, one in zip(lanes, full, ones):
+            assert lane.samples is None and every.samples.species == prog.species_ids
+            assert np.array_equal(one.times, lane.times)
+            assert np.array_equal(every.states, lane.states)
+            assert one.samples.species == (sid,)
+            assert np.array_equal(one.samples.states[:, 0], every.samples.series(sid)), sid
 
 
 def test_circuit_rhs_emission_is_exact(monkeypatch):
@@ -574,10 +596,10 @@ def test_steps_stay_within_the_cap():
     assert cap == crncalc.simulate._STEP_CAP / 4
     assert np.diff(traj.times).max() == pytest.approx(cap, rel=1e-12)
     net = parse_network("species: X[output]\nX -> 0 ; k=4\n")
-    traj = integrate_network(net, {"X": 1.0}, SimConfig(t_end=40))
+    traj = sampled(net, {"X": 1.0}, SimConfig(t_end=40), ["X"])
     assert np.diff(traj.times).max() <= crncalc.simulate._STEP_CAP / 4 * (1 + 1e-6)
-    grid = np.linspace(0.0, 40.0, 1600)
-    assert np.abs(traj.dense(grid, 0) - np.exp(-4 * grid)).max() <= 1e-10
+    grid = traj.samples.times
+    assert np.abs(traj.samples.series("X") - np.exp(-4 * grid)).max() <= 1e-10
 
 
 def _jacobian(rhs, y):
@@ -701,7 +723,7 @@ def test_rhs_sees_only_the_lane_shape(monkeypatch):
     real = crncalc.simulate.integrate
     seen = []
 
-    def spy_integrate(rhs, y0, species, cfg, max_step):
+    def spy_integrate(rhs, y0, species, cfg, max_step, sample=()):
         n, lanes = y0.shape
 
         def spy(t, y):
@@ -713,7 +735,7 @@ def test_rhs_sees_only_the_lane_shape(monkeypatch):
             seen.append(lanes)
             return rhs(t, y)
 
-        return real(spy, y0, species, cfg, max_step)
+        return real(spy, y0, species, cfg, max_step, sample)
 
     monkeypatch.setattr(crncalc.simulate, "integrate", spy_integrate)
     net = parse_network("species: A, B\n2A -> B ; k=3\nB -> 2A ; k=1/3\n")
@@ -748,7 +770,8 @@ def test_lanes_that_left_are_masked_not_dropped():
         caps.append((t, np.array(y)))
         return cap_at(t, y)
 
-    lanes = integrate(spy_rhs, y0, net.species_ids, SimConfig(t_end=10, **TIGHT), spy_cap)
+    lanes = integrate(spy_rhs, y0, net.species_ids, SimConfig(t_end=10, **TIGHT), spy_cap,
+                      sample=net.species_ids)
     assert [lane.termination.status for lane in lanes] == ["blowup", "completed", "completed"]
     assert lanes[0].termination.time == pytest.approx(math.log(2.0), abs=1e-6)
     assert all(y.shape == y0.shape for y in seen)
@@ -764,17 +787,18 @@ def test_lanes_that_left_are_masked_not_dropped():
     assert left == 1
     for lane in lanes:
         assert not np.isnan(lane.states).any() and not np.isnan(lane.times).any()
-        assert not np.isnan(lane.dense.y_old).any() and not np.isnan(lane.dense.q).any()
+        assert not np.isnan(lane.samples.states).any()
 
 
 def test_lane_that_fails_at_the_start_keeps_its_initial_state():
     # the product overflows in the first evaluation of one lane; it leaves
     # with a one-row trajectory and the other lane carries on
     points = [{"a": 1e200, "b": 1e200}, {"a": 1.5, "b": 2.0}]
-    prog, (bad, good) = batch("a*b", points, SimConfig(t_end=10, **TIGHT))
+    prog, (bad, good) = batch("a*b", points, SimConfig(t_end=10, **TIGHT), ["X1"])
     assert bad.termination.status == "stiff_failure" and bad.termination.time == 0.0
-    assert bad.times.tolist() == [0.0] and bad.dense is None
-    assert bad.states[0].tolist() == program_state(prog, points[0]).tolist()
+    assert bad.times.tolist() == [0.0]
+    assert bad.states[0].tolist() == direct_state(prog, points[0]).tolist()
+    assert bad.samples.times.tolist() == [0.0] and bad.samples.states.tolist() == [[0.0]]
     assert good.termination.status == "completed"
     assert good.final("X1") == pytest.approx(3.0 * (1 - math.exp(-10)), abs=1e-8)
     # the good lane starts over from its own starting step, not from the
@@ -827,28 +851,35 @@ def test_blowup_owner_ignores_roundoff_but_not_a_real_lead():
     assert owner(y, 1e-10) == 2
 
 
-def test_resample_shares_grids_but_not_values():
+def test_resample_shares_grids_but_not_values(monkeypatch):
     # a zero-step lane, a blowup lane and two completed lanes: each lane's
-    # samples are those of its own dense output, bit for bit
+    # samples equal, bit for bit, those it gets on a grid of its own
     points = [{"a": 1e200, "b": 2.0}, {"a": 2.0, "b": 2.0}, {"a": 1.0, "b": 3.0},
               {"a": 3.0, "b": 1.0}]
-    prog, lanes = batch("max(a, b)", points, SimConfig(t_end=40, **TIGHT))
+    rails = ["X4", "Y1"]
+    cfg = SimConfig(t_end=40, **TIGHT)
+    prog, lanes = batch("max(a, b)", points, cfg, rails)
     assert [lane.termination.status for lane in lanes] == [
         "stiff_failure", "blowup", "completed", "completed"]
-    rails = ["X4", "Y1"]
-    samples = resample(lanes, rails, 400)
-    zero = samples[0]
+    zero = lanes[0].samples
     assert zero.species == tuple(rails) and zero.times.tolist() == [0.0]
     assert zero.states.tolist() == [[lanes[0].final(sid) for sid in rails]]
-    for lane, got in zip(lanes[1:], samples[1:]):
-        t = np.linspace(lane.times[0], lane.times[-1], 400)
-        assert np.array_equal(got.times, t)
-        assert got.dense is None and got.termination == lane.termination
-        for sid in rails:
-            assert np.array_equal(got.series(sid), lane.at(t, sid)), sid
-        # a batch of one gives the same samples
-        (solo,) = resample([lane], rails, 400)
-        assert np.array_equal(solo.states, got.states)
+    low, high = lanes[2:]
+    assert low.samples.times is high.samples.times
+    real = crncalc.simulate._lane_samples
+    monkeypatch.setattr(crncalc.simulate, "_lane_samples",
+                        lambda *args: real(*args[:-1], {}))
+    _, alone = batch("max(a, b)", points, cfg, rails)
+    assert alone[2].samples.times is not alone[3].samples.times
+    for lane, solo in zip(lanes, alone):
+        got = lane.samples
+        assert np.array_equal(got.times, np.linspace(0.0, lane.times[-1], got.times.size))
+        assert got.times.size in (1, crncalc.simulate._SAMPLES)
+        assert got.termination == lane.termination and got.samples is None
+        assert got.stats == lane.stats and got.negatives == lane.negatives
+        assert np.array_equal(got.times, solo.samples.times)
+        assert np.array_equal(got.states, solo.samples.states)
+        assert got.states[0].tolist() == [lane.states[0, lane.index(sid)] for sid in rails]
 
 
 def test_lanes_are_read_only_views_of_one_step_record():
@@ -857,63 +888,72 @@ def test_lanes_are_read_only_views_of_one_step_record():
     # what the record holds for a lane after it has left reaches no lane
     points = [{"a": 1e200, "b": 2.0}, {"a": 2.0, "b": 2.0}, {"a": 1.0, "b": 3.0},
               {"a": 3.0, "b": 1.0}]
-    prog, lanes = batch("max(a, b)", points, SimConfig(t_end=40, **TIGHT))
+    cfg = SimConfig(t_end=40, **TIGHT)
+    ids = compile_expression("max(a, b)").species_ids
+    prog, lanes = batch("max(a, b)", points, cfg, ids)
     zero, tie, low, high = lanes
     assert [lane.termination.status for lane in lanes] == [
         "stiff_failure", "blowup", "completed", "completed"]
     assert 0 == zero.stats.steps < tie.stats.steps < low.stats.steps == high.stats.steps
     for lane in lanes:
         assert not np.isnan(lane.states).any()
-        if lane.dense is not None:
-            assert not np.isnan(lane.dense.y_old).any() and not np.isnan(lane.dense.q).any()
-    for got in resample(lanes, prog.species_ids, 400):
-        assert not np.isnan(got.states).any()
-    assert low.times is high.times and low.dense.h is high.dense.h
+        assert not np.isnan(lane.samples.states).any()
+    assert low.times is high.times
     # the blowup lane ends at its crossing in a copy, not in the record
     assert tie.times[-1] == tie.termination.time < low.times[tie.stats.steps]
-    for shared in (low.times, low.dense.h, low.dense.y_old, low.dense.q):
-        with pytest.raises(ValueError):
-            shared[0] = 0.0
+    with pytest.raises(ValueError):
+        low.times[0] = 0.0
 
 
 def test_resample_keeps_lanes_that_end_in_one_step_apart():
     # both lanes blow up in the same step, at different times: same steps,
-    # two grids
+    # two grids, each on its own run and on x0 e^t
     net = parse_network("X -> 2X ; k=1\n")
     rhs, cap = network_integrand(net)
-    lanes = integrate(rhs, np.array([[1.0, 1.0 + 1e-6]]), net.species_ids,
-                      SimConfig(t_end=40, **TIGHT), cap)
+    x0 = np.array([1.0, 1.0 + 1e-6])
+    cfg = SimConfig(t_end=40, **TIGHT)
+    lanes = integrate(rhs, x0[None], net.species_ids, cfg, cap, sample=["X"])
     assert np.array_equal(lanes[0].times[:-1], lanes[1].times[:-1])
     assert lanes[0].times[-1] != lanes[1].times[-1]
-    for lane, got in zip(lanes, resample(lanes, ["X"], 400)):
-        t = np.linspace(0.0, lane.times[-1], 400)
-        assert np.array_equal(got.times, t)
-        assert np.array_equal(got.series("X"), lane.at(t, "X"))
+    for lane, a in zip(lanes, x0):
+        got = lane.samples
+        assert np.array_equal(got.times, np.linspace(0.0, lane.times[-1], got.times.size))
+        exact = a * np.exp(got.times)
+        assert np.all(np.abs(got.series("X") - exact) <= 10 * cfg.rel_tol * (1 + exact))
 
 
-def _reference_crossing(dense, threshold):
-    """Bisection on the last step's _DenseOutput: the first time max(y)
-    reaches the threshold, and the state there."""
-    step = crncalc.simulate._DenseOutput(dense.t_old[-1:], dense.h[-1:], dense.y_old[-1:],
-                                         dense.q[-1:])
-    lo, hi = dense.t_old[-1], dense.t_old[-1] + dense.h[-1]
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if threshold - step(mid).max() > 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi, step(hi)
+def _step_polynomial(t_old, t_new, y_old, q, t):
+    """The step's interpolant y_old + h sum_j q_j x^(j+1) at time t."""
+    h = t_new - t_old
+    return y_old + h * np.einsum("...ij,...j->...i", q, np.cumprod(np.full(7, (t - t_old) / h)))
 
 
 @pytest.mark.parametrize("src,mode,point", [("rsub(a, b)", "nonneg", {"a": 1.0, "b": 1.0}),
                                             ("a - b", "real", {"a": 50.0, "b": 50.0})])
-def test_blowup_crossing_matches_a_reference_bisection(src, mode, point):
+def test_blowup_crossing_matches_a_reference_bisection(src, mode, point, monkeypatch):
+    # bisect the crossing step's polynomial for the first time max(y)
+    # reaches the threshold: the run ends there, in the state there
+    steps = []
+    real = crncalc.simulate._crossing
+    monkeypatch.setattr(crncalc.simulate, "_crossing",
+                        lambda *args: steps.append(args) or real(*args))
     cfg = SimConfig(t_end=40, **TIGHT)
     prog = flatten(lower_to_circuit(src, mode))
     traj = simulate_program(prog, point, cfg)
     assert traj.termination.status == "blowup"
-    t_hit, y_hit = _reference_crossing(traj.dense, cfg.blowup_threshold)
-    assert traj.termination.time == t_hit
+    (step,) = steps
+    t_old, t_new, y_old = step[:3]
+    assert t_old == traj.times[-2] and np.array_equal(np.clip(y_old, 0.0, None), traj.states[-2])
+    threshold = crncalc.simulate.BLOWUP_THRESHOLD
+    assert _step_polynomial(*step, t_old).max() < threshold <= _step_polynomial(*step, t_new).max()
+    lo, hi = t_old, t_new
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if threshold - _step_polynomial(*step, mid).max() > 0:
+            lo = mid
+        else:
+            hi = mid
+    y_hit = _step_polynomial(*step, hi)
+    assert traj.termination.time == hi
     assert traj.termination.species == traj.species[
         crncalc.simulate._blowup_owner(y_hit, cfg.rel_tol)]
     assert np.array_equal(traj.states[-1], np.clip(y_hit, 0.0, None))
