@@ -738,6 +738,25 @@ def encode_dual_rail(value) -> tuple[float, float]:
     return (v, 0.0) if v >= 0 else (0.0, -v)
 
 
+def input_rails(inputs: Mapping[str, tuple[str, ...]],
+                values: Mapping[str, object]) -> dict[str, float]:
+    """The value of each rail of the inputs (name -> rail ids) at a point:
+    a one-rail input's value, which must be non-negative, or a dual-rail
+    input's encode_dual_rail pair.  A missing or unknown input raises
+    ValueError, a negative or non-canonical value DomainError."""
+    rails: dict[str, float] = {}
+    for name, ids in inputs.items():
+        if name not in values:
+            raise ValueError(f"missing value for input {name!r}")
+        v = encode_dual_rail(values[name]) if len(ids) == 2 else (float(values[name]),)
+        if v[0] < 0:  # a one-rail value: encode_dual_rail's rails are never negative
+            raise DomainError(f"input {name} must be non-negative in nonneg mode")
+        rails.update(zip(ids, v))
+    if extra := set(values) - set(inputs):
+        raise ValueError(f"unknown inputs {sorted(extra)}")
+    return rails
+
+
 def predict_speed(circuit: Circuit,
                   input_limits: Mapping[str, float | tuple[float, float]]) -> SpeedAnalysis:
     """Propagate limits and per-gate rate bounds through the circuit.
@@ -745,25 +764,10 @@ def predict_speed(circuit: Circuit,
     Raises DomainError, naming the gate, if some gate's input limits fall
     outside its domain (inversion of 0, non-canonical inversion pair).
     """
-    inf = float("inf")
-    limits: dict[str, float] = {}
-    bounds: dict[str, SpeedBound] = {}
-    for name, v in circuit.inputs.items():
-        if name not in input_limits:
-            raise ValueError(f"missing input limit for {name!r}")
-        if isinstance(v, DualRailWire):
-            p, n = encode_dual_rail(input_limits[name])
-            limits[v.p.id], limits[v.n.id] = p, n
-            bounds[v.p.id] = bounds[v.n.id] = SpeedBound(inf, "held input")
-        else:
-            val = float(input_limits[name])
-            if val < 0:
-                raise DomainError(f"input {name} must be non-negative in nonneg mode")
-            limits[v.id] = val
-            bounds[v.id] = SpeedBound(inf, "held input")
-    for sid, val in circuit.consts.items():
-        limits[sid] = float(val)
-        bounds[sid] = SpeedBound(inf, "held input")
+    limits = input_rails({name: _rail_ids(v) for name, v in circuit.inputs.items()},
+                         input_limits)
+    limits.update((sid, float(val)) for sid, val in circuit.consts.items())
+    bounds = dict.fromkeys(limits, SpeedBound(float("inf"), "held input"))
     for g in circuit.gates:
         in_lims = [limits[s.id] for s in g.inputs]
         in_bnds = [bounds[s.id] for s in g.inputs]

@@ -52,7 +52,7 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class RateEstimate:
-    rho_hat: float  # math.inf when the error sits below the floor throughout
+    rho_hat: float  # math.inf when the error never reaches the floor
     fit_window: tuple[float, float]
     r_squared: float
     samples_used: int
@@ -160,7 +160,9 @@ def estimate_rate(traj: Trajectory, species: str, target: float,
     ends before the first subsequent sample below err_floor; the envelope
     fit of the module docstring measures the rate inside it.  If the error
     stays below the floor for the whole run (after a 1% settle margin) the
-    rate is reported as +inf.
+    rate is reported as +inf when the error never reached the floor, and
+    raises EstimationError when it did: it fell through the fit window
+    before the margin, too fast to be measured, so nothing shows the rate.
     """
     if not 0 < err_floor < err_ceil:
         raise ValueError(f"need 0 < error floor < error ceiling, got floor {err_floor:g} "
@@ -172,6 +174,9 @@ def estimate_rate(traj: Trajectory, species: str, target: float,
     settle = t[0] + 0.01 * (t[-1] - t[0])
     tail = err[t >= settle]
     if tail.size and float(tail.max()) < err_floor:
+        if float(err.max()) >= err_floor:
+            raise EstimationError(f"error fell below the floor {err_floor:g} before "
+                                  f"t={settle:g}, too early to fit")
         return RateEstimate(math.inf, (float(settle), float(t[-1])), 1.0, int(tail.size))
     above = np.nonzero(err > err_ceil)[0]
     start = int(above[-1]) + 1 if above.size else 0
@@ -357,7 +362,7 @@ class Pipeline:
             self.prog = circ.flatten(self.circuit)
             self.rails = list(self.prog.bindings.output)
             self.species = self.prog.species_ids
-            self.rhs, self.max_step = sim.program_integrand(self.prog, cfg.sigma)
+            self.rhs, self.max_step = sim.program_integrand(self.prog)
         else:
             self.net = parse_network(text)
             self.rails = [species]
@@ -367,7 +372,7 @@ class Pipeline:
             if target is None:
                 raise ValueError("a network pipeline needs a target expression")
             self.target = circ.parse_expression(target)
-            self.rhs, self.max_step = sim.network_integrand(self.net, cfg.sigma)
+            self.rhs, self.max_step = sim.network_integrand(self.net)
 
     def _point(self, values: dict):
         """Speed analysis (None for a bare network), targets and initial

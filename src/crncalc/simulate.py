@@ -8,10 +8,12 @@ derivatives as the rows of one array, so every stage input is one
 matrix-vector product.  Many initial states ("lanes") of one system
 advance in lockstep as the columns of a single array, which is how sweeps
 integrate a whole grid at once, and sample the interpolant of the species
-a caller names (see `integrate`).  Runs terminate early when any
-concentration crosses BLOWUP_THRESHOLD; that is reported as a termination
-status, not an exception, because divergence of an inner species is
-expected behavior for some networks.  A run that cannot meet the
+a caller names (see `integrate`).  SimConfig.sigma scales every rate
+constant, which in mass action is the time change t -> sigma t: only
+`integrate` applies it, and every right-hand side is the unscaled law.
+Runs terminate early when any concentration crosses BLOWUP_THRESHOLD;
+that is reported as a termination status, not an exception, because
+divergence of an inner species is expected behavior for some networks.  A run that cannot meet the
 tolerance, or uses up its budget of step attempts, ends in stiff_failure.
 """
 
@@ -24,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .circuit import CompiledProgram, encode_dual_rail
+from .circuit import CompiledProgram, input_rails
 from .crn import ReactionNetwork, mass_action, parse_network, parse_number
 from .gates import factored_rates, gate_limit_rate
 
@@ -44,8 +46,8 @@ class SimConfig:
         bad = [name for name, v in vars(self).items() if not math.isfinite(v)]
         if bad:
             raise ValueError(f"{', '.join(bad)} must be finite")
-        if self.t_end <= 0 or self.sigma <= 0:
-            raise ValueError("t_end and sigma must be positive")
+        if not (self.t_end > 0 and self.sigma > 0 and 0 < self.sigma * self.t_end < math.inf):
+            raise ValueError("t_end, sigma and sigma * t_end must be positive and finite")
         # floors keep requested accuracy within what the integrator can honor
         if self.rel_tol < 1e-13 or self.abs_tol < 1e-15:
             raise ValueError("tolerances below supported floor (1e-13 / 1e-15)")
@@ -155,17 +157,17 @@ def _rhs_function(exprs: Sequence[str], constant: Sequence[bool]) -> Callable:
     return env["_rhs"]
 
 
-def _polynomial(poly: Mapping, sigma: float) -> str:
-    """A sparse polynomial of crn.mass_action's form, times sigma, as a
-    sum of products over x0, x1, ..."""
-    return " + ".join("*".join([repr(float(c) * sigma),
+def _polynomial(poly: Mapping) -> str:
+    """A sparse polynomial of crn.mass_action's form as a sum of products
+    over x0, x1, ..."""
+    return " + ".join("*".join([repr(float(c)),
                                 *(f"x{j}" for j, e in mono for _ in range(e))])
                       for mono, c in poly.items()) or "0.0"
 
 
-def _polynomial_function(polys: Sequence[Mapping], sigma: float) -> Callable:
+def _polynomial_function(polys: Sequence[Mapping]) -> Callable:
     """_rhs_function of one polynomial per species."""
-    return _rhs_function([_polynomial(p, sigma) for p in polys], [not any(p) for p in polys])
+    return _rhs_function([_polynomial(p) for p in polys], [not any(p) for p in polys])
 
 
 def _derivative(poly: Mapping, j: int) -> dict:
@@ -178,7 +180,7 @@ def _derivative(poly: Mapping, j: int) -> dict:
     return out
 
 
-def compile_circuit_rhs(circuit, order: Sequence[str], sigma: float = 1.0) -> Callable:
+def compile_circuit_rhs(circuit, order: Sequence[str]) -> Callable:
     """Generate the right-hand side gate by gate in factored form.
 
     Expands to exactly the same polynomials as network_integrand on the
@@ -189,10 +191,9 @@ def compile_circuit_rhs(circuit, order: Sequence[str], sigma: float = 1.0) -> Ca
     """
     idx = {sid: i for i, sid in enumerate(order)}
     exprs = ["0.0"] * len(order)
-    s = repr(float(sigma))
     for g in circuit.gates:
         for sid, law in factored_rates(g, lambda sid: f"x{idx[sid]}"):
-            exprs[idx[sid]] = law if sigma == 1.0 else f"{s}*({law})"
+            exprs[idx[sid]] = law
     # only species no gate writes (held inputs and constants) stay at 0.0
     return _rhs_function(exprs, [e == "0.0" for e in exprs])
 
@@ -478,12 +479,12 @@ def _cap(rates) -> float:
     return _STEP_CAP / rho if rho > 0 else math.inf
 
 
-def circuit_max_step(circuit, sigma: float = 1.0) -> float:
+def circuit_max_step(circuit) -> float:
     """The step cap of the circuit's right-hand side: _STEP_CAP over the
-    spectral radius of its Jacobian at the limit, which is sigma times the
-    largest gate_limit_rate over its gates.  Every lane of a batch shares
-    it, whatever its inputs."""
-    return _cap(sigma * max((gate_limit_rate(g.kind) for g in circuit.gates), default=0))
+    spectral radius of its Jacobian at the limit, which is the largest
+    gate_limit_rate over its gates.  Every lane of a batch shares it,
+    whatever its inputs."""
+    return _cap(max((gate_limit_rate(g.kind) for g in circuit.gates), default=0))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -495,11 +496,14 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     from the dense output as its samples (see _lane_samples).
 
     rhs(t, y) takes y as (species, lanes), or as a list of floats when y0
-    has one column, and returns one row per species.  All lanes take the
-    same steps.  A step is accepted when the worst lane's error norm is
-    within cfg's tolerances, so every lane meets its own tolerance.  No
-    step is longer than max_step, which keeps the dense output within the
-    tolerances too (see _STEP_CAP).  max_step is a number, or a function
+    has one column, and returns one row per species.  rhs, max_step and
+    the steps see tau = cfg.sigma * t, up to sigma * t_end; every time
+    returned (step boundaries, blowup, stiff_failure and sample times) is
+    divided by sigma, and a completed lane ends at t_end exactly.  All
+    lanes take the same steps.  A step is accepted when the worst lane's
+    error norm is within cfg's tolerances, so every lane meets its own
+    tolerance.  No step is longer than max_step, which keeps the dense
+    output within the tolerances too (see _STEP_CAP).  max_step is a number, or a function
     (t, y) -> number of the state of the lanes still in the batch, y as
     rhs takes it, evaluated at the start, every _RHO_INTERVAL accepted
     steps and when lanes leave before the first.
@@ -532,7 +536,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     y0 = _check_state(np.asarray(y0, dtype=float))
     n, n_lanes = y0.shape
     cols = [list(species).index(sid) for sid in sample]
-    t_end, threshold = cfg.t_end, BLOWUP_THRESHOLD
+    sigma, t_end, threshold = cfg.sigma, cfg.sigma * cfg.t_end, BLOWUP_THRESHOLD
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     live = np.ones(n_lanes, dtype=bool)  # the lanes still in the batch
     Z, rows, ZT, state, worst, norms = _lane_ops(n, n_lanes, live)
@@ -556,7 +560,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     W = [None, *(C[s - 1, :s + 1] for s in range(1, 16))]
     E = C[15:, 1:13]
     ts, hs, ys, qs = [t], [], [y.reshape(n, n_lanes)], []  # the step record
-    # lane -> (status, end time, state at a crossing, detail, stats)
+    # lane -> (status, (t, state) of a blowup crossing, detail, stats)
     ends: dict[int, tuple] = {}
     steps = rejected = 0
     while True:
@@ -564,7 +568,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             stats = _stats(steps, rejected, extra)
             detail = f"Step attempt budget of {_MAX_ATTEMPTS} used up."
             for j in np.flatnonzero(live):
-                ends[int(j)] = ("stiff_failure", t, None, detail, stats)
+                ends[int(j)] = ("stiff_failure", None, detail, stats)
             break
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(min(h_abs, max_step), min_step)
@@ -621,10 +625,9 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 for j in np.flatnonzero(leaving):
                     if crossed[j]:
                         t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q[:, j])
-                        end = ("blowup", t_hit, y_hit, "")
+                        ends[int(j)] = ("blowup", (t_hit / sigma, y_hit), "", stats)
                     else:
-                        end = ("completed", t_new, None, "")
-                    ends[int(j)] = end + (stats,)
+                        ends[int(j)] = ("completed", None, "", stats)
             Z[1] = Z[13]  # first same as last
             Z[0] = y_new
             y_abs, new_abs = new_abs, y_abs
@@ -635,7 +638,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             leaving = live & ~(norms(err) < 1)
             stats = _stats(steps, rejected, extra)
             for j in np.flatnonzero(leaving):
-                ends[int(j)] = ("stiff_failure", t, None, _TOO_SMALL, stats)
+                ends[int(j)] = ("stiff_failure", None, _TOO_SMALL, stats)
             h_abs = h_first
         # the cap is evaluated once the lanes that leave are masked out
         new_cap = accepted and steps % _RHO_INTERVAL == 0
@@ -652,7 +655,9 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 new_cap = True
         if new_cap and cap_at is not None:
             max_step = cap(t, y)
-    times, h, states = np.array(ts), np.array(hs), np.stack(ys)
+    times, h, states = np.array(ts) / sigma, np.array(hs), np.stack(ys)
+    if ts[-1] == t_end:  # a completed lane ends at exactly cfg.t_end
+        times[-1] = cfg.t_end
     q = np.array(qs).reshape(len(qs), len(cols), n_lanes, _P.shape[1])
     del ys, qs  # before a blowup lane copies its states
     for record in (times, h, states, q):
@@ -663,10 +668,10 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     for lane in range(n_lanes):
         k = ends[lane][-1].steps  # a lane's steps are the record's first k
         prefix = shared.setdefault(k, (times[:k + 1], h[:k]))
-        traj = _lane_trajectory(*prefix, states[:k + 1, :, lane], ends[lane], species, cfg)
+        traj = _lane_trajectory(prefix[0], states[:k + 1, :, lane], ends[lane], species, cfg)
         if cols:
             traj.samples = _lane_samples(traj, cols, *prefix, states[:k, cols, lane],
-                                         q[:k, :, lane], grids)
+                                         q[:k, :, lane], sigma, grids)
         trajs.append(traj)
     return trajs
 
@@ -679,15 +684,15 @@ def _blowup_owner(y: np.ndarray, rel_tol: float) -> int:
     return int(np.argmax(y >= y.max() * (1.0 - rel_tol)))
 
 
-def _lane_trajectory(times: np.ndarray, h: np.ndarray, raw: np.ndarray, end: tuple,
+def _lane_trajectory(times: np.ndarray, raw: np.ndarray, end: tuple,
                      species: Sequence[str], cfg: SimConfig) -> Trajectory:
-    """A lane's Trajectory from its views into the step record: boundaries,
-    step sizes and states (steps + 1, species)."""
-    status, t_last, y_last, detail, stats = end
-    if status == "blowup":  # the run ends where the threshold is crossed
+    """A lane's Trajectory from its views into the step record: boundaries
+    and states (steps + 1, species)."""
+    status, crossing, detail, stats = end
+    if crossing is not None:  # a blowup run ends where the threshold is crossed
         times, raw = times.copy(), raw.copy()
-        times[-1], raw[-1] = t_last, y_last
-        term = Termination("blowup", species[_blowup_owner(y_last, cfg.rel_tol)], float(t_last))
+        times[-1], raw[-1] = crossing
+        term = Termination(status, species[_blowup_owner(raw[-1], cfg.rel_tol)], float(times[-1]))
     else:
         term = Termination(status, time=float(times[-1]), detail=detail)
     lows = raw.min(axis=0)
@@ -698,13 +703,13 @@ def _lane_trajectory(times: np.ndarray, h: np.ndarray, raw: np.ndarray, end: tup
 
 
 def _lane_samples(traj: Trajectory, cols: list[int], times: np.ndarray, h: np.ndarray,
-                  y_old: np.ndarray, q: np.ndarray, grids: dict) -> Trajectory:
+                  y_old: np.ndarray, q: np.ndarray, sigma: float, grids: dict) -> Trajectory:
     """The species cols of a lane at _SAMPLES uniform times over its run,
-    from the interpolant of its steps (boundaries times, sizes h, start
-    states y_old and coefficients q), clipped at 0; a time on a step
-    boundary uses the step ending there.  A lane with no step keeps its
-    own row.  Lanes with the same step count and end time share one grid
-    of steps and powers of the step fraction in grids."""
+    from the interpolant of its steps (boundaries times, sizes h in tau =
+    sigma t, start states y_old and coefficients q), clipped at 0; a time
+    on a step boundary uses the step ending there.  A lane with no step
+    keeps its own row.  Lanes with the same step count and end time share
+    one grid of steps and powers of the step fraction in grids."""
     species = tuple(traj.species[i] for i in cols)
     if not h.size:
         return Trajectory(species, traj.times, traj.states[:, cols], traj.termination,
@@ -713,7 +718,7 @@ def _lane_samples(traj: Trajectory, cols: list[int], times: np.ndarray, h: np.nd
     if key not in grids:
         t = np.linspace(times[0], traj.times[-1], _SAMPLES)
         k = np.clip(np.searchsorted(t_old, t, side="left") - 1, 0, h.size - 1)
-        x = (t - t_old[k]) / h[k]
+        x = (t - t_old[k]) * sigma / h[k]
         grids[key] = t, k, np.cumprod(np.stack([x] * _P.shape[1], axis=-1), axis=-1), h[k]
     t, k, p, hk = grids[key]
     values = np.column_stack([y_old[k, i] + hk * np.einsum("...j,...j->...", q[:, i][k], p)
@@ -732,7 +737,7 @@ def network_state(net: ReactionNetwork, init: Mapping[str, float]) -> np.ndarray
                         net.species_ids)
 
 
-def network_integrand(net: ReactionNetwork, sigma: float = 1.0) -> tuple[Callable, Callable]:
+def network_integrand(net: ReactionNetwork) -> tuple[Callable, Callable]:
     """The right-hand side t, y -> dy/dt and the step cap (t, y) -> cap
     that integrate takes for a network, both generated from one
     mass-action expansion: the rate law one term per monomial, and the
@@ -747,14 +752,14 @@ def network_integrand(net: ReactionNetwork, sigma: float = 1.0) -> tuple[Callabl
     lane and takes its eigenvalues.
     """
     field = mass_action(net)
-    rhs = _polynomial_function(field, sigma)
+    rhs = _polynomial_function(field)
     if all(mono[-1][0] <= i for i, poly in enumerate(field) for mono in poly if mono):
         # a constant entry is z + c, z = 0.0 * the first such species (nan
         # only where that lane is not finite, and _cap skips those values)
-        diagonal = _polynomial_function([_derivative(p, i) for i, p in enumerate(field)], sigma)
+        diagonal = _polynomial_function([_derivative(p, i) for i, p in enumerate(field)])
         return rhs, lambda t, y: _cap(diagonal(t, y))
     n = len(field)
-    entries = "".join(f"    J[{i}, {j}] = {_polynomial(d, sigma)}\n"
+    entries = "".join(f"    J[{i}, {j}] = {_polynomial(d)}\n"
                       for i, poly in enumerate(field)
                       for j in sorted({j for mono in poly for j, _ in mono})
                       if (d := _derivative(poly, j)))
@@ -778,7 +783,7 @@ def integrate_network(net: ReactionNetwork, init: Mapping[str, float],
     (unlisted species start at 0)."""
     cfg = cfg or SimConfig()
     y0 = network_state(net, init)
-    rhs, max_step = network_integrand(net, cfg.sigma)
+    rhs, max_step = network_integrand(net)
     return integrate(rhs, y0[:, None], net.species_ids, cfg, max_step)[0]
 
 
@@ -787,21 +792,7 @@ def initial_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> dict[s
     values dual-rail encoded), constants pinned, species listed in
     init+ at 1, everything else at 0."""
     init: dict[str, float] = {sid: 0.0 for sid in prog.species_ids}
-    bind = prog.bindings.input_map()
-    for name, rails in bind.items():
-        if name not in inputs:
-            raise ValueError(f"missing value for input {name!r}")
-        if len(rails) == 1:
-            v = float(inputs[name])  # type: ignore[arg-type]
-            if v < 0:
-                raise ValueError(f"input {name} must be non-negative here")
-            init[rails[0]] = v
-        else:
-            p, n = encode_dual_rail(inputs[name])
-            init[rails[0]], init[rails[1]] = p, n
-    extra = set(inputs) - set(bind)
-    if extra:
-        raise ValueError(f"unknown inputs {sorted(extra)}")
+    init.update(input_rails(prog.bindings.input_map(), inputs))
     for sid, val in prog.bindings.const_map().items():
         init[sid] = float(val)
     for sid in prog.bindings.positive_init:
@@ -815,22 +806,20 @@ def program_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> np.nda
     return _check_state(np.array([init[sid] for sid in prog.species_ids]), prog.species_ids)
 
 
-def program_integrand(prog: CompiledProgram,
-                      sigma: float = 1.0) -> tuple[Callable, float | Callable]:
+def program_integrand(prog: CompiledProgram) -> tuple[Callable, float | Callable]:
     """The right-hand side and step cap for integrate: the factored gate
     RHS and the circuit's cap when the circuit is known, else the
     network's (a loaded program text)."""
     if prog.circuit is not None:
-        return (compile_circuit_rhs(prog.circuit, prog.species_ids, sigma),
-                circuit_max_step(prog.circuit, sigma))
-    return network_integrand(prog.network, sigma)
+        return compile_circuit_rhs(prog.circuit, prog.species_ids), circuit_max_step(prog.circuit)
+    return network_integrand(prog.network)
 
 
 def simulate_program(prog: CompiledProgram, inputs: Mapping[str, object],
                      cfg: SimConfig | None = None) -> Trajectory:
     cfg = cfg or SimConfig()
     y0 = program_state(prog, inputs)
-    rhs, max_step = program_integrand(prog, cfg.sigma)
+    rhs, max_step = program_integrand(prog)
     return integrate(rhs, y0[:, None], prog.species_ids, cfg, max_step)[0]
 
 
@@ -954,8 +943,9 @@ class ForcedSystem:
 
 def simulate_forced(system: ForcedSystem, cfg: SimConfig | None = None) -> Trajectory:
     cfg = cfg or SimConfig()
-    if cfg.sigma != 1.0:
+    if cfg.sigma != 1.0:  # g would be read at sigma t, not t
         raise ValueError("time scaling applies to networks, not forced systems")
+    y0 = _check_state(np.array([float(system.x0)]), ("x",))
     g1, g2, m = system.g1, system.g2, system.m
     # the step cap comes from the exact slope d x' / d x
     if system.form == "linear":
@@ -972,7 +962,7 @@ def simulate_forced(system: ForcedSystem, cfg: SimConfig | None = None) -> Traje
         def slope(t, y):
             x = np.float64(y[0])
             return g1(t) - (m + 1) * g2(t) * x ** m
-    return integrate(rhs, np.array([[float(system.x0)]]), ("x",), cfg,
+    return integrate(rhs, y0[:, None], ("x",), cfg,
                      lambda t, y: _cap(slope(t, y)), sample=("x",))[0]
 
 

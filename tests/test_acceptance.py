@@ -38,7 +38,7 @@ from crncalc import (
     predict_speed,
     simulate_program,
 )
-from crncalc.circuit import lower_to_circuit
+from crncalc.circuit import format_program, load_program, lower_to_circuit
 from crncalc.crn import check_admissible
 from crncalc.gates import GateKind
 from crncalc.simulate import integrate, program_integrand, program_state
@@ -172,31 +172,36 @@ def test_criterion_4_root_of_zero_degradation():
 
 
 def test_criterion_5_sigma_time_change():
-    """Scaling every rate constant by sigma replays the same trajectory at
-    sigma-fold speed: runs at sigma = 2 to t = 20 agree with sigma = 1 to
-    t = 40 to within 10x the integrator tolerance at each of the 1,600
-    samples of every species, sample j of the first at exactly half the
-    time of sample j of the second."""
+    """Running at sigma is scaling every rate constant by sigma: a run at
+    sigma = 2 and at sigma = 3 to t = 20 agrees with the program text
+    whose every k=1 reads k=sigma, loaded and run at sigma = 1 on its
+    expanded mass-action field, to within 10x the integrator tolerance at
+    each of the 1,600 samples of every species; both end at t = 20 and
+    sample at the same times."""
     programs = [("a + b", {"a": 1, "b": 2}), ("1/a", {"a": 3}),
                 ("sqrt(abs(a - b))", {"a": 5, "b": 2})]
 
     def run(prog, inputs, cfg):
-        rhs, cap = program_integrand(prog, cfg.sigma)
+        rhs, cap = program_integrand(prog)
         (traj,) = integrate(rhs, program_state(prog, inputs)[:, None], prog.species_ids,
                             cfg, cap, sample=prog.species_ids)
         return traj
 
     for src, inputs in programs:
         prog = compile_expression(src)
-        base = run(prog, inputs, SimConfig(t_end=40, **TIGHT))
-        fast = run(prog, inputs, SimConfig(t_end=20, sigma=2.0, **TIGHT))
-        assert base.termination.time == 40 and fast.termination.time == 20
-        assert np.array_equal(2.0 * fast.samples.times, base.samples.times)
-        assert base.samples.times.size == 1600
-        delta = np.abs(fast.samples.states - base.samples.states)
-        worst = float((delta / (1.0 + np.abs(base.samples.states))).max())
-        print(f"criterion 5: {src} worst relative gap {worst:.3g}")
-        assert worst <= 10.0 * 1e-10, src
+        text = format_program(prog)
+        for sigma in (2.0, 3.0):
+            scaled = load_program(text.replace("; k=1\n", f"; k={sigma:g}\n"))
+            assert {r.rate for r in scaled.network.reactions} == {sigma}
+            fast = run(prog, inputs, SimConfig(t_end=20, sigma=sigma, **TIGHT))
+            ref = run(scaled, inputs, SimConfig(t_end=20, **TIGHT))
+            assert fast.termination.time == ref.termination.time == 20
+            assert np.array_equal(fast.samples.times, ref.samples.times)
+            assert ref.samples.times.size == 1600
+            delta = np.abs(fast.samples.states - ref.samples.states)
+            worst = float((delta / (1.0 + np.abs(ref.samples.states))).max())
+            print(f"criterion 5: {src} at sigma {sigma:g} worst relative gap {worst:.3g}")
+            assert worst <= 10.0 * 1e-10, (src, sigma)
 
 
 RATES = [0.5, 1.0, 2.0, 4.0]

@@ -364,7 +364,7 @@ def test_predict_speed_domain_error_names_gate():
     c = lower_to_circuit("1/a")
     with pytest.raises(DomainError, match="X1"):
         predict_speed(c, {"a": 0})
-    with pytest.raises(ValueError, match="missing input"):
+    with pytest.raises(ValueError, match="missing value for input 'a'"):
         predict_speed(c, {})
 
 

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from crncalc.circuit import ParseError, compile_expression, load_program, parse_expression
+from crncalc.circuit import (ParseError, compile_expression, format_program, load_program,
+                             parse_expression)
 from crncalc.simulate import read_trajectory_csv
 from crncalc.rates import RateEstimate
 import crncalc.cli
@@ -172,6 +173,11 @@ def test_simulate_refuses_an_input_at_the_blowup_threshold(capsys, tmp_path):
     net_file.write_text("species: A[input], X[output]\n0 -> X ; k=1\n")
     code, _, err = run(capsys, "simulate", "--crn", str(net_file), "--in", "X=2e12")
     assert code == 2 and "initial value 2e+12 of X is at or above" in err
+    for form in ("linear", "power"):
+        code, out, err = run(capsys, "lemma", "--form", form, "--g1", "2", "--g2", "1",
+                             "--x0", "1e13")
+        assert code == 2 and out == "", form
+        assert err == "error: initial value 1e+13 of x is at or above the blowup threshold 1e+12\n"
     code, out, _ = run(capsys, "sweep", "--expr", "a*b", "--grid", "a=1e200,1;b=1")
     _, rows = parse_sweep_csv(out)
     assert rows[0]["status"] == ("ValueError: initial value 1e+200 of A is at or above "
@@ -366,6 +372,52 @@ def test_verify_sigma_scales_required_bound(tmp_path, capsys):
     assert "sigma=2" in data["predicted_bound"]["case"]
 
 
+def test_sigma_3_is_a_time_change_end_to_end(tmp_path, capsys):
+    # sigma = 3 divides times inexactly, unlike a power of two.  A sweep at
+    # sigma = 3 measures the rates of the program text whose rate
+    # constants are all 3, swept as a bare network at sigma = 1 on its
+    # expanded field; verify passes against bound 3; simulate ends at t_end
+    prog = compile_expression("1/(a + b)")
+    scaled = tmp_path / "scaled.crn"
+    scaled.write_text(format_program(prog).replace("; k=1\n", "; k=3\n"))
+    code, out, _ = run(capsys, "sweep", "--expr", "1/(a + b)", "--grid", "a=0.5,2;b=1,3",
+                       "--sigma", "3", "--t-end", "10")
+    assert code == 0
+    code, ref, _ = run(capsys, "sweep", "--crn", str(scaled), "--grid", "A=0.5,2;B=1,3;X2=1",
+                       "--target", "1/(A + B)", "--species", "X2", "--t-end", "10")
+    assert code == 0
+    for row, want in zip(parse_sweep_csv(out)[1], parse_sweep_csv(ref)[1], strict=True):
+        assert row["status"] == want["status"] == "ok" and row["target"] == want["target"]
+        assert float(row["rho_hat"]) == pytest.approx(float(want["rho_hat"]), rel=1e-6)
+        assert float(row["rho_hat"]) > 3
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "verify", "--expr", "a + b", "--in", "a=1,b=2",
+                       "--sigma", "3", "--report", str(report))
+    assert code == 0, out
+    data = json.loads(report.read_text())
+    assert data["predicted_bound"]["value"] == 3.0 and data["verdict"]["passed"]
+    code, out, _ = run(capsys, "simulate", "--expr", "a + b", "--in", "a=1,b=2",
+                       "--sigma", "3", "--t-end", "10")
+    assert code == 0
+    *_, last, term = out.splitlines()
+    assert last.startswith("10,") and term == "# termination=completed time=10"
+
+
+@pytest.mark.parametrize("values, message", [
+    ("a=1", "ValueError: missing value for input 'b'"),
+    ("a=-1,b=1", "DomainError: input a must be non-negative in nonneg mode"),
+    ("a=1,b=1,c=2", "ValueError: unknown inputs ['c']")])
+def test_a_bad_input_has_one_message(capsys, values, message):
+    # verify, simulate and a sweep row bind a point's values to rails by
+    # one rule, so they say the same
+    text = message.partition(": ")[2]
+    for command in ("verify", "simulate"):
+        code, _, err = run(capsys, command, "--expr", "a + b", "--in", values)
+        assert (code, err) == (2, f"error: {text}\n"), command
+    code, out, _ = run(capsys, "sweep", "--expr", "a + b", "--grid", values.replace(",", ";"))
+    assert code == 0 and parse_sweep_csv(out)[1][0]["status"] == message
+
+
 def test_verify_plot_data(tmp_path, capsys):
     plot = tmp_path / "plot.csv"
     code, _, _ = run(capsys, "verify", "--expr", "1/a", "--in", "a=2",
@@ -454,6 +506,16 @@ def test_lemma_unmeasurable_target_exits_4(tmp_path, capsys):
     assert out.startswith("rate not measurable:")
     assert "floor 0.2 and ceiling 0.01 for target 2e+08" in out
     assert json.loads(report.read_text())["rate_error"] in out
+
+
+def test_lemma_rate_too_fast_to_resolve_exits_4(capsys):
+    # at m = 300 (bound 600) the error falls from above the floor to below
+    # it within the 1% settle margin: no rate was measured, so none passes
+    code, out, err = run(capsys, "lemma", "--form", "power", "--g1", "2", "--g2", "1",
+                         "--m", "300")
+    assert code == 4 and err == ""
+    assert out.startswith("rate not measurable: error fell below the floor")
+    assert "inf" not in out
 
 
 def test_lemma_bad_forcing_exits_2(capsys):
@@ -784,6 +846,8 @@ LEMMA = ["lemma", "--form", "linear", "--g1", "2", "--g2", "1"]
 @pytest.mark.parametrize("argv,message", [
     (["verify", "--expr", "a + b", "--in", "a=1,b=2", "--sigma", "nan"], "sigma must be finite"),
     (["sweep", "--expr", "a + b", "--grid", "a=1;b=2", "--sigma", "inf"], "sigma must be finite"),
+    (["simulate", "--expr", "a", "--in", "a=1", "--sigma", "1e300", "--t-end", "1e10"],
+     "sigma * t_end must be positive and finite"),
     (LEMMA + ["--rtol", "nan"], "rel_tol must be finite"),
     (["verify", "--expr", "a", "--in", "a=1", "--t-end", "inf"], "t_end must be finite"),
     (["verify", "--expr", "a", "--in", "a=1", "--atol", "inf"], "abs_tol must be finite"),

@@ -96,3 +96,57 @@ def test_every_public_name_has_a_user():
 def test_every_private_name_has_a_user_in_src():
     # so must a private name, or a private class's member, within src
     assert _unused(("src",), private=True) == [], "private names that src does not use"
+
+
+def _defaulted(tree: ast.Module):
+    """(function name, parameter, position or None) of each parameter with a
+    default of each function and method in tree; a method's position does
+    not count self, and __init__ is named after its class."""
+    def walk(node, cls=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                walk(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                if cls and not any(getattr(d, "id", None) == "staticmethod"
+                                   for d in child.decorator_list):
+                    positional = positional[1:]
+                name = cls if child.name == "__init__" else child.name
+                for i, arg in enumerate(positional):
+                    if i >= len(positional) - len(a.defaults):
+                        yield name, arg.arg, i
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield name, arg.arg, None
+                walk(child)
+    yield from walk(tree)
+
+
+def _passed(tree: ast.Module):
+    """(called name, number of positional arguments or inf after a *args,
+    keyword names or None after a **kwargs) of each call in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            yield (name, float("inf") if starred else len(node.args),
+                   {k.arg for k in node.keywords})
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # a default that no call overrides is a knob nothing turns: the
+    # parameter should go, and its value become the code
+    calls = {}
+    for path in (p for d in ("src", "tests", "scripts", "perfbench")
+                 for p in sorted((ROOT / d).rglob("*.py"))):
+        for name, n_pos, keywords in _passed(ast.parse(path.read_text())):
+            calls.setdefault(name, []).append((n_pos, keywords))
+    unused = []
+    for path in sorted((ROOT / "src" / "crncalc").glob("*.py")):
+        for name, param, i in _defaulted(ast.parse(path.read_text())):
+            if not any((i is not None and n_pos > i) or param in kw or None in kw
+                       for n_pos, kw in calls.get(name, [])):
+                unused.append(f"{path.name} {name}({param}=...)")
+    assert unused == [], "defaulted parameters that no call passes"

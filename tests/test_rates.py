@@ -72,6 +72,15 @@ def test_settled_trajectory_reports_inf():
     assert check_speed(est, SpeedBound(1.0, "unit"), 0.15).passed
 
 
+def test_error_that_falls_through_the_floor_before_the_margin_raises():
+    # above the floor at t = 0 and under it by the 1% settle margin: the
+    # error fell too fast to be fitted, so no rate was measured and none
+    # passes as inf
+    traj = synthetic(lambda t: 3.0 + np.exp(-600.0 * t), t_end=80)
+    with pytest.raises(EstimationError, match="floor 1e-09 before t=0.8, too early to fit"):
+        estimate_rate(traj, "x", 3.0)
+
+
 def test_growing_error_raises():
     traj = synthetic(lambda t: 1.0 + 1e-4 * np.exp(0.2 * t), t_end=20)
     with pytest.raises(EstimationError, match="not decaying"):

@@ -48,10 +48,10 @@ def sampled(net_or_prog, init, cfg, sample):
     """One lane integrated with sample; a network takes per-species
     initial values, a program its inputs."""
     if hasattr(net_or_prog, "bindings"):
-        rhs, cap = program_integrand(net_or_prog, cfg.sigma)
+        rhs, cap = program_integrand(net_or_prog)
         y0, ids = program_state(net_or_prog, init), net_or_prog.species_ids
     else:
-        rhs, cap = network_integrand(net_or_prog, cfg.sigma)
+        rhs, cap = network_integrand(net_or_prog)
         y0, ids = network_state(net_or_prog, init), net_or_prog.species_ids
     return integrate(rhs, y0[:, None], ids, cfg, cap, sample=sample)[0]
 
@@ -268,7 +268,8 @@ def test_forced_system_validation():
 # --- configuration and output -------------------------------------------------
 
 def test_simconfig_validation():
-    for bad in [dict(t_end=0), dict(sigma=-1), dict(rel_tol=1e-14), dict(abs_tol=1e-16)]:
+    for bad in [dict(t_end=0), dict(sigma=-1), dict(rel_tol=1e-14), dict(abs_tol=1e-16),
+                dict(sigma=1e300, t_end=1e10), dict(sigma=1e-300, t_end=1e-30)]:
         with pytest.raises(ValueError):
             SimConfig(**bad)
 
@@ -531,7 +532,7 @@ def test_dense_output_of_one_species_is_exact():
 
 
 def test_circuit_rhs_emission_is_exact(monkeypatch):
-    # held rows share one zero; sigma = 1 emits the gate law bare
+    # held rows share one zero, and the gate law is emitted bare
     sources = []
 
     def spy_exec(src, env):
@@ -545,18 +546,26 @@ def test_circuit_rhs_emission_is_exact(monkeypatch):
             [*prog.bindings.const_map(), *(r for rails in prog.bindings.input_map().values()
                                            for r in rails)]]
     assert len(held) == 4  # A, B, and the constants 1/2 of max and 2
-    one = compile_circuit_rhs(prog.circuit, ids, 1.0)
-    two = compile_circuit_rhs(prog.circuit, ids, 2.0)
-    assert "1.0*" not in sources[0] and "2.0*(" in sources[1]
+    one = compile_circuit_rhs(prog.circuit, ids)
+    assert "1.0*" not in sources[0]
     y = np.random.default_rng(5).uniform(0.0, 4.0, (len(ids), 6))
     rows = np.asarray(one(0.0, y))
-    assert np.array_equal(np.asarray(two(0.0, y)), 2.0 * rows)
     assert np.array_equal(rows[held], np.zeros((4, 6)))
     assert not np.signbit(rows[held]).any()
     floats = one(0.0, y[:, 0].tolist())
     assert [floats[i] for i in held] == [0.0] * 4
     assert all(math.copysign(1.0, floats[i]) == 1.0 for i in held)
     assert np.array_equal(np.asarray(floats), rows[:, 0])
+    # sigma is a change of time inside integrate: the same law takes the
+    # same steps, reported at 1/sigma of their time
+    y0 = program_state(prog, {"a": 1, "b": 3})[:, None]
+    (base,) = integrate(one, y0, ids, SimConfig(t_end=30), circuit_max_step(prog.circuit))
+    for sigma in (2.0, 3.0):
+        (fast,) = integrate(one, y0, ids, SimConfig(t_end=30 / sigma, sigma=sigma),
+                            circuit_max_step(prog.circuit))
+        assert np.array_equal(fast.states, base.states)
+        assert np.array_equal(fast.times[:-1], base.times[:-1] / sigma)
+        assert fast.times[-1] == 30 / sigma
 
 
 def test_stats_count_the_work():
@@ -590,11 +599,12 @@ def test_stats_count_the_work_of_bare_networks():
 def test_steps_stay_within_the_cap():
     # a circuit's cap comes from its gates; a feed-forward network's from
     # its Jacobian's diagonal, here the constant rate 4 of X -> 0
+    # at sigma = 3 no step is longer than a third of the cap in t
     prog = compile_expression("sqrt(abs(a - b))")
-    traj = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=2.0))
-    cap = circuit_max_step(prog.circuit, 2.0)
-    assert cap == crncalc.simulate._STEP_CAP / 4
-    assert np.diff(traj.times).max() == pytest.approx(cap, rel=1e-12)
+    traj = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=3.0))
+    cap = circuit_max_step(prog.circuit)
+    assert cap == crncalc.simulate._STEP_CAP / 2
+    assert np.diff(traj.times).max() == pytest.approx(cap / 3, rel=1e-12)
     net = parse_network("species: X[output]\nX -> 0 ; k=4\n")
     traj = sampled(net, {"X": 1.0}, SimConfig(t_end=40), ["X"])
     assert np.diff(traj.times).max() <= crncalc.simulate._STEP_CAP / 4 * (1 + 1e-6)
@@ -661,10 +671,11 @@ def test_composite_limit_rate_is_sigma_times_its_largest_gate():
     assert rates[-2:] == [2, 3]
     cap = crncalc.simulate._STEP_CAP
     assert circuit_max_step(prog.circuit) == cap / 3
-    assert circuit_max_step(prog.circuit, 2.0) == cap / 6
     traj = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=2.0))
-    J = _jacobian(program_integrand(prog, 2.0)[0], traj.states[-1])
-    assert np.abs(np.linalg.eigvals(J)).max() == pytest.approx(6.0, abs=1e-2)
+    J = _jacobian(program_integrand(prog)[0], traj.states[-1])
+    assert np.abs(np.linalg.eigvals(J)).max() == pytest.approx(3.0, abs=1e-2)
+    # in t, sigma = 2 doubles the rate: the largest step is cap / 6
+    assert np.diff(traj.times).max() == pytest.approx(cap / 6, rel=1e-12)
 
 
 def test_network_cap_is_the_spectrum_of_the_jacobian_diagonal():
@@ -673,7 +684,7 @@ def test_network_cap_is_the_spectrum_of_the_jacobian_diagonal():
     prog = compile_expression("sqrt(abs(a - b)) + root(3, a*b)")
     loaded = load_program(format_program(prog))
     assert loaded.circuit is None
-    rhs, cap_at = program_integrand(loaded, 2.0)
+    rhs, cap_at = program_integrand(loaded)
     cap = crncalc.simulate._STEP_CAP
     for t_end in (0.5, 3.0, 20.0):
         y = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=t_end)).states[-1]
@@ -684,7 +695,7 @@ def test_network_cap_is_the_spectrum_of_the_jacobian_diagonal():
         # lanes share the cap of the fastest
         lanes = np.column_stack([y, 0.5 * y, y])
         assert cap_at(0.0, lanes) == pytest.approx(cap / rho, rel=1e-6)
-    assert cap / cap_at(0.0, y.tolist()) == pytest.approx(6.0, abs=1e-2)
+    assert cap / cap_at(0.0, y.tolist()) == pytest.approx(3.0, abs=1e-2)
 
 
 def test_cyclic_network_cap_is_exact():
