@@ -846,8 +846,6 @@ LEMMA = ["lemma", "--form", "linear", "--g1", "2", "--g2", "1"]
 @pytest.mark.parametrize("argv,message", [
     (["verify", "--expr", "a + b", "--in", "a=1,b=2", "--sigma", "nan"], "sigma must be finite"),
     (["sweep", "--expr", "a + b", "--grid", "a=1;b=2", "--sigma", "inf"], "sigma must be finite"),
-    (["simulate", "--expr", "a", "--in", "a=1", "--sigma", "1e300", "--t-end", "1e10"],
-     "sigma * t_end must be positive and finite"),
     (LEMMA + ["--rtol", "nan"], "rel_tol must be finite"),
     (["verify", "--expr", "a", "--in", "a=1", "--t-end", "inf"], "t_end must be finite"),
     (["verify", "--expr", "a", "--in", "a=1", "--atol", "inf"], "abs_tol must be finite"),
@@ -858,6 +856,8 @@ LEMMA = ["lemma", "--form", "linear", "--g1", "2", "--g2", "1"]
     (["verify", "--expr", "a", "--in", "a=1", "--plot-data", "{bad}"], "No such file"),
     (["analyze", "--traj", "{traj}", "--target", "1", "--report", "{bad}"], "No such file"),
     (LEMMA + ["--report", "{bad}"], "No such file"),
+    (["simulate", "--expr", "a", "--in", "a=1", "--sigma", "1e300", "--t-end", "1e10"],
+     "sigma * t_end must be positive and finite"),
 ])
 def test_non_finite_settings_and_unwritable_paths_exit_2(tmp_path, capsys, argv, message):
     traj = tmp_path / "traj.csv"
