@@ -503,12 +503,9 @@ class CircuitBuilder:
             return self.gate(GateKind("rectified_subtraction"),
                              [(yield e.left), (yield e.right)])
         if isinstance(e, Max):
-            # max(a,b) = (a + |a-b| + b) / 2
-            d = yield AbsDiff(e.left, e.right)
-            s1 = self.gate(GateKind("addition"), [(yield e.left), d])
-            s2 = self.gate(GateKind("addition"), [s1, (yield e.right)])
-            half = self.const_species(Fraction(1, 2))
-            return self.gate(GateKind("multiplication"), [s2, half])
+            # max(a,b) = a + rsub(b, a)
+            d = yield RectSub(e.right, e.left)
+            return self.gate(GateKind("addition"), [(yield e.left), d])
         raise AssertionError(e)  # pragma: no cover
 
     def _lower_real(self, e: Expr):

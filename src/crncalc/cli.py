@@ -10,8 +10,10 @@ program's reactions and network are parsed from that text.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import sys
@@ -165,9 +167,8 @@ def cmd_verify(args) -> int:
     rt.check_slack(args.slack)
     cfg = _sim_config(args)
     inputs = _parse_inputs(args.inputs)
-    pipeline = rt.Pipeline("expr", args.expr, args.mode, None, None, cfg)
-    (run,) = pipeline.run_points([inputs])
-    if isinstance(run, ValueError):  # DomainError and ModeError included
+    (run,) = rt.Pipeline.expression(args.expr, args.mode, cfg).run_points([inputs])
+    if isinstance(run, ValueError):  # the point's own error, such as a DomainError
         return _err(str(run))
     analysis, traj, rails, targets = run.analysis, run.traj, run.rails, run.targets
     bound = SpeedBound(min(analysis.bound.value, 1.0) * cfg.sigma,
@@ -319,8 +320,8 @@ def _sweep_rows(pipeline: rt.Pipeline, points: list[dict]) -> list[dict]:
 
 # worker kept at module level so ProcessPoolExecutor can pickle it
 def _sweep_block(payload) -> list[dict]:
-    spec, cfg, points = payload
-    return _sweep_rows(rt.Pipeline(*spec, cfg), points)
+    constructor, source, cfg, points = payload
+    return _sweep_rows(constructor(*source, cfg), points)
 
 
 def _parse_grid(spec: str) -> list[dict[str, float]]:
@@ -348,39 +349,36 @@ def cmd_sweep(args) -> int:
     points = _parse_grid(args.grid)
     cfg = _sim_config(args)
     if args.expr:
-        spec = ("expr", args.expr, args.mode, None, None)
+        constructor, source = rt.Pipeline.expression, (args.expr, args.mode)
     else:
         if not args.target or not args.species:
             return _err("--crn sweeps need --target and --species")
         with open(args.crn) as fh:
-            spec = ("crn", fh.read(), args.mode, args.target, args.species)
-    pipeline = rt.Pipeline(*spec, cfg)  # a bad expression, network or --species fails here
+            constructor, source = rt.Pipeline.network, (fh.read(), args.species, args.target)
+    pipeline = constructor(*source, cfg)  # a bad source or --species fails here
     blocks = [points[i:i + SWEEP_BLOCK] for i in range(0, len(points), SWEEP_BLOCK)]
     if args.jobs > 1 and len(blocks) > 1:
         # the pool starts all its workers at once, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(blocks))) as pool:
-            parts = list(pool.map(_sweep_block, [(spec, cfg, b) for b in blocks]))
+            parts = list(pool.map(_sweep_block, [(constructor, source, cfg, b) for b in blocks]))
     else:
         parts = [_sweep_rows(pipeline, b) for b in blocks]
     rows = [row for part in parts for row in part]
     var_names = sorted({k for p in points for k in p})
     header = var_names + ["target", "final_abs_error", "rho_hat", "r_squared",
                           "termination", "status"]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for key in header:
-            v = row.get(key, "")
-            cells.append(f"{v:.10g}" if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [header] + [[f"{v:.10g}" if isinstance(v, float) else v
+                     for v in (row.get(key, "") for key in header)] for row in rows])
     good = [r["rho_hat"] for r in rows if r.get("status") == "ok"
             and isinstance(r.get("rho_hat"), float) and math.isfinite(r["rho_hat"])]
     if good:
         mean = sum(good) / len(good)
         spread = (max(good) - min(good)) / mean if mean else math.inf
-        lines.append(f"# rho_hat over {len(good)} points: mean={mean:.6g} "
-                     f"min={min(good):.6g} max={max(good):.6g} spread={spread:.4g}")
-    _write(args.out, "\n".join(lines) + "\n")
+        out.write(f"# rho_hat over {len(good)} points: mean={mean:.6g} "
+                  f"min={min(good):.6g} max={max(good):.6g} spread={spread:.4g}\n")
+    _write(args.out, out.getvalue())
     return EXIT_OK
 
 

@@ -17,9 +17,12 @@ takes of the species it is asked to sample (Trajectory.samples).
 `Pipeline` is the one compile -> predict -> integrate -> measure path:
 `verify`, `sweep` and the acceptance criteria all take their points
 through it, and it measures every lane and rail from the samples of its
-output rails.  `check_lemma` is the one judge of a forced scalar system,
-for `lemma`, scripts/lemma_grid.py and the acceptance criteria alike; it
-measures the growth family's rate as the decay rate of 1/x toward 0.
+output rails.  Its constructors, `Pipeline.expression` and
+`Pipeline.network`, raise every error that no point can change, so a
+point meets only errors of its own.  `check_lemma` is the one judge of a
+forced scalar system, for `lemma`, scripts/lemma_grid.py and the
+acceptance criteria alike; it measures the growth family's rate as the
+decay rate of 1/x toward 0.
 """
 
 from __future__ import annotations
@@ -333,59 +336,56 @@ class PointRun:
 class Pipeline:
     """Compile -> predict -> integrate -> measure.
 
-    kind "expr" lowers the expression `text` in `mode`; kind "crn" parses
-    `text` as a bare network whose `species` is measured against the
-    expression `target`, parsed once here.  Another kind, a missing target
-    or an unknown species raises ValueError before any point runs.  The
-    network is lowered, flattened and its right-hand side built once, with
-    the step cap of the circuit (a bare network's follows the state, from
-    its exact Jacobian); `run_points` takes a batch of input points through
-    it, integrates them as one batch that samples the output rails, then
-    calls estimate_rate once per lane and rail on those samples.  The
-    layer functions are called through their modules, so they can be
-    wrapped by name.
+    Build one with `Pipeline.expression` or `Pipeline.network`.  Each
+    builds the right-hand side and step cap once and raises ValueError
+    for every error no point can change (a parse or mode error, an
+    unknown species) before any point runs.  `run_points` takes a batch
+    of input points through it, integrates them as one batch that samples
+    the output rails, then calls estimate_rate once per lane and rail on
+    those samples.  The layer functions are called through their modules,
+    so they can be wrapped by name.
     """
 
-    def __init__(self, kind: str, text: str, mode: str, target: str | None,
-                 species: str | None, cfg: sim.SimConfig):
-        if kind not in ("expr", "crn"):
-            raise ValueError(f"unknown pipeline kind {kind!r}; expected 'expr' or 'crn'")
-        self.kind, self.cfg = kind, cfg
-        self.error: ValueError | None = None  # a lowering error every point reports
-        if kind == "expr":
-            expr = circ.parse_expression(text)
-            try:
-                self.circuit = circ.lower_to_circuit(expr, mode)
-            except circ.ModeError as e:
-                self.error = e
-                return
-            self.prog = circ.flatten(self.circuit)
-            self.rails = list(self.prog.bindings.output)
-            self.species = self.prog.species_ids
-            self.rhs, self.max_step = sim.program_integrand(self.prog)
-        else:
-            self.net = parse_network(text)
-            self.rails = [species]
-            self.species = self.net.species_ids
-            if species not in self.species:
-                raise ValueError(f"--species {species} is not a species of the network")
-            if target is None:
-                raise ValueError("a network pipeline needs a target expression")
-            self.target = circ.parse_expression(target)
-            self.rhs, self.max_step = sim.network_integrand(self.net)
+    def __init__(self, circuit: circ.Circuit | None, point, rails: list[str], species,
+                 integrand, cfg: sim.SimConfig):
+        """What a constructor built: the circuit (None for a bare network),
+        the point step (values -> speed analysis or None, targets, initial
+        state, or a ValueError of the point), the output rails, the species
+        order and the (rhs, max_step) pair."""
+        self.circuit = circuit
+        self._point, self.rails, self.species, self.cfg = point, rails, species, cfg
+        self.rhs, self.max_step = integrand
 
-    def _point(self, values: dict):
-        """Speed analysis (None for a bare network), targets and initial
-        state of one point; raises ValueError for a point the network
-        cannot run."""
-        if self.error is not None:
-            raise self.error
-        if self.kind == "expr":
-            analysis = circ.predict_speed(self.circuit, values)
+    @classmethod
+    def expression(cls, text: str, mode: str, cfg: sim.SimConfig) -> Pipeline:
+        """The expression `text` lowered in `mode` and flattened, with the
+        step cap of its circuit; the point step predicts each point's speed."""
+        circuit = circ.lower_to_circuit(circ.parse_expression(text), mode)
+        prog = circ.flatten(circuit)
+
+        def point(values: dict):
+            analysis = circ.predict_speed(circuit, values)
             return (analysis, list(analysis.output_values),
-                    sim.program_state(self.prog, values))
-        y0 = sim.network_state(self.net, values)
-        return None, [circ.eval_expr(self.target, values)], y0
+                    sim.program_state(prog, values))
+
+        return cls(circuit, point, list(prog.bindings.output), prog.species_ids,
+                   sim.program_integrand(prog), cfg)
+
+    @classmethod
+    def network(cls, text: str, species: str, target: str, cfg: sim.SimConfig) -> Pipeline:
+        """The bare network `text`, whose `species` is measured against the
+        expression `target`, with a step cap that follows the state, from
+        its exact Jacobian.  Its runs have no speed analysis."""
+        net = parse_network(text)
+        if species not in net.species_ids:
+            raise ValueError(f"--species {species} is not a species of the network")
+        goal = circ.parse_expression(target)
+
+        def point(values: dict):
+            y0 = sim.network_state(net, values)
+            return None, [circ.eval_expr(goal, values)], y0
+
+        return cls(None, point, [species], net.species_ids, sim.network_integrand(net), cfg)
 
     def _rail_rates(self, samples: Trajectory, targets: list[float]) -> list:
         """The rate estimate of each output rail from the rails' sampled
@@ -401,9 +401,10 @@ class Pipeline:
         return out
 
     def run_points(self, points: list[dict]) -> list:
-        """A PointRun per point, or the ValueError (DomainError and
-        ModeError included) that kept it from running.  The points that
-        can run are integrated as one batch, which samples their rails.
+        """A PointRun per point, or the point's own ValueError that kept it
+        from running: a DomainError, a missing or unknown input, a value
+        at the blowup threshold.  The points that can run are integrated
+        as one batch, which samples their rails.
         A lane that ends in stiff_failure in a batch of more than one is
         integrated again alone and reports that run, so that how a point
         ends does not depend on the points batched with it."""

@@ -119,7 +119,7 @@ def test_criterion_3_composite_unit_bound():
     points = [{"a": a, "b": b} for a, b in itertools.product(grid, grid)]
     n_rails, worst_rho, worst_err = 0, math.inf, 0.0
     for src, mode in exprs:
-        pipeline = Pipeline("expr", src, mode, None, None, cfg)
+        pipeline = Pipeline.expression(src, mode, cfg)
         diff_ys = {g.intermediates[0].id for g in pipeline.circuit.gates
                    if g.kind.tag in ("absolute_difference", "rectified_subtraction")}
         for point, run in zip(points, pipeline.run_points(points)):
@@ -153,7 +153,7 @@ def test_criterion_4_root_of_zero_degradation():
     cfg = SimConfig(t_end=60, **TIGHT)
 
     def tie_run(src, point):
-        (run,) = Pipeline("expr", src, "nonneg", None, None, cfg).run_points([point])
+        (run,) = Pipeline.expression(src, "nonneg", cfg).run_points([point])
         assert not isinstance(run, ValueError), (src, run)
         (est,) = run.rates
         assert not isinstance(est, ValueError), (src, est)

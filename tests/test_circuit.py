@@ -18,7 +18,6 @@ from crncalc import cli
 from crncalc.crn import FormatError, format_network, mass_action
 from crncalc.gates import DomainError
 from crncalc.circuit import (
-    AbsDiff,
     Add,
     CircuitBuilder,
     CompiledProgram,
@@ -27,6 +26,7 @@ from crncalc.circuit import (
     Mul,
     Neg,
     ParseError,
+    RectSub,
     Root,
     Sub,
     Var,
@@ -118,12 +118,12 @@ def test_reciprocal_peephole():
 
 
 def test_max_lowering():
+    # max(a, b) = a + rsub(b, a): two gates, five species, no constant
     c = lower_to_circuit("max(a, b)")
-    assert shape(c) == [("absolute_difference", ["A", "B"], "X1"),
-                        ("addition", ["A", "X1"], "X2"),
-                        ("addition", ["X2", "B"], "X3"),
-                        ("multiplication", ["X3", "K1"], "X4")]
-    assert c.consts == {"K1": F(1, 2)}
+    assert shape(c) == [("rectified_subtraction", ["B", "A"], "X1"),
+                        ("addition", ["A", "X1"], "X2")]
+    assert c.consts == {}
+    assert len(flatten(c).species_ids) == 5
 
 
 def test_shared_subexpression_lowered_once():
@@ -417,9 +417,9 @@ def test_equal_expressions_are_one_object():
 
 
 @pytest.mark.parametrize("src,mode,cls", [("(a - b) + -b", "real", Neg),
-                                          ("max(a, b) + abs(a - b)", "nonneg", AbsDiff)])
+                                          ("max(a, b) + rsub(b, a)", "nonneg", RectSub)])
 def test_lowering_reuses_the_parsed_nodes(src, mode, cls):
-    # real a - b lowers a + Neg(b), and max(a, b) lowers AbsDiff(a, b):
+    # real a - b lowers a + Neg(b), and max(a, b) lowers RectSub(b, a):
     # both are the nodes the parser made for the right-hand operand
     e = parse_expression(src)
     b = CircuitBuilder(mode)

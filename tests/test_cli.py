@@ -5,6 +5,7 @@ Exit code contract: 0 success, 2 usage/parse/domain problems, 3 blowup,
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -230,6 +231,14 @@ def test_analyze_without_rows_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "no rows" in err and "Traceback" not in err
 
 
+def test_analyze_multi_species_without_species_exits_2(tmp_path, capsys):
+    traj = tmp_path / "traj.csv"
+    run(capsys, "simulate", "--expr", "a + b", "--in", "a=1,b=2", "--out", str(traj))
+    code, out, err = run(capsys, "analyze", "--traj", str(traj), "--target", "3")
+    assert code == 2 and out == ""
+    assert err == "error: --species required for multi-species trajectories\n"
+
+
 def test_analyze_not_converged_exits_4(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     run(capsys, "simulate", "--expr", "a + b", "--in", "a=1,b=2",
@@ -332,6 +341,15 @@ def test_verify_not_converged_exits_4(capsys):
     assert "not converged" in out
 
 
+def test_verify_unmeasurable_rate_exits_4(capsys):
+    # the rail X7 of 0.144 / -36.15 never has an error inside the fit window
+    code, out, _ = run(capsys, "verify", "--mode", "real", "--expr", "a/b",
+                       "--in", "a=0.144,b=-36.15")
+    assert code == 4
+    assert out == ("rate not measurable for X7: only 0 samples with error in "
+                   "[1e-09, 0.01]\n")
+
+
 def test_verify_attempt_budget_exits_4(tmp_path, capsys, monkeypatch):
     # at these tolerances Y1 blows up after 31 attempts; a budget of 10 ends it first
     monkeypatch.setattr(crncalc.simulate, "_MAX_ATTEMPTS", 10)
@@ -428,6 +446,15 @@ def test_verify_plot_data(tmp_path, capsys):
     assert len(lines) > 20
 
 
+def test_verify_out_writes_the_simulate_csv(tmp_path, capsys):
+    for values in ("a=1,b=2", "a=3,b=0.5", "a=2,b=2"):
+        argv = ["--expr", "a/b", "--in", values, "--t-end", "20"]
+        verified, simulated = tmp_path / "v.csv", tmp_path / "s.csv"
+        run(capsys, "verify", *argv, "--out", str(verified))
+        assert run(capsys, "simulate", *argv, "--out", str(simulated))[0] == 0
+        assert verified.read_text() == simulated.read_text(), values
+
+
 # --- lemma -----------------------------------------------------------------------
 
 def test_lemma_linear(tmp_path, capsys):
@@ -479,6 +506,13 @@ def test_lemma_precondition_exits_2(capsys):
                        "--g1", "2", "--g2", "exp(-1*t)")
     assert code == 2
     assert "not covered" in err
+
+
+def test_lemma_blowup_outside_the_growth_family_exits_3(capsys):
+    # the power target (2 / 1e-300)^1 lies above the blowup threshold
+    code, out, _ = run(capsys, "lemma", "--form", "power", "--g1", "2", "--g2", "1e-300")
+    assert code == 3
+    assert out == "blowup at t=13.8155\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -567,10 +601,8 @@ def test_lemma_driven_output_is_kept_and_horizon_defaults_to_80(tmp_path, capsys
 # --- sweep -----------------------------------------------------------------------
 
 def parse_sweep_csv(text):
-    lines = [l for l in text.splitlines() if l and not l.startswith("#")]
-    header = lines[0].split(",")
-    rows = [dict(zip(header, l.split(","))) for l in lines[1:]]
-    return header, rows
+    header, *rows = csv.reader(l for l in text.splitlines() if l and not l.startswith("#"))
+    return header, [dict(zip(header, cells)) for cells in rows]
 
 
 def test_sweep_expression_grid(tmp_path, capsys):
@@ -623,6 +655,20 @@ def test_sweep_row_failures_do_not_abort(tmp_path, capsys):
     statuses = sorted(r["status"] for r in rows)
     assert statuses[0].startswith("DomainError: gate X1 (inversion)")
     assert statuses[1] == "ok"
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["--expr", "a+b", "--grid", "a=1;b=1;c=2;d=3"], "ValueError: unknown inputs ['c', 'd']"),
+    # a fit that raised: the point verify exits 4 on
+    (["--expr", "a/b", "--mode", "real", "--grid", "a=0.144;b=-36.15"],
+     "EstimationError: only 0 samples with error in [1e-09, 0.01]"),
+], ids=["unknown_inputs", "fit_raised"])
+def test_sweep_row_status_is_one_quoted_cell(capsys, argv, status):
+    code, out, _ = run(capsys, "sweep", *argv)
+    assert code == 0
+    header, *rows = csv.reader(out.splitlines())
+    assert [len(row) for row in rows] == [len(header)]
+    assert rows[0][-1] == status
 
 
 def test_sweep_attempt_budget_fails_the_row(capsys, monkeypatch):
@@ -789,14 +835,22 @@ def test_sweep_pool_has_no_more_workers_than_blocks(tmp_path, capsys, monkeypatc
     assert serial.read_text() == parallel.read_text()
 
 
-def test_sweep_mode_error_fails_every_row(tmp_path, capsys):
+def test_sweep_mode_error_exits_2_before_any_point(tmp_path, capsys, monkeypatch):
+    # a mode error is the expression's, not a point's: the sweep writes no
+    # table and prints the line verify prints
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated a sweep that its mode cannot lower")
+
+    monkeypatch.setattr(crncalc.simulate, "integrate", no_integration)
+    line = ("error: subtraction is not expressible over non-negative values; "
+            "use rsub, abs, or real mode\n")
     out = tmp_path / "sweep.csv"
-    code, _, _ = run(capsys, "sweep", "--expr", "a - b", "--grid", "a=1,2;b=1",
-                     "--out", str(out))
-    assert code == 0
-    _, rows = parse_sweep_csv(out.read_text())
-    assert len(rows) == 2
-    assert all(r["status"].startswith("ModeError: subtraction") for r in rows)
+    code, stdout, err = run(capsys, "sweep", "--expr", "a - b", "--grid", "a=1,2;b=1",
+                            "--out", str(out))
+    assert (code, stdout, err) == (2, "", line)
+    assert not out.exists()
+    code, stdout, err = run(capsys, "verify", "--expr", "a - b", "--in", "a=1,b=2")
+    assert (code, stdout, err) == (2, "", line)
 
 
 # --- misc ------------------------------------------------------------------------

@@ -17,17 +17,29 @@ def _imported_from_crncalc(source: str) -> set[str]:
             for alias in node.names}
 
 
+def _readme_python_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
 def test_every_export_has_a_user():
     used = set()
     for path in USERS:
         used |= _imported_from_crncalc(path.read_text())
-    readme = (ROOT / "README.md").read_text()
-    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+    for block in _readme_python_blocks():
         used |= _imported_from_crncalc(block)
     exported = {name for name, value in vars(crncalc).items()
                 if not name.startswith("_") and not inspect.ismodule(value)}
     assert exported - used == set(), "exported but imported from crncalc by no user"
     assert used - exported == set()
+
+
+def test_readme_library_example_runs(capsys):
+    # the example is code: it must keep up with the API it shows
+    blocks = _readme_python_blocks()
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def _names(node: ast.stmt):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from crncalc.gates import GateKind, SpeedBound, gate_speed_bound
-from crncalc.circuit import lower_to_circuit, predict_speed
+from crncalc.circuit import ModeError, ParseError, lower_to_circuit, predict_speed
 from crncalc.simulate import (
     ForcedSystem,
     ForcingFunction,
@@ -475,16 +475,23 @@ def test_naive_inversion_rate_tracks_input():
 TWO_REACTIONS = "species: A[input], X[output]\n0 -> X ; k=1\nA + X -> A ; k=1\n"
 
 
-def test_pipeline_rejects_bad_kind_and_missing_target():
+def test_pipeline_constructors_raise_what_no_point_can_change():
     cfg = SimConfig(t_end=5)
-    with pytest.raises(ValueError, match="needs a target"):
-        Pipeline("crn", TWO_REACTIONS, "nonneg", None, "X", cfg)
-    with pytest.raises(ValueError, match="unknown pipeline kind 'bogus'"):
-        Pipeline("bogus", "a + b", "nonneg", None, None, cfg)
-    with pytest.raises(ValueError, match="col 5"):
-        Pipeline("crn", TWO_REACTIONS, "nonneg", "1/(A", "X", cfg)
-    (run,) = Pipeline("crn", TWO_REACTIONS, "nonneg", "1/A", "X", cfg).run_points([{"A": 2.0}])
-    assert run.targets == [0.5]
+    with pytest.raises(ModeError, match="subtraction is not expressible"):
+        Pipeline.expression("a - b", "nonneg", cfg)
+    with pytest.raises(ParseError, match="col 5"):
+        Pipeline.expression("1/(a", "nonneg", cfg)
+    with pytest.raises(ValueError, match="--species Z is not a species"):
+        Pipeline.network(TWO_REACTIONS, "Z", "1/A", cfg)
+    with pytest.raises(ParseError, match="col 5"):
+        Pipeline.network(TWO_REACTIONS, "X", "1/(A", cfg)
+    # what is left to run_points are the errors of a point
+    pipeline = Pipeline.network(TWO_REACTIONS, "X", "1/A", cfg)
+    run, *errors = pipeline.run_points([{"A": 2.0}, {"A": 2.0, "B": 1.0}, {"A": 0.0}, {}])
+    assert pipeline.circuit is None and run.analysis is None and run.targets == [0.5]
+    assert [str(e) for e in errors] == ["initial values for unknown species ['B']",
+                                        "division by a zero limit",
+                                        "no value for variable 'A'"]
 
 
 @pytest.mark.parametrize("src,mode,points", [
@@ -500,7 +507,7 @@ def test_batch_rates_equal_each_lanes_own_estimate(src, mode, points):
     # the batch samples every lane's rails; every rate equals estimate_rate
     # on that lane's own samples, field by field
     cfg = SimConfig(t_end=40, rel_tol=1e-10, abs_tol=1e-12)
-    runs = Pipeline("expr", src, mode, None, None, cfg).run_points(points)
+    runs = Pipeline.expression(src, mode, cfg).run_points(points)
     if mode == "nonneg":
         refused = runs.pop(0)
         assert isinstance(refused, ValueError) and "of A is at or above" in str(refused)

@@ -545,15 +545,15 @@ def test_circuit_rhs_emission_is_exact(monkeypatch):
     held = [ids.index(sid) for sid in
             [*prog.bindings.const_map(), *(r for rails in prog.bindings.input_map().values()
                                            for r in rails)]]
-    assert len(held) == 4  # A, B, and the constants 1/2 of max and 2
+    assert len(held) == 3  # A, B, and the constant 2
     one = compile_circuit_rhs(prog.circuit, ids)
     assert "1.0*" not in sources[0]
     y = np.random.default_rng(5).uniform(0.0, 4.0, (len(ids), 6))
     rows = np.asarray(one(0.0, y))
-    assert np.array_equal(rows[held], np.zeros((4, 6)))
+    assert np.array_equal(rows[held], np.zeros((3, 6)))
     assert not np.signbit(rows[held]).any()
     floats = one(0.0, y[:, 0].tolist())
-    assert [floats[i] for i in held] == [0.0] * 4
+    assert [floats[i] for i in held] == [0.0] * 3
     assert all(math.copysign(1.0, floats[i]) == 1.0 for i in held)
     assert np.array_equal(np.asarray(floats), rows[:, 0])
     # sigma is a change of time inside integrate: the same law takes the
@@ -867,7 +867,7 @@ def test_resample_shares_grids_but_not_values(monkeypatch):
     # samples equal, bit for bit, those it gets on a grid of its own
     points = [{"a": 1e200, "b": 2.0}, {"a": 2.0, "b": 2.0}, {"a": 1.0, "b": 3.0},
               {"a": 3.0, "b": 1.0}]
-    rails = ["X4", "Y1"]
+    rails = ["X2", "Y1"]
     cfg = SimConfig(t_end=40, **TIGHT)
     prog, lanes = batch("max(a, b)", points, cfg, rails)
     assert [lane.termination.status for lane in lanes] == [
