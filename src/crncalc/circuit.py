@@ -174,7 +174,8 @@ def free_vars(e: Expr) -> set[str]:
 # ---------------------------------------------------------------------------
 # parser
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/(),]))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"  # 3, 0.25, 1e-3
+                       r"|([A-Za-z_][A-Za-z0-9_]*)|([-+*/(),]))")
 _FUNCTIONS = ("sqrt", "root", "abs", "max", "rsub")
 # Parentheses, calls and unary minus nested deeper than this are refused:
 # the parser recurses, and each level costs up to five stack frames.
@@ -291,7 +292,7 @@ class _Parser:
             return Root(2, e)
         if name.text == "root":
             t = self.next()
-            if t.kind != "num" or "." in t.text or int(t.text) < 2:
+            if t.kind != "num" or not t.text.isdecimal() or int(t.text) < 2:
                 raise ParseError("root degree must be an integer >= 2", t.pos)
             self.expect(",")
             e = self.expr()

@@ -5,6 +5,10 @@ verify exit codes: 0 all checks pass, 2 usage or domain error, 3 blowup,
 4 output not converged, 5 measured speed below the predicted bound.
 compile writes a program's bindings and network text; a compiled
 program's reactions and network are parsed from that text.
+
+Only the handlers that integrate or fit import the numeric layer
+(simulate, rates and so numpy), so compile, gates, --help and a usage
+error start without it.
 """
 
 from __future__ import annotations
@@ -17,13 +21,8 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-
-import numpy as np
 
 from . import circuit as circ
-from . import rates as rt
-from . import simulate as sim
 from .crn import FormatError, parse_network, parse_number
 from .gates import SpeedBound, catalogue
 
@@ -39,11 +38,17 @@ def _err(msg: str) -> int:
     return EXIT_USAGE
 
 
-def _sim_config(args, default_t_end: float = 40.0) -> sim.SimConfig:
+def _given(**options) -> dict:
+    """The options the user set; the callee keeps its own default for the rest."""
+    return {k: v for k, v in options.items() if v is not None}
+
+
+def _sim_config(args, default_t_end: float = 40.0):
+    from . import simulate as sim
     return sim.SimConfig(
         t_end=args.t_end if args.t_end is not None else default_t_end,
         sigma=getattr(args, "sigma", 1.0),
-        rel_tol=args.rtol, abs_tol=args.atol)
+        **_given(rel_tol=args.rtol, abs_tol=args.atol))
 
 
 def _parse_inputs(pairs: list[str]) -> dict[str, float]:
@@ -73,7 +78,7 @@ def _write_report(path: str | None, report: dict):
         _write(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _rate_fields(est: rt.RateEstimate) -> dict:
+def _rate_fields(est) -> dict:
     return {"rho_hat": est.rho_hat, "fit_window": list(est.fit_window),
             "r_squared": est.r_squared, "samples": est.samples_used}
 
@@ -98,6 +103,7 @@ def _load_any(path: str):
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate as sim
     cfg = _sim_config(args)
     inputs = _parse_inputs(args.inputs)
     if args.expr:
@@ -122,6 +128,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import rates as rt, simulate as sim
     with open(args.traj) as fh:
         traj = sim.read_trajectory_csv(fh.read())
     species = args.species or (traj.species[0] if len(traj.species) == 1 else None)
@@ -134,7 +141,8 @@ def cmd_analyze(args) -> int:
                     "termination": traj.termination.status}
     code = EXIT_OK
     try:
-        est = rt.estimate_rate(traj, species, args.target, args.floor, args.ceil)
+        est = rt.estimate_rate(traj, species, args.target,
+                               **_given(err_floor=args.floor, err_ceil=args.ceil))
         report["rate"] = _rate_fields(est)
         print(f"rho_hat = {est.rho_hat:.6g}  window {est.fit_window[0]:.3g}.."
               f"{est.fit_window[1]:.3g}  r^2 = {est.r_squared:.6f}")
@@ -162,6 +170,7 @@ def _finish_verify(args, report: dict, code: int) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import rates as rt, simulate as sim
     if args.digits < 1:
         return _err(f"--digits must be at least 1, got {args.digits}")
     rt.check_slack(args.slack)
@@ -245,7 +254,7 @@ def cmd_verify(args) -> int:
 
 def _write_plot_data(path: str, traj, rails, targets):
     lines = ["t," + ",".join(f"ln_err_{sid}" for sid in rails)]
-    cols = [np.abs(traj.series(sid) - tgt) for sid, tgt in zip(rails, targets)]
+    cols = [abs(traj.series(sid) - tgt) for sid, tgt in zip(rails, targets)]
     for i, t in enumerate(traj.times):
         vals = [f"{math.log(c[i]):.8g}" if c[i] > 0 else "" for c in cols]
         lines.append(f"{t:.8g}," + ",".join(vals))
@@ -253,6 +262,7 @@ def _write_plot_data(path: str, traj, rails, targets):
 
 
 def cmd_lemma(args) -> int:
+    from . import rates as rt, simulate as sim
     system = sim.ForcedSystem(args.form, sim.parse_forcing(args.g1),
                               sim.parse_forcing(args.g2), args.m, args.x0)
     check = rt.check_lemma(system, _sim_config(args, default_t_end=80.0), args.slack)
@@ -313,7 +323,7 @@ def _sweep_row(values: dict, run) -> dict:
     return row
 
 
-def _sweep_rows(pipeline: rt.Pipeline, points: list[dict]) -> list[dict]:
+def _sweep_rows(pipeline, points: list[dict]) -> list[dict]:
     return [_sweep_row(values, run)
             for values, run in zip(points, pipeline.run_points(points))]
 
@@ -336,14 +346,20 @@ def _parse_grid(spec: str) -> list[dict[str, float]]:
             raise ValueError(f"bad grid axis {part!r}; expected name=v1,v2,...")
         if name in axes:
             raise ValueError(f"grid axis {name!r} given twice")
-        axes[name] = [float(parse_number(v)) for v in vals.split(",")]
+        try:
+            axes[name] = [float(parse_number(v)) for v in vals.split(",")]
+        except ValueError as e:
+            raise ValueError(f"grid axis {name!r}: {e}") from None
+    if not axes:
+        raise ValueError("--grid names no axis")
     points: list[dict[str, float]] = [{}]
     for name, vals in axes.items():
         points = [dict(p, **{name: v}) for p in points for v in vals]
-    return points if axes else []
+    return points
 
 
 def cmd_sweep(args) -> int:
+    from . import rates as rt
     if args.jobs < 1:
         return _err(f"--jobs must be at least 1, got {args.jobs}")
     points = _parse_grid(args.grid)
@@ -358,6 +374,7 @@ def cmd_sweep(args) -> int:
     pipeline = constructor(*source, cfg)  # a bad source or --species fails here
     blocks = [points[i:i + SWEEP_BLOCK] for i in range(0, len(points), SWEEP_BLOCK)]
     if args.jobs > 1 and len(blocks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         # the pool starts all its workers at once, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(blocks))) as pool:
             parts = list(pool.map(_sweep_block, [(constructor, source, cfg, b) for b in blocks]))
@@ -371,13 +388,16 @@ def cmd_sweep(args) -> int:
     csv.writer(out, lineterminator="\n").writerows(
         [header] + [[f"{v:.10g}" if isinstance(v, float) else v
                      for v in (row.get(key, "") for key in header)] for row in rows])
-    good = [r["rho_hat"] for r in rows if r.get("status") == "ok"
-            and isinstance(r.get("rho_hat"), float) and math.isfinite(r["rho_hat"])]
+    ok = [r["rho_hat"] for r in rows if r["status"] == "ok"]
+    good = [x for x in ok if math.isfinite(x)]
     if good:
         mean = sum(good) / len(good)
         spread = (max(good) - min(good)) / mean if mean else math.inf
         out.write(f"# rho_hat over {len(good)} points: mean={mean:.6g} "
                   f"min={min(good):.6g} max={max(good):.6g} spread={spread:.4g}\n")
+    if len(good) < len(ok):
+        out.write(f"# rho_hat inf at {len(ok) - len(good)} of {len(ok)} ok points: "
+                  "the error never reached the fit floor\n")
     _write(args.out, out.getvalue())
     return EXIT_OK
 
@@ -392,8 +412,8 @@ def cmd_gates(_args) -> int:
 
 def _add_tol_flags(p):
     p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--rtol", type=float, default=sim.SimConfig.rel_tol)
-    p.add_argument("--atol", type=float, default=sim.SimConfig.abs_tol)
+    p.add_argument("--rtol", type=float)
+    p.add_argument("--atol", type=float)
 
 
 @functools.cache
@@ -427,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--species")
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--digits", type=int)
-    p.add_argument("--floor", type=float, default=rt.ERR_FLOOR)
-    p.add_argument("--ceil", type=float, default=rt.ERR_CEIL)
+    p.add_argument("--floor", type=float)
+    p.add_argument("--ceil", type=float)
     p.add_argument("--report")
     p.set_defaults(func=cmd_analyze)
 

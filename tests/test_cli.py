@@ -4,6 +4,7 @@ Exit code contract: 0 success, 2 usage/parse/domain problems, 3 blowup,
 4 value not converged / rate not measurable, 5 speed check failed.
 """
 
+import concurrent.futures
 import contextlib
 import csv
 import io
@@ -62,6 +63,20 @@ def test_compile_mode_error_exits_2(capsys):
     code, _, err = run(capsys, "compile", "--expr", "a - b")
     assert code == 2
     assert "real mode" in err
+
+
+@pytest.mark.parametrize("sci,plain", [("1e-3*a", "0.001*a"), ("2.5E+0*b", "2.5*b")])
+def test_compile_reads_scientific_notation(capsys, sci, plain):
+    result = run(capsys, "compile", "--expr", sci)
+    assert result[0] == 0 and result == run(capsys, "compile", "--expr", plain)
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("1e400*a", "col 1: number out of a float's range"),
+    ("root(2e3, a)", "col 6: root degree must be an integer >= 2"),
+])
+def test_compile_bad_scientific_literal_exits_2(capsys, expr, message):
+    assert run(capsys, "compile", "--expr", expr) == (2, "", f"error: {message}\n")
 
 
 def test_compile_deep_sum(capsys):
@@ -684,6 +699,23 @@ def test_sweep_attempt_budget_fails_the_row(capsys, monkeypatch):
     assert "# rho_hat over" not in out
 
 
+def test_sweep_summary_counts_inf_rows(capsys):
+    # at a = b = 1e-5 the error of a*b starts below the fit floor, so the
+    # row is ok with rho_hat inf; the summary says so instead of dropping it
+    code, out, _ = run(capsys, "sweep", "--expr", "a*b", "--grid", "a=1e-5,1;b=1e-5")
+    assert code == 0
+    _, rows = parse_sweep_csv(out)
+    assert [(r["status"], r["rho_hat"]) for r in rows][0] == ("ok", "inf")
+    assert math.isfinite(float(rows[1]["rho_hat"]))
+    assert out.splitlines()[-2].startswith("# rho_hat over 1 points: ")
+    assert out.splitlines()[-1] == ("# rho_hat inf at 1 of 2 ok points: "
+                                    "the error never reached the fit floor")
+    code, out, _ = run(capsys, "sweep", "--expr", "a*b", "--grid", "a=1e-5;b=1e-5")
+    assert code == 0 and "# rho_hat over" not in out
+    assert out.endswith("# rho_hat inf at 1 of 1 ok points: "
+                        "the error never reached the fit floor\n")
+
+
 def test_sweep_reruns_a_stiff_lane_alone(capsys, monkeypatch):
     # the tie a*b = c takes every step attempt its batch can afford, so the
     # whole batch ends in stiff_failure; each of its lanes runs again alone
@@ -757,14 +789,6 @@ def test_sweep_crn_bad_target_exits_2(tmp_path, capsys, monkeypatch):
     assert "col 5" in err
 
 
-def test_sweep_empty_grid(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    code, _, _ = run(capsys, "sweep", "--expr", "1/a", "--grid", " ; ",
-                     "--out", str(out))
-    assert code == 0
-    assert out.read_text().startswith("target,final_abs_error")
-
-
 def test_sweep_bad_grid_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--expr", "1/a", "--grid", "a")
     assert code == 2
@@ -772,7 +796,15 @@ def test_sweep_bad_grid_exits_2(capsys):
 
 
 @pytest.mark.parametrize("grid,message", [("a=1,2;a=3", "grid axis 'a' given twice"),
-                                          ("a=1; =2", "bad grid axis '=2'")])
+                                          ("a=1; =2", "bad grid axis '=2'"),
+                                          pytest.param(" ; ", "--grid names no axis",
+                                                       id="no_axis"),
+                                          pytest.param(";;", "--grid names no axis",
+                                                       id="only_separators"),
+                                          pytest.param(" ", "--grid names no axis",
+                                                       id="blank"),
+                                          pytest.param("a=1,", "grid axis 'a': could not",
+                                                       id="empty_value")])
 def test_sweep_repeated_or_empty_axis_exits_2(capsys, grid, message):
     code, out, err = run(capsys, "sweep", "--expr", "a", "--grid", grid)
     assert code == 2
@@ -826,7 +858,7 @@ def test_sweep_pool_has_no_more_workers_than_blocks(tmp_path, capsys, monkeypatc
             return map(fn, items)
 
     monkeypatch.setattr(crncalc.cli, "SWEEP_BLOCK", 2)
-    monkeypatch.setattr(crncalc.cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     args = ["sweep", "--expr", "a + b", "--grid", "a=1,2,3;b=2", "--t-end", "20"]
     assert run(capsys, *args, "--out", str(serial))[0] == 0
@@ -1021,10 +1053,23 @@ def test_module_entry_point():
     assert "identification" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_out():
+NUMERIC_MODULES = ("numpy", "crncalc.simulate", "crncalc.rates", "concurrent.futures",
+                   "scipy")
+
+
+@pytest.mark.parametrize("argv,code", [(None, None), (["compile", "--expr", "a*b + c"], 0),
+                                       (["gates"], 0), (["--help"], 0),
+                                       (["compile", "--expr", "a +"], 2)],
+                         ids=["import", "compile", "gates", "help", "usage_error"])
+def test_cli_start_leaves_the_numeric_layer_out(argv, code):
+    # compile, gates, --help and a usage error integrate nothing, so they
+    # must not pay for numpy, the integrator, the rate fit or the pool
+    call = "None" if argv is None else f"crncalc.cli.main({argv!r})"
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, crncalc.cli; print('scipy' in sys.modules)"],
+         "import contextlib, io, sys, crncalc.cli\n"
+         f"with contextlib.redirect_stdout(io.StringIO()): code = {call}\n"
+         f"print(code, sorted(m for m in {NUMERIC_MODULES!r} if m in sys.modules))"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == f"{code} []"

@@ -1,7 +1,6 @@
 """The package namespace exports only what its users import from it."""
 
 import ast
-import inspect
 import re
 from pathlib import Path
 
@@ -27,8 +26,8 @@ def test_every_export_has_a_user():
         used |= _imported_from_crncalc(path.read_text())
     for block in _readme_python_blocks():
         used |= _imported_from_crncalc(block)
-    exported = {name for name, value in vars(crncalc).items()
-                if not name.startswith("_") and not inspect.ismodule(value)}
+    # the exports are imported on first use, so they are not in vars() yet
+    exported = set(crncalc.__all__)
     assert exported - used == set(), "exported but imported from crncalc by no user"
     assert used - exported == set()
 
