@@ -705,6 +705,15 @@ def load_program(text: str) -> CompiledProgram:
     return CompiledProgram(net.species, bindings, network=net)
 
 
+def load_any(text: str) -> tuple[CompiledProgram | None, ReactionNetwork | None]:
+    """The text of a --crn file: (program, None) if it has bindings, else
+    (None, bare network)."""
+    try:
+        return load_program(text), None
+    except FormatError:
+        return None, parse_network(text)
+
+
 # ---------------------------------------------------------------------------
 # speed prediction
 

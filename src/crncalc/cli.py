@@ -23,7 +23,7 @@ import math
 import sys
 
 from . import circuit as circ
-from .crn import FormatError, parse_network, parse_number
+from .crn import parse_number
 from .gates import SpeedBound, catalogue
 
 EXIT_OK = 0
@@ -61,7 +61,11 @@ def _parse_inputs(pairs: list[str]) -> dict[str, float]:
             if "=" not in item:
                 raise ValueError(f"bad input binding {item!r}; expected name=value")
             name, _, raw = item.partition("=")
-            values[name.strip()] = float(parse_number(raw))
+            name = name.strip()
+            try:
+                values[name] = float(parse_number(raw))
+            except ValueError as e:
+                raise ValueError(f"input {name!r}: {e}") from None
     return values
 
 
@@ -92,16 +96,6 @@ def cmd_compile(args) -> int:
     return EXIT_OK
 
 
-def _load_any(path: str):
-    """Program text if it has bindings, else a bare network."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        return circ.load_program(text), None
-    except FormatError:
-        return None, parse_network(text)
-
-
 def cmd_simulate(args) -> int:
     from . import simulate as sim
     cfg = _sim_config(args)
@@ -110,7 +104,8 @@ def cmd_simulate(args) -> int:
         prog = circ.compile_expression(args.expr, args.mode)
         traj = sim.simulate_program(prog, inputs, cfg)
     else:
-        prog, net = _load_any(args.crn)
+        with open(args.crn) as fh:
+            prog, net = circ.load_any(fh.read())
         if prog is not None:
             traj = sim.simulate_program(prog, inputs, cfg)
         else:
@@ -262,10 +257,10 @@ def _write_plot_data(path: str, traj, rails, targets):
 
 
 def cmd_lemma(args) -> int:
-    from . import rates as rt, simulate as sim
-    system = sim.ForcedSystem(args.form, sim.parse_forcing(args.g1),
-                              sim.parse_forcing(args.g2), args.m, args.x0)
-    check = rt.check_lemma(system, _sim_config(args, default_t_end=80.0), args.slack)
+    from . import lemma
+    system = lemma.ForcedSystem(args.form, lemma.parse_forcing(args.g1),
+                                lemma.parse_forcing(args.g2), args.m, args.x0)
+    check = lemma.check_lemma(system, _sim_config(args, default_t_end=80.0), args.slack)
     pred, term = check.prediction, check.traj.termination
     report = {"form": args.form, "g1": args.g1, "g2": args.g2, "m": args.m,
               "x0": args.x0, "family": pred.family,
@@ -365,6 +360,8 @@ def cmd_sweep(args) -> int:
     points = _parse_grid(args.grid)
     cfg = _sim_config(args)
     if args.expr:
+        if args.target is not None or args.species is not None:
+            return _err("--target and --species apply to --crn sweeps only")
         constructor, source = rt.Pipeline.expression, (args.expr, args.mode)
     else:
         if not args.target or not args.species:
@@ -482,8 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a grid of inputs, one row per point")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--expr")
-    src.add_argument("--crn", help="bare network file; grid values are "
-                                   "initial species values")
+    src.add_argument("--crn", help="program text, whose grid values are its "
+                                   "inputs, or a bare network file, whose grid "
+                                   "values are initial species values")
     p.add_argument("--mode", choices=("nonneg", "real"), default="nonneg")
     p.add_argument("--grid", required=True, metavar="a=1,2;b=3,4")
     p.add_argument("--target", help="expression for the expected value "

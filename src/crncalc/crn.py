@@ -3,9 +3,8 @@
 A network is a list of species plus a list of reactions with positive
 rational rate constants.  Under mass action a reaction with reactant
 complex nu fires at rate k * prod_i x_i^nu_i, and the induced ODE is
-polynomial.  All symbolic work here (ODE derivation, admissibility,
-conservation checks) is done in exact Fraction arithmetic so the checks
-are decidable; floats only enter at evaluation time.
+polynomial.  All symbolic work here (ODE derivation, rate constants) is
+done in exact Fraction arithmetic; floats only enter at evaluation time.
 """
 
 from __future__ import annotations
@@ -53,12 +52,6 @@ class Complex:
                 raise ValueError(f"stoichiometry {n} for {sid} outside 1..{MAX_STOICH}")
             items.append((sid, int(n)))
         return Complex(tuple(sorted(items)))
-
-    def count(self, sid: str) -> int:
-        for s, n in self.coeffs:
-            if s == sid:
-                return n
-        return 0
 
     def is_empty(self) -> bool:
         return not self.coeffs
@@ -154,21 +147,6 @@ def mass_action(net: ReactionNetwork) -> list[dict[tuple[tuple[int, int], ...], 
     return [dict(sorted(((m, c) for m, c in terms.items() if c),
                         key=lambda term: [(-i, e) for i, e in term[0]]))
             for terms in acc]
-
-
-def check_admissible(field: list[Mapping[tuple[tuple[int, int], ...], Fraction]]
-                     ) -> list[tuple[int, tuple[tuple[int, int], ...], Fraction]]:
-    """The terms of a field in mass_action's form whose coefficient is
-    negative but whose monomial lacks x_i, as (species index i, monomial,
-    coefficient); an empty list means the field is admissible.
-
-    Admissibility keeps the non-negative orthant forward invariant: on
-    the face x_i = 0 all surviving terms of f_i are non-negative.
-    Mass-action derivation satisfies it by construction; the check guards
-    hand-written fields.
-    """
-    return [(i, mono, c) for i, poly in enumerate(field) for mono, c in poly.items()
-            if c < 0 and i not in dict(mono)]
 
 
 def format_polynomial(poly: Mapping[tuple[tuple[int, int], ...], Fraction],

@@ -17,26 +17,22 @@ takes of the species it is asked to sample (Trajectory.samples).
 `Pipeline` is the one compile -> predict -> integrate -> measure path:
 `verify`, `sweep` and the acceptance criteria all take their points
 through it, and it measures every lane and rail from the samples of its
-output rails.  Its constructors, `Pipeline.expression` and
-`Pipeline.network`, raise every error that no point can change, so a
-point meets only errors of its own.  `check_lemma` is the one judge of a
-forced scalar system, for `lemma`, scripts/lemma_grid.py and the
-acceptance criteria alike; it measures the growth family's rate as the
-decay rate of 1/x toward 0.
+output rails.  Its constructors, `Pipeline.expression` for an expression
+and `Pipeline.network` for program text or a bare network, raise every
+error that no point can change, so a point meets only errors of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import circuit as circ
 from . import simulate as sim
-from .crn import parse_network
 from .gates import SpeedBound
-from .simulate import ForcedSystem, Trajectory
+from .simulate import Trajectory
 
 
 class EstimationError(ValueError):
@@ -47,10 +43,6 @@ class NotConvergedError(ValueError):
     def __init__(self, message: str, final_error: float):
         super().__init__(message)
         self.final_error = final_error
-
-
-class PreconditionError(ValueError):
-    """Forced system outside the parameter region a lemma covers."""
 
 
 @dataclass(frozen=True)
@@ -237,89 +229,6 @@ def check_speed(estimate: RateEstimate, bound: SpeedBound,
 
 
 # ---------------------------------------------------------------------------
-# predictions for the forced scalar testbeds
-
-
-@dataclass(frozen=True)
-class LemmaPrediction:
-    family: str
-    target: float | None  # None for the unbounded growth family
-    bound: SpeedBound
-
-
-def forced_prediction(system: ForcedSystem) -> LemmaPrediction:
-    g1, g2 = system.g1, system.g2
-    if system.form == "linear":
-        if g2.limit <= 0:
-            raise PreconditionError("linear form needs g2 -> positive limit")
-        b = min(g1.rate, g2.rate, g2.limit)
-        return LemmaPrediction(
-            "driven_linear", g1.limit / g2.limit,
-            SpeedBound(b, "min{rho_g1, rho_g2, g2*}"))
-    m = system.m
-    if g1.limit > 0 and g2.limit > 0:
-        if system.x0 <= 0:
-            raise PreconditionError("power form needs x0 > 0")
-        b = min(g1.rate, g2.rate, m * g1.limit)
-        return LemmaPrediction(
-            "driven_power", (g1.limit / g2.limit) ** (1.0 / m),
-            SpeedBound(b, "min{rho_g1, rho_g2, m*g1*}"))
-    if g1.limit < 0 < g2.limit:
-        b = min(g1.rate, -g1.limit)
-        return LemmaPrediction(
-            "decay_to_zero", 0.0, SpeedBound(b, "min{rho_g1, -g1*}"))
-    if g1.is_constant_one() and g2.limit == 0:
-        if system.x0 <= 0:
-            raise PreconditionError("growth family needs x0 > 0")
-        b = min(g2.rate / m, 1.0)
-        return LemmaPrediction(
-            "unbounded_growth", None, SpeedBound(b, "min{rho_g2/m, 1}"))
-    raise PreconditionError(
-        "forced system not covered: need g2* > 0 (linear), g1*,g2* > 0 or "
-        "g1* < 0 < g2* (power), or g1 == 1 with g2* = 0 (growth)")
-
-
-@dataclass(frozen=True)
-class LemmaCheck:
-    """check_lemma's finding: the fitted rate `estimate` and its `verdict`.
-    Both are None when the run ended in stiff_failure, in blowup outside
-    the growth family, or in a measurement `error`."""
-    prediction: LemmaPrediction
-    traj: Trajectory
-    estimate: RateEstimate | None = None
-    verdict: Verdict | None = None
-    error: ValueError | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict is not None and self.verdict.passed
-
-
-def check_lemma(system: ForcedSystem, cfg: sim.SimConfig, slack: float = 0.15) -> LemmaCheck:
-    """Integrate a forced system once and hold the rate of x's samples,
-    fitted above auto_err_floor, to check_speed at `slack`.
-    The growth family's rate is that of 1/x toward 0, so a blowup is its
-    expected ending: its fit window closes at x = 1/err_floor, below the
-    blowup threshold.  A bad slack or an uncovered system raises
-    ValueError before anything is integrated."""
-    check_slack(slack)
-    pred = forced_prediction(system)
-    growth = pred.family == "unbounded_growth"
-    traj = sim.simulate_forced(system, cfg)
-    status = traj.termination.status
-    if status == "stiff_failure" or (status == "blowup" and not growth):
-        return LemmaCheck(pred, traj)
-    samples = replace(traj.samples, states=1.0 / traj.samples.states) if growth else traj.samples
-    target = 0.0 if growth else pred.target
-    try:
-        est = estimate_rate(samples, "x", target,
-                            err_floor=auto_err_floor(target, cfg.rel_tol))
-    except ValueError as e:  # also a target whose error floor tops the ceiling
-        return LemmaCheck(pred, traj, error=e)
-    return LemmaCheck(pred, traj, est, check_speed(est, pred.bound, slack))
-
-
-# ---------------------------------------------------------------------------
 # the point pipeline
 
 
@@ -373,19 +282,26 @@ class Pipeline:
 
     @classmethod
     def network(cls, text: str, species: str, target: str, cfg: sim.SimConfig) -> Pipeline:
-        """The bare network `text`, whose `species` is measured against the
-        expression `target`, with a step cap that follows the state, from
-        its exact Jacobian.  Its runs have no speed analysis."""
-        net = parse_network(text)
-        if species not in net.species_ids:
+        """The program text or bare network `text` (circuit.load_any),
+        whose `species` is measured against the expression `target`.  A
+        program's point values are its inputs, bound and integrated as
+        simulate_program does; a bare network's are initial species
+        values, and its step cap follows the state, from its exact
+        Jacobian.  Its runs have no speed analysis."""
+        prog, net = circ.load_any(text)
+        if prog is not None:
+            source, state, integrand = prog, sim.program_state, sim.program_integrand(prog)
+        else:
+            source, state, integrand = net, sim.network_state, sim.network_integrand(net)
+        if species not in source.species_ids:
             raise ValueError(f"--species {species} is not a species of the network")
         goal = circ.parse_expression(target)
 
         def point(values: dict):
-            y0 = sim.network_state(net, values)
+            y0 = state(source, values)
             return None, [circ.eval_expr(goal, values)], y0
 
-        return cls(None, point, [species], net.species_ids, sim.network_integrand(net), cfg)
+        return cls(None, point, [species], source.species_ids, integrand, cfg)
 
     def _rail_rates(self, samples: Trajectory, targets: list[float]) -> list:
         """The rate estimate of each output rail from the rails' sampled

@@ -1,4 +1,4 @@
-"""Numerical integration of networks and forced scalar systems.
+"""Numerical integration of reaction networks and compiled programs.
 
 The polynomial right-hand side is generated as straight-line Python from
 the exact mass-action expansion and integrated with DOP853, the
@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .circuit import CompiledProgram, input_rails
-from .crn import ReactionNetwork, mass_action, parse_network, parse_number
+from .crn import ReactionNetwork, mass_action, parse_network
 from .gates import factored_rates, gate_limit_rate
 
 
@@ -824,175 +824,7 @@ def simulate_program(prog: CompiledProgram, inputs: Mapping[str, object],
 
 
 # ---------------------------------------------------------------------------
-# forced scalar systems
-#
-# x' = g1(t) - g2(t) x          (linear)
-# x' = x (g1(t) - g2(t) x^m)    (power)
-#
-# with g(t) = c0 + sum_i c_i t^{k_i} exp(-r_i t), every r_i > 0.
-
-
-@dataclass(frozen=True)
-class ForcingTerm:
-    coeff: float
-    power: int
-    rate: float
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("forcing term must decay (rate > 0)")
-        if self.power < 0:
-            raise ValueError("negative power in forcing term")
-
-
-@dataclass(frozen=True)
-class ForcingFunction:
-    constant: float
-    terms: tuple[ForcingTerm, ...] = ()
-
-    def __call__(self, t):
-        val = self.constant + 0.0 * t if not np.isscalar(t) else self.constant
-        for term in self.terms:
-            val = val + term.coeff * t ** term.power * np.exp(-term.rate * t)
-        return val
-
-    @property
-    def limit(self) -> float:
-        return self.constant
-
-    @property
-    def rate(self) -> float:
-        """Decay rate toward the limit; +inf for an exactly constant g."""
-        return min((term.rate for term in self.terms), default=math.inf)
-
-    def is_constant_one(self) -> bool:
-        return not self.terms and self.constant == 1.0
-
-
-def _split_top(text: str, seps: str) -> list[str]:
-    """text cut before each separator outside parentheses, except the sign
-    of a number's exponent (the "-" of "1e-3")."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif (ch in seps and depth == 0 and i > start
-              and not (text[i - 1] in "eE" and text[i - 2:i - 1].isdigit())):
-            parts.append(text[start:i])
-            start = i
-    parts.append(text[start:])
-    return parts
-
-
-_NUM = r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
-_EXP_RE = re.compile(rf"exp\(\s*-\s*(?:({_NUM})\s*\*\s*)?t\s*\)\Z")
-_POW_RE = re.compile(r"t(?:\^(\d+))?\Z")
-_NUM_RE = re.compile(_NUM + r"\Z")
-
-
-def parse_forcing(text: str) -> ForcingFunction:
-    """Parse strings like ``2 + 1*exp(-3*t) + 0.5*t^1*exp(-1*t)``."""
-    constant = 0.0
-    terms = []
-    for chunk in _split_top(text.replace(" ", ""), "+-"):
-        if not chunk or chunk in "+-":
-            raise ValueError(f"empty term in forcing {text!r}")
-        sign = 1.0
-        if chunk[0] in "+-":
-            sign = -1.0 if chunk[0] == "-" else 1.0
-            chunk = chunk[1:]
-        coeff, power, rate = sign, 0, 0.0
-        for factor in _split_top(chunk, "*"):
-            factor = factor.lstrip("*")
-            if not factor:
-                raise ValueError(f"empty factor in forcing term {chunk!r}")
-            if m := _EXP_RE.match(factor):
-                rate += float(parse_number(m.group(1))) if m.group(1) else 1.0
-            elif m := _POW_RE.match(factor):
-                power += int(m.group(1)) if m.group(1) else 1
-            elif _NUM_RE.match(factor):
-                coeff *= float(parse_number(factor))
-            else:
-                raise ValueError(f"bad factor {factor!r} in forcing {text!r}")
-        if rate > 0:
-            terms.append(ForcingTerm(coeff, power, rate))
-        elif power > 0:
-            raise ValueError(f"non-decaying term {chunk!r}: polynomial factors "
-                             "need an exp factor")
-        else:
-            constant += coeff
-    return ForcingFunction(constant, tuple(terms))
-
-
-@dataclass(frozen=True)
-class ForcedSystem:
-    form: str  # linear | power
-    g1: ForcingFunction
-    g2: ForcingFunction
-    m: int = 1
-    x0: float = 1.0
-
-    def __post_init__(self):
-        if self.form not in ("linear", "power"):
-            raise ValueError("form must be 'linear' or 'power'")
-        if self.m < 1:
-            raise ValueError("power form needs m >= 1")
-
-
-def simulate_forced(system: ForcedSystem, cfg: SimConfig | None = None) -> Trajectory:
-    cfg = cfg or SimConfig()
-    if cfg.sigma != 1.0:  # g would be read at sigma t, not t
-        raise ValueError("time scaling applies to networks, not forced systems")
-    y0 = _check_state(np.array([float(system.x0)]), ("x",))
-    g1, g2, m = system.g1, system.g2, system.m
-    # the step cap comes from the exact slope d x' / d x
-    if system.form == "linear":
-        def rhs(t, y):
-            return (g1(t) - g2(t) * y[0],)
-
-        def slope(t, y):
-            return -g2(t)
-    else:
-        def rhs(t, y):
-            x = np.float64(y[0])  # overflows to inf where a float power would raise
-            return (x * (g1(t) - g2(t) * x ** m),)
-
-        def slope(t, y):
-            x = np.float64(y[0])
-            return g1(t) - (m + 1) * g2(t) * x ** m
-    return integrate(rhs, y0[:, None], ("x",), cfg,
-                     lambda t, y: _cap(slope(t, y)), sample=("x",))[0]
-
-
-# ---------------------------------------------------------------------------
-# closed forms and small reference networks
-
-
-def closed_form_reference(case: str, params: Mapping[str, float], t):
-    """Exact solutions used as oracles for the integrator.
-
-    naive_inversion        x' = 1 - a x
-    designed_inversion     x' = x (1 - a x)
-    identification         x' = a - x
-    double_identification  y' = a - y, x' = y - x (returns x)
-    """
-    t = np.asarray(t, dtype=float)
-    a = float(params["a"])
-    x0 = float(params.get("x0", 0.0))
-    if case == "naive_inversion":
-        return 1.0 / a + (x0 - 1.0 / a) * np.exp(-a * t)
-    if case == "designed_inversion":
-        if x0 <= 0:
-            raise ValueError("designed inversion needs x0 > 0")
-        return x0 / (a * x0 + (1.0 - a * x0) * np.exp(-t))
-    if case == "identification":
-        return a + (x0 - a) * np.exp(-t)
-    if case == "double_identification":
-        y0 = float(params.get("y0", 0.0))
-        return a * (1.0 - (1.0 + t) * np.exp(-t)) + (x0 + t * y0) * np.exp(-t)
-    raise ValueError(f"unknown closed form {case!r}")
+# small reference networks
 
 
 def naive_inversion_network() -> ReactionNetwork:
@@ -1010,11 +842,3 @@ def designed_inversion_network() -> ReactionNetwork:
         "X -> 2X ; k=1\n"
         "A + 2X -> A + X ; k=1\n")
 
-
-def double_identification_network() -> ReactionNetwork:
-    return parse_network(
-        "species: A[input], Y[intermediate], X[output]\n"
-        "A -> A + Y ; k=1\n"
-        "Y -> 0 ; k=1\n"
-        "Y -> Y + X ; k=1\n"
-        "X -> 0 ; k=1\n")

@@ -1,6 +1,7 @@
 """Test oracles on a field in crn.mass_action's form: evaluated term by
-term in plain Python, for checking generated right-hand sides against, and
-densified, for comparing against hand-written exponent tuples."""
+term in plain Python, for checking generated right-hand sides against,
+densified, for comparing against hand-written exponent tuples, and checked
+for admissibility; and a complex's count of one species."""
 
 
 def evaluate_field(field, species, state) -> dict[str, float]:
@@ -32,3 +33,22 @@ def densify(field, species) -> dict[str, dict[tuple[int, ...], object]]:
 
     return {sid: {exponents(mono): c for mono, c in poly.items()}
             for sid, poly in zip(species, field)}
+
+
+def check_admissible(field) -> list:
+    """The terms of the field whose coefficient is negative but whose
+    monomial lacks x_i, as (species index i, monomial, coefficient); an
+    empty list means the field is admissible.
+
+    Admissibility keeps the non-negative orthant forward invariant: on
+    the face x_i = 0 all surviving terms of f_i are non-negative.
+    Mass-action derivation satisfies it by construction; the check guards
+    hand-written fields.
+    """
+    return [(i, mono, c) for i, poly in enumerate(field) for mono, c in poly.items()
+            if c < 0 and i not in dict(mono)]
+
+
+def count(complex_, sid: str) -> int:
+    """The stoichiometric count of sid in a crn.Complex (0 if absent)."""
+    return dict(complex_.coeffs).get(sid, 0)

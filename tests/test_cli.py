@@ -408,16 +408,16 @@ def test_verify_sigma_scales_required_bound(tmp_path, capsys):
 def test_sigma_3_is_a_time_change_end_to_end(tmp_path, capsys):
     # sigma = 3 divides times inexactly, unlike a power of two.  A sweep at
     # sigma = 3 measures the rates of the program text whose rate
-    # constants are all 3, swept as a bare network at sigma = 1 on its
-    # expanded field; verify passes against bound 3; simulate ends at t_end
+    # constants are all 3, swept at sigma = 1 on its expanded field;
+    # verify passes against bound 3; simulate ends at t_end
     prog = compile_expression("1/(a + b)")
     scaled = tmp_path / "scaled.crn"
     scaled.write_text(format_program(prog).replace("; k=1\n", "; k=3\n"))
     code, out, _ = run(capsys, "sweep", "--expr", "1/(a + b)", "--grid", "a=0.5,2;b=1,3",
                        "--sigma", "3", "--t-end", "10")
     assert code == 0
-    code, ref, _ = run(capsys, "sweep", "--crn", str(scaled), "--grid", "A=0.5,2;B=1,3;X2=1",
-                       "--target", "1/(A + B)", "--species", "X2", "--t-end", "10")
+    code, ref, _ = run(capsys, "sweep", "--crn", str(scaled), "--grid", "a=0.5,2;b=1,3",
+                       "--target", "1/(a + b)", "--species", "X2", "--t-end", "10")
     assert code == 0
     for row, want in zip(parse_sweep_csv(out)[1], parse_sweep_csv(ref)[1], strict=True):
         assert row["status"] == want["status"] == "ok" and row["target"] == want["target"]
@@ -755,6 +755,30 @@ def test_sweep_crn_requires_target_and_species(tmp_path, capsys):
     assert "--target" in err
 
 
+def test_sweep_expr_refuses_target_and_species(capsys, monkeypatch):
+    # they measure a --crn sweep; an expression sweep would ignore them
+    monkeypatch.setattr(crncalc.simulate, "integrate",
+                        lambda *a, **k: pytest.fail("integrated despite --target or --species"))
+    for flags in (["--target", "x"], ["--species", "Q"], ["--target", "x", "--species", "Q"]):
+        code, out, err = run(capsys, "sweep", "--expr", "a", "--grid", "a=1", *flags)
+        assert code == 2 and out == "", flags
+        assert err == "error: --target and --species apply to --crn sweeps only\n", flags
+
+
+@pytest.mark.parametrize("expr,grid,target", [("1/a", "a=2", 0.5), ("2*a", "a=1.5", 3.0)])
+def test_sweep_crn_reads_program_text(tmp_path, capsys, expr, grid, target):
+    # the program's bindings hold: 1/a's X1 starts at 1 (init+) and 2*a's
+    # constant K1 at 2, and the grid binds the program's inputs
+    path = tmp_path / "prog.crn"
+    path.write_text(format_program(compile_expression(expr)))
+    code, out, err = run(capsys, "sweep", "--crn", str(path), "--grid", grid,
+                         "--target", expr, "--species", "X1")
+    assert code == 0, err
+    _, (row,) = parse_sweep_csv(out)
+    assert row["status"] == "ok" and float(row["target"]) == target
+    assert float(row["final_abs_error"]) < 1e-6
+
+
 def test_sweep_crn_unknown_species_exits_2(tmp_path, capsys, monkeypatch):
     net_file = tmp_path / "net.crn"
     net_file.write_text("species: A[input], X[output]\n"
@@ -897,6 +921,11 @@ def test_bad_input_binding_exits_2(capsys):
     code, _, err = run(capsys, "simulate", "--expr", "a", "--in", "a")
     assert code == 2
     assert "name=value" in err
+    # a bad value is named by its input, as a bad grid axis is
+    for command in ("verify", "simulate"):
+        code, out, err = run(capsys, command, "--expr", "a", "--in", "b=1,a=")
+        assert code == 2 and out == "", command
+        assert err == "error: input 'a': could not convert string to float: ''\n", command
 
 
 BIG = "9" * 400
@@ -1073,3 +1102,18 @@ def test_cli_start_leaves_the_numeric_layer_out(argv, code):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"{code} []"
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--expr", "a + b", "--grid", "a=1;b=2"],
+                                  ["verify", "--expr", "a + b", "--in", "a=1,b=2"]],
+                         ids=["sweep", "verify"])
+def test_sweep_and_verify_leave_the_lemma_module_out(argv):
+    # forced systems are lemma's alone: sweep and verify do not load them
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import contextlib, io, sys, crncalc.cli\n"
+         f"with contextlib.redirect_stdout(io.StringIO()): code = crncalc.cli.main({argv!r})\n"
+         "print(code, 'crncalc.lemma' in sys.modules)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"

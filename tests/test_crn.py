@@ -13,7 +13,6 @@ from crncalc.crn import (
     Reaction,
     ReactionNetwork,
     Species,
-    check_admissible,
     collect_network,
     format_network,
     format_polynomial,
@@ -22,7 +21,7 @@ from crncalc.crn import (
     parse_number,
 )
 
-from field_helpers import densify, evaluate_field
+from field_helpers import check_admissible, densify, evaluate_field
 
 F = Fraction
 

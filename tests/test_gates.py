@@ -29,7 +29,7 @@ from crncalc.gates import (
 )
 from crncalc.simulate import SimConfig, _derivative, integrate_network
 
-from field_helpers import densify, evaluate_field
+from field_helpers import count, densify, evaluate_field
 
 F = Fraction
 
@@ -221,7 +221,7 @@ def test_inputs_are_catalytic(tag, n, m):
     input_ids = {s.id for s in gate.inputs}
     for r in net.reactions:
         for sid in input_ids:
-            assert r.reactant.count(sid) == r.product.count(sid)
+            assert count(r.reactant, sid) == count(r.product, sid)
     f = mass_action(net)
     for sid in input_ids:
         assert f[net.species_ids.index(sid)] == {}

@@ -15,37 +15,39 @@ import hypothesis.strategies as st
 
 from crncalc.gates import GateKind, SpeedBound, gate_speed_bound
 from crncalc.circuit import ModeError, ParseError, lower_to_circuit, predict_speed
-from crncalc.simulate import (
+from crncalc.lemma import (
     ForcedSystem,
-    ForcingFunction,
+    PreconditionError,
+    check_lemma,
+    forced_prediction,
+    parse_forcing,
+    simulate_forced,
+)
+from crncalc.simulate import (
     SimConfig,
     Termination,
     Trajectory,
     designed_inversion_network,
-    double_identification_network,
     integrate,
     integrate_network,
     naive_inversion_network,
     network_integrand,
     network_state,
-    parse_forcing,
-    simulate_forced,
 )
 from crncalc.rates import (
     EstimationError,
     NotConvergedError,
     Pipeline,
-    PreconditionError,
     RateEstimate,
     _detrended_fit,
     _suffix_fits,
     auto_err_floor,
-    check_lemma,
     check_speed,
     digits_time,
     estimate_rate,
-    forced_prediction,
 )
+
+from closed_forms import double_identification_network
 
 
 def synthetic(fn, t_end=30.0, n=1200, sid="x"):

@@ -12,29 +12,25 @@ from crncalc.crn import mass_action, parse_network
 from crncalc.circuit import (compile_expression, eval_expr, flatten, format_program,
                              load_program, lower_to_circuit)
 from crncalc.gates import GATES, gate_limit_rate
+from crncalc.lemma import ForcedSystem, ForcingFunction, parse_forcing, simulate_forced
 from crncalc.simulate import (
-    ForcedSystem,
-    ForcingFunction,
     SimConfig,
     circuit_max_step,
-    closed_form_reference,
     compile_circuit_rhs,
     designed_inversion_network,
-    double_identification_network,
     initial_state,
     integrate,
     integrate_network,
     naive_inversion_network,
     network_integrand,
     network_state,
-    parse_forcing,
     program_integrand,
     program_state,
     read_trajectory_csv,
-    simulate_forced,
     simulate_program,
 )
 
+from closed_forms import closed_form_reference, double_identification_network
 from field_helpers import evaluate_field
 
 TIGHT = dict(rel_tol=1e-10, abs_tol=1e-12)
