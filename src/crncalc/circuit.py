@@ -583,13 +583,15 @@ class CompiledProgram:
     """A program's species in network order, its bindings and, when it was
     compiled here, its circuit.
 
-    A loaded program is given its network.  A compiled one parses it from
-    its own network text the first time `network` is read, so it equals
-    the network of the program loaded from its text.  Compiling,
-    formatting and simulating a circuit never need the reactions.
+    A loaded program is given its network.  Its bindings are None when its
+    text has no binding line: a bare network, whose point values are
+    initial species values.  A compiled one parses its network from its
+    own network text the first time `network` is read, so it equals the
+    network of the program loaded from its text.  Compiling, formatting
+    and simulating a circuit never need the reactions.
     """
 
-    def __init__(self, species: Sequence[Species], bindings: ProgramBindings,
+    def __init__(self, species: Sequence[Species], bindings: ProgramBindings | None,
                  circuit: Circuit | None = None, network: ReactionNetwork | None = None):
         self.species = tuple(species)
         self.species_ids = tuple(s.id for s in self.species)
@@ -674,7 +676,11 @@ _INIT_RE = re.compile(r"#\s*init\+\s*:\s*(.*?)\s*\Z")
 
 
 def load_program(text: str) -> CompiledProgram:
-    """Parse program text produced by format_program (or by hand)."""
+    """Parse program text produced by format_program (or by hand): the
+    text of a --crn file.  A text without a binding line (`# input`,
+    `# const`, `# output`, `# init+`) is a bare network and loads with
+    bindings None; one with any must bind an output and declared species."""
+    bound = False
     inputs: list[tuple[str, tuple[str, ...]]] = []
     consts: list[tuple[str, str]] = []
     output: tuple[str, ...] | None = None
@@ -693,7 +699,12 @@ def load_program(text: str) -> CompiledProgram:
             output = (m.group(1), m.group(2)) if m.group(1) else (m.group(3),)
         elif m := _INIT_RE.match(line):
             init = tuple(s.strip() for s in m.group(1).split(",") if s.strip())
+        else:
+            continue
+        bound = True
     net = parse_network(text)
+    if not bound:
+        return CompiledProgram(net.species, None, network=net)
     if output is None:
         raise FormatError("program text lacks an '# output ->' binding")
     declared = set(net.species_ids)
@@ -703,15 +714,6 @@ def load_program(text: str) -> CompiledProgram:
             raise FormatError(f"binding references undeclared species {sid}")
     bindings = ProgramBindings(tuple(inputs), tuple(consts), output, init)
     return CompiledProgram(net.species, bindings, network=net)
-
-
-def load_any(text: str) -> tuple[CompiledProgram | None, ReactionNetwork | None]:
-    """The text of a --crn file: (program, None) if it has bindings, else
-    (None, bare network)."""
-    try:
-        return load_program(text), None
-    except FormatError:
-        return None, parse_network(text)
 
 
 # ---------------------------------------------------------------------------

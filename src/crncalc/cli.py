@@ -33,6 +33,9 @@ EXIT_NOT_CONVERGED = 4
 EXIT_SPEED = 5
 
 
+MODE_CRN = "--mode applies to --expr only: --crn text is already compiled"
+
+
 def _err(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_USAGE
@@ -98,19 +101,16 @@ def cmd_compile(args) -> int:
 
 def cmd_simulate(args) -> int:
     from . import simulate as sim
+    if args.crn and args.mode is not None:
+        return _err(MODE_CRN)
     cfg = _sim_config(args)
     inputs = _parse_inputs(args.inputs)
     if args.expr:
-        prog = circ.compile_expression(args.expr, args.mode)
-        traj = sim.simulate_program(prog, inputs, cfg)
+        prog = circ.compile_expression(args.expr, args.mode or "nonneg")
     else:
         with open(args.crn) as fh:
-            prog, net = circ.load_any(fh.read())
-        if prog is not None:
-            traj = sim.simulate_program(prog, inputs, cfg)
-        else:
-            # bare network: --in values are per-species initial values
-            traj = sim.integrate_network(net, inputs, cfg)
+            prog = circ.load_program(fh.read())
+    traj = sim.simulate_program(prog, inputs, cfg)
     _write(args.out, traj.to_csv())
     term = traj.termination
     if term.status != "completed":
@@ -362,8 +362,10 @@ def cmd_sweep(args) -> int:
     if args.expr:
         if args.target is not None or args.species is not None:
             return _err("--target and --species apply to --crn sweeps only")
-        constructor, source = rt.Pipeline.expression, (args.expr, args.mode)
+        constructor, source = rt.Pipeline.expression, (args.expr, args.mode or "nonneg")
     else:
+        if args.mode is not None:
+            return _err(MODE_CRN)
         if not args.target or not args.species:
             return _err("--crn sweeps need --target and --species")
         with open(args.crn) as fh:
@@ -431,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--expr")
     src.add_argument("--crn", help="program text; bare networks take --in as "
                                    "initial species values")
-    p.add_argument("--mode", choices=("nonneg", "real"), default="nonneg")
+    p.add_argument("--mode", choices=("nonneg", "real"), help="--expr only (default nonneg)")
     p.add_argument("--in", dest="inputs", action="append", default=[],
                    metavar="NAME=VALUE[,...]")
     p.add_argument("--sigma", type=float, default=1.0)
@@ -482,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--crn", help="program text, whose grid values are its "
                                    "inputs, or a bare network file, whose grid "
                                    "values are initial species values")
-    p.add_argument("--mode", choices=("nonneg", "real"), default="nonneg")
+    p.add_argument("--mode", choices=("nonneg", "real"), help="--expr only (default nonneg)")
     p.add_argument("--grid", required=True, metavar="a=1,2;b=3,4")
     p.add_argument("--target", help="expression for the expected value "
                                     "(--crn sweeps)")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .crn import (MAX_STOICH, Complex, Reaction, ReactionNetwork, Species, _format_reaction,
                   collect_network, format_network, format_polynomial, mass_action,
@@ -81,8 +81,8 @@ class GateInstance:
 class SpeciesNamer:
     """Allocates fresh species ids, skipping anything reserved."""
 
-    def __init__(self, reserved: Iterable[str] = ()):
-        self._used = set(reserved)
+    def __init__(self):
+        self._used: set[str] = set()
         self._gate = 0
         self._counters: dict[str, int] = {}
 

@@ -18,8 +18,9 @@ takes of the species it is asked to sample (Trajectory.samples).
 `verify`, `sweep` and the acceptance criteria all take their points
 through it, and it measures every lane and rail from the samples of its
 output rails.  Its constructors, `Pipeline.expression` for an expression
-and `Pipeline.network` for program text or a bare network, raise every
-error that no point can change, so a point meets only errors of its own.
+and `Pipeline.network` for program text (a bare network is program text
+without bindings), make one program each and raise every error that no
+point can change, so a point meets only errors of its own.
 """
 
 from __future__ import annotations
@@ -239,31 +240,31 @@ class PointRun:
     targets: list[float]
     traj: Trajectory
     rates: list  # per rail: a RateEstimate, or the ValueError that stopped it
-    analysis: circ.SpeedAnalysis | None  # None for a bare network
+    analysis: circ.SpeedAnalysis | None  # None for loaded program text
 
 
 class Pipeline:
     """Compile -> predict -> integrate -> measure.
 
-    Build one with `Pipeline.expression` or `Pipeline.network`.  Each
-    builds the right-hand side and step cap once and raises ValueError
-    for every error no point can change (a parse or mode error, an
-    unknown species) before any point runs.  `run_points` takes a batch
-    of input points through it, integrates them as one batch that samples
-    the output rails, then calls estimate_rate once per lane and rail on
-    those samples.  The layer functions are called through their modules,
-    so they can be wrapped by name.
+    Build one with `Pipeline.expression` or `Pipeline.network`, each of
+    which makes one program.  The right-hand side and step cap are built
+    once, and every error no point can change (a parse, mode or binding
+    error, an unknown species) is raised before any point runs.
+    `run_points` takes a batch of input points through it, binds each to
+    an initial state with program_state, integrates them as one batch
+    that samples the output rails, then calls estimate_rate once per lane
+    and rail on those samples.  The layer functions are called through
+    their modules, so they can be wrapped by name.
     """
 
-    def __init__(self, circuit: circ.Circuit | None, point, rails: list[str], species,
-                 integrand, cfg: sim.SimConfig):
-        """What a constructor built: the circuit (None for a bare network),
-        the point step (values -> speed analysis or None, targets, initial
-        state, or a ValueError of the point), the output rails, the species
-        order and the (rhs, max_step) pair."""
-        self.circuit = circuit
-        self._point, self.rails, self.species, self.cfg = point, rails, species, cfg
-        self.rhs, self.max_step = integrand
+    def __init__(self, prog: circ.CompiledProgram, point, rails: list[str],
+                 cfg: sim.SimConfig):
+        """What a constructor built: the program, the point step (values ->
+        speed analysis or None and the rails' targets, or a ValueError of
+        the point) and the output rails.  The right-hand side and step cap
+        are the program's."""
+        self.prog, self._point, self.rails, self.cfg = prog, point, rails, cfg
+        self.rhs, self.max_step = sim.program_integrand(prog)
 
     @classmethod
     def expression(cls, text: str, mode: str, cfg: sim.SimConfig) -> Pipeline:
@@ -274,34 +275,27 @@ class Pipeline:
 
         def point(values: dict):
             analysis = circ.predict_speed(circuit, values)
-            return (analysis, list(analysis.output_values),
-                    sim.program_state(prog, values))
+            return analysis, list(analysis.output_values)
 
-        return cls(circuit, point, list(prog.bindings.output), prog.species_ids,
-                   sim.program_integrand(prog), cfg)
+        return cls(prog, point, list(prog.bindings.output), cfg)
 
     @classmethod
     def network(cls, text: str, species: str, target: str, cfg: sim.SimConfig) -> Pipeline:
-        """The program text or bare network `text` (circuit.load_any),
-        whose `species` is measured against the expression `target`.  A
-        program's point values are its inputs, bound and integrated as
-        simulate_program does; a bare network's are initial species
-        values, and its step cap follows the state, from its exact
-        Jacobian.  Its runs have no speed analysis."""
-        prog, net = circ.load_any(text)
-        if prog is not None:
-            source, state, integrand = prog, sim.program_state, sim.program_integrand(prog)
-        else:
-            source, state, integrand = net, sim.network_state, sim.network_integrand(net)
-        if species not in source.species_ids:
+        """The program text `text` (circuit.load_program), whose `species`
+        is measured against the expression `target`.  Its point values
+        bind as simulate_program binds them: a program's inputs, or a bare
+        network's initial species values; without a circuit the step cap
+        follows the state, from the network's exact Jacobian.  Its runs
+        have no speed analysis."""
+        prog = circ.load_program(text)
+        if species not in prog.species_ids:
             raise ValueError(f"--species {species} is not a species of the network")
         goal = circ.parse_expression(target)
 
         def point(values: dict):
-            y0 = state(source, values)
-            return None, [circ.eval_expr(goal, values)], y0
+            return None, [circ.eval_expr(goal, values)]
 
-        return cls(None, point, [species], source.species_ids, integrand, cfg)
+        return cls(prog, point, [species], cfg)
 
     def _rail_rates(self, samples: Trajectory, targets: list[float]) -> list:
         """The rate estimate of each output rail from the rails' sampled
@@ -327,7 +321,8 @@ class Pipeline:
         runs, lanes = [], []
         for values in points:
             try:
-                lanes.append((len(runs), *self._point(values)))
+                lanes.append((len(runs), *self._point(values),
+                              sim.program_state(self.prog, values)))
                 runs.append(None)
             except ValueError as e:
                 runs.append(e)
@@ -344,5 +339,5 @@ class Pipeline:
         return runs
 
     def _integrate(self, y0: np.ndarray) -> list[Trajectory]:
-        return sim.integrate(self.rhs, y0, self.species, self.cfg, self.max_step,
+        return sim.integrate(self.rhs, y0, self.prog.species_ids, self.cfg, self.max_step,
                              sample=self.rails)

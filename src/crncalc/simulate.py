@@ -27,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .circuit import CompiledProgram, input_rails
-from .crn import ReactionNetwork, mass_action, parse_network
+from .crn import ReactionNetwork, mass_action
 from .gates import factored_rates, gate_limit_rate
 
 
@@ -727,16 +727,6 @@ def _lane_samples(traj: Trajectory, cols: list[int], times: np.ndarray, h: np.nd
                       traj.negatives, stats=traj.stats)
 
 
-def network_state(net: ReactionNetwork, init: Mapping[str, float]) -> np.ndarray:
-    """Initial state from explicit per-species values (unlisted species
-    start at 0)."""
-    unknown = set(init) - set(net.species_ids)
-    if unknown:
-        raise ValueError(f"initial values for unknown species {sorted(unknown)}")
-    return _check_state(np.array([float(init.get(sid, 0.0)) for sid in net.species_ids]),
-                        net.species_ids)
-
-
 def network_integrand(net: ReactionNetwork) -> tuple[Callable, Callable]:
     """The right-hand side t, y -> dy/dt and the step cap (t, y) -> cap
     that integrate takes for a network, both generated from one
@@ -777,16 +767,6 @@ def network_integrand(net: ReactionNetwork) -> tuple[Callable, Callable]:
     return rhs, max_step
 
 
-def integrate_network(net: ReactionNetwork, init: Mapping[str, float],
-                      cfg: SimConfig | None = None) -> Trajectory:
-    """Integrate a network from explicit per-species initial values
-    (unlisted species start at 0)."""
-    cfg = cfg or SimConfig()
-    y0 = network_state(net, init)
-    rhs, max_step = network_integrand(net)
-    return integrate(rhs, y0[:, None], net.species_ids, cfg, max_step)[0]
-
-
 def initial_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> dict[str, float]:
     """Default initial condition: inputs held at their values (signed
     values dual-rail encoded), constants pinned, species listed in
@@ -800,9 +780,17 @@ def initial_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> dict[s
     return init
 
 
-def program_state(prog: CompiledProgram, inputs: Mapping[str, object]) -> np.ndarray:
-    """initial_state as a vector in the program's species order."""
-    init = initial_state(prog, inputs)
+def program_state(prog: CompiledProgram, values: Mapping[str, object]) -> np.ndarray:
+    """The initial state in the program's species order: initial_state of
+    its inputs, or for a bare network (no bindings) the species values
+    given, unlisted species at 0."""
+    if prog.bindings is None:
+        unknown = set(values) - set(prog.species_ids)
+        if unknown:
+            raise ValueError(f"initial values for unknown species {sorted(unknown)}")
+        init = {sid: float(values.get(sid, 0.0)) for sid in prog.species_ids}
+    else:
+        init = initial_state(prog, values)
     return _check_state(np.array([init[sid] for sid in prog.species_ids]), prog.species_ids)
 
 
@@ -821,24 +809,3 @@ def simulate_program(prog: CompiledProgram, inputs: Mapping[str, object],
     y0 = program_state(prog, inputs)
     rhs, max_step = program_integrand(prog)
     return integrate(rhs, y0[:, None], prog.species_ids, cfg, max_step)[0]
-
-
-# ---------------------------------------------------------------------------
-# small reference networks
-
-
-def naive_inversion_network() -> ReactionNetwork:
-    """Constant production plus input-proportional consumption: the
-    textbook x* = 1/a network whose speed depends on a."""
-    return parse_network(
-        "species: A[input], X[output]\n"
-        "0 -> X ; k=1\n"
-        "A + X -> A ; k=1\n")
-
-
-def designed_inversion_network() -> ReactionNetwork:
-    return parse_network(
-        "species: A[input], X[output]\n"
-        "X -> 2X ; k=1\n"
-        "A + 2X -> A + X ; k=1\n")
-

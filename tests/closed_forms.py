@@ -1,9 +1,12 @@
 """Exact solutions of small reference systems, the oracles the integrator
-is checked against, and the double identification network they solve."""
+is checked against, the networks they solve, and the integration of a
+bare network from per-species initial values."""
 
 import numpy as np
 
+from crncalc.circuit import CompiledProgram
 from crncalc.crn import ReactionNetwork, parse_network
+from crncalc.simulate import program_state, simulate_program
 
 
 def closed_form_reference(case: str, params, t):
@@ -38,3 +41,35 @@ def double_identification_network() -> ReactionNetwork:
         "Y -> 0 ; k=1\n"
         "Y -> Y + X ; k=1\n"
         "X -> 0 ; k=1\n")
+
+
+def naive_inversion_network() -> ReactionNetwork:
+    """Constant production plus input-proportional consumption: the
+    textbook x* = 1/a network whose speed depends on a."""
+    return parse_network(
+        "species: A[input], X[output]\n"
+        "0 -> X ; k=1\n"
+        "A + X -> A ; k=1\n")
+
+
+def designed_inversion_network() -> ReactionNetwork:
+    return parse_network(
+        "species: A[input], X[output]\n"
+        "X -> 2X ; k=1\n"
+        "A + 2X -> A + X ; k=1\n")
+
+
+def bare_program(net: ReactionNetwork) -> CompiledProgram:
+    """The network as a program without bindings, as circuit.load_program
+    reads its text."""
+    return CompiledProgram(net.species, None, network=net)
+
+
+def network_state(net: ReactionNetwork, init) -> np.ndarray:
+    """Initial state from per-species values (unlisted species start at 0)."""
+    return program_state(bare_program(net), init)
+
+
+def integrate_network(net: ReactionNetwork, init, cfg=None):
+    """Integrate a network from per-species initial values."""
+    return simulate_program(bare_program(net), init, cfg)

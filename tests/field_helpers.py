@@ -1,7 +1,10 @@
 """Test oracles on a field in crn.mass_action's form: evaluated term by
 term in plain Python, for checking generated right-hand sides against,
 densified, for comparing against hand-written exponent tuples, and checked
-for admissibility; and a complex's count of one species."""
+for admissibility; a complex's count of one species; and a species namer
+that skips given ids."""
+
+from crncalc.gates import SpeciesNamer
 
 
 def evaluate_field(field, species, state) -> dict[str, float]:
@@ -52,3 +55,10 @@ def check_admissible(field) -> list:
 def count(complex_, sid: str) -> int:
     """The stoichiometric count of sid in a crn.Complex (0 if absent)."""
     return dict(complex_.coeffs).get(sid, 0)
+
+
+def reserved_namer(*ids: str) -> SpeciesNamer:
+    """A SpeciesNamer that never hands out the given ids."""
+    namer = SpeciesNamer()
+    namer.reserve(*ids)
+    return namer

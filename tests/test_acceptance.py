@@ -20,22 +20,21 @@ from crncalc import (
     SimConfig,
     check_lemma,
     compile_expression,
-    designed_inversion_network,
     digits_time,
-    integrate_network,
-    naive_inversion_network,
     parse_forcing,
     predict_speed,
     simulate_program,
 )
 from crncalc.circuit import encode_dual_rail, format_program, load_program, lower_to_circuit
 from crncalc.crn import Species, collect_network, mass_action
-from crncalc.gates import GateKind, SpeciesNamer, gate_fragment_network, make_gate
+from crncalc.gates import GateKind, gate_fragment_network, make_gate
 from crncalc.rates import check_speed
 from crncalc.simulate import integrate, program_integrand, program_state
 
-from closed_forms import closed_form_reference, double_identification_network
-from field_helpers import check_admissible, count, densify
+from closed_forms import (closed_form_reference, designed_inversion_network,
+                          double_identification_network, integrate_network,
+                          naive_inversion_network)
+from field_helpers import check_admissible, count, densify, reserved_namer
 
 F = Fraction
 TIGHT = dict(rel_tol=1e-10, abs_tol=1e-12)
@@ -112,7 +111,7 @@ def test_criterion_3_composite_unit_bound():
     n_rails, worst_rho, worst_err = 0, math.inf, 0.0
     for src, mode in exprs:
         pipeline = Pipeline.expression(src, mode, cfg)
-        diff_ys = {g.intermediates[0].id for g in pipeline.circuit.gates
+        diff_ys = {g.intermediates[0].id for g in pipeline.prog.circuit.gates
                    if g.kind.tag in ("absolute_difference", "rectified_subtraction")}
         for point, run in zip(points, pipeline.run_points(points)):
             a, b = point["a"], point["b"]
@@ -263,7 +262,7 @@ def test_criterion_7_dual_rail_properties():
     assert abs(traj.final(pos) - 0.0) <= 1e-6
     assert abs(traj.final(neg) - 2.0) <= 1e-6
 
-    namer = SpeciesNamer(reserved=["P", "N"])
+    namer = reserved_namer("P", "N")
     p_sp, n_sp = Species("P", "input"), Species("N", "input")
     g1 = make_gate(GateKind("rectified_subtraction"), [p_sp, n_sp], namer)
     g2 = make_gate(GateKind("rectified_subtraction"), [n_sp, p_sp], namer)
@@ -338,7 +337,7 @@ def test_criterion_8_structural_properties():
     and accepted trajectories never leave the non-negative orthant."""
     for tag, n_in, m in GATE_SPECS:
         inputs = [Species(s, "input") for s in ("A", "B")[:n_in]]
-        gate = make_gate(GateKind(tag, m), inputs, SpeciesNamer(reserved=["A", "B"]))
+        gate = make_gate(GateKind(tag, m), inputs, reserved_namer("A", "B"))
         net = gate_fragment_network(gate)
         for r in net.reactions:
             for sp in inputs:

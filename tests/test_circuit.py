@@ -327,6 +327,11 @@ def test_load_program_validation():
                                if not l.startswith("# output")))
     with pytest.raises(FormatError, match="undeclared"):
         load_program(text.replace("# output -> X1", "# output -> X9"))
+    # no binding line, a comment or not: a bare network
+    bare = load_program("# a comment\n" + "\n".join(l for l in text.splitlines()
+                                                     if not l.startswith("# ")))
+    assert bare.bindings is None and bare.circuit is None
+    assert bare.species_ids == prog.species_ids
 
 
 def test_inputs_stay_constant_in_compiled_networks():

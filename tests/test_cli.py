@@ -813,6 +813,35 @@ def test_sweep_crn_bad_target_exits_2(tmp_path, capsys, monkeypatch):
     assert "col 5" in err
 
 
+BINDING_ERRORS = [
+    ("# input a -> A\n# output -> Q\n", "binding references undeclared species Q"),
+    ("# input a -> A\n", "program text lacks an '# output ->' binding"),
+]
+CRN_RUNS = {"simulate": ["--in", "a=1"],
+            "sweep": ["--grid", "a=1", "--target", "a", "--species", "X"]}
+
+
+@pytest.mark.parametrize("command", CRN_RUNS)
+@pytest.mark.parametrize("bindings,message", BINDING_ERRORS, ids=["undeclared", "no_output"])
+def test_crn_binding_error_exits_2(tmp_path, capsys, command, bindings, message):
+    # a text with a binding line is a program, and its binding errors are
+    # its own: it is not read again as a bare network
+    path = tmp_path / "p.crn"
+    path.write_text(bindings + "species: A[input], X\nA -> A + X ; k=1\nX -> 0 ; k=1\n")
+    code, out, err = run(capsys, command, "--crn", str(path), *CRN_RUNS[command])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", CRN_RUNS)
+def test_crn_refuses_mode(tmp_path, capsys, command):
+    # --crn text is compiled already, so --mode would be ignored; it is
+    # refused before the file is read
+    code, out, err = run(capsys, command, "--crn", str(tmp_path / "absent.crn"),
+                         "--mode", "real", *CRN_RUNS[command])
+    assert (code, out) == (2, "")
+    assert err == "error: --mode applies to --expr only: --crn text is already compiled\n"
+
+
 def test_sweep_bad_grid_exits_2(capsys):
     code, _, err = run(capsys, "sweep", "--expr", "1/a", "--grid", "a")
     assert code == 2

@@ -27,9 +27,10 @@ from crncalc.gates import (
     gate_target,
     make_gate,
 )
-from crncalc.simulate import SimConfig, _derivative, integrate_network
+from crncalc.simulate import SimConfig, _derivative
 
-from field_helpers import count, densify, evaluate_field
+from closed_forms import integrate_network
+from field_helpers import count, densify, evaluate_field, reserved_namer
 
 F = Fraction
 
@@ -37,7 +38,7 @@ F = Fraction
 def build(tag, n_inputs, m=None, ids=("A", "B")):
     kind = GateKind(tag, m)
     inputs = [Species(s, "input") for s in ids[:n_inputs]]
-    gate = make_gate(kind, inputs, SpeciesNamer(reserved=["A", "B"]))
+    gate = make_gate(kind, inputs, reserved_namer("A", "B"))
     return gate, gate_fragment_network(gate)
 
 
@@ -229,7 +230,7 @@ def test_inputs_are_catalytic(tag, n, m):
 
 @pytest.mark.parametrize("tag,n,m", ALL_KINDS)
 def test_output_and_intermediates_fresh(tag, n, m):
-    namer = SpeciesNamer(reserved=["A", "B"])
+    namer = reserved_namer("A", "B")
     kind = GateKind(tag, m)
     inputs = [Species(s, "input") for s in ("A", "B")[:n]]
     g1 = make_gate(kind, inputs, namer)
@@ -256,9 +257,9 @@ def test_positive_init_requirements():
 def test_wrong_arity_rejected():
     a = Species("A", "input")
     with pytest.raises(ValueError):
-        make_gate(GateKind("addition"), [a], SpeciesNamer(reserved=["A"]))
+        make_gate(GateKind("addition"), [a], reserved_namer("A"))
     with pytest.raises(ValueError):
-        make_gate(GateKind("inversion"), [a, a], SpeciesNamer(reserved=["A"]))
+        make_gate(GateKind("inversion"), [a, a], reserved_namer("A"))
 
 
 def test_mth_root_m_validation():
@@ -465,7 +466,7 @@ def check_against_reference(kind, input_ids, namer):
 
 @pytest.mark.parametrize("kind,input_ids", list(instantiation_cases()), ids=str)
 def test_make_gate_matches_reference_renaming(kind, input_ids):
-    check_against_reference(kind, input_ids, SpeciesNamer(reserved=input_ids))
+    check_against_reference(kind, input_ids, reserved_namer(*input_ids))
 
 
 @pytest.mark.parametrize("tag", GATES)

@@ -27,12 +27,8 @@ from crncalc.simulate import (
     SimConfig,
     Termination,
     Trajectory,
-    designed_inversion_network,
     integrate,
-    integrate_network,
-    naive_inversion_network,
     network_integrand,
-    network_state,
 )
 from crncalc.rates import (
     EstimationError,
@@ -47,7 +43,8 @@ from crncalc.rates import (
     estimate_rate,
 )
 
-from closed_forms import double_identification_network
+from closed_forms import (designed_inversion_network, double_identification_network,
+                          integrate_network, naive_inversion_network, network_state)
 
 
 def synthetic(fn, t_end=30.0, n=1200, sid="x"):
@@ -490,7 +487,7 @@ def test_pipeline_constructors_raise_what_no_point_can_change():
     # what is left to run_points are the errors of a point
     pipeline = Pipeline.network(TWO_REACTIONS, "X", "1/A", cfg)
     run, *errors = pipeline.run_points([{"A": 2.0}, {"A": 2.0, "B": 1.0}, {"A": 0.0}, {}])
-    assert pipeline.circuit is None and run.analysis is None and run.targets == [0.5]
+    assert pipeline.prog.circuit is None and run.analysis is None and run.targets == [0.5]
     assert [str(e) for e in errors] == ["initial values for unknown species ['B']",
                                         "division by a zero limit",
                                         "no value for variable 'A'"]

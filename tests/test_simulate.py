@@ -17,20 +17,18 @@ from crncalc.simulate import (
     SimConfig,
     circuit_max_step,
     compile_circuit_rhs,
-    designed_inversion_network,
     initial_state,
     integrate,
-    integrate_network,
-    naive_inversion_network,
     network_integrand,
-    network_state,
     program_integrand,
     program_state,
     read_trajectory_csv,
     simulate_program,
 )
 
-from closed_forms import closed_form_reference, double_identification_network
+from closed_forms import (bare_program, closed_form_reference, designed_inversion_network,
+                          double_identification_network, integrate_network,
+                          naive_inversion_network)
 from field_helpers import evaluate_field
 
 TIGHT = dict(rel_tol=1e-10, abs_tol=1e-12)
@@ -40,16 +38,12 @@ def sup_err(traj, sid, reference):
     return float(np.max(np.abs(traj.series(sid) - reference(traj.times))))
 
 
-def sampled(net_or_prog, init, cfg, sample):
-    """One lane integrated with sample; a network takes per-species
-    initial values, a program its inputs."""
-    if hasattr(net_or_prog, "bindings"):
-        rhs, cap = program_integrand(net_or_prog)
-        y0, ids = program_state(net_or_prog, init), net_or_prog.species_ids
-    else:
-        rhs, cap = network_integrand(net_or_prog)
-        y0, ids = network_state(net_or_prog, init), net_or_prog.species_ids
-    return integrate(rhs, y0[:, None], ids, cfg, cap, sample=sample)[0]
+def sampled(prog, init, cfg, sample):
+    """One lane of a program integrated with sample; a bare network takes
+    per-species initial values, a program with bindings its inputs."""
+    rhs, cap = program_integrand(prog)
+    return integrate(rhs, program_state(prog, init)[:, None], prog.species_ids, cfg, cap,
+                     sample=sample)[0]
 
 
 # --- integrator vs closed forms ----------------------------------------------
@@ -469,7 +463,7 @@ def test_dense_output_meets_the_tolerance():
     runs.append((parse_network("species: A, B\nA -> B ; k=3\nB -> A ; k=1\n"), {"A": 1.0},
                  "B", 0.75 * (1 - np.exp(-4 * grid))))
     for net, init, sid, exact in runs:
-        traj = sampled(net, init, cfg, [sid])
+        traj = sampled(bare_program(net), init, cfg, [sid])
         got, y = traj.samples.series(sid), traj.series(sid)
         assert np.array_equal(traj.samples.times, grid)
         assert got[0] == init.get(sid, 0.0)
@@ -602,7 +596,7 @@ def test_steps_stay_within_the_cap():
     assert cap == crncalc.simulate._STEP_CAP / 2
     assert np.diff(traj.times).max() == pytest.approx(cap / 3, rel=1e-12)
     net = parse_network("species: X[output]\nX -> 0 ; k=4\n")
-    traj = sampled(net, {"X": 1.0}, SimConfig(t_end=40), ["X"])
+    traj = sampled(bare_program(net), {"X": 1.0}, SimConfig(t_end=40), ["X"])
     assert np.diff(traj.times).max() <= crncalc.simulate._STEP_CAP / 4 * (1 + 1e-6)
     grid = traj.samples.times
     assert np.abs(traj.samples.series("X") - np.exp(-4 * grid)).max() <= 1e-10
