@@ -372,7 +372,6 @@ Value = Union[Species, DualRailWire]
 
 @dataclass
 class Circuit:
-    mode: str
     gates: tuple[GateInstance, ...]
     inputs: dict[str, Value]
     consts: dict[str, Fraction]  # species id -> pinned value
@@ -547,8 +546,7 @@ class CircuitBuilder:
                                  self._as_gate_output(value.n))
         else:
             value = self._as_gate_output(value)
-        return Circuit(self.mode, tuple(self.gates), dict(self.inputs),
-                       dict(self.consts), value)
+        return Circuit(tuple(self.gates), dict(self.inputs), dict(self.consts), value)
 
 
 def lower_to_circuit(expr: Expr | str, mode: str = "nonneg") -> Circuit:
@@ -581,22 +579,23 @@ class ProgramBindings:
 
 class CompiledProgram:
     """A program's species in network order, its bindings and, when it was
-    compiled here, its circuit.
-
-    A loaded program is given its network.  Its bindings are None when its
-    text has no binding line: a bare network, whose point values are
-    initial species values.  A compiled one parses its network from its
-    own network text the first time `network` is read, so it equals the
-    network of the program loaded from its text.  Compiling, formatting
-    and simulating a circuit never need the reactions.
+    compiled here, its gates, which prediction, the right-hand side and
+    the step cap read.  A loaded program is given its network and has no
+    gates; its bindings are None when its text has no binding line (a
+    bare network, whose point values are initial species values).  A
+    compiled one parses its network from its own network text the first
+    time `network` is read, so it equals the network of the program
+    loaded from its text; compiling, formatting and simulating it never
+    need the reactions.
     """
 
     def __init__(self, species: Sequence[Species], bindings: ProgramBindings | None,
-                 circuit: Circuit | None = None, network: ReactionNetwork | None = None):
+                 gates: Sequence[GateInstance] | None = None,
+                 network: ReactionNetwork | None = None):
         self.species = tuple(species)
         self.species_ids = tuple(s.id for s in self.species)
         self.bindings = bindings
-        self.circuit = circuit
+        self.gates = gates
         self._network = network
 
     @property
@@ -631,7 +630,7 @@ def flatten(circuit: Circuit) -> CompiledProgram:
         output=_rail_ids(circuit.output),
         positive_init=tuple(sorted(pos, key=order.__getitem__)),
     )
-    return CompiledProgram(species, bindings, circuit)
+    return CompiledProgram(species, bindings, circuit.gates)
 
 
 def compile_expression(expr: Expr | str, mode: str = "nonneg") -> CompiledProgram:
@@ -646,11 +645,11 @@ def _network_text(prog: CompiledProgram) -> str:
     """The species header and reactions as format_network writes them; a
     compiled program's reactions come straight from its gates' line
     formats, without building one."""
-    if prog.circuit is None:
+    if prog.gates is None:
         return format_network(prog.network)
     order = {sid: i for i, sid in enumerate(prog.species_ids)}
     lines = [format_species(prog.species)]
-    lines += [gate_text(g, order) for g in prog.circuit.gates]
+    lines += [gate_text(g, order) for g in prog.gates]
     return "\n".join(lines) + "\n"
 
 
@@ -669,50 +668,60 @@ def format_program(prog: CompiledProgram) -> str:
     return "\n".join(lines) + "\n" + _network_text(prog)
 
 
-_INPUT_RE = re.compile(r"#\s*input\s+(\w+)\s*->\s*(?:\(\s*(\w+)\s*,\s*(\w+)\s*\)|(\w+))\s*\Z")
-_CONST_RE = re.compile(r"#\s*const\s+(\w+)\s*=\s*(\S+)\s*\Z")
-_OUTPUT_RE = re.compile(r"#\s*output\s*->\s*(?:\(\s*(\w+)\s*,\s*(\w+)\s*\)|(\w+))\s*\Z")
-_INIT_RE = re.compile(r"#\s*init\+\s*:\s*(.*?)\s*\Z")
+_RAILS = r"(?:\(\s*(\w+)\s*,\s*(\w+)\s*\)|(\w+))"  # (P, N) or X
+_BINDING_RE = re.compile(r"#\s*(input|const|output|init\+)(?!\w)\s*(.*)")
+_BINDING_FORMS = {"input": re.compile(rf"(\w+)\s*->\s*{_RAILS}"),
+                  "const": re.compile(r"(\w+)\s*=\s*(\S+)"),
+                  "output": re.compile(rf"->\s*{_RAILS}"),
+                  "init+": re.compile(r":\s*(.*)")}
 
 
 def load_program(text: str) -> CompiledProgram:
     """Parse program text produced by format_program (or by hand): the
-    text of a --crn file.  A text without a binding line (`# input`,
-    `# const`, `# output`, `# init+`) is a bare network and loads with
+    text of a --crn file.  A `#` line whose first word is `input`,
+    `const`, `output` or `init+` is a binding line and must have its form;
+    an input name, a const species, the output and init+ are each bound
+    once.  A text without a binding line is a bare network and loads with
     bindings None; one with any must bind an output and declared species."""
-    bound = False
-    inputs: list[tuple[str, tuple[str, ...]]] = []
-    consts: list[tuple[str, str]] = []
+    inputs: dict[str, tuple[str, ...]] = {}
+    consts: dict[str, str] = {}
     output: tuple[str, ...] | None = None
     init: tuple[str, ...] = ()
-    for raw in text.splitlines():
+    seen: set[tuple[str, ...]] = set()  # (keyword,) or (keyword, name) of each binding
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line.startswith("#"):
+        if not (key := _BINDING_RE.match(line)):
             continue
-        if m := _INPUT_RE.match(line):
-            rails = (m.group(2), m.group(3)) if m.group(2) else (m.group(4),)
-            inputs.append((m.group(1), rails))
-        elif m := _CONST_RE.match(line):
-            parse_number(m.group(2))  # validate
-            consts.append((m.group(1), m.group(2)))
-        elif m := _OUTPUT_RE.match(line):
-            output = (m.group(1), m.group(2)) if m.group(1) else (m.group(3),)
-        elif m := _INIT_RE.match(line):
-            init = tuple(s.strip() for s in m.group(1).split(",") if s.strip())
+        word, rest = key.groups()
+        if not (m := _BINDING_FORMS[word].fullmatch(rest)):
+            raise FormatError(f"line {lineno}: bad binding line {line!r}")
+        binding = (word, m.group(1)) if word in ("input", "const") else (word,)
+        if binding in seen:
+            raise FormatError(f"line {lineno}: {' '.join(binding)} bound twice")
+        seen.add(binding)
+        if word == "input":
+            inputs[m.group(1)] = tuple(filter(None, m.groups()[1:]))
+        elif word == "const":
+            try:
+                parse_number(m.group(2))  # validate
+            except ValueError as e:
+                raise FormatError(f"line {lineno}: const {m.group(1)}: {e}") from None
+            consts[m.group(1)] = m.group(2)
+        elif word == "output":
+            output = tuple(filter(None, m.groups()))
         else:
-            continue
-        bound = True
+            init = tuple(s.strip() for s in m.group(1).split(",") if s.strip())
     net = parse_network(text)
-    if not bound:
+    if not seen:
         return CompiledProgram(net.species, None, network=net)
     if output is None:
         raise FormatError("program text lacks an '# output ->' binding")
     declared = set(net.species_ids)
-    for sid in [s for _, rails in inputs for s in rails] + list(output) + list(init) \
-            + [sid for sid, _ in consts]:
+    for sid in [s for rails in inputs.values() for s in rails] + list(output) + list(init) \
+            + list(consts):
         if sid not in declared:
             raise FormatError(f"binding references undeclared species {sid}")
-    bindings = ProgramBindings(tuple(inputs), tuple(consts), output, init)
+    bindings = ProgramBindings(tuple(inputs.items()), tuple(consts.items()), output, init)
     return CompiledProgram(net.species, bindings, network=net)
 
 
@@ -734,50 +743,39 @@ class SpeedAnalysis:
         return self.output_values[0] - self.output_values[1]
 
 
-def encode_dual_rail(value) -> tuple[float, float]:
-    """Encode a signed value (or an explicit canonical pair) as rails."""
-    if isinstance(value, tuple):
-        p, n = float(value[0]), float(value[1])
-        if p < 0 or n < 0:
-            raise DomainError("dual-rail components must be non-negative")
-        if p != 0 and n != 0:
-            raise DomainError("dual-rail input must be canonical (one rail zero)")
-        return p, n
-    v = float(value)
-    return (v, 0.0) if v >= 0 else (0.0, -v)
-
-
 def input_rails(inputs: Mapping[str, tuple[str, ...]],
-                values: Mapping[str, object]) -> dict[str, float]:
-    """The value of each rail of the inputs (name -> rail ids) at a point:
-    a one-rail input's value, which must be non-negative, or a dual-rail
-    input's encode_dual_rail pair.  A missing or unknown input raises
-    ValueError, a negative or non-canonical value DomainError."""
+                values: Mapping[str, float]) -> dict[str, float]:
+    """The value of each rail of the inputs (name -> rail ids) at a point
+    that gives one number v per input: a one-rail input's v, which must be
+    non-negative, or a dual-rail input's (v, 0) or (0, -v).  A missing or
+    unknown input raises ValueError, a negative one-rail v DomainError."""
     rails: dict[str, float] = {}
     for name, ids in inputs.items():
         if name not in values:
             raise ValueError(f"missing value for input {name!r}")
-        v = encode_dual_rail(values[name]) if len(ids) == 2 else (float(values[name]),)
-        if v[0] < 0:  # a one-rail value: encode_dual_rail's rails are never negative
+        v = float(values[name])
+        if v < 0 and len(ids) == 1:
             raise DomainError(f"input {name} must be non-negative in nonneg mode")
-        rails.update(zip(ids, v))
+        rails.update(zip(ids, (0.0, -v) if v < 0 else (v, 0.0)))  # one rail takes v
     if extra := set(values) - set(inputs):
         raise ValueError(f"unknown inputs {sorted(extra)}")
     return rails
 
 
-def predict_speed(circuit: Circuit,
-                  input_limits: Mapping[str, float | tuple[float, float]]) -> SpeedAnalysis:
-    """Propagate limits and per-gate rate bounds through the circuit.
-
-    Raises DomainError, naming the gate, if some gate's input limits fall
-    outside its domain (inversion of 0, non-canonical inversion pair).
+def predict_speed(prog: CompiledProgram, values: Mapping[str, float]) -> SpeedAnalysis:
+    """Propagate limits and per-gate rate bounds through the program's
+    gates from its bindings.  Raises ValueError for a program without
+    gates (loaded text, a bare network), and DomainError, naming the gate,
+    if some gate's input limits fall outside its domain (inversion of 0,
+    non-canonical inversion pair).
     """
-    limits = input_rails({name: _rail_ids(v) for name, v in circuit.inputs.items()},
-                         input_limits)
-    limits.update((sid, float(val)) for sid, val in circuit.consts.items())
+    if prog.gates is None:
+        raise ValueError("speed prediction needs a compiled program's gates; "
+                         "loaded program text and bare networks have none")
+    limits = input_rails(prog.bindings.input_map(), values)
+    limits.update((sid, float(val)) for sid, val in prog.bindings.const_map().items())
     bounds = dict.fromkeys(limits, SpeedBound(float("inf"), "held input"))
-    for g in circuit.gates:
+    for g in prog.gates:
         in_lims = [limits[s.id] for s in g.inputs]
         in_bnds = [bounds[s.id] for s in g.inputs]
         try:
@@ -786,7 +784,6 @@ def predict_speed(circuit: Circuit,
         except DomainError as e:
             raise DomainError(f"gate {g.output.id} ({g.kind}): {e}") from None
         bounds[g.output.id] = SpeedBound(b.value, f"{g.output.id}: {b.case}")
-    rails = _rail_ids(circuit.output)
-    out_bounds = [bounds[sid] for sid in rails]
-    worst = min(out_bounds, key=lambda b: b.value)
+    rails = prog.bindings.output
+    worst = min((bounds[sid] for sid in rails), key=lambda b: b.value)
     return SpeedAnalysis(limits, bounds, tuple(limits[sid] for sid in rails), worst)

@@ -65,6 +65,8 @@ def _parse_inputs(pairs: list[str]) -> dict[str, float]:
                 raise ValueError(f"bad input binding {item!r}; expected name=value")
             name, _, raw = item.partition("=")
             name = name.strip()
+            if name in values:
+                raise ValueError(f"input {name!r} given twice")
             try:
                 values[name] = float(parse_number(raw))
             except ValueError as e:

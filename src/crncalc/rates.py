@@ -247,9 +247,10 @@ class Pipeline:
     """Compile -> predict -> integrate -> measure.
 
     Build one with `Pipeline.expression` or `Pipeline.network`, each of
-    which makes one program.  The right-hand side and step cap are built
-    once, and every error no point can change (a parse, mode or binding
-    error, an unknown species) is raised before any point runs.
+    which makes one program that prediction (if it has gates), the
+    right-hand side and the step cap read.  The last two are built once,
+    and every error no point can change (a parse, mode or binding error,
+    an unknown species) is raised before any point runs.
     `run_points` takes a batch of input points through it, binds each to
     an initial state with program_state, integrates them as one batch
     that samples the output rails, then calls estimate_rate once per lane
@@ -268,13 +269,12 @@ class Pipeline:
 
     @classmethod
     def expression(cls, text: str, mode: str, cfg: sim.SimConfig) -> Pipeline:
-        """The expression `text` lowered in `mode` and flattened, with the
-        step cap of its circuit; the point step predicts each point's speed."""
-        circuit = circ.lower_to_circuit(circ.parse_expression(text), mode)
-        prog = circ.flatten(circuit)
+        """The expression `text` compiled in `mode`, with the step cap of
+        its gates; the point step predicts each point's speed from them."""
+        prog = circ.compile_expression(text, mode)
 
         def point(values: dict):
-            analysis = circ.predict_speed(circuit, values)
+            analysis = circ.predict_speed(prog, values)
             return analysis, list(analysis.output_values)
 
         return cls(prog, point, list(prog.bindings.output), cfg)
@@ -284,9 +284,9 @@ class Pipeline:
         """The program text `text` (circuit.load_program), whose `species`
         is measured against the expression `target`.  Its point values
         bind as simulate_program binds them: a program's inputs, or a bare
-        network's initial species values; without a circuit the step cap
-        follows the state, from the network's exact Jacobian.  Its runs
-        have no speed analysis."""
+        network's initial species values.  Loaded text has no gates, so the
+        step cap follows the state, from the network's exact Jacobian, and
+        its runs have no speed analysis."""
         prog = circ.load_program(text)
         if species not in prog.species_ids:
             raise ValueError(f"--species {species} is not a species of the network")

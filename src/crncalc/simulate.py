@@ -180,8 +180,8 @@ def _derivative(poly: Mapping, j: int) -> dict:
     return out
 
 
-def compile_circuit_rhs(circuit, order: Sequence[str]) -> Callable:
-    """Generate the right-hand side gate by gate in factored form.
+def compile_circuit_rhs(prog: CompiledProgram) -> Callable:
+    """Generate the program's right-hand side gate by gate in factored form.
 
     Expands to exactly the same polynomials as network_integrand on the
     flattened network, but evaluates differences like (u - v) before
@@ -189,9 +189,9 @@ def compile_circuit_rhs(circuit, order: Sequence[str]) -> Callable:
     catastrophically once y is large while their true sum stays of order
     y, which stalls the step controller; the factored form does not.
     """
-    idx = {sid: i for i, sid in enumerate(order)}
-    exprs = ["0.0"] * len(order)
-    for g in circuit.gates:
+    idx = {sid: i for i, sid in enumerate(prog.species_ids)}
+    exprs = ["0.0"] * len(idx)
+    for g in prog.gates:
         for sid, law in factored_rates(g, lambda sid: f"x{idx[sid]}"):
             exprs[idx[sid]] = law
     # only species no gate writes (held inputs and constants) stay at 0.0
@@ -344,7 +344,7 @@ _TOO_SMALL = "Required step size is less than spacing between numbers."
 # 6, 8.6e-10 at 7 and 2.5e-9 at 8; the five criterion-3 sweeps take 413
 # step attempts at 3, 400 at 5 and 398 at 6.
 _STEP_CAP = 5.0
-# Without a circuit the cap follows the state: integrate evaluates it at
+# Without gates the cap follows the state: integrate evaluates it at
 # the start and every _RHO_INTERVAL accepted steps, from the exact
 # Jacobian (network_integrand, and the slope of a forced system).  Every
 # 4, 8 or 16 steps passes every test; every 32 fails
@@ -479,12 +479,12 @@ def _cap(rates) -> float:
     return _STEP_CAP / rho if rho > 0 else math.inf
 
 
-def circuit_max_step(circuit) -> float:
-    """The step cap of the circuit's right-hand side: _STEP_CAP over the
-    spectral radius of its Jacobian at the limit, which is the largest
+def circuit_max_step(prog: CompiledProgram) -> float:
+    """The step cap of a compiled program's right-hand side: _STEP_CAP over
+    the spectral radius of its Jacobian at the limit, which is the largest
     gate_limit_rate over its gates.  Every lane of a batch shares it,
     whatever its inputs."""
-    return _cap(max((gate_limit_rate(g.kind) for g in circuit.gates), default=0))
+    return _cap(max((gate_limit_rate(g.kind) for g in prog.gates), default=0))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -796,10 +796,10 @@ def program_state(prog: CompiledProgram, values: Mapping[str, object]) -> np.nda
 
 def program_integrand(prog: CompiledProgram) -> tuple[Callable, float | Callable]:
     """The right-hand side and step cap for integrate: the factored gate
-    RHS and the circuit's cap when the circuit is known, else the
-    network's (a loaded program text)."""
-    if prog.circuit is not None:
-        return compile_circuit_rhs(prog.circuit, prog.species_ids), circuit_max_step(prog.circuit)
+    RHS and the gates' cap for a compiled program, else the network's (a
+    loaded program text)."""
+    if prog.gates is not None:
+        return compile_circuit_rhs(prog), circuit_max_step(prog)
     return network_integrand(prog.network)
 
 

@@ -1,4 +1,12 @@
+import os
 import re
+from pathlib import Path
+
+# pyproject's `pythonpath` puts src/ on sys.path for this process; the
+# tests that start `python -m crncalc` in a subprocess find it through
+# PYTHONPATH, so they run from a checkout without an install too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 

@@ -25,7 +25,7 @@ from crncalc import (
     predict_speed,
     simulate_program,
 )
-from crncalc.circuit import encode_dual_rail, format_program, load_program, lower_to_circuit
+from crncalc.circuit import format_program, load_program
 from crncalc.crn import Species, collect_network, mass_action
 from crncalc.gates import GateKind, gate_fragment_network, make_gate
 from crncalc.rates import check_speed
@@ -111,7 +111,7 @@ def test_criterion_3_composite_unit_bound():
     n_rails, worst_rho, worst_err = 0, math.inf, 0.0
     for src, mode in exprs:
         pipeline = Pipeline.expression(src, mode, cfg)
-        diff_ys = {g.intermediates[0].id for g in pipeline.prog.circuit.gates
+        diff_ys = {g.intermediates[0].id for g in pipeline.prog.gates
                    if g.kind.tag in ("absolute_difference", "rectified_subtraction")}
         for point, run in zip(points, pipeline.run_points(points)):
             a, b = point["a"], point["b"]
@@ -245,13 +245,12 @@ def test_criterion_7_dual_rail_properties():
     """Dual-rail arithmetic: products of canonical pairs stay canonical
     (one target rail exactly zero), subtraction lands on (0, b-a) for
     a < b, and the normalizer collapses (5,3) to (2,0)."""
-    circuit = lower_to_circuit("a * b", mode="real")
+    product = compile_expression("a * b", mode="real")
     rng = np.random.default_rng(7)
     for _ in range(200):
         a = float(rng.uniform(-9, 9))
         b = float(rng.uniform(-9, 9))
-        sa = predict_speed(circuit, {"a": encode_dual_rail(a),
-                                     "b": encode_dual_rail(b)})
+        sa = predict_speed(product, {"a": a, "b": b})
         p, n_ = sa.output_values
         assert p * n_ == 0.0, (a, b, sa.output_values)
         assert sa.output_value == pytest.approx(a * b, rel=1e-12, abs=1e-12)

@@ -4,6 +4,7 @@ import contextlib
 import importlib.util
 import io
 import pickle
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,11 +32,11 @@ from crncalc.circuit import (
     Sub,
     Var,
     compile_expression,
-    encode_dual_rail,
     eval_expr,
     format_program,
     flatten,
     free_vars,
+    input_rails,
     load_program,
     lower_to_circuit,
     parse_expression,
@@ -165,7 +166,7 @@ def test_real_multiplication_shape():
 def test_negative_constant_in_real_mode():
     c = lower_to_circuit("-3", mode="real")
     assert c.consts == {"K1": F(0), "K2": F(3)}
-    sa = predict_speed(c, {})
+    sa = predict_speed(flatten(c), {})
     assert sa.output_values == (0.0, 3.0)
     assert sa.output_value == -3.0
 
@@ -327,10 +328,28 @@ def test_load_program_validation():
                                if not l.startswith("# output")))
     with pytest.raises(FormatError, match="undeclared"):
         load_program(text.replace("# output -> X1", "# output -> X9"))
+    # a line whose first word is a binding keyword is a binding line: it
+    # must have its form, and binds its name once
+    network = "species: A[input], K1[input], X1\nA -> A + X1 ; k=1\nX1 -> 0 ; k=1\n"
+    for header, message in [
+            ("# output X1\n", "line 1: bad binding line '# output X1'"),
+            ("# input a -> A\n# ouput -> X1\n# output X1\n", "line 3: bad binding line"),
+            ("#init+ A\n# output -> X1\n", "line 1: bad binding line '#init+ A'"),
+            ("# input a -> A\n# input a -> X1\n# output -> X1\n", "line 2: input a bound twice"),
+            ("# const K1 = 1\n# const K1 = 2\n# output -> X1\n", "line 2: const K1 bound twice"),
+            ("# output -> X1\n# output -> A\n", "line 2: output bound twice"),
+            ("# output -> X1\n# init+ : X1\n# init+ :\n", "line 3: init+ bound twice"),
+            ("# const K1 = abc\n# output -> X1\n",
+             "line 1: const K1: could not convert string to float: 'abc'")]:
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_program(header + network)
+    # other words, "outputs" or "inputs:" among them, start plain comments
+    bare = load_program("# outputs and inputs: none\n# initial\n" + network)
+    assert bare.bindings is None
     # no binding line, a comment or not: a bare network
     bare = load_program("# a comment\n" + "\n".join(l for l in text.splitlines()
                                                      if not l.startswith("# ")))
-    assert bare.bindings is None and bare.circuit is None
+    assert bare.bindings is None and bare.gates is None
     assert bare.species_ids == prog.species_ids
 
 
@@ -349,33 +368,42 @@ def test_inputs_stay_constant_in_compiled_networks():
 
 def test_predict_speed_plain_addition():
     c = lower_to_circuit("a + b")
-    sa = predict_speed(c, {"a": 1, "b": 2})
+    sa = predict_speed(flatten(c), {"a": 1, "b": 2})
     assert sa.bound.value == 1.0
     assert sa.output_value == 3.0
 
 
 def test_predict_speed_root_of_tie():
     c = lower_to_circuit("sqrt(abs(a - b))")
-    sa = predict_speed(c, {"a": 4, "b": 4})
+    sa = predict_speed(flatten(c), {"a": 4, "b": 4})
     assert sa.bound.value == 0.5
     assert sa.output_value == 0.0
     # away from the tie the full unit rate is predicted
-    assert predict_speed(c, {"a": 4, "b": 1}).bound.value == 1.0
+    assert predict_speed(flatten(c), {"a": 4, "b": 1}).bound.value == 1.0
     c2 = lower_to_circuit("sqrt(sqrt(abs(a - b)))")
-    assert predict_speed(c2, {"a": 2, "b": 2}).bound.value == 0.25
+    assert predict_speed(flatten(c2), {"a": 2, "b": 2}).bound.value == 0.25
 
 
 def test_predict_speed_domain_error_names_gate():
     c = lower_to_circuit("1/a")
     with pytest.raises(DomainError, match="X1"):
-        predict_speed(c, {"a": 0})
+        predict_speed(flatten(c), {"a": 0})
     with pytest.raises(ValueError, match="missing value for input 'a'"):
-        predict_speed(c, {})
+        predict_speed(flatten(c), {})
+
+
+def test_predict_speed_needs_gates():
+    # loaded program text and a bare network carry no gates to predict from
+    text = format_program(compile_expression("a + b"))
+    bare = "\n".join(l for l in text.splitlines() if not l.startswith("#"))
+    for prog in (load_program(text), load_program(bare)):
+        with pytest.raises(ValueError, match="needs a compiled program's gates"):
+            predict_speed(prog, {"a": 1, "b": 2})
 
 
 def test_predict_speed_real_multiplication():
     c = lower_to_circuit("a * b", mode="real")
-    sa = predict_speed(c, {"a": (2, 0), "b": (0, 3)})
+    sa = predict_speed(flatten(c), {"a": 2, "b": -3})
     assert sa.output_values == (0.0, 6.0)
     assert sa.output_value == -6.0
     assert sa.bound.value == 1.0
@@ -450,14 +478,15 @@ def test_parser_nesting_limit():
 
 
 def test_encode_dual_rail():
-    assert encode_dual_rail(2) == (2.0, 0.0)
-    assert encode_dual_rail(-3) == (0.0, 3.0)
-    assert encode_dual_rail(0) == (0.0, 0.0)
-    assert encode_dual_rail((0, 3)) == (0.0, 3.0)
-    with pytest.raises(DomainError):
-        encode_dual_rail((2, 3))
-    with pytest.raises(DomainError):
-        encode_dual_rail((-1, 0))
+    # a point gives one number per input; a dual-rail input holds a signed
+    # value v as (v, 0) or (0, -v)
+    rails = {"a": ("A_p", "A_n")}
+    assert input_rails(rails, {"a": 2}) == {"A_p": 2.0, "A_n": 0.0}
+    assert input_rails(rails, {"a": -3}) == {"A_p": 0.0, "A_n": 3.0}
+    assert input_rails(rails, {"a": 0}) == {"A_p": 0.0, "A_n": 0.0}
+    assert input_rails({"a": ("A",)}, {"a": 2}) == {"A": 2.0}
+    with pytest.raises(DomainError, match="non-negative"):
+        input_rails({"a": ("A",)}, {"a": -1})
 
 
 # --- consistency between evaluation and limit propagation --------------------
@@ -469,7 +498,7 @@ vals = st.floats(min_value=0.1, max_value=9.0)
 def test_predicted_limits_match_evaluation(a, b):
     src = "sqrt(abs(a - b)) + a*b + max(a, b)"
     c = lower_to_circuit(src)
-    sa = predict_speed(c, {"a": a, "b": b})
+    sa = predict_speed(flatten(c), {"a": a, "b": b})
     assert sa.output_value == pytest.approx(eval_expr(src, {"a": a, "b": b}))
 
 
@@ -477,13 +506,13 @@ def test_predicted_limits_match_evaluation(a, b):
 def test_real_mode_limits_match_evaluation(a, b):
     src = "a*b - b"
     c = lower_to_circuit(src, mode="real")
-    sa = predict_speed(c, {"a": a, "b": b})
+    sa = predict_speed(flatten(c), {"a": a, "b": b})
     assert sa.output_value == pytest.approx(eval_expr(src, {"a": a, "b": b}), abs=1e-9)
 
 
 @given(vals, vals)
 def test_multiplication_prediction_commutes(a, b):
-    left = predict_speed(lower_to_circuit("a * b", mode="real"), {"a": a, "b": b})
-    right = predict_speed(lower_to_circuit("b * a", mode="real"), {"a": a, "b": b})
+    left = predict_speed(flatten(lower_to_circuit("a * b", mode="real")), {"a": a, "b": b})
+    right = predict_speed(flatten(lower_to_circuit("b * a", mode="real")), {"a": a, "b": b})
     assert left.output_value == pytest.approx(right.output_value)
     assert left.bound.value == right.bound.value

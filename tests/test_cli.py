@@ -816,13 +816,19 @@ def test_sweep_crn_bad_target_exits_2(tmp_path, capsys, monkeypatch):
 BINDING_ERRORS = [
     ("# input a -> A\n# output -> Q\n", "binding references undeclared species Q"),
     ("# input a -> A\n", "program text lacks an '# output ->' binding"),
+    # a line that starts with a binding keyword must have its form
+    ("# output X\n", "line 1: bad binding line '# output X'"),
+    ("# input a -> A\n# input a -> X\n# output -> X\n", "line 2: input a bound twice"),
+    ("# input a -> A\n# const K1 = abc\n# output -> X\n",
+     "line 2: const K1: could not convert string to float: 'abc'"),
 ]
 CRN_RUNS = {"simulate": ["--in", "a=1"],
             "sweep": ["--grid", "a=1", "--target", "a", "--species", "X"]}
 
 
 @pytest.mark.parametrize("command", CRN_RUNS)
-@pytest.mark.parametrize("bindings,message", BINDING_ERRORS, ids=["undeclared", "no_output"])
+@pytest.mark.parametrize("bindings,message", BINDING_ERRORS, ids=[
+    "undeclared", "no_output", "malformed", "input_twice", "bad_const"])
 def test_crn_binding_error_exits_2(tmp_path, capsys, command, bindings, message):
     # a text with a binding line is a program, and its binding errors are
     # its own: it is not read again as a bare network
@@ -955,6 +961,12 @@ def test_bad_input_binding_exits_2(capsys):
         code, out, err = run(capsys, command, "--expr", "a", "--in", "b=1,a=")
         assert code == 2 and out == "", command
         assert err == "error: input 'a': could not convert string to float: ''\n", command
+    # an input given twice is refused, as a grid axis given twice is,
+    # whether in one --in or two
+    for twice in (["--in", "a=1,a=2,b=1"], ["--in", "a=1,b=1", "--in", "a=2"]):
+        for command in ("verify", "simulate"):
+            code, out, err = run(capsys, command, "--expr", "a+b", *twice)
+            assert (code, out, err) == (2, "", "error: input 'a' given twice\n"), command
 
 
 BIG = "9" * 400

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from crncalc.gates import GateKind, SpeedBound, gate_speed_bound
-from crncalc.circuit import ModeError, ParseError, lower_to_circuit, predict_speed
+from crncalc.circuit import ModeError, ParseError, flatten, lower_to_circuit, predict_speed
 from crncalc.lemma import (
     ForcedSystem,
     PreconditionError,
@@ -325,11 +325,11 @@ def test_predict_speed_chaining():
     # two fourth roots of ties converge at 1/4 each; their zero-limit
     # product at 1/4 + 1/4, and the square root of that zero limit at 1/4
     c = lower_to_circuit("sqrt(sqrt(sqrt(abs(a - b))) * sqrt(sqrt(abs(c - d))))")
-    assert predict_speed(c, {"a": 2, "b": 2, "c": 3, "d": 3}).bound.value == 0.25
+    assert predict_speed(flatten(c), {"a": 2, "b": 2, "c": 3, "d": 3}).bound.value == 0.25
     # a sum with a rate-1/2 term, its reciprocal and a scalar multiple all
     # keep the slowest rate
     c = lower_to_circuit("2 * (1 / (sqrt(abs(a - b)) + c))")
-    assert predict_speed(c, {"a": 4, "b": 4, "c": 5}).bound.value == 0.5
+    assert predict_speed(flatten(c), {"a": 4, "b": 4, "c": 5}).bound.value == 0.5
 
 
 rate_st = st.floats(min_value=0.1, max_value=4.0)
@@ -487,7 +487,7 @@ def test_pipeline_constructors_raise_what_no_point_can_change():
     # what is left to run_points are the errors of a point
     pipeline = Pipeline.network(TWO_REACTIONS, "X", "1/A", cfg)
     run, *errors = pipeline.run_points([{"A": 2.0}, {"A": 2.0, "B": 1.0}, {"A": 0.0}, {}])
-    assert pipeline.prog.circuit is None and run.analysis is None and run.targets == [0.5]
+    assert pipeline.prog.gates is None and run.analysis is None and run.targets == [0.5]
     assert [str(e) for e in errors] == ["initial values for unknown species ['B']",
                                         "division by a zero limit",
                                         "no value for variable 'A'"]

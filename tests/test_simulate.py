@@ -300,10 +300,9 @@ def test_no_negative_excursions_flagged():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=8.0), min_size=7, max_size=7))
 def test_factored_rhs_matches_expanded(values):
-    circuit = lower_to_circuit("sqrt(abs(a - b)) + a/b")
-    prog = flatten(circuit)
+    prog = flatten(lower_to_circuit("sqrt(abs(a - b)) + a/b"))
     ids = prog.network.species_ids
-    fast = compile_circuit_rhs(circuit, ids)
+    fast = compile_circuit_rhs(prog)
     slow, _ = network_integrand(prog.network)
     y = np.array((values * 3)[: len(ids)])
     lhs = np.asarray(fast(0.0, y), dtype=float)
@@ -536,7 +535,7 @@ def test_circuit_rhs_emission_is_exact(monkeypatch):
             [*prog.bindings.const_map(), *(r for rails in prog.bindings.input_map().values()
                                            for r in rails)]]
     assert len(held) == 3  # A, B, and the constant 2
-    one = compile_circuit_rhs(prog.circuit, ids)
+    one = compile_circuit_rhs(prog)
     assert "1.0*" not in sources[0]
     y = np.random.default_rng(5).uniform(0.0, 4.0, (len(ids), 6))
     rows = np.asarray(one(0.0, y))
@@ -549,10 +548,10 @@ def test_circuit_rhs_emission_is_exact(monkeypatch):
     # sigma is a change of time inside integrate: the same law takes the
     # same steps, reported at 1/sigma of their time
     y0 = program_state(prog, {"a": 1, "b": 3})[:, None]
-    (base,) = integrate(one, y0, ids, SimConfig(t_end=30), circuit_max_step(prog.circuit))
+    (base,) = integrate(one, y0, ids, SimConfig(t_end=30), circuit_max_step(prog))
     for sigma in (2.0, 3.0):
         (fast,) = integrate(one, y0, ids, SimConfig(t_end=30 / sigma, sigma=sigma),
-                            circuit_max_step(prog.circuit))
+                            circuit_max_step(prog))
         assert np.array_equal(fast.states, base.states)
         assert np.array_equal(fast.times[:-1], base.times[:-1] / sigma)
         assert fast.times[-1] == 30 / sigma
@@ -592,7 +591,7 @@ def test_steps_stay_within_the_cap():
     # at sigma = 3 no step is longer than a third of the cap in t
     prog = compile_expression("sqrt(abs(a - b))")
     traj = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=3.0))
-    cap = circuit_max_step(prog.circuit)
+    cap = circuit_max_step(prog)
     assert cap == crncalc.simulate._STEP_CAP / 2
     assert np.diff(traj.times).max() == pytest.approx(cap / 3, rel=1e-12)
     net = parse_network("species: X[output]\nX -> 0 ; k=4\n")
@@ -634,7 +633,7 @@ def test_gate_limit_rate_is_the_jacobian_spectrum(src, mode, inputs):
     # radius is the gate's constant: 1, 2 for the subtraction gates, m for
     # an m-th root
     prog = compile_expression(src, mode)
-    kinds = {g.kind for g in prog.circuit.gates}
+    kinds = {g.kind for g in prog.gates}
     assert len(kinds) == 1
     traj = simulate_program(prog, inputs, SimConfig(t_end=40))
     assert traj.termination.status == "completed"
@@ -643,7 +642,7 @@ def test_gate_limit_rate_is_the_jacobian_spectrum(src, mode, inputs):
     rho = np.abs(np.linalg.eigvals(J)).max()
     assert rho == pytest.approx(gate_limit_rate(kinds.pop()), abs=1e-2)
     cap = crncalc.simulate._STEP_CAP
-    assert cap / circuit_max_step(prog.circuit) == pytest.approx(rho, abs=1e-2)
+    assert cap / circuit_max_step(prog) == pytest.approx(rho, abs=1e-2)
 
 
 def test_limit_cases_cover_every_gate():
@@ -657,10 +656,10 @@ def test_limit_cases_cover_every_gate():
 
 def test_composite_limit_rate_is_sigma_times_its_largest_gate():
     prog = compile_expression("sqrt(abs(a - b)) + root(3, a*b)")
-    rates = sorted(gate_limit_rate(g.kind) for g in prog.circuit.gates)
+    rates = sorted(gate_limit_rate(g.kind) for g in prog.gates)
     assert rates[-2:] == [2, 3]
     cap = crncalc.simulate._STEP_CAP
-    assert circuit_max_step(prog.circuit) == cap / 3
+    assert circuit_max_step(prog) == cap / 3
     traj = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=2.0))
     J = _jacobian(program_integrand(prog)[0], traj.states[-1])
     assert np.abs(np.linalg.eigvals(J)).max() == pytest.approx(3.0, abs=1e-2)
@@ -669,11 +668,11 @@ def test_composite_limit_rate_is_sigma_times_its_largest_gate():
 
 
 def test_network_cap_is_the_spectrum_of_the_jacobian_diagonal():
-    # a loaded program text has no circuit; its network is feed-forward in
+    # a loaded program text has no gates; its network is feed-forward in
     # species order, so the cap comes from the Jacobian's diagonal
     prog = compile_expression("sqrt(abs(a - b)) + root(3, a*b)")
     loaded = load_program(format_program(prog))
-    assert loaded.circuit is None
+    assert loaded.gates is None
     rhs, cap_at = program_integrand(loaded)
     cap = crncalc.simulate._STEP_CAP
     for t_end in (0.5, 3.0, 20.0):
