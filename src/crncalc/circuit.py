@@ -681,13 +681,15 @@ def load_program(text: str) -> CompiledProgram:
     text of a --crn file.  A `#` line whose first word is `input`,
     `const`, `output` or `init+` is a binding line and must have its form;
     an input name, a const species, the output and init+ are each bound
-    once.  A text without a binding line is a bare network and loads with
+    once, and so is each species an input rail, const or init+ starts.
+    A text without a binding line is a bare network and loads with
     bindings None; one with any must bind an output and declared species."""
     inputs: dict[str, tuple[str, ...]] = {}
     consts: dict[str, str] = {}
     output: tuple[str, ...] | None = None
     init: tuple[str, ...] = ()
     seen: set[tuple[str, ...]] = set()  # (keyword,) or (keyword, name) of each binding
+    started: set[str] = set()  # species an input, const or init+ binds
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not (key := _BINDING_RE.match(line)):
@@ -699,18 +701,24 @@ def load_program(text: str) -> CompiledProgram:
         if binding in seen:
             raise FormatError(f"line {lineno}: {' '.join(binding)} bound twice")
         seen.add(binding)
+        held: tuple[str, ...] = ()  # the species whose initial value the line sets
         if word == "input":
-            inputs[m.group(1)] = tuple(filter(None, m.groups()[1:]))
+            held = inputs[m.group(1)] = tuple(filter(None, m.groups()[1:]))
         elif word == "const":
             try:
                 parse_number(m.group(2))  # validate
             except ValueError as e:
                 raise FormatError(f"line {lineno}: const {m.group(1)}: {e}") from None
             consts[m.group(1)] = m.group(2)
+            held = (m.group(1),)
         elif word == "output":
             output = tuple(filter(None, m.groups()))
         else:
-            init = tuple(s.strip() for s in m.group(1).split(",") if s.strip())
+            held = init = tuple(s.strip() for s in m.group(1).split(",") if s.strip())
+        for sid in held:
+            if sid in started:
+                raise FormatError(f"line {lineno}: species {sid} bound twice")
+            started.add(sid)
     net = parse_network(text)
     if not seen:
         return CompiledProgram(net.species, None, network=net)

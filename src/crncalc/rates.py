@@ -13,12 +13,16 @@ residual quadratic in k, so clipping the free k fits the bounded one.
 Speed checks compare the fitted rate against (1 - slack) * bound.
 
 estimate_rate fits the samples it is given, such as those integrate
-takes of the species it is asked to sample (Trajectory.samples).
+takes of the species it is asked to sample (Trajectory.samples): one
+trajectory's, or a block of rows (trajectory, species, target, floor) in
+one vectorised pass.  A one-trajectory call is that pass on a one-row
+block, and a row's result does not depend on the rows that share it.
 `Pipeline` is the one compile -> predict -> integrate -> measure path:
 `verify`, `sweep` and the acceptance criteria all take their points
-through it, and it measures every lane and rail from the samples of its
-output rails.  Its constructors, `Pipeline.expression` for an expression
-and `Pipeline.network` for program text (a bare network is program text
+through it, and it measures every lane and rail of a batch in one
+estimate_rate call on the samples of its output rails.  Its
+constructors, `Pipeline.expression` for an expression and
+`Pipeline.network` for program text (a bare network is program text
 without bindings), make one program each and raise every error that no
 point can change, so a point meets only errors of its own.
 """
@@ -90,40 +94,52 @@ def auto_err_floor(target: float, rel_tol: float) -> float:
     return max(ERR_FLOOR, 10.0 * rel_tol * (1.0 + abs(target)))
 
 
-def _suffix_fits(bt: np.ndarray, be: np.ndarray):
+@np.errstate(invalid="ignore", divide="ignore")
+def _suffix_fits(bt: np.ndarray, be: np.ndarray, nb: np.ndarray):
     """Least squares for ln err ~ c + k*ln(1+t) - rho*t with k in [0, _K_MAX]
-    on every trailing window bt[s:] of at least _MIN_SUFFIX_BINS bins (only
-    s = 0 when the envelope is shorter), solved as one batch.
+    on every trailing window of each row's envelope, solved as one batch.
+    Row r holds its nb[r] bins at the start of bt[r] and be[r], and its
+    window s is bins s .. nb[r] - 1, for every s that leaves at least
+    _MIN_SUFFIX_BINS bins (only s = 0 when the envelope is shorter).
 
-    Window s zeroes the rows before s.  Each window is centred on its own
-    means, which fits c, and the t column is projected out of ln(1+t) and
-    ln err.  The residual is then quadratic in k, so the free k clipped to
-    [0, _K_MAX] is the constrained optimum, and rho is the slope of
-    ln err - k ln(1+t) on t.  Returns the arrays rho, k and r^2, indexed
-    by s.
+    A window zeroes the bins outside it.  Each window is centred on its
+    own means, which fits c, and the t column is projected out of
+    ln(1+t) and ln err.  The residual is then quadratic in k, so the free
+    k clipped to [0, _K_MAX] is the constrained optimum, and rho is the
+    slope of ln err - k ln(1+t) on t.  Returns the arrays rho, k and r^2,
+    indexed by (row, s), and which windows exist.  Every sum runs over
+    the last axis, whose width is the caller's, so a row's fits do not
+    depend on the other rows.
     """
-    rows = np.arange(bt.size)
-    mask = rows >= rows[:max(1, bt.size - _MIN_SUFFIX_BINS + 1), None]
+    i = np.arange(bt.shape[-1])
+    s = np.arange(max(1, i.size - _MIN_SUFFIX_BINS + 1))
+    windows = s < np.maximum(1, nb - _MIN_SUFFIX_BINS + 1)[:, None]
+    mask = ((i >= s[:, None]) & (i < nb[:, None, None]) & windows[..., None]).astype(float)
 
     def dot(u, v):  # per window
-        return np.einsum("wi,wi->w", u, v)
+        return np.einsum("...i,...i->...", u, v)
 
-    t, lt, e = ((x - (mask @ x / mask.sum(axis=1))[:, None]) * mask
-                for x in (bt, np.log1p(bt), be))
+    x = np.stack([bt, np.log1p(bt), be])[:, :, None]
+    t, lt, e = (x - (dot(x, mask) / np.maximum(mask.sum(axis=-1), 1))[..., None]) * mask
     tt = dot(t, t)
-    lp, ep = (x - (dot(x, t) / tt)[:, None] * t for x in (lt, e))
+    le = np.stack([lt, e])
+    lp, ep = le - (dot(le, t) / tt)[..., None] * t
     ll = dot(lp, lp)
     k = np.clip(np.divide(dot(lp, ep), ll, out=np.zeros_like(ll), where=ll > 0), 0.0, _K_MAX)
-    d = e - k[:, None] * lt
+    d = e - k[..., None] * lt
     slope = dot(d, t) / tt
-    resid = d - slope[:, None] * t
+    resid = d - slope[..., None] * t
     ss_tot = dot(e, e)
     r2 = 1.0 - np.divide(dot(resid, resid), ss_tot, out=np.zeros_like(ss_tot), where=ss_tot > 0)
-    return -slope, k, r2
+    return -slope, k, r2, windows
 
 
-def _detrended_fit(seg_t: np.ndarray, log_e: np.ndarray):
-    """Prefactor-aware rate fit on envelope maxima of trailing sub-windows.
+def _detrended_fit(t: np.ndarray, log_e: np.ndarray, bounds: np.ndarray) -> list:
+    """Prefactor-aware rate fit on envelope maxima of trailing sub-windows,
+    of every row of a block at once.  Row r's fit window is
+    t[bounds[r]:bounds[r + 1]], increasing, with log errors log_e there.
+    Returns per row a RateEstimate, or the EstimationError of an envelope
+    of fewer than 4 bins or of an error that is not decaying.
 
     Binning by time and keeping each bin's maximum discards the downward
     spikes where the signed error crosses zero; scanning suffixes lets the
@@ -131,25 +147,140 @@ def _detrended_fit(seg_t: np.ndarray, log_e: np.ndarray):
     a transient.  Among near-tied fits the longest window wins.  A bin is
     closed at both ends, so a sample on an edge belongs to both its bins.
     """
-    edges = np.linspace(seg_t[0], seg_t[-1], _ENVELOPE_BINS + 1)
-    starts = np.searchsorted(seg_t, edges[:-1], side="left")
-    stops = np.searchsorted(seg_t, edges[1:], side="right")
-    starts, stops = starts[starts < stops], stops[starts < stops]
-    # each bin's samples, padded with repeats of its last one
-    idx = np.minimum(starts[:, None] + np.arange((stops - starts).max()),
-                     stops[:, None] - 1)
-    picks = starts + np.argmax(log_e[idx], axis=1)
-    bt, be = seg_t[picks], log_e[picks]
-    if bt.size < 4:
-        raise EstimationError(f"only {bt.size} envelope bins in the fit window")
-    rho, _k, r2 = _suffix_fits(bt, be)
-    s = int(np.argmax(r2 >= r2.max() - 1e-6))  # earliest (longest) near-tied suffix
-    n_used = seg_t.size - int(np.searchsorted(seg_t, bt[s], side="left"))
-    return float(rho[s]), (float(bt[s]), float(bt[-1])), float(r2[s]), n_used
+    rows = np.arange(bounds.size - 1)
+    lo, hi = t[bounds[:-1]], t[bounds[1:] - 1]
+    # each row's np.linspace(lo, hi, _ENVELOPE_BINS + 1)
+    edges = np.arange(_ENVELOPE_BINS + 1) * ((hi - lo) / _ENVELOPE_BINS)[:, None] + lo[:, None]
+    edges[:, -1] = hi
+    key = _pairs(np.repeat(rows, np.diff(bounds)), t)
+    starts = np.searchsorted(key, _pairs(rows[:, None], edges[:, :-1]), side="left")
+    stops = np.searchsorted(key, _pairs(rows[:, None], edges[:, 1:]), side="right")
+    del key  # the pairs below take its place
+    full = starts < stops
+    starts, stops = starts[full], stops[full]  # the bins, row after row
+    # each bin's first largest sample, its largest (log error, -time)
+    # pair, reduced from each start to its stop (a pair after the last
+    # sample lets a stop be the end)
+    top = np.zeros(t.size + 1, dtype=complex)
+    top.real[:-1] = log_e
+    np.negative(t, out=top.imag[:-1])
+    top = np.maximum.reduceat(top, np.column_stack([starts, stops]).ravel())[::2]
+    # each row's bins, packed at the start of the row
+    nb = full.sum(axis=1)
+    bt, be = np.zeros((2, rows.size, _ENVELOPE_BINS))
+    at = np.nonzero(full)[0], (np.cumsum(full, axis=1) - 1)[full]
+    bt[at], be[at] = -top.imag, top.real
+    rho, _k, r2, windows = _suffix_fits(bt, be, nb)
+    r2 = np.where(windows, r2, -np.inf)
+    s = np.argmax(r2 >= r2.max(axis=1, keepdims=True) - 1e-6, axis=1)  # earliest (longest) near-tied suffix
+    first = bt[rows, s]
+    # the samples used: every one after the stop of the fit's first bin,
+    # and those in that bin no earlier than its largest
+    b = np.cumsum(nb) - nb + s
+    size = stops[b] - starts[b]
+    offset = np.cumsum(size) - size
+    inside = t[np.repeat(starts[b] - offset, size) + np.arange(size.sum())] >= np.repeat(first, size)
+    n_used = bounds[1:] - stops[b] + np.add.reduceat(inside, offset, dtype=int)
+    return [EstimationError(f"only {bins} envelope bins in the fit window") if bins < 4
+            else EstimationError("error is not decaying over the fit window") if rate <= 0
+            else RateEstimate(rate, (lo, hi), fit, used)
+            for bins, rate, lo, hi, fit, used in zip(
+                nb.tolist(), rho[rows, s].tolist(), first.tolist(), bt[rows, nb - 1].tolist(),
+                r2[rows, s].tolist(), n_used.tolist())]
 
 
-def estimate_rate(traj: Trajectory, species: str, target: float,
-                  err_floor: float = ERR_FLOOR, err_ceil: float = ERR_CEIL) -> RateEstimate:
+def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The pairs (a, b) as complex numbers a + ib, which numpy orders by a,
+    then b, so that searching (row, time) pairs finds a time in its own
+    row of concatenated windows, and a range's largest (value, -time)
+    pair is its first largest value."""
+    z = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    z.real, z.imag = a, b
+    return z
+
+
+def _fit_block(trajs, species, targets, floors, err_ceil: float) -> list:
+    """estimate_rate of every row r (trajs[r], species[r], targets[r],
+    floors[r]) in one pass: a RateEstimate, or the ValueError of the row.
+
+    The rows' errors are stacked as one array and their distinct time
+    arrays as another (the rows of one sample grid share theirs), each row
+    padded past its end where no window reaches.  Every reduction over
+    them is exact (a max, a count or a first index), and the windows are
+    fitted by _detrended_fit, so a row's result does not depend on the
+    rows that share the block."""
+    rows = np.arange(len(trajs))
+    out: list = [None] * rows.size
+    floors = np.asarray(floors, dtype=float)
+    goals = np.array([float(tgt) for tgt in targets])
+    n = np.array([traj.times.size for traj in trajs], dtype=int)
+    for r in rows:
+        if not 0 < floors[r] < err_ceil:
+            out[r] = ValueError(f"need 0 < error floor < error ceiling, got floor {floors[r]:g} "
+                                f"and ceiling {err_ceil:g} for target {goals[r]:g}")
+        elif n[r] < 2:
+            out[r] = EstimationError("trajectory too short")
+    live = np.array([fit is None for fit in out], dtype=bool)
+    # the distinct time arrays, each once: the rows of a sample grid share one
+    grids: dict[int, tuple] = {}
+    g = np.array([grids.setdefault(id(traj.times), (len(grids), traj.times))[0]
+                  for traj in trajs], dtype=int)
+    idx = np.arange(max(n.max(initial=0), 1))
+    times = np.full((len(grids), idx.size), np.nan)
+    for i, ti in grids.values():
+        times[i, :ti.size] = ti
+    err = np.zeros((rows.size, idx.size))  # a pad's error is 0
+    for r in np.flatnonzero(live).tolist():
+        np.subtract(trajs[r].series(species[r]), goals[r], out=err[r, :n[r]])
+    np.abs(err, out=err)
+    # the tail after the settle margin, of each grid
+    last = times[np.arange(len(grids)), [ti.size - 1 for _, ti in grids.values()]]
+    settle = times[:, 0] + 0.01 * (last - times[:, 0])
+    tail = times >= settle[:, None]
+    tail_n = np.count_nonzero(tail, axis=1)
+    tail_max = np.max(err, axis=1, where=tail[g], initial=-np.inf)
+    for r in np.flatnonzero(live & (tail_n[g] > 0) & (tail_max < floors)):
+        live[r] = False
+        out[r] = (EstimationError(f"error fell below the floor {floors[r]:g} before "
+                                  f"t={settle[g[r]]:g}, too early to fit")
+                  if err[r, :n[r]].max() >= floors[r] else
+                  RateEstimate(math.inf, (float(settle[g[r]]), float(last[g[r]])), 1.0,
+                               int(tail_n[g[r]])))
+    # the window: after the last error above the ceiling, before the first
+    # one after that below the floor, or the row's end
+    mask = err > err_ceil
+    start = np.where(mask.any(axis=1), idx.size - np.argmax(mask[:, ::-1], axis=1), 0)
+    np.less(err, floors[:, None], out=mask)
+    mask &= idx >= start[:, None]
+    end = np.where(mask.any(axis=1), np.argmax(mask, axis=1), n)
+    size = np.where(live, end - start, 0)
+    some = np.flatnonzero(size)
+    spans = list(zip(some.tolist(), start[some].tolist(), end[some].tolist()))
+    # the windows, concatenated (the stacked errors are freed first)
+    e_w = np.concatenate([np.empty(0)] + [err[r, a:b] for r, a, b in spans])
+    del err, mask
+    t_w = np.concatenate([np.empty(0)] + [times[g[r], a:b] for r, a, b in spans])
+    keep = e_w > 0  # leaves out nan errors
+    count = np.zeros(rows.size, dtype=int)
+    count[some] = np.add.reduceat(keep, np.cumsum(size[some]) - size[some], dtype=int)
+    for r in np.flatnonzero(live & (count < MIN_FIT_SAMPLES)):
+        out[r] = EstimationError(
+            f"only {count[r]} samples with error in [{floors[r]:g}, {err_ceil:g}]")
+    fit = np.flatnonzero(live & (count >= MIN_FIT_SAMPLES))
+    if fit.size:
+        keep &= np.repeat(count[some] >= MIN_FIT_SAMPLES, size[some])  # the fitted rows'
+        if not keep.all():
+            e_w, t_w = e_w[keep], t_w[keep]
+        ests = _detrended_fit(t_w, np.log(e_w, out=e_w),
+                              np.concatenate([[0], np.cumsum(count[fit])]))
+        for r, est in zip(fit, ests):
+            out[r] = est
+    return out
+
+
+def estimate_rate(traj: Trajectory | list[Trajectory], species: str | list[str],
+                  target: float | list[float], err_floor: float | list[float] = ERR_FLOOR,
+                  err_ceil: float = ERR_CEIL) -> RateEstimate | list:
     """Fit the tail decay rate of |x(t) - target| on traj's own samples.
 
     The window starts after the last sample with error above err_ceil and
@@ -159,35 +290,19 @@ def estimate_rate(traj: Trajectory, species: str, target: float,
     rate is reported as +inf when the error never reached the floor, and
     raises EstimationError when it did: it fell through the fit window
     before the margin, too fast to be measured, so nothing shows the rate.
+
+    Given one Trajectory, species, target and floor, returns its
+    RateEstimate or raises its ValueError.  Given equally long lists of
+    them instead (a block of rows), fits every row in one pass and
+    returns per row a RateEstimate or the ValueError that stopped it.
+    Both are the same fit, and a row gets the same result in any block.
     """
-    if not 0 < err_floor < err_ceil:
-        raise ValueError(f"need 0 < error floor < error ceiling, got floor {err_floor:g} "
-                         f"and ceiling {err_ceil:g} for target {float(target):g}")
-    t = np.asarray(traj.times, dtype=float)
-    if t.size < 2:
-        raise EstimationError("trajectory too short")
-    err = np.abs(traj.series(species) - float(target))
-    settle = t[0] + 0.01 * (t[-1] - t[0])
-    tail = err[t >= settle]
-    if tail.size and float(tail.max()) < err_floor:
-        if float(err.max()) >= err_floor:
-            raise EstimationError(f"error fell below the floor {err_floor:g} before "
-                                  f"t={settle:g}, too early to fit")
-        return RateEstimate(math.inf, (float(settle), float(t[-1])), 1.0, int(tail.size))
-    above = np.nonzero(err > err_ceil)[0]
-    start = int(above[-1]) + 1 if above.size else 0
-    below = np.nonzero(err[start:] < err_floor)[0]
-    end = start + int(below[0]) if below.size else t.size
-    seg_t, seg_e = t[start:end], err[start:end]
-    keep = seg_e > 0
-    seg_t, seg_e = seg_t[keep], seg_e[keep]
-    if seg_t.size < MIN_FIT_SAMPLES:
-        raise EstimationError(
-            f"only {seg_t.size} samples with error in [{err_floor:g}, {err_ceil:g}]")
-    rho, win, r2, n_used = _detrended_fit(seg_t, np.log(seg_e))
-    if rho <= 0:
-        raise EstimationError("error is not decaying over the fit window")
-    return RateEstimate(rho, win, r2, n_used)
+    if isinstance(traj, Trajectory):
+        (est,) = _fit_block([traj], [species], [target], [err_floor], err_ceil)
+        if isinstance(est, ValueError):
+            raise est
+        return est
+    return _fit_block(traj, species, target, err_floor, err_ceil)
 
 
 def digits_time(traj: Trajectory, species: str, target: float, n: int) -> DigitTime:
@@ -253,9 +368,9 @@ class Pipeline:
     an unknown species) is raised before any point runs.
     `run_points` takes a batch of input points through it, binds each to
     an initial state with program_state, integrates them as one batch
-    that samples the output rails, then calls estimate_rate once per lane
-    and rail on those samples.  The layer functions are called through
-    their modules, so they can be wrapped by name.
+    that samples the output rails, then calls estimate_rate once, on the
+    block of every lane and rail of those samples.  The layer functions
+    are called through their modules, so they can be wrapped by name.
     """
 
     def __init__(self, prog: circ.CompiledProgram, point, rails: list[str],
@@ -297,24 +412,12 @@ class Pipeline:
 
         return cls(prog, point, [species], cfg)
 
-    def _rail_rates(self, samples: Trajectory, targets: list[float]) -> list:
-        """The rate estimate of each output rail from the rails' sampled
-        trajectory, or the ValueError that stopped it (EstimationError,
-        NotConvergedError)."""
-        out = []
-        for sid, tgt in zip(self.rails, targets):
-            try:
-                out.append(estimate_rate(samples, sid, tgt,
-                                         err_floor=auto_err_floor(tgt, self.cfg.rel_tol)))
-            except ValueError as e:
-                out.append(e)
-        return out
-
     def run_points(self, points: list[dict]) -> list:
         """A PointRun per point, or the point's own ValueError that kept it
         from running: a DomainError, a missing or unknown input, a value
         at the blowup threshold.  The points that can run are integrated
-        as one batch, which samples their rails.
+        as one batch, which samples their rails, and one estimate_rate
+        call fits every lane and rail of it.
         A lane that ends in stiff_failure in a batch of more than one is
         integrated again alone and reports that run, so that how a point
         ends does not depend on the points batched with it."""
@@ -333,9 +436,13 @@ class Pipeline:
                 trajs = [self._integrate(y0[:, [j]])[0]
                          if traj.termination.status == "stiff_failure" else traj
                          for j, traj in enumerate(trajs)]
+            rows = [(traj.samples, sid, tgt, auto_err_floor(tgt, self.cfg.rel_tol))
+                    for (_, _, targets, _), traj in zip(lanes, trajs)
+                    for sid, tgt in zip(self.rails, targets)]
+            rates = iter(estimate_rate(*map(list, zip(*rows))))
             for (i, analysis, targets, _), traj in zip(lanes, trajs):
                 runs[i] = PointRun(self.rails, targets, traj,
-                                   self._rail_rates(traj.samples, targets), analysis)
+                                   [next(rates) for _ in self.rails], analysis)
         return runs
 
     def _integrate(self, y0: np.ndarray) -> list[Trajectory]:

@@ -72,10 +72,12 @@ class IntegrationStats:
 
 @dataclass
 class Trajectory:
-    """One lane's run.  From integrate, times and the states behind states
-    are read-only views into the call's step record, shared by the lanes
-    that left it after the same step (a blowup lane copies its times to
-    end them at the crossing), and samples holds the species it sampled."""
+    """One lane's run.  From integrate, times is a read-only view into the
+    call's step record and states one into the clipped states of the
+    lanes that left it after the same step, both shared by those lanes (a
+    blowup lane copies them to end them at the crossing), and samples
+    holds the species it sampled, a read-only view into the values of the
+    lanes that share its sample grid."""
     species: tuple[str, ...]
     times: np.ndarray
     states: np.ndarray  # (n_times, n_species), clipped at 0
@@ -493,7 +495,11 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
               sample: Sequence[str] = ()) -> list[Trajectory]:
     """Integrate the columns of y0 (species x lanes) in lockstep and return
     one Trajectory per lane, with the species named in sample sampled
-    from the dense output as its samples (see _lane_samples).
+    from the dense output as its samples: _SAMPLES uniform times over
+    the lane's run, clipped at 0 (a lane with no step keeps its own row).
+    The lanes that end after the same step at the same time share one
+    grid of sample times, and _interpolate evaluates all their
+    interpolants at once.
 
     rhs(t, y) takes y as (species, lanes), or as a list of floats when y0
     has one column, and returns one row per species.  rhs, max_step and
@@ -530,8 +536,9 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     record: the boundaries, the step sizes, each accepted step's
     (species, lanes) state and the (sampled species, lanes, 7)
     dense-output coefficients of the species in sample alone.  It is
-    stacked once and made read-only, and each lane's arrays are views
-    into it that stop at its own last step (see Trajectory).
+    stacked once and made read-only.  The lanes that left after the same
+    step share their boundaries, a view into it, and their states, one
+    clipped copy of its rows up to that step (see Trajectory).
     """
     y0 = _check_state(np.asarray(y0, dtype=float))
     n, n_lanes = y0.shape
@@ -662,17 +669,37 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     del ys, qs  # before a blowup lane copies its states
     for record in (times, h, states, q):
         record.flags.writeable = False
-    shared: dict[int, tuple] = {}  # k -> the boundaries and step sizes of k steps
-    grids: dict[tuple, tuple] = {}  # (k, end time) -> a sample grid, see _lane_samples
-    trajs = []
+    by_steps: dict[int, list] = {}  # k -> the lanes whose steps are the record's first k
     for lane in range(n_lanes):
-        k = ends[lane][-1].steps  # a lane's steps are the record's first k
-        prefix = shared.setdefault(k, (times[:k + 1], h[:k]))
-        traj = _lane_trajectory(prefix[0], states[:k + 1, :, lane], ends[lane], species, cfg)
-        if cols:
-            traj.samples = _lane_samples(traj, cols, *prefix, states[:k, cols, lane],
-                                         q[:k, :, lane], sigma, grids)
-        trajs.append(traj)
+        by_steps.setdefault(ends[lane][-1].steps, []).append(lane)
+    grids: dict[tuple, list] = {}  # (k, end time) -> the lanes that share a sample grid
+    trajs: list = [None] * n_lanes
+    for k, lanes in by_steps.items():
+        bounds, clipped = times[:k + 1], states[:k + 1, :, lanes]
+        lows = clipped.min(axis=0)
+        np.clip(clipped, 0.0, None, out=clipped)
+        clipped.flags.writeable = False
+        for j, lane in enumerate(lanes):
+            trajs[lane] = _lane_trajectory(bounds, states[:k + 1, :, lane], clipped[..., j],
+                                           lows[:, j], ends[lane], species, cfg)
+            if cols:
+                grids.setdefault((k, trajs[lane].times[-1]), []).append(lane)
+    sampled = tuple(species[i] for i in cols)
+    for (k, end), lanes in grids.items():
+        if k:
+            t = np.linspace(times[0], end, _SAMPLES)
+            # a run of lanes is a view, not a copy, of the record
+            part = (slice(lanes[0], lanes[-1] + 1) if lanes[-1] - lanes[0] == len(lanes) - 1
+                    else lanes)
+            values = _interpolate(times[:k], h[:k], states[:k, cols][..., part],
+                                  q[:k, :, part], t, sigma)
+        else:  # lanes with no step keep their own row
+            t, values = times[:1], states[:1, cols][..., lanes].transpose(1, 2, 0)
+        values.flags.writeable = False
+        for j, lane in enumerate(lanes):
+            traj = trajs[lane]
+            traj.samples = Trajectory(sampled, t, values[:, j].T, traj.termination,
+                                      traj.negatives, stats=traj.stats)
     return trajs
 
 
@@ -684,47 +711,47 @@ def _blowup_owner(y: np.ndarray, rel_tol: float) -> int:
     return int(np.argmax(y >= y.max() * (1.0 - rel_tol)))
 
 
-def _lane_trajectory(times: np.ndarray, raw: np.ndarray, end: tuple,
-                     species: Sequence[str], cfg: SimConfig) -> Trajectory:
-    """A lane's Trajectory from its views into the step record: boundaries
-    and states (steps + 1, species)."""
+def _lane_trajectory(times: np.ndarray, raw: np.ndarray, clipped: np.ndarray,
+                     lows: np.ndarray, end: tuple, species: Sequence[str],
+                     cfg: SimConfig) -> Trajectory:
+    """A lane's Trajectory from its boundaries, its states (steps + 1,
+    species) as recorded and clipped at 0, and each species' lowest
+    recorded value, all computed for the lanes that took the same steps."""
     status, crossing, detail, stats = end
     if crossing is not None:  # a blowup run ends where the threshold is crossed
         times, raw = times.copy(), raw.copy()
         times[-1], raw[-1] = crossing
+        clipped, lows = np.clip(raw, 0.0, None), raw.min(axis=0)
         term = Termination(status, species[_blowup_owner(raw[-1], cfg.rel_tol)], float(times[-1]))
     else:
         term = Termination(status, time=float(times[-1]), detail=detail)
-    lows = raw.min(axis=0)
     flags = [(species[j], float(times[np.argmin(raw[:, j])]), float(lows[j]))
              for j in np.flatnonzero(lows < -cfg.abs_tol)]
-    return Trajectory(tuple(species), times, np.clip(raw, 0.0, None), term,
-                      tuple(flags), stats=stats)
+    return Trajectory(tuple(species), times, clipped, term, tuple(flags), stats=stats)
 
 
-def _lane_samples(traj: Trajectory, cols: list[int], times: np.ndarray, h: np.ndarray,
-                  y_old: np.ndarray, q: np.ndarray, sigma: float, grids: dict) -> Trajectory:
-    """The species cols of a lane at _SAMPLES uniform times over its run,
-    from the interpolant of its steps (boundaries times, sizes h in tau =
-    sigma t, start states y_old and coefficients q), clipped at 0; a time
-    on a step boundary uses the step ending there.  A lane with no step
-    keeps its own row.  Lanes with the same step count and end time share
-    one grid of steps and powers of the step fraction in grids."""
-    species = tuple(traj.species[i] for i in cols)
-    if not h.size:
-        return Trajectory(species, traj.times, traj.states[:, cols], traj.termination,
-                          traj.negatives, stats=traj.stats)
-    t_old, key = times[:-1], (h.size, traj.times[-1])
-    if key not in grids:
-        t = np.linspace(times[0], traj.times[-1], _SAMPLES)
-        k = np.clip(np.searchsorted(t_old, t, side="left") - 1, 0, h.size - 1)
-        x = (t - t_old[k]) * sigma / h[k]
-        grids[key] = t, k, np.cumprod(np.stack([x] * _P.shape[1], axis=-1), axis=-1), h[k]
-    t, k, p, hk = grids[key]
-    values = np.column_stack([y_old[k, i] + hk * np.einsum("...j,...j->...", q[:, i][k], p)
-                              for i in range(len(cols))])
-    return Trajectory(species, t, np.clip(values, 0.0, None), traj.termination,
-                      traj.negatives, stats=traj.stats)
+def _interpolate(t_old: np.ndarray, h: np.ndarray, y_old: np.ndarray, q: np.ndarray,
+                 t: np.ndarray, sigma: float) -> np.ndarray:
+    """The interpolants of lanes that share their steps at the times t,
+    clipped at 0, as (species, lanes, times); a time on a step boundary
+    uses the step ending there.  The steps are given by their start times
+    t_old, sizes h in tau = sigma t, start states y_old (steps, species,
+    lanes) and coefficients q (steps, species, lanes, 7).  One Horner
+    pass evaluates every lane, gathering one power's coefficients at a
+    time, and a lane's values are elementwise in its own columns."""
+    k = np.clip(np.searchsorted(t_old, t, side="left") - 1, 0, h.size - 1)
+    x = ((t - t_old[k]) * sigma / h[k])[:, None]
+    coef = np.moveaxis(q, -1, 0).reshape(q.shape[-1], h.size, -1)  # (power, step, column)
+    v = coef[-1].take(k, axis=0)
+    rows = np.empty_like(v)  # gathered rows of one power, then of y_old, then the result
+    for j in range(q.shape[-1] - 2, -1, -1):
+        v *= x
+        v += coef[j].take(k, axis=0, out=rows, mode="clip")
+    v *= x
+    v *= h[k][:, None]
+    v += y_old.reshape(h.size, -1).take(k, axis=0, out=rows, mode="clip")
+    out = rows.reshape(v.shape[::-1])
+    return np.clip(v.T, 0.0, None, out=out).reshape(*q.shape[1:3], t.size)
 
 
 def network_integrand(net: ReactionNetwork) -> tuple[Callable, Callable]:

@@ -380,9 +380,11 @@ def test_verify_attempt_budget_exits_4(tmp_path, capsys, monkeypatch):
 
 def test_verify_speed_failure_exits_5(capsys, monkeypatch):
     # a correctly built program cannot honestly miss its bound, so pin the
-    # estimator to a low value to exercise the failure path
+    # estimator to a low value for every row of the block to exercise the
+    # failure path
     monkeypatch.setattr(crncalc.rates, "estimate_rate",
-                        lambda *a, **k: RateEstimate(0.3, (5.0, 20.0), 0.999, 50))
+                        lambda trajs, *a, **k: [RateEstimate(0.3, (5.0, 20.0), 0.999, 50)]
+                        * len(trajs))
     code, out, _ = run(capsys, "verify", "--expr", "a + b",
                        "--in", "a=1,b=2", "--t-end", "30")
     assert code == 5
@@ -821,6 +823,10 @@ BINDING_ERRORS = [
     ("# input a -> A\n# input a -> X\n# output -> X\n", "line 2: input a bound twice"),
     ("# input a -> A\n# const K1 = abc\n# output -> X\n",
      "line 2: const K1: could not convert string to float: 'abc'"),
+    # a species starts at one value: no binding may overwrite another's
+    ("# input a -> A\n# input b -> A\n# output -> X\n", "line 2: species A bound twice"),
+    ("# input a -> A\n# const A = 2\n# output -> X\n", "line 2: species A bound twice"),
+    ("# input a -> (A, A)\n# output -> X\n", "line 1: species A bound twice"),
 ]
 CRN_RUNS = {"simulate": ["--in", "a=1"],
             "sweep": ["--grid", "a=1", "--target", "a", "--species", "X"]}
@@ -828,7 +834,8 @@ CRN_RUNS = {"simulate": ["--in", "a=1"],
 
 @pytest.mark.parametrize("command", CRN_RUNS)
 @pytest.mark.parametrize("bindings,message", BINDING_ERRORS, ids=[
-    "undeclared", "no_output", "malformed", "input_twice", "bad_const"])
+    "undeclared", "no_output", "malformed", "input_twice", "bad_const",
+    "species_of_two_inputs", "species_of_input_and_const", "species_of_both_rails"])
 def test_crn_binding_error_exits_2(tmp_path, capsys, command, bindings, message):
     # a text with a binding line is a program, and its binding errors are
     # its own: it is not read again as a bare network

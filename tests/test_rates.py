@@ -30,7 +30,9 @@ from crncalc.simulate import (
     integrate,
     network_integrand,
 )
+from crncalc.cli import SWEEP_BLOCK
 from crncalc.rates import (
+    ERR_FLOOR,
     EstimationError,
     NotConvergedError,
     Pipeline,
@@ -143,6 +145,85 @@ def test_auto_err_floor():
     assert auto_err_floor(5.0, 1e-6) == pytest.approx(6e-5)
 
 
+# --- a block of rows is fitted in one pass -------------------------------------
+
+def assert_same_fit(got, traj, sid, target, floor):
+    """got is what estimate_rate returns or raises for this one row alone,
+    field by field or by type and message."""
+    try:
+        want = estimate_rate(traj, sid, target, err_floor=floor)
+    except ValueError as e:
+        assert type(got) is type(e) and str(got) == str(e)
+        return type(e)
+    assert isinstance(got, RateEstimate)
+    for f in fields(RateEstimate):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+    return RateEstimate
+
+
+def test_block_rows_equal_their_own_fits():
+    # every branch of the fit in one block of rows of unequal lengths
+    edge = np.concatenate([np.linspace(0.0, 1.0, 10), [30.0]])
+    gaps = 2.0 + np.exp(-np.linspace(0.0, 30.0, 1200))
+    gaps[700:705] = np.nan  # samples the window leaves out
+    rows = [
+        # (trajectory, target, floor, what the row gets)
+        (synthetic(lambda t: 5.0 + 2.0 * np.exp(-1.5 * t)), 5.0, ERR_FLOOR, "fit"),
+        (synthetic(lambda t: np.full_like(t, 3.0 + 1e-12)), 3.0, ERR_FLOOR, "inf"),
+        (synthetic(lambda t: 3.0 + np.exp(-600.0 * t), t_end=80), 3.0, ERR_FLOOR,
+         "floor 1e-09 before t=0.8, too early to fit"),
+        (synthetic(lambda t: 2.0 + t ** 2 * np.exp(-t), t_end=40, n=2000), 2.0, ERR_FLOOR,
+         "fit"),
+        (Trajectory(("x",), np.linspace(0.0, 30.0, 1200), gaps[:, None],
+                    Termination("completed")), 2.0, ERR_FLOOR, "fit"),
+        # zero rails: exactly at the target throughout, or at first, where
+        # an error of 0 closes the window before it opens
+        (synthetic(lambda t: np.zeros_like(t)), 0.0, ERR_FLOOR, "inf"),
+        (synthetic(lambda t: 3e-3 * t * np.exp(-t)), 0.0, ERR_FLOOR,
+         "only 0 samples with error in [1e-09, 0.01]"),
+        (synthetic(lambda t: 1.0 + np.exp(-t), n=12), 1.0, ERR_FLOOR,
+         "samples with error in"),
+        (Trajectory(("x",), edge, 1e-3 * np.exp(-edge[:, None] / 10), Termination("completed")),
+         0.0, ERR_FLOOR, "only 2 envelope bins in the fit window"),
+        (synthetic(lambda t: 1.0 + 1e-4 * np.exp(0.2 * t), t_end=20), 1.0, ERR_FLOOR,
+         "error is not decaying over the fit window"),
+        (Trajectory(("x",), np.zeros(1), np.ones((1, 1)), Termination("stiff_failure")),
+         1.0, ERR_FLOOR, "trajectory too short"),
+        (synthetic(lambda t: np.exp(-t)), 0.0, 0.1, "got floor 0.1 and ceiling 0.01"),
+    ]
+    trajs, targets, floors, expected = map(list, zip(*rows))
+    got = estimate_rate(trajs, ["x"] * len(rows), targets, floors)
+    assert len(got) == len(rows)
+    for est, traj, target, floor, want in zip(got, trajs, targets, floors, expected):
+        kind = assert_same_fit(est, traj, "x", target, floor)
+        if want == "fit":
+            assert kind is RateEstimate and 0 < est.rho_hat < math.inf
+        elif want == "inf":
+            assert kind is RateEstimate and est.rho_hat == math.inf
+        else:
+            assert kind is not RateEstimate and want in str(est)
+    assert got[3].rho_hat == pytest.approx(1.0, abs=0.02)  # t^2 e^-t
+    full_window = estimate_rate(synthetic(lambda t: 2.0 + np.exp(-t)), "x", 2.0)
+    assert got[4].samples_used == full_window.samples_used - 5
+
+
+def test_sweep_block_rows_equal_their_own_fits():
+    # a full sweep block of lanes, whose ties blow up at their own times:
+    # each lane's rate equals the one-row fit of its own samples
+    axis = np.geomspace(0.1, 50.0, 8)
+    points = [{"a": a, "b": b} for a in axis for b in axis]
+    assert len(points) == SWEEP_BLOCK
+    cfg = SimConfig(t_end=40, rel_tol=1e-10, abs_tol=1e-12)
+    runs = Pipeline.expression("max(a, b)", "nonneg", cfg).run_points(points)
+    assert len({run.traj.samples.times[-1] for run in runs}) == 2
+    kinds = []
+    for run in runs:
+        (sid,), (target,), (est,) = run.rails, run.targets, run.rates
+        kinds.append(assert_same_fit(est, run.traj.samples, sid, target,
+                                     auto_err_floor(target, cfg.rel_tol)))
+    assert kinds.count(RateEstimate) >= SWEEP_BLOCK - len(axis)
+
+
 # --- one-pass envelope fit against the per-window reference --------------------
 #
 # The per-window least squares the batched fit replaced, kept as its reference.
@@ -212,7 +293,9 @@ def test_suffix_fits_match_per_window_reference(k, fitted):
     for seed in range(48):
         bt, be = envelope(seed, k)
         ref = np.array(reference_suffix_fits(bt, be))
-        rho, k_fit, r2 = _suffix_fits(bt, be)
+        rho, k_fit, r2, windows = (x[0] for x in _suffix_fits(bt[None], be[None],
+                                                              np.array([bt.size])))
+        assert windows.all()
         assert all(fitted(v) for v in ref[:, 1]), (seed, ref[:, 1])
         new = np.column_stack([rho, k_fit, r2])
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=0, err_msg=str(seed))
@@ -221,7 +304,9 @@ def test_suffix_fits_match_per_window_reference(k, fitted):
 
 def test_detrended_fit_matches_reference():
     # noisy samples with zero-crossing dips; some sit exactly on bin edges,
-    # where they belong to both bins and can be the maximum of each
+    # where they belong to both bins and can be the maximum of each; and
+    # all the windows fitted as one block fit as each does alone
+    windows, alone = [], []
     for seed in range(24):
         rng = np.random.default_rng(seed)
         t0, t1 = rng.uniform(0.0, 8.0), rng.uniform(20.0, 40.0)
@@ -232,18 +317,24 @@ def test_detrended_fit_matches_reference():
         log_e[rng.random(seg_t.size) < 0.1] -= 5.0
         on_edge = np.isin(seg_t, np.linspace(t0, t1, ENVELOPE_BINS + 1))
         log_e[on_edge & (rng.random(seg_t.size) < 0.5)] += 1.0
-        rho, win, r2, n_used = _detrended_fit(seg_t, log_e)
+        (est,) = _detrended_fit(seg_t, log_e, np.array([0, seg_t.size]))
         ref_rho, ref_win, ref_r2, ref_n = reference_detrended_fit(seg_t, log_e)
-        assert (win, n_used) == (ref_win, ref_n), seed
-        assert rho == pytest.approx(ref_rho, rel=1e-12, abs=0)
-        assert r2 == pytest.approx(ref_r2, rel=1e-12, abs=0)
+        assert (est.fit_window, est.samples_used) == (ref_win, ref_n), seed
+        assert est.rho_hat == pytest.approx(ref_rho, rel=1e-12, abs=0)
+        assert est.r_squared == pytest.approx(ref_r2, rel=1e-12, abs=0)
+        windows.append((seg_t, log_e))
+        alone.append(est)
+    bounds = np.cumsum([0] + [seg_t.size for seg_t, _ in windows])
+    block = _detrended_fit(*map(np.concatenate, zip(*windows)), bounds)
+    assert block == alone
 
 
 def test_detrended_fit_needs_four_bins():
     seg_t = np.concatenate([np.linspace(0.0, 1.0, 10), [30.0]])
-    for fit in (_detrended_fit, reference_detrended_fit):
-        with pytest.raises(EstimationError, match="only 2 envelope bins"):
-            fit(seg_t, -seg_t)
+    (got,) = _detrended_fit(seg_t, -seg_t, np.array([0, seg_t.size]))
+    assert isinstance(got, EstimationError) and str(got) == "only 2 envelope bins in the fit window"
+    with pytest.raises(EstimationError, match="only 2 envelope bins"):
+        reference_detrended_fit(seg_t, -seg_t)
 
 
 # --- digit times ----------------------------------------------------------------

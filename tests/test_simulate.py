@@ -852,12 +852,17 @@ def test_blowup_owner_ignores_roundoff_but_not_a_real_lead():
 
 
 def test_resample_shares_grids_but_not_values(monkeypatch):
-    # a zero-step lane, a blowup lane and two completed lanes: each lane's
-    # samples equal, bit for bit, those it gets on a grid of its own
+    # a zero-step lane, a blowup lane and two completed lanes: the lanes
+    # that share a grid are sampled in one pass, and each lane's samples
+    # equal, bit for bit, those computed from its own step record alone
     points = [{"a": 1e200, "b": 2.0}, {"a": 2.0, "b": 2.0}, {"a": 1.0, "b": 3.0},
               {"a": 3.0, "b": 1.0}]
     rails = ["X2", "Y1"]
     cfg = SimConfig(t_end=40, **TIGHT)
+    real = crncalc.simulate._interpolate
+    calls = []
+    monkeypatch.setattr(crncalc.simulate, "_interpolate",
+                        lambda *args: calls.append(args) or real(*args))
     prog, lanes = batch("max(a, b)", points, cfg, rails)
     assert [lane.termination.status for lane in lanes] == [
         "stiff_failure", "blowup", "completed", "completed"]
@@ -866,20 +871,25 @@ def test_resample_shares_grids_but_not_values(monkeypatch):
     assert zero.states.tolist() == [[lanes[0].final(sid) for sid in rails]]
     low, high = lanes[2:]
     assert low.samples.times is high.samples.times
-    real = crncalc.simulate._lane_samples
-    monkeypatch.setattr(crncalc.simulate, "_lane_samples",
-                        lambda *args: real(*args[:-1], {}))
-    _, alone = batch("max(a, b)", points, cfg, rails)
-    assert alone[2].samples.times is not alone[3].samples.times
-    for lane, solo in zip(lanes, alone):
+    # one pass for the blowup lane's grid, one for the completed lanes'
+    assert [q.shape[2] for *_, q, _, _ in calls] == [1, 2]
+    alone = [(t, real(t_old, h, y_old[..., [j]], q[:, :, [j]], t, sigma)[:, 0].T)
+             for t_old, h, y_old, q, t, sigma in calls for j in range(q.shape[2])]
+    for lane, (times, values) in zip(lanes[1:], alone):
+        got = lane.samples
+        assert got.times is times and np.array_equal(got.states, values)
+    # Horner's order of the power sum differs from the sum's in the last bits
+    for args in calls:
+        want = _power_form_samples(*args)
+        np.testing.assert_allclose(real(*args), want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    for lane in lanes:
         got = lane.samples
         assert np.array_equal(got.times, np.linspace(0.0, lane.times[-1], got.times.size))
         assert got.times.size in (1, crncalc.simulate._SAMPLES)
         assert got.termination == lane.termination and got.samples is None
         assert got.stats == lane.stats and got.negatives == lane.negatives
-        assert np.array_equal(got.times, solo.samples.times)
-        assert np.array_equal(got.states, solo.samples.states)
         assert got.states[0].tolist() == [lane.states[0, lane.index(sid)] for sid in rails]
+    assert not np.array_equal(low.samples.states, high.samples.states)
 
 
 def test_lanes_are_read_only_views_of_one_step_record():
@@ -920,6 +930,17 @@ def test_resample_keeps_lanes_that_end_in_one_step_apart():
         assert np.array_equal(got.times, np.linspace(0.0, lane.times[-1], got.times.size))
         exact = a * np.exp(got.times)
         assert np.all(np.abs(got.series("X") - exact) <= 10 * cfg.rel_tol * (1 + exact))
+
+
+def _power_form_samples(t_old, h, y_old, q, t, sigma):
+    """_interpolate one sample at a time, as y_old + h sum_j q_j x^(j+1)
+    with the powers of the step fraction x."""
+    out = []
+    for ti in t:
+        k = min(max(int(np.searchsorted(t_old, ti, side="left")) - 1, 0), h.size - 1)
+        x = (ti - t_old[k]) * sigma / h[k]
+        out.append(y_old[k] + h[k] * np.einsum("...j,j->...", q[k], np.cumprod(np.full(7, x))))
+    return np.clip(np.moveaxis(np.array(out), 0, -1), 0.0, None)
 
 
 def _step_polynomial(t_old, t_new, y_old, q, t):

@@ -37,3 +37,24 @@ def test_tracer_patches_the_live_modules(capsys):
     from crncalc import circuit
     assert circuit.lower_to_circuit.__name__ == "lower_to_circuit"
 
+
+
+def test_a_sweep_fits_each_block_in_one_call(capsys):
+    # every lane and rail of a sweep block is fitted by one estimate_rate
+    # call: two calls for a sweep one point longer than a block
+    from crncalc.cli import SWEEP_BLOCK
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    grid = "a=" + ",".join(str(1 + i) for i in range(SWEEP_BLOCK + 1)) + ";b=2"
+    with tracer.patch():
+        assert tracer.run(["sweep", "--expr", "a + b", "--grid", "a=1,2,3;b=2,4",
+                           "--t-end", "20"]) == 0
+        assert tracer.counts["rates.estimates"] == 1
+        assert tracer.run(["sweep", "--mode", "real", "--expr", "a - b", "--grid",
+                           "a=1,2;b=-1", "--t-end", "20"]) == 0
+        assert tracer.counts["rates.estimates"] == 2
+        assert tracer.run(["sweep", "--expr", "a + b", "--grid", grid,
+                           "--t-end", "20"]) == 0
+    assert tracer.counts["rates.estimates"] == 4
+    rows = capsys.readouterr().out.splitlines()
+    assert sum(row[0].isdigit() for row in rows) == 6 + 2 + SWEEP_BLOCK + 1
