@@ -14,8 +14,9 @@ Speed checks compare the fitted rate against (1 - slack) * bound.
 
 estimate_rate fits the samples it is given, such as those integrate
 takes of the species it is asked to sample (Trajectory.samples): one
-trajectory's, or a block of rows (trajectory, species, target, floor) in
-one vectorised pass.  A one-trajectory call is that pass on a one-row
+trajectory's, or a block of rows (trajectory, species, target, floor).
+Each row's window is found on its own, and one vectorised envelope fit
+covers the windows of the block.  A one-trajectory call is a one-row
 block, and a row's result does not depend on the rows that share it.
 `Pipeline` is the one compile -> predict -> integrate -> measure path:
 `verify`, `sweep` and the acceptance criteria all take their points
@@ -199,80 +200,53 @@ def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return z
 
 
+def _window(traj: Trajectory, species: str, target: float, floor: float, err_ceil: float):
+    """One row's fit window, as its times and positive errors, or the +inf
+    RateEstimate of an error that never reached the floor; raises the
+    row's ValueError when it has neither (estimate_rate's rules)."""
+    if not 0 < floor < err_ceil:
+        raise ValueError(f"need 0 < error floor < error ceiling, got floor {floor:g} "
+                         f"and ceiling {err_ceil:g} for target {float(target):g}")
+    t = np.asarray(traj.times, dtype=float)
+    if t.size < 2:
+        raise EstimationError("trajectory too short")
+    err = np.abs(traj.series(species) - float(target))
+    settle = t[0] + 0.01 * (t[-1] - t[0])
+    tail = err[t >= settle]
+    if tail.size and tail.max() < floor:
+        if err.max() >= floor:
+            raise EstimationError(f"error fell below the floor {floor:g} before "
+                                  f"t={settle:g}, too early to fit")
+        return RateEstimate(math.inf, (float(settle), float(t[-1])), 1.0, tail.size)
+    # after the last error above the ceiling, before the first one after
+    # that below the floor, or the row's end
+    above = np.flatnonzero(err > err_ceil)
+    start = above[-1] + 1 if above.size else 0
+    below = np.flatnonzero(err[start:] < floor)
+    end = start + below[0] if below.size else t.size
+    t, err = t[start:end], err[start:end]
+    keep = err > 0  # leaves out nan errors
+    if (n := np.count_nonzero(keep)) < MIN_FIT_SAMPLES:
+        raise EstimationError(f"only {n} samples with error in [{floor:g}, {err_ceil:g}]")
+    return t[keep], err[keep]
+
+
 def _fit_block(trajs, species, targets, floors, err_ceil: float) -> list:
     """estimate_rate of every row r (trajs[r], species[r], targets[r],
-    floors[r]) in one pass: a RateEstimate, or the ValueError of the row.
-
-    The rows' errors are stacked as one array and their distinct time
-    arrays as another (the rows of one sample grid share theirs), each row
-    padded past its end where no window reaches.  Every reduction over
-    them is exact (a max, a count or a first index), and the windows are
-    fitted by _detrended_fit, so a row's result does not depend on the
-    rows that share the block."""
-    rows = np.arange(len(trajs))
-    out: list = [None] * rows.size
-    floors = np.asarray(floors, dtype=float)
-    goals = np.array([float(tgt) for tgt in targets])
-    n = np.array([traj.times.size for traj in trajs], dtype=int)
-    for r in rows:
-        if not 0 < floors[r] < err_ceil:
-            out[r] = ValueError(f"need 0 < error floor < error ceiling, got floor {floors[r]:g} "
-                                f"and ceiling {err_ceil:g} for target {goals[r]:g}")
-        elif n[r] < 2:
-            out[r] = EstimationError("trajectory too short")
-    live = np.array([fit is None for fit in out], dtype=bool)
-    # the distinct time arrays, each once: the rows of a sample grid share one
-    grids: dict[int, tuple] = {}
-    g = np.array([grids.setdefault(id(traj.times), (len(grids), traj.times))[0]
-                  for traj in trajs], dtype=int)
-    idx = np.arange(max(n.max(initial=0), 1))
-    times = np.full((len(grids), idx.size), np.nan)
-    for i, ti in grids.values():
-        times[i, :ti.size] = ti
-    err = np.zeros((rows.size, idx.size))  # a pad's error is 0
-    for r in np.flatnonzero(live).tolist():
-        np.subtract(trajs[r].series(species[r]), goals[r], out=err[r, :n[r]])
-    np.abs(err, out=err)
-    # the tail after the settle margin, of each grid
-    last = times[np.arange(len(grids)), [ti.size - 1 for _, ti in grids.values()]]
-    settle = times[:, 0] + 0.01 * (last - times[:, 0])
-    tail = times >= settle[:, None]
-    tail_n = np.count_nonzero(tail, axis=1)
-    tail_max = np.max(err, axis=1, where=tail[g], initial=-np.inf)
-    for r in np.flatnonzero(live & (tail_n[g] > 0) & (tail_max < floors)):
-        live[r] = False
-        out[r] = (EstimationError(f"error fell below the floor {floors[r]:g} before "
-                                  f"t={settle[g[r]]:g}, too early to fit")
-                  if err[r, :n[r]].max() >= floors[r] else
-                  RateEstimate(math.inf, (float(settle[g[r]]), float(last[g[r]])), 1.0,
-                               int(tail_n[g[r]])))
-    # the window: after the last error above the ceiling, before the first
-    # one after that below the floor, or the row's end
-    mask = err > err_ceil
-    start = np.where(mask.any(axis=1), idx.size - np.argmax(mask[:, ::-1], axis=1), 0)
-    np.less(err, floors[:, None], out=mask)
-    mask &= idx >= start[:, None]
-    end = np.where(mask.any(axis=1), np.argmax(mask, axis=1), n)
-    size = np.where(live, end - start, 0)
-    some = np.flatnonzero(size)
-    spans = list(zip(some.tolist(), start[some].tolist(), end[some].tolist()))
-    # the windows, concatenated (the stacked errors are freed first)
-    e_w = np.concatenate([np.empty(0)] + [err[r, a:b] for r, a, b in spans])
-    del err, mask
-    t_w = np.concatenate([np.empty(0)] + [times[g[r], a:b] for r, a, b in spans])
-    keep = e_w > 0  # leaves out nan errors
-    count = np.zeros(rows.size, dtype=int)
-    count[some] = np.add.reduceat(keep, np.cumsum(size[some]) - size[some], dtype=int)
-    for r in np.flatnonzero(live & (count < MIN_FIT_SAMPLES)):
-        out[r] = EstimationError(
-            f"only {count[r]} samples with error in [{floors[r]:g}, {err_ceil:g}]")
-    fit = np.flatnonzero(live & (count >= MIN_FIT_SAMPLES))
-    if fit.size:
-        keep &= np.repeat(count[some] >= MIN_FIT_SAMPLES, size[some])  # the fitted rows'
-        if not keep.all():
-            e_w, t_w = e_w[keep], t_w[keep]
-        ests = _detrended_fit(t_w, np.log(e_w, out=e_w),
-                              np.concatenate([[0], np.cumsum(count[fit])]))
+    floors[r]): a RateEstimate, or the ValueError of the row.  Each row's
+    window is found on its own, and one _detrended_fit call fits the
+    windows of all rows that have one, so a row's result does not depend
+    on the rows that share the block."""
+    out = []
+    for row in zip(trajs, species, targets, floors, strict=True):
+        try:
+            out.append(_window(*row, err_ceil))
+        except ValueError as e:
+            out.append(e)
+    fit = [r for r, w in enumerate(out) if isinstance(w, tuple)]
+    if fit:
+        t, e = (np.concatenate([out[r][i] for r in fit]) for i in (0, 1))
+        ests = _detrended_fit(t, np.log(e, out=e), np.cumsum([0] + [out[r][0].size for r in fit]))
         for r, est in zip(fit, ests):
             out[r] = est
     return out
@@ -293,9 +267,10 @@ def estimate_rate(traj: Trajectory | list[Trajectory], species: str | list[str],
 
     Given one Trajectory, species, target and floor, returns its
     RateEstimate or raises its ValueError.  Given equally long lists of
-    them instead (a block of rows), fits every row in one pass and
-    returns per row a RateEstimate or the ValueError that stopped it.
-    Both are the same fit, and a row gets the same result in any block.
+    them instead (a block of rows), finds each row's window on its own,
+    fits all the windows in one vectorised envelope fit, and returns per
+    row a RateEstimate or the ValueError that stopped it.  Both are the
+    same fit, and a row gets the same result in any block.
     """
     if isinstance(traj, Trajectory):
         (est,) = _fit_block([traj], [species], [target], [err_floor], err_ceil)

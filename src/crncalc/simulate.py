@@ -87,7 +87,11 @@ class Trajectory:
     stats: IntegrationStats | None = None
 
     def index(self, sid: str) -> int:
-        return self.species.index(sid)
+        try:
+            return self.species.index(sid)
+        except ValueError:
+            raise ValueError(f"species {sid!r} is not in the trajectory, whose species are "
+                             f"{', '.join(self.species)}") from None
 
     def series(self, sid: str) -> np.ndarray:
         return self.states[:, self.index(sid)]
@@ -125,6 +129,11 @@ def read_trajectory_csv(text: str) -> Trajectory:
         vals = [float(v) for v in ln.split(",")]
         if len(vals) != len(species) + 1:
             raise ValueError(f"row width {len(vals)} does not match header")
+        if not math.isfinite(vals[0]):
+            raise ValueError(f"row {len(rows) + 1}: time {vals[0]:g} is not finite")
+        if rows and not vals[0] > rows[-1][0]:
+            raise ValueError(f"row {len(rows) + 1}: time {vals[0]:g} does not come after "
+                             f"the time {rows[-1][0]:g} of the row before")
         rows.append(vals)
     if not rows:
         raise ValueError("trajectory csv has no rows")

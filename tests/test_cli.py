@@ -246,6 +246,23 @@ def test_analyze_without_rows_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "no rows" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("csv_text,argv,message", [
+    # samples that share one time: no window of them can show a rate
+    ("t,x\n" + "3,1.001\n" * 20, [], "row 2: time 3 does not come after the time 3"),
+    ("t,x\n2,1.1\n1,1.01\n0,1.001\n", ["--digits", "1"],
+     "row 2: time 1 does not come after the time 2 of the row before"),
+    ("t,x\n0,1.1\nnan,1.01\n", [], "row 2: time nan is not finite"),
+    ("t,x\n-inf,1.1\n0,1.01\n", [], "row 1: time -inf is not finite"),
+    ("t,x,y\n0,1,2\n1,1,2\n", ["--species", "z"],
+     "species 'z' is not in the trajectory, whose species are x, y")])
+def test_analyze_bad_trajectory_exits_2(tmp_path, capsys, csv_text, argv, message):
+    traj = tmp_path / "traj.csv"
+    traj.write_text(csv_text)
+    code, out, err = run(capsys, "analyze", "--traj", str(traj), "--target", "1", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_analyze_multi_species_without_species_exits_2(tmp_path, capsys):
     traj = tmp_path / "traj.csv"
     run(capsys, "simulate", "--expr", "a + b", "--in", "a=1,b=2", "--out", str(traj))

@@ -6,7 +6,7 @@ estimators are tested against arithmetic, not against the integrator.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -205,6 +205,20 @@ def test_block_rows_equal_their_own_fits():
     assert got[3].rho_hat == pytest.approx(1.0, abs=0.02)  # t^2 e^-t
     full_window = estimate_rate(synthetic(lambda t: 2.0 + np.exp(-t)), "x", 2.0)
     assert got[4].samples_used == full_window.samples_used - 5
+    # the same rows, those with equal times sharing one array as the lanes
+    # of a sample grid do, then each with its own copy: the fit does not
+    # depend on which rows share a time array
+    grids: dict = {}
+    shared = [replace(traj, times=grids.setdefault(traj.times.tobytes(), traj.times))
+              for traj in trajs]
+    copies = [replace(traj, times=traj.times.copy()) for traj in trajs]
+    assert len({id(traj.times) for traj in shared}) < len(rows)
+    assert len({id(traj.times) for traj in copies}) == len(rows)
+    ests = [estimate_rate(block, ["x"] * len(rows), targets, floors) for block in (shared, copies)]
+    for by_shared, by_copy, traj, target, floor in zip(*ests, copies, targets, floors):
+        assert assert_same_fit(by_copy, traj, "x", target, floor) is type(by_shared)
+        assert (by_copy == by_shared if type(by_copy) is RateEstimate
+                else str(by_copy) == str(by_shared))
 
 
 def test_sweep_block_rows_equal_their_own_fits():

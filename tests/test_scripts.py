@@ -25,3 +25,9 @@ def test_speed_contrast_designed_rate_does_not_depend_on_a(capsys):
     assert _main("speed_contrast")([]) == 0
     m = re.search(r"designed rate stays near 1 \(spread (\S+)\)\.", capsys.readouterr().out)
     assert m and float(m.group(1)) < 1e-3
+
+
+def test_output_digest_counts_and_hashes_every_operation(capsys):
+    # the five sweeps of one seed's grid workload
+    assert _main("output_digest")(["--workloads", "grid", "--seeds", "1"]) == 0
+    assert re.fullmatch(r"5 [0-9a-f]{64}\n", capsys.readouterr().out)
