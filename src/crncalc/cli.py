@@ -173,7 +173,8 @@ def cmd_verify(args) -> int:
     rt.check_slack(args.slack)
     cfg = _sim_config(args)
     inputs = _parse_inputs(args.inputs)
-    (run,) = rt.Pipeline.expression(args.expr, args.mode, cfg).run_points([inputs])
+    (run,) = rt.Pipeline.expression(args.expr, args.mode, cfg).run_points(
+        [inputs], every_species=bool(args.out))
     if isinstance(run, ValueError):  # the point's own error, such as a DomainError
         return _err(str(run))
     analysis, traj, rails, targets = run.analysis, run.traj, run.rails, run.targets

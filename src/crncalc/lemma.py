@@ -165,8 +165,7 @@ def simulate_forced(system: ForcedSystem, cfg: SimConfig | None = None) -> Traje
         def slope(t, y):
             x = np.float64(y[0])
             return g1(t) - (m + 1) * g2(t) * x ** m
-    return sim.integrate(rhs, y0[:, None], ("x",), cfg,
-                         lambda t, y: _cap(slope(t, y)), sample=("x",))[0]
+    return sim.integrate(rhs, y0[:, None], ("x",), cfg, lambda t, y: _cap(slope(t, y)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def check_lemma(system: ForcedSystem, cfg: SimConfig, slack: float = 0.15) -> Le
     status = traj.termination.status
     if status == "stiff_failure" or (status == "blowup" and not growth):
         return LemmaCheck(pred, traj)
-    samples = replace(traj.samples, states=1.0 / traj.samples.states) if growth else traj.samples
+    samples = replace(traj, states=1.0 / traj.states) if growth else traj
     target = 0.0 if growth else pred.target
     try:
         est = rt.estimate_rate(samples, "x", target,

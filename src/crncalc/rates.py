@@ -12,8 +12,8 @@ one pass of per-window sums: centring fits c, projecting t out leaves a
 residual quadratic in k, so clipping the free k fits the bounded one.
 Speed checks compare the fitted rate against (1 - slack) * bound.
 
-estimate_rate fits the samples it is given, such as those integrate
-takes of the species it is asked to sample (Trajectory.samples): one
+estimate_rate fits the samples it is given, such as the Trajectory
+integrate returns of the species it is asked to sample: one
 trajectory's, or a block of rows (trajectory, species, target, floor).
 Each row's window is found on its own, and one vectorised envelope fit
 covers the windows of the block.  A one-trajectory call is a one-row
@@ -343,9 +343,10 @@ class Pipeline:
     an unknown species) is raised before any point runs.
     `run_points` takes a batch of input points through it, binds each to
     an initial state with program_state, integrates them as one batch
-    that samples the output rails, then calls estimate_rate once, on the
-    block of every lane and rail of those samples.  The layer functions
-    are called through their modules, so they can be wrapped by name.
+    that samples the output rails (or every species), then calls
+    estimate_rate once, on the block of every lane and rail of those
+    samples.  The layer functions are called through their modules, so
+    they can be wrapped by name.
     """
 
     def __init__(self, prog: circ.CompiledProgram, point, rails: list[str],
@@ -387,12 +388,13 @@ class Pipeline:
 
         return cls(prog, point, [species], cfg)
 
-    def run_points(self, points: list[dict]) -> list:
+    def run_points(self, points: list[dict], every_species: bool = False) -> list:
         """A PointRun per point, or the point's own ValueError that kept it
         from running: a DomainError, a missing or unknown input, a value
         at the blowup threshold.  The points that can run are integrated
-        as one batch, which samples their rails, and one estimate_rate
-        call fits every lane and rail of it.
+        as one batch, which samples their rails (every species with
+        every_species, which changes no rail's samples), and one
+        estimate_rate call fits every lane and rail of it.
         A lane that ends in stiff_failure in a batch of more than one is
         integrated again alone and reports that run, so that how a point
         ends does not depend on the points batched with it."""
@@ -406,12 +408,13 @@ class Pipeline:
                 runs.append(e)
         if lanes:
             y0 = np.column_stack([y0 for *_, y0 in lanes])
-            trajs = self._integrate(y0)
+            sample = None if every_species else self.rails
+            trajs = self._integrate(y0, sample)
             if len(trajs) > 1:
-                trajs = [self._integrate(y0[:, [j]])[0]
+                trajs = [self._integrate(y0[:, [j]], sample)[0]
                          if traj.termination.status == "stiff_failure" else traj
                          for j, traj in enumerate(trajs)]
-            rows = [(traj.samples, sid, tgt, auto_err_floor(tgt, self.cfg.rel_tol))
+            rows = [(traj, sid, tgt, auto_err_floor(tgt, self.cfg.rel_tol))
                     for (_, _, targets, _), traj in zip(lanes, trajs)
                     for sid, tgt in zip(self.rails, targets)]
             rates = iter(estimate_rate(*map(list, zip(*rows))))
@@ -420,6 +423,6 @@ class Pipeline:
                                    [next(rates) for _ in self.rails], analysis)
         return runs
 
-    def _integrate(self, y0: np.ndarray) -> list[Trajectory]:
+    def _integrate(self, y0: np.ndarray, sample) -> list[Trajectory]:
         return sim.integrate(self.rhs, y0, self.prog.species_ids, self.cfg, self.max_step,
-                             sample=self.rails)
+                             sample=sample)

@@ -7,8 +7,10 @@ spectrum, and a 7th-order dense interpolant.  Each step attempt keeps the state 
 derivatives as the rows of one array, so every stage input is one
 matrix-vector product.  Many initial states ("lanes") of one system
 advance in lockstep as the columns of a single array, which is how sweeps
-integrate a whole grid at once, and sample the interpolant of the species
-a caller names (see `integrate`).  SimConfig.sigma scales every rate
+integrate a whole grid at once.  A run keeps no step history: each
+accepted step samples its interpolant on one uniform time grid, and a
+lane's Trajectory is those samples of the species a caller names (see
+`integrate`).  SimConfig.sigma scales every rate
 constant, which in mass action is the time change t -> sigma t: only
 `integrate` applies it, and every right-hand side is the unscaled law.
 Runs terminate early when any concentration crosses BLOWUP_THRESHOLD;
@@ -19,6 +21,7 @@ tolerance, or uses up its budget of step attempts, ends in stiff_failure.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -32,7 +35,10 @@ from .gates import factored_rates, gate_limit_rate
 
 
 BLOWUP_THRESHOLD = 1e12
-_SAMPLES = 1600  # uniform times over a lane's run at which integrate samples a species
+_SAMPLES = 1600  # uniform times over [0, t_end] at which integrate samples
+# integrate evaluates pending samples once they hold _PASS values, per sampled
+# species and lane 8 a step (start state, coefficients) and 1 a sample
+_PASS = 1 << 16
 
 
 @dataclass
@@ -72,18 +78,17 @@ class IntegrationStats:
 
 @dataclass
 class Trajectory:
-    """One lane's run.  From integrate, times is a read-only view into the
-    call's step record and states one into the clipped states of the
-    lanes that left it after the same step, both shared by those lanes (a
-    blowup lane copies them to end them at the crossing), and samples
-    holds the species it sampled, a read-only view into the values of the
-    lanes that share its sample grid."""
+    """One lane's run, as samples of the species it holds.  From
+    integrate, times are those of the shared grid np.linspace(0, t_end,
+    _SAMPLES) before the lane's end, then its end time, and the last row
+    of states is the lane's end state there: the last step's state, or
+    the crossing state of a blowup.  The lanes' times and states are
+    read-only views of one buffer each."""
     species: tuple[str, ...]
     times: np.ndarray
     states: np.ndarray  # (n_times, n_species), clipped at 0
     termination: Termination
     negatives: tuple[tuple[str, float, float], ...] = ()
-    samples: Trajectory | None = None
     stats: IntegrationStats | None = None
 
     def index(self, sid: str) -> int:
@@ -401,8 +406,8 @@ def _lane_ops(n: int, lanes: int, live: np.ndarray):
 
     Z (17 x n*lanes) holds y and the stages K0..K15 as rows, each stored
     species-major.  ZT holds the views the combinations multiply: ZT[s] =
-    Z[:s + 1].T feeds stage s (s = 1..15), ZT[0] = Z[1:13], the stages
-    K0..K11, the error estimates, and ZT[16] = Z[1:].T the dense output.
+    Z[:s + 1].T feeds stage s (s = 1..15), and ZT[0] = Z[1:13], the
+    stages K0..K11, the error estimates.
     rows is Z as the RHS writes it: flat rows for one lane, else (17, n,
     lanes), so that rhs's rows are assigned straight into Z[s].  state
     turns a flat state into rhs's argument: a list of floats for one lane
@@ -414,7 +419,7 @@ def _lane_ops(n: int, lanes: int, live: np.ndarray):
     makes its norm nan.
     """
     Z = np.empty((17, n * lanes))
-    ZT = [Z[1:13]] + [Z[:s + 1].T for s in range(1, 16)] + [Z[1:].T]
+    ZT = [Z[1:13]] + [Z[:s + 1].T for s in range(1, 16)]
     if lanes == 1:  # the lane is live until the run ends
         def worst(e):
             s5, s3 = float(e[0].dot(e[0])), float(e[1].dot(e[1]))
@@ -501,20 +506,21 @@ def circuit_max_step(prog: CompiledProgram) -> float:
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
               cfg: SimConfig, max_step: float | Callable,
-              sample: Sequence[str] = ()) -> list[Trajectory]:
+              sample: Sequence[str] | None = None) -> list[Trajectory]:
     """Integrate the columns of y0 (species x lanes) in lockstep and return
-    one Trajectory per lane, with the species named in sample sampled
-    from the dense output as its samples: _SAMPLES uniform times over
-    the lane's run, clipped at 0 (a lane with no step keeps its own row).
-    The lanes that end after the same step at the same time share one
-    grid of sample times, and _interpolate evaluates all their
-    interpolants at once.
+    one Trajectory per lane of the species named in sample (every species
+    when None), sampled while integrating: the start state and the
+    interpolant coefficients of the sampled species of each step that
+    holds times of the grid np.linspace(0, cfg.t_end, _SAMPLES) are kept
+    until _sample_steps evaluates them there, every lane at once, in
+    passes of at most about _PASS values.  So memory is bounded by the
+    grid, not by the number of steps.
 
     rhs(t, y) takes y as (species, lanes), or as a list of floats when y0
     has one column, and returns one row per species.  rhs, max_step and
     the steps see tau = cfg.sigma * t, up to sigma * t_end; every time
-    returned (step boundaries, blowup, stiff_failure and sample times) is
-    divided by sigma, and a completed lane ends at t_end exactly.  All
+    returned (sample, blowup and stiff_failure times, and the negatives')
+    is divided by sigma, and a completed lane ends at t_end exactly.  All
     lanes take the same steps.  A step is accepted when the worst lane's
     error norm is within cfg's tolerances, so every lane meets its own
     tolerance.  No step is longer than max_step, which keeps the dense
@@ -541,21 +547,20 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     batch's first ones.  Every lane keeps its column from the first step
     to the last: a lane that has left is masked out of the error norm, the
     starting step, the step cap and the bookkeeping of who leaves, and its
-    later columns are computed but never read.  The call keeps one step
-    record: the boundaries, the step sizes, each accepted step's
-    (species, lanes) state and the (sampled species, lanes, 7)
-    dense-output coefficients of the species in sample alone.  It is
-    stacked once and made read-only.  The lanes that left after the same
-    step share their boundaries, a view into it, and their states, one
-    clipped copy of its rows up to that step (see Trajectory).
+    later columns are computed but never read.  Besides the samples, the
+    call keeps each species' lowest value over the accepted steps and its
+    first time, from which a lane that leaves takes its negatives: those
+    below -cfg.abs_tol over its steps and its end state.
     """
     y0 = _check_state(np.asarray(y0, dtype=float))
     n, n_lanes = y0.shape
-    cols = [list(species).index(sid) for sid in sample]
+    sampled = tuple(species) if sample is None else tuple(sample)
+    cols = np.array([list(species).index(sid) for sid in sampled], dtype=int)
     sigma, t_end, threshold = cfg.sigma, cfg.sigma * cfg.t_end, BLOWUP_THRESHOLD
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     live = np.ones(n_lanes, dtype=bool)  # the lanes still in the batch
     Z, rows, ZT, state, worst, norms = _lane_ops(n, n_lanes, live)
+    stages = Z[1:].reshape(16, n, n_lanes)  # K0..K15 by species and lane
     t, y = 0.0, y0.flatten()
     Z[0] = y
     rows[1] = rhs(t, state(y))
@@ -575,16 +580,29 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     C = np.empty((17, 17))
     W = [None, *(C[s - 1, :s + 1] for s in range(1, 16))]
     E = C[15:, 1:13]
-    ts, hs, ys, qs = [t], [], [y.reshape(n, n_lanes)], []  # the step record
-    # lane -> (status, (t, state) of a blowup crossing, detail, stats)
-    ends: dict[int, tuple] = {}
+    grid = np.linspace(0.0, cfg.t_end, _SAMPLES)
+    bounds = grid.tolist()
+    # out[lane, i]: sample i of the sampled species of the lane
+    out = np.empty((n_lanes, _SAMPLES + 1, len(cols)))
+    # the steps whose grid times, from grid[evaluated] to grid[held], are pending
+    pending, evaluated, held, width = [], 0, 0, max(1, len(cols) * n_lanes)
+    low, low_t = np.zeros((2, n, n_lanes))  # lowest values below 0, and when
+    ends: dict[int, tuple] = {}  # lane -> (termination, negatives, stats, end state)
     steps = rejected = 0
+
+    def leave(j: int, term: Termination, end: np.ndarray):
+        lows, when = low[:, j].copy(), low_t[:, j].copy()
+        _lower(lows, when, end, term.time)
+        negatives = tuple((species[i], float(when[i]), float(lows[i]))
+                          for i in np.flatnonzero(lows < -atol))
+        ends[int(j)] = (term, negatives, _stats(steps, rejected, extra), end)
+
     while True:
         if steps + rejected >= _MAX_ATTEMPTS:
-            stats = _stats(steps, rejected, extra)
             detail = f"Step attempt budget of {_MAX_ATTEMPTS} used up."
             for j in np.flatnonzero(live):
-                ends[int(j)] = ("stiff_failure", None, detail, stats)
+                leave(j, Termination("stiff_failure", time=t / sigma, detail=detail),
+                      y.reshape(n, -1)[:, j].copy())
             break
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(min(h_abs, max_step), min_step)
@@ -624,26 +642,36 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             steps += 1
             for s in range(13, 16):
                 rows[s + 1] = rhs(t + _C[s] * h, state(ZT[s].dot(W[s])))
-            q = ZT[16].dot(_P).reshape(n, -1, _P.shape[1])
-            ts.append(t_new)
-            hs.append(h)
-            ys.append(y_new.reshape(n, -1))
-            qs.append(q[cols])
             done = t_new == t_end
+            # a grid time on a step boundary takes the step ending there
+            stop = _SAMPLES if done else bisect.bisect_right(bounds, t_new / sigma)
+            if stop > held:
+                # the dense-output coefficients of the sampled species
+                q = stages.take(cols, axis=1).reshape(16, -1).T.dot(_P)
+                pending.append((t / sigma, h, y.reshape(n, -1).take(cols, axis=0),
+                                q.reshape(len(cols), n_lanes, _P.shape[1]), stop - held))
+                held = stop
+                if (held - evaluated + 8 * len(pending)) * width >= _PASS:
+                    evaluated = _sample_steps(out, grid, evaluated, pending, sigma)
+                    pending = []
             # lanes that have left can sit above the threshold: the check
             # below then runs every step, and finds no live lane crossing
             if done or not threshold - _amax(y_new) > 0:
-                y_cols = y.reshape(n, -1)
+                y_cols, new_cols = y.reshape(n, -1), y_new.reshape(n, -1)
                 crossed = ((threshold - y_cols.max(axis=0) >= 0)
-                           & (threshold - y_new.reshape(n, -1).max(axis=0) <= 0))
+                           & (threshold - new_cols.max(axis=0) <= 0))
                 leaving = live & (crossed | done)
-                stats = _stats(steps, rejected, extra)
                 for j in np.flatnonzero(leaving):
                     if crossed[j]:
-                        t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q[:, j])
-                        ends[int(j)] = ("blowup", (t_hit / sigma, y_hit), "", stats)
+                        q_j = np.ascontiguousarray(stages[:, :, j]).T.dot(_P)
+                        t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q_j)
+                        owner = species[_blowup_owner(y_hit, rtol)]
+                        leave(j, Termination("blowup", owner, t_hit / sigma), y_hit)
                     else:
-                        ends[int(j)] = ("completed", None, "", stats)
+                        leave(j, Termination("completed", time=float(cfg.t_end)),
+                              new_cols[:, j].copy())
+            if np.fmin.reduce(y_new) < 0:
+                _lower(low, low_t, y_new.reshape(n, -1), t_new / sigma)
             Z[1] = Z[13]  # first same as last
             Z[0] = y_new
             y_abs, new_abs = new_abs, y_abs
@@ -652,9 +680,9 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             # the step shrank below what t can resolve: lanes still missing
             # the tolerance there leave, the others retry from h_first
             leaving = live & ~(norms(err) < 1)
-            stats = _stats(steps, rejected, extra)
             for j in np.flatnonzero(leaving):
-                ends[int(j)] = ("stiff_failure", None, _TOO_SMALL, stats)
+                leave(j, Termination("stiff_failure", time=t / sigma, detail=_TOO_SMALL),
+                      y.reshape(n, -1)[:, j].copy())
             h_abs = h_first
         # the cap is evaluated once the lanes that leave are masked out
         new_cap = accepted and steps % _RHO_INTERVAL == 0
@@ -671,45 +699,53 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 new_cap = True
         if new_cap and cap_at is not None:
             max_step = cap(t, y)
-    times, h, states = np.array(ts) / sigma, np.array(hs), np.stack(ys)
-    if ts[-1] == t_end:  # a completed lane ends at exactly cfg.t_end
-        times[-1] = cfg.t_end
-    q = np.array(qs).reshape(len(qs), len(cols), n_lanes, _P.shape[1])
-    del ys, qs  # before a blowup lane copies its states
-    for record in (times, h, states, q):
-        record.flags.writeable = False
-    by_steps: dict[int, list] = {}  # k -> the lanes whose steps are the record's first k
-    for lane in range(n_lanes):
-        by_steps.setdefault(ends[lane][-1].steps, []).append(lane)
-    grids: dict[tuple, list] = {}  # (k, end time) -> the lanes that share a sample grid
-    trajs: list = [None] * n_lanes
-    for k, lanes in by_steps.items():
-        bounds, clipped = times[:k + 1], states[:k + 1, :, lanes]
-        lows = clipped.min(axis=0)
-        np.clip(clipped, 0.0, None, out=clipped)
-        clipped.flags.writeable = False
-        for j, lane in enumerate(lanes):
-            trajs[lane] = _lane_trajectory(bounds, states[:k + 1, :, lane], clipped[..., j],
-                                           lows[:, j], ends[lane], species, cfg)
-            if cols:
-                grids.setdefault((k, trajs[lane].times[-1]), []).append(lane)
-    sampled = tuple(species[i] for i in cols)
-    for (k, end), lanes in grids.items():
-        if k:
-            t = np.linspace(times[0], end, _SAMPLES)
-            # a run of lanes is a view, not a copy, of the record
-            part = (slice(lanes[0], lanes[-1] + 1) if lanes[-1] - lanes[0] == len(lanes) - 1
-                    else lanes)
-            values = _interpolate(times[:k], h[:k], states[:k, cols][..., part],
-                                  q[:k, :, part], t, sigma)
-        else:  # lanes with no step keep their own row
-            t, values = times[:1], states[:1, cols][..., lanes].transpose(1, 2, 0)
-        values.flags.writeable = False
-        for j, lane in enumerate(lanes):
-            traj = trajs[lane]
-            traj.samples = Trajectory(sampled, t, values[:, j].T, traj.termination,
-                                      traj.negatives, stats=traj.stats)
-    return trajs
+    _sample_steps(out, grid, evaluated, pending, sigma)
+    # each lane's end row overwrites its first sample at or after its end
+    times, last = np.empty(out.shape[:2]), {}
+    times[:, :_SAMPLES] = grid
+    for lane, (term, *_, end) in ends.items():
+        k = last[lane] = bisect.bisect_left(bounds, term.time)
+        times[lane, k] = term.time
+        np.clip(end[cols], 0.0, None, out=out[lane, k])
+    out.flags.writeable = times.flags.writeable = False
+    return [Trajectory(sampled, times[j, :last[j] + 1], out[j, :last[j] + 1], *record)
+            for j, (*record, _) in sorted(ends.items())]
+
+
+def _lower(lows: np.ndarray, times: np.ndarray, y: np.ndarray, t: float):
+    """Lower lows in place to y where y is below, and set their times to t."""
+    below = y < lows
+    np.copyto(lows, y, where=below)
+    np.copyto(times, t, where=below)
+
+
+def _sample_steps(out: np.ndarray, grid: np.ndarray, start: int, steps: list,
+                  sigma: float) -> int:
+    """Write the interpolants of consecutive steps, clipped at 0, into out
+    (lanes, times, species) at the grid times from grid[start] on that
+    lie in them, and return the index of the grid time after them.  A
+    step is (t_old, h, y_old, q, count): its start time in t, size in tau
+    = sigma t, start states (species, lanes) and coefficients (species,
+    lanes, 7), and how many grid times it holds.  One Horner pass, one
+    power's gathered coefficients at a time, evaluates y_old + h sum_j
+    q_j x^(j+1), x = (t - t_old) * sigma / h, elementwise per lane."""
+    if not steps:
+        return start
+    t_old, h, y_old, q, count = zip(*steps)
+    k = np.repeat(np.arange(len(steps)), count)
+    stop = start + k.size
+    h = np.array(h)[k]
+    x = ((grid[start:stop] - np.array(t_old)[k]) * sigma / h)[:, None, None]
+    q = np.array(q)
+    v = q[k, ..., -1]  # (samples, species, lanes)
+    for j in range(q.shape[-1] - 2, -1, -1):
+        v *= x
+        v += q[k, ..., j]
+    v *= x
+    v *= h[:, None, None]
+    v += np.array(y_old)[k]
+    np.maximum(v, 0.0, out=out[:, start:stop].transpose(1, 2, 0))
+    return stop
 
 
 def _blowup_owner(y: np.ndarray, rel_tol: float) -> int:
@@ -718,49 +754,6 @@ def _blowup_owner(y: np.ndarray, rel_tol: float) -> int:
     that cross together (the two inner Ys of a real a - b tie) differ
     there only by roundoff, which must not pick the name."""
     return int(np.argmax(y >= y.max() * (1.0 - rel_tol)))
-
-
-def _lane_trajectory(times: np.ndarray, raw: np.ndarray, clipped: np.ndarray,
-                     lows: np.ndarray, end: tuple, species: Sequence[str],
-                     cfg: SimConfig) -> Trajectory:
-    """A lane's Trajectory from its boundaries, its states (steps + 1,
-    species) as recorded and clipped at 0, and each species' lowest
-    recorded value, all computed for the lanes that took the same steps."""
-    status, crossing, detail, stats = end
-    if crossing is not None:  # a blowup run ends where the threshold is crossed
-        times, raw = times.copy(), raw.copy()
-        times[-1], raw[-1] = crossing
-        clipped, lows = np.clip(raw, 0.0, None), raw.min(axis=0)
-        term = Termination(status, species[_blowup_owner(raw[-1], cfg.rel_tol)], float(times[-1]))
-    else:
-        term = Termination(status, time=float(times[-1]), detail=detail)
-    flags = [(species[j], float(times[np.argmin(raw[:, j])]), float(lows[j]))
-             for j in np.flatnonzero(lows < -cfg.abs_tol)]
-    return Trajectory(tuple(species), times, clipped, term, tuple(flags), stats=stats)
-
-
-def _interpolate(t_old: np.ndarray, h: np.ndarray, y_old: np.ndarray, q: np.ndarray,
-                 t: np.ndarray, sigma: float) -> np.ndarray:
-    """The interpolants of lanes that share their steps at the times t,
-    clipped at 0, as (species, lanes, times); a time on a step boundary
-    uses the step ending there.  The steps are given by their start times
-    t_old, sizes h in tau = sigma t, start states y_old (steps, species,
-    lanes) and coefficients q (steps, species, lanes, 7).  One Horner
-    pass evaluates every lane, gathering one power's coefficients at a
-    time, and a lane's values are elementwise in its own columns."""
-    k = np.clip(np.searchsorted(t_old, t, side="left") - 1, 0, h.size - 1)
-    x = ((t - t_old[k]) * sigma / h[k])[:, None]
-    coef = np.moveaxis(q, -1, 0).reshape(q.shape[-1], h.size, -1)  # (power, step, column)
-    v = coef[-1].take(k, axis=0)
-    rows = np.empty_like(v)  # gathered rows of one power, then of y_old, then the result
-    for j in range(q.shape[-1] - 2, -1, -1):
-        v *= x
-        v += coef[j].take(k, axis=0, out=rows, mode="clip")
-    v *= x
-    v *= h[k][:, None]
-    v += y_old.reshape(h.size, -1).take(k, axis=0, out=rows, mode="clip")
-    out = rows.reshape(v.shape[::-1])
-    return np.clip(v.T, 0.0, None, out=out).reshape(*q.shape[1:3], t.size)
 
 
 def network_integrand(net: ReactionNetwork) -> tuple[Callable, Callable]:

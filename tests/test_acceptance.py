@@ -187,10 +187,10 @@ def test_criterion_5_sigma_time_change():
             fast = run(prog, inputs, SimConfig(t_end=20, sigma=sigma, **TIGHT))
             ref = run(scaled, inputs, SimConfig(t_end=20, **TIGHT))
             assert fast.termination.time == ref.termination.time == 20
-            assert np.array_equal(fast.samples.times, ref.samples.times)
-            assert ref.samples.times.size == 1600
-            delta = np.abs(fast.samples.states - ref.samples.states)
-            worst = float((delta / (1.0 + np.abs(ref.samples.states))).max())
+            assert np.array_equal(fast.times, ref.times)
+            assert ref.times.size == 1600
+            delta = np.abs(fast.states - ref.states)
+            worst = float((delta / (1.0 + np.abs(ref.states))).max())
             print(f"criterion 5: {src} at sigma {sigma:g} worst relative gap {worst:.3g}")
             assert worst <= 10.0 * 1e-10, (src, sigma)
 

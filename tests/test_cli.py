@@ -223,6 +223,28 @@ def test_analyze_trajectory(tmp_path, capsys):
     assert data["digits"]["time"] == pytest.approx(6 * math.log(10), rel=0.25)
 
 
+def test_analyze_of_a_simulate_csv_reads_what_verify_reads(tmp_path, capsys):
+    # simulate --out writes the samples verify fits, so analyze of that
+    # csv at verify's target and floor measures verify's rate exactly
+    point = ["--expr", "sqrt(1/(a + b))", "--in", "a=0.1,b=0.1"]
+    report = tmp_path / "verify.json"
+    code, _, _ = run(capsys, "verify", *point, "--report", str(report))
+    assert code == 0
+    (entry,) = json.loads(report.read_text())["outputs"]
+    assert entry["species"] == "X3" and entry["target"] == 5 ** 0.5
+    traj = tmp_path / "s.csv"
+    code, _, _ = run(capsys, "simulate", *point, "--out", str(traj))
+    assert code == 0
+    assert len(read_trajectory_csv(traj.read_text()).times) == crncalc.simulate._SAMPLES
+    floor = crncalc.rates.auto_err_floor(entry["target"], 1e-10)
+    analyzed = tmp_path / "analyze.json"
+    code, _, _ = run(capsys, "analyze", "--traj", str(traj), "--species", "X3",
+                     "--target", repr(entry["target"]), "--floor", repr(floor),
+                     "--report", str(analyzed))
+    assert code == 0
+    assert json.loads(analyzed.read_text())["rate"] == entry["rate"]
+
+
 def test_analyze_detrend_flag(tmp_path, capsys):
     # two chained identifications give a (c1 + c2 t) e^{-t} error; analyze
     # always fits the prefactor and recovers the unit rate, so the flag that

@@ -117,7 +117,7 @@ def test_rate_of_resampled_double_identification():
     rhs, cap = network_integrand(net)
     (traj,) = integrate(rhs, network_state(net, {"A": 2.0})[:, None], net.species_ids,
                         SimConfig(t_end=30), cap, sample=["X"])
-    assert 0.95 <= estimate_rate(traj.samples, "X", 2.0).rho_hat <= 1.1
+    assert 0.95 <= estimate_rate(traj, "X", 2.0).rho_hat <= 1.1
 
 
 def _horizon(rho, c, k):
@@ -229,11 +229,11 @@ def test_sweep_block_rows_equal_their_own_fits():
     assert len(points) == SWEEP_BLOCK
     cfg = SimConfig(t_end=40, rel_tol=1e-10, abs_tol=1e-12)
     runs = Pipeline.expression("max(a, b)", "nonneg", cfg).run_points(points)
-    assert len({run.traj.samples.times[-1] for run in runs}) == 2
+    assert len({run.traj.times[-1] for run in runs}) == 2
     kinds = []
     for run in runs:
         (sid,), (target,), (est,) = run.rails, run.targets, run.rates
-        kinds.append(assert_same_fit(est, run.traj.samples, sid, target,
+        kinds.append(assert_same_fit(est, run.traj, sid, target,
                                      auto_err_floor(target, cfg.rel_tol)))
     assert kinds.count(RateEstimate) >= SWEEP_BLOCK - len(axis)
 
@@ -518,7 +518,7 @@ def test_forced_prediction_verified_by_simulation():
     pred = forced_prediction(sys)
     traj = simulate_forced(sys, SimConfig(t_end=60, rel_tol=1e-10, abs_tol=1e-12))
     assert traj.final("x") == pytest.approx(pred.target, abs=1e-6)
-    est = estimate_rate(traj.samples, "x", pred.target)
+    est = estimate_rate(traj, "x", pred.target)
     assert check_speed(est, pred.bound, slack=0.15).passed
 
 
@@ -618,11 +618,11 @@ def test_batch_rates_equal_each_lanes_own_estimate(src, mode, points):
     statuses = set()
     for run in runs:
         statuses.add(run.traj.termination.status)
-        assert run.traj.samples.species == tuple(run.rails)
+        assert run.traj.species == tuple(run.rails)
         assert len(run.rates) == len(run.rails)
         for sid, tgt, got in zip(run.rails, run.targets, run.rates):
             try:
-                want = estimate_rate(run.traj.samples, sid, tgt,
+                want = estimate_rate(run.traj, sid, tgt,
                                      err_floor=auto_err_floor(tgt, cfg.rel_tol))
             except ValueError as e:
                 assert type(got) is type(e) and str(got) == str(e)

@@ -1,6 +1,8 @@
 """Integration against exact solutions, forced scalar systems, CSV I/O."""
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,12 +40,45 @@ def sup_err(traj, sid, reference):
     return float(np.max(np.abs(traj.series(sid) - reference(traj.times))))
 
 
-def sampled(prog, init, cfg, sample):
-    """One lane of a program integrated with sample; a bare network takes
-    per-species initial values, a program with bindings its inputs."""
+def sampled(prog, init, cfg, sample=None, wrap=None):
+    """One lane of a program integrated with sample, by its rhs wrapped
+    in wrap if given; a bare network takes per-species initial values, a
+    program with bindings its inputs."""
     rhs, cap = program_integrand(prog)
-    return integrate(rhs, program_state(prog, init)[:, None], prog.species_ids, cfg, cap,
-                     sample=sample)[0]
+    return integrate(wrap(rhs) if wrap else rhs, program_state(prog, init)[:, None],
+                     prog.species_ids, cfg, cap, sample=sample)[0]
+
+
+class Recorder:
+    """Wraps a right-hand side to record every call's (t, y), from which
+    it recovers the accepted steps.  integrate evaluates stage 12 at
+    t + h, the end of every attempt, and then, only when the step is
+    accepted, the dense-output stages 13, 14 and 15 at t + 0.1 h,
+    t + 0.2 h and t + 7/9 h."""
+
+    def __init__(self):
+        self.calls = []
+
+    def wrap(self, rhs):
+        def spy(t, y):
+            self.calls.append((t, np.array(y, dtype=float)))
+            return rhs(t, y)
+        return spy
+
+    def step_ends(self):
+        """The stage 12 calls of the accepted steps, in order: each step's
+        end time in tau and its new state."""
+        c = crncalc.simulate._C
+        t = np.array([t for t, _ in self.calls])
+        end, u, v, w = t[:-3], t[1:-2], t[2:-1], t[3:]
+        h = (v - u) / (c[14] - c[13])
+        hit = ((h > 0) & np.isclose(end - u, (1 - c[13]) * h, rtol=1e-6, atol=0)
+               & np.isclose(w - u, (c[15] - c[13]) * h, rtol=1e-6, atol=0))
+        return [self.calls[i] for i in np.flatnonzero(hit)]
+
+    def bounds(self):
+        """0, then the end time in tau of every accepted step."""
+        return np.array([0.0] + [t for t, _ in self.step_ends()])
 
 
 # --- integrator vs closed forms ----------------------------------------------
@@ -129,9 +164,8 @@ def test_sigma_rescales_time():
     # sample j of [0, 8] is exactly half of sample j of [0, 16]
     prog = compile_expression("sqrt(a) + b")
     rails = ("X1", "X2", "Y1")
-    base = sampled(prog, {"a": 4, "b": 1}, SimConfig(t_end=16, **TIGHT), rails).samples
-    fast = sampled(prog, {"a": 4, "b": 1}, SimConfig(t_end=8, sigma=2.0, **TIGHT),
-                   rails).samples
+    base = sampled(prog, {"a": 4, "b": 1}, SimConfig(t_end=16, **TIGHT), rails)
+    fast = sampled(prog, {"a": 4, "b": 1}, SimConfig(t_end=8, sigma=2.0, **TIGHT), rails)
     assert np.array_equal(2.0 * fast.times, base.times)
     for sid in rails:
         assert float(np.max(np.abs(fast.series(sid) - base.series(sid)))) <= 1e-7, sid
@@ -238,8 +272,8 @@ def test_forced_matches_compiled_root_gate():
     prog = compile_expression("sqrt(a)")
     sys = ForcedSystem("power", ForcingFunction(1.0), ForcingFunction(2.0),
                        m=2, x0=1.0)
-    forced = simulate_forced(sys, SimConfig(t_end=12, **TIGHT)).samples
-    root = sampled(prog, {"a": 2}, SimConfig(t_end=12, **TIGHT), ["Y1"]).samples
+    forced = simulate_forced(sys, SimConfig(t_end=12, **TIGHT))
+    root = sampled(prog, {"a": 2}, SimConfig(t_end=12, **TIGHT), ["Y1"])
     assert np.array_equal(root.times, forced.times)
     assert float(np.max(np.abs(root.series("Y1") - forced.series("x")))) <= 1e-8
 
@@ -323,11 +357,14 @@ def direct_state(prog, point):
     return np.array([init[sid] for sid in prog.species_ids])
 
 
-def batch(src, points, cfg, sample=()):
+def batch(src, points, cfg, sample=None, wrap=None):
+    """The points' lanes of src, integrated as one batch that samples
+    sample, by rhs wrapped in wrap if given."""
     prog = compile_expression(src)
     y0 = np.column_stack([direct_state(prog, p) for p in points])
     rhs, max_step = program_integrand(prog)
-    return prog, integrate(rhs, y0, prog.species_ids, cfg, max_step, sample=sample)
+    return prog, integrate(wrap(rhs) if wrap else rhs, y0, prog.species_ids, cfg, max_step,
+                           sample=sample)
 
 
 @pytest.mark.parametrize("src", GRID_EXPRS)
@@ -348,20 +385,24 @@ def test_lanes_match_solo_runs(src):
 def test_blowup_lane_leaves_the_batch():
     points = [{"a": 2.0, "b": 5.0}, {"a": 3.0, "b": 3.0}, {"a": 7.0, "b": 0.5}]
     cfg = SimConfig(t_end=40, **TIGHT)
-    prog, (low, tie, high) = batch("max(a, b)", points, cfg)
+    rec = Recorder()
+    prog, (low, tie, high) = batch("max(a, b)", points, cfg, wrap=rec.wrap)
     assert tie.termination.status == "blowup"
     assert tie.termination.species == "Y1"
     assert tie.termination.time == pytest.approx(math.log(1e12), rel=1e-4)
     assert tie.times[-1] == tie.termination.time
-    assert tie.stats.steps == tie.times.size - 1
+    # the crossing lies in the tie's last accepted step
+    bounds = rec.bounds()
+    assert bounds[tie.stats.steps - 1] < tie.termination.time <= bounds[tie.stats.steps]
     for lane, target in ((low, 5.0), (high, 7.0)):
         assert lane.termination.status == "completed"
         assert lane.times[-1] == 40.0
-        assert lane.stats.steps > tie.stats.steps
+        assert lane.stats.steps == bounds.size - 1 > tie.stats.steps
         assert lane.final(prog.bindings.output[0]) == pytest.approx(target, abs=1e-8)
-    # the lanes share every step up to the blowup
+    # the lanes share the sample times up to the blowup
     shared = tie.times.size - 1
     assert np.array_equal(low.times[:shared], tie.times[:shared])
+    assert low.times[shared - 1] < tie.termination.time <= low.times[shared]
 
 
 def test_failing_lane_leaves_the_batch():
@@ -445,12 +486,23 @@ def test_fused_stage_combinations_match_the_reference():
             assert np.all(np.abs(np.dot(C[row, 1:13], Z[1:13]) - ref) <= 1e-15 * size), row
 
 
-def test_dense_output_meets_the_tolerance():
+def test_dense_output_meets_the_tolerance(monkeypatch):
     # the samples of the 7th-order interpolant start at the initial state,
-    # end at the last step's state and stay within ten times the tolerance
-    # of the exact solution in between.  Its monomial coefficients sum
-    # stages weighted by up to about 550, so at x = 1 they give y_new to
-    # roundoff of that size on the step's increment.
+    # its sample at t_end is the last step's state (which the lane's last
+    # row holds) and they stay within ten times the tolerance of the exact
+    # solution in between.  Its monomial coefficients sum stages weighted
+    # by up to about 550, so at x = 1 they give y_new to roundoff of that
+    # size on the step's increment.
+    real = crncalc.simulate._sample_steps
+    steps = []
+
+    def spy(out, grid, start, pending, sigma):
+        stop = real(out, grid, start, pending, sigma)
+        if stop == grid.size:  # the pass that samples t_end
+            steps.append((out[0, stop - 1].copy(), pending[-1][2][:, 0].copy()))
+        return stop
+
+    monkeypatch.setattr(crncalc.simulate, "_sample_steps", spy)
     cfg = SimConfig(t_end=40, **TIGHT)
     grid = np.linspace(0.0, 40.0, 1600)
     runs = [(designed_inversion_network(), {"A": a, "X": x0}, "X",
@@ -463,10 +515,12 @@ def test_dense_output_meets_the_tolerance():
                  "B", 0.75 * (1 - np.exp(-4 * grid))))
     for net, init, sid, exact in runs:
         traj = sampled(bare_program(net), init, cfg, [sid])
-        got, y = traj.samples.series(sid), traj.series(sid)
-        assert np.array_equal(traj.samples.times, grid)
+        got, y = traj.series(sid), traj.final(sid)
+        assert np.array_equal(traj.times, grid)
         assert got[0] == init.get(sid, 0.0)
-        assert abs(got[-1] - y[-1]) <= 1e-15 * y[-1] + 1e-12 * abs(y[-1] - y[-2]), init
+        # the last step's interpolant at t_end, and the state it starts from
+        (at_end,), (y_old,) = steps[-1]
+        assert abs(at_end - y) <= 1e-15 * y + 1e-12 * abs(y - y_old), init
         err = np.abs(got - exact)
         assert np.all(err <= 10 * cfg.rel_tol * (1 + np.abs(exact))), (init, err.max())
 
@@ -476,14 +530,17 @@ def test_attempt_budget_ends_the_batch(monkeypatch):
     monkeypatch.setattr(crncalc.simulate, "_MAX_ATTEMPTS", 40)
     points = [{"a": 1.0, "b": 2.0}, {"a": 4.0, "b": 0.5}]
     cfg = SimConfig(t_end=40, **TIGHT)
-    _, lanes = batch("a / b", points, cfg)
+    rec = Recorder()
+    _, lanes = batch("a / b", points, cfg, wrap=rec.wrap)
+    bounds = rec.bounds()
     for traj in lanes:
         term, stats = traj.termination, traj.stats
         assert term.status == "stiff_failure"
         assert "budget of 40" in term.detail
         assert 40 <= stats.steps + stats.rejected < 50  # checked between steps
         assert term.time == traj.times[-1] < 40.0
-        assert stats.steps == traj.times.size - 1
+        assert stats.steps == bounds.size - 1
+        assert term.time == pytest.approx(bounds[-1], rel=1e-15)
     one = simulate_program(compile_expression("a / b"), points[0], cfg)
     assert one.termination.status == "stiff_failure"
     assert 40 <= one.stats.steps + one.stats.rejected < 50
@@ -508,16 +565,14 @@ def test_dense_output_of_one_species_is_exact():
     src = "sqrt(1/(a + b))"
     points = [{"a": a, "b": b} for a, b in ((0.1, 50.0), (2.0, 3.0), (7.0, 0.5))]
     cfg = SimConfig(t_end=40, **TIGHT)
-    prog, lanes = batch(src, points, cfg)
-    _, full = batch(src, points, cfg, prog.species_ids)
+    prog, full = batch(src, points, cfg)
     for sid in prog.species_ids:
         _, ones = batch(src, points, cfg, [sid])
-        for lane, every, one in zip(lanes, full, ones):
-            assert lane.samples is None and every.samples.species == prog.species_ids
-            assert np.array_equal(one.times, lane.times)
-            assert np.array_equal(every.states, lane.states)
-            assert one.samples.species == (sid,)
-            assert np.array_equal(one.samples.states[:, 0], every.samples.series(sid)), sid
+        for every, one in zip(full, ones):
+            assert every.species == prog.species_ids and one.species == (sid,)
+            assert np.array_equal(one.times, every.times)
+            assert (one.stats, one.termination) == (every.stats, every.termination)
+            assert np.array_equal(one.states[:, 0], every.series(sid)), sid
 
 
 def test_circuit_rhs_emission_is_exact(monkeypatch):
@@ -545,24 +600,63 @@ def test_circuit_rhs_emission_is_exact(monkeypatch):
     assert [floats[i] for i in held] == [0.0] * 3
     assert all(math.copysign(1.0, floats[i]) == 1.0 for i in held)
     assert np.array_equal(np.asarray(floats), rows[:, 0])
-    # sigma is a change of time inside integrate: the same law takes the
-    # same steps, reported at 1/sigma of their time
+    # sigma is a change of time inside integrate: the same law is evaluated
+    # at the same times and states, and the run ends in the same state,
+    # reported at 1/sigma of its time
     y0 = program_state(prog, {"a": 1, "b": 3})[:, None]
-    (base,) = integrate(one, y0, ids, SimConfig(t_end=30), circuit_max_step(prog))
+    ref = Recorder()
+    (base,) = integrate(ref.wrap(one), y0, ids, SimConfig(t_end=30), circuit_max_step(prog))
     for sigma in (2.0, 3.0):
-        (fast,) = integrate(one, y0, ids, SimConfig(t_end=30 / sigma, sigma=sigma),
+        rec = Recorder()
+        (fast,) = integrate(rec.wrap(one), y0, ids, SimConfig(t_end=30 / sigma, sigma=sigma),
                             circuit_max_step(prog))
-        assert np.array_equal(fast.states, base.states)
-        assert np.array_equal(fast.times[:-1], base.times[:-1] / sigma)
-        assert fast.times[-1] == 30 / sigma
+        assert [t for t, _ in rec.calls] == [t for t, _ in ref.calls]
+        assert all(np.array_equal(y, y_ref) for (_, y), (_, y_ref) in zip(rec.calls, ref.calls))
+        assert np.array_equal(fast.states[-1], base.states[-1])
+        assert np.array_equal(fast.times, np.linspace(0.0, 30 / sigma, fast.times.size))
+        assert fast.times[-1] == fast.termination.time == 30 / sigma
+
+
+def test_memory_does_not_grow_with_the_steps():
+    # a 64-lane block of a real 8-term sum of products (122 species),
+    # sampling its rails: four times the horizon takes about 50% more
+    # steps, and no more memory, since a run keeps samples, not steps
+    prog = compile_expression(" + ".join(f"a{i}*b{i}" for i in range(8)), "real")
+    assert len(prog.species) == 122
+    names = [f"{c}{i}" for i in range(8) for c in "ab"]
+    y0 = np.column_stack([program_state(prog, {v: 0.5 + 0.02 * j + 0.1 * k
+                                               for k, v in enumerate(names)})
+                          for j in range(64)])
+    rhs, cap = program_integrand(prog)
+    # tracemalloc looks up the line of every allocation, which in the long
+    # generated rhs is a scan of its code unless a profiler has built the
+    # code's line table: one profiled call builds it
+    sys.setprofile(lambda *args: None)
+    rhs(0.0, y0)
+    sys.setprofile(None)
+    peaks, steps = [], []
+    for t_end in (40, 160):
+        tracemalloc.start()
+        try:
+            lanes = integrate(rhs, y0, prog.species_ids, SimConfig(t_end=t_end), cap,
+                              sample=prog.bindings.output)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert {lane.termination.status for lane in lanes} == {"completed"}
+        steps.append(lanes[0].stats.steps)
+        del lanes
+    assert steps[1] > 1.4 * steps[0], steps
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_stats_count_the_work():
     prog = compile_expression("a / b")
-    traj = simulate_program(prog, {"a": 1, "b": 2}, SimConfig(t_end=20))
+    rec = Recorder()
+    traj = sampled(prog, {"a": 1, "b": 2}, SimConfig(t_end=20), wrap=rec.wrap)
     s = traj.stats
-    assert s.steps == traj.times.size - 1
-    assert s.rhs_evals == 2 + 12 * (s.steps + s.rejected) + 3 * s.steps
+    assert s.steps == rec.bounds().size - 1
+    assert s.rhs_evals == len(rec.calls) == 2 + 12 * (s.steps + s.rejected) + 3 * s.steps
 
 
 def test_stats_count_the_work_of_bare_networks():
@@ -590,15 +684,17 @@ def test_steps_stay_within_the_cap():
     # its Jacobian's diagonal, here the constant rate 4 of X -> 0
     # at sigma = 3 no step is longer than a third of the cap in t
     prog = compile_expression("sqrt(abs(a - b))")
-    traj = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=3.0))
+    rec = Recorder()
+    sampled(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=3.0), wrap=rec.wrap)
     cap = circuit_max_step(prog)
     assert cap == crncalc.simulate._STEP_CAP / 2
-    assert np.diff(traj.times).max() == pytest.approx(cap / 3, rel=1e-12)
+    assert np.diff(rec.bounds() / 3.0).max() == pytest.approx(cap / 3, rel=1e-12)
     net = parse_network("species: X[output]\nX -> 0 ; k=4\n")
-    traj = sampled(bare_program(net), {"X": 1.0}, SimConfig(t_end=40), ["X"])
-    assert np.diff(traj.times).max() <= crncalc.simulate._STEP_CAP / 4 * (1 + 1e-6)
-    grid = traj.samples.times
-    assert np.abs(traj.samples.series("X") - np.exp(-4 * grid)).max() <= 1e-10
+    rec = Recorder()
+    traj = sampled(bare_program(net), {"X": 1.0}, SimConfig(t_end=40), ["X"], rec.wrap)
+    assert np.diff(rec.bounds()).max() <= crncalc.simulate._STEP_CAP / 4 * (1 + 1e-6)
+    grid = traj.times
+    assert np.abs(traj.series("X") - np.exp(-4 * grid)).max() <= 1e-10
 
 
 def _jacobian(rhs, y):
@@ -660,11 +756,12 @@ def test_composite_limit_rate_is_sigma_times_its_largest_gate():
     assert rates[-2:] == [2, 3]
     cap = crncalc.simulate._STEP_CAP
     assert circuit_max_step(prog) == cap / 3
-    traj = simulate_program(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=2.0))
+    rec = Recorder()
+    traj = sampled(prog, {"a": 5, "b": 2}, SimConfig(t_end=20, sigma=2.0), wrap=rec.wrap)
     J = _jacobian(program_integrand(prog)[0], traj.states[-1])
     assert np.abs(np.linalg.eigvals(J)).max() == pytest.approx(3.0, abs=1e-2)
     # in t, sigma = 2 doubles the rate: the largest step is cap / 6
-    assert np.diff(traj.times).max() == pytest.approx(cap / 6, rel=1e-12)
+    assert np.diff(rec.bounds() / 2.0).max() == pytest.approx(cap / 6, rel=1e-12)
 
 
 def test_network_cap_is_the_spectrum_of_the_jacobian_diagonal():
@@ -695,9 +792,10 @@ def test_cyclic_network_cap_is_exact():
     y = np.random.default_rng(4).uniform(0.0, 5.0, (2, 6))
     for cap in [cap_at(0.0, y[:, 0].tolist()), cap_at(0.0, y), cap_at(0.0, [0.0, 0.0])]:
         assert cap == pytest.approx(5 / 4, rel=1e-12)
-    traj = integrate_network(net, {"A": 1.0}, SimConfig(t_end=40))
+    rec = Recorder()
+    traj = sampled(bare_program(net), {"A": 1.0}, SimConfig(t_end=40), wrap=rec.wrap)
     assert traj.termination.status == "completed"
-    assert np.diff(traj.times).max() <= 5 / 4 * (1 + 1e-12)
+    assert np.diff(rec.bounds()).max() <= 5 / 4 * (1 + 1e-12)
     assert traj.final("B") == pytest.approx(0.75, abs=1e-10)
 
 
@@ -723,7 +821,7 @@ def test_rhs_sees_only_the_lane_shape(monkeypatch):
     real = crncalc.simulate.integrate
     seen = []
 
-    def spy_integrate(rhs, y0, species, cfg, max_step, sample=()):
+    def spy_integrate(rhs, y0, species, cfg, max_step, sample=None):
         n, lanes = y0.shape
 
         def spy(t, y):
@@ -760,45 +858,50 @@ def test_lanes_that_left_are_masked_not_dropped():
                         "A + 2X -> A + 3X ; k=1\nX -> 0 ; k=1\n")
     rhs, cap_at = network_integrand(net)
     y0 = np.array([[1.0, 0.0, 0.5], [2.0, 1.0, 1.0]])
-    seen, caps = [], []
+    calls = []
 
     def spy_rhs(t, y):
-        seen.append(np.array(y))
+        calls.append(("rhs", t, np.array(y)))
         return rhs(t, y)
 
     def spy_cap(t, y):
-        caps.append((t, np.array(y)))
+        calls.append(("cap", t, np.array(y)))
         return cap_at(t, y)
 
-    lanes = integrate(spy_rhs, y0, net.species_ids, SimConfig(t_end=10, **TIGHT), spy_cap,
-                      sample=net.species_ids)
+    lanes = integrate(spy_rhs, y0, net.species_ids, SimConfig(t_end=10, **TIGHT), spy_cap)
     assert [lane.termination.status for lane in lanes] == ["blowup", "completed", "completed"]
     assert lanes[0].termination.time == pytest.approx(math.log(2.0), abs=1e-6)
+    seen = [y for kind, _, y in calls if kind == "rhs"]
     assert all(y.shape == y0.shape for y in seen)
     assert not np.isfinite(seen[-1][:, 0]).all()  # the left lane is still computed
     left = 0
-    for t, y in caps:
-        live = [lane for lane in lanes if lane.termination.time > t]
+    for i, (kind, t, y) in enumerate(calls):
+        if kind != "cap":
+            continue
+        live = [j for j, lane in enumerate(lanes) if lane.termination.time > t]
         left = max(left, len(lanes) - len(live))
         assert y.shape == (2, len(live)), t
-        for col, lane in zip(y.T, live):
-            k = int(np.searchsorted(lane.times, t))
-            assert lane.times[k] == t and np.array_equal(np.clip(col, 0.0, None), lane.states[k])
+        # the state the batch reached at t: the initial state, or that of
+        # the accepted step's stage 12, called before its stages 13..15
+        state = y0
+        if t > 0:
+            kind, t_new, state = calls[i - 4]
+            assert kind == "rhs" and t_new == pytest.approx(t, rel=1e-15)
+        assert np.array_equal(y, state[:, live]), t
     assert left == 1
     for lane in lanes:
         assert not np.isnan(lane.states).any() and not np.isnan(lane.times).any()
-        assert not np.isnan(lane.samples.states).any()
 
 
 def test_lane_that_fails_at_the_start_keeps_its_initial_state():
     # the product overflows in the first evaluation of one lane; it leaves
     # with a one-row trajectory and the other lane carries on
     points = [{"a": 1e200, "b": 1e200}, {"a": 1.5, "b": 2.0}]
-    prog, (bad, good) = batch("a*b", points, SimConfig(t_end=10, **TIGHT), ["X1"])
+    prog, (bad, good) = batch("a*b", points, SimConfig(t_end=10, **TIGHT))
     assert bad.termination.status == "stiff_failure" and bad.termination.time == 0.0
     assert bad.times.tolist() == [0.0]
-    assert bad.states[0].tolist() == direct_state(prog, points[0]).tolist()
-    assert bad.samples.times.tolist() == [0.0] and bad.samples.states.tolist() == [[0.0]]
+    assert bad.states.tolist() == [direct_state(prog, points[0]).tolist()]
+    assert bad.final("X1") == 0.0
     assert good.termination.status == "completed"
     assert good.final("X1") == pytest.approx(3.0 * (1 - math.exp(-10)), abs=1e-8)
     # the good lane starts over from its own starting step, not from the
@@ -851,90 +954,131 @@ def test_blowup_owner_ignores_roundoff_but_not_a_real_lead():
     assert owner(y, 1e-10) == 2
 
 
+def _record_steps(monkeypatch):
+    """Record the steps of every _sample_steps call, (t_old, h, y_old, q,
+    count) each, in order, and the grid times the call sampled."""
+    real = crncalc.simulate._sample_steps
+    steps, times = [], []
+
+    def spy(out, grid, start, pending, sigma):
+        stop = real(out, grid, start, pending, sigma)
+        steps.extend(pending)
+        times.append(grid[start:stop])
+        return stop
+
+    monkeypatch.setattr(crncalc.simulate, "_sample_steps", spy)
+    return real, steps, times
+
+
+def _lane_reference(steps, j, t, sigma=1.0):
+    """_power_form_samples of lane j's columns of the recorded steps at the
+    times t, as (times, species)."""
+    t_old, h, y_old, q, _ = zip(*steps)
+    y_old, q = np.array(y_old)[..., [j]], np.array(q)[:, :, [j]]
+    return _power_form_samples(np.array(t_old), np.array(h), y_old, q, t, sigma)[:, 0].T
+
+
 def test_resample_shares_grids_but_not_values(monkeypatch):
-    # a zero-step lane, a blowup lane and two completed lanes: the lanes
-    # that share a grid are sampled in one pass, and each lane's samples
-    # equal, bit for bit, those computed from its own step record alone
+    # a zero-step lane, a blowup lane and two completed lanes: each lane
+    # keeps the times of the shared grid before its end, then its end;
+    # every step samples all lanes in one pass, and each lane's samples
+    # equal, bit for bit, those computed from its own columns alone
     points = [{"a": 1e200, "b": 2.0}, {"a": 2.0, "b": 2.0}, {"a": 1.0, "b": 3.0},
               {"a": 3.0, "b": 1.0}]
     rails = ["X2", "Y1"]
     cfg = SimConfig(t_end=40, **TIGHT)
-    real = crncalc.simulate._interpolate
-    calls = []
-    monkeypatch.setattr(crncalc.simulate, "_interpolate",
-                        lambda *args: calls.append(args) or real(*args))
+    real, steps, times = _record_steps(monkeypatch)
     prog, lanes = batch("max(a, b)", points, cfg, rails)
     assert [lane.termination.status for lane in lanes] == [
         "stiff_failure", "blowup", "completed", "completed"]
-    zero = lanes[0].samples
-    assert zero.species == tuple(rails) and zero.times.tolist() == [0.0]
-    assert zero.states.tolist() == [[lanes[0].final(sid) for sid in rails]]
-    low, high = lanes[2:]
-    assert low.samples.times is high.samples.times
-    # one pass for the blowup lane's grid, one for the completed lanes'
-    assert [q.shape[2] for *_, q, _, _ in calls] == [1, 2]
-    alone = [(t, real(t_old, h, y_old[..., [j]], q[:, :, [j]], t, sigma)[:, 0].T)
-             for t_old, h, y_old, q, t, sigma in calls for j in range(q.shape[2])]
-    for lane, (times, values) in zip(lanes[1:], alone):
-        got = lane.samples
-        assert got.times is times and np.array_equal(got.states, values)
-    # Horner's order of the power sum differs from the sum's in the last bits
-    for args in calls:
-        want = _power_form_samples(*args)
-        np.testing.assert_allclose(real(*args), want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
-    for lane in lanes:
-        got = lane.samples
-        assert np.array_equal(got.times, np.linspace(0.0, lane.times[-1], got.times.size))
-        assert got.times.size in (1, crncalc.simulate._SAMPLES)
-        assert got.termination == lane.termination and got.samples is None
-        assert got.stats == lane.stats and got.negatives == lane.negatives
-        assert got.states[0].tolist() == [lane.states[0, lane.index(sid)] for sid in rails]
-    assert not np.array_equal(low.samples.states, high.samples.states)
+    grid = np.linspace(0.0, 40.0, crncalc.simulate._SAMPLES)
+    # each grid time is sampled once, by the step it lies in
+    assert np.array_equal(np.concatenate(times), grid)
+    assert sum(count for *_, count in steps) == grid.size
+    zero, tie, low, high = lanes
+    assert zero.times.tolist() == [0.0]
+    init = direct_state(prog, points[0])
+    assert zero.states.tolist() == [[init[prog.species_ids.index(sid)] for sid in rails]]
+    assert low.times.base is high.times.base is zero.times.base  # views of one buffer
+    assert tie.times.size - 1 == np.count_nonzero(grid < tie.termination.time)
+    for j, lane in enumerate(lanes):
+        k = lane.times.size - 1
+        assert lane.species == tuple(rails)
+        assert np.array_equal(lane.times[:k], grid[:k])
+        assert lane.times[-1] == lane.termination.time
+        assert np.all(grid[:k] < lane.times[-1]) and (k == grid.size or grid[k] >= lane.times[-1])
+        assert np.array_equal(lane.states[-1], [lane.final(sid) for sid in rails])
+        if not k:
+            continue
+        alone = np.empty((1, grid.size, len(rails)))
+        real(alone, grid, 0, [(t_old, h, y_old[:, [j]], q[:, [j]], count)
+                              for t_old, h, y_old, q, count in steps], cfg.sigma)
+        assert np.array_equal(lane.states[:k], alone[0, :k])
+        # Horner's order of the power sum differs from the sum's in the last bits
+        want = _lane_reference(steps, j, grid[:k])
+        np.testing.assert_allclose(lane.states[:k], want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+    assert not np.array_equal(low.states, high.states)
 
 
-def test_lanes_are_read_only_views_of_one_step_record():
+def test_lanes_are_read_only_views_of_one_sample_buffer():
     # the lanes leave after three different steps: the zero-step lane at
     # the start, the blowup at its crossing and the completed two at t_end;
-    # what the record holds for a lane after it has left reaches no lane
+    # what the buffer holds for a lane after it has left reaches no lane
     points = [{"a": 1e200, "b": 2.0}, {"a": 2.0, "b": 2.0}, {"a": 1.0, "b": 3.0},
               {"a": 3.0, "b": 1.0}]
     cfg = SimConfig(t_end=40, **TIGHT)
-    ids = compile_expression("max(a, b)").species_ids
-    prog, lanes = batch("max(a, b)", points, cfg, ids)
+    prog, lanes = batch("max(a, b)", points, cfg)
     zero, tie, low, high = lanes
     assert [lane.termination.status for lane in lanes] == [
         "stiff_failure", "blowup", "completed", "completed"]
     assert 0 == zero.stats.steps < tie.stats.steps < low.stats.steps == high.stats.steps
     for lane in lanes:
+        assert lane.species == prog.species_ids
         assert not np.isnan(lane.states).any()
-        assert not np.isnan(lane.samples.states).any()
-    assert low.times is high.times
-    # the blowup lane ends at its crossing in a copy, not in the record
-    assert tie.times[-1] == tie.termination.time < low.times[tie.stats.steps]
-    with pytest.raises(ValueError):
-        low.times[0] = 0.0
+        assert lane.states.base is low.states.base
+    assert low.times.base is high.times.base is zero.times.base  # views of one buffer
+    # the blowup lane ends at its crossing, after the grid times before it
+    shared = tie.times.size - 1
+    assert np.array_equal(tie.times[:shared], low.times[:shared])
+    assert tie.times[-1] == tie.termination.time < low.times[shared]
+    for values in (zero.times, tie.times, low.times, tie.states, low.states):
+        with pytest.raises(ValueError):
+            values[0] = 0.0
 
 
-def test_resample_keeps_lanes_that_end_in_one_step_apart():
+def test_resample_keeps_lanes_that_end_in_one_step_apart(monkeypatch):
     # both lanes blow up in the same step, at different times: same steps,
-    # two grids, each on its own run and on x0 e^t
+    # one grid, each lane's samples on it up to its own crossing, then the
+    # crossing, all on x0 e^t
     net = parse_network("X -> 2X ; k=1\n")
     rhs, cap = network_integrand(net)
     x0 = np.array([1.0, 1.0 + 1e-6])
     cfg = SimConfig(t_end=40, **TIGHT)
+    _, steps, _ = _record_steps(monkeypatch)
     lanes = integrate(rhs, x0[None], net.species_ids, cfg, cap, sample=["X"])
-    assert np.array_equal(lanes[0].times[:-1], lanes[1].times[:-1])
+    assert lanes[0].stats == lanes[1].stats
     assert lanes[0].times[-1] != lanes[1].times[-1]
-    for lane, a in zip(lanes, x0):
-        got = lane.samples
-        assert np.array_equal(got.times, np.linspace(0.0, lane.times[-1], got.times.size))
-        exact = a * np.exp(got.times)
-        assert np.all(np.abs(got.series("X") - exact) <= 10 * cfg.rel_tol * (1 + exact))
+    grid = np.linspace(0.0, 40.0, crncalc.simulate._SAMPLES)
+    for j, (lane, a) in enumerate(zip(lanes, x0)):
+        k = lane.times.size - 1
+        assert lane.termination.status == "blowup"
+        assert np.array_equal(lane.times[:k], grid[:k])
+        assert grid[k - 1] < lane.times[-1] == lane.termination.time <= grid[k]
+        exact = a * np.exp(lane.times)
+        assert np.all(np.abs(lane.series("X") - exact) <= 10 * cfg.rel_tol * (1 + exact))
+        want = _lane_reference(steps, j, grid[:k])
+        np.testing.assert_allclose(lane.states[:k], want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
 
 
 def _power_form_samples(t_old, h, y_old, q, t, sigma):
-    """_interpolate one sample at a time, as y_old + h sum_j q_j x^(j+1)
-    with the powers of the step fraction x."""
+    """The interpolants of a step record one sample at a time, as (species,
+    lanes, times): y_old + h sum_j q_j x^(j+1) with the powers of the step
+    fraction x, from the steps' start times t_old (in t), sizes h (in tau
+    = sigma t), start states y_old (steps, species, lanes) and
+    coefficients q (steps, species, lanes, 7).  A time on a step boundary
+    takes the step ending there."""
     out = []
     for ti in t:
         k = min(max(int(np.searchsorted(t_old, ti, side="left")) - 1, 0), h.size - 1)
@@ -960,11 +1104,16 @@ def test_blowup_crossing_matches_a_reference_bisection(src, mode, point, monkeyp
                         lambda *args: steps.append(args) or real(*args))
     cfg = SimConfig(t_end=40, **TIGHT)
     prog = flatten(lower_to_circuit(src, mode))
-    traj = simulate_program(prog, point, cfg)
+    rec = Recorder()
+    traj = sampled(prog, point, cfg, wrap=rec.wrap)
     assert traj.termination.status == "blowup"
     (step,) = steps
     t_old, t_new, y_old = step[:3]
-    assert t_old == traj.times[-2] and np.array_equal(np.clip(y_old, 0.0, None), traj.states[-2])
+    # the crossing step is the run's last, and starts where the one before ended
+    ends = rec.step_ends()
+    assert len(ends) == traj.stats.steps
+    assert t_old == pytest.approx(ends[-2][0], rel=1e-15) and np.array_equal(y_old, ends[-2][1])
+    assert t_new == pytest.approx(ends[-1][0], rel=1e-15)
     threshold = crncalc.simulate.BLOWUP_THRESHOLD
     assert _step_polynomial(*step, t_old).max() < threshold <= _step_polynomial(*step, t_new).max()
     lo, hi = t_old, t_new
