@@ -6,17 +6,22 @@ in the inner one, and prints the number of operations and one sha256
 over f"{exit code}\\n{stdout}" of each, in that order.  Two checkouts
 whose digests match printed the same bytes and exit codes on all of
 them, which is how a change that should not move any output is checked.
+With --per-op it first prints one tab-separated line per operation:
+workload, seed, argv (shell-quoted) and the sha256 of that operation
+alone, so two checkouts' lines name the operations whose output moved.
 perfbench is only read.
 
 Usage:
     python scripts/output_digest.py
     python scripts/output_digest.py --workloads grid real --seeds 1
+    python scripts/output_digest.py --per-op
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import shlex
 import sys
 from pathlib import Path
 
@@ -32,6 +37,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", nargs="+", choices=sorted(WORKLOADS),
                     default=["grid", "real", "compile"])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    ap.add_argument("--per-op", action="store_true",
+                    help="print each operation's workload, seed, argv and sha256 first")
     args = ap.parse_args(argv)
 
     digest, ops = hashlib.sha256(), 0
@@ -41,8 +48,12 @@ def main(argv=None) -> int:
                 buf = io.StringIO()
                 with contextlib.redirect_stdout(buf):
                     code = cli.main(op.argv)
-                digest.update(f"{code}\n{buf.getvalue()}".encode())
+                output = f"{code}\n{buf.getvalue()}".encode()
+                digest.update(output)
                 ops += 1
+                if args.per_op:
+                    print(name, seed, shlex.join(op.argv), hashlib.sha256(output).hexdigest(),
+                          sep="\t")
     print(ops, digest.hexdigest())
     return 0
 

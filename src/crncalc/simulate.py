@@ -7,10 +7,13 @@ spectrum, and a 7th-order dense interpolant.  Each step attempt keeps the state 
 derivatives as the rows of one array, so every stage input is one
 matrix-vector product.  Many initial states ("lanes") of one system
 advance in lockstep as the columns of a single array, which is how sweeps
-integrate a whole grid at once.  A run keeps no step history: each
-accepted step samples its interpolant on one uniform time grid, and a
-lane's Trajectory is those samples of the species a caller names (see
-`integrate`).  SimConfig.sigma scales every rate
+integrate a whole grid at once.  A one-lane run hands the generated
+right-hand side python floats and stores the tuple it returns; a batch
+has it write each driven species' row in place into the stage array,
+and never writes the rows that stay zero (held inputs and constants).
+A run keeps no step history: each accepted step samples its interpolant
+on one uniform time grid, and a lane's Trajectory is those samples of
+the species a caller names (see `integrate`).  SimConfig.sigma scales every rate
 constant, which in mass action is the time change t -> sigma t: only
 `integrate` applies it, and every right-hand side is the unscaled law.
 Runs terminate early when any concentration crosses BLOWUP_THRESHOLD;
@@ -22,6 +25,7 @@ tolerance, or uses up its budget of step attempts, ends in stiff_failure.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -159,18 +163,72 @@ def _rhs_function(exprs: Sequence[str], constant: Sequence[bool]) -> Callable:
     them the lane shape, so the rows always stack into an array shaped
     like y, and it is +0.0 in every lane because those species never
     decrease from a non-negative start.
+
+    The function's ``in_place()`` compiles, when a batch first needs it,
+    the same laws as ``_rhs(t, y, out)``: y and out are sequences of one
+    (lanes,) row per species, and each law of a driven species is written
+    into its row of out by the ufunc of its top-level operator
+    (``multiply(x3*x2, (x1 - x0) - x3, out[4])``), with the same bits as
+    _rhs's row.  Held rows are never written, and a constant row is filled
+    with c: integrate's stage buffer starts at +0.0, which is what z is.
     """
     names = [f"x{i}" for i in range(len(exprs))]
     first = next((x for x, c in zip(names, constant) if c), None)
-    exprs = [("z" if e == "0.0" else f"z + {e}") if c else e
-             for e, c in zip(exprs, constant)]
-    one = "," if len(exprs) == 1 else ""
+    rows = [("z" if e == "0.0" else f"z + {e}") if c else e
+            for e, c in zip(exprs, constant)]
+    one = "," if len(rows) == 1 else ""
     zero = f"    z = 0.0*{first}\n" if first else ""
     src = (f"def _rhs(t, y):\n    {', '.join(names)}{one} = y\n{zero}"
-           f"    return ({', '.join(exprs)}{one})")
+           f"    return ({', '.join(rows)}{one})")
     env: dict = {}
     exec(src, env)
+    rhs = env["_rhs"]
+    rhs.in_place = functools.partial(_in_place_function, names, exprs, constant)
+    return rhs
+
+
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply"}
+
+
+def _in_place_function(names: Sequence[str], exprs: Sequence[str],
+                       constant: Sequence[bool]) -> Callable:
+    """_rhs_function's ``_rhs(t, y, out)``, which writes the rows in place."""
+    lines = []
+    for i, (e, c) in enumerate(zip(exprs, constant)):
+        if c and e == "0.0":
+            continue
+        split = _top_level_split(e)
+        lines.append(f"    {split[0]}({split[1]}, {split[2]}, out[{i}])" if split
+                     else f"    out[{i}][...] = {e}")
+    one = "," if len(names) == 1 else ""
+    src = f"def _rhs(t, y, out):\n    {', '.join(names)}{one} = y\n" + "\n".join(lines)
+    env: dict = {f: getattr(np, f) for f in _UFUNCS.values()}
+    exec(src, env)
     return env["_rhs"]
+
+
+def _top_level_split(law: str) -> tuple[str, str, str] | None:
+    """(ufunc, left, right) of the binary operator Python applies last in
+    law, or None when it has none: the last ' + ' or ' - ' outside
+    parentheses, else the last '*' there.  Every law spaces its binary +
+    and - and not its *, which keeps a float's exponent sign (1e-05) and a
+    negative coefficient (+ -1.0*x0) out of the split, and none holds '/'
+    or '**'."""
+    depth, sums, products = 0, -1, -1
+    for i, ch in enumerate(law):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif depth == 0:
+            if ch == "*":
+                products = i
+            elif ch in "+-" and law[i - 1:i + 2] == f" {ch} ":
+                sums = i
+    at = sums if sums >= 0 else products
+    if at < 0:
+        return None
+    return _UFUNCS[law[at]], law[:at].rstrip(), law[at + 1:].lstrip()
 
 
 def _polynomial(poly: Mapping) -> str:
@@ -400,32 +458,67 @@ def _stats(steps: int, rejected: int, extra: int) -> IntegrationStats:
                             2 + 12 * (steps + rejected) + 3 * steps + extra)
 
 
-def _lane_ops(n: int, lanes: int, live: np.ndarray):
+def _lane_ops(n: int, lanes: int, live: np.ndarray, rhs: Callable, W: Sequence):
     """The stage buffer of n species x lanes and what the attempt loop
     applies to it.
 
     Z (17 x n*lanes) holds y and the stages K0..K15 as rows, each stored
-    species-major.  ZT holds the views the combinations multiply: ZT[s] =
-    Z[:s + 1].T feeds stage s (s = 1..15), and ZT[0] = Z[1:13], the
-    stages K0..K11, the error estimates.
-    rows is Z as the RHS writes it: flat rows for one lane, else (17, n,
-    lanes), so that rhs's rows are assigned straight into Z[s].  state
-    turns a flat state into rhs's argument: a list of floats for one lane
-    (python floats run the generated code faster than numpy scalars), else
-    an (n, lanes) view.  norms takes the scaled err5 and err3 rows (2 x
-    n*lanes) to each lane's error norm |err5|^2 / sqrt(n (|err5|^2 +
+    species-major; it starts at +0.0.  ZT holds the views the
+    combinations multiply: ZT[s] = Z[:s + 1].T feeds stage s (s = 1..15),
+    and ZT[0] = Z[1:13], the stages K0..K11, the error estimates.
+    evaluate(t, h, first, stop) evaluates stages first..stop - 1 of the
+    step h from t: stage s weights ZT[s] by W[s] into its input and writes
+    rhs at t + _C[s] h there into Z[s + 1].  It returns the last input,
+    the new state when that is stage 12's.  One lane hands rhs a list of
+    floats (python floats run the generated code faster than numpy
+    scalars) and stores its tuple.  A batch puts each input in one of two
+    preallocated buffers, stage 12's apart from the others', and a
+    generated rhs writes in place (see _rhs_function): its y and out are
+    row views of the buffer and of Z[s + 1], built once, and it never
+    writes the rows that stay +0.0.  Any other rhs is called with the (n,
+    lanes) view of the buffer and its tuple stored into Z[s + 1].
+    rows is Z as rhs(t, y) returns it: flat rows for one lane, else (17,
+    n, lanes), and state turns a flat state into rhs's y: a list of floats
+    for one lane, else an (n, lanes) view; the starting step and the step
+    cap evaluate through them.  norms takes the scaled err5 and err3 rows
+    (2 x n*lanes) to each lane's error norm |err5|^2 / sqrt(n (|err5|^2 +
     |err3|^2 / 100)), and worst to the largest over the lanes marked in
     live, a mask that integrate updates in place; a nan anywhere in a lane
     makes its norm nan.
     """
-    Z = np.empty((17, n * lanes))
+    Z = np.zeros((17, n * lanes))
     ZT = [Z[1:13]] + [Z[:s + 1].T for s in range(1, 16)]
     if lanes == 1:  # the lane is live until the run ends
+        def evaluate(t, h, first, stop):
+            for s in range(first, stop):
+                x = ZT[s].dot(W[s])
+                Z[s + 1] = rhs(t + _C[s] * h, x.tolist())
+            return x
+
         def worst(e):
             s5, s3 = float(e[0].dot(e[0])), float(e[1].dot(e[1]))
             return s5 / math.sqrt((s5 + 0.01 * s3) * n) if s5 else 0.0
 
-        return Z, Z, ZT, np.ndarray.tolist, worst, lambda e: np.array([worst(e)])
+        return Z, Z, ZT, np.ndarray.tolist, evaluate, worst, lambda e: np.array([worst(e)])
+
+    rows, inputs = Z.reshape(17, n, lanes), np.empty((2, n * lanes))
+    ys, outs = inputs.reshape(2, n, lanes), rows
+    if (in_place := getattr(rhs, "in_place", None)) is not None:
+        f, ys, outs = in_place(), [list(y) for y in ys], [list(out) for out in outs]
+    else:
+        def f(t, y, out):  # a plain (t, y) callable: store its rows
+            out[...] = rhs(t, y)
+    plan = [None]
+    for s in range(1, 16):
+        k = int(s == 12)  # stage 12's input, the new state, has its own buffer
+        plan.append((ZT[s], W[s], inputs[k], ys[k], outs[s + 1]))
+
+    def evaluate(t, h, first, stop):
+        for s in range(first, stop):
+            A, w, x, y, out = plan[s]
+            np.dot(A, w, out=x)
+            f(t + _C[s] * h, y, out)
+        return x
 
     def norms(e):
         e = e.reshape(2, n, lanes)
@@ -433,7 +526,7 @@ def _lane_ops(n: int, lanes: int, live: np.ndarray):
         # a lane with no error at all has norm 0, not 0/0
         return s5 / np.sqrt(np.maximum(s5 + 0.01 * s3, _TINY) * n)
 
-    return (Z, Z.reshape(17, n, lanes), ZT, lambda x: x.reshape(n, lanes),
+    return (Z, rows, ZT, lambda x: x.reshape(n, lanes), evaluate,
             lambda e: float(_amax(norms(e)[live])), norms)
 
 
@@ -517,7 +610,12 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     grid, not by the number of steps.
 
     rhs(t, y) takes y as (species, lanes), or as a list of floats when y0
-    has one column, and returns one row per species.  rhs, max_step and
+    has one column, and returns one row per species: a tuple of floats for
+    one lane.  For a batch, an rhs from _rhs_function (compile_circuit_rhs,
+    network_integrand) is not called so: its in_place form writes each
+    stage's rows straight into the stage buffer, and never the rows that
+    stay zero; any other callable is called as above and its rows stored,
+    which gives the same bits.  rhs, max_step and
     the steps see tau = cfg.sigma * t, up to sigma * t_end; every time
     returned (sample, blowup and stiff_failure times, and the negatives')
     is divided by sigma, and a completed lane ends at t_end exactly.  All
@@ -559,10 +657,15 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     sigma, t_end, threshold = cfg.sigma, cfg.sigma * cfg.t_end, BLOWUP_THRESHOLD
     rtol, atol = cfg.rel_tol, cfg.abs_tol
     live = np.ones(n_lanes, dtype=bool)  # the lanes still in the batch
-    Z, rows, ZT, state, worst, norms = _lane_ops(n, n_lanes, live)
+    # W[s] weights ZT[s] into the input of stage s = 1..15, E weights
+    # ZT[0] into err5 and err3
+    C = np.empty((17, 17))
+    W = [None, *(C[s - 1, :s + 1] for s in range(1, 16))]
+    E = C[15:, 1:13]
+    Z, rows, ZT, state, evaluate, worst, norms = _lane_ops(n, n_lanes, live, rhs, W)
     stages = Z[1:].reshape(16, n, n_lanes)  # K0..K15 by species and lane
-    t, y = 0.0, y0.flatten()
-    Z[0] = y
+    t, y = 0.0, Z[0]  # y is the state at t, kept in Z[0]
+    Z[0] = y0.ravel()
     rows[1] = rhs(t, state(y))
     h_abs = _initial_step(rhs, state, n, y, Z[1], t_end, rtol, atol, live)
     # cap_at is max_step as a function of the live lanes' state, if it is one
@@ -575,11 +678,6 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
         max_step = cap(t, y)
     y_abs = np.abs(y)
     scale, new_abs = np.empty((2, y.size))
-    # W[s] weights ZT[s] into the input of stage s = 1..15, E weights
-    # ZT[0] into err5 and err3
-    C = np.empty((17, 17))
-    W = [None, *(C[s - 1, :s + 1] for s in range(1, 16))]
-    E = C[15:, 1:13]
     grid = np.linspace(0.0, cfg.t_end, _SAMPLES)
     bounds = grid.tolist()
     # out[lane, i]: sample i of the sampled species of the lane
@@ -613,10 +711,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             h_abs = abs(h)
             np.multiply(_COEF, h, out=C)
             C += _UNIT
-            for s in range(1, 12):
-                rows[s + 1] = rhs(t + _C[s] * h, state(ZT[s].dot(W[s])))
-            y_new = ZT[12].dot(W[12])
-            rows[13] = rhs(t + h, state(y_new))
+            y_new = evaluate(t, h, 1, 13)  # stage 12's input is the new state
             np.abs(y_new, out=new_abs)
             np.maximum(y_abs, new_abs, out=scale)
             scale *= rtol
@@ -640,8 +735,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
         leaving = None
         if accepted:
             steps += 1
-            for s in range(13, 16):
-                rows[s + 1] = rhs(t + _C[s] * h, state(ZT[s].dot(W[s])))
+            evaluate(t, h, 13, 16)
             done = t_new == t_end
             # a grid time on a step boundary takes the step ending there
             stop = _SAMPLES if done else bisect.bisect_right(bounds, t_new / sigma)
@@ -664,7 +758,8 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 for j in np.flatnonzero(leaving):
                     if crossed[j]:
                         q_j = np.ascontiguousarray(stages[:, :, j]).T.dot(_P)
-                        t_hit, y_hit = _crossing(t, t_new, y_cols[:, j], q_j)
+                        # a copy: y is Z[0], which this step's end overwrites
+                        t_hit, y_hit = _crossing(t, t_new, y_cols[:, j].copy(), q_j)
                         owner = species[_blowup_owner(y_hit, rtol)]
                         leave(j, Termination("blowup", owner, t_hit / sigma), y_hit)
                     else:
@@ -675,7 +770,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             Z[1] = Z[13]  # first same as last
             Z[0] = y_new
             y_abs, new_abs = new_abs, y_abs
-            t, y = t_new, y_new
+            t = t_new
         else:
             # the step shrank below what t can resolve: lanes still missing
             # the tolerance there leave, the others retry from h_first

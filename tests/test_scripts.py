@@ -30,4 +30,14 @@ def test_speed_contrast_designed_rate_does_not_depend_on_a(capsys):
 def test_output_digest_counts_and_hashes_every_operation(capsys):
     # the five sweeps of one seed's grid workload
     assert _main("output_digest")(["--workloads", "grid", "--seeds", "1"]) == 0
-    assert re.fullmatch(r"5 [0-9a-f]{64}\n", capsys.readouterr().out)
+    total = capsys.readouterr().out
+    assert re.fullmatch(r"5 [0-9a-f]{64}\n", total)
+    # --per-op names each operation and its own hash before the same total
+    assert _main("output_digest")(["--workloads", "grid", "--seeds", "1", "--per-op"]) == 0
+    *ops, last = capsys.readouterr().out.splitlines()
+    assert last + "\n" == total and len(ops) == 5
+    for line in ops:
+        workload, seed, argv, digest = line.split("\t")
+        assert (workload, seed) == ("grid", "1") and argv.startswith("sweep ")
+        assert re.fullmatch(r"[0-9a-f]{64}", digest)
+    assert len({line.split("\t")[2] for line in ops}) == 5

@@ -405,6 +405,24 @@ def test_blowup_lane_leaves_the_batch():
     assert low.times[shared - 1] < tie.termination.time <= low.times[shared]
 
 
+def test_a_batch_runs_the_same_through_any_rhs_route():
+    # a generated rhs writes a batch's rows in place; the same law as a
+    # plain callable returns them and integrate stores them.  Both routes
+    # give the 25-lane max(a, b) block bit for bit the same run, whose
+    # diagonal ties blow up while the rest complete
+    points = [{"a": a, "b": b} for a in GRID for b in GRID]
+    cfg = SimConfig(t_end=40, **TIGHT)
+    _, direct = batch("max(a, b)", points, cfg)
+    _, plain = batch("max(a, b)", points, cfg, wrap=lambda rhs: lambda t, y: rhs(t, y))
+    assert [lane.termination.status for lane in direct] == [
+        "blowup" if p["a"] == p["b"] else "completed" for p in points]
+    for one, other in zip(direct, plain):
+        assert np.array_equal(one.times, other.times)
+        assert np.array_equal(one.states, other.states)
+        assert (one.termination, one.negatives, one.stats) == (
+            other.termination, other.negatives, other.stats)
+
+
 def test_failing_lane_leaves_the_batch():
     # x' = -x turns into nan once t > 0.5 wherever x > 1: the lane from
     # x0 = 2 cannot meet the tolerance there and ends in stiff_failure,
@@ -557,6 +575,55 @@ def test_rhs_rows_have_the_lane_shape():
     prog = compile_expression("a * b + 2")
     rows = np.asarray(program_integrand(prog)[0](0.0, np.ones((len(prog.species), 4))))
     assert rows.shape == (len(prog.species), 4)
+
+
+def _held_rows(prog) -> list[int]:
+    """The species whose rate is identically zero: no gate drives them in
+    a compiled program, and no reaction changes them in a network."""
+    if prog.gates is not None:
+        driven = {s.id for g in prog.gates for s in (g.output, *g.intermediates)}
+        return [i for i, sid in enumerate(prog.species_ids) if sid not in driven]
+    return [i for i, poly in enumerate(mass_action(prog.network)) if not poly]
+
+
+def test_rhs_writes_a_batch_in_place_with_the_tuple_bits():
+    # the in-place rows of a batch are bit for bit the rows the tuple form
+    # returns, and the held rows, which integrate keeps at +0.0, are never
+    # written: out starts as nan and they stay nan
+    nonneg = ["a", "a/b", "sqrt(a)", "root(3, a)", "abs(a - b)", "max(a, b) + 2"]
+    real = ["a", "a/b", "a*b - c", "1/a"]
+    progs = [compile_expression(src, mode) for mode, srcs in (("nonneg", nonneg), ("real", real))
+             for src in srcs]
+    kinds = {g.kind for prog in progs for g in prog.gates}
+    assert {kind.tag for kind in kinds} == set(GATES)
+    assert {kind.m for kind in kinds if kind.tag == "mth_root"} == {2, 3}
+    # program text loads as its expanded field, and a bare network may hold
+    # a zero-order reaction (B's constant row) and a rate written 1e-05
+    progs.append(load_program(format_program(compile_expression("sqrt(abs(a - b)) + a/b"))))
+    progs.append(load_program(format_program(compile_expression("a*b - c", "real"))))
+    progs.append(bare_program(parse_network(
+        "species: A[input], X[output], B\n0 -> B ; k=2\n0 -> X ; k=1\n"
+        "A + X -> A ; k=1\nB + X -> B ; k=1/100000\n")))
+    rng = np.random.default_rng(32)
+    for prog in progs:
+        rhs, _ = program_integrand(prog)
+        n, held = len(prog.species_ids), _held_rows(prog)
+        assert held
+        y = rng.uniform(0.05, 4.0, (n, 25))
+        want = np.asarray(rhs(0.0, y))
+        out = np.full((n, 25), np.nan)
+        assert rhs.in_place()(0.0, list(y), list(out)) is None
+        assert np.isnan(out[held]).all()
+        assert np.array_equal(want[held], np.zeros((len(held), 25)))
+        driven = [i for i in range(n) if i not in held]
+        assert np.array_equal(out[driven], want[driven])
+        assert np.array_equal(np.signbit(out[driven]), np.signbit(want[driven]))
+    assert crncalc.simulate._top_level_split("1e-05*x1 + -1.0*x0*x2") == (
+        "add", "1e-05*x1", "-1.0*x0*x2")
+    assert crncalc.simulate._top_level_split("-1.0*x0*x2") == ("multiply", "-1.0*x0", "x2")
+    assert crncalc.simulate._top_level_split("x0 + x1 - (x2 - x3)") == (
+        "subtract", "x0 + x1", "(x2 - x3)")
+    assert crncalc.simulate._top_level_split("1e-05") is None
 
 
 def test_dense_output_of_one_species_is_exact():

@@ -58,3 +58,21 @@ def test_a_sweep_fits_each_block_in_one_call(capsys):
     assert tracer.counts["rates.estimates"] == 4
     rows = capsys.readouterr().out.splitlines()
     assert sum(row[0].isdigit() for row in rows) == 6 + 2 + SWEEP_BLOCK + 1
+
+
+def test_a_traced_sweep_prints_what_an_untraced_one_does(capsys):
+    # the tracer wraps the generated rhs in a plain (t, y) callable, whose
+    # rows a batch stores one by one, where the generated rhs writes them
+    # in place: the sweep's table is the same either way
+    from crncalc import cli
+    argv = ["sweep", "--expr", "max(a, b)", "--grid", "a=0.1,1,50;b=0.1,2,50", "--t-end", "40"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    spans = _spans_module()
+    tracer = spans.Tracer()
+    with tracer.patch():
+        assert tracer.run(argv) == 0
+    assert capsys.readouterr().out == plain
+    assert tracer.counts["simulate.rhs_evals"] > 0
+    rows = [row for row in plain.splitlines() if row[0].isdigit()]
+    assert len(rows) == 9 and sum(row.endswith(",blowup,ok") for row in rows) == 2
