@@ -17,10 +17,12 @@ import re
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from functools import lru_cache, partial
+from typing import Mapping, NamedTuple, Sequence, Union
 
-from .crn import (FormatError, ReactionNetwork, Species, format_fraction, format_network,
-                  format_species, parse_network, parse_number)
+from .crn import (MAX_STOICH, SPECIES_ID, FormatError, ReactionNetwork, Species,
+                  format_fraction, format_network, format_species, parse_network,
+                  parse_number)
 from .gates import (DomainError, GateInstance, GateKind, SpeciesNamer,
                     SpeedBound, gate_speed_bound, gate_target, gate_text, make_gate)
 
@@ -47,18 +49,26 @@ class Expr:
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        node = _INTERNED.get(key)
+        ref = _INTERNED.get(key)
+        node = ref() if ref is not None else None
         if node is None:
-            node = _INTERNED[key] = object.__new__(cls)
-            for name, value in zip(cls.__dataclass_fields__, fields):
-                object.__setattr__(node, name, value)
+            node = object.__new__(cls)
+            node.__dict__.update(zip(cls.__dataclass_fields__, fields))
+            _INTERNED[key] = weakref.ref(node, partial(_forget, key))
         return node
 
     def __reduce__(self):  # unpickle through the constructor, so interned too
         return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
 
-_INTERNED: weakref.WeakValueDictionary[tuple, Expr] = weakref.WeakValueDictionary()
+# (class, *fields) -> weak reference to the live node; a node's death
+# removes its entry unless a newer node already took the key
+_INTERNED: dict[tuple, weakref.ref] = {}
+
+
+def _forget(key: tuple, ref: weakref.ref):
+    if _INTERNED.get(key) is ref:
+        del _INTERNED[key]
 
 
 def _node(cls):
@@ -174,38 +184,31 @@ def free_vars(e: Expr) -> set[str]:
 # ---------------------------------------------------------------------------
 # parser
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"  # 3, 0.25, 1e-3
-                       r"|([A-Za-z_][A-Za-z0-9_]*)|([-+*/(),]))")
+# A number (3, 0.25, 1e-3), a name spelled like a species id, an operator,
+# or, in group 4, any other character, which is refused.  The group that
+# matched gives the token's kind.
+_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
+                       rf"|({SPECIES_ID})|([-+*/(),])|(\S))")
+_TOKEN_KINDS = (None, "num", "ident", "op")
 _FUNCTIONS = ("sqrt", "root", "abs", "max", "rsub")
 # Parentheses, calls and unary minus nested deeper than this are refused:
 # the parser recurses, and each level costs up to five stack frames.
 _MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # num, ident, op, end
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Tok]:
-    toks, i = [], 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            stripped = text[i:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        if m.group(1):
-            toks.append(_Tok("num", m.group(1), m.start(1)))
-        elif m.group(2):
-            toks.append(_Tok("ident", m.group(2), m.start(2)))
-        else:
-            toks.append(_Tok("op", m.group(3), m.start(3)))
-        i = m.end()
+    toks = []
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 4:
+            raise ParseError(f"unexpected character {m[4]!r}", m.start(4))
+        toks.append(_Tok(_TOKEN_KINDS[group], m[group], m.start(group)))
     toks.append(_Tok("end", "", len(text)))
     return toks
 
@@ -237,9 +240,11 @@ class _Parser:
             raise ParseError(f"trailing input {t.text!r}", t.pos)
         return e
 
+    # expr and term test only a token's text: no other kind of token is
+    # spelled like an operator
     def expr(self) -> Expr:
         e = self.term()
-        while self.peek().text in ("+", "-") and self.peek().kind == "op":
+        while self.peek().text in ("+", "-"):
             op = self.next().text
             rhs = self.term()
             e = Add(e, rhs) if op == "+" else Sub(e, rhs)
@@ -247,7 +252,7 @@ class _Parser:
 
     def term(self) -> Expr:
         e = self.factor()
-        while self.peek().text in ("*", "/") and self.peek().kind == "op":
+        while self.peek().text in ("*", "/"):
             op = self.next().text
             rhs = self.factor()
             e = Mul(e, rhs) if op == "*" else Div(e, rhs)
@@ -294,6 +299,8 @@ class _Parser:
             t = self.next()
             if t.kind != "num" or not t.text.isdecimal() or int(t.text) < 2:
                 raise ParseError("root degree must be an integer >= 2", t.pos)
+            if int(t.text) >= MAX_STOICH:  # its gate holds m + 1 copies of Y
+                raise ParseError(f"root degree must be at most {MAX_STOICH - 1}", t.pos)
             self.expect(",")
             e = self.expr()
             self.expect(")")
@@ -369,6 +376,16 @@ class DualRailWire:
 
 Value = Union[Species, DualRailWire]
 
+# the kinds lowering instantiates, each made and checked once
+_IDENT, _INV, _ADD, _MUL, _ABS_DIFF, _RSUB, _PRI = map(GateKind, (
+    "identification", "inversion", "addition", "multiplication", "absolute_difference",
+    "rectified_subtraction", "partial_real_inversion"))
+
+
+@lru_cache(maxsize=None)  # one per m in 2..MAX_STOICH - 1; GateKind refuses others
+def _root_kind(m: int) -> GateKind:
+    return GateKind("mth_root", m)
+
 
 @dataclass
 class Circuit:
@@ -438,31 +455,27 @@ class CircuitBuilder:
     # rail arithmetic (real mode recipes)
 
     def normalize(self, w: DualRailWire) -> DualRailWire:
-        rsub = GateKind("rectified_subtraction")
-        return DualRailWire(self.gate(rsub, [w.p, w.n]),
-                            self.gate(rsub, [w.n, w.p]))
+        return DualRailWire(self.gate(_RSUB, [w.p, w.n]),
+                            self.gate(_RSUB, [w.n, w.p]))
 
     def neg_wire(self, w: DualRailWire) -> DualRailWire:
         """-(p - n) = n - p: negation swaps the rails and needs no gate."""
         return DualRailWire(w.n, w.p)
 
     def add_wires(self, a: DualRailWire, b: DualRailWire) -> DualRailWire:
-        add = GateKind("addition")
-        raw = DualRailWire(self.gate(add, [a.p, b.p]), self.gate(add, [a.n, b.n]))
+        raw = DualRailWire(self.gate(_ADD, [a.p, b.p]), self.gate(_ADD, [a.n, b.n]))
         return self.normalize(raw)
 
     def mul_wires(self, a: DualRailWire, b: DualRailWire) -> DualRailWire:
-        mul, add = GateKind("multiplication"), GateKind("addition")
-        pp = self.gate(mul, [a.p, b.p])
-        nn = self.gate(mul, [a.n, b.n])
-        pn = self.gate(mul, [a.p, b.n])
-        np_ = self.gate(mul, [a.n, b.p])
-        return DualRailWire(self.gate(add, [pp, nn]), self.gate(add, [pn, np_]))
+        pp = self.gate(_MUL, [a.p, b.p])
+        nn = self.gate(_MUL, [a.n, b.n])
+        pn = self.gate(_MUL, [a.p, b.n])
+        np_ = self.gate(_MUL, [a.n, b.p])
+        return DualRailWire(self.gate(_ADD, [pp, nn]), self.gate(_ADD, [pn, np_]))
 
     def inv_wire(self, w: DualRailWire) -> DualRailWire:
-        pri = GateKind("partial_real_inversion")
-        return DualRailWire(self.gate(pri, [w.p, w.n]),
-                            self.gate(pri, [w.n, w.p]))
+        return DualRailWire(self.gate(_PRI, [w.p, w.n]),
+                            self.gate(_PRI, [w.n, w.p]))
 
     # lowering
 
@@ -484,28 +497,24 @@ class CircuitBuilder:
             raise ModeError("subtraction is not expressible over non-negative "
                             "values; use rsub, abs, or real mode")
         if isinstance(e, Add):
-            return self.gate(GateKind("addition"),
-                             [(yield e.left), (yield e.right)])
+            return self.gate(_ADD, [(yield e.left), (yield e.right)])
         if isinstance(e, Mul):
-            return self.gate(GateKind("multiplication"),
-                             [(yield e.left), (yield e.right)])
+            return self.gate(_MUL, [(yield e.left), (yield e.right)])
         if isinstance(e, Div):
-            inv = self.gate(GateKind("inversion"), [(yield e.right)])
-            if e.left == Const(Fraction(1)):
+            inv = self.gate(_INV, [(yield e.right)])
+            if isinstance(e.left, Const) and e.left.value == 1:
                 return inv
-            return self.gate(GateKind("multiplication"), [(yield e.left), inv])
+            return self.gate(_MUL, [(yield e.left), inv])
         if isinstance(e, Root):
-            return self.gate(GateKind("mth_root", e.m), [(yield e.child)])
+            return self.gate(_root_kind(e.m), [(yield e.child)])
         if isinstance(e, AbsDiff):
-            return self.gate(GateKind("absolute_difference"),
-                             [(yield e.left), (yield e.right)])
+            return self.gate(_ABS_DIFF, [(yield e.left), (yield e.right)])
         if isinstance(e, RectSub):
-            return self.gate(GateKind("rectified_subtraction"),
-                             [(yield e.left), (yield e.right)])
+            return self.gate(_RSUB, [(yield e.left), (yield e.right)])
         if isinstance(e, Max):
             # max(a,b) = a + rsub(b, a)
             d = yield RectSub(e.right, e.left)
-            return self.gate(GateKind("addition"), [(yield e.left), d])
+            return self.gate(_ADD, [(yield e.left), d])
         raise AssertionError(e)  # pragma: no cover
 
     def _lower_real(self, e: Expr):
@@ -528,15 +537,14 @@ class CircuitBuilder:
             return self.mul_wires((yield e.left), (yield e.right))
         if isinstance(e, Div):
             inv = self.inv_wire((yield e.right))
-            if e.left == Const(Fraction(1)):
+            if isinstance(e.left, Const) and e.left.value == 1:
                 return inv
             return self.mul_wires((yield e.left), inv)
         raise AssertionError(e)  # pragma: no cover
 
     def _as_gate_output(self, s: Species) -> Species:
-        if any(g.output.id == s.id for g in self.gates):
-            return s
-        return self.gate(GateKind("identification"), [s])
+        # a lowered value is a gate's output, an input or a const
+        return s if s.role == "output" else self.gate(_IDENT, [s])
 
     def finish(self, value: Value) -> Circuit:
         """Close the circuit; inputs and constants at the output are passed

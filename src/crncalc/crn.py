@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-SPECIES_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+SPECIES_ID = r"[A-Za-z][A-Za-z0-9_]*"  # also the spelling of an expression variable
+SPECIES_RE = re.compile(SPECIES_ID + r"\Z")
 ROLES = ("input", "output", "intermediate")
 MAX_STOICH = 255
 
@@ -187,7 +188,7 @@ def format_polynomial(poly: Mapping[tuple[tuple[int, int], ...], Fraction],
 # Formatting is canonical (species order from the declaration, coefficient 1
 # omitted, rates as integers or p/q), so format(parse(format(n))) == format(n).
 
-_TERM_RE = re.compile(r"(\d+)?\s*([A-Za-z][A-Za-z0-9_]*)\Z")
+_TERM_RE = re.compile(rf"(\d+)?\s*({SPECIES_ID})\Z")
 
 
 def _parse_complex(text: str, lineno: int) -> Complex:

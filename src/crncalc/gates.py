@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .crn import (MAX_STOICH, Complex, Reaction, ReactionNetwork, Species, _format_reaction,
                   collect_network, format_network, format_polynomial, mass_action,
@@ -55,8 +55,7 @@ class SpeedBound:
     case: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class GateInstance:
+class GateInstance(NamedTuple):
     kind: GateKind
     inputs: tuple[Species, ...]
     output: Species
@@ -64,18 +63,13 @@ class GateInstance:
     positive_init: tuple[str, ...]
 
     @property
-    def species(self) -> tuple[Species, ...]:
-        """The species bound to its roles: inputs, X and, if it has one, Y."""
-        return (*self.inputs, self.output, *self.intermediates)
-
-    @property
     def reactions(self) -> tuple[Reaction, ...]:
         """The gate's reactions, parsed from the program lines gate_text
         writes for it, so they are exactly what its program text says.
         Built on every read: lowering, flattening and formatting never
         read it."""
-        order = {s.id: i for i, s in enumerate(self.species)}
-        return parse_network(gate_text(self, order)).reactions
+        species = (*self.inputs, self.output, *self.intermediates)
+        return parse_network(gate_text(self, {s.id: i for i, s in enumerate(species)})).reactions
 
 
 class SpeciesNamer:
@@ -91,11 +85,13 @@ class SpeciesNamer:
 
     def gate_pair(self) -> tuple[str, str]:
         """Next (X{n}, Y{n}) pair; one index per gate."""
+        used = self._used
         while True:
             self._gate += 1
             x, y = f"X{self._gate}", f"Y{self._gate}"
-            if x not in self._used and y not in self._used:
-                self._used.update((x, y))
+            if x not in used and y not in used:
+                used.add(x)
+                used.add(y)
                 return x, y
 
     def fresh(self, prefix: str) -> str:
@@ -197,10 +193,6 @@ class GateSpec:
         """The species names its reactions use: the inputs, X and Y."""
         return (*self.inputs, "X", "Y")
 
-    @property
-    def has_y(self) -> bool:
-        return self.rate_y is not None
-
 
 GATES: dict[str, GateSpec] = {spec.tag: spec for spec in (
     GateSpec("identification", ("A",), "A -> A + X\nX -> 0",
@@ -242,29 +234,26 @@ GATES: dict[str, GateSpec] = {spec.tag: spec for spec in (
 )}
 
 
-def _pattern(bound: Sequence, kind: GateKind) -> tuple[int, ...]:
-    """The sharing pattern of the values bound to a gate's roles, equal
-    values standing for one species; a gate without Y binds none to it."""
-    return (*map(bound.index, bound), *range(len(bound), len(GATES[kind.tag].roles)))
-
-
 @lru_cache(maxsize=None)
-def _template(kind: GateKind, pattern: tuple[int, ...]) -> tuple[Reaction, ...]:
-    """The gate's reactions with its roles (inputs, X, Y) merged by
-    `pattern` and written as str.format fields.
+def _line_writer(tag: str, m: int | None, ranks: tuple[int, ...]) -> Callable[..., str]:
+    """The reactions of gate kind (tag, m) as program text, compiled to an
+    f-string of the ids bound to its roles (inputs, X, Y), passed in that
+    order.  Keyed on plain values, so a hit hashes a str, an int and a
+    tuple.
 
-    pattern[i] is the index of the first role bound to the same species as
-    role i, and role i is written {pattern[i]}, so `a*a` gives
-    multiplication (0, 0, 2, 3) and A + B -> A + B + X becomes
-    2{0} -> 2{0} + {2}.  Merged roles add their counts and the result goes
-    through the checking constructors once per pattern: the stoichiometry
-    cap, the rate's sign and reactant != product.
+    ranks[i] is the number of roles whose species comes before role i's
+    in network order, so equal ranks are one species, and they fix
+    format_network's order of each complex.  Role i is written {_j}, j
+    the first role bound to its species, so `a*a` writes multiplication's
+    A + B -> A + B + X as 2{_0} -> 2{_0} + {_2}: merged roles add their
+    counts, and the merged reactions go through the checking constructors
+    once per kind and ranks: the stoichiometry cap, the rate's sign and
+    reactant != product.
     """
-    spec = GATES[kind.tag]
-    text = spec.reactions
-    if kind.m is not None:
-        text = text.format(m=kind.m, m1=kind.m + 1)
-    slot = {role: f"{{{i}}}" for role, i in zip(spec.roles, pattern)}
+    spec = GATES[tag]
+    text = spec.reactions if m is None else spec.reactions.format(m=m, m1=m + 1)
+    slot = {role: f"{{_{ranks.index(rank)}}}" for role, rank in zip(spec.roles, ranks)}
+    order = {f"{{_{i}}}": rank for i, rank in enumerate(ranks)}
 
     def merged(c: Complex) -> Complex:
         counts: dict[str, int] = {}
@@ -272,45 +261,36 @@ def _template(kind: GateKind, pattern: tuple[int, ...]) -> tuple[Reaction, ...]:
             counts[slot[sid]] = counts.get(slot[sid], 0) + n
         return Complex.make(counts)
 
-    return tuple(Reaction(merged(r.reactant), merged(r.product), r.rate)
-                 for r in parse_network(text).reactions)
-
-
-@lru_cache(maxsize=None)
-def _line_format(kind: GateKind, ranks: tuple[int, ...]) -> str:
-    """The gate's reactions as program text, with str.format fields {i}
-    for the species bound to its roles (inputs, X, Y).
-
-    ranks[i] is the place of role i's species among the gate's distinct
-    species in network order, so equal ranks are one species, and the
-    ranks fix both the sharing pattern and format_network's order of each
-    complex.
-    """
-    order = {f"{{{i}}}": rank for i, rank in enumerate(ranks)}
-    return "\n".join(_format_reaction(r, order)
-                     for r in _template(kind, _pattern(ranks, kind)))
+    lines = "\n".join(
+        _format_reaction(Reaction(merged(r.reactant), merged(r.product), r.rate), order)
+        for r in parse_network(text).reactions)
+    params = ", ".join(f"_{i}" for i in range(len(ranks)))
+    return eval(f"lambda {params}: f{lines!r}")
 
 
 def make_gate(kind: GateKind, inputs: Sequence[Species], namer: SpeciesNamer) -> GateInstance:
     """Instantiate a gate fragment on the given input species: fresh
     output and inner species; its reactions are built only when read."""
     spec = GATES[kind.tag]
-    if len(inputs) != spec.arity:
+    if len(inputs) != len(spec.inputs):
         raise ValueError(f"{kind} takes {spec.arity} inputs, got {len(inputs)}")
     xid, yid = namer.gate_pair()
-    intermediates = (Species(yid, "intermediate"),) if spec.has_y else ()
-    pos = tuple(s.id for s in intermediates) + (xid,) if spec.starts_positive else ()
-    return GateInstance(kind, tuple(inputs), Species(xid, "output"), intermediates, pos)
+    if spec.rate_y is None:
+        inner, own = (), (xid,)
+    else:
+        inner, own = (Species(yid, "intermediate"),), (yid, xid)
+    return GateInstance(kind, tuple(inputs), Species(xid, "output"), inner,
+                        own if spec.starts_positive else ())
 
 
 def gate_text(g: GateInstance, order: Mapping[str, int]) -> str:
     """The gate's reactions as format_network writes them in a network
     whose species positions `order` gives, without building them: its
-    cached _line_format with the gate's species filled in."""
-    bound = [s.id for s in g.species]
+    cached _line_writer called on the gate's species."""
+    bound = [s.id for s in (*g.inputs, g.output, *g.intermediates)]
     places = [order[sid] for sid in bound]
-    distinct = sorted(set(places))
-    return _line_format(g.kind, tuple(map(distinct.index, places))).format(*bound)
+    ranks = tuple(map(sorted(places).index, places))
+    return _line_writer(g.kind.tag, g.kind.m, ranks)(*bound)
 
 
 def factored_rates(g: GateInstance, name: Callable[[str], str]) -> list[tuple[str, str]]:
@@ -319,7 +299,7 @@ def factored_rates(g: GateInstance, name: Callable[[str], str]) -> list[tuple[st
     spec = GATES[g.kind.tag]
     names = {role: name(s.id) for role, s in zip(spec.inputs, g.inputs)}
     names["X"] = name(g.output.id)
-    if not spec.has_y:
+    if spec.rate_y is None:
         return [(g.output.id, spec.rate_x.format_map(names))]
     y = g.intermediates[0].id
     names["Y"] = name(y)

@@ -1,6 +1,7 @@
 """Expression parsing, lowering to gate circuits, flattening, speed analysis."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import pickle
@@ -16,7 +17,7 @@ import hypothesis.strategies as st
 import crncalc.circuit
 import crncalc.gates
 from crncalc import cli
-from crncalc.crn import FormatError, format_network, mass_action
+from crncalc.crn import MAX_STOICH, FormatError, format_network, mass_action
 from crncalc.gates import DomainError
 from crncalc.circuit import (
     Add,
@@ -67,7 +68,7 @@ def test_parse_precedence_and_sugar():
 
 def test_parse_errors_carry_positions():
     cases = [("a+", 2), ("max(a)", 5), ("sqrt(a,b)", 6), ("a b", 2),
-             ("2^x", 1), ("((a)", 4), ("foo(a)", 3)]
+             ("2^x", 1), ("((a)", 4), ("foo(a)", 3), ("_a + b", 0), ("a + _b", 4)]
     for src, pos in cases:
         with pytest.raises(ParseError) as exc:
             parse_expression(src)
@@ -76,9 +77,12 @@ def test_parse_errors_carry_positions():
 
 
 def test_parse_root_degree_validation():
-    for src in ["root(1, a)", "root(0.5, a)", "root(a, 2)"]:
+    for src in ["root(1, a)", "root(0.5, a)", "root(a, 2)", "root(255, a)", "root(300, a)"]:
         with pytest.raises(ParseError, match="root degree"):
             parse_expression(src)
+    with pytest.raises(ParseError, match=f"col 6: root degree must be at most {MAX_STOICH - 1}"):
+        parse_expression("root(300, a)")
+    assert "X1 -> 2X1" in format_program(compile_expression("root(254, a)"))
 
 
 def test_parse_abs_needs_difference():
@@ -274,6 +278,127 @@ def test_gate_templates_render_the_network(seed):
 def test_every_sharing_pattern_renders_the_network(src, mode):
     prog = compile_expression(src, mode)
     assert format_program(prog) == _rendered_from_network(prog)
+
+
+# The program text of these expressions, byte for byte.  Between them
+# they hold every gate kind, a shared-input template (a*a), consts and a
+# repeated subexpression (a*a again).
+PINNED_PROGRAMS = {
+    ('root(3, a*a)/(b + 2) + abs(a - b) + max(a, a*a)', 'nonneg'): """\
+# input a -> A
+# input b -> B
+# const K1 = 2
+# output -> X10
+# init+ : X2, Y4, X4, Y6, X6, Y8, X8
+species: A[input], B[input], K1[input], X1[output], X2[output], X3[output], Y4[intermediate], X4[output], X5[output], Y6[intermediate], X6[output], X7[output], Y8[intermediate], X8[output], X9[output], X10[output]
+B -> B + X1 ; k=1
+K1 -> K1 + X1 ; k=1
+X1 -> 0 ; k=1
+X2 -> 2X2 ; k=1
+X1 + 2X2 -> X1 + X2 ; k=1
+2A -> 2A + X3 ; k=1
+X3 -> 0 ; k=1
+Y4 -> 2Y4 ; k=1
+X3 + 4Y4 -> X3 + 3Y4 ; k=1
+X4 -> 2X4 ; k=1
+Y4 + 2X4 -> Y4 + X4 ; k=1
+X2 + X4 -> X2 + X4 + X5 ; k=1
+X5 -> 0 ; k=1
+Y6 -> 2Y6 ; k=1
+2A + 3Y6 -> 2A + 2Y6 ; k=1
+2B + 3Y6 -> 2B + 2Y6 ; k=1
+A + B + 3Y6 -> A + B + 5Y6 ; k=1
+X6 -> 2X6 ; k=1
+Y6 + 2X6 -> Y6 + X6 ; k=1
+X5 -> X5 + X7 ; k=1
+X6 -> X6 + X7 ; k=1
+X7 -> 0 ; k=1
+Y8 -> 2Y8 ; k=1
+2X3 + 3Y8 -> 2X3 + 2Y8 ; k=1
+2A + 3Y8 -> 2A + 2Y8 ; k=1
+A + X3 + 3Y8 -> A + X3 + 5Y8 ; k=1
+X3 + Y8 + X8 -> X3 + Y8 + 2X8 ; k=1
+A + Y8 + X8 -> A + Y8 ; k=1
+Y8 + 2X8 -> Y8 + X8 ; k=1
+A -> A + X9 ; k=1
+X8 -> X8 + X9 ; k=1
+X9 -> 0 ; k=1
+X7 -> X7 + X10 ; k=1
+X9 -> X9 + X10 ; k=1
+X10 -> 0 ; k=1
+""",
+    ('a', 'nonneg'): """\
+# input a -> A
+# output -> X1
+species: A[input], X1[output]
+A -> A + X1 ; k=1
+X1 -> 0 ; k=1
+""",
+    ('1/(b - 1)', 'real'): """\
+# input b -> (B_p, B_n)
+# const K1 = 1
+# const K2 = 0
+# output -> (X5, X6)
+# init+ : Y3, X3, Y4, X4, Y5, X5, Y6, X6
+species: B_p[input], B_n[input], K1[input], K2[input], X1[output], X2[output], Y3[intermediate], X3[output], Y4[intermediate], X4[output], Y5[intermediate], X5[output], Y6[intermediate], X6[output]
+B_p -> B_p + X1 ; k=1
+K2 -> K2 + X1 ; k=1
+X1 -> 0 ; k=1
+B_n -> B_n + X2 ; k=1
+K1 -> K1 + X2 ; k=1
+X2 -> 0 ; k=1
+Y3 -> 2Y3 ; k=1
+2X1 + 3Y3 -> 2X1 + 2Y3 ; k=1
+2X2 + 3Y3 -> 2X2 + 2Y3 ; k=1
+X1 + X2 + 3Y3 -> X1 + X2 + 5Y3 ; k=1
+X1 + Y3 + X3 -> X1 + Y3 + 2X3 ; k=1
+X2 + Y3 + X3 -> X2 + Y3 ; k=1
+Y3 + 2X3 -> Y3 + X3 ; k=1
+Y4 -> 2Y4 ; k=1
+2X2 + 3Y4 -> 2X2 + 2Y4 ; k=1
+2X1 + 3Y4 -> 2X1 + 2Y4 ; k=1
+X1 + X2 + 3Y4 -> X1 + X2 + 5Y4 ; k=1
+X2 + Y4 + X4 -> X2 + Y4 + 2X4 ; k=1
+X1 + Y4 + X4 -> X1 + Y4 ; k=1
+Y4 + 2X4 -> Y4 + X4 ; k=1
+Y5 -> 2Y5 ; k=1
+X3 + 2Y5 -> X3 + Y5 ; k=1
+X4 + 2Y5 -> X4 + Y5 ; k=1
+X3 + Y5 + X5 -> X3 + Y5 + 2X5 ; k=1
+X4 + Y5 + X5 -> X4 + Y5 ; k=1
+2X3 + Y5 + 2X5 -> 2X3 + Y5 + X5 ; k=1
+Y6 -> 2Y6 ; k=1
+X4 + 2Y6 -> X4 + Y6 ; k=1
+X3 + 2Y6 -> X3 + Y6 ; k=1
+X4 + Y6 + X6 -> X4 + Y6 + 2X6 ; k=1
+X3 + Y6 + X6 -> X3 + Y6 ; k=1
+2X4 + Y6 + 2X6 -> 2X4 + Y6 + X6 ; k=1
+""",
+    ('-2', 'real'): """\
+# const K1 = 0
+# const K2 = 2
+# output -> (X1, X2)
+species: K1[input], K2[input], X1[output], X2[output]
+K1 -> K1 + X1 ; k=1
+X1 -> 0 ; k=1
+K2 -> K2 + X2 ; k=1
+X2 -> 0 ; k=1
+""",
+}
+
+
+@pytest.mark.parametrize("src,mode", PINNED_PROGRAMS)
+def test_program_text_is_pinned(src, mode):
+    assert format_program(compile_expression(src, mode)) == PINNED_PROGRAMS[src, mode]
+
+
+def test_benchmark_program_texts_are_pinned():
+    # the 32 texts of the benchmark's seed-0 compile round, up to 300 terms
+    digest = hashlib.sha256()
+    for op in _compile_ops(0):
+        digest.update(format_program(compile_expression(op.expr, op.mode)).encode())
+    assert digest.hexdigest() == ("50d6cda5e8ac82e29a263c0ce1ca3a2d"
+                                  "40e25ef2d44d7d43edaeb7531690ece1")
 
 
 @pytest.fixture

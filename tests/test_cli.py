@@ -74,6 +74,9 @@ def test_compile_reads_scientific_notation(capsys, sci, plain):
 @pytest.mark.parametrize("expr,message", [
     ("1e400*a", "col 1: number out of a float's range"),
     ("root(2e3, a)", "col 6: root degree must be an integer >= 2"),
+    ("root(300, a)", "col 6: root degree must be at most 254"),
+    ("root(255, a)", "col 6: root degree must be at most 254"),
+    ("_a + b", "col 1: unexpected character '_'"),
 ])
 def test_compile_bad_scientific_literal_exits_2(capsys, expr, message):
     assert run(capsys, "compile", "--expr", expr) == (2, "", f"error: {message}\n")
