@@ -172,11 +172,11 @@ def free_vars(e: Expr) -> set[str]:
     names, todo = set(), [e]
     while todo:
         x = todo.pop()
-        if isinstance(x, Var):
+        if type(x) is Var:  # the node classes are final
             names.add(x.name)
-        elif isinstance(x, (Neg, Root)):
+        elif type(x) in (Neg, Root):
             todo.append(x.child)
-        elif not isinstance(x, Const):
+        elif type(x) is not Const:
             todo += (x.left, x.right)
     return names
 
@@ -196,122 +196,123 @@ _FUNCTIONS = ("sqrt", "root", "abs", "max", "rsub")
 _MAX_NESTING = 100
 
 
-class _Tok(NamedTuple):
-    kind: str  # num, ident, op, end
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Tok]:
-    toks = []
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int]]:
+    """Each token's kind (num, ident, op, end), text and position, as three
+    lists that end with an end token of text "" at len(text)."""
+    kinds, texts, starts = [], [], []
     for m in _TOKEN_RE.finditer(text):
         group = m.lastindex
         if group == 4:
             raise ParseError(f"unexpected character {m[4]!r}", m.start(4))
-        toks.append(_Tok(_TOKEN_KINDS[group], m[group], m.start(group)))
-    toks.append(_Tok("end", "", len(text)))
-    return toks
+        kinds.append(_TOKEN_KINDS[group])
+        texts.append(m[group])
+        starts.append(m.start(group))
+    return kinds + ["end"], texts + [""], starts + [len(text)]
 
 
 class _Parser:
+    """Recursive descent over the token lists from token self.i.  Only the
+    end token's text is "" and only an operator is spelled like one."""
+
     def __init__(self, text: str):
-        self.toks = _tokenize(text)
+        self.kinds, self.texts, self.starts = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.consts: dict[str, Const] = {}  # literal text -> its node
 
-    def peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
+    def expect(self, text: str):
+        if (got := self.texts[self.i]) != text:
+            raise ParseError(f"expected {text!r}, got {got or 'end of input'!r}",
+                             self.starts[self.i])
         self.i += 1
-        return t
-
-    def expect(self, text: str) -> _Tok:
-        t = self.next()
-        if t.kind == "end" or t.text != text:
-            raise ParseError(f"expected {text!r}, got {t.text or 'end of input'!r}", t.pos)
-        return t
 
     def parse(self) -> Expr:
         e = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"trailing input {t.text!r}", t.pos)
+        if self.texts[self.i]:
+            raise ParseError(f"trailing input {self.texts[self.i]!r}", self.starts[self.i])
         return e
 
-    # expr and term test only a token's text: no other kind of token is
-    # spelled like an operator
     def expr(self) -> Expr:
         e = self.term()
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        texts = self.texts
+        while (op := texts[self.i]) in ("+", "-"):
+            self.i += 1
             rhs = self.term()
             e = Add(e, rhs) if op == "+" else Sub(e, rhs)
         return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
+        texts = self.texts
+        while (op := texts[self.i]) in ("*", "/"):
+            self.i += 1
             rhs = self.factor()
             e = Mul(e, rhs) if op == "*" else Div(e, rhs)
         return e
 
     def factor(self) -> Expr:
-        t = self.next()
-        if t.kind == "num":
-            try:
-                return Const(parse_number(t.text))
-            except ValueError:
-                raise ParseError("number out of a float's range", t.pos) from None
-        if t.kind == "ident":
-            if t.text in _FUNCTIONS and self.peek().text == "(":
-                return self.nested(t, self.call, t)
-            return Var(t.text)
-        if t.text == "(":
-            e = self.nested(t, self.expr)
+        i = self.i
+        self.i += 1
+        kind, text = self.kinds[i], self.texts[i]
+        if kind == "num":
+            if (const := self.consts.get(text)) is None:
+                try:
+                    const = self.consts[text] = Const(parse_number(text))
+                except ValueError:
+                    raise ParseError("number out of a float's range", self.starts[i]) from None
+            return const
+        if kind == "ident":
+            if text in _FUNCTIONS and self.texts[self.i] == "(":
+                return self.nested(i, self.call, i)
+            return Var(text)
+        if text == "(":
+            e = self.nested(i, self.expr)
             self.expect(")")
             return e
-        if t.text == "-":
-            inner = self.nested(t, self.factor)
+        if text == "-":
+            inner = self.nested(i, self.factor)
             if isinstance(inner, Const):
                 return Const(-inner.value)
             return Neg(inner)
-        raise ParseError(f"expected a value, got {t.text or 'end of input'!r}", t.pos)
+        raise ParseError(f"expected a value, got {text or 'end of input'!r}", self.starts[i])
 
-    def nested(self, t: _Tok, parse, *args) -> Expr:
-        """parse(*args), one nesting level below the token t."""
+    def nested(self, at: int, parse, *args) -> Expr:
+        """parse(*args), one nesting level below token number at."""
         self.depth += 1
         if self.depth > _MAX_NESTING:
-            raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels", t.pos)
+            raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels",
+                             self.starts[at])
         e = parse(*args)
         self.depth -= 1
         return e
 
-    def call(self, name: _Tok) -> Expr:
+    def call(self, at: int) -> Expr:
+        """The call whose function name is token number at."""
+        name = self.texts[at]
         self.expect("(")
-        if name.text == "sqrt":
+        if name == "sqrt":
             e = self.expr()
             self.expect(")")
             return Root(2, e)
-        if name.text == "root":
-            t = self.next()
-            if t.kind != "num" or not t.text.isdecimal() or int(t.text) < 2:
-                raise ParseError("root degree must be an integer >= 2", t.pos)
-            if int(t.text) >= MAX_STOICH:  # its gate holds m + 1 copies of Y
-                raise ParseError(f"root degree must be at most {MAX_STOICH - 1}", t.pos)
+        if name == "root":
+            i = self.i
+            self.i += 1
+            m = self.texts[i]
+            if self.kinds[i] != "num" or not m.isdecimal() or int(m) < 2:
+                raise ParseError("root degree must be an integer >= 2", self.starts[i])
+            if int(m) >= MAX_STOICH:  # its gate holds m + 1 copies of Y
+                raise ParseError(f"root degree must be at most {MAX_STOICH - 1}", self.starts[i])
             self.expect(",")
             e = self.expr()
             self.expect(")")
-            return Root(int(t.text), e)
-        if name.text == "abs":
+            return Root(int(m), e)
+        if name == "abs":
             e = self.expr()
             self.expect(")")
             if not isinstance(e, Sub):
-                raise ParseError("abs takes a difference: abs(e1 - e2)", name.pos)
+                raise ParseError("abs takes a difference: abs(e1 - e2)", self.starts[at])
             return AbsDiff(e.left, e.right)
-        ctor = Max if name.text == "max" else RectSub
+        ctor = Max if name == "max" else RectSub
         a = self.expr()
         self.expect(",")
         b = self.expr()
@@ -368,13 +369,12 @@ def eval_expr(e: Expr | str, values: Mapping[str, float]) -> float:
 # circuits
 
 
-@dataclass(frozen=True)
-class DualRailWire:
-    p: Species
-    n: Species
+class DualRailWire(NamedTuple):
+    p: str  # species ids of the rails
+    n: str
 
 
-Value = Union[Species, DualRailWire]
+Value = Union[str, DualRailWire]  # a species id or a rail pair
 
 # the kinds lowering instantiates, each made and checked once
 _IDENT, _INV, _ADD, _MUL, _ABS_DIFF, _RSUB, _PRI = map(GateKind, (
@@ -400,7 +400,7 @@ class CircuitBuilder:
 
     Gate outputs are X{n} and inner species Y{n}, one index per gate.
     Input species take the uppercased variable name (rails get _p/_n),
-    constants are pinned K{n} species deduplicated by value.
+    constants are pinned K{n} species deduplicated by value; both are held.
     """
 
     def __init__(self, mode: str = "nonneg"):
@@ -411,7 +411,8 @@ class CircuitBuilder:
         self.gates: list[GateInstance] = []
         self.inputs: dict[str, Value] = {}
         self.consts: dict[str, Fraction] = {}
-        self._const_cache: dict[Fraction, Species] = {}
+        self._const_cache: dict[Fraction, str] = {}
+        self._held: set[str] = set()
         self._cse: dict[Expr, Value] = {}
         self._bases: dict[str, str] = {}  # input species base -> variable
 
@@ -423,31 +424,28 @@ class CircuitBuilder:
         if other != name:
             raise ValueError(f"variables {other!r} and {name!r} differ only in case, "
                              "so their input species would collide")
-        if self.mode == "nonneg":
-            self.namer.reserve(base)
-            val: Value = Species(base, "input")
-        else:
-            self.namer.reserve(base + "_p", base + "_n")
-            val = DualRailWire(Species(base + "_p", "input"),
-                               Species(base + "_n", "input"))
+        Species(base)  # a variable's id comes from outside: check its spelling
+        val = base if self.mode == "nonneg" else DualRailWire(base + "_p", base + "_n")
+        rails = _rail_ids(val)
+        self.namer.reserve(*rails)
+        self._held.update(rails)
         self.inputs[name] = val
         return val
 
-    def const_species(self, value: Fraction) -> Species:
+    def const_species(self, value: Fraction) -> str:
         if value < 0:
             raise ValueError("const species hold non-negative values")
         if value in self._const_cache:
             return self._const_cache[value]
-        sid = self.namer.fresh("K")
-        sp = Species(sid, "input")
-        self._const_cache[value] = sp
+        sid = self._const_cache[value] = self.namer.fresh("K")
+        self._held.add(sid)
         self.consts[sid] = value
-        return sp
+        return sid
 
-    def zero_species(self) -> Species:
+    def zero_species(self) -> str:
         return self.const_species(Fraction(0))
 
-    def gate(self, kind: GateKind, inputs: Sequence[Species]) -> Species:
+    def gate(self, kind: GateKind, inputs: Sequence[str]) -> str:
         g = make_gate(kind, inputs, self.namer)
         self.gates.append(g)
         return g.output
@@ -480,19 +478,21 @@ class CircuitBuilder:
     # lowering
 
     def lower(self, e: Expr) -> Value:
+        # the inputs are lowered first, so no gate is handed one of their ids
+        for name in sorted(free_vars(e)):
+            self._cse[Var(name)] = self.input_species(name)
         steps = self._lower_nonneg if self.mode == "nonneg" else self._lower_real
         return _fold(e, steps, self._cse)
 
     # Lowering steps for _fold: each yields the subexpressions it needs, in
     # the order that fixes gate numbering, and returns the node's value.
+    # Variables never reach them: lower puts every input in the cache.
 
     def _lower_nonneg(self, e: Expr):
         if isinstance(e, Const):
             if e.value < 0:
                 raise ModeError("negative constant needs real mode")
             return self.const_species(e.value)
-        if isinstance(e, Var):
-            return self.input_species(e.name)
         if isinstance(e, (Sub, Neg)):
             raise ModeError("subtraction is not expressible over non-negative "
                             "values; use rsub, abs, or real mode")
@@ -522,8 +522,6 @@ class CircuitBuilder:
             if e.value >= 0:
                 return DualRailWire(self.const_species(e.value), self.zero_species())
             return DualRailWire(self.zero_species(), self.const_species(-e.value))
-        if isinstance(e, Var):
-            return self.input_species(e.name)
         if isinstance(e, (Root, AbsDiff, Max, RectSub)):
             raise ModeError(f"{type(e).__name__.lower()} is defined on "
                             "non-negative values only; use nonneg mode")
@@ -542,18 +540,12 @@ class CircuitBuilder:
             return self.mul_wires((yield e.left), inv)
         raise AssertionError(e)  # pragma: no cover
 
-    def _as_gate_output(self, s: Species) -> Species:
-        # a lowered value is a gate's output, an input or a const
-        return s if s.role == "output" else self.gate(_IDENT, [s])
-
     def finish(self, value: Value) -> Circuit:
         """Close the circuit; inputs and constants at the output are passed
         through identification gates so the output is always computed."""
-        if isinstance(value, DualRailWire):
-            value = DualRailWire(self._as_gate_output(value.p),
-                                 self._as_gate_output(value.n))
-        else:
-            value = self._as_gate_output(value)
+        rails = [self.gate(_IDENT, [sid]) if sid in self._held else sid
+                 for sid in _rail_ids(value)]  # a gate's output, an input or a const
+        value = DualRailWire(*rails) if isinstance(value, DualRailWire) else rails[0]
         return Circuit(tuple(self.gates), dict(self.inputs), dict(self.consts), value)
 
 
@@ -561,9 +553,6 @@ def lower_to_circuit(expr: Expr | str, mode: str = "nonneg") -> Circuit:
     if isinstance(expr, str):
         expr = parse_expression(expr)
     b = CircuitBuilder(mode)
-    # reserve all input ids up front so gate names never collide with them
-    for name in sorted(free_vars(expr)):
-        b.input_species(name)
     return b.finish(b.lower(expr))
 
 
@@ -586,22 +575,22 @@ class ProgramBindings:
 
 
 class CompiledProgram:
-    """A program's species in network order, its bindings and, when it was
-    compiled here, its gates, which prediction, the right-hand side and
-    the step cap read.  A loaded program is given its network and has no
-    gates; its bindings are None when its text has no binding line (a
-    bare network, whose point values are initial species values).  A
-    compiled one parses its network from its own network text the first
-    time `network` is read, so it equals the network of the program
-    loaded from its text; compiling, formatting and simulating it never
-    need the reactions.
+    """A program's species (`roles`, id -> role in network order), its
+    bindings and, when it was compiled here, its gates, which prediction,
+    the right-hand side and the step cap read.  A loaded program is given
+    its network and has no gates; its bindings are None when its text has
+    no binding line (a bare network, whose point values are initial
+    species values).  A compiled one parses its network from its own
+    network text the first time `network` is read, so it equals the
+    network of the program loaded from its text; compiling, formatting and
+    simulating it never need the reactions.
     """
 
-    def __init__(self, species: Sequence[Species], bindings: ProgramBindings | None,
+    def __init__(self, roles: Mapping[str, str], bindings: ProgramBindings | None,
                  gates: Sequence[GateInstance] | None = None,
                  network: ReactionNetwork | None = None):
-        self.species = tuple(species)
-        self.species_ids = tuple(s.id for s in self.species)
+        self.roles = roles
+        self.species_ids = tuple(roles)
         self.bindings = bindings
         self.gates = gates
         self._network = network
@@ -614,31 +603,28 @@ class CompiledProgram:
 
 
 def _rail_ids(v: Value) -> tuple[str, ...]:
-    if isinstance(v, DualRailWire):
-        return (v.p.id, v.n.id)
-    return (v.id,)
+    return tuple(v) if isinstance(v, DualRailWire) else (v,)
 
 
 def flatten(circuit: Circuit) -> CompiledProgram:
     """Lay the gate fragments out as one program with stable species
     order: inputs, constants, then per-gate intermediates and outputs."""
-    species: list[Species] = []
-    for v in circuit.inputs.values():
-        species.extend([v.p, v.n] if isinstance(v, DualRailWire) else [v])
-    for sid in circuit.consts:
-        species.append(Species(sid, "input"))
+    roles = dict.fromkeys([sid for v in circuit.inputs.values() for sid in _rail_ids(v)],
+                          "input")
+    roles.update(dict.fromkeys(circuit.consts, "input"))
     for g in circuit.gates:
-        species.extend(g.intermediates)
-        species.append(g.output)
+        for sid in g.intermediates:
+            roles[sid] = "intermediate"
+        roles[g.output] = "output"
     pos = [sid for g in circuit.gates for sid in g.positive_init]
-    order = {s.id: i for i, s in enumerate(species)}
+    order = {sid: i for i, sid in enumerate(roles)}
     bindings = ProgramBindings(
         inputs=tuple((name, _rail_ids(v)) for name, v in circuit.inputs.items()),
         consts=tuple((sid, format_fraction(v)) for sid, v in circuit.consts.items()),
         output=_rail_ids(circuit.output),
         positive_init=tuple(sorted(pos, key=order.__getitem__)),
     )
-    return CompiledProgram(species, bindings, circuit.gates)
+    return CompiledProgram(roles, bindings, circuit.gates)
 
 
 def compile_expression(expr: Expr | str, mode: str = "nonneg") -> CompiledProgram:
@@ -656,7 +642,7 @@ def _network_text(prog: CompiledProgram) -> str:
     if prog.gates is None:
         return format_network(prog.network)
     order = {sid: i for i, sid in enumerate(prog.species_ids)}
-    lines = [format_species(prog.species)]
+    lines = [format_species(prog.roles.items())]
     lines += [gate_text(g, order) for g in prog.gates]
     return "\n".join(lines) + "\n"
 
@@ -729,7 +715,7 @@ def load_program(text: str) -> CompiledProgram:
             started.add(sid)
     net = parse_network(text)
     if not seen:
-        return CompiledProgram(net.species, None, network=net)
+        return CompiledProgram(net.roles, None, network=net)
     if output is None:
         raise FormatError("program text lacks an '# output ->' binding")
     declared = set(net.species_ids)
@@ -738,7 +724,7 @@ def load_program(text: str) -> CompiledProgram:
         if sid not in declared:
             raise FormatError(f"binding references undeclared species {sid}")
     bindings = ProgramBindings(tuple(inputs.items()), tuple(consts.items()), output, init)
-    return CompiledProgram(net.species, bindings, network=net)
+    return CompiledProgram(net.roles, bindings, network=net)
 
 
 # ---------------------------------------------------------------------------
@@ -792,14 +778,14 @@ def predict_speed(prog: CompiledProgram, values: Mapping[str, float]) -> SpeedAn
     limits.update((sid, float(val)) for sid, val in prog.bindings.const_map().items())
     bounds = dict.fromkeys(limits, SpeedBound(float("inf"), "held input"))
     for g in prog.gates:
-        in_lims = [limits[s.id] for s in g.inputs]
-        in_bnds = [bounds[s.id] for s in g.inputs]
+        in_lims = [limits[sid] for sid in g.inputs]
+        in_bnds = [bounds[sid] for sid in g.inputs]
         try:
-            limits[g.output.id] = gate_target(g.kind, in_lims)
+            limits[g.output] = gate_target(g.kind, in_lims)
             b = gate_speed_bound(g.kind, in_bnds, in_lims)
         except DomainError as e:
-            raise DomainError(f"gate {g.output.id} ({g.kind}): {e}") from None
-        bounds[g.output.id] = SpeedBound(b.value, f"{g.output.id}: {b.case}")
+            raise DomainError(f"gate {g.output} ({g.kind}): {e}") from None
+        bounds[g.output] = SpeedBound(b.value, f"{g.output}: {b.case}")
     rails = prog.bindings.output
     worst = min((bounds[sid] for sid in rails), key=lambda b: b.value)
     return SpeedAnalysis(limits, bounds, tuple(limits[sid] for sid in rails), worst)

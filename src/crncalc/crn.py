@@ -103,6 +103,10 @@ class ReactionNetwork:
     def species_ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.species)
 
+    @property
+    def roles(self) -> dict[str, str]:  # species id -> role, in declaration order
+        return {s.id: s.role for s in self.species}
+
 
 def collect_network(reactions: Iterable[Reaction],
                     roles: Mapping[str, str] | None = None,
@@ -302,13 +306,13 @@ def _format_reaction(r: Reaction, order: Mapping[str, int]) -> str:
             f"{_format_complex(r.product, order)} ; k={format_fraction(r.rate)}")
 
 
-def format_species(species: Iterable[Species]) -> str:
-    """The header line declaring species, in the order given."""
-    return "species: " + ", ".join(f"{s.id}[{s.role}]" for s in species)
+def format_species(roles: Iterable[tuple[str, str]]) -> str:
+    """The header line declaring species, given as (id, role) in order."""
+    return "species: " + ", ".join([f"{sid}[{role}]" for sid, role in roles])
 
 
 def format_network(net: ReactionNetwork) -> str:
     order = {sid: i for i, sid in enumerate(net.species_ids)}
-    lines = [format_species(net.species)]
+    lines = [format_species(net.roles.items())]
     lines += [_format_reaction(r, order) for r in net.reactions]
     return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .crn import (MAX_STOICH, Complex, Reaction, ReactionNetwork, Species, _format_reaction,
+from .crn import (MAX_STOICH, Complex, Reaction, ReactionNetwork, _format_reaction,
                   collect_network, format_network, format_polynomial, mass_action,
                   parse_network)
 
@@ -57,9 +57,9 @@ class SpeedBound:
 
 class GateInstance(NamedTuple):
     kind: GateKind
-    inputs: tuple[Species, ...]
-    output: Species
-    intermediates: tuple[Species, ...]
+    inputs: tuple[str, ...]  # species ids, as are all its other fields
+    output: str
+    intermediates: tuple[str, ...]
     positive_init: tuple[str, ...]
 
     @property
@@ -69,11 +69,13 @@ class GateInstance(NamedTuple):
         Built on every read: lowering, flattening and formatting never
         read it."""
         species = (*self.inputs, self.output, *self.intermediates)
-        return parse_network(gate_text(self, {s.id: i for i, s in enumerate(species)})).reactions
+        return parse_network(gate_text(self, {sid: i for i, sid in enumerate(species)})
+                             ).reactions
 
 
 class SpeciesNamer:
-    """Allocates fresh species ids, skipping anything reserved."""
+    """Allocates fresh species ids, skipping anything reserved; an id in
+    use, reserved or handed out, cannot be reserved."""
 
     def __init__(self):
         self._used: set[str] = set()
@@ -81,6 +83,8 @@ class SpeciesNamer:
         self._counters: dict[str, int] = {}
 
     def reserve(self, *ids: str):
+        if taken := self._used.intersection(ids):
+            raise ValueError(f"species id {min(taken)} is already in use")
         self._used.update(ids)
 
     def gate_pair(self) -> tuple[str, str]:
@@ -268,27 +272,24 @@ def _line_writer(tag: str, m: int | None, ranks: tuple[int, ...]) -> Callable[..
     return eval(f"lambda {params}: f{lines!r}")
 
 
-def make_gate(kind: GateKind, inputs: Sequence[Species], namer: SpeciesNamer) -> GateInstance:
-    """Instantiate a gate fragment on the given input species: fresh
+def make_gate(kind: GateKind, inputs: Sequence[str], namer: SpeciesNamer) -> GateInstance:
+    """Instantiate a gate fragment on the given input species ids: fresh
     output and inner species; its reactions are built only when read."""
     spec = GATES[kind.tag]
     if len(inputs) != len(spec.inputs):
         raise ValueError(f"{kind} takes {spec.arity} inputs, got {len(inputs)}")
     xid, yid = namer.gate_pair()
-    if spec.rate_y is None:
-        inner, own = (), (xid,)
-    else:
-        inner, own = (Species(yid, "intermediate"),), (yid, xid)
-    return GateInstance(kind, tuple(inputs), Species(xid, "output"), inner,
-                        own if spec.starts_positive else ())
+    inner = () if spec.rate_y is None else (yid,)
+    return GateInstance(kind, tuple(inputs), xid, inner,
+                        (*inner, xid) if spec.starts_positive else ())
 
 
 def gate_text(g: GateInstance, order: Mapping[str, int]) -> str:
     """The gate's reactions as format_network writes them in a network
     whose species positions `order` gives, without building them: its
     cached _line_writer called on the gate's species."""
-    bound = [s.id for s in (*g.inputs, g.output, *g.intermediates)]
-    places = [order[sid] for sid in bound]
+    bound = (*g.inputs, g.output, *g.intermediates)
+    places = [*map(order.__getitem__, bound)]
     ranks = tuple(map(sorted(places).index, places))
     return _line_writer(g.kind.tag, g.kind.m, ranks)(*bound)
 
@@ -297,21 +298,22 @@ def factored_rates(g: GateInstance, name: Callable[[str], str]) -> list[tuple[st
     """(species id, rate law) for the species the gate drives, in the
     factored form of its GateSpec, each species written as name(id)."""
     spec = GATES[g.kind.tag]
-    names = {role: name(s.id) for role, s in zip(spec.inputs, g.inputs)}
-    names["X"] = name(g.output.id)
+    names = {role: name(sid) for role, sid in zip(spec.inputs, g.inputs)}
+    names["X"] = name(g.output)
     if spec.rate_y is None:
-        return [(g.output.id, spec.rate_x.format_map(names))]
-    y = g.intermediates[0].id
+        return [(g.output, spec.rate_x.format_map(names))]
+    y = g.intermediates[0]
     names["Y"] = name(y)
     names["Ym"] = "*".join([names["Y"]] * (g.kind.m or 1))
-    return [(y, spec.rate_y.format_map(names)), (g.output.id, spec.rate_x.format_map(names))]
+    return [(y, spec.rate_y.format_map(names)), (g.output, spec.rate_x.format_map(names))]
 
 
 def gate_fragment_network(g: GateInstance) -> ReactionNetwork:
     """Standalone network for one gate, inputs declared with input role."""
-    species = [Species(s.id, "input") for s in g.inputs] + [g.output, *g.intermediates]
-    return collect_network(g.reactions, {s.id: s.role for s in species},
-                           [s.id for s in species])
+    roles = dict.fromkeys(g.inputs, "input")
+    roles[g.output] = "output"
+    roles.update(dict.fromkeys(g.intermediates, "intermediate"))
+    return collect_network(g.reactions, roles, roles)
 
 
 def gate_target(kind: GateKind, values: Sequence[float]) -> float:
@@ -355,13 +357,13 @@ def catalogue() -> str:
     sections = []
     for spec in GATES.values():
         kind = GateKind(spec.tag, 2 if spec.takes_m else None)
-        g = make_gate(kind, [Species(sid, "input") for sid in spec.inputs], SpeciesNamer())
+        g = make_gate(kind, spec.inputs, SpeciesNamer())
         net = gate_fragment_network(g)
         ode, ids = mass_action(net), net.species_ids
         lines = [f"## {spec.tag}" + (" (shown for m=2)" if spec.takes_m else "")]
-        for s in (g.output,) + g.intermediates:
-            lines.append(f"# ode: {s.id.lower()}' = "
-                         f"{format_polynomial(ode[ids.index(s.id)], ids)}")
+        for sid in (g.output, *g.intermediates):
+            lines.append(f"# ode: {sid.lower()}' = "
+                         f"{format_polynomial(ode[ids.index(sid)], ids)}")
         lines.append(f"# target: {spec.shows_target}")
         lines.append(f"# speed: {spec.shows_speed}")
         if g.positive_init:

@@ -245,7 +245,7 @@ def check_lemma(system: ForcedSystem, cfg: SimConfig, slack: float = 0.15) -> Le
     target = 0.0 if growth else pred.target
     try:
         est = rt.estimate_rate(samples, "x", target,
-                               err_floor=auto_err_floor(target, cfg.rel_tol))
+                               err_floor=auto_err_floor(target, cfg.rel_tol, cfg.abs_tol))
     except ValueError as e:  # also a target whose error floor tops the ceiling
         return LemmaCheck(pred, traj, error=e)
     return LemmaCheck(pred, traj, est, check_speed(est, pred.bound, slack))

@@ -89,10 +89,10 @@ _MIN_SUFFIX_BINS = 8
 _K_MAX = 6.0            # prefactor degree cap; composite chains here stay below it
 
 
-def auto_err_floor(target: float, rel_tol: float) -> float:
-    """Raise the fit-window floor above integrator noise for large targets:
-    the computed trajectory is only accurate to about rel_tol * scale."""
-    return max(ERR_FLOOR, 10.0 * rel_tol * (1.0 + abs(target)))
+def auto_err_floor(target: float, rel_tol: float, abs_tol: float) -> float:
+    """Raise the fit-window floor above integrator noise: the computed
+    trajectory is only accurate to about rel_tol * scale + abs_tol."""
+    return max(ERR_FLOOR, 10.0 * rel_tol * (1.0 + abs(target)), 10.0 * abs_tol)
 
 
 @np.errstate(invalid="ignore", divide="ignore")
@@ -414,7 +414,7 @@ class Pipeline:
                 trajs = [self._integrate(y0[:, [j]], sample)[0]
                          if traj.termination.status == "stiff_failure" else traj
                          for j, traj in enumerate(trajs)]
-            rows = [(traj, sid, tgt, auto_err_floor(tgt, self.cfg.rel_tol))
+            rows = [(traj, sid, tgt, auto_err_floor(tgt, self.cfg.rel_tol, self.cfg.abs_tol))
                     for (_, _, targets, _), traj in zip(lanes, trajs)
                     for sid, tgt in zip(self.rails, targets)]
             rates = iter(estimate_rate(*map(list, zip(*rows))))

@@ -62,7 +62,7 @@ def designed_inversion_network() -> ReactionNetwork:
 def bare_program(net: ReactionNetwork) -> CompiledProgram:
     """The network as a program without bindings, as circuit.load_program
     reads its text."""
-    return CompiledProgram(net.species, None, network=net)
+    return CompiledProgram(net.roles, None, network=net)
 
 
 def network_state(net: ReactionNetwork, init) -> np.ndarray:

@@ -26,7 +26,7 @@ from crncalc import (
     simulate_program,
 )
 from crncalc.circuit import format_program, load_program
-from crncalc.crn import Species, collect_network, mass_action
+from crncalc.crn import collect_network, mass_action
 from crncalc.gates import GateKind, gate_fragment_network, make_gate
 from crncalc.rates import check_speed
 from crncalc.simulate import integrate, program_integrand, program_state
@@ -111,7 +111,7 @@ def test_criterion_3_composite_unit_bound():
     n_rails, worst_rho, worst_err = 0, math.inf, 0.0
     for src, mode in exprs:
         pipeline = Pipeline.expression(src, mode, cfg)
-        diff_ys = {g.intermediates[0].id for g in pipeline.prog.gates
+        diff_ys = {g.intermediates[0] for g in pipeline.prog.gates
                    if g.kind.tag in ("absolute_difference", "rectified_subtraction")}
         for point, run in zip(points, pipeline.run_points(points)):
             a, b = point["a"], point["b"]
@@ -262,18 +262,17 @@ def test_criterion_7_dual_rail_properties():
     assert abs(traj.final(neg) - 2.0) <= 1e-6
 
     namer = reserved_namer("P", "N")
-    p_sp, n_sp = Species("P", "input"), Species("N", "input")
-    g1 = make_gate(GateKind("rectified_subtraction"), [p_sp, n_sp], namer)
-    g2 = make_gate(GateKind("rectified_subtraction"), [n_sp, p_sp], namer)
+    g1 = make_gate(GateKind("rectified_subtraction"), ["P", "N"], namer)
+    g2 = make_gate(GateKind("rectified_subtraction"), ["N", "P"], namer)
     net = collect_network(g1.reactions + g2.reactions,
                           {"P": "input", "N": "input"})
     init = {"P": 5.0, "N": 3.0}
     init.update({sid: 1.0 for sid in g1.positive_init + g2.positive_init})
     traj = integrate_network(net, init, SimConfig(t_end=40, **TIGHT))
-    print(f"criterion 7: normalized (5,3) -> ({traj.final(g1.output.id):.8f}, "
-          f"{traj.final(g2.output.id):.8f})")
-    assert abs(traj.final(g1.output.id) - 2.0) <= 1e-6
-    assert abs(traj.final(g2.output.id) - 0.0) <= 1e-6
+    print(f"criterion 7: normalized (5,3) -> ({traj.final(g1.output):.8f}, "
+          f"{traj.final(g2.output):.8f})")
+    assert abs(traj.final(g1.output) - 2.0) <= 1e-6
+    assert abs(traj.final(g2.output) - 0.0) <= 1e-6
 
 
 GATE_SPECS = [("identification", 1, None), ("inversion", 1, None),
@@ -335,15 +334,15 @@ def test_criterion_8_structural_properties():
     the eight gate fragments reproduce their defining derivatives exactly,
     and accepted trajectories never leave the non-negative orthant."""
     for tag, n_in, m in GATE_SPECS:
-        inputs = [Species(s, "input") for s in ("A", "B")[:n_in]]
+        inputs = ("A", "B")[:n_in]
         gate = make_gate(GateKind(tag, m), inputs, reserved_namer("A", "B"))
         net = gate_fragment_network(gate)
         for r in net.reactions:
-            for sp in inputs:
-                assert count(r.reactant, sp.id) == count(r.product, sp.id), tag
+            for sid in inputs:
+                assert count(r.reactant, sid) == count(r.product, sid), tag
         field = densify(mass_action(net), net.species_ids)
-        for sp in inputs:
-            assert field[sp.id] == {}, tag
+        for sid in inputs:
+            assert field[sid] == {}, tag
         derived = {sid: poly for sid, poly in field.items() if poly}
         expected = {sid: {e: F(c) for e, c in polys.items()}
                     for sid, polys in GATE_FIELDS[tag].items()}

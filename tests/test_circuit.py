@@ -48,7 +48,7 @@ F = Fraction
 
 
 def shape(circuit):
-    return [(g.kind.tag, [s.id for s in g.inputs], g.output.id)
+    return [(g.kind.tag, list(g.inputs), g.output)
             for g in circuit.gates]
 
 
@@ -74,6 +74,39 @@ def test_parse_errors_carry_positions():
             parse_expression(src)
         assert exc.value.pos == pos, src
         assert f"col {pos + 1}" in str(exc.value)
+
+
+@pytest.mark.parametrize("src, message", [
+    ("2^x", "col 2: unexpected character '^'"),
+    ("a + _b", "col 5: unexpected character '_'"),
+    ("a b", "col 3: trailing input 'b'"),
+    ("a)", "col 2: trailing input ')'"),
+    ("foo(a)", "col 4: trailing input '('"),
+    ("", "col 1: expected a value, got 'end of input'"),
+    ("a +", "col 4: expected a value, got 'end of input'"),
+    ("a + *", "col 5: expected a value, got '*'"),
+    ("a + ,", "col 5: expected a value, got ','"),
+    ("(a", "col 3: expected ')', got 'end of input'"),
+    ("sqrt(a,b)", "col 7: expected ')', got ','"),
+    ("root(2, a b)", "col 11: expected ')', got 'b'"),
+    ("max(a)", "col 6: expected ',', got ')'"),
+    ("root(3 a)", "col 8: expected ',', got 'a'"),
+    ("1e999", "col 1: number out of a float's range"),
+    ("-1e400", "col 2: number out of a float's range"),
+    ("root(1, a)", "col 6: root degree must be an integer >= 2"),
+    ("root(a, 2)", "col 6: root degree must be an integer >= 2"),
+    ("root(", "col 6: root degree must be an integer >= 2"),
+    ("root(255, a)", "col 6: root degree must be at most 254"),
+    ("abs(a)", "col 1: abs takes a difference: abs(e1 - e2)"),
+    ("b * abs(a + b)", "col 5: abs takes a difference: abs(e1 - e2)"),
+    ("(" * 101 + "a" + ")" * 101, "col 101: expression nested deeper than 100 levels"),
+    ("sqrt(" * 101 + "a" + ")" * 101, "col 501: expression nested deeper than 100 levels"),
+    ("-" * 101 + "a", "col 101: expression nested deeper than 100 levels"),
+])
+def test_parse_error_texts_are_pinned(src, message):
+    with pytest.raises(ParseError) as exc:
+        parse_expression(src)
+    assert str(exc.value) == message
 
 
 def test_parse_root_degree_validation():
@@ -140,7 +173,7 @@ def test_shared_subexpression_lowered_once():
 def test_bare_variable_gets_identification():
     c = lower_to_circuit("a")
     assert shape(c) == [("identification", ["A"], "X1")]
-    assert c.output.id == "X1"
+    assert c.output == "X1"
 
 
 def test_real_subtraction_shape():
@@ -256,7 +289,7 @@ def _compile_ops(seed):
 
 def _rendered_from_network(prog):
     """The program text as format_network writes the built network."""
-    return format_program(CompiledProgram(prog.species, prog.bindings,
+    return format_program(CompiledProgram(prog.roles, prog.bindings,
                                           network=prog.network))
 
 
@@ -584,6 +617,26 @@ def test_lowering_reuses_the_parsed_nodes(src, mode, cls):
     b.lower(e)
     (built,) = [node for node in b._cse if isinstance(node, cls)]
     assert built is e.right
+
+
+def test_builder_reserves_every_input_before_lowering():
+    # x1's species X1 is reserved before a*b is lowered, so the product
+    # takes the next free id instead of sharing X1 with the input
+    b = CircuitBuilder()
+    c = b.finish(b.lower(parse_expression("a*b + x1")))
+    assert shape(c) == [("multiplication", ["A", "B"], "X2"),
+                        ("addition", ["X2", "X1"], "X3")]
+    assert c.inputs == {"a": "A", "b": "B", "x1": "X1"}
+    # a later lowering whose input is named like a handed-out id is refused
+    with pytest.raises(ValueError, match="species id X2 is already in use"):
+        b.lower(parse_expression("x2 + a"))
+    namer = crncalc.gates.SpeciesNamer()
+    namer.reserve("A")
+    assert namer.gate_pair() == ("X1", "Y1")
+    for taken in ("A", "Y1"):
+        with pytest.raises(ValueError, match=f"species id {taken} is already in use"):
+            namer.reserve("B", taken)
+    assert namer.fresh("B") == "B1"  # a refused reserve reserves nothing
 
 
 def test_dropped_expressions_leave_the_intern_table():

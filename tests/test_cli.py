@@ -239,7 +239,7 @@ def test_analyze_of_a_simulate_csv_reads_what_verify_reads(tmp_path, capsys):
     code, _, _ = run(capsys, "simulate", *point, "--out", str(traj))
     assert code == 0
     assert len(read_trajectory_csv(traj.read_text()).times) == crncalc.simulate._SAMPLES
-    floor = crncalc.rates.auto_err_floor(entry["target"], 1e-10)
+    floor = crncalc.rates.auto_err_floor(entry["target"], 1e-10, 1e-12)
     analyzed = tmp_path / "analyze.json"
     code, _, _ = run(capsys, "analyze", "--traj", str(traj), "--species", "X3",
                      "--target", repr(entry["target"]), "--floor", repr(floor),
@@ -405,6 +405,21 @@ def test_verify_unmeasurable_rate_exits_4(capsys):
     assert code == 4
     assert out == ("rate not measurable for X7: only 0 samples with error in "
                    "[1e-09, 0.01]\n")
+
+
+def test_verify_fit_floor_follows_atol(tmp_path, capsys):
+    # samples good only to about atol are fitted no lower than 10 * atol:
+    # at 1e-4 the rate is measured, at 1e-3 that floor meets the ceiling
+    report = tmp_path / "report.json"
+    point = ["--expr", "a*b", "--in", "a=2,b=3"]
+    code, out, _ = run(capsys, "verify", *point, "--atol", "1e-4", "--report", str(report))
+    assert code == 0, out
+    (entry,) = json.loads(report.read_text())["outputs"]
+    assert entry["rate"]["rho_hat"] == pytest.approx(1.0, abs=0.05)
+    code, out, _ = run(capsys, "verify", *point, "--atol", "1e-3")
+    assert code == 4
+    assert out == ("rate not measurable for X1: need 0 < error floor < error ceiling, "
+                   "got floor 0.01 and ceiling 0.01 for target 6\n")
 
 
 def test_verify_attempt_budget_exits_4(tmp_path, capsys, monkeypatch):
@@ -1113,7 +1128,8 @@ def test_compile_exits_0_or_2_and_its_text_loads_back(case):
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
     if code == 0:
-        assert load_program(out.getvalue()).species == compile_expression(text, mode).species
+        loaded, compiled = load_program(out.getvalue()), compile_expression(text, mode)
+        assert list(loaded.roles.items()) == list(compiled.roles.items())
     try:
         assert parse_expression(text) is parse_expression(text)
     except ParseError:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from crncalc.crn import Complex, Reaction, Species, mass_action, parse_network
+from crncalc.crn import Complex, Reaction, mass_action, parse_network
 from crncalc.gates import (
     DomainError,
     GATES,
@@ -37,7 +37,7 @@ F = Fraction
 
 def build(tag, n_inputs, m=None, ids=("A", "B")):
     kind = GateKind(tag, m)
-    inputs = [Species(s, "input") for s in ids[:n_inputs]]
+    inputs = ids[:n_inputs]
     gate = make_gate(kind, inputs, reserved_namer("A", "B"))
     return gate, gate_fragment_network(gate)
 
@@ -219,7 +219,7 @@ ALL_KINDS = [("identification", 1, None), ("inversion", 1, None),
 @pytest.mark.parametrize("tag,n,m", ALL_KINDS)
 def test_inputs_are_catalytic(tag, n, m):
     gate, net = build(tag, n, m)
-    input_ids = {s.id for s in gate.inputs}
+    input_ids = set(gate.inputs)
     for r in net.reactions:
         for sid in input_ids:
             assert count(r.reactant, sid) == count(r.product, sid)
@@ -232,11 +232,11 @@ def test_inputs_are_catalytic(tag, n, m):
 def test_output_and_intermediates_fresh(tag, n, m):
     namer = reserved_namer("A", "B")
     kind = GateKind(tag, m)
-    inputs = [Species(s, "input") for s in ("A", "B")[:n]]
+    inputs = ("A", "B")[:n]
     g1 = make_gate(kind, inputs, namer)
     g2 = make_gate(kind, inputs, namer)
-    own1 = {g1.output.id} | {s.id for s in g1.intermediates}
-    own2 = {g2.output.id} | {s.id for s in g2.intermediates}
+    own1 = {g1.output} | set(g1.intermediates)
+    own2 = {g2.output} | set(g2.intermediates)
     assert not own1 & own2
     assert not own1 & {"A", "B"}
 
@@ -247,7 +247,7 @@ def test_positive_init_requirements():
     for tag, n, m in ALL_KINDS:
         gate, _ = build(tag, n, m)
         flagged = set(gate.positive_init)
-        owned = {gate.output.id} | {s.id for s in gate.intermediates}
+        owned = {gate.output} | set(gate.intermediates)
         if tag in needs:
             assert flagged == owned, tag
         else:
@@ -255,7 +255,7 @@ def test_positive_init_requirements():
 
 
 def test_wrong_arity_rejected():
-    a = Species("A", "input")
+    a = "A"
     with pytest.raises(ValueError):
         make_gate(GateKind("addition"), [a], reserved_namer("A"))
     with pytest.raises(ValueError):
@@ -289,9 +289,9 @@ def test_steady_state_single_input_gates(a):
         gate, net, _ = None, None, None
         gate, net = build(tag, 1, m)
         f = mass_action(net)
-        state = {"A": a, gate.output.id: x_star}
+        state = {"A": a, gate.output: x_star}
         if y_star is not None:
-            state[gate.intermediates[0].id] = y_star
+            state[gate.intermediates[0]] = y_star
         vals = evaluate_field(f, net.species_ids, state)
         for sid, v in vals.items():
             assert v == pytest.approx(0.0, abs=1e-9), (tag, sid)
@@ -306,9 +306,9 @@ def test_steady_state_two_input_gates(a, b):
     for tag, x_star, y_star in cases:
         gate, net = build(tag, 2)
         f = mass_action(net)
-        state = {"A": a, "B": b, gate.output.id: x_star}
+        state = {"A": a, "B": b, gate.output: x_star}
         if y_star is not None:
-            state[gate.intermediates[0].id] = y_star
+            state[gate.intermediates[0]] = y_star
         vals = evaluate_field(f, net.species_ids, state)
         for sid, v in vals.items():
             assert v == pytest.approx(0.0, abs=1e-8), (tag, sid)
@@ -320,14 +320,14 @@ def test_steady_state_partial_real_inversion(ap):
     f, ids = mass_action(net), net.species_ids
     # positive rail active: x* = 1/a_p, y* = 1/a_p
     vals = evaluate_field(f, ids, {"A": ap, "B": 0.0,
-                                   gate.intermediates[0].id: 1 / ap,
-                                   gate.output.id: 1 / ap})
+                                   gate.intermediates[0]: 1 / ap,
+                                   gate.output: 1 / ap})
     for sid, v in vals.items():
         assert v == pytest.approx(0.0, abs=1e-9), sid
     # negative rail active: x* = 0, y* = 1/a_n
     vals = evaluate_field(f, ids, {"A": 0.0, "B": ap,
-                                   gate.intermediates[0].id: 1 / ap,
-                                   gate.output.id: 0.0})
+                                   gate.intermediates[0]: 1 / ap,
+                                   gate.output: 0.0})
     for sid, v in vals.items():
         assert v == pytest.approx(0.0, abs=1e-9), sid
 
@@ -364,9 +364,9 @@ def test_limit_rate_is_the_fragment_jacobian_diagonal(kind, inputs):
     gate, net = build(kind.tag, GATES[kind.tag].arity, kind.m, inputs)
     field = mass_action(net)
     ids = net.species_ids
-    want = {gate.output.id: -1.0}
+    want = {gate.output: -1.0}
     if gate.intermediates:
-        want[gate.intermediates[0].id] = -float(gate_limit_rate(kind))
+        want[gate.intermediates[0]] = -float(gate_limit_rate(kind))
     for _ in range(4):
         values = _limit_inputs(kind, rng)
         init = dict(zip(inputs, values)) | {sid: 1.0 for sid in gate.positive_init}
@@ -455,8 +455,8 @@ def instantiation_cases():
 
 
 def check_against_reference(kind, input_ids, namer):
-    g = make_gate(kind, [Species(s, "input") for s in input_ids], namer)
-    xid = g.output.id
+    g = make_gate(kind, input_ids, namer)
+    xid = g.output
     assert g.reactions == reference_reactions(kind, input_ids, xid, "Y" + xid[1:])
     for r in g.reactions:
         for c in (r.reactant, r.product):

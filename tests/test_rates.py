@@ -140,9 +140,15 @@ def test_rate_recovery_within_one_percent(rho, c, k):
 
 
 def test_auto_err_floor():
-    assert auto_err_floor(0.0, 1e-10) == 1e-9
-    assert auto_err_floor(1e6, 1e-10) == pytest.approx(1e-3, rel=1e-4)
-    assert auto_err_floor(5.0, 1e-6) == pytest.approx(6e-5)
+    assert auto_err_floor(0.0, 1e-10, 1e-12) == 1e-9
+    assert auto_err_floor(1e6, 1e-10, 1e-12) == pytest.approx(1e-3, rel=1e-4)
+    assert auto_err_floor(5.0, 1e-6, 1e-12) == pytest.approx(6e-5)
+    # samples are good to about atol, so the floor is at least 10 * atol
+    assert auto_err_floor(0.0, 1e-10, 1e-4) == pytest.approx(1e-3)
+    assert auto_err_floor(6.0, 1e-10, 1e-4) == pytest.approx(1e-3)
+    assert auto_err_floor(1e6, 1e-10, 1e-5) == pytest.approx(1e-3, rel=1e-4)
+    assert auto_err_floor(0.0, 1e-10, 1e-11) == 1e-9
+    assert auto_err_floor(6.0, 1e-10, 1e-11) == pytest.approx(7e-9)
 
 
 # --- a block of rows is fitted in one pass -------------------------------------
@@ -234,7 +240,7 @@ def test_sweep_block_rows_equal_their_own_fits():
     for run in runs:
         (sid,), (target,), (est,) = run.rails, run.targets, run.rates
         kinds.append(assert_same_fit(est, run.traj, sid, target,
-                                     auto_err_floor(target, cfg.rel_tol)))
+                                     auto_err_floor(target, cfg.rel_tol, cfg.abs_tol)))
     assert kinds.count(RateEstimate) >= SWEEP_BLOCK - len(axis)
 
 
@@ -556,7 +562,7 @@ def test_designed_inversion_rate_is_input_independent():
     for a, t_end in horizons.items():
         traj = integrate_network(designed_inversion_network(), {"A": a, "X": 0.5},
                                  SimConfig(t_end=t_end, rel_tol=1e-10, abs_tol=1e-13))
-        floor = auto_err_floor(1.0 / a, 1e-10)
+        floor = auto_err_floor(1.0 / a, 1e-10, 1e-13)
         rates[a] = estimate_rate(traj, "X", 1.0 / a, err_floor=floor).rho_hat
     vals = np.array(list(rates.values()))
     spread = float(vals.max() - vals.min()) / float(vals.mean())
@@ -569,7 +575,7 @@ def test_naive_inversion_rate_tracks_input():
         t_end = max(40.0 / a, 0.4)
         traj = integrate_network(naive_inversion_network(), {"A": a, "X": 0.0},
                                  SimConfig(t_end=t_end, rel_tol=1e-10, abs_tol=1e-13))
-        floor = auto_err_floor(1.0 / a, 1e-10)
+        floor = auto_err_floor(1.0 / a, 1e-10, 1e-13)
         rho = estimate_rate(traj, "X", 1.0 / a, err_floor=floor).rho_hat
         assert abs(rho - a) / a < 0.10, (a, rho)
 
@@ -623,7 +629,7 @@ def test_batch_rates_equal_each_lanes_own_estimate(src, mode, points):
         for sid, tgt, got in zip(run.rails, run.targets, run.rates):
             try:
                 want = estimate_rate(run.traj, sid, tgt,
-                                     err_floor=auto_err_floor(tgt, cfg.rel_tol))
+                                     err_floor=auto_err_floor(tgt, cfg.rel_tol, cfg.abs_tol))
             except ValueError as e:
                 assert type(got) is type(e) and str(got) == str(e)
                 continue

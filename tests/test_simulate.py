@@ -573,15 +573,15 @@ def test_rhs_rows_have_the_lane_shape():
     assert np.array_equal(rows[0], np.zeros(3))
     assert np.allclose(rows[1], 1.0 - y[0] * y[1])
     prog = compile_expression("a * b + 2")
-    rows = np.asarray(program_integrand(prog)[0](0.0, np.ones((len(prog.species), 4))))
-    assert rows.shape == (len(prog.species), 4)
+    rows = np.asarray(program_integrand(prog)[0](0.0, np.ones((len(prog.species_ids), 4))))
+    assert rows.shape == (len(prog.species_ids), 4)
 
 
 def _held_rows(prog) -> list[int]:
     """The species whose rate is identically zero: no gate drives them in
     a compiled program, and no reaction changes them in a network."""
     if prog.gates is not None:
-        driven = {s.id for g in prog.gates for s in (g.output, *g.intermediates)}
+        driven = {sid for g in prog.gates for sid in (g.output, *g.intermediates)}
         return [i for i, sid in enumerate(prog.species_ids) if sid not in driven]
     return [i for i, poly in enumerate(mass_action(prog.network)) if not poly]
 
@@ -689,7 +689,7 @@ def test_memory_does_not_grow_with_the_steps():
     # sampling its rails: four times the horizon takes about 50% more
     # steps, and no more memory, since a run keeps samples, not steps
     prog = compile_expression(" + ".join(f"a{i}*b{i}" for i in range(8)), "real")
-    assert len(prog.species) == 122
+    assert len(prog.species_ids) == 122
     names = [f"{c}{i}" for i in range(8) for c in "ab"]
     y0 = np.column_stack([program_state(prog, {v: 0.5 + 0.02 * j + 0.1 * k
                                                for k, v in enumerate(names)})
@@ -984,7 +984,7 @@ def test_real_subtraction_ties_blow_up_alike():
     t = ln 1e12, after about the same number of steps."""
     circuit = lower_to_circuit("a - b", "real")
     prog = flatten(circuit)
-    normalisers = {g.intermediates[0].id for g in circuit.gates
+    normalisers = {g.intermediates[0] for g in circuit.gates
                    if g.kind.tag == "rectified_subtraction"}
     assert len(normalisers) == 2
     steps = []
@@ -1004,7 +1004,7 @@ def test_real_subtraction_ties_name_one_owner():
     # every magnitude, not whichever roundoff made larger
     circuit = lower_to_circuit("a - b", "real")
     prog = flatten(circuit)
-    first = next(g.intermediates[0].id for g in circuit.gates
+    first = next(g.intermediates[0] for g in circuit.gates
                  if g.kind.tag == "rectified_subtraction")
     for a in (0.1, 3.0, 50.0):
         traj = simulate_program(prog, {"a": a, "b": a},
