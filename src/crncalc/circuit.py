@@ -187,7 +187,7 @@ def free_vars(e: Expr) -> set[str]:
 # A number (3, 0.25, 1e-3), a name spelled like a species id, an operator,
 # or, in group 4, any other character, which is refused.  The group that
 # matched gives the token's kind.
-_TOKEN_RE = re.compile(r"\s*(?:(\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)"
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
                        rf"|({SPECIES_ID})|([-+*/(),])|(\S))")
 _TOKEN_KINDS = (None, "num", "ident", "op")
 _FUNCTIONS = ("sqrt", "root", "abs", "max", "rsub")

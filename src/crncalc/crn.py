@@ -192,7 +192,7 @@ def format_polynomial(poly: Mapping[tuple[tuple[int, int], ...], Fraction],
 # Formatting is canonical (species order from the declaration, coefficient 1
 # omitted, rates as integers or p/q), so format(parse(format(n))) == format(n).
 
-_TERM_RE = re.compile(rf"(\d+)?\s*({SPECIES_ID})\Z")
+_TERM_RE = re.compile(rf"([0-9]+)?\s*({SPECIES_ID})\Z")
 
 
 def _parse_complex(text: str, lineno: int) -> Complex:
@@ -216,7 +216,12 @@ def parse_number(text: str) -> Fraction:
     """The exact value of a numeric literal ("3", "0.25", "1e-3", "2/3"), or
     ValueError unless a float holds it.  Each side is tried as a float
     first: "1e1000000" is refused before Fraction builds 10**1000000, and
-    a zero mantissa ("0e-1000000") is read without its exponent."""
+    a zero mantissa ("0e-1000000") is read without its exponent.  Both
+    also read other scripts' digits and underscores ("1_0"), which are
+    refused first; what is left of their grammar is the ASCII literal."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"number {text!r} is not a literal of ASCII digits "
+                         "like 3, 0.25, 1e-3 or 2/3")
     for part in text.split("/", 1):
         f = float(part)
         mantissa = part.lower().split("e")[0]

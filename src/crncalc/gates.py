@@ -155,7 +155,7 @@ def _partial_inverse(v, m) -> float:
 
 # the inner stage of both subtraction gates, Y -> 1/|a - b|, and its rate law
 _DIFF_STAGE = "Y -> 2Y\n2A + 3Y -> 2A + 2Y\n2B + 3Y -> 2B + 2Y\nA + B + 3Y -> A + B + 5Y\n"
-_DIFF_RATE = "{Y}*(1.0 - ({A} - {B})*({A} - {B})*{Y}*{Y})"
+_DIFF_RATE = ("{Y}", "*", "1.0 - ({A} - {B})*({A} - {B})*{Y}*{Y}")
 
 
 @dataclass(frozen=True)
@@ -165,9 +165,11 @@ class GateSpec:
     `reactions` is network text over the input names, the output X and
     the inner stage Y ({m} and {m1} stand for m and m + 1).  `rate_x` and
     `rate_y` are the same mass-action law in factored form, over the same
-    names in braces ({Ym} is Y to the m); they expand to exactly the
-    polynomials of `reactions` but evaluate differences like (A - B)
-    before squaring, which keeps the large-Y regime free of cancellation.
+    names in braces ({Ym} is Y to the m), as (left, op, right): the law is
+    (left) op (right), op the operation Python applies last, one of + - *.
+    They expand to exactly the polynomials of `reactions` but evaluate
+    differences like (A - B) before squaring, which keeps the large-Y
+    regime free of cancellation.
     `target(limits, m)` raises DomainError outside the gate's domain and
     `speed(rates, limits, m)` gives the rate bound at those limits.
     `limit_rate` is the spectral radius of the gate's own Jacobian block
@@ -179,10 +181,10 @@ class GateSpec:
     inputs: tuple[str, ...]
     reactions: str
     target: Callable[[Sequence[float], int | None], float]
-    rate_x: str
+    rate_x: tuple[str, str, str]
     shows_target: str
     shows_speed: str
-    rate_y: str | None = None
+    rate_y: tuple[str, str, str] | None = None
     speed: Callable[..., SpeedBound] = _slowest_input
     starts_positive: bool = True  # output and inner stage start at 1
     takes_m: bool = False
@@ -200,41 +202,41 @@ class GateSpec:
 
 GATES: dict[str, GateSpec] = {spec.tag: spec for spec in (
     GateSpec("identification", ("A",), "A -> A + X\nX -> 0",
-             lambda v, m: float(v[0]), "{A} - {X}",
+             lambda v, m: float(v[0]), ("{A}", "-", "{X}"),
              "x* = a*", "rho_x >= min{rho_a, 1}", starts_positive=False),
     GateSpec("inversion", ("A",), "X -> 2X\nA + 2X -> A + X",
-             _inverse, "{X}*(1.0 - {A}*{X})",
+             _inverse, ("{X}", "*", "1.0 - {A}*{X}"),
              "x* = 1/a*  (a* > 0)", "rho_x >= min{rho_a, 1}"),
     GateSpec("mth_root", ("A",),
              "Y -> 2Y\nA + {m1}Y -> A + {m}Y\nX -> 2X\nY + 2X -> Y + X",
-             lambda v, m: float(v[0]) ** (1.0 / m), "{X}*(1.0 - {Y}*{X})",
+             lambda v, m: float(v[0]) ** (1.0 / m), ("{X}", "*", "1.0 - {Y}*{X}"),
              "x* = a*^(1/m)", "rho_x >= min{rho_a, 1}, or min{rho_a/m, 1} when a* = 0",
-             rate_y="{Y}*(1.0 - {A}*{Ym})", speed=_root_speed, takes_m=True),
+             rate_y=("{Y}", "*", "1.0 - {A}*{Ym}"), speed=_root_speed, takes_m=True),
     GateSpec("addition", ("A", "B"), "A -> A + X\nB -> B + X\nX -> 0",
-             lambda v, m: float(v[0] + v[1]), "{A} + {B} - {X}",
+             lambda v, m: float(v[0] + v[1]), ("{A} + {B}", "-", "{X}"),
              "x* = a* + b*", "rho_x >= min{rho_a, rho_b, 1}", starts_positive=False),
     GateSpec("multiplication", ("A", "B"), "A + B -> A + B + X\nX -> 0",
-             lambda v, m: float(v[0] * v[1]), "{A}*{B} - {X}",
+             lambda v, m: float(v[0] * v[1]), ("{A}*{B}", "-", "{X}"),
              "x* = a* b*", "rho_x >= min{rho_a, rho_b, 1}; rates add when both limits are 0",
              speed=_product_speed, starts_positive=False),
     GateSpec("absolute_difference", ("A", "B"),
              _DIFF_STAGE + "X -> 2X\nY + 2X -> Y + X",
-             lambda v, m: abs(float(v[0] - v[1])), "{X}*(1.0 - {Y}*{X})",
+             lambda v, m: abs(float(v[0] - v[1])), ("{X}", "*", "1.0 - {Y}*{X}"),
              "x* = |a* - b*|", "rho_x >= min{rho_a, rho_b, 1}", rate_y=_DIFF_RATE,
              limit_rate=2),
     GateSpec("rectified_subtraction", ("A", "B"),
              _DIFF_STAGE + "A + Y + X -> A + Y + 2X\nB + Y + X -> B + Y\nY + 2X -> Y + X",
-             lambda v, m: max(float(v[0] - v[1]), 0.0), "{X}*{Y}*(({A} - {B}) - {X})",
+             lambda v, m: max(float(v[0] - v[1]), 0.0), ("{X}*{Y}", "*", "({A} - {B}) - {X}"),
              "x* = max(a* - b*, 0)  (Y diverges when a* = b*)",
              "rho_x >= min{rho_a, rho_b, 1}", rate_y=_DIFF_RATE, limit_rate=2),
     GateSpec("partial_real_inversion", ("A_p", "A_n"),
              "Y -> 2Y\nA_p + 2Y -> A_p + Y\nA_n + 2Y -> A_n + Y\n"
              "A_p + Y + X -> A_p + Y + 2X\nA_n + Y + X -> A_n + Y\n"
              "2A_p + Y + 2X -> 2A_p + Y + X",
-             _partial_inverse, "{X}*{Y}*({A_p} - {A_n} - {A_p}*{A_p}*{X})",
+             _partial_inverse, ("{X}*{Y}", "*", "{A_p} - {A_n} - {A_p}*{A_p}*{X}"),
              "x* = 1/a_p* if a_p* > 0 else 0  (canonical pair)",
              "rho_x >= min{rho_ap, rho_an, 1}",
-             rate_y="{Y}*(1.0 - ({A_p} + {A_n})*{Y})"),
+             rate_y=("{Y}", "*", "1.0 - ({A_p} + {A_n})*{Y}")),
 )}
 
 
@@ -294,18 +296,19 @@ def gate_text(g: GateInstance, order: Mapping[str, int]) -> str:
     return _line_writer(g.kind.tag, g.kind.m, ranks)(*bound)
 
 
-def factored_rates(g: GateInstance, name: Callable[[str], str]) -> list[tuple[str, str]]:
-    """(species id, rate law) for the species the gate drives, in the
-    factored form of its GateSpec, each species written as name(id)."""
+def factored_rates(g: GateInstance, name: Callable[[str], str]
+                   ) -> list[tuple[str, tuple[str, str, str]]]:
+    """(species id, (left, op, right)) for the species the gate drives, in
+    the factored form of its GateSpec, each species written as name(id)."""
     spec = GATES[g.kind.tag]
-    names = {role: name(sid) for role, sid in zip(spec.inputs, g.inputs)}
-    names["X"] = name(g.output)
-    if spec.rate_y is None:
-        return [(g.output, spec.rate_x.format_map(names))]
-    y = g.intermediates[0]
-    names["Y"] = name(y)
-    names["Ym"] = "*".join([names["Y"]] * (g.kind.m or 1))
-    return [(y, spec.rate_y.format_map(names)), (g.output, spec.rate_x.format_map(names))]
+    names = {role: name(sid) for role, sid in
+             zip(spec.roles, (*g.inputs, g.output, *g.intermediates))}
+    laws = [(g.output, spec.rate_x)]
+    if spec.rate_y is not None:
+        names["Ym"] = "*".join([names["Y"]] * (g.kind.m or 1))
+        laws.insert(0, (g.intermediates[0], spec.rate_y))
+    # op has no braces, so it formats to itself
+    return [(sid, tuple(part.format_map(names) for part in law)) for sid, law in laws]
 
 
 def gate_fragment_network(g: GateInstance) -> ReactionNetwork:

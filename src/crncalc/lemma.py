@@ -89,9 +89,9 @@ def _split_top(text: str, seps: str) -> list[str]:
     return parts
 
 
-_NUM = r"\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+_NUM = r"[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
 _EXP_RE = re.compile(rf"exp\(\s*-\s*(?:({_NUM})\s*\*\s*)?t\s*\)\Z")
-_POW_RE = re.compile(r"t(?:\^(\d+))?\Z")
+_POW_RE = re.compile(r"t(?:\^([0-9]+))?\Z")
 _NUM_RE = re.compile(_NUM + r"\Z")
 
 

@@ -11,6 +11,9 @@ integrate a whole grid at once.  A one-lane run hands the generated
 right-hand side python floats and stores the tuple it returns; a batch
 has it write each driven species' row in place into the stage array,
 and never writes the rows that stay zero (held inputs and constants).
+Both forms are generated from each law as (left, op, right), its last
+operation kept as data, and the in-place form is compiled once per
+right-hand side, when a batch first needs it.
 A run keeps no step history: each accepted step samples its interpolant
 on one uniform time grid, and a lane's Trajectory is those samples of
 the species a caller names (see `integrate`).  SimConfig.sigma scales every rate
@@ -154,8 +157,12 @@ def read_trajectory_csv(text: str) -> Trajectory:
 # code generation
 
 
-def _rhs_function(exprs: Sequence[str], constant: Sequence[bool]) -> Callable:
-    """Compile ``_rhs(t, y)`` returning one row per species.
+def _rhs_function(laws: Sequence[str | tuple[str, str, str]]) -> Callable:
+    """Compile ``_rhs(t, y)`` returning one row per species, the row of
+    each law (left, op, right) written (left) op (right), which Python
+    evaluates as the same tree as the unbracketed law.  A law that is a
+    plain string reads no species: "0.0" for a held species, else a
+    constant.
 
     y is a sequence of floats or a (species, lanes) array.  The rows that
     do not depend on the state share one ``z = 0.0*x`` of the first such
@@ -164,18 +171,18 @@ def _rhs_function(exprs: Sequence[str], constant: Sequence[bool]) -> Callable:
     like y, and it is +0.0 in every lane because those species never
     decrease from a non-negative start.
 
-    The function's ``in_place()`` compiles, when a batch first needs it,
-    the same laws as ``_rhs(t, y, out)``: y and out are sequences of one
-    (lanes,) row per species, and each law of a driven species is written
-    into its row of out by the ufunc of its top-level operator
+    The function's ``in_place()`` compiles, the first time a batch needs
+    it, and returns from then on, the same laws as ``_rhs(t, y, out)``: y
+    and out are sequences of one (lanes,) row per species, and each law
+    (left, op, right) is written into its row of out by op's ufunc
     (``multiply(x3*x2, (x1 - x0) - x3, out[4])``), with the same bits as
     _rhs's row.  Held rows are never written, and a constant row is filled
     with c: integrate's stage buffer starts at +0.0, which is what z is.
     """
-    names = [f"x{i}" for i in range(len(exprs))]
-    first = next((x for x, c in zip(names, constant) if c), None)
-    rows = [("z" if e == "0.0" else f"z + {e}") if c else e
-            for e, c in zip(exprs, constant)]
+    names = [f"x{i}" for i in range(len(laws))]
+    first = next((x for x, law in zip(names, laws) if isinstance(law, str)), None)
+    rows = [("z" if law == "0.0" else f"z + {law}") if isinstance(law, str) else _text(law)
+            for law in laws]
     one = "," if len(rows) == 1 else ""
     zero = f"    z = 0.0*{first}\n" if first else ""
     src = (f"def _rhs(t, y):\n    {', '.join(names)}{one} = y\n{zero}"
@@ -183,23 +190,24 @@ def _rhs_function(exprs: Sequence[str], constant: Sequence[bool]) -> Callable:
     env: dict = {}
     exec(src, env)
     rhs = env["_rhs"]
-    rhs.in_place = functools.partial(_in_place_function, names, exprs, constant)
+    rhs.in_place = functools.cache(functools.partial(_in_place_function, names, laws))
     return rhs
+
+
+def _text(law: str | tuple[str, str, str]) -> str:
+    """A law as Python source: (left, op, right) as (left) op (right)."""
+    return law if isinstance(law, str) else "({}) {} ({})".format(*law)
 
 
 _UFUNCS = {"+": "add", "-": "subtract", "*": "multiply"}
 
 
-def _in_place_function(names: Sequence[str], exprs: Sequence[str],
-                       constant: Sequence[bool]) -> Callable:
+def _in_place_function(names: Sequence[str],
+                       laws: Sequence[str | tuple[str, str, str]]) -> Callable:
     """_rhs_function's ``_rhs(t, y, out)``, which writes the rows in place."""
-    lines = []
-    for i, (e, c) in enumerate(zip(exprs, constant)):
-        if c and e == "0.0":
-            continue
-        split = _top_level_split(e)
-        lines.append(f"    {split[0]}({split[1]}, {split[2]}, out[{i}])" if split
-                     else f"    out[{i}][...] = {e}")
+    lines = [f"    out[{i}][...] = {law}" if isinstance(law, str)
+             else f"    {_UFUNCS[law[1]]}({law[0]}, {law[2]}, out[{i}])"
+             for i, law in enumerate(laws) if law != "0.0"]
     one = "," if len(names) == 1 else ""
     src = f"def _rhs(t, y, out):\n    {', '.join(names)}{one} = y\n" + "\n".join(lines)
     env: dict = {f: getattr(np, f) for f in _UFUNCS.values()}
@@ -207,41 +215,22 @@ def _in_place_function(names: Sequence[str], exprs: Sequence[str],
     return env["_rhs"]
 
 
-def _top_level_split(law: str) -> tuple[str, str, str] | None:
-    """(ufunc, left, right) of the binary operator Python applies last in
-    law, or None when it has none: the last ' + ' or ' - ' outside
-    parentheses, else the last '*' there.  Every law spaces its binary +
-    and - and not its *, which keeps a float's exponent sign (1e-05) and a
-    negative coefficient (+ -1.0*x0) out of the split, and none holds '/'
-    or '**'."""
-    depth, sums, products = 0, -1, -1
-    for i, ch in enumerate(law):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0:
-            if ch == "*":
-                products = i
-            elif ch in "+-" and law[i - 1:i + 2] == f" {ch} ":
-                sums = i
-    at = sums if sums >= 0 else products
-    if at < 0:
-        return None
-    return _UFUNCS[law[at]], law[:at].rstrip(), law[at + 1:].lstrip()
-
-
-def _polynomial(poly: Mapping) -> str:
+def _polynomial(poly: Mapping) -> str | tuple[str, str, str]:
     """A sparse polynomial of crn.mass_action's form as a sum of products
-    over x0, x1, ..."""
-    return " + ".join("*".join([repr(float(c)),
-                                *(f"x{j}" for j, e in mono for _ in range(e))])
-                      for mono, c in poly.items()) or "0.0"
+    over x0, x1, ..., split where Python applies its last operation: at
+    its last term, or a lone term's last factor.  A constant has no
+    operation and is a plain string, "0.0" when poly is empty."""
+    terms = [[repr(float(c)), *(f"x{j}" for j, e in mono for _ in range(e))]
+             for mono, c in poly.items()]
+    if len(terms) > 1:
+        return " + ".join(map("*".join, terms[:-1])), "+", "*".join(terms[-1])
+    factors = terms[0] if terms else ["0.0"]
+    return ("*".join(factors[:-1]), "*", factors[-1]) if len(factors) > 1 else factors[0]
 
 
 def _polynomial_function(polys: Sequence[Mapping]) -> Callable:
     """_rhs_function of one polynomial per species."""
-    return _rhs_function([_polynomial(p) for p in polys], [not any(p) for p in polys])
+    return _rhs_function([_polynomial(p) for p in polys])
 
 
 def _derivative(poly: Mapping, j: int) -> dict:
@@ -264,12 +253,12 @@ def compile_circuit_rhs(prog: CompiledProgram) -> Callable:
     y, which stalls the step controller; the factored form does not.
     """
     idx = {sid: i for i, sid in enumerate(prog.species_ids)}
-    exprs = ["0.0"] * len(idx)
+    # only species no gate writes (held inputs and constants) stay at 0.0
+    laws: list = ["0.0"] * len(idx)
     for g in prog.gates:
         for sid, law in factored_rates(g, lambda sid: f"x{idx[sid]}"):
-            exprs[idx[sid]] = law
-    # only species no gate writes (held inputs and constants) stay at 0.0
-    return _rhs_function(exprs, [e == "0.0" for e in exprs])
+            laws[idx[sid]] = law
+    return _rhs_function(laws)
 
 
 # ---------------------------------------------------------------------------
@@ -612,9 +601,10 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     rhs(t, y) takes y as (species, lanes), or as a list of floats when y0
     has one column, and returns one row per species: a tuple of floats for
     one lane.  For a batch, an rhs from _rhs_function (compile_circuit_rhs,
-    network_integrand) is not called so: its in_place form writes each
-    stage's rows straight into the stage buffer, and never the rows that
-    stay zero; any other callable is called as above and its rows stored,
+    network_integrand) is not called so: its in_place form, compiled by
+    the first batch and reused by every later one, writes each stage's
+    rows straight into the stage buffer, and never the rows that stay
+    zero; any other callable is called as above and its rows stored,
     which gives the same bits.  rhs, max_step and
     the steps see tau = cfg.sigma * t, up to sigma * t_end; every time
     returned (sample, blowup and stiff_failure times, and the negatives')
@@ -873,7 +863,7 @@ def network_integrand(net: ReactionNetwork) -> tuple[Callable, Callable]:
         diagonal = _polynomial_function([_derivative(p, i) for i, p in enumerate(field)])
         return rhs, lambda t, y: _cap(diagonal(t, y))
     n = len(field)
-    entries = "".join(f"    J[{i}, {j}] = {_polynomial(d)}\n"
+    entries = "".join(f"    J[{i}, {j}] = {_text(_polynomial(d))}\n"
                       for i, poly in enumerate(field)
                       for j in sorted({j for mono in poly for j, _ in mono})
                       if (d := _derivative(poly, j)))

@@ -79,6 +79,7 @@ def test_parse_errors_carry_positions():
 @pytest.mark.parametrize("src, message", [
     ("2^x", "col 2: unexpected character '^'"),
     ("a + _b", "col 5: unexpected character '_'"),
+    ("\u0663+a", "col 1: unexpected character '\u0663'"),  # an Arabic-Indic 3
     ("a b", "col 3: trailing input 'b'"),
     ("a)", "col 2: trailing input ')'"),
     ("foo(a)", "col 4: trailing input '('"),

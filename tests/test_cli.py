@@ -1060,6 +1060,30 @@ def test_out_of_range_numbers_exit_2(tmp_path, capsys, argv, message):
     assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
+NOT_ASCII = "is not a literal of ASCII digits like 3, 0.25, 1e-3 or 2/3"
+DIGITS = "# input a -> A\n# output -> X\nspecies: A[input], X\n{c}A -> {c}A + X ; k={k}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    # Arabic-Indic digits and underscores, which float, Fraction and \d read
+    (["compile", "--expr", "\u0663+a"], "col 1: unexpected character '\u0663'"),
+    (["verify", "--expr", "a", "--in", "a=\u0663"], f"input 'a': number '\u0663' {NOT_ASCII}"),
+    (["verify", "--expr", "a", "--in", "a=1_0"], f"input 'a': number '1_0' {NOT_ASCII}"),
+    (["sweep", "--expr", "a", "--grid", "a=1_0"], f"grid axis 'a': number '1_0' {NOT_ASCII}"),
+    (["simulate", "--crn", DIGITS.format(c="\u0662", k="\u0663"), "--in", "a=1"],
+     f"line 4: bad rate constant: number '\u0663' {NOT_ASCII}"),
+    (["simulate", "--crn", DIGITS.format(c="\u0662", k="3"), "--in", "a=1"],
+     "line 4: bad complex term '\u0662A'"),
+    (["lemma", "--form", "linear", "--g2", "1", "--g1", "\u0663"],
+     "bad factor '\u0663' in forcing '\u0663'"),
+])
+def test_non_ascii_digits_and_underscores_exit_2(tmp_path, capsys, argv, message):
+    if argv[1] == "--crn":
+        (tmp_path / "p.crn").write_text(argv[2])
+        argv = [argv[0], "--crn", str(tmp_path / "p.crn"), *argv[3:]]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 LEMMA = ["lemma", "--form", "linear", "--g1", "2", "--g2", "1"]
 
 

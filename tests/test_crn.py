@@ -243,7 +243,10 @@ def test_parse_number_reads_a_zero_without_its_exponent():
                                           ("nan", "out of a float's range"),
                                           ("1/0", "divides by zero"),
                                           ("abc", "could not convert"),
-                                          ("1/1e5", "Invalid literal")])
+                                          ("1/1e5", "Invalid literal"),
+                                          ("1_0", "not a literal of ASCII digits"),
+                                          ("\u0663", "not a literal of ASCII digits"),
+                                          ("1/\u0663", "not a literal of ASCII digits")])
 def test_parse_number_refuses_what_a_float_cannot_hold(text, message):
     with pytest.raises(ValueError, match=message):
         parse_number(text)

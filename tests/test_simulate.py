@@ -331,17 +331,26 @@ def test_no_negative_excursions_flagged():
 
 # --- factored gate RHS agrees with the expanded polynomial field ---------------
 
+# their gates are all 8 kinds, the m-th root at m = 2 and 3 (asserted in
+# test_rhs_writes_a_batch_in_place_with_the_tuple_bits)
+RHS_SOURCES = [*((src, "nonneg") for src in ("a", "a/b", "sqrt(a)", "root(3, a)", "abs(a - b)",
+                                             "max(a, b) + 2", "sqrt(abs(a - b)) + a/b")),
+               *((src, "real") for src in ("a", "a/b", "a*b - c", "1/a"))]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=8.0), min_size=7, max_size=7))
 def test_factored_rhs_matches_expanded(values):
-    prog = flatten(lower_to_circuit("sqrt(abs(a - b)) + a/b"))
-    ids = prog.network.species_ids
-    fast = compile_circuit_rhs(prog)
-    slow, _ = network_integrand(prog.network)
-    y = np.array((values * 3)[: len(ids)])
-    lhs = np.asarray(fast(0.0, y), dtype=float)
-    rhs = np.asarray(slow(0.0, y), dtype=float)
-    assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
+    # each gate's factored law expands to its reactions' polynomials
+    for src, mode in RHS_SOURCES:
+        prog = flatten(lower_to_circuit(src, mode))
+        ids = prog.network.species_ids
+        fast = compile_circuit_rhs(prog)
+        slow, _ = network_integrand(prog.network)
+        y = np.resize(values, len(ids))
+        lhs = np.asarray(fast(0.0, y), dtype=float)
+        rhs = np.asarray(slow(0.0, y), dtype=float)
+        assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-9), src
 
 
 # --- lockstep lanes ------------------------------------------------------------
@@ -590,20 +599,19 @@ def test_rhs_writes_a_batch_in_place_with_the_tuple_bits():
     # the in-place rows of a batch are bit for bit the rows the tuple form
     # returns, and the held rows, which integrate keeps at +0.0, are never
     # written: out starts as nan and they stay nan
-    nonneg = ["a", "a/b", "sqrt(a)", "root(3, a)", "abs(a - b)", "max(a, b) + 2"]
-    real = ["a", "a/b", "a*b - c", "1/a"]
-    progs = [compile_expression(src, mode) for mode, srcs in (("nonneg", nonneg), ("real", real))
-             for src in srcs]
+    progs = [compile_expression(src, mode) for src, mode in RHS_SOURCES]
     kinds = {g.kind for prog in progs for g in prog.gates}
     assert {kind.tag for kind in kinds} == set(GATES)
     assert {kind.m for kind in kinds if kind.tag == "mth_root"} == {2, 3}
     # program text loads as its expanded field, and a bare network may hold
-    # a zero-order reaction (B's constant row) and a rate written 1e-05
+    # a zero-order reaction (B's constant row), a rate written 1e-05 and a
+    # law that is one monomial (X's 1.0*x0)
     progs.append(load_program(format_program(compile_expression("sqrt(abs(a - b)) + a/b"))))
     progs.append(load_program(format_program(compile_expression("a*b - c", "real"))))
     progs.append(bare_program(parse_network(
         "species: A[input], X[output], B\n0 -> B ; k=2\n0 -> X ; k=1\n"
         "A + X -> A ; k=1\nB + X -> B ; k=1/100000\n")))
+    progs.append(bare_program(parse_network("species: A[input], X[output]\nA -> A + X\n")))
     rng = np.random.default_rng(32)
     for prog in progs:
         rhs, _ = program_integrand(prog)
@@ -618,12 +626,25 @@ def test_rhs_writes_a_batch_in_place_with_the_tuple_bits():
         driven = [i for i in range(n) if i not in held]
         assert np.array_equal(out[driven], want[driven])
         assert np.array_equal(np.signbit(out[driven]), np.signbit(want[driven]))
-    assert crncalc.simulate._top_level_split("1e-05*x1 + -1.0*x0*x2") == (
-        "add", "1e-05*x1", "-1.0*x0*x2")
-    assert crncalc.simulate._top_level_split("-1.0*x0*x2") == ("multiply", "-1.0*x0", "x2")
-    assert crncalc.simulate._top_level_split("x0 + x1 - (x2 - x3)") == (
-        "subtract", "x0 + x1", "(x2 - x3)")
-    assert crncalc.simulate._top_level_split("1e-05") is None
+
+
+def test_the_in_place_form_is_compiled_once(monkeypatch):
+    # a batch compiles the in-place form on its first use, and every later
+    # batch of the same rhs runs that function
+    sources = []
+
+    def spy_exec(src, env):
+        sources.append(src)
+        exec(src, env)
+
+    monkeypatch.setattr(crncalc.simulate, "exec", spy_exec, raising=False)
+    prog = compile_expression("a/b")
+    rhs, cap = program_integrand(prog)
+    y0 = np.column_stack([program_state(prog, {"a": a, "b": 2}) for a in (1, 3)])
+    runs = [integrate(rhs, y0, prog.species_ids, SimConfig(t_end=5), cap) for _ in range(2)]
+    assert rhs.in_place() is rhs.in_place()
+    assert sum(src.startswith("def _rhs(t, y, out)") for src in sources) == 1
+    assert [lane.stats for lane in runs[0]] == [lane.stats for lane in runs[1]]
 
 
 def test_dense_output_of_one_species_is_exact():
@@ -697,9 +718,11 @@ def test_memory_does_not_grow_with_the_steps():
     rhs, cap = program_integrand(prog)
     # tracemalloc looks up the line of every allocation, which in the long
     # generated rhs is a scan of its code unless a profiler has built the
-    # code's line table: one profiled call builds it
+    # code's line table: one profiled call of each form builds it, and
+    # integrate runs the in-place form this call compiles
     sys.setprofile(lambda *args: None)
     rhs(0.0, y0)
+    rhs.in_place()(0.0, list(y0), list(np.empty_like(y0)))
     sys.setprofile(None)
     peaks, steps = [], []
     for t_end in (40, 160):
