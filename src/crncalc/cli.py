@@ -41,6 +41,21 @@ def _err(msg: str) -> int:
     return EXIT_USAGE
 
 
+# 10^-digits, the final error a run must reach, is a normal double (and is
+# the threshold a report prints) for digits up to 307
+_MAX_DIGITS = 307
+
+
+def _digits_error(digits: int) -> str | None:
+    """Why --digits is refused, or None."""
+    if digits < 1:
+        return f"--digits must be at least 1, got {digits}"
+    if digits > _MAX_DIGITS:
+        return (f"--digits must be at most {_MAX_DIGITS}, since 10^-{digits} is below the "
+                f"smallest normal double, got {digits}")
+    return None
+
+
 def _given(**options) -> dict:
     """The options the user set; the callee keeps its own default for the rest."""
     return {k: v for k, v in options.items() if v is not None}
@@ -131,8 +146,8 @@ def cmd_analyze(args) -> int:
     species = args.species or (traj.species[0] if len(traj.species) == 1 else None)
     if species is None:
         return _err("--species required for multi-species trajectories")
-    if args.digits is not None and args.digits < 1:
-        return _err(f"--digits must be at least 1, got {args.digits}")
+    if args.digits is not None and (bad := _digits_error(args.digits)):
+        return _err(bad)
     report: dict = {"trajectory": args.traj, "species": species,
                     "target": args.target,
                     "termination": traj.termination.status}
@@ -168,8 +183,8 @@ def _finish_verify(args, report: dict, code: int) -> int:
 
 def cmd_verify(args) -> int:
     from . import rates as rt, simulate as sim
-    if args.digits < 1:
-        return _err(f"--digits must be at least 1, got {args.digits}")
+    if bad := _digits_error(args.digits):
+        return _err(bad)
     rt.check_slack(args.slack)
     cfg = _sim_config(args)
     inputs = _parse_inputs(args.inputs)

@@ -8,12 +8,14 @@ derivatives as the rows of one array, so every stage input is one
 matrix-vector product.  Many initial states ("lanes") of one system
 advance in lockstep as the columns of a single array, which is how sweeps
 integrate a whole grid at once.  A one-lane run hands the generated
-right-hand side python floats and stores the tuple it returns; a batch
-has it write each driven species' row in place into the stage array,
-and never writes the rows that stay zero (held inputs and constants).
-Both forms are generated from each law as (left, op, right), its last
-operation kept as data, and the in-place form is compiled once per
-right-hand side, when a batch first needs it.
+right-hand side python floats and packs the tuple it returns into the
+stage array; a batch has it write each driven species' row in place into
+the stage array, and never writes the rows that stay zero (held inputs
+and constants).  Both forms are generated from each law as (left, op,
+right), its last operation kept as data, and the in-place form is
+compiled once per right-hand side, when a batch first needs it, as a
+factory that each batch binds to its start: what reads only held inputs
+and constants is evaluated there once, not at every stage.
 A run keeps no step history: each accepted step samples its interpolant
 on one uniform time grid, and a lane's Trajectory is those samples of
 the species a caller names (see `integrate`).  SimConfig.sigma scales every rate
@@ -27,10 +29,12 @@ tolerance, or uses up its budget of step attempts, ends in stiff_failure.
 
 from __future__ import annotations
 
+import ast
 import bisect
 import functools
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -172,12 +176,10 @@ def _rhs_function(laws: Sequence[str | tuple[str, str, str]]) -> Callable:
     decrease from a non-negative start.
 
     The function's ``in_place()`` compiles, the first time a batch needs
-    it, and returns from then on, the same laws as ``_rhs(t, y, out)``: y
-    and out are sequences of one (lanes,) row per species, and each law
-    (left, op, right) is written into its row of out by op's ufunc
-    (``multiply(x3*x2, (x1 - x0) - x3, out[4])``), with the same bits as
-    _rhs's row.  Held rows are never written, and a constant row is filled
-    with c: integrate's stage buffer starts at +0.0, which is what z is.
+    it, and returns from then on, a factory for the same laws written in
+    place (see _in_place_function): ``in_place()(y0)`` binds them to a
+    block's start state y0 and returns ``_rhs(t, y, out)``, which writes
+    each driven row of out with the same bits as _rhs's row.
     """
     names = [f"x{i}" for i in range(len(laws))]
     first = next((x for x, law in zip(names, laws) if isinstance(law, str)), None)
@@ -204,15 +206,68 @@ _UFUNCS = {"+": "add", "-": "subtract", "*": "multiply"}
 
 def _in_place_function(names: Sequence[str],
                        laws: Sequence[str | tuple[str, str, str]]) -> Callable:
-    """_rhs_function's ``_rhs(t, y, out)``, which writes the rows in place."""
-    lines = [f"    out[{i}][...] = {law}" if isinstance(law, str)
-             else f"    {_UFUNCS[law[1]]}({law[0]}, {law[2]}, out[{i}])"
+    """_rhs_function's in-place form, compiled as the factory
+    ``_bind(y0)``.  y0 is a block's start state, one (lanes,) row per
+    species, and the function it returns is ``_rhs(t, y, out)``: y and out
+    are sequences of one (lanes,) row per species, and each law (left, op,
+    right) is written into its row of out by op's ufunc
+    (``multiply(x3*x2, h1 - x3, out[3])``), with the same bits as _rhs's
+    row.  Held rows (law "0.0") are never written, and a constant row is
+    filled with c: integrate's stage buffer starts at +0.0, which is what
+    z is.
+
+    _rhs expects y's held rows to be y0's, as they are in every stage
+    input of a batch (see _lane_ops), so what reads only them is done
+    once, when _bind runs: each maximal subexpression of a left or right
+    part that reads held species and no others, and each literal constant,
+    becomes a (lanes,) array h0, h1, ... of _bind's, shared by equal
+    subexpressions of every law (``(x1 - x0)*(x1 - x0)`` and ``1.0``
+    in ``multiply(x2, h2 - h0*x2*x2, out[2])``).  A ufunc gives the same
+    bits for an array of 1.0 as for the float 1.0, so the rows do not
+    change.  Binding runs no exec.
+    """
+    held = {x for x, law in zip(names, laws) if law == "0.0"}
+    hoisted: dict[str, tuple[str, str]] = {}  # ast.dump -> (name, source)
+
+    def part(text: str) -> str:
+        """text with each maximal held subexpression replaced by its name."""
+        found = []
+
+        def reads_held(node) -> bool:  # reads held species or none at all
+            if isinstance(node, ast.Name):
+                return node.id in held
+            if isinstance(node, ast.Constant):
+                return True
+            kids = ([node.operand] if isinstance(node, ast.UnaryOp) else
+                    [node.left, node.right] if isinstance(node, ast.BinOp) else [])
+            flags = [reads_held(kid) for kid in kids]
+            if kids and all(flags):
+                return True
+            found.extend(k for k, f in zip(kids, flags) if f and not isinstance(k, ast.Name))
+            return False
+
+        root = ast.parse(text, mode="eval").body
+        if reads_held(root) and not isinstance(root, ast.Name):
+            found.append(root)
+        for node in sorted(found, key=lambda node: -node.col_offset):
+            sub = text[node.col_offset:node.end_col_offset]
+            if (key := ast.dump(node)) not in hoisted:
+                constant = not any(isinstance(n, ast.Name) for n in ast.walk(node))
+                hoisted[key] = (f"h{len(hoisted)}", f"full_like(x0, {sub})" if constant else sub)
+            text = text[:node.col_offset] + hoisted[key][0] + text[node.end_col_offset:]
+        return text
+
+    lines = [f"        out[{i}][...] = {law}" if isinstance(law, str)
+             else f"        {_UFUNCS[law[1]]}({part(law[0])}, {part(law[2])}, out[{i}])"
              for i, law in enumerate(laws) if law != "0.0"]
-    one = "," if len(names) == 1 else ""
-    src = f"def _rhs(t, y, out):\n    {', '.join(names)}{one} = y\n" + "\n".join(lines)
-    env: dict = {f: getattr(np, f) for f in _UFUNCS.values()}
+    unpack = f"{', '.join(names)}{',' if len(names) == 1 else ''} = y"
+    src = (f"def _bind(y):\n    {unpack}\n"
+           + "".join(f"    {name} = {sub}\n" for name, sub in hoisted.values())
+           + f"    def _rhs(t, y, out):\n        {unpack}\n" + "".join(f"{ln}\n" for ln in lines)
+           + "    return _rhs")
+    env: dict = {f: getattr(np, f) for f in (*_UFUNCS.values(), "full_like")}
     exec(src, env)
-    return env["_rhs"]
+    return env["_bind"]
 
 
 def _polynomial(poly: Mapping) -> str | tuple[str, str, str]:
@@ -447,76 +502,103 @@ def _stats(steps: int, rejected: int, extra: int) -> IntegrationStats:
                             2 + 12 * (steps + rejected) + 3 * steps + extra)
 
 
-def _lane_ops(n: int, lanes: int, live: np.ndarray, rhs: Callable, W: Sequence):
-    """The stage buffer of n species x lanes and what the attempt loop
-    applies to it.
+def _lane_ops(y0: np.ndarray, rhs: Callable, W: Sequence):
+    """The stage buffer of y0's n species x lanes and what the attempt
+    loop applies to it.
 
     Z (17 x n*lanes) holds y and the stages K0..K15 as rows, each stored
     species-major; it starts at +0.0.  ZT holds the views the
     combinations multiply: ZT[s] = Z[:s + 1].T feeds stage s (s = 1..15),
     and ZT[0] = Z[1:13], the stages K0..K11, the error estimates.
     evaluate(t, h, first, stop) evaluates stages first..stop - 1 of the
-    step h from t: stage s weights ZT[s] by W[s] into its input and writes
-    rhs at t + _C[s] h there into Z[s + 1].  It returns the last input,
-    the new state when that is stage 12's.  One lane hands rhs a list of
-    floats (python floats run the generated code faster than numpy
-    scalars) and stores its tuple.  A batch puts each input in one of two
-    preallocated buffers, stage 12's apart from the others', and a
-    generated rhs writes in place (see _rhs_function): its y and out are
-    row views of the buffer and of Z[s + 1], built once, and it never
-    writes the rows that stay +0.0.  Any other rhs is called with the (n,
-    lanes) view of the buffer and its tuple stored into Z[s + 1].
+    step h from t: stage s weights ZT[s] by W[s] into its input, in one
+    of two preallocated buffers, stage 12's apart from the others', and
+    writes rhs at t + _C[s] h there into Z[s + 1].  It returns the last
+    input, the new state when that is stage 12's.
+
+    One lane moves rows as packed doubles: rhs reads its input as a tuple
+    of floats (python floats run the generated code faster than numpy
+    scalars), and the row it returns, floats or anything float() takes,
+    goes straight into Z[s + 1]'s memory; both copy the doubles exactly.
+    In a batch, a generated rhs writes in place (see _rhs_function): its
+    factory is bound once to y0, and its y and out are row views of the
+    buffer and of Z[s + 1], built once; it never writes the rows that stay
+    +0.0.  A held species' row is the same in every stage input, because
+    its K rows stay +0.0: y is weighted by 1.0, and every stage gives some
+    K a positive weight, so each input holds y exactly, or +0.0 for a
+    zero.  Any other rhs is called with the (n, lanes) view of the buffer
+    and its rows stored into Z[s + 1].
+
     rows is Z as rhs(t, y) returns it: flat rows for one lane, else (17,
-    n, lanes), and state turns a flat state into rhs's y: a list of floats
-    for one lane, else an (n, lanes) view; the starting step and the step
-    cap evaluate through them.  norms takes the scaled err5 and err3 rows
-    (2 x n*lanes) to each lane's error norm |err5|^2 / sqrt(n (|err5|^2 +
-    |err3|^2 / 100)), and worst to the largest over the lanes marked in
-    live, a mask that integrate updates in place; a nan anywhere in a lane
-    makes its norm nan.
+    n, lanes), and state turns a flat state into rhs's y: a tuple of
+    floats for one lane, else an (n, lanes) view; the starting step and
+    the step cap evaluate through them.  norms takes the scaled err5 and
+    err3 rows (2 x n*lanes) to each lane's error norm |err5|^2 / sqrt(n
+    (|err5|^2 + |err3|^2 / 100)), into a buffer that the next call
+    overwrites, and worst to the largest over the lanes; a nan anywhere in
+    a lane makes its norm nan.  Once lanes leave, integrate masks them out
+    of worst.
     """
+    n, lanes = y0.shape
     Z = np.zeros((17, n * lanes))
     ZT = [Z[1:13]] + [Z[:s + 1].T for s in range(1, 16)]
+    inputs = np.empty((2, n * lanes))
     if lanes == 1:  # the lane is live until the run ends
+        packed = struct.Struct(f"{n}d")
+        unpack, pack = packed.unpack_from, packed.pack_into
+        plan = [None] + [(ZT[s], W[s], inputs[int(s == 12)], _C[s], (s + 1) * packed.size)
+                         for s in range(1, 16)]
+
         def evaluate(t, h, first, stop):
-            for s in range(first, stop):
-                x = ZT[s].dot(W[s])
-                Z[s + 1] = rhs(t + _C[s] * h, x.tolist())
+            try:
+                for s in range(first, stop):
+                    A, w, x, c, at = plan[s]
+                    A.dot(w, out=x)
+                    pack(Z, at, *rhs(t + c * h, unpack(x)))
+            except struct.error as e:  # a row of the wrong length or type
+                raise ValueError(f"rhs row does not hold {n} floats: {e}") from None
             return x
 
         def worst(e):
             s5, s3 = float(e[0].dot(e[0])), float(e[1].dot(e[1]))
             return s5 / math.sqrt((s5 + 0.01 * s3) * n) if s5 else 0.0
 
-        return Z, Z, ZT, np.ndarray.tolist, evaluate, worst, lambda e: np.array([worst(e)])
+        return Z, Z, ZT, unpack, evaluate, worst, lambda e: np.array([worst(e)])
 
-    rows, inputs = Z.reshape(17, n, lanes), np.empty((2, n * lanes))
+    rows = Z.reshape(17, n, lanes)
     ys, outs = inputs.reshape(2, n, lanes), rows
     if (in_place := getattr(rhs, "in_place", None)) is not None:
-        f, ys, outs = in_place(), [list(y) for y in ys], [list(out) for out in outs]
+        f, ys, outs = in_place()(list(y0)), [list(y) for y in ys], [list(out) for out in outs]
     else:
         def f(t, y, out):  # a plain (t, y) callable: store its rows
             out[...] = rhs(t, y)
-    plan = [None]
-    for s in range(1, 16):
-        k = int(s == 12)  # stage 12's input, the new state, has its own buffer
-        plan.append((ZT[s], W[s], inputs[k], ys[k], outs[s + 1]))
+    plan = [None] + [(ZT[s], W[s], inputs[int(s == 12)], ys[int(s == 12)], outs[s + 1], _C[s])
+                     for s in range(1, 16)]
 
     def evaluate(t, h, first, stop):
         for s in range(first, stop):
-            A, w, x, y, out = plan[s]
-            np.dot(A, w, out=x)
-            f(t + _C[s] * h, y, out)
+            A, w, x, y, out, c = plan[s]
+            A.dot(w, out=x)
+            f(t + c * h, y, out)
         return x
 
+    squares, sums, norm = np.empty((2, n, lanes)), np.empty((2, lanes)), np.empty(lanes)
+    flat, (s5, s3) = squares.reshape(2, n * lanes), sums
+
     def norms(e):
-        e = e.reshape(2, n, lanes)
-        s5, s3 = np.einsum("kij,kij->kj", e, e)
-        # a lane with no error at all has norm 0, not 0/0
-        return s5 / np.sqrt(np.maximum(s5 + 0.01 * s3, _TINY) * n)
+        np.multiply(e, e, out=flat)
+        np.add.reduce(squares, axis=1, out=sums)
+        # s5 / sqrt(max(s5 + 0.01 s3, tiny) n): a lane with no error at
+        # all has norm 0, not 0/0
+        np.multiply(s3, 0.01, out=norm)
+        np.add(norm, s5, out=norm)
+        np.maximum(norm, _TINY, out=norm)
+        np.multiply(norm, n, out=norm)
+        np.sqrt(norm, out=norm)
+        return np.divide(s5, norm, out=norm)
 
     return (Z, rows, ZT, lambda x: x.reshape(n, lanes), evaluate,
-            lambda e: float(_amax(norms(e)[live])), norms)
+            lambda e: float(_amax(norms(e))), norms)
 
 
 def _initial_step(rhs, state, n: int, y0, f0, t_end: float, rtol: float, atol: float,
@@ -598,14 +680,17 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     passes of at most about _PASS values.  So memory is bounded by the
     grid, not by the number of steps.
 
-    rhs(t, y) takes y as (species, lanes), or as a list of floats when y0
-    has one column, and returns one row per species: a tuple of floats for
-    one lane.  For a batch, an rhs from _rhs_function (compile_circuit_rhs,
-    network_integrand) is not called so: its in_place form, compiled by
-    the first batch and reused by every later one, writes each stage's
-    rows straight into the stage buffer, and never the rows that stay
-    zero; any other callable is called as above and its rows stored,
-    which gives the same bits.  rhs, max_step and
+    rhs(t, y) takes y as (species, lanes), or as a tuple of floats when y0
+    has one column, and returns one row per species: for one lane a
+    sequence of floats (or of what float() takes), which is packed into
+    the stage buffer exactly.  For a batch, an rhs from _rhs_function
+    (compile_circuit_rhs, network_integrand) is not called so: its
+    in_place factory, compiled by the first batch and reused by every
+    later one, is bound once per call to y0, which evaluates once what
+    reads only held rows and constants, and then writes each stage's rows
+    straight into the stage buffer, and never the rows that stay zero;
+    any other callable is called as above and its rows stored, which
+    gives the same bits.  rhs, max_step and
     the steps see tau = cfg.sigma * t, up to sigma * t_end; every time
     returned (sample, blowup and stiff_failure times, and the negatives')
     is divided by sigma, and a completed lane ends at t_end exactly.  All
@@ -652,7 +737,8 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     C = np.empty((17, 17))
     W = [None, *(C[s - 1, :s + 1] for s in range(1, 16))]
     E = C[15:, 1:13]
-    Z, rows, ZT, state, evaluate, worst, norms = _lane_ops(n, n_lanes, live, rhs, W)
+    Z, rows, ZT, state, evaluate, worst, norms = _lane_ops(y0, rhs, W)
+    top = _amax  # the largest value of a state's live lanes, while all are live
     stages = Z[1:].reshape(16, n, n_lanes)  # K0..K15 by species and lane
     t, y = 0.0, Z[0]  # y is the state at t, kept in Z[0]
     Z[0] = y0.ravel()
@@ -675,22 +761,36 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
     # the steps whose grid times, from grid[evaluated] to grid[held], are pending
     pending, evaluated, held, width = [], 0, 0, max(1, len(cols) * n_lanes)
     low, low_t = np.zeros((2, n, n_lanes))  # lowest values below 0, and when
-    ends: dict[int, tuple] = {}  # lane -> (termination, negatives, stats, end state)
+    ends: dict[int, tuple] = {}  # lane -> (termination, negatives, stats)
+    finals = []  # (lanes, end time, their end states) of each group that left
     steps = rejected = 0
 
-    def leave(j: int, term: Termination, end: np.ndarray):
-        lows, when = low[:, j].copy(), low_t[:, j].copy()
+    def leave(js: np.ndarray, term: Termination, end: np.ndarray):
+        """Lanes js leave together, ending in term at end (n, len(js))."""
+        lows, when = low[:, js], low_t[:, js]
         _lower(lows, when, end, term.time)
-        negatives = tuple((species[i], float(when[i]), float(lows[i]))
-                          for i in np.flatnonzero(lows < -atol))
-        ends[int(j)] = (term, negatives, _stats(steps, rejected, extra), end)
+        below = lows < -atol
+        negatives = [()] * js.size
+        for c in np.flatnonzero(below.any(axis=0)):
+            negatives[c] = tuple((species[i], float(when[i, c]), float(lows[i, c]))
+                                 for i in np.flatnonzero(below[:, c]))
+        stats = _stats(steps, rejected, extra)
+        for j, lane_negatives in zip(js.tolist(), negatives):
+            ends[j] = (term, lane_negatives, stats)
+        finals.append((js, term.time, end))
+
+    def worst_live(e):
+        return float(_amax(norms(e)[live]))
+
+    def top_live(y):
+        return _amax(y.reshape(n, -1)[:, live], axis=None)
 
     while True:
         if steps + rejected >= _MAX_ATTEMPTS:
             detail = f"Step attempt budget of {_MAX_ATTEMPTS} used up."
-            for j in np.flatnonzero(live):
-                leave(j, Termination("stiff_failure", time=t / sigma, detail=detail),
-                      y.reshape(n, -1)[:, j].copy())
+            js = np.flatnonzero(live)
+            leave(js, Termination("stiff_failure", time=t / sigma, detail=detail),
+                  y.reshape(n, -1)[:, js])
             break
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(min(h_abs, max_step), min_step)
@@ -738,23 +838,20 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
                 if (held - evaluated + 8 * len(pending)) * width >= _PASS:
                     evaluated = _sample_steps(out, grid, evaluated, pending, sigma)
                     pending = []
-            # lanes that have left can sit above the threshold: the check
-            # below then runs every step, and finds no live lane crossing
-            if done or not threshold - _amax(y_new) > 0:
+            if done or not threshold - top(y_new) > 0:
                 y_cols, new_cols = y.reshape(n, -1), y_new.reshape(n, -1)
                 crossed = ((threshold - y_cols.max(axis=0) >= 0)
                            & (threshold - new_cols.max(axis=0) <= 0))
                 leaving = live & (crossed | done)
-                for j in np.flatnonzero(leaving):
-                    if crossed[j]:
-                        q_j = np.ascontiguousarray(stages[:, :, j]).T.dot(_P)
-                        # a copy: y is Z[0], which this step's end overwrites
-                        t_hit, y_hit = _crossing(t, t_new, y_cols[:, j].copy(), q_j)
-                        owner = species[_blowup_owner(y_hit, rtol)]
-                        leave(j, Termination("blowup", owner, t_hit / sigma), y_hit)
-                    else:
-                        leave(j, Termination("completed", time=float(cfg.t_end)),
-                              new_cols[:, j].copy())
+                for j in np.flatnonzero(leaving & crossed):
+                    q_j = np.ascontiguousarray(stages[:, :, j]).T.dot(_P)
+                    # a copy: y is Z[0], which this step's end overwrites
+                    t_hit, y_hit = _crossing(t, t_new, y_cols[:, j].copy(), q_j)
+                    owner = species[_blowup_owner(y_hit, rtol)]
+                    leave(np.array([j]), Termination("blowup", owner, t_hit / sigma),
+                          y_hit[:, None])
+                if done and (js := np.flatnonzero(leaving & ~crossed)).size:
+                    leave(js, Termination("completed", time=float(cfg.t_end)), new_cols[:, js])
             if np.fmin.reduce(y_new) < 0:
                 _lower(low, low_t, y_new.reshape(n, -1), t_new / sigma)
             Z[1] = Z[13]  # first same as last
@@ -765,9 +862,9 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             # the step shrank below what t can resolve: lanes still missing
             # the tolerance there leave, the others retry from h_first
             leaving = live & ~(norms(err) < 1)
-            for j in np.flatnonzero(leaving):
-                leave(j, Termination("stiff_failure", time=t / sigma, detail=_TOO_SMALL),
-                      y.reshape(n, -1)[:, j].copy())
+            if (js := np.flatnonzero(leaving)).size:
+                leave(js, Termination("stiff_failure", time=t / sigma, detail=_TOO_SMALL),
+                      y.reshape(n, -1)[:, js])
             h_abs = h_first
         # the cap is evaluated once the lanes that leave are masked out
         new_cap = accepted and steps % _RHO_INTERVAL == 0
@@ -775,6 +872,7 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
             live &= ~leaving
             if not live.any():
                 break
+            worst, top = worst_live, top_live
             if not steps:
                 # nothing accepted yet: h_first was the least starting step
                 # of the batch, the leaving lanes' included; the others
@@ -785,16 +883,16 @@ def integrate(rhs: Callable, y0: np.ndarray, species: Sequence[str],
         if new_cap and cap_at is not None:
             max_step = cap(t, y)
     _sample_steps(out, grid, evaluated, pending, sigma)
-    # each lane's end row overwrites its first sample at or after its end
-    times, last = np.empty(out.shape[:2]), {}
+    # each group's end rows overwrite its lanes' first sample at or after their end
+    times, last = np.empty(out.shape[:2]), np.empty(n_lanes, dtype=int)
     times[:, :_SAMPLES] = grid
-    for lane, (term, *_, end) in ends.items():
-        k = last[lane] = bisect.bisect_left(bounds, term.time)
-        times[lane, k] = term.time
-        np.clip(end[cols], 0.0, None, out=out[lane, k])
+    for js, time, end in finals:
+        k = last[js] = bisect.bisect_left(bounds, time)
+        times[js, k] = time
+        out[js, k] = np.clip(end[cols].T, 0.0, None)
     out.flags.writeable = times.flags.writeable = False
-    return [Trajectory(sampled, times[j, :last[j] + 1], out[j, :last[j] + 1], *record)
-            for j, (*record, _) in sorted(ends.items())]
+    return [Trajectory(sampled, times[j, :k + 1], out[j, :k + 1], *ends[j])
+            for j, k in enumerate(last.tolist())]
 
 
 def _lower(lows: np.ndarray, times: np.ndarray, y: np.ndarray, t: float):

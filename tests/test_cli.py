@@ -296,6 +296,14 @@ def test_analyze_multi_species_without_species_exits_2(tmp_path, capsys):
     assert err == "error: --species required for multi-species trajectories\n"
 
 
+def test_digits_307_is_the_threshold_the_report_prints(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, text, _ = run(capsys, "verify", "--expr", "a+b", "--in", "a=1,b=2",
+                        "--digits", "307", "--report", str(report))
+    assert code == 4 and "> 1e-307" in text
+    assert json.loads(report.read_text())["accuracy"]["threshold"] == 1e-307
+
+
 def test_analyze_not_converged_exits_4(tmp_path, capsys):
     out = tmp_path / "traj.csv"
     run(capsys, "simulate", "--expr", "a + b", "--in", "a=1,b=2",
@@ -312,6 +320,14 @@ def test_analyze_not_converged_exits_4(tmp_path, capsys):
     (["verify", "--expr", "a", "--in", "a=1", "--digits", "0"], "--digits must be at least 1"),
     (["analyze", "--traj", "{traj}", "--target", "1", "--digits", "0"],
      "--digits must be at least 1"),
+    # 10^-308 is subnormal and 10^-324 is 0.0: a threshold the report
+    # would not print as the one applied
+    (["verify", "--expr", "a", "--in", "a=1", "--digits", "308"],
+     "--digits must be at most 307, since 10^-308 is below the smallest normal double"),
+    (["verify", "--expr", "a+b", "--in", "a=1,b=2", "--digits", "400"],
+     "--digits must be at most 307"),
+    (["analyze", "--traj", "{traj}", "--target", "1", "--digits", "308"],
+     "--digits must be at most 307"),
     (["analyze", "--traj", "{traj}", "--target", "1", "--floor", "1e-2", "--ceil", "1e-3"],
      "got floor 0.01 and ceiling 0.001 for target 1")])
 def test_settings_out_of_range_exit_2(tmp_path, capsys, argv, message):

@@ -41,3 +41,15 @@ def test_output_digest_counts_and_hashes_every_operation(capsys):
         assert (workload, seed) == ("grid", "1") and argv.startswith("sweep ")
         assert re.fullmatch(r"[0-9a-f]{64}", digest)
     assert len({line.split("\t")[2] for line in ops}) == 5
+
+
+def test_paired_rounds_runs_an_a_a_control(capsys):
+    # the same checkout on both sides, each imported under its own name
+    root = str(SCRIPTS.parent)
+    assert _main("paired_rounds")([root, root, "--workload", "compile", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^A .*: median round [0-9.]+ ms$", out, re.M)
+    assert re.search(r"^B .*: median round [0-9.]+ ms$", out, re.M)
+    assert re.search(r"compile seed 1, 2 pairs: speed ratio A/B median [0-9.]+ "
+                     r"\(IQR [0-9.]+-[0-9.]+\), B faster in [012]/2\n", out)
+    assert out.endswith("outputs: the same on both sides\n")

@@ -620,7 +620,7 @@ def test_rhs_writes_a_batch_in_place_with_the_tuple_bits():
         y = rng.uniform(0.05, 4.0, (n, 25))
         want = np.asarray(rhs(0.0, y))
         out = np.full((n, 25), np.nan)
-        assert rhs.in_place()(0.0, list(y), list(out)) is None
+        assert rhs.in_place()(list(y))(0.0, list(y), list(out)) is None
         assert np.isnan(out[held]).all()
         assert np.array_equal(want[held], np.zeros((len(held), 25)))
         driven = [i for i in range(n) if i not in held]
@@ -641,10 +641,57 @@ def test_the_in_place_form_is_compiled_once(monkeypatch):
     prog = compile_expression("a/b")
     rhs, cap = program_integrand(prog)
     y0 = np.column_stack([program_state(prog, {"a": a, "b": 2}) for a in (1, 3)])
-    runs = [integrate(rhs, y0, prog.species_ids, SimConfig(t_end=5), cap) for _ in range(2)]
+    runs = [integrate(rhs, y0, prog.species_ids, SimConfig(t_end=5), cap)]
+    compiled = len(sources)
+    # the second batch binds the factory to its own start, and runs no exec
+    runs.append(integrate(rhs, y0, prog.species_ids, SimConfig(t_end=5), cap))
+    assert len(sources) == compiled
     assert rhs.in_place() is rhs.in_place()
-    assert sum(src.startswith("def _rhs(t, y, out)") for src in sources) == 1
+    assert sum(src.startswith("def _bind(y)") for src in sources) == 1
     assert [lane.stats for lane in runs[0]] == [lane.stats for lane in runs[1]]
+
+
+def test_a_bound_rhs_keeps_the_tuple_bits_at_its_held_rows(monkeypatch):
+    # binding evaluates once, at the start it is given, what reads only
+    # held rows (and every constant); at any state with that start's held
+    # rows and other driven rows, each driven row has the tuple form's
+    # bits and no held row is written
+    sources = []
+
+    def spy_exec(src, env):
+        sources.append(src)
+        exec(src, env)
+
+    monkeypatch.setattr(crncalc.simulate, "exec", spy_exec, raising=False)
+    progs = {
+        # held-only subtrees in both modes, and the constant K1
+        "max": compile_expression("max(a, b) + 2"),
+        "real": compile_expression("1/(a - b)", "real"),
+        "shared": compile_expression("a*a"),  # one input read twice
+        "text": load_program(format_program(compile_expression("sqrt(abs(a - b)) + a/b"))),
+    }
+    hoisted = {"max": ["h0 = (x1 - x0)*(x1 - x0)", "h1 = full_like(x0, 1.0)", "h2 = x1 - x0"],
+               "real": ["h0 = x0 + x3", "h1 = x1 + x2"],
+               "shared": ["h0 = x0*x0"],
+               "text": ["h0 = 2.0*x0*x1", "h4 = full_like(x0, -1.0)"]}
+    rng = np.random.default_rng(37)
+    for name, prog in progs.items():
+        rhs, _ = program_integrand(prog)
+        n, held = len(prog.species_ids), _held_rows(prog)
+        driven = [i for i in range(n) if i not in held]
+        y0 = rng.uniform(0.05, 4.0, (n, 25))
+        bound = rhs.in_place()(list(y0))
+        (src,) = [src for src in sources if src.startswith("def _bind(y)")][-1:]
+        assert all(f"\n    {line}\n" in src for line in hoisted[name]), src
+        for _ in range(3):
+            y = y0.copy()
+            y[driven] = rng.uniform(0.05, 4.0, (len(driven), 25))
+            out = np.full((n, 25), np.nan)
+            assert bound(0.0, list(y), list(out)) is None
+            want = np.asarray(rhs(0.0, y))
+            assert np.isnan(out[held]).all()
+            assert np.array_equal(out[driven], want[driven])
+            assert np.array_equal(np.signbit(out[driven]), np.signbit(want[driven]))
 
 
 def test_dense_output_of_one_species_is_exact():
@@ -719,10 +766,10 @@ def test_memory_does_not_grow_with_the_steps():
     # tracemalloc looks up the line of every allocation, which in the long
     # generated rhs is a scan of its code unless a profiler has built the
     # code's line table: one profiled call of each form builds it, and
-    # integrate runs the in-place form this call compiles
+    # integrate binds the in-place factory this call compiles and binds
     sys.setprofile(lambda *args: None)
     rhs(0.0, y0)
-    rhs.in_place()(0.0, list(y0), list(np.empty_like(y0)))
+    rhs.in_place()(list(y0))(0.0, list(y0), list(np.empty_like(y0)))
     sys.setprofile(None)
     peaks, steps = [], []
     for t_end in (40, 160):
@@ -905,8 +952,37 @@ def test_network_rhs_is_the_mass_action_field():
             assert np.allclose(got, [want[sid] for sid in ids], rtol=1e-12, atol=1e-12)
 
 
+def test_one_lane_stores_any_row_of_floats_exactly():
+    # one lane packs the row rhs returns into the stage buffer: a tuple of
+    # floats, a list, or numpy float64 values (as simulate_forced's power
+    # form returns) integrate to the same bits; a row of the wrong length
+    # raises ValueError, at the first evaluation or at a later stage
+    prog = compile_expression("sqrt(1/(a + b))")
+    rhs, cap = program_integrand(prog)
+    y0 = program_state(prog, {"a": 2.0, "b": 3.0})[:, None]
+    cfg = SimConfig(t_end=20, **TIGHT)
+    forms = [rhs, lambda t, y: list(rhs(t, y)), lambda t, y: tuple(map(np.float64, rhs(t, y)))]
+    (base,), *others = [integrate(form, y0, prog.species_ids, cfg, cap) for form in forms]
+    assert base.termination.status == "completed"
+    for (lane,) in others:
+        assert np.array_equal(lane.times, base.times)
+        assert np.array_equal(lane.states, base.states)
+        assert (lane.termination, lane.negatives, lane.stats) == (
+            base.termination, base.negatives, base.stats)
+    calls = []
+
+    def short_later(t, y):  # the right length at first, one row short after
+        calls.append(t)
+        return rhs(t, y)[:-1] if len(calls) > 2 else rhs(t, y)
+
+    for bad in (lambda t, y: rhs(t, y)[:-1], lambda t, y: (*rhs(t, y), 0.0), short_later):
+        with pytest.raises(ValueError):
+            integrate(bad, y0, prog.species_ids, cfg, cap)
+    assert len(calls) == 3
+
+
 def test_rhs_sees_only_the_lane_shape(monkeypatch):
-    # rhs is called with a list of n floats for one lane, else an
+    # rhs is called with a tuple of n floats for one lane, else an
     # (n, lanes) array, and never with extra lanes
     real = crncalc.simulate.integrate
     seen = []
@@ -916,7 +992,7 @@ def test_rhs_sees_only_the_lane_shape(monkeypatch):
 
         def spy(t, y):
             if lanes == 1:
-                assert type(y) is list and len(y) == n
+                assert type(y) is tuple and len(y) == n
                 assert all(type(v) is float for v in y)
             else:
                 assert isinstance(y, np.ndarray) and y.shape == (n, lanes)
