@@ -320,6 +320,8 @@ def test_analyze_not_converged_exits_4(tmp_path, capsys):
     (["verify", "--expr", "a", "--in", "a=1", "--digits", "0"], "--digits must be at least 1"),
     (["analyze", "--traj", "{traj}", "--target", "1", "--digits", "0"],
      "--digits must be at least 1"),
+    (["analyze", "--traj", "{traj}", "--target", "1", "--floor", "1e-2", "--ceil", "1e-3"],
+     "got floor 0.01 and ceiling 0.001 for target 1"),
     # 10^-308 is subnormal and 10^-324 is 0.0: a threshold the report
     # would not print as the one applied
     (["verify", "--expr", "a", "--in", "a=1", "--digits", "308"],
@@ -327,9 +329,7 @@ def test_analyze_not_converged_exits_4(tmp_path, capsys):
     (["verify", "--expr", "a+b", "--in", "a=1,b=2", "--digits", "400"],
      "--digits must be at most 307"),
     (["analyze", "--traj", "{traj}", "--target", "1", "--digits", "308"],
-     "--digits must be at most 307"),
-    (["analyze", "--traj", "{traj}", "--target", "1", "--floor", "1e-2", "--ceil", "1e-3"],
-     "got floor 0.01 and ceiling 0.001 for target 1")])
+     "--digits must be at most 307")])
 def test_settings_out_of_range_exit_2(tmp_path, capsys, argv, message):
     traj = tmp_path / "traj.csv"
     traj.write_text("t,X\n" + "".join(f"{t},{1 + math.exp(-t)!r}\n" for t in range(30)))
