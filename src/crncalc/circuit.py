@@ -20,9 +20,9 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Mapping, NamedTuple, Sequence, Union
 
-from .crn import (MAX_STOICH, SPECIES_ID, FormatError, ReactionNetwork, Species,
-                  format_fraction, format_network, format_species, parse_network,
-                  parse_number)
+from .crn import (_NUMBER, MAX_STOICH, SPECIES_ID, FormatError, ReactionNetwork,
+                  Species, format_fraction, format_network, format_species,
+                  parse_network, parse_number)
 from .gates import (DomainError, GateInstance, GateKind, SpeciesNamer,
                     SpeedBound, gate_speed_bound, gate_target, gate_text, make_gate)
 
@@ -187,8 +187,7 @@ def free_vars(e: Expr) -> set[str]:
 # A number (3, 0.25, 1e-3), a name spelled like a species id, an operator,
 # or, in group 4, any other character, which is refused.  The group that
 # matched gives the token's kind.
-_TOKEN_RE = re.compile(r"\s*(?:([0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
-                       rf"|({SPECIES_ID})|([-+*/(),])|(\S))")
+_TOKEN_RE = re.compile(rf"\s*(?:({_NUMBER})|({SPECIES_ID})|([-+*/(),])|(\S))")
 _TOKEN_KINDS = (None, "num", "ident", "op")
 _FUNCTIONS = ("sqrt", "root", "abs", "max", "rsub")
 # Parentheses, calls and unary minus nested deeper than this are refused:
@@ -608,7 +607,9 @@ def _rail_ids(v: Value) -> tuple[str, ...]:
 
 def flatten(circuit: Circuit) -> CompiledProgram:
     """Lay the gate fragments out as one program with stable species
-    order: inputs, constants, then per-gate intermediates and outputs."""
+    order: inputs, constants, then per-gate intermediates and outputs.
+    A gate starts its intermediate before its output, so init+ in gate
+    order is in species order."""
     roles = dict.fromkeys([sid for v in circuit.inputs.values() for sid in _rail_ids(v)],
                           "input")
     roles.update(dict.fromkeys(circuit.consts, "input"))
@@ -616,13 +617,11 @@ def flatten(circuit: Circuit) -> CompiledProgram:
         for sid in g.intermediates:
             roles[sid] = "intermediate"
         roles[g.output] = "output"
-    pos = [sid for g in circuit.gates for sid in g.positive_init]
-    order = {sid: i for i, sid in enumerate(roles)}
     bindings = ProgramBindings(
         inputs=tuple((name, _rail_ids(v)) for name, v in circuit.inputs.items()),
         consts=tuple((sid, format_fraction(v)) for sid, v in circuit.consts.items()),
         output=_rail_ids(circuit.output),
-        positive_init=tuple(sorted(pos, key=order.__getitem__)),
+        positive_init=tuple(sid for g in circuit.gates for sid in g.positive_init),
     )
     return CompiledProgram(roles, bindings, circuit.gates)
 
@@ -676,8 +675,9 @@ def load_program(text: str) -> CompiledProgram:
     `const`, `output` or `init+` is a binding line and must have its form;
     an input name, a const species, the output and init+ are each bound
     once, and so is each species an input rail, const or init+ starts.
-    A text without a binding line is a bare network and loads with
-    bindings None; one with any must bind an output and declared species."""
+    A text must declare or use a species.  A text without a binding line
+    is a bare network and loads with bindings None; one with any must
+    bind an output and declared species."""
     inputs: dict[str, tuple[str, ...]] = {}
     consts: dict[str, str] = {}
     output: tuple[str, ...] | None = None
@@ -714,6 +714,8 @@ def load_program(text: str) -> CompiledProgram:
                 raise FormatError(f"line {lineno}: species {sid} bound twice")
             started.add(sid)
     net = parse_network(text)
+    if not net.species_ids:
+        raise FormatError("program text declares no species")
     if not seen:
         return CompiledProgram(net.roles, None, network=net)
     if output is None:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 SPECIES_ID = r"[A-Za-z][A-Za-z0-9_]*"  # also the spelling of an expression variable
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"  # a decimal literal: 3, 0.25, 1e-3
 SPECIES_RE = re.compile(SPECIES_ID + r"\Z")
 ROLES = ("input", "output", "intermediate")
 MAX_STOICH = 255
@@ -260,7 +261,7 @@ def parse_network(text: str) -> ReactionNetwork:
             have_header = True
             for item in line[len("species:"):].split(","):
                 item = item.strip()
-                m = re.match(r"([A-Za-z][A-Za-z0-9_]*)(?:\[(\w+)\])?\Z", item)
+                m = re.match(rf"({SPECIES_ID})(?:\[(\w+)\])?\Z", item)
                 if not m:
                     raise FormatError(f"line {lineno}: bad species declaration {item!r}")
                 sid, role = m.group(1), m.group(2) or "intermediate"

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import rates as rt
 from . import simulate as sim
-from .crn import parse_number
+from .crn import _NUMBER, parse_number
 from .gates import SpeedBound
 from .rates import RateEstimate, Verdict, auto_err_floor, check_slack, check_speed
 from .simulate import SimConfig, Trajectory, _cap, _check_state
@@ -89,10 +89,9 @@ def _split_top(text: str, seps: str) -> list[str]:
     return parts
 
 
-_NUM = r"[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-_EXP_RE = re.compile(rf"exp\(\s*-\s*(?:({_NUM})\s*\*\s*)?t\s*\)\Z")
+_EXP_RE = re.compile(rf"exp\(\s*-\s*(?:({_NUMBER})\s*\*\s*)?t\s*\)\Z")
 _POW_RE = re.compile(r"t(?:\^([0-9]+))?\Z")
-_NUM_RE = re.compile(_NUM + r"\Z")
+_NUM_RE = re.compile(_NUMBER + r"\Z")
 
 
 def parse_forcing(text: str) -> ForcingFunction:
@@ -141,7 +140,7 @@ class ForcedSystem:
         if self.form not in ("linear", "power"):
             raise ValueError("form must be 'linear' or 'power'")
         if self.m < 1:
-            raise ValueError("power form needs m >= 1")
+            raise ValueError(f"m must be at least 1, got {self.m}")
 
 
 def simulate_forced(system: ForcedSystem, cfg: SimConfig | None = None) -> Trajectory:

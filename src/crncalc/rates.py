@@ -138,9 +138,9 @@ def _suffix_fits(bt: np.ndarray, be: np.ndarray, nb: np.ndarray):
 def _detrended_fit(t: np.ndarray, log_e: np.ndarray, bounds: np.ndarray) -> list:
     """Prefactor-aware rate fit on envelope maxima of trailing sub-windows,
     of every row of a block at once.  Row r's fit window is
-    t[bounds[r]:bounds[r + 1]], increasing, with log errors log_e there.
-    Returns per row a RateEstimate, or the EstimationError of an envelope
-    of fewer than 4 bins or of an error that is not decaying.
+    t[bounds[r]:bounds[r + 1]], strictly increasing, with log errors log_e
+    there.  Returns per row a RateEstimate, or the EstimationError of an
+    envelope of fewer than 4 bins or of an error that is not decaying.
 
     Binning by time and keeping each bin's maximum discards the downward
     spikes where the signed error crosses zero; scanning suffixes lets the
@@ -157,31 +157,24 @@ def _detrended_fit(t: np.ndarray, log_e: np.ndarray, bounds: np.ndarray) -> list
     starts = np.searchsorted(key, _pairs(rows[:, None], edges[:, :-1]), side="left")
     stops = np.searchsorted(key, _pairs(rows[:, None], edges[:, 1:]), side="right")
     del key  # the pairs below take its place
-    full = starts < stops
-    starts, stops = starts[full], stops[full]  # the bins, row after row
-    # each bin's first largest sample, its largest (log error, -time)
-    # pair, reduced from each start to its stop (a pair after the last
-    # sample lets a stop be the end)
-    top = np.zeros(t.size + 1, dtype=complex)
-    top.real[:-1] = log_e
-    np.negative(t, out=top.imag[:-1])
-    top = np.maximum.reduceat(top, np.column_stack([starts, stops]).ravel())[::2]
+    full = starts < stops  # the bins that hold a sample
+    # each bin's first largest sample, its largest (log error, -index)
+    # pair, reduced from each start to its stop (the last bin stops at
+    # the end of t, so its reduction runs to the end without a stop)
+    top = np.maximum.reduceat(_pairs(log_e, -np.arange(t.size)),
+                              np.column_stack([starts[full], stops[full]]).ravel()[:-1])[::2]
+    peak = (-top.imag).astype(int)
     # each row's bins, packed at the start of the row
     nb = full.sum(axis=1)
     bt, be = np.zeros((2, rows.size, _ENVELOPE_BINS))
     at = np.nonzero(full)[0], (np.cumsum(full, axis=1) - 1)[full]
-    bt[at], be[at] = -top.imag, top.real
+    bt[at], be[at] = t[peak], top.real
     rho, _k, r2, windows = _suffix_fits(bt, be, nb)
     r2 = np.where(windows, r2, -np.inf)
     s = np.argmax(r2 >= r2.max(axis=1, keepdims=True) - 1e-6, axis=1)  # earliest (longest) near-tied suffix
     first = bt[rows, s]
-    # the samples used: every one after the stop of the fit's first bin,
-    # and those in that bin no earlier than its largest
-    b = np.cumsum(nb) - nb + s
-    size = stops[b] - starts[b]
-    offset = np.cumsum(size) - size
-    inside = t[np.repeat(starts[b] - offset, size) + np.arange(size.sum())] >= np.repeat(first, size)
-    n_used = bounds[1:] - stops[b] + np.add.reduceat(inside, offset, dtype=int)
+    # the samples used: the row's from the fit's first peak to its end
+    n_used = bounds[1:] - peak[np.cumsum(nb) - nb + s]
     return [EstimationError(f"only {bins} envelope bins in the fit window") if bins < 4
             else EstimationError("error is not decaying over the fit window") if rate <= 0
             else RateEstimate(rate, (lo, hi), fit, used)
@@ -193,7 +186,7 @@ def _detrended_fit(t: np.ndarray, log_e: np.ndarray, bounds: np.ndarray) -> list
 def _pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The pairs (a, b) as complex numbers a + ib, which numpy orders by a,
     then b, so that searching (row, time) pairs finds a time in its own
-    row of concatenated windows, and a range's largest (value, -time)
+    row of concatenated windows, and a range's largest (value, -index)
     pair is its first largest value."""
     z = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
     z.real, z.imag = a, b

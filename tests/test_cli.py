@@ -7,6 +7,7 @@ Exit code contract: 0 success, 2 usage/parse/domain problems, 3 blowup,
 import concurrent.futures
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -591,6 +592,12 @@ def test_lemma_slow_growth_is_measured_or_refused(tmp_path, capsys):
     assert data["rate"]["rho_hat"] == pytest.approx(0.05, rel=1e-3)
 
 
+@pytest.mark.parametrize("form", ["linear", "power"])
+def test_lemma_m_below_1_exits_2_naming_m(capsys, form):
+    code, out, err = run(capsys, "lemma", "--form", form, "--g1", "1", "--g2", "1", "--m", "0")
+    assert (code, out, err) == (2, "", "error: m must be at least 1, got 0\n")
+
+
 def test_lemma_precondition_exits_2(capsys):
     code, _, err = run(capsys, "lemma", "--form", "power",
                        "--g1", "2", "--g2", "exp(-1*t)")
@@ -918,6 +925,27 @@ def test_crn_binding_error_exits_2(tmp_path, capsys, command, bindings, message)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("text", [
+    "", "# nothing\n", "species: X[input]\n", "species: A[input], X\nA + X -> A + X ; k=1\n",
+    "0 -> X\n"], ids=["empty", "comment_only", "header_only", "held_only", "source"])
+def test_crn_text_of_few_species_ends_in_a_documented_exit(tmp_path, capsys, command, text):
+    # a text that declares and uses no species is refused; one whose
+    # species are all held, or grow without bound, runs
+    path = tmp_path / "p.crn"
+    path.write_text(text)
+    args = (["--in", "X=1"] if command == "simulate"
+            else ["--grid", "X=1,2", "--target", "1", "--species", "X"])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--crn", str(path), "--t-end", "5", *args])
+    assert code in (0, 2, 3, 4, 5), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if "species" not in text and "X" not in text:
+        assert (code, out.getvalue(), err.getvalue()) == (
+            2, "", "error: program text declares no species\n")
+
+
 @pytest.mark.parametrize("command", CRN_RUNS)
 def test_crn_refuses_mode(tmp_path, capsys, command):
     # --crn text is compiled already, so --mode would be ignored; it is
@@ -1030,6 +1058,10 @@ def test_gates_catalogue(capsys):
     code, out, _ = run(capsys, "gates")
     assert code == 0
     assert "identification" in out and "rectified_subtraction" in out
+    # the whole catalogue, byte for byte: it holds no floats, so its hash
+    # is the same on every machine
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "96097e176f580adaa45d435c2bffd48cd9ea44dba081081d8cd2ac07431fa869")
 
 
 def test_bad_input_binding_exits_2(capsys):

@@ -32,6 +32,7 @@ from crncalc.simulate import (
 )
 from crncalc.cli import SWEEP_BLOCK
 from crncalc.rates import (
+    ERR_CEIL,
     ERR_FLOOR,
     EstimationError,
     NotConvergedError,
@@ -39,6 +40,7 @@ from crncalc.rates import (
     RateEstimate,
     _detrended_fit,
     _suffix_fits,
+    _window,
     auto_err_floor,
     check_speed,
     digits_time,
@@ -355,6 +357,40 @@ def test_detrended_fit_needs_four_bins():
     assert isinstance(got, EstimationError) and str(got) == "only 2 envelope bins in the fit window"
     with pytest.raises(EstimationError, match="only 2 envelope bins"):
         reference_detrended_fit(seg_t, -seg_t)
+
+
+CRITERION_3_GRID = np.geomspace(0.1, 50.0, 5)
+
+
+@pytest.mark.parametrize("src, mode, points", [
+    # criterion 3's block, ties a = b included
+    ("max(a, b)", "nonneg", [{"a": a, "b": b} for a in CRITERION_3_GRID
+                             for b in CRITERION_3_GRID]),
+    # two rails per lane
+    ("a*b - c", "real", [{"a": 1.3, "b": -2.1, "c": 0.7}, {"a": 0.5, "b": 2.0, "c": -1.5},
+                         {"a": -2.2, "b": 0.4, "c": 0.3}]),
+])
+def test_detrended_fit_matches_reference_on_integrated_windows(src, mode, points):
+    # every rail's fit window of an integrated block, fitted as one block,
+    # gives the reference fit of that window alone and the pipeline's rate
+    cfg = SimConfig(t_end=40, rel_tol=1e-10, abs_tol=1e-12)
+    windows, rates = [], []
+    for run in Pipeline.expression(src, mode, cfg).run_points(points):
+        for sid, tgt, rate in zip(run.rails, run.targets, run.rates):
+            floor = auto_err_floor(tgt, cfg.rel_tol, cfg.abs_tol)
+            window = _window(run.traj, sid, tgt, floor, ERR_CEIL)
+            assert isinstance(window, tuple), (sid, tgt, window)
+            windows.append(window)
+            rates.append(rate)
+    bounds = np.cumsum([0] + [seg_t.size for seg_t, _ in windows])
+    block = _detrended_fit(np.concatenate([t for t, _ in windows]),
+                           np.log(np.concatenate([e for _, e in windows])), bounds)
+    assert block == rates
+    for (seg_t, err), est in zip(windows, block):
+        ref_rho, ref_win, ref_r2, ref_n = reference_detrended_fit(seg_t, np.log(err))
+        assert (est.fit_window, est.samples_used) == (ref_win, ref_n)
+        assert est.rho_hat == pytest.approx(ref_rho, rel=1e-12, abs=0)
+        assert est.r_squared == pytest.approx(ref_r2, rel=1e-12, abs=0)
 
 
 # --- digit times ----------------------------------------------------------------
